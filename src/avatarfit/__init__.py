@@ -6,73 +6,4 @@ solve every frame into a full-body pose with analytic limb IK and pose the
 fingers onto the hand controller by gradient descent.
 """
 
-from .calibration import (
-    CalibrationProfile,
-    MisalignmentError,
-    calibrate_session,
-    capture_profile,
-    compute_scale,
-    load_profile_file,
-    save_profile_file,
-    validate_profile,
-)
-from .fingers import (
-    CapsuleShape,
-    DescentConfig,
-    FingerParams,
-    HandModel,
-    capsule_sdf,
-    default_grip_capsule,
-    default_hand_model,
-    descend,
-    finger_objective,
-    pose_hand_on_controller,
-)
-from .math3d import (
-    DegenerateGeometryError,
-    Plane,
-    Transform,
-    angle_between,
-    fit_plane,
-    rotation_between,
-    vec3,
-)
-from .retarget import (
-    OffsetMode,
-    SolvedPose,
-    effector_position,
-    effector_rotation,
-    solve_frame,
-    solve_session,
-    spine_bend,
-    two_bone_ik,
-    write_pose_trace,
-)
-from .session import (
-    DeviceFrame,
-    DeviceRole,
-    GroundTruth,
-    NoiseModel,
-    PostureError,
-    RoleAmbiguityError,
-    Session,
-    SessionFormatError,
-    default_mount_offsets,
-    generate_synthetic_session,
-    identify_roles,
-    read_session,
-    write_session,
-)
-from .skeleton import (
-    PoseState,
-    SkeletonModel,
-    SkeletonError,
-    bind_pose,
-    forward_kinematics,
-    load_skeleton,
-    load_skeleton_file,
-    save_skeleton_file,
-    scale_uniform,
-)
-
 __version__ = "0.1.0"

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .math3d import Transform, quat_canonical, quat_normalize
+from .math3d import Transform, quat_canonical, quat_normalize, transform_from_obj, \
+    transform_to_obj
 from .session import DeviceFrame, DeviceRole, Session, identify_roles
 from .skeleton import SkeletonModel, scale_uniform
 
-PROFILE_FORMAT = 1
+# Format 2 dropped the two per-part t=0 positions of format 1, which nothing read.
+PROFILE_FORMAT = 2
 
 # A correctly performed walk-in leaves every device near its joint.
 MAX_WALK_IN_OFFSET = 0.5
@@ -44,8 +46,6 @@ class PartOffsets:
     v0: np.ndarray          # joint position minus tracker position
     r0_tracker: np.ndarray  # tracker rotation at t=0
     r0_joint: np.ndarray    # joint rotation at t=0
-    p0_tracker: np.ndarray
-    p0_joint: np.ndarray
 
 
 @dataclass
@@ -117,8 +117,6 @@ def capture_profile(
             v0=v0,
             r0_tracker=tracker.rotation.copy(),
             r0_joint=joint.rotation.copy(),
-            p0_tracker=tracker.translation.copy(),
-            p0_joint=joint.translation.copy(),
         )
 
     w0 = device[DeviceRole.HMD].translation - device[DeviceRole.TRACKER_ROOT].translation
@@ -194,20 +192,6 @@ def validate_profile(profile: CalibrationProfile) -> list[str]:
 # Profile JSON
 # ---------------------------------------------------------------------------
 
-def _transform_to_obj(t: Transform) -> dict:
-    return {
-        "rotation": [float(v) for v in quat_canonical(t.rotation)],
-        "translation": [float(v) for v in t.translation],
-    }
-
-
-def _transform_from_obj(obj: dict) -> Transform:
-    return Transform(
-        quat_normalize(np.asarray(obj["rotation"], dtype=np.float64)),
-        np.asarray(obj["translation"], dtype=np.float64),
-    )
-
-
 def profile_to_document(profile: CalibrationProfile) -> dict:
     parts = {}
     for name, off in profile.parts.items():
@@ -215,16 +199,14 @@ def profile_to_document(profile: CalibrationProfile) -> dict:
             "v0": [float(v) for v in off.v0],
             "r0_tracker": [float(v) for v in quat_canonical(off.r0_tracker)],
             "r0_joint": [float(v) for v in quat_canonical(off.r0_joint)],
-            "p0_tracker": [float(v) for v in off.p0_tracker],
-            "p0_joint": [float(v) for v in off.p0_joint],
         }
     return {
         "format": PROFILE_FORMAT,
         "scale": profile.scale,
         "parts": parts,
         "w0": [float(v) for v in profile.w0],
-        "wrist_palm_offset_left": _transform_to_obj(profile.wrist_palm_offset_left),
-        "wrist_palm_offset_right": _transform_to_obj(profile.wrist_palm_offset_right),
+        "wrist_palm_offset_left": transform_to_obj(profile.wrist_palm_offset_left),
+        "wrist_palm_offset_right": transform_to_obj(profile.wrist_palm_offset_right),
         "role_map": {d: r.value for d, r in sorted(profile.role_map.items())},
     }
 
@@ -239,15 +221,13 @@ def profile_from_document(document: dict) -> CalibrationProfile:
                 v0=np.asarray(obj["v0"], dtype=np.float64),
                 r0_tracker=quat_normalize(np.asarray(obj["r0_tracker"], dtype=np.float64)),
                 r0_joint=quat_normalize(np.asarray(obj["r0_joint"], dtype=np.float64)),
-                p0_tracker=np.asarray(obj["p0_tracker"], dtype=np.float64),
-                p0_joint=np.asarray(obj["p0_joint"], dtype=np.float64),
             )
         return CalibrationProfile(
             scale=float(document["scale"]),
             parts=parts,
             w0=np.asarray(document["w0"], dtype=np.float64),
-            wrist_palm_offset_left=_transform_from_obj(document["wrist_palm_offset_left"]),
-            wrist_palm_offset_right=_transform_from_obj(document["wrist_palm_offset_right"]),
+            wrist_palm_offset_left=transform_from_obj(document["wrist_palm_offset_left"]),
+            wrist_palm_offset_right=transform_from_obj(document["wrist_palm_offset_right"]),
             role_map={d: DeviceRole(r) for d, r in document["role_map"].items()},
         )
     except (KeyError, TypeError) as e:

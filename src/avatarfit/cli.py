@@ -25,11 +25,13 @@ from .fingers import (
     finger_points,
     load_controller_file,
     load_hand_file,
+    mirror_capsule,
     mirror_hand,
+    mirror_x,
     pose_hand_on_controller,
     transform_capsule,
 )
-from .math3d import DegenerateGeometryError, quat_canonical
+from .math3d import DegenerateGeometryError, Transform, pose_to_obj
 from .motion import SCRIPT_NAMES, builtin_script, read_script_file
 from .retarget import OffsetMode, solve_session, write_pose_trace
 from .session import (
@@ -97,9 +99,13 @@ def cmd_calibrate(args) -> int:
 def _solve_hands(args, session, solved, profile, scaled):
     """Optional grip solve per frame; returns extra trace joints per frame."""
     hand = load_hand_file(args.hand_model)
-    capsule_local, button_local = load_controller_file(args.controller)
-    hands = {"left": hand if hand.side == "left" else mirror_hand(hand)}
-    hands["right"] = mirror_hand(hands["left"])
+    capsule, button = load_controller_file(args.controller)
+    # The controller file describes the grip of the hand file's side; the
+    # other side gets the mirror image of both, x -> -x in the controller frame.
+    other = "right" if hand.side == "left" else "left"
+    hands = {hand.side: hand, other: mirror_hand(hand)}
+    capsules = {hand.side: capsule, other: mirror_capsule(capsule)}
+    buttons = {hand.side: button, other: None if button is None else mirror_x(button)}
     config = DescentConfig(eta=args.eta, penalty=args.penalty, max_iters=args.max_iters)
     controllers = {
         "left": (DeviceRole.CONTROLLER_LEFT, profile.wrist_palm_offset_left, "wrist_l"),
@@ -122,31 +128,33 @@ def _solve_hands(args, session, solved, profile, scaled):
             else:
                 did = profile.device_id(dev_role)
                 controller_world = frame.pose_of(did)
-            shape = transform_capsule(capsule_local, controller_world)
-            button = None if button_local is None else controller_world.apply(button_local)
+            shape = transform_capsule(capsules[side], controller_world)
+            button = None if buttons[side] is None else controller_world.apply(buttons[side])
             result = pose_hand_on_controller(hands[side], wrist_world, shape, config, button)
             objectives[side].append(sum(r.objective for r in result.reports))
             for fi, finger in enumerate(hands[side].fingers):
                 pts = finger_points(finger, result.params.values[fi], wrist_world)
-                for ji, p in enumerate(pts, start=1):
-                    entries.append({
-                        "name": f"{wrist_role}/{finger.name}_{ji}",
-                        "p": [float(v) for v in p],
-                        "q": [float(v) for v in
-                              quat_canonical(result.local_rotations[fi][ji - 1])],
-                    })
+                for ji, (p, q) in enumerate(zip(pts, result.local_rotations[fi]), start=1):
+                    entries.append({"name": f"{wrist_role}/{finger.name}_{ji}",
+                                    **pose_to_obj(Transform(q, p))})
         extras.append(entries)
     summary = {f"hand_mean_objective_{side[0]}":
                (sum(v) / len(v) if v else None) for side, v in objectives.items()}
     return extras, summary
 
 
-def cmd_solve(args) -> int:
+def _solve_inputs(args):
+    """Session, profile, scaled avatar and optional ground truth of solve/compare."""
     skeleton = load_skeleton_file(args.skeleton)
     session = read_session(args.session)
     profile = load_profile_file(args.profile)
     scaled = scale_uniform(skeleton, profile.scale)
     truth = read_ground_truth(args.ground_truth) if args.ground_truth else None
+    return session, profile, scaled, truth
+
+
+def cmd_solve(args) -> int:
+    session, profile, scaled, truth = _solve_inputs(args)
     mode = OffsetMode(args.mode)
     solved, metrics = solve_session(session, profile, scaled, mode, truth)
 
@@ -184,12 +192,7 @@ _TABLE_FIELDS = (
 
 
 def cmd_compare(args) -> int:
-    skeleton = load_skeleton_file(args.skeleton)
-    session = read_session(args.session)
-    profile = load_profile_file(args.profile)
-    scaled = scale_uniform(skeleton, profile.scale)
-    truth = read_ground_truth(args.ground_truth) if args.ground_truth else None
-
+    session, profile, scaled, truth = _solve_inputs(args)
     rows = {}
     for mode in (OffsetMode.EXACT, OffsetMode.FIXED):
         _, metrics = solve_session(session, profile, scaled, mode, truth)

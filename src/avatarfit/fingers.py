@@ -14,8 +14,10 @@ Fingers are independent, so each descends on its own three factors. A button
 target can be added for the thumb: its objective gains the distance from the
 thumb tip to the button point.
 
-Setting max_iters=1 in the config gives the per-rendered-frame single-step
-mode; the default iterates to convergence per invocation.
+Every call starts from the parameters it is given (the grip solve starts
+from the open hand) and iterates to convergence or `max_iters`; nothing is
+carried between calls. So max_iters=1 is a single step from the open hand,
+not a per-rendered-frame mode that keeps converging across frames.
 """
 
 from __future__ import annotations
@@ -23,11 +25,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .math3d import Transform, quat_canonical, quat_from_axis_angle, quat_mul, \
-    quat_normalize, quat_rotate, quat_slerp
+from .math3d import Transform, quat_canonical, quat_from_axis_angle, quat_normalize, \
+    quat_slerp, transform_from_obj, transform_to_obj
+
+# Central finite-difference step on the interpolation factors.
+FD_STEP = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +45,11 @@ class CapsuleShape:
     start: np.ndarray
     end: np.ndarray
     radius: float
+    # Plain-float copies of start, end - start and its squared length, read by
+    # `capsule_sdf` in the descent's inner loop.
+    _start: tuple = field(init=False, repr=False, compare=False)
+    _axis: tuple = field(init=False, repr=False, compare=False)
+    _axis_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", np.asarray(self.start, dtype=np.float64))
@@ -47,15 +58,29 @@ class CapsuleShape:
             raise ValueError("capsule radius must be positive")
         if float(np.linalg.norm(self.end - self.start)) <= 0.0:
             raise ValueError("capsule endpoints must be distinct")
+        start = tuple(float(v) for v in self.start)
+        axis = tuple(float(e) - s for e, s in zip(self.end, start))
+        object.__setattr__(self, "_start", start)
+        object.__setattr__(self, "_axis", axis)
+        object.__setattr__(self, "_axis_sq", sum(v * v for v in axis))
 
 
 def capsule_sdf(shape: CapsuleShape, p) -> float:
     """Signed distance from p to the capsule surface (negative inside)."""
-    v1 = np.asarray(p, dtype=np.float64) - shape.start
-    v2 = shape.end - shape.start
-    h = float(np.dot(v1, v2)) / float(np.dot(v2, v2))
-    h = min(1.0, max(0.0, h))
-    return float(np.linalg.norm(v1 - v2 * h)) - shape.radius
+    sx, sy, sz = shape._start
+    vx, vy, vz = shape._axis
+    ux = p[0] - sx
+    uy = p[1] - sy
+    uz = p[2] - sz
+    h = (ux * vx + uy * vy + uz * vz) / shape._axis_sq
+    if h < 0.0:
+        h = 0.0
+    elif h > 1.0:
+        h = 1.0
+    dx = ux - vx * h
+    dy = uy - vy * h
+    dz = uz - vz * h
+    return math.sqrt(dx * dx + dy * dy + dz * dz) - shape.radius
 
 
 def transform_capsule(shape: CapsuleShape, t: Transform) -> CapsuleShape:
@@ -86,12 +111,6 @@ class HandModel:
     fingers: tuple[Finger, ...]
     palm_anchor: Transform  # palm grip point relative to the wrist
 
-    def finger_index(self, name: str) -> int:
-        for i, f in enumerate(self.fingers):
-            if f.name == name:
-                return i
-        raise KeyError(f"hand has no finger {name!r}")
-
 
 @dataclass
 class FingerParams:
@@ -103,27 +122,20 @@ class FingerParams:
     def open_hand(cls, hand: HandModel) -> "FingerParams":
         return cls([np.zeros(len(f.joints)) for f in hand.fingers])
 
-    def copy(self) -> "FingerParams":
-        return FingerParams([v.copy() for v in self.values])
-
     def clamped(self) -> "FingerParams":
         return FingerParams([np.clip(v, 0.0, 1.0) for v in self.values])
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate(self.values) if self.values else np.zeros(0)
 
 
 @dataclass
 class DescentConfig:
     eta: float = 0.1            # learning rate
     penalty: float = 10.0       # multiplier on negative (inside) distances
-    fd_step: float = 1e-3       # finite-difference step on the factors
     max_iters: int = 200
     converge_tol: float = 1e-6  # stop when the objective changes less
     button_weight: float = 1.0  # weight of the thumb-to-button term
 
     def __post_init__(self):
-        for name in ("eta", "penalty", "fd_step", "converge_tol", "button_weight"):
+        for name in ("eta", "penalty", "converge_tol", "button_weight"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iters < 1:
@@ -137,38 +149,18 @@ class DescentConfig:
 def finger_rotations(finger: Finger, t_vec) -> list[np.ndarray]:
     """Interpolated local rotation per joint (shortest-arc, extrapolates)."""
     return [
-        quat_slerp(spec.open_rotation, spec.closed_rotation, float(t))
+        np.array(quat_slerp(spec.open_rotation, spec.closed_rotation, float(t)))
         for spec, t in zip(finger.joints, t_vec)
     ]
 
 
-# The descent evaluates the finger chain thousands of times per grip, so the
-# inner FK and SDF run on plain floats; numpy's per-call overhead on 3-vectors
-# would dominate otherwise.
-
-def _slerp_s(a, b, t):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    d = aw * bw + ax * bx + ay * by + az * bz
-    if d < 0.0:
-        bw, bx, by, bz = -bw, -bx, -by, -bz
-        d = -d
-    if d > 1.0 - 1e-9:
-        w = aw + t * (bw - aw)
-        x = ax + t * (bx - ax)
-        y = ay + t * (by - ay)
-        z = az + t * (bz - az)
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        return w / n, x / n, y / n, z / n
-    theta = math.acos(d if d < 1.0 else 1.0)
-    s = math.sin(theta)
-    ka = math.sin((1.0 - t) * theta) / s
-    kb = math.sin(t * theta) / s
-    return (ka * aw + kb * bw, ka * ax + kb * bx, ka * ay + kb * by, ka * az + kb * bz)
-
-
 class _FingerChain:
-    """Float-tuple snapshot of one finger for fast repeated evaluation."""
+    """Float-tuple snapshot of one finger for fast repeated evaluation.
+
+    The descent evaluates the chain thousands of times per grip, so the FK
+    and the objective run on plain floats; numpy's per-call overhead on
+    3-vectors would dominate otherwise.
+    """
 
     __slots__ = ("base_rot", "base_pos", "open", "closed", "offsets", "is_thumb")
 
@@ -186,7 +178,7 @@ class _FingerChain:
         px, py, pz = self.base_pos
         out = []
         for open_q, closed_q, off, t in zip(self.open, self.closed, self.offsets, t_vec):
-            qw, qx, qy, qz = _slerp_s(open_q, closed_q, float(t))
+            qw, qx, qy, qz = quat_slerp(open_q, closed_q, float(t))
             rw, rx, ry, rz = (
                 rw * qw - rx * qx - ry * qy - rz * qz,
                 rw * qx + rx * qw + ry * qz - rz * qy,
@@ -204,40 +196,33 @@ class _FingerChain:
             out.append((px, py, pz))
         return out
 
+    def objective(self, shape: CapsuleShape, penalty: float, button: tuple | None,
+                  button_weight: float, t_vec) -> float:
+        """Penalized surface distance of the chain points, plus the thumb's
+        weighted distance to the button when one is given. The factors come
+        last so the descent can bind the rest with `functools.partial`."""
+        total = 0.0
+        points = self.points(t_vec)
+        for p in points:
+            d = capsule_sdf(shape, p)
+            total += d if d >= 0.0 else -penalty * d
+        if button is not None and self.is_thumb:
+            tip = points[-1]
+            total += button_weight * math.sqrt(
+                (tip[0] - button[0]) ** 2
+                + (tip[1] - button[1]) ** 2
+                + (tip[2] - button[2]) ** 2
+            )
+        return total
 
-class _CapsuleEval:
-    __slots__ = ("sx", "sy", "sz", "vx", "vy", "vz", "vv", "r")
 
-    def __init__(self, shape: CapsuleShape):
-        self.sx, self.sy, self.sz = (float(v) for v in shape.start)
-        ex, ey, ez = (float(v) for v in shape.end)
-        self.vx, self.vy, self.vz = ex - self.sx, ey - self.sy, ez - self.sz
-        self.vv = self.vx * self.vx + self.vy * self.vy + self.vz * self.vz
-        self.r = float(shape.radius)
-
-    def sdf(self, p):
-        ux = p[0] - self.sx
-        uy = p[1] - self.sy
-        uz = p[2] - self.sz
-        h = (ux * self.vx + uy * self.vy + uz * self.vz) / self.vv
-        if h < 0.0:
-            h = 0.0
-        elif h > 1.0:
-            h = 1.0
-        dx = ux - self.vx * h
-        dy = uy - self.vy * h
-        dz = uz - self.vz * h
-        return math.sqrt(dx * dx + dy * dy + dz * dz) - self.r
+def _float_point(p) -> tuple | None:
+    return None if p is None else tuple(float(v) for v in np.asarray(p))
 
 
 def finger_points(finger: Finger, t_vec, wrist_world: Transform | None = None) -> list[np.ndarray]:
     """World position of each measured point: the end of every phalanx."""
-    chain = _FingerChain(finger, wrist_world)
-    return [np.array(p) for p in chain.points(t_vec)]
-
-
-def _penalized(x: float, penalty: float) -> float:
-    return abs(x) if x >= 0.0 else penalty * abs(x)
+    return [np.array(p) for p in _FingerChain(finger, wrist_world).points(t_vec)]
 
 
 def finger_objective(
@@ -251,12 +236,9 @@ def finger_objective(
     button_weight: float = 1.0,
 ) -> float:
     """Summed penalized surface distance of one finger's joint points."""
-    finger = hand.fingers[finger_index]
-    points = finger_points(finger, params.values[finger_index], wrist_world)
-    total = sum(_penalized(capsule_sdf(shape, p), penalty) for p in points)
-    if button is not None and finger.name == "thumb":
-        total += button_weight * float(np.linalg.norm(points[-1] - np.asarray(button)))
-    return total
+    chain = _FingerChain(hand.fingers[finger_index], wrist_world)
+    return chain.objective(shape, penalty, _float_point(button), button_weight,
+                           params.values[finger_index])
 
 
 @dataclass
@@ -285,32 +267,14 @@ def descend(
     diagnostics, never raised.
     """
     cfg = config or DescentConfig()
-    out = params.copy().clamped()
-    capsule = _CapsuleEval(shape)
-    button_f = None if button is None else tuple(float(v) for v in np.asarray(button))
+    out = params.clamped()  # fresh arrays: the caller's params stay untouched
+    button_f = _float_point(button)
     reports = []
     for fi, finger in enumerate(hand.fingers):
         t = out.values[fi]
         n = len(t)
         chain = _FingerChain(finger, wrist_world)
-        penalty = cfg.penalty
-        bw = cfg.button_weight
-
-        def objective(vec) -> float:
-            total = 0.0
-            points = chain.points(vec)
-            for p in points:
-                d = capsule.sdf(p)
-                total += d if d >= 0.0 else -penalty * d
-            if button_f is not None and chain.is_thumb:
-                tip = points[-1]
-                total += bw * math.sqrt(
-                    (tip[0] - button_f[0]) ** 2
-                    + (tip[1] - button_f[1]) ** 2
-                    + (tip[2] - button_f[2]) ** 2
-                )
-            return total
-
+        objective = partial(chain.objective, shape, cfg.penalty, button_f, cfg.button_weight)
         prev = objective(t)
         history = [prev]
         first_clamp = None
@@ -322,9 +286,9 @@ def descend(
             for k in range(n):
                 plus = t.copy()
                 minus = t.copy()
-                plus[k] += cfg.fd_step
-                minus[k] -= cfg.fd_step
-                grad[k] = (objective(plus) - objective(minus)) / (2.0 * cfg.fd_step)
+                plus[k] += FD_STEP
+                minus[k] -= FD_STEP
+                grad[k] = (objective(plus) - objective(minus)) / (2.0 * FD_STEP)
             raw = t - cfg.eta * grad
             t = np.clip(raw, 0.0, 1.0)
             if first_clamp is None and np.any(raw != t):
@@ -376,9 +340,13 @@ def _mirror_x_quat(q) -> np.ndarray:
     return np.array([q[0], q[1], -q[2], -q[3]])
 
 
+def mirror_x(p) -> np.ndarray:
+    """Reflect a point through the x = 0 plane of its frame."""
+    return np.array([-p[0], p[1], p[2]])
+
+
 def _mirror_x_transform(t: Transform) -> Transform:
-    tr = t.translation
-    return Transform(_mirror_x_quat(t.rotation), np.array([-tr[0], tr[1], tr[2]]))
+    return Transform(_mirror_x_quat(t.rotation), mirror_x(t.translation))
 
 
 def mirror_hand(hand: HandModel) -> HandModel:
@@ -388,13 +356,18 @@ def mirror_hand(hand: HandModel) -> HandModel:
             FingerJointSpec(
                 _mirror_x_quat(j.open_rotation),
                 _mirror_x_quat(j.closed_rotation),
-                np.array([-j.offset[0], j.offset[1], j.offset[2]]),
+                mirror_x(j.offset),
             )
             for j in f.joints
         )
         fingers.append(Finger(f.name, _mirror_x_transform(f.base_local), joints))
     return HandModel("right" if hand.side == "left" else "left",
                      tuple(fingers), _mirror_x_transform(hand.palm_anchor))
+
+
+def mirror_capsule(shape: CapsuleShape) -> CapsuleShape:
+    """The capsule for the other hand: x -> -x in the controller frame."""
+    return CapsuleShape(mirror_x(shape.start), mirror_x(shape.end), shape.radius)
 
 
 def default_hand_model(side: str = "left") -> HandModel:
@@ -447,24 +420,14 @@ def default_grip_capsule(hand: HandModel) -> CapsuleShape:
 #                             "offset": [xyz]}]}]}
 # Controller: {"s": [xyz], "e": [xyz], "r": meters, "button": [xyz] optional}
 
-def _transform_to_obj(t: Transform) -> dict:
-    return {"rotation": [float(v) for v in quat_canonical(t.rotation)],
-            "translation": [float(v) for v in t.translation]}
-
-
-def _transform_from_obj(obj: dict) -> Transform:
-    return Transform(quat_normalize(np.asarray(obj["rotation"], dtype=np.float64)),
-                     np.asarray(obj["translation"], dtype=np.float64))
-
-
 def hand_to_document(hand: HandModel) -> dict:
     return {
         "side": hand.side,
-        "palm_anchor": _transform_to_obj(hand.palm_anchor),
+        "palm_anchor": transform_to_obj(hand.palm_anchor),
         "fingers": [
             {
                 "name": f.name,
-                "base": _transform_to_obj(f.base_local),
+                "base": transform_to_obj(f.base_local),
                 "joints": [
                     {
                         "open": [float(v) for v in quat_canonical(j.open_rotation)],
@@ -484,7 +447,7 @@ def hand_from_document(document: dict) -> HandModel:
         fingers = tuple(
             Finger(
                 f["name"],
-                _transform_from_obj(f["base"]),
+                transform_from_obj(f["base"]),
                 tuple(
                     FingerJointSpec(
                         quat_normalize(np.asarray(j["open"], dtype=np.float64)),
@@ -497,7 +460,7 @@ def hand_from_document(document: dict) -> HandModel:
             for f in document["fingers"]
         )
         return HandModel(document["side"], fingers,
-                         _transform_from_obj(document["palm_anchor"]))
+                         transform_from_obj(document["palm_anchor"]))
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed hand model ({e})") from e
 

@@ -122,11 +122,6 @@ def quat_conjugate(q) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
-def quat_inverse(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    return quat_conjugate(q) / float(np.dot(q, q))
-
-
 def quat_rotate(q, v) -> np.ndarray:
     """Rotate vector v by unit quaternion q."""
     qv = np.asarray(q[1:], dtype=np.float64)
@@ -152,19 +147,31 @@ def quat_angle_between(a, b) -> float:
     return quat_angle(quat_mul(quat_conjugate(a), b))
 
 
-def quat_slerp(a, b, t: float) -> np.ndarray:
-    """Shortest-arc spherical interpolation; extrapolates for t outside [0,1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d = float(np.dot(a, b))
+def quat_slerp(a, b, t: float) -> tuple[float, float, float, float]:
+    """Shortest-arc spherical interpolation; extrapolates for t outside [0,1].
+
+    Works on plain floats and returns a (w, x, y, z) tuple: the finger descent
+    calls it thousands of times per grip, where numpy's per-call overhead on
+    4-vectors would dominate.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    d = aw * bw + ax * bx + ay * by + az * bz
     if d < 0.0:
-        b = -b
+        bw, bx, by, bz = -bw, -bx, -by, -bz
         d = -d
     if d > 1.0 - 1e-9:
-        return quat_normalize(a + t * (b - a))
-    theta = math.acos(min(1.0, d))
+        w = aw + t * (bw - aw)
+        x = ax + t * (bx - ax)
+        y = ay + t * (by - ay)
+        z = az + t * (bz - az)
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        return w / n, x / n, y / n, z / n
+    theta = math.acos(d if d < 1.0 else 1.0)
     s = math.sin(theta)
-    return (math.sin((1.0 - t) * theta) / s) * a + (math.sin(t * theta) / s) * b
+    ka = math.sin((1.0 - t) * theta) / s
+    kb = math.sin(t * theta) / s
+    return (ka * aw + kb * bw, ka * ax + kb * bx, ka * ay + kb * by, ka * az + kb * bz)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +214,26 @@ class Transform:
 
 
 # ---------------------------------------------------------------------------
+# JSON objects shared by the file formats
+# ---------------------------------------------------------------------------
+
+def transform_to_obj(t: Transform) -> dict:
+    return {"rotation": [float(v) for v in quat_canonical(t.rotation)],
+            "translation": [float(v) for v in t.translation]}
+
+
+def transform_from_obj(obj: dict) -> Transform:
+    return Transform(quat_normalize(np.asarray(obj["rotation"], dtype=np.float64)),
+                     np.asarray(obj["translation"], dtype=np.float64))
+
+
+def pose_to_obj(t: Transform) -> dict:
+    """Compact pose object of the session and trace lines."""
+    return {"p": [float(v) for v in t.translation],
+            "q": [float(v) for v in quat_canonical(t.rotation)]}
+
+
+# ---------------------------------------------------------------------------
 # Plane fitting
 # ---------------------------------------------------------------------------
 
@@ -216,12 +243,6 @@ class Plane:
 
     normal: np.ndarray
     offset: float
-
-    def signed_distance(self, p) -> float:
-        return float(np.dot(self.normal, p)) - self.offset
-
-    def project(self, p) -> np.ndarray:
-        return np.asarray(p, dtype=np.float64) - self.signed_distance(p) * self.normal
 
 
 def fit_plane(points) -> Plane:

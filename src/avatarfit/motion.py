@@ -124,16 +124,6 @@ def free_script(skeleton: SkeletonModel, duration: float = 6.0, fps: float = 30.
     return frames
 
 
-def lean_script(skeleton: SkeletonModel, angle: float, duration: float = 2.0,
-                fps: float = 30.0) -> list[ScriptPose]:
-    """Ramp the spine joint to a forward lean of `angle` about +X."""
-    frames = []
-    for t in _times(duration, fps):
-        u = t / duration
-        frames.append(ScriptPose(t, {"spine": quat_from_axis_angle(RIGHT, angle * u)}))
-    return frames
-
-
 def builtin_script(name: str, skeleton: SkeletonModel, duration: float = 4.0,
                    fps: float = 30.0, seed: int = 0) -> list[ScriptPose]:
     if name == "tpose":

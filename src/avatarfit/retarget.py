@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -34,7 +34,7 @@ from .math3d import (
     Transform,
     angle_between,
     normalize,
-    quat_canonical,
+    pose_to_obj,
     quat_conjugate,
     quat_mul,
     quat_rotate,
@@ -61,13 +61,6 @@ class OffsetMode(str, Enum):
     FIXED = "fixed"
 
 
-@dataclass(frozen=True)
-class EndEffectorTarget:
-    role: str
-    position: np.ndarray
-    rotation: np.ndarray
-
-
 def effector_position(p_t_tracker, r_t_tracker, part: PartOffsets) -> np.ndarray:
     """Current joint position from the tracker pose and captured offsets."""
     delta = quat_mul(r_t_tracker, quat_conjugate(part.r0_tracker))
@@ -78,14 +71,6 @@ def effector_rotation(r_t_tracker, part: PartOffsets) -> np.ndarray:
     """Current joint rotation from the tracker rotation and captured offsets."""
     delta = quat_mul(r_t_tracker, quat_conjugate(part.r0_tracker))
     return quat_mul(delta, part.r0_joint)
-
-
-def spine_bend(hmd_p, root_tracker_p, profile: CalibrationProfile) -> tuple[float, np.ndarray]:
-    """Bend angle and rotation carrying the initial back-to-head vector onto
-    the current one, both taken in the world frame."""
-    w_t = np.asarray(hmd_p, dtype=np.float64) - np.asarray(root_tracker_p, dtype=np.float64)
-    alpha = angle_between(profile.w0, w_t)
-    return alpha, rotation_between(profile.w0, w_t)
 
 
 # ---------------------------------------------------------------------------
@@ -163,26 +148,24 @@ class SolvedPose:
     diagnostics: FrameDiagnostics
 
 
-_FIXED_PART = PartOffsets(
-    v0=np.zeros(3),
-    r0_tracker=np.array([1.0, 0.0, 0.0, 0.0]),
-    r0_joint=np.array([1.0, 0.0, 0.0, 0.0]),
-    p0_tracker=np.zeros(3),
-    p0_joint=np.zeros(3),
-)
+_FIXED_PART = PartOffsets(v0=np.zeros(3), r0_tracker=np.array([1.0, 0.0, 0.0, 0.0]),
+                          r0_joint=np.array([1.0, 0.0, 0.0, 0.0]))
 
 _LIMBS = {
-    # name: (upper role, mid role, end role, device, part key, pole)
-    "leg_l": ("hip_l", "knee_l", "ankle_l", DeviceRole.TRACKER_FOOT_LEFT, "foot_left", KNEE_POLE_BIND),
-    "leg_r": ("hip_r", "knee_r", "ankle_r", DeviceRole.TRACKER_FOOT_RIGHT, "foot_right", KNEE_POLE_BIND),
-    "arm_l": ("shoulder_l", "elbow_l", "wrist_l", DeviceRole.CONTROLLER_LEFT, None, ELBOW_POLE_BIND),
-    "arm_r": ("shoulder_r", "elbow_r", "wrist_r", DeviceRole.CONTROLLER_RIGHT, None, ELBOW_POLE_BIND),
+    # name: (upper role, mid role, end role, device, part key, pole, flexion diagnostic)
+    "leg_l": ("hip_l", "knee_l", "ankle_l", DeviceRole.TRACKER_FOOT_LEFT, "foot_left",
+              KNEE_POLE_BIND, "knee_flexion_left"),
+    "leg_r": ("hip_r", "knee_r", "ankle_r", DeviceRole.TRACKER_FOOT_RIGHT, "foot_right",
+              KNEE_POLE_BIND, "knee_flexion_right"),
+    "arm_l": ("shoulder_l", "elbow_l", "wrist_l", DeviceRole.CONTROLLER_LEFT, None,
+              ELBOW_POLE_BIND, "elbow_flexion_left"),
+    "arm_r": ("shoulder_r", "elbow_r", "wrist_r", DeviceRole.CONTROLLER_RIGHT, None,
+              ELBOW_POLE_BIND, "elbow_flexion_right"),
 }
 
 
-def _flexion(world: list[Transform], a: int, b: int, c: int) -> float:
-    """Bend angle at joint b: 0 for a straight a-b-c chain."""
-    pa, pb, pc = world[a].translation, world[b].translation, world[c].translation
+def _flexion(pa, pb, pc) -> float:
+    """Bend angle at point b: 0 for a straight a-b-c chain."""
     return math.pi - angle_between(pa - pb, pc - pb)
 
 
@@ -255,26 +238,24 @@ def solve_frame(
     )
 
     # 4. Limbs. Parents (root, chest via spine) are final at this point.
-    for limb, (upper_role, mid_role, end_role, dev_role, part_key, pole_bind) in _LIMBS.items():
+    for limb, (upper_role, mid_role, end_role, dev_role, part_key, pole_bind, _) in _LIMBS.items():
         upper = skeleton.role_index(upper_role)
         mid = skeleton.role_index(mid_role)
         end = skeleton.role_index(end_role)
         if part_key is not None:
             tracker = device[dev_role]
-            target = EndEffectorTarget(
-                end_role,
-                effector_position(tracker.translation, tracker.rotation, part_of(part_key)),
-                effector_rotation(tracker.rotation, part_of(part_key)),
-            )
+            target_pos = effector_position(tracker.translation, tracker.rotation,
+                                           part_of(part_key))
+            target_rot = effector_rotation(tracker.rotation, part_of(part_key))
         else:
             anchored = device[dev_role] @ wrist_offset[limb]
-            target = EndEffectorTarget(end_role, anchored.translation, anchored.rotation)
+            target_pos, target_rot = anchored.translation, anchored.rotation
 
         pole = quat_rotate(root_delta, pole_bind)
         l1 = skeleton.bone_length(mid)
         l2 = skeleton.bone_length(end)
         root_pos = world[upper].translation
-        sol = two_bone_ik(root_pos, l1, l2, target.position, pole)
+        sol = two_bone_ik(root_pos, l1, l2, target_pos, pole)
         diag.reach_deficits[limb] = sol.reach_deficit
         if sol.degenerate:
             diag.degenerate_limbs.append(limb)
@@ -294,23 +275,14 @@ def solve_frame(
         mid_rot = _swing_to(mid_carried, bind_world[mid].rotation, u2_bind, dir2)
         locals_[mid] = quat_mul(quat_conjugate(upper_rot), mid_rot)
 
-        locals_[end] = quat_mul(quat_conjugate(mid_rot), target.rotation)
+        locals_[end] = quat_mul(quat_conjugate(mid_rot), target_rot)
 
     world = fk()
     diag.controller_detached_left = diag.reach_deficits["arm_l"] > DETACH_EPS
     diag.controller_detached_right = diag.reach_deficits["arm_r"] > DETACH_EPS
-    diag.knee_flexion_left = _flexion(
-        world, skeleton.role_index("hip_l"), skeleton.role_index("knee_l"),
-        skeleton.role_index("ankle_l"))
-    diag.knee_flexion_right = _flexion(
-        world, skeleton.role_index("hip_r"), skeleton.role_index("knee_r"),
-        skeleton.role_index("ankle_r"))
-    diag.elbow_flexion_left = _flexion(
-        world, skeleton.role_index("shoulder_l"), skeleton.role_index("elbow_l"),
-        skeleton.role_index("wrist_l"))
-    diag.elbow_flexion_right = _flexion(
-        world, skeleton.role_index("shoulder_r"), skeleton.role_index("elbow_r"),
-        skeleton.role_index("wrist_r"))
+    for *roles, _, _, _, flexion_name in _LIMBS.values():
+        setattr(diag, flexion_name,
+                _flexion(*(world[skeleton.role_index(r)].translation for r in roles)))
     return SolvedPose(PoseState(locals_, root_world), world, diag)
 
 
@@ -337,30 +309,12 @@ class SessionMetrics:
     frame_errors: list = field(default_factory=list)
 
     def to_document(self) -> dict:
-        return {
-            "mode": self.mode,
-            "frames": self.frames,
-            "solved_frames": self.solved_frames,
-            "mean_ankle_error": self.mean_ankle_error,
-            "max_ankle_error": self.max_ankle_error,
-            "mean_wrist_error": self.mean_wrist_error,
-            "mean_knee_flexion": self.mean_knee_flexion,
-            "straight_leg_frames": self.straight_leg_frames,
-            "mean_knee_flexion_straight": self.mean_knee_flexion_straight,
-            "max_knee_flexion_straight": self.max_knee_flexion_straight,
-            "alpha_mean": self.alpha_mean,
-            "alpha_max": self.alpha_max,
-            "detached_frames_left": self.detached_frames_left,
-            "detached_frames_right": self.detached_frames_right,
-            "frame_errors": list(self.frame_errors),
-        }
+        return asdict(self)
 
 
 def _truth_flexion(truth: GroundTruth, frame_index: int, side: str) -> float:
-    hip = truth.by_role(frame_index, f"hip_{side}").translation
-    knee = truth.by_role(frame_index, f"knee_{side}").translation
-    ankle = truth.by_role(frame_index, f"ankle_{side}").translation
-    return math.pi - angle_between(hip - knee, ankle - knee)
+    return _flexion(*(truth.by_role(frame_index, f"{joint}_{side}").translation
+                      for joint in ("hip", "knee", "ankle")))
 
 
 def solve_session(
@@ -397,14 +351,11 @@ def solve_session(
             metrics.detached_frames_right += 1
 
         if ground_truth is not None and i < len(ground_truth.frames):
-            for side, role in (("l", "ankle_l"), ("r", "ankle_r")):
+            for role in ("ankle_l", "ankle_r", "wrist_l", "wrist_r"):
                 gt = ground_truth.by_role(i, role).translation
                 got = sp.world[skeleton.role_index(role)].translation
-                ankle_errors.append(float(np.linalg.norm(got - gt)))
-            for role in ("wrist_l", "wrist_r"):
-                gt = ground_truth.by_role(i, role).translation
-                got = sp.world[skeleton.role_index(role)].translation
-                wrist_errors.append(float(np.linalg.norm(got - gt)))
+                errors = ankle_errors if role.startswith("ankle") else wrist_errors
+                errors.append(float(np.linalg.norm(got - gt)))
             if (_truth_flexion(ground_truth, i, "l") < STRAIGHT_LEG_MAX
                     and _truth_flexion(ground_truth, i, "r") < STRAIGHT_LEG_MAX):
                 straight_count += 1
@@ -441,13 +392,8 @@ def write_pose_trace(path, session: Session, solved: list[SolvedPose | None],
         for i, (frame, sp) in enumerate(zip(session.frames, solved)):
             if sp is None:
                 continue
-            joints = []
-            for joint, w in zip(skeleton.joints, sp.world):
-                joints.append({
-                    "name": joint.name,
-                    "p": [float(v) for v in w.translation],
-                    "q": [float(v) for v in quat_canonical(w.rotation)],
-                })
+            joints = [{"name": joint.name, **pose_to_obj(w)}
+                      for joint, w in zip(skeleton.joints, sp.world)]
             if extra_joints is not None:
                 joints.extend(extra_joints[i])
             d = sp.diagnostics

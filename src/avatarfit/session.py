@@ -26,6 +26,7 @@ from .math3d import (
     Transform,
     fit_plane,
     normalize,
+    pose_to_obj,
     quat_angle_between,
     quat_canonical,
     quat_from_axis_angle,
@@ -44,8 +45,6 @@ class DeviceRole(str, Enum):
     TRACKER_FOOT_LEFT = "tracker_foot_left"
     TRACKER_FOOT_RIGHT = "tracker_foot_right"
 
-
-ALL_ROLES = tuple(DeviceRole)
 
 # Joint role each device drives.
 ROLE_TO_JOINT = {
@@ -85,9 +84,6 @@ class DeviceFrame:
                 return pose
         raise KeyError(f"no device {device_id!r} in frame")
 
-    def positions(self) -> dict[str, np.ndarray]:
-        return {did: pose.translation for did, pose in self.devices}
-
 
 @dataclass
 class Session:
@@ -118,16 +114,13 @@ class GroundTruth:
 # Role identification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IdentifyConfig:
-    # Controllers must sit within this fraction of the headset height.
-    controller_height_band: float = 0.35
-    # Two candidates closer than this on a deciding axis are ambiguous.
-    tie_margin: float = 0.02
+# Controllers must sit within this fraction of the headset height.
+CONTROLLER_HEIGHT_BAND = 0.35
+# Two candidates closer than this (meters) on a deciding axis are ambiguous.
+TIE_MARGIN = 0.02
 
 
-def identify_roles(frame: DeviceFrame,
-                   config: IdentifyConfig | None = None) -> dict[str, DeviceRole]:
+def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
     """Assign the six device roles from one T-pose frame.
 
     Classification: the highest device is the headset, the two lowest are
@@ -135,7 +128,6 @@ def identify_roles(frame: DeviceFrame,
     are the controllers, leaving the back tracker in the middle. Left/right
     follow the recovered facing direction.
     """
-    cfg = config or IdentifyConfig()
     if len(frame.devices) != 6:
         raise SessionFormatError(f"expected 6 devices, got {len(frame.devices)}")
     ids = [did for did, _ in frame.devices]
@@ -145,14 +137,14 @@ def identify_roles(frame: DeviceFrame,
     centroid = np.stack([pos[d] for d in ids]).mean(axis=0)
 
     by_height = sorted(ids, key=lambda d: float(pos[d][1]), reverse=True)
-    if pos[by_height[0]][1] - pos[by_height[1]][1] < cfg.tie_margin:
+    if pos[by_height[0]][1] - pos[by_height[1]][1] < TIE_MARGIN:
         raise RoleAmbiguityError(
             f"headset height is ambiguous between {by_height[0]!r} and {by_height[1]!r}"
         )
     hmd = by_height[0]
 
     lowest = sorted(ids, key=lambda d: float(pos[d][1]))
-    if pos[lowest[2]][1] - pos[lowest[1]][1] < cfg.tie_margin:
+    if pos[lowest[2]][1] - pos[lowest[1]][1] < TIE_MARGIN:
         raise RoleAmbiguityError(
             f"foot tracker heights are ambiguous between {lowest[1]!r} and {lowest[2]!r}"
         )
@@ -170,16 +162,16 @@ def identify_roles(frame: DeviceFrame,
     root = middle_sorted[1]
     controllers = [middle_sorted[0], middle_sorted[2]]
     for ctrl in controllers:
-        if abs(lat[ctrl] - lat[root]) < cfg.tie_margin:
+        if abs(lat[ctrl] - lat[root]) < TIE_MARGIN:
             raise RoleAmbiguityError(
                 f"lateral positions of {ctrl!r} and {root!r} are ambiguous"
             )
 
     hmd_height = float(pos[hmd][1])
-    band = cfg.controller_height_band
     for ctrl in controllers:
         h = float(pos[ctrl][1])
-        if not (1.0 - band) * hmd_height <= h <= (1.0 + band) * hmd_height:
+        if not ((1.0 - CONTROLLER_HEIGHT_BAND) * hmd_height <= h
+                <= (1.0 + CONTROLLER_HEIGHT_BAND) * hmd_height):
             raise PostureError(
                 f"device {ctrl!r} at height {h:.2f} is outside the controller band "
                 f"around the headset height {hmd_height:.2f}"
@@ -200,11 +192,11 @@ def identify_roles(frame: DeviceFrame,
 
     ctrl_left, ctrl_right = sorted(controllers, key=lambda d: side[d], reverse=True)
     foot_left, foot_right = sorted(feet, key=lambda d: side[d], reverse=True)
-    if abs(side[ctrl_left] - side[ctrl_right]) < cfg.tie_margin:
+    if abs(side[ctrl_left] - side[ctrl_right]) < TIE_MARGIN:
         raise RoleAmbiguityError(
             f"left/right is ambiguous between controllers {ctrl_left!r} and {ctrl_right!r}"
         )
-    if abs(side[foot_left] - side[foot_right]) < cfg.tie_margin:
+    if abs(side[foot_left] - side[foot_right]) < TIE_MARGIN:
         raise RoleAmbiguityError(
             f"left/right is ambiguous between feet {foot_left!r} and {foot_right!r}"
         )
@@ -306,7 +298,7 @@ def generate_synthetic_session(
             )
 
     ids = [f"dev{i}" for i in range(6)]
-    shuffled = list(ALL_ROLES)
+    shuffled = list(DeviceRole)
     rng.shuffle(shuffled)
     role_map = {did: role for did, role in zip(ids, shuffled)}
     joint_for = {did: skeleton.role_index(ROLE_TO_JOINT[role]) for did, role in role_map.items()}
@@ -346,11 +338,6 @@ def generate_synthetic_session(
 # Frame lines: {"t": seconds, "devices": [{"id": str, "p": [x,y,z],
 #                                          "q": [w,x,y,z]}, x6]}
 
-def _pose_to_obj(pose: Transform) -> dict:
-    q = quat_canonical(pose.rotation)
-    return {"p": [float(v) for v in pose.translation], "q": [float(v) for v in q]}
-
-
 def _pose_from_obj(obj: dict, where: str) -> Transform:
     try:
         p = np.asarray(obj["p"], dtype=np.float64)
@@ -378,7 +365,7 @@ def write_session(session: Session, path) -> None:
         for frame in session.frames:
             obj = {
                 "t": frame.timestamp,
-                "devices": [{"id": did, **_pose_to_obj(pose)} for did, pose in frame.devices],
+                "devices": [{"id": did, **pose_to_obj(pose)} for did, pose in frame.devices],
             }
             f.write(json.dumps(obj) + "\n")
 
@@ -438,6 +425,11 @@ def read_session(path) -> Session:
             frames.append(DeviceFrame(float(t), parsed))
     if not frames:
         raise SessionFormatError(f"{path}: session contains no frames")
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
+    if calibration_frame is not None and (
+            type(calibration_frame) is not int or not 0 <= calibration_frame < len(frames)):
+        raise SessionFormatError(f"{path}: calibration_frame {calibration_frame!r} is not "
+                                 f"a frame index in 0..{len(frames) - 1}")
     return Session(frames, role_map=role_map, calibration_frame_index=calibration_frame)
 
 

@@ -81,9 +81,6 @@ class PoseState:
     local_rotations: np.ndarray  # (J, 4) quaternions
     root_world: Transform
 
-    def copy(self) -> "PoseState":
-        return PoseState(self.local_rotations.copy(), self.root_world)
-
 
 def bind_pose(skeleton: SkeletonModel) -> PoseState:
     rots = np.stack([j.bind_local.rotation for j in skeleton.joints])

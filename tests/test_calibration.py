@@ -15,13 +15,15 @@ from avatarfit.calibration import (
     validate_profile,
 )
 from avatarfit.math3d import Transform, quat_angle_between, quat_from_axis_angle
-from avatarfit.motion import tpose_script
+from avatarfit.motion import squat_script, tpose_script
+from avatarfit.retarget import OffsetMode, solve_session
 from avatarfit.rigs import humanoid, humanoid_long_legs
 from avatarfit.session import (
     DeviceRole,
     default_mount_offsets,
     generate_synthetic_session,
     identify_roles,
+    rotated_mount_offsets,
 )
 from avatarfit.skeleton import scale_uniform
 
@@ -107,6 +109,16 @@ class TestCaptureProfile:
             capture_profile(session.calibration_frame(), session.role_map,
                             user_skeleton, placement)
 
+    def test_offsets_exact_for_rotated_mounts(self, user_skeleton):
+        # The module's claim: replaying the captured offsets reproduces the
+        # joint targets for any tracker mounting orientation.
+        session, truth = generate_synthetic_session(
+            user_skeleton, squat_script(user_skeleton), mount_offsets=rotated_mount_offsets())
+        profile, scaled, _ = calibrate_session(session, humanoid_long_legs())
+        _, metrics = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
+        assert metrics.frame_errors == []
+        assert metrics.max_ankle_error <= 1e-9
+
     def test_capture_is_equivariant_under_rigid_motion(self, tpose_session, user_skeleton):
         session, _ = tpose_session
         frame = session.calibration_frame()
@@ -150,8 +162,8 @@ class TestProfileFiles:
         assert loaded.role_map == profile.role_map
         for part in profile.parts:
             np.testing.assert_array_equal(loaded.parts[part].v0, profile.parts[part].v0)
-            np.testing.assert_array_equal(loaded.parts[part].p0_joint,
-                                          profile.parts[part].p0_joint)
+            np.testing.assert_array_equal(loaded.parts[part].r0_joint,
+                                          profile.parts[part].r0_joint)
         np.testing.assert_array_equal(loaded.w0, profile.w0)
 
     def test_unknown_format_rejected(self, matched_setup):

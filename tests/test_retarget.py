@@ -19,7 +19,6 @@ from avatarfit.retarget import (
     effector_rotation,
     solve_frame,
     solve_session,
-    spine_bend,
     two_bone_ik,
     write_pose_trace,
 )
@@ -43,17 +42,19 @@ def quat_to_matrix(q):
 
 class TestEffectorEquations:
     def test_position_identity_at_capture(self, matched_setup):
-        _, _, profile, _ = matched_setup
+        session, _, profile, scaled = matched_setup
         part = profile.parts["root"]
-        got = effector_position(part.p0_tracker, part.r0_tracker, part)
-        np.testing.assert_allclose(got, part.p0_joint, atol=1e-9)
+        frame = session.calibration_frame()
+        tracker = frame.pose_of(profile.device_id(DeviceRole.TRACKER_ROOT))
+        got = effector_position(tracker.translation, part.r0_tracker, part)
+        want = scaled.bind_world()[scaled.role_index("root")].translation
+        np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_position_pure_rotation_of_offset(self, matched_setup):
         _, _, profile, _ = matched_setup
         part = type(profile.parts["root"])(
             v0=np.array([0.0, 0.0, 0.1]),
             r0_tracker=IDENT, r0_joint=IDENT,
-            p0_tracker=np.zeros(3), p0_joint=np.array([0.0, 0.0, 0.1]),
         )
         r_t = quat_from_axis_angle([0, 1, 0], math.pi / 2)
         got = effector_position(np.zeros(3), r_t, part)
@@ -66,14 +67,13 @@ class TestEffectorEquations:
         part = PartOffsets(
             v0=rng.normal(size=3) * 0.1,
             r0_tracker=random_quat(rng), r0_joint=random_quat(rng),
-            p0_tracker=rng.normal(size=3), p0_joint=rng.normal(size=3),
         )
-        part.p0_joint = part.p0_tracker + part.v0
+        tracker0 = rng.normal(size=3)  # tracker position at capture
         g = Transform(random_quat(rng), rng.normal(size=3))
-        p_t = g.apply(part.p0_tracker)
+        p_t = g.apply(tracker0)
         r_t = quat_mul(g.rotation, part.r0_tracker)
         np.testing.assert_allclose(
-            effector_position(p_t, r_t, part), g.apply(part.p0_joint), atol=1e-9)
+            effector_position(p_t, r_t, part), g.apply(tracker0 + part.v0), atol=1e-9)
         assert quat_angle_between(
             effector_rotation(r_t, part), quat_mul(g.rotation, part.r0_joint)) < 1e-9
 
@@ -85,7 +85,7 @@ class TestEffectorEquations:
 
     def test_rotation_passthrough_for_identity_offsets(self):
         from avatarfit.calibration import PartOffsets
-        part = PartOffsets(np.zeros(3), IDENT, IDENT, np.zeros(3), np.zeros(3))
+        part = PartOffsets(np.zeros(3), IDENT, IDENT)
         r_t = quat_from_axis_angle([0, 1, 0], math.radians(30))
         assert quat_angle_between(effector_rotation(r_t, part), r_t) < 1e-12
 
@@ -94,7 +94,7 @@ class TestEffectorEquations:
         rng = np.random.default_rng(seed)
         from avatarfit.calibration import PartOffsets
         r0_t, r0_j = random_quat(rng), random_quat(rng)
-        part = PartOffsets(np.zeros(3), r0_t, r0_j, np.zeros(3), np.zeros(3))
+        part = PartOffsets(np.zeros(3), r0_t, r0_j)
         delta = quat_from_axis_angle(random_unit(rng), math.radians(45))
         r_t = quat_mul(delta, r0_t)
         got = quat_to_matrix(effector_rotation(r_t, part))
@@ -102,30 +102,42 @@ class TestEffectorEquations:
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
+def _with_positions(frame, profile, root_p, hmd_p) -> DeviceFrame:
+    """`frame` with the back tracker moved to root_p and the headset to hmd_p."""
+    moved = {profile.device_id(DeviceRole.TRACKER_ROOT): root_p,
+             profile.device_id(DeviceRole.HMD): hmd_p}
+    return DeviceFrame(frame.timestamp, [
+        (did, Transform(pose.rotation, moved[did]) if did in moved else pose)
+        for did, pose in frame.devices])
+
+
 class TestSpineBend:
     def test_zero_at_calibration(self, matched_setup):
-        session, _, profile, _ = matched_setup
-        frame = session.calibration_frame()
-        hmd = frame.pose_of(profile.device_id(DeviceRole.HMD)).translation
-        root = frame.pose_of(profile.device_id(DeviceRole.TRACKER_ROOT)).translation
-        alpha, q = spine_bend(hmd, root, profile)
-        assert alpha == pytest.approx(0.0, abs=1e-12)
-        assert quat_angle_between(q, IDENT) < 1e-9
+        session, _, profile, scaled = matched_setup
+        sp = solve_frame(session.calibration_frame(), profile, scaled)
+        assert sp.diagnostics.alpha == pytest.approx(0.0, abs=1e-12)
+        spine = scaled.role_index("spine")
+        bind = scaled.bind_world()[spine]
+        assert quat_angle_between(sp.world[spine].rotation, bind.rotation) < 1e-9
 
     def test_constructed_20_degree_lean(self, matched_setup):
-        _, _, profile, _ = matched_setup
+        session, _, profile, scaled = matched_setup
         tilt = quat_from_axis_angle([1, 0, 0], math.radians(20))
         root = np.array([0.0, 0.95, 0.1])
         hmd = root + quat_rotate(tilt, profile.w0)
-        alpha, _ = spine_bend(hmd, root, profile)
+        frame = _with_positions(session.calibration_frame(), profile, root, hmd)
+        alpha = solve_frame(frame, profile, scaled).diagnostics.alpha
         assert alpha == pytest.approx(0.3490658503988659, abs=1e-6)
 
     def test_scale_invariance(self, matched_setup):
-        _, _, profile, _ = matched_setup
+        session, _, profile, scaled = matched_setup
+        frame = session.calibration_frame()
         root = np.zeros(3)
         w_t = quat_rotate(quat_from_axis_angle([1, 0, 0], 0.3), profile.w0)
-        a1, _ = spine_bend(root + w_t, root, profile)
-        a2, _ = spine_bend(root + 0.37 * w_t, root, profile)
+        a1 = solve_frame(_with_positions(frame, profile, root, root + w_t),
+                         profile, scaled).diagnostics.alpha
+        a2 = solve_frame(_with_positions(frame, profile, root, root + 0.37 * w_t),
+                         profile, scaled).diagnostics.alpha
         assert a1 == pytest.approx(a2, abs=1e-12)
 
 
