@@ -11,13 +11,12 @@ hands so each controller stays under its palm.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .math3d import Transform, quat_canonical, quat_normalize, transform_from_obj, \
-    transform_to_obj
+from .math3d import FormatError, Transform, floats_from_json, floats_to_json, quat_from_json, \
+    quat_to_json, read_json_file, transform_from_obj, transform_to_obj, write_json_file
 from .session import DeviceFrame, DeviceRole, Session, identify_roles
 from .skeleton import SkeletonModel, scale_uniform
 
@@ -37,6 +36,12 @@ PART_ROLES = {
 
 class MisalignmentError(ValueError):
     """A device is too far from its joint for a plausible walk-in."""
+
+
+def _check_walk_in(error: type, device: str, offset) -> None:
+    gap = float(np.linalg.norm(offset))
+    if gap > MAX_WALK_IN_OFFSET:
+        raise error(f"{device} is {gap:.2f} m from its joint; walk-in alignment failed")
 
 
 @dataclass
@@ -108,11 +113,7 @@ def capture_profile(
         tracker = device[dev_role]
         joint = world[skeleton.role_index(joint_role)]
         v0 = joint.translation - tracker.translation
-        if float(np.linalg.norm(v0)) > MAX_WALK_IN_OFFSET:
-            raise MisalignmentError(
-                f"{part}: tracker is {float(np.linalg.norm(v0)):.2f} m from its joint; "
-                "walk-in alignment failed"
-            )
+        _check_walk_in(MisalignmentError, f"{part}: tracker", v0)
         parts[part] = PartOffsets(
             v0=v0,
             r0_tracker=tracker.rotation.copy(),
@@ -128,12 +129,8 @@ def capture_profile(
     ):
         controller = device[dev_role]
         wrist = world[skeleton.role_index(joint_role)]
-        gap = float(np.linalg.norm(wrist.translation - controller.translation))
-        if gap > MAX_WALK_IN_OFFSET:
-            raise MisalignmentError(
-                f"hand_{side}: controller is {gap:.2f} m from the wrist; "
-                "walk-in alignment failed"
-            )
+        _check_walk_in(MisalignmentError, f"hand_{side}: controller",
+                       wrist.translation - controller.translation)
         wrist_offsets[side] = controller.inverse() @ wrist
 
     return CalibrationProfile(
@@ -165,46 +162,25 @@ def calibrate_session(
     return profile, scaled, result.warnings
 
 
-def validate_profile(profile: CalibrationProfile) -> list[str]:
-    """Re-check profile invariants; returns human-readable diagnostics."""
-    diagnostics = []
-    if not profile.scale > 0.0:
-        diagnostics.append(f"scale must be positive, got {profile.scale}")
-    for part, off in profile.parts.items():
-        n = float(np.linalg.norm(off.v0))
-        if n > MAX_WALK_IN_OFFSET:
-            diagnostics.append(
-                f"{part}: offset norm {n:.3f} m exceeds the walk-in bound "
-                f"{MAX_WALK_IN_OFFSET} m (misalignment)"
-            )
-        for label, q in (("tracker rotation", off.r0_tracker), ("joint rotation", off.r0_joint)):
-            if abs(float(np.linalg.norm(q)) - 1.0) > 1e-6:
-                diagnostics.append(f"{part}: {label} is not a unit quaternion")
-    if not profile.w0[1] > 0.0:
-        diagnostics.append("headset-to-back vector has no positive vertical component")
-    roles = set(profile.role_map.values())
-    if len(profile.role_map) != 6 or len(roles) != 6:
-        diagnostics.append("role map is not a bijection onto the six device roles")
-    return diagnostics
-
-
 # ---------------------------------------------------------------------------
 # Profile JSON
 # ---------------------------------------------------------------------------
+# Values follow the input rule of `math3d.FormatError`, and a loaded profile
+# passes the checks that every captured profile passes.
 
 def profile_to_document(profile: CalibrationProfile) -> dict:
     parts = {}
     for name, off in profile.parts.items():
         parts[name] = {
-            "v0": [float(v) for v in off.v0],
-            "r0_tracker": [float(v) for v in quat_canonical(off.r0_tracker)],
-            "r0_joint": [float(v) for v in quat_canonical(off.r0_joint)],
+            "v0": floats_to_json(off.v0),
+            "r0_tracker": quat_to_json(off.r0_tracker),
+            "r0_joint": quat_to_json(off.r0_joint),
         }
     return {
         "format": PROFILE_FORMAT,
         "scale": profile.scale,
         "parts": parts,
-        "w0": [float(v) for v in profile.w0],
+        "w0": floats_to_json(profile.w0),
         "wrist_palm_offset_left": transform_to_obj(profile.wrist_palm_offset_left),
         "wrist_palm_offset_right": transform_to_obj(profile.wrist_palm_offset_right),
         "role_map": {d: r.value for d, r in sorted(profile.role_map.items())},
@@ -212,34 +188,42 @@ def profile_to_document(profile: CalibrationProfile) -> dict:
 
 
 def profile_from_document(document: dict) -> CalibrationProfile:
+    if document.get("format") != PROFILE_FORMAT:
+        raise FormatError(f"unsupported profile format {document.get('format')!r}")
     try:
-        if document.get("format") != PROFILE_FORMAT:
-            raise ValueError(f"unsupported profile format {document.get('format')!r}")
+        if set(document["parts"]) != set(PART_ROLES):
+            raise FormatError(f"parts must be exactly {sorted(PART_ROLES)}")
         parts = {}
         for name, obj in document["parts"].items():
             parts[name] = PartOffsets(
-                v0=np.asarray(obj["v0"], dtype=np.float64),
-                r0_tracker=quat_normalize(np.asarray(obj["r0_tracker"], dtype=np.float64)),
-                r0_joint=quat_normalize(np.asarray(obj["r0_joint"], dtype=np.float64)),
+                v0=floats_from_json(obj["v0"], (3,), f"parts.{name}.v0"),
+                r0_tracker=quat_from_json(obj["r0_tracker"], f"parts.{name}.r0_tracker"),
+                r0_joint=quat_from_json(obj["r0_joint"], f"parts.{name}.r0_joint"),
             )
+            _check_walk_in(FormatError, f"parts.{name}.v0: tracker", parts[name].v0)
+        scale = float(floats_from_json(document["scale"], (), "scale"))
+        if not scale > 0.0:
+            raise FormatError(f"scale must be positive, got {scale}")
+        role_map = {d: DeviceRole(r) for d, r in document["role_map"].items()}
+        if len(role_map) != 6 or len(set(role_map.values())) != 6:
+            raise FormatError("role_map must map six devices onto the six roles")
         return CalibrationProfile(
-            scale=float(document["scale"]),
+            scale=scale,
             parts=parts,
-            w0=np.asarray(document["w0"], dtype=np.float64),
-            wrist_palm_offset_left=transform_from_obj(document["wrist_palm_offset_left"]),
-            wrist_palm_offset_right=transform_from_obj(document["wrist_palm_offset_right"]),
-            role_map={d: DeviceRole(r) for d, r in document["role_map"].items()},
+            w0=floats_from_json(document["w0"], (3,), "w0"),
+            wrist_palm_offset_left=transform_from_obj(document["wrist_palm_offset_left"],
+                                                      "wrist_palm_offset_left"),
+            wrist_palm_offset_right=transform_from_obj(document["wrist_palm_offset_right"],
+                                                       "wrist_palm_offset_right"),
+            role_map=role_map,
         )
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed calibration profile ({e})") from e
+    except (KeyError, TypeError, AttributeError) as e:
+        raise FormatError(f"malformed calibration profile ({e!r})") from e
 
 
 def save_profile_file(profile: CalibrationProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(profile_to_document(profile), f, indent=2)
-        f.write("\n")
+    write_json_file(path, profile_to_document(profile))
 
 
 def load_profile_file(path) -> CalibrationProfile:
-    with open(path, "r", encoding="utf-8") as f:
-        return profile_from_document(json.load(f))
+    return read_json_file(path, profile_from_document)

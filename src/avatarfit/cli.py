@@ -2,14 +2,14 @@
 
 Every command is a pure function of its input files and flags, so repeated
 runs write byte-identical outputs. Exit codes: 0 success, 2 usage errors,
-3 file parse/schema errors, 4 calibration failures (role ambiguity, posture,
-walk-in misalignment).
+3 any malformed input file (invalid JSON, a missing field, or a value that
+breaks the input rule of `math3d.FormatError`), 4 calibration failures (role
+ambiguity, posture, walk-in misalignment).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,7 +18,6 @@ from .calibration import (
     calibrate_session,
     load_profile_file,
     save_profile_file,
-    validate_profile,
 )
 from .fingers import (
     DescentConfig,
@@ -31,23 +30,21 @@ from .fingers import (
     pose_hand_on_controller,
     transform_capsule,
 )
-from .math3d import DegenerateGeometryError, Transform, pose_to_obj
-from .motion import SCRIPT_NAMES, builtin_script, read_script_file
+from .math3d import DegenerateGeometryError, FormatError, Transform, pose_to_obj, write_json_file
+from .motion import SCRIPT_NAMES, ScriptError, builtin_script, read_script_file
 from .retarget import OffsetMode, solve_session, write_pose_trace
 from .session import (
     DeviceRole,
     NoiseModel,
     PostureError,
     RoleAmbiguityError,
-    ScriptError,
-    SessionFormatError,
     generate_synthetic_session,
     read_ground_truth,
     read_session,
     write_ground_truth,
     write_session,
 )
-from .skeleton import SkeletonError, load_skeleton_file, scale_uniform
+from .skeleton import load_skeleton_file, scale_uniform
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,7 +77,6 @@ def cmd_calibrate(args) -> int:
     skeleton = load_skeleton_file(args.skeleton)
     session = read_session(args.session)
     profile, _, warnings = calibrate_session(session, skeleton)
-    diagnostics = validate_profile(profile)
     save_profile_file(profile, args.out)
     roles = {did: role.value for did, role in sorted(profile.role_map.items())}
     print(f"roles: {roles}")
@@ -90,8 +86,6 @@ def cmd_calibrate(args) -> int:
         print(f"offset {part}: |v0| = {norm:.4f} m")
     for w in warnings:
         print(f"warning: {w}")
-    for d in diagnostics:
-        print(f"diagnostic: {d}")
     print(f"wrote profile to {args.out}")
     return EXIT_OK
 
@@ -169,9 +163,7 @@ def cmd_solve(args) -> int:
 
     write_pose_trace(args.out, session, solved, scaled, extras)
     metrics_path = args.metrics or _derived_path(args.out, ".metrics").with_suffix(".json")
-    with open(metrics_path, "w", encoding="utf-8") as f:
-        json.dump(document, f, indent=2)
-        f.write("\n")
+    write_json_file(metrics_path, document)
     err = ("n/a" if metrics.mean_ankle_error is None
            else f"{metrics.mean_ankle_error:.6f} m")
     print(f"solved {metrics.solved_frames}/{metrics.frames} frames in {mode.value} mode; "
@@ -198,9 +190,7 @@ def cmd_compare(args) -> int:
         _, metrics = solve_session(session, profile, scaled, mode, truth)
         rows[mode.value] = metrics.to_document()
 
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(rows, f, indent=2)
-        f.write("\n")
+    write_json_file(args.out, rows)
 
     def fmt(v):
         if v is None:
@@ -274,8 +264,7 @@ def main(argv=None) -> int:
     except (RoleAmbiguityError, PostureError, MisalignmentError) as e:
         print(f"calibration error: {e}", file=sys.stderr)
         return EXIT_CALIBRATION
-    except (SessionFormatError, SkeletonError, ScriptError, DegenerateGeometryError,
-            ValueError, OSError, json.JSONDecodeError) as e:
+    except (FormatError, ScriptError, DegenerateGeometryError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -22,15 +22,15 @@ not a per-rendered-frame mode that keeps converging across frames.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .math3d import Transform, quat_canonical, quat_from_axis_angle, quat_normalize, \
-    quat_slerp, transform_from_obj, transform_to_obj
+from .math3d import FormatError, Transform, floats_from_json, floats_to_json, \
+    quat_from_axis_angle, quat_from_json, quat_slerp, quat_to_json, read_json_file, \
+    transform_from_obj, transform_to_obj, write_json_file
 
 # Central finite-difference step on the interpolation factors.
 FD_STEP = 1e-3
@@ -54,8 +54,8 @@ class CapsuleShape:
     def __post_init__(self):
         object.__setattr__(self, "start", np.asarray(self.start, dtype=np.float64))
         object.__setattr__(self, "end", np.asarray(self.end, dtype=np.float64))
-        if self.radius <= 0.0:
-            raise ValueError("capsule radius must be positive")
+        if not self.radius > 0.0:
+            raise ValueError(f"capsule radius must be positive, got {self.radius}")
         if float(np.linalg.norm(self.end - self.start)) <= 0.0:
             raise ValueError("capsule endpoints must be distinct")
         start = tuple(float(v) for v in self.start)
@@ -419,6 +419,7 @@ def default_grip_capsule(hand: HandModel) -> CapsuleShape:
 #                 "joints": [{"open": [wxyz], "closed": [wxyz],
 #                             "offset": [xyz]}]}]}
 # Controller: {"s": [xyz], "e": [xyz], "r": meters, "button": [xyz] optional}
+# Values follow the input rule of `math3d.FormatError`.
 
 def hand_to_document(hand: HandModel) -> dict:
     return {
@@ -430,9 +431,9 @@ def hand_to_document(hand: HandModel) -> dict:
                 "base": transform_to_obj(f.base_local),
                 "joints": [
                     {
-                        "open": [float(v) for v in quat_canonical(j.open_rotation)],
-                        "closed": [float(v) for v in quat_canonical(j.closed_rotation)],
-                        "offset": [float(v) for v in j.offset],
+                        "open": quat_to_json(j.open_rotation),
+                        "closed": quat_to_json(j.closed_rotation),
+                        "offset": floats_to_json(j.offset),
                     }
                     for j in f.joints
                 ],
@@ -443,64 +444,53 @@ def hand_to_document(hand: HandModel) -> dict:
 
 
 def hand_from_document(document: dict) -> HandModel:
+    if document.get("side") not in ("left", "right"):
+        raise FormatError(f"side must be 'left' or 'right', got {document.get('side')!r:.40}")
     try:
         fingers = tuple(
             Finger(
                 f["name"],
-                transform_from_obj(f["base"]),
+                transform_from_obj(f["base"], f"fingers[{fi}].base"),
                 tuple(
                     FingerJointSpec(
-                        quat_normalize(np.asarray(j["open"], dtype=np.float64)),
-                        quat_normalize(np.asarray(j["closed"], dtype=np.float64)),
-                        np.asarray(j["offset"], dtype=np.float64),
+                        quat_from_json(j["open"], f"fingers[{fi}].joints[{ji}].open"),
+                        quat_from_json(j["closed"], f"fingers[{fi}].joints[{ji}].closed"),
+                        floats_from_json(j["offset"], (3,), f"fingers[{fi}].joints[{ji}].offset"),
                     )
-                    for j in f["joints"]
+                    for ji, j in enumerate(f["joints"])
                 ),
             )
-            for f in document["fingers"]
+            for fi, f in enumerate(document["fingers"])
         )
         return HandModel(document["side"], fingers,
-                         transform_from_obj(document["palm_anchor"]))
+                         transform_from_obj(document["palm_anchor"], "palm_anchor"))
     except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed hand model ({e})") from e
+        raise FormatError(f"malformed hand model ({e!r})") from e
 
 
 def load_hand_file(path) -> HandModel:
-    with open(path, "r", encoding="utf-8") as f:
-        return hand_from_document(json.load(f))
+    return read_json_file(path, hand_from_document)
 
 
 def save_hand_file(hand: HandModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(hand_to_document(hand), f, indent=2)
-        f.write("\n")
+    write_json_file(path, hand_to_document(hand))
+
+
+def controller_from_document(document: dict) -> tuple[CapsuleShape, np.ndarray | None]:
+    shape = CapsuleShape(floats_from_json(document.get("s"), (3,), "s"),
+                         floats_from_json(document.get("e"), (3,), "e"),
+                         float(floats_from_json(document.get("r"), (), "r")))
+    button = document.get("button")
+    return shape, None if button is None else floats_from_json(button, (3,), "button")
 
 
 def load_controller_file(path) -> tuple[CapsuleShape, np.ndarray | None]:
-    with open(path, "r", encoding="utf-8") as f:
-        obj = json.load(f)
-    try:
-        shape = CapsuleShape(
-            np.asarray(obj["s"], dtype=np.float64),
-            np.asarray(obj["e"], dtype=np.float64),
-            float(obj["r"]),
-        )
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed controller descriptor ({e})") from e
-    button = None
-    if obj.get("button") is not None:
-        button = np.asarray(obj["button"], dtype=np.float64)
-    return shape, button
+    return read_json_file(path, controller_from_document)
 
 
 def save_controller_file(shape: CapsuleShape, path, button=None) -> None:
-    obj = {
-        "s": [float(v) for v in shape.start],
-        "e": [float(v) for v in shape.end],
-        "r": shape.radius,
-    }
+    document = {"s": floats_to_json(shape.start), "e": floats_to_json(shape.end),
+                "r": shape.radius}
     if button is not None:
-        obj["button"] = [float(v) for v in np.asarray(button)]
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+        document["button"] = floats_to_json(button)
+    write_json_file(path, document)

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -216,21 +217,108 @@ class Transform:
 # ---------------------------------------------------------------------------
 # JSON objects shared by the file formats
 # ---------------------------------------------------------------------------
+# The input rule of every file the package reads: an array has exactly its
+# documented length, every number is finite and below 1e150 in magnitude (so no
+# square or dot product of file values overflows), and a quaternion's norm is
+# within 1e-6 of 1. A FormatError names `path:line` (or the path) and the field.
+
+class FormatError(ValueError):
+    """Malformed input file: invalid JSON, a missing field or a bad value."""
+
+
+def floats_to_json(v) -> list:
+    return np.asarray(v, dtype=np.float64).tolist()
+
+
+def quat_to_json(q) -> list:
+    return floats_to_json(quat_canonical(q))
+
+
+def floats_from_json(value, shape: tuple, where: str) -> np.ndarray:
+    """Float64 array of exactly `shape` (() for one number) within the input rule."""
+    try:
+        a = np.asarray(value)
+    except ValueError as e:  # ragged nesting
+        raise FormatError(f"{where}: expected numbers of shape {shape} ({e})") from e
+    if a.dtype.kind not in "iuf" or a.shape != shape:
+        raise FormatError(f"{where}: expected numbers of shape {shape}, got {value!r:.60}")
+    if not (np.abs(a) < 1e150).all():
+        raise FormatError(f"{where}: numbers must be finite and below 1e150 in magnitude")
+    return a.astype(np.float64, copy=False)
+
+
+def quat_from_json(value, where: str) -> np.ndarray:
+    """Unit quaternion, renormalized exactly as `quat_normalize` does."""
+    q = floats_from_json(value, (4,), where)
+    n = float(np.linalg.norm(q))
+    if abs(n - 1.0) > 1e-6:
+        raise FormatError(f"{where}: not a unit quaternion (norm {n:.9g})")
+    return q / n
+
 
 def transform_to_obj(t: Transform) -> dict:
-    return {"rotation": [float(v) for v in quat_canonical(t.rotation)],
-            "translation": [float(v) for v in t.translation]}
+    return {"rotation": quat_to_json(t.rotation), "translation": floats_to_json(t.translation)}
 
 
-def transform_from_obj(obj: dict) -> Transform:
-    return Transform(quat_normalize(np.asarray(obj["rotation"], dtype=np.float64)),
-                     np.asarray(obj["translation"], dtype=np.float64))
+def transform_from_obj(obj, where: str) -> Transform:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: expected an object with rotation and translation")
+    return Transform(quat_from_json(obj.get("rotation"), f"{where}.rotation"),
+                     floats_from_json(obj.get("translation"), (3,), f"{where}.translation"))
 
 
 def pose_to_obj(t: Transform) -> dict:
     """Compact pose object of the session and trace lines."""
-    return {"p": [float(v) for v in t.translation],
-            "q": [float(v) for v in quat_canonical(t.rotation)]}
+    return {"p": floats_to_json(t.translation), "q": quat_to_json(t.rotation)}
+
+
+def pose_from_obj(obj, where: str) -> Transform:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: expected an object with p and q")
+    return Transform(quat_from_json(obj.get("q"), f"{where} q"),
+                     floats_from_json(obj.get("p"), (3,), f"{where} p"))
+
+
+def read_json_file(path, parse):
+    """`parse(document)` of the JSON object in `path`; its errors name the path."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            document = json.load(f)
+        except ValueError as e:
+            raise FormatError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(document, dict):
+        raise FormatError(f"{path}: the top level must be a JSON object")
+    try:
+        return parse(document)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
+
+
+def write_json_file(path, document: dict) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(document, f, indent=2)
+        f.write("\n")
+
+
+def read_jsonl(path):
+    """Yield (line number, object) for every non-blank line of `path`."""
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as e:
+                raise FormatError(f"{path}:{lineno}: invalid JSON ({e})") from e
+            if not isinstance(obj, dict):
+                raise FormatError(f"{path}:{lineno}: a line must be a JSON object")
+            yield lineno, obj
+
+
+def write_jsonl(path, objects) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for obj in objects:
+            f.write(json.dumps(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,20 @@ the ankle world transforms stay exactly at their bind values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .math3d import RIGHT, Transform, quat_from_axis_angle, quat_mul
+from .math3d import RIGHT, Transform, floats_from_json, pose_from_obj, quat_from_axis_angle, \
+    quat_from_json, quat_mul, read_jsonl
 from .skeleton import PoseState, SkeletonModel, bind_pose
 
 SCRIPT_NAMES = ("tpose", "squat", "arms", "free")
+
+
+class ScriptError(ValueError):
+    """Motion script violates generator preconditions."""
 
 
 @dataclass
@@ -35,7 +39,10 @@ class ScriptPose:
 def pose_from_script(skeleton: SkeletonModel, sp: ScriptPose) -> PoseState:
     pose = bind_pose(skeleton)
     for name, q in sp.rotations.items():
-        pose.local_rotations[skeleton.index_of(name)] = q
+        try:
+            pose.local_rotations[skeleton.index_of(name)] = q
+        except KeyError:
+            raise ScriptError(f"script rotates unknown joint {name!r}") from None
     if sp.root_world is not None:
         pose.root_world = sp.root_world
     return pose
@@ -140,28 +147,23 @@ def builtin_script(name: str, skeleton: SkeletonModel, duration: float = 4.0,
 # ---------------------------------------------------------------------------
 # Script files: one JSON object per line, e.g.
 # {"t": 0.0, "rotations": {"knee_l": [w,x,y,z]}, "root": {"p": [...], "q": [...]}}
+# Values follow the input rule of `math3d.FormatError`: quaternions are unit
+# length, and `t` strictly increases from line to line.
 # ---------------------------------------------------------------------------
 
 def read_script_file(path) -> list[ScriptPose]:
     frames = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            rots = {
-                name: np.asarray(q, dtype=np.float64)
-                for name, q in obj.get("rotations", {}).items()
-            }
-            root = None
-            if "root" in obj:
-                root = Transform(np.asarray(obj["root"]["q"], dtype=np.float64),
-                                 np.asarray(obj["root"]["p"], dtype=np.float64))
-            frames.append(ScriptPose(float(obj["t"]), rots, root))
+    for lineno, obj in read_jsonl(path):
+        where = f"{path}:{lineno}"
+        t = float(floats_from_json(obj.get("t"), (), f"{where} t"))
+        if frames and t <= frames[-1].time:
+            raise ScriptError(f"{where}: times must be strictly increasing")
+        rotations = obj.get("rotations", {})
+        if not isinstance(rotations, dict):
+            raise ScriptError(f"{where}: rotations must map joint names to quaternions")
+        rots = {name: quat_from_json(q, f"{where} {name}") for name, q in rotations.items()}
+        root = pose_from_obj(obj["root"], f"{where} root") if "root" in obj else None
+        frames.append(ScriptPose(t, rots, root))
     if not frames:
-        raise ValueError(f"{path}: empty motion script")
+        raise ScriptError(f"{path}: empty motion script")
     return frames

@@ -20,7 +20,6 @@ reproduces the classic bent-legs artifact on avatars with longer legs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -31,6 +30,7 @@ from .calibration import CalibrationProfile, PartOffsets
 from .math3d import (
     RIGHT,
     UP,
+    FormatError,
     Transform,
     angle_between,
     normalize,
@@ -39,6 +39,7 @@ from .math3d import (
     quat_mul,
     quat_rotate,
     rotation_between,
+    write_jsonl,
 )
 from .session import DeviceFrame, DeviceRole, GroundTruth, Session
 from .skeleton import PoseState, SkeletonModel, bind_pose, forward_kinematics
@@ -326,6 +327,9 @@ def solve_session(
 ) -> tuple[list[SolvedPose | None], SessionMetrics]:
     """Solve every frame; per-frame failures are recorded and skipped."""
     metrics = SessionMetrics(mode=mode.value, frames=len(session.frames))
+    if ground_truth is not None and len(ground_truth.frames) != metrics.frames:
+        raise FormatError(f"ground truth has {len(ground_truth.frames)} frames, "
+                          f"the session {metrics.frames}")
     solved: list[SolvedPose | None] = []
     ankle_errors: list[float] = []
     wrist_errors: list[float] = []
@@ -350,7 +354,7 @@ def solve_session(
         if d.controller_detached_right:
             metrics.detached_frames_right += 1
 
-        if ground_truth is not None and i < len(ground_truth.frames):
+        if ground_truth is not None:
             for role in ("ankle_l", "ankle_r", "wrist_l", "wrist_r"):
                 gt = ground_truth.by_role(i, role).translation
                 got = sp.world[skeleton.role_index(role)].translation
@@ -388,7 +392,7 @@ def write_pose_trace(path, session: Session, solved: list[SolvedPose | None],
     `extra_joints` optionally appends pre-serialized joint entries (for
     example posed finger chains) to each frame's joint list.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    def lines():
         for i, (frame, sp) in enumerate(zip(session.frames, solved)):
             if sp is None:
                 continue
@@ -397,7 +401,7 @@ def write_pose_trace(path, session: Session, solved: list[SolvedPose | None],
             if extra_joints is not None:
                 joints.extend(extra_joints[i])
             d = sp.diagnostics
-            obj = {
+            yield {
                 "t": frame.timestamp,
                 "joints": joints,
                 "metrics": {
@@ -408,4 +412,5 @@ def write_pose_trace(path, session: Session, solved: list[SolvedPose | None],
                     "detached_r": d.controller_detached_right,
                 },
             }
-            f.write(json.dumps(obj) + "\n")
+
+    write_jsonl(path, lines())

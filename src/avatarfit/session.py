@@ -14,27 +14,32 @@ so forward points from the back tracker toward the feet.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .math3d import (
     UP,
+    FormatError,
+    FormatError as SessionFormatError,
     Transform,
     fit_plane,
+    floats_from_json,
+    floats_to_json,
     normalize,
+    pose_from_obj,
     pose_to_obj,
     quat_angle_between,
-    quat_canonical,
     quat_from_axis_angle,
     quat_mul,
-    quat_normalize,
+    quat_to_json,
+    read_jsonl,
+    write_jsonl,
 )
-from .motion import ScriptPose, pose_from_script
-from .skeleton import SkeletonModel, bind_pose, forward_kinematics
+from .motion import ScriptError, ScriptPose, pose_from_script
+from .skeleton import REQUIRED_ROLES, SkeletonModel, bind_pose, forward_kinematics
 
 
 class DeviceRole(str, Enum):
@@ -57,20 +62,12 @@ ROLE_TO_JOINT = {
 }
 
 
-class SessionFormatError(ValueError):
-    """Malformed session file or frame."""
-
-
 class RoleAmbiguityError(ValueError):
     """Two devices are too close on a deciding axis to classify."""
 
 
 class PostureError(ValueError):
     """Device layout does not look like a T-pose facing the mirror."""
-
-
-class ScriptError(ValueError):
-    """Motion script violates generator preconditions."""
 
 
 @dataclass
@@ -93,7 +90,7 @@ class Session:
 
     def calibration_frame(self) -> DeviceFrame:
         if self.calibration_frame_index is None:
-            raise SessionFormatError("session has no calibration frame marker")
+            raise FormatError("session has no calibration frame marker")
         return self.frames[self.calibration_frame_index]
 
 
@@ -129,7 +126,7 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
     follow the recovered facing direction.
     """
     if len(frame.devices) != 6:
-        raise SessionFormatError(f"expected 6 devices, got {len(frame.devices)}")
+        raise FormatError(f"expected 6 devices, got {len(frame.devices)}")
     ids = [did for did, _ in frame.devices]
     pos = {did: pose.translation for did, pose in frame.devices}
 
@@ -337,99 +334,60 @@ def generate_synthetic_session(
 # Optional header line: {"role_map": {...}, "calibration_frame": n}
 # Frame lines: {"t": seconds, "devices": [{"id": str, "p": [x,y,z],
 #                                          "q": [w,x,y,z]}, x6]}
-
-def _pose_from_obj(obj: dict, where: str) -> Transform:
-    try:
-        p = np.asarray(obj["p"], dtype=np.float64)
-        q = np.asarray(obj["q"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as e:
-        raise SessionFormatError(f"{where}: malformed pose ({e})") from e
-    if p.shape != (3,) or q.shape != (4,):
-        raise SessionFormatError(f"{where}: pose needs p[3] and q[4]")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise SessionFormatError(f"{where}: pose is not finite")
-    if abs(float(np.linalg.norm(q)) - 1.0) > 1e-6:
-        raise SessionFormatError(f"{where}: rotation is not a unit quaternion")
-    return Transform(quat_normalize(q), p)
-
+# Values follow the input rule of `math3d.FormatError`; `t` strictly increases.
 
 def write_session(session: Session, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if session.role_map is not None or session.calibration_frame_index is not None:
-            header: dict = {}
-            if session.role_map is not None:
-                header["role_map"] = {d: r.value for d, r in sorted(session.role_map.items())}
-            if session.calibration_frame_index is not None:
-                header["calibration_frame"] = session.calibration_frame_index
-            f.write(json.dumps(header) + "\n")
-        for frame in session.frames:
-            obj = {
-                "t": frame.timestamp,
-                "devices": [{"id": did, **pose_to_obj(pose)} for did, pose in frame.devices],
-            }
-            f.write(json.dumps(obj) + "\n")
+    header: dict = {}
+    if session.role_map is not None:
+        header["role_map"] = {d: r.value for d, r in sorted(session.role_map.items())}
+    if session.calibration_frame_index is not None:
+        header["calibration_frame"] = session.calibration_frame_index
+    frames = ({"t": frame.timestamp,
+               "devices": [{"id": did, **pose_to_obj(pose)} for did, pose in frame.devices]}
+              for frame in session.frames)
+    write_jsonl(path, [header, *frames] if header else frames)
 
 
 def read_session(path) -> Session:
     frames: list[DeviceFrame] = []
     role_map = None
     calibration_frame = None
-    last_t = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip("\r\n").strip()
-            if not line:
+    for lineno, obj in read_jsonl(path):
+        where = f"{path}:{lineno}"
+        if "devices" not in obj:
+            if lineno == 1 and ("role_map" in obj or "calibration_frame" in obj):
+                if "role_map" in obj:
+                    try:
+                        role_map = {d: DeviceRole(r) for d, r in obj["role_map"].items()}
+                    except (AttributeError, ValueError) as e:
+                        raise FormatError(f"{where}: bad role_map ({e})") from e
+                    if len(set(role_map.values())) != 6:
+                        raise FormatError(f"{where}: role_map must cover all six roles")
+                calibration_frame = obj.get("calibration_frame")
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SessionFormatError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            if "devices" not in obj:
-                if lineno == 1 and ("role_map" in obj or "calibration_frame" in obj):
-                    if "role_map" in obj:
-                        try:
-                            role_map = {d: DeviceRole(r) for d, r in obj["role_map"].items()}
-                        except ValueError as e:
-                            raise SessionFormatError(f"{path}:{lineno}: {e}") from e
-                        if len(set(role_map.values())) != 6:
-                            raise SessionFormatError(
-                                f"{path}:{lineno}: role_map must cover all six roles"
-                            )
-                    calibration_frame = obj.get("calibration_frame")
-                    continue
-                raise SessionFormatError(f"{path}:{lineno}: frame line lacks 'devices'")
-            devices = obj["devices"]
-            if not isinstance(devices, list) or len(devices) != 6:
-                raise SessionFormatError(
-                    f"{path}:{lineno}: expected 6 devices, got "
-                    f"{len(devices) if isinstance(devices, list) else type(devices).__name__}"
-                )
-            t = obj.get("t")
-            if not isinstance(t, (int, float)):
-                raise SessionFormatError(f"{path}:{lineno}: missing timestamp 't'")
-            if last_t is not None and t <= last_t:
-                raise SessionFormatError(
-                    f"{path}:{lineno}: timestamps must be strictly increasing"
-                )
-            last_t = t
-            parsed = []
-            seen = set()
-            for k, dev in enumerate(devices):
-                did = dev.get("id")
-                if not isinstance(did, str) or not did:
-                    raise SessionFormatError(f"{path}:{lineno}: device {k} lacks an id")
-                if did in seen:
-                    raise SessionFormatError(f"{path}:{lineno}: duplicate device id {did!r}")
-                seen.add(did)
-                parsed.append((did, _pose_from_obj(dev, f"{path}:{lineno} device {did!r}")))
-            frames.append(DeviceFrame(float(t), parsed))
+            raise FormatError(f"{where}: frame line lacks 'devices'")
+        devices = obj["devices"]
+        if not isinstance(devices, list) or len(devices) != 6:
+            raise FormatError(f"{where}: expected a list of 6 devices, got {devices!r:.60}")
+        t = float(floats_from_json(obj.get("t"), (), f"{where} t"))
+        if frames and t <= frames[-1].timestamp:
+            raise FormatError(f"{where}: timestamps must be strictly increasing")
+        parsed = []
+        for k, dev in enumerate(devices):
+            did = dev.get("id") if isinstance(dev, dict) else None
+            if not isinstance(did, str) or not did:
+                raise FormatError(f"{where}: device {k} lacks an id")
+            if did in (d for d, _ in parsed):
+                raise FormatError(f"{where}: duplicate device id {did!r}")
+            parsed.append((did, pose_from_obj(dev, f"{where} device {did!r}")))
+        frames.append(DeviceFrame(t, parsed))
     if not frames:
-        raise SessionFormatError(f"{path}: session contains no frames")
+        raise FormatError(f"{path}: session contains no frames")
     # type() rather than isinstance(): JSON true/false must not pass as 1/0.
     if calibration_frame is not None and (
             type(calibration_frame) is not int or not 0 <= calibration_frame < len(frames)):
-        raise SessionFormatError(f"{path}: calibration_frame {calibration_frame!r} is not "
-                                 f"a frame index in 0..{len(frames) - 1}")
+        raise FormatError(f"{path}: calibration_frame {calibration_frame!r} is not "
+                          f"a frame index in 0..{len(frames) - 1}")
     return Session(frames, role_map=role_map, calibration_frame_index=calibration_frame)
 
 
@@ -438,42 +396,40 @@ def read_session(path) -> Session:
 # ---------------------------------------------------------------------------
 # Header: {"format": 1, "joints": [...], "roles": [...], "eye_height": m}
 # Frames: {"t": s, "p": [[x,y,z] x J], "q": [[w,x,y,z] x J]}
+# Values follow the input rule of `math3d.FormatError`.
 
 def write_ground_truth(truth: GroundTruth, session: Session, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        header = {
-            "format": 1,
-            "joints": truth.joint_names,
-            "roles": truth.joint_roles,
-            "eye_height": truth.eye_height,
-        }
-        f.write(json.dumps(header) + "\n")
-        for frame, world in zip(session.frames, truth.frames):
-            obj = {
-                "t": frame.timestamp,
-                "p": [[float(v) for v in w.translation] for w in world],
-                "q": [[float(v) for v in quat_canonical(w.rotation)] for w in world],
-            }
-            f.write(json.dumps(obj) + "\n")
+    header = {
+        "format": 1,
+        "joints": truth.joint_names,
+        "roles": truth.joint_roles,
+        "eye_height": truth.eye_height,
+    }
+    frames = ({"t": frame.timestamp,
+               "p": [floats_to_json(w.translation) for w in world],
+               "q": [quat_to_json(w.rotation) for w in world]}
+              for frame, world in zip(session.frames, truth.frames))
+    write_jsonl(path, [header, *frames])
 
 
 def read_ground_truth(path) -> GroundTruth:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in (raw.strip("\r\n").strip() for raw in f) if ln]
-    if not lines:
-        raise SessionFormatError(f"{path}: empty ground-truth file")
-    try:
-        header = json.loads(lines[0])
-        names = list(header["joints"])
-        roles = list(header["roles"])
-        eye_height = float(header["eye_height"])
-        frames = []
-        for ln in lines[1:]:
-            obj = json.loads(ln)
-            frames.append([
-                Transform(np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64))
-                for p, q in zip(obj["p"], obj["q"])
-            ])
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-        raise SessionFormatError(f"{path}: malformed ground truth ({e})") from e
+    lines = read_jsonl(path)
+    lineno, header = next(lines, (0, {}))
+    where = f"{path}:{lineno}"
+    if header.get("format") != 1:
+        raise FormatError(f"{where}: unsupported ground-truth format {header.get('format')!r}")
+    names, roles = header.get("joints"), header.get("roles")
+    if not (isinstance(names, list) and isinstance(roles, list) and len(names) == len(roles)):
+        raise FormatError(f"{where}: joints and roles must be lists of equal length")
+    if missing := REQUIRED_ROLES.difference(r for r in roles if isinstance(r, str)):
+        raise FormatError(f"{where}: roles lack {sorted(missing)}")
+    eye_height = float(floats_from_json(header.get("eye_height"), (), f"{where} eye_height"))
+    frames = []
+    for lineno, obj in lines:
+        where = f"{path}:{lineno}"
+        p = floats_from_json(obj.get("p"), (len(names), 3), f"{where} p")
+        q = floats_from_json(obj.get("q"), (len(names), 4), f"{where} q")
+        if np.abs(np.linalg.norm(q, axis=1) - 1.0).max() > 1e-6:
+            raise FormatError(f"{where} q: not all unit quaternions")
+        frames.append([Transform(qi, pi) for pi, qi in zip(p, q)])
     return GroundTruth(names, roles, frames, eye_height)

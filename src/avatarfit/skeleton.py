@@ -7,12 +7,13 @@ local rotation per joint so bone lengths never change.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .math3d import Transform, quat_canonical, quat_normalize
+from .math3d import FormatError, Transform, floats_from_json, floats_to_json, quat_from_json, \
+    quat_to_json, read_json_file, write_json_file
 
 REQUIRED_ROLES = frozenset({
     "root", "spine", "head",
@@ -26,7 +27,7 @@ VALID_ROLES = REQUIRED_ROLES | OPTIONAL_ROLES
 FLOOR_TOLERANCE = 1e-3
 
 
-class SkeletonError(ValueError):
+class SkeletonError(FormatError):
     """Raised for malformed or invariant-violating skeleton documents."""
 
 
@@ -111,8 +112,8 @@ def scale_uniform(skeleton: SkeletonModel, s: float) -> SkeletonModel:
     The pivot is the floor projection of the root joint, so the root keeps
     its horizontal position and the feet stay on the floor.
     """
-    if s <= 0.0:
-        raise ValueError(f"scale factor must be positive, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"scale factor must be positive and finite, got {s}")
     joints = []
     for j in skeleton.joints:
         t = j.bind_local.translation
@@ -131,13 +132,14 @@ def scale_uniform(skeleton: SkeletonModel, s: float) -> SkeletonModel:
 #   "joints": [ { "name": str, "parent": str|null, "role": str,
 #                 "translation": [x,y,z], "rotation": [w,x,y,z] } ] }
 # "rotation" may be omitted (identity). Units are meters; the coordinate
-# convention is the package-wide one (+Y up, +Z forward).
+# convention is the package-wide one (+Y up, +Z forward). Values follow the
+# input rule of `math3d.FormatError`.
 
 def load_skeleton(document: dict) -> SkeletonModel:
     if not isinstance(document, dict):
         raise SkeletonError("skeleton document must be a JSON object")
-    eye_height = document.get("eye_height")
-    if not isinstance(eye_height, (int, float)) or eye_height <= 0:
+    eye_height = float(floats_from_json(document.get("eye_height"), (), "eye_height"))
+    if not eye_height > 0:
         raise SkeletonError("eye_height must be a positive number")
     raw = document.get("joints")
     if not isinstance(raw, list) or not raw:
@@ -145,9 +147,10 @@ def load_skeleton(document: dict) -> SkeletonModel:
 
     names = []
     for entry in raw:
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise SkeletonError("every joint needs a non-empty name")
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not (isinstance(name, str) and name
+                and isinstance(entry.get("parent"), (str, type(None)))):
+            raise SkeletonError("every joint must be an object with a name and a parent or null")
         if name in names:
             raise SkeletonError(f"duplicate joint name {name!r}")
         names.append(name)
@@ -159,7 +162,7 @@ def load_skeleton(document: dict) -> SkeletonModel:
     role_counts: dict[str, int] = {}
     for entry in raw:
         role = entry.get("role")
-        if role not in VALID_ROLES:
+        if not isinstance(role, str) or role not in VALID_ROLES:
             raise SkeletonError(f"joint {entry.get('name')!r} has unknown role {role!r}")
         role_counts[role] = role_counts.get(role, 0) + 1
     for role in REQUIRED_ROLES:
@@ -198,25 +201,15 @@ def load_skeleton(document: dict) -> SkeletonModel:
     joints: list[Joint] = []
     for name in order:
         entry = by_name[name]
-        t = entry.get("translation")
-        if not (isinstance(t, list) and len(t) == 3):
-            raise SkeletonError(f"joint {name!r}: translation must be [x, y, z]")
-        t = np.asarray(t, dtype=np.float64)
-        if not np.all(np.isfinite(t)):
-            raise SkeletonError(f"joint {name!r}: translation must be finite")
-        q = entry.get("rotation", [1.0, 0.0, 0.0, 0.0])
-        if not (isinstance(q, list) and len(q) == 4):
-            raise SkeletonError(f"joint {name!r}: rotation must be [w, x, y, z]")
-        q = np.asarray(q, dtype=np.float64)
-        if abs(float(np.linalg.norm(q)) - 1.0) > 1e-6:
-            raise SkeletonError(f"joint {name!r}: rotation is not a unit quaternion")
+        t = floats_from_json(entry.get("translation"), (3,), f"joint {name!r} translation")
+        q = quat_from_json(entry.get("rotation", [1.0, 0.0, 0.0, 0.0]), f"joint {name!r} rotation")
         parent = entry.get("parent")
         parent_idx = None if parent is None else index_of[parent]
         if parent_idx is not None and float(np.linalg.norm(t)) <= 1e-9:
             raise SkeletonError(f"joint {name!r}: bone length must be strictly positive")
-        joints.append(Joint(name, parent_idx, Transform(quat_normalize(q), t), entry["role"]))
+        joints.append(Joint(name, parent_idx, Transform(q, t), entry["role"]))
 
-    skeleton = SkeletonModel(joints, float(eye_height))
+    skeleton = SkeletonModel(joints, eye_height)
     lowest = min(w.translation[1] for w in skeleton.bind_world())
     if abs(lowest) > FLOOR_TOLERANCE:
         raise SkeletonError(
@@ -232,22 +225,15 @@ def skeleton_to_document(skeleton: SkeletonModel) -> dict:
             "name": j.name,
             "parent": None if j.parent is None else skeleton.joints[j.parent].name,
             "role": j.role,
-            "translation": [float(v) for v in j.bind_local.translation],
-            "rotation": [float(v) for v in quat_canonical(j.bind_local.rotation)],
+            "translation": floats_to_json(j.bind_local.translation),
+            "rotation": quat_to_json(j.bind_local.rotation),
         })
     return {"eye_height": skeleton.eye_height_bind, "joints": joints}
 
 
 def load_skeleton_file(path) -> SkeletonModel:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            document = json.load(f)
-        except json.JSONDecodeError as e:
-            raise SkeletonError(f"{path}: invalid JSON ({e})") from e
-    return load_skeleton(document)
+    return read_json_file(path, load_skeleton)
 
 
 def save_skeleton_file(skeleton: SkeletonModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(skeleton_to_document(skeleton), f, indent=2)
-        f.write("\n")
+    write_json_file(path, skeleton_to_document(skeleton))

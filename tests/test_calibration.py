@@ -12,9 +12,8 @@ from avatarfit.calibration import (
     profile_from_document,
     profile_to_document,
     save_profile_file,
-    validate_profile,
 )
-from avatarfit.math3d import Transform, quat_angle_between, quat_from_axis_angle
+from avatarfit.math3d import FormatError, Transform, quat_angle_between, quat_from_axis_angle
 from avatarfit.motion import squat_script, tpose_script
 from avatarfit.retarget import OffsetMode, solve_session
 from avatarfit.rigs import humanoid, humanoid_long_legs
@@ -133,23 +132,26 @@ class TestCaptureProfile:
 
 
 class TestValidateProfile:
+    """The profile checks run where a profile arrives from outside: at load."""
+
     def test_valid_profile_has_no_diagnostics(self, matched_setup):
         _, _, profile, _ = matched_setup
-        assert validate_profile(profile) == []
+        loaded = profile_from_document(profile_to_document(profile))
+        assert loaded.scale == profile.scale
 
     def test_negative_scale_flagged(self, matched_setup):
         _, _, profile, _ = matched_setup
         doc = profile_to_document(profile)
         doc["scale"] = -1.0
-        bad = profile_from_document(doc)
-        assert any("scale" in d for d in validate_profile(bad))
+        with pytest.raises(FormatError, match="scale"):
+            profile_from_document(doc)
 
     def test_oversize_offset_flagged(self, matched_setup):
         _, _, profile, _ = matched_setup
         doc = profile_to_document(profile)
         doc["parts"]["root"]["v0"] = [0.0, 0.8, 0.0]
-        bad = profile_from_document(doc)
-        assert any("misalignment" in d for d in validate_profile(bad))
+        with pytest.raises(FormatError, match="walk-in"):
+            profile_from_document(doc)
 
 
 class TestProfileFiles:
@@ -191,7 +193,7 @@ class TestCalibrateSession:
         assert warnings == []
         assert profile.scale == pytest.approx(1.64 / 1.68)
         assert scaled.eye_height_bind == pytest.approx(1.64)
-        assert validate_profile(profile) == []
+        assert profile_from_document(profile_to_document(profile)).scale == profile.scale
 
     def test_role_map_matches_generator(self, matched_setup):
         session, _, profile, _ = matched_setup

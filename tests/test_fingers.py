@@ -57,6 +57,10 @@ class TestCapsuleSdf:
         with pytest.raises(ValueError):
             CapsuleShape(np.ones(3), np.ones(3), 0.1)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius"):
+            CapsuleShape(np.zeros(3), np.ones(3), math.nan)
+
     @given(seeds)
     def test_rigid_motion_invariance(self, seed):
         rng = np.random.default_rng(seed)

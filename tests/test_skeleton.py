@@ -153,6 +153,11 @@ class TestScaleUniform:
         with pytest.raises(ValueError):
             scale_uniform(user_skeleton, 0.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_nonfinite_scale_rejected(self, user_skeleton, s):
+        with pytest.raises(ValueError, match="finite"):
+            scale_uniform(user_skeleton, s)
+
     def test_feet_stay_on_floor(self, user_skeleton):
         for s in (0.5, 0.914, 1.3):
             lowest = min(w.translation[1] for w in scale_uniform(user_skeleton, s).bind_world())
