@@ -10,6 +10,7 @@ ambiguity, posture, walk-in misalignment).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -50,6 +51,17 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_CALIBRATION = 4
+
+
+def _positive(kind):
+    """argparse type: a `kind` number in (0, inf), so a bad flag is a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its own errors
+    return parse
 
 
 def _derived_path(base, tag: str) -> Path:
@@ -242,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--ground-truth", help="ground truth for error metrics")
     slv.add_argument("--hand-model", help="hand model JSON; poses fingers per frame")
     slv.add_argument("--controller", help="controller capsule JSON (with --hand-model)")
-    slv.add_argument("--eta", type=float, default=DescentConfig().eta)
-    slv.add_argument("--penalty", type=float, default=DescentConfig().penalty)
-    slv.add_argument("--max-iters", type=int, default=DescentConfig().max_iters)
+    slv.add_argument("--eta", type=_positive(float), default=DescentConfig().eta)
+    slv.add_argument("--penalty", type=_positive(float), default=DescentConfig().penalty)
+    slv.add_argument("--max-iters", type=_positive(int), default=DescentConfig().max_iters)
     slv.set_defaults(func=cmd_solve)
 
     cmp_ = sub.add_parser("compare", help="exact vs fixed offsets, side by side")

@@ -14,6 +14,17 @@ Fingers are independent, so each descends on its own three factors. A button
 target can be added for the thumb: its objective gains the distance from the
 thumb tip to the button point.
 
+One routine, `_FingerChain.walk`, evaluates a finger for `finger_points`,
+`finger_objective` and `descend`. Each joint keeps its `math3d.slerp_basis`,
+so a new factor costs one `slerp_at`. A walk can start at joint k from a
+cached chain state (rotation, position and the penalized sum after joints
+0..k-1). A difference on factor k leaves joints before k unchanged, so the
+descent walks joints k.. only and reuses the current iterate's rotations
+after k. An iteration on a three-joint finger then costs 15 joint steps and 9
+slerps (12 and 6 for the gradient, 3 and 3 for the walk after the step),
+against 21 and 21 for seven full evaluations. The sum still runs in joint
+order, so every iterate is bit-identical to full evaluations of the objective.
+
 Every call starts from the parameters it is given (the grip solve starts
 from the open hand) and iterates to convergence or `max_iters`; nothing is
 carried between calls. So max_iters=1 is a single step from the open hand,
@@ -24,13 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .math3d import FormatError, Transform, floats_from_json, floats_to_json, \
     quat_from_axis_angle, quat_from_json, quat_slerp, quat_to_json, read_json_file, \
-    transform_from_obj, transform_to_obj, write_json_file
+    slerp_at, slerp_basis, transform_from_obj, transform_to_obj, write_json_file
 
 # Central finite-difference step on the interpolation factors.
 FD_STEP = 1e-3
@@ -136,8 +146,8 @@ class DescentConfig:
 
     def __post_init__(self):
         for name in ("eta", "penalty", "converge_tol", "button_weight"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -155,37 +165,55 @@ def finger_rotations(finger: Finger, t_vec) -> list[np.ndarray]:
 
 
 class _FingerChain:
-    """Float-tuple snapshot of one finger for fast repeated evaluation.
+    """One finger and its cost, on plain floats, for fast repeated evaluation.
 
     The descent evaluates the chain thousands of times per grip, so the FK
     and the objective run on plain floats; numpy's per-call overhead on
-    3-vectors would dominate otherwise.
+    3-vectors would dominate otherwise. A chain state is the tuple
+    (rw, rx, ry, rz, px, py, pz, total): world rotation and position after
+    some joints, and the penalized distance summed over their points.
+    `start` is the state before joint 0.
     """
 
-    __slots__ = ("base_rot", "base_pos", "open", "closed", "offsets", "is_thumb")
+    __slots__ = ("start", "slerps", "offsets", "shape", "penalty", "button", "button_weight")
 
-    def __init__(self, finger: Finger, wrist_world: Transform | None):
+    def __init__(self, finger: Finger, wrist_world: Transform | None,
+                 shape: CapsuleShape | None = None, penalty: float = 0.0,
+                 button: tuple | None = None, button_weight: float = 0.0):
         base = finger.base_local if wrist_world is None else wrist_world @ finger.base_local
-        self.base_rot = tuple(float(v) for v in base.rotation)
-        self.base_pos = tuple(float(v) for v in base.translation)
-        self.open = [tuple(float(v) for v in j.open_rotation) for j in finger.joints]
-        self.closed = [tuple(float(v) for v in j.closed_rotation) for j in finger.joints]
+        self.start = (*(float(v) for v in base.rotation),
+                      *(float(v) for v in base.translation), 0.0)
+        self.slerps = [slerp_basis(j.open_rotation, j.closed_rotation) for j in finger.joints]
         self.offsets = [tuple(float(v) for v in j.offset) for j in finger.joints]
-        self.is_thumb = finger.name == "thumb"
+        self.shape = shape
+        self.penalty = penalty
+        self.button = button if finger.name == "thumb" else None
+        self.button_weight = button_weight
 
-    def points(self, t_vec):
-        rw, rx, ry, rz = self.base_rot
-        px, py, pz = self.base_pos
-        out = []
-        for open_q, closed_q, off, t in zip(self.open, self.closed, self.offsets, t_vec):
-            qw, qx, qy, qz = quat_slerp(open_q, closed_q, float(t))
+    def rotations(self, t_vec) -> list[tuple]:
+        return [slerp_at(basis, float(t)) for basis, t in zip(self.slerps, t_vec)]
+
+    def walk(self, state: tuple, k: int, rotations: list, trail: list | None = None) -> float:
+        """Objective of the chain from `state`, the chain state before joint k.
+
+        Joints k.. turn by `rotations[k:]`; joints before k are already in
+        `state`. Each point adds its penalized capsule distance (none without
+        a shape); the thumb adds its weighted distance to the button last.
+        `trail` receives the state after each joint. The sum runs in joint
+        order whatever k is, so a walk from a cached prefix returns the same
+        float as a walk from `start`.
+        """
+        rw, rx, ry, rz, px, py, pz, total = state
+        shape, penalty, offsets = self.shape, self.penalty, self.offsets
+        for j in range(k, len(offsets)):
+            qw, qx, qy, qz = rotations[j]
             rw, rx, ry, rz = (
                 rw * qw - rx * qx - ry * qy - rz * qz,
                 rw * qx + rx * qw + ry * qz - rz * qy,
                 rw * qy - rx * qz + ry * qw + rz * qx,
                 rw * qz + rx * qy - ry * qx + rz * qw,
             )
-            ox, oy, oz = off
+            ox, oy, oz = offsets[j]
             # p += rot * offset (quaternion sandwich, expanded)
             tx = 2.0 * (ry * oz - rz * oy)
             ty = 2.0 * (rz * ox - rx * oz)
@@ -193,26 +221,15 @@ class _FingerChain:
             px += ox + rw * tx + (ry * tz - rz * ty)
             py += oy + rw * ty + (rz * tx - rx * tz)
             pz += oz + rw * tz + (rx * ty - ry * tx)
-            out.append((px, py, pz))
-        return out
-
-    def objective(self, shape: CapsuleShape, penalty: float, button: tuple | None,
-                  button_weight: float, t_vec) -> float:
-        """Penalized surface distance of the chain points, plus the thumb's
-        weighted distance to the button when one is given. The factors come
-        last so the descent can bind the rest with `functools.partial`."""
-        total = 0.0
-        points = self.points(t_vec)
-        for p in points:
-            d = capsule_sdf(shape, p)
-            total += d if d >= 0.0 else -penalty * d
-        if button is not None and self.is_thumb:
-            tip = points[-1]
-            total += button_weight * math.sqrt(
-                (tip[0] - button[0]) ** 2
-                + (tip[1] - button[1]) ** 2
-                + (tip[2] - button[2]) ** 2
-            )
+            if shape is not None:
+                d = capsule_sdf(shape, (px, py, pz))
+                total += d if d >= 0.0 else -penalty * d
+            if trail is not None:
+                trail.append((rw, rx, ry, rz, px, py, pz, total))
+        if self.button is not None:
+            bx, by, bz = self.button
+            total += self.button_weight * math.sqrt(
+                (px - bx) ** 2 + (py - by) ** 2 + (pz - bz) ** 2)
         return total
 
 
@@ -222,7 +239,10 @@ def _float_point(p) -> tuple | None:
 
 def finger_points(finger: Finger, t_vec, wrist_world: Transform | None = None) -> list[np.ndarray]:
     """World position of each measured point: the end of every phalanx."""
-    return [np.array(p) for p in _FingerChain(finger, wrist_world).points(t_vec)]
+    chain = _FingerChain(finger, wrist_world)
+    trail: list[tuple] = []
+    chain.walk(chain.start, 0, chain.rotations(t_vec), trail)
+    return [np.array(state[4:7]) for state in trail]
 
 
 def finger_objective(
@@ -236,9 +256,9 @@ def finger_objective(
     button_weight: float = 1.0,
 ) -> float:
     """Summed penalized surface distance of one finger's joint points."""
-    chain = _FingerChain(hand.fingers[finger_index], wrist_world)
-    return chain.objective(shape, penalty, _float_point(button), button_weight,
-                           params.values[finger_index])
+    chain = _FingerChain(hand.fingers[finger_index], wrist_world, shape, penalty,
+                         _float_point(button), button_weight)
+    return chain.walk(chain.start, 0, chain.rotations(params.values[finger_index]))
 
 
 @dataclass
@@ -265,41 +285,54 @@ def descend(
     leave [0, 1] (the interpolation extrapolates) but the updated factors are
     clamped back. Non-convergence within max_iters is reported in the
     diagnostics, never raised.
+
+    The chain states and joint rotations of the current factors come from the
+    walk after the previous step; each difference on factor k walks joints
+    k.. from them (see the module docstring). Factors, history, clamps and
+    convergence are bit-identical to full evaluations of `finger_objective`.
     """
     cfg = config or DescentConfig()
     out = params.clamped()  # fresh arrays: the caller's params stay untouched
     button_f = _float_point(button)
     reports = []
     for fi, finger in enumerate(hand.fingers):
-        t = out.values[fi]
-        n = len(t)
-        chain = _FingerChain(finger, wrist_world)
-        objective = partial(chain.objective, shape, cfg.penalty, button_f, cfg.button_weight)
-        prev = objective(t)
+        chain = _FingerChain(finger, wrist_world, shape, cfg.penalty, button_f,
+                             cfg.button_weight)
+        slerps = chain.slerps
+        t = [float(v) for v in out.values[fi]]
+        rotations = chain.rotations(t)
+        states = [chain.start]  # states[k]: the chain state before joint k
+        prev = chain.walk(chain.start, 0, rotations, states)
         history = [prev]
         first_clamp = None
         iterations = 0
         converged = False
         for it in range(1, cfg.max_iters + 1):
             iterations = it
-            grad = np.zeros(n)
-            for k in range(n):
-                plus = t.copy()
-                minus = t.copy()
-                plus[k] += FD_STEP
-                minus[k] -= FD_STEP
-                grad[k] = (objective(plus) - objective(minus)) / (2.0 * FD_STEP)
-            raw = t - cfg.eta * grad
-            t = np.clip(raw, 0.0, 1.0)
-            if first_clamp is None and np.any(raw != t):
-                first_clamp = it
-            current = objective(t)
+            stepped = []
+            for k, tk in enumerate(t):
+                # Overwriting joint k's rotation is safe: the differences on
+                # later factors start past joint k.
+                rotations[k] = slerp_at(slerps[k], tk + FD_STEP)
+                plus = chain.walk(states[k], k, rotations)
+                rotations[k] = slerp_at(slerps[k], tk - FD_STEP)
+                minus = chain.walk(states[k], k, rotations)
+                raw = tk - cfg.eta * ((plus - minus) / (2.0 * FD_STEP))
+                # np.clip's rule: NaN passes through and -0.0 becomes 0.0.
+                clipped = 0.0 if raw <= 0.0 else 1.0 if raw >= 1.0 else raw
+                if first_clamp is None and raw != clipped:
+                    first_clamp = it
+                stepped.append(clipped)
+            t = stepped
+            rotations = chain.rotations(t)
+            states = [chain.start]
+            current = chain.walk(chain.start, 0, rotations, states)
             history.append(current)
             if abs(prev - current) < cfg.converge_tol:
                 converged = True
                 break
             prev = current
-        out.values[fi] = t
+        out.values[fi] = np.array(t)
         reports.append(FingerDescent(finger.name, iterations, history[-1], converged,
                                      history, first_clamp))
     return out, reports

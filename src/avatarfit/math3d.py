@@ -148,31 +148,52 @@ def quat_angle_between(a, b) -> float:
     return quat_angle(quat_mul(quat_conjugate(a), b))
 
 
-def quat_slerp(a, b, t: float) -> tuple[float, float, float, float]:
-    """Shortest-arc spherical interpolation; extrapolates for t outside [0,1].
+def slerp_basis(a, b) -> tuple:
+    """The part of `quat_slerp(a, b, t)` that does not depend on t.
 
-    Works on plain floats and returns a (w, x, y, z) tuple: the finger descent
-    calls it thousands of times per grip, where numpy's per-call overhead on
-    4-vectors would dominate.
+    Flips b onto a's hemisphere (shortest arc) and returns the plain-float
+    tuple (theta, sin(theta), a, b) that `slerp_at` evaluates. For a
+    near-parallel pair the tuple is (0.0, 0.0, a, b - a), which `slerp_at`
+    evaluates as a normalized linear interpolation.
     """
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    aw, ax, ay, az = (float(v) for v in a)
+    bw, bx, by, bz = (float(v) for v in b)
     d = aw * bw + ax * bx + ay * by + az * bz
     if d < 0.0:
         bw, bx, by, bz = -bw, -bx, -by, -bz
         d = -d
     if d > 1.0 - 1e-9:
-        w = aw + t * (bw - aw)
-        x = ax + t * (bx - ax)
-        y = ay + t * (by - ay)
-        z = az + t * (bz - az)
+        return 0.0, 0.0, aw, ax, ay, az, bw - aw, bx - ax, by - ay, bz - az
+    theta = math.acos(d if d < 1.0 else 1.0)
+    return theta, math.sin(theta), aw, ax, ay, az, bw, bx, by, bz
+
+
+def slerp_at(basis: tuple, t: float) -> tuple[float, float, float, float]:
+    """Evaluate a `slerp_basis` at t: the (w, x, y, z) tuple of `quat_slerp`."""
+    theta, s, aw, ax, ay, az, bw, bx, by, bz = basis
+    if s == 0.0:
+        w = aw + t * bw
+        x = ax + t * bx
+        y = ay + t * by
+        z = az + t * bz
         n = math.sqrt(w * w + x * x + y * y + z * z)
         return w / n, x / n, y / n, z / n
-    theta = math.acos(d if d < 1.0 else 1.0)
-    s = math.sin(theta)
     ka = math.sin((1.0 - t) * theta) / s
     kb = math.sin(t * theta) / s
     return (ka * aw + kb * bw, ka * ax + kb * bx, ka * ay + kb * by, ka * az + kb * bz)
+
+
+def quat_slerp(a, b, t: float) -> tuple[float, float, float, float]:
+    """Shortest-arc spherical interpolation; extrapolates for t outside [0,1].
+
+    Built from its two parts: `slerp_basis(a, b)` holds everything that
+    depends on the pair only, and `slerp_at` evaluates it at t. A caller that
+    interpolates one pair at many t (the finger descent) keeps the basis and
+    calls `slerp_at` alone; its results are bit-identical to `quat_slerp`'s.
+    Works on plain floats and returns a (w, x, y, z) tuple: numpy's per-call
+    overhead on 4-vectors would dominate the descent's inner loop.
+    """
+    return slerp_at(slerp_basis(a, b), t)
 
 
 # ---------------------------------------------------------------------------

@@ -361,8 +361,9 @@ def read_session(path) -> Session:
                         role_map = {d: DeviceRole(r) for d, r in obj["role_map"].items()}
                     except (AttributeError, ValueError) as e:
                         raise FormatError(f"{where}: bad role_map ({e})") from e
-                    if len(set(role_map.values())) != 6:
-                        raise FormatError(f"{where}: role_map must cover all six roles")
+                    if len(role_map) != 6 or len(set(role_map.values())) != 6:
+                        raise FormatError(
+                            f"{where}: role_map must map six devices onto the six roles")
                 calibration_frame = obj.get("calibration_frame")
                 continue
             raise FormatError(f"{where}: frame line lacks 'devices'")

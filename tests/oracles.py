@@ -1,8 +1,13 @@
 """Independent brute-force oracles shared by the unit and acceptance tests."""
 
+import math
+from functools import partial
+
 import numpy as np
 
-from avatarfit.fingers import CapsuleShape
+from avatarfit.fingers import FD_STEP, CapsuleShape, DescentConfig, Finger, FingerDescent, \
+    FingerParams, HandModel, capsule_sdf
+from avatarfit.math3d import Transform
 
 
 def sample_capsule_surface(shape: CapsuleShape, n_axis: int, n_ring: int):
@@ -41,3 +46,115 @@ def sample_capsule_surface(shape: CapsuleShape, n_axis: int, n_ring: int):
     axial_step = max(length / (n_axis - 1), shape.radius * (np.pi / 2) / (n_phi - 1))
     resolution = float(np.hypot(arc, axial_step))
     return np.asarray(points), resolution
+
+
+# ---------------------------------------------------------------------------
+# Finger descent reference: one full chain evaluation per objective call
+# ---------------------------------------------------------------------------
+# The straightforward grip descent: every objective call runs all slerps and
+# the whole chain, and the central differences perturb copies of the factor
+# array. `fingers.descend` caches the chain prefix and the slerp bases; its
+# iterates must equal this reference exactly, float for float.
+
+def reference_slerp(a, b, t: float) -> tuple[float, float, float, float]:
+    """One-shot shortest-arc slerp on plain floats."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    d = aw * bw + ax * bx + ay * by + az * bz
+    if d < 0.0:
+        bw, bx, by, bz = -bw, -bx, -by, -bz
+        d = -d
+    if d > 1.0 - 1e-9:
+        w = aw + t * (bw - aw)
+        x = ax + t * (bx - ax)
+        y = ay + t * (by - ay)
+        z = az + t * (bz - az)
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        return w / n, x / n, y / n, z / n
+    theta = math.acos(d if d < 1.0 else 1.0)
+    s = math.sin(theta)
+    ka = math.sin((1.0 - t) * theta) / s
+    kb = math.sin(t * theta) / s
+    return (ka * aw + kb * bw, ka * ax + kb * bx, ka * ay + kb * by, ka * az + kb * bz)
+
+
+def reference_chain(finger: Finger, wrist_world: Transform | None) -> tuple:
+    """Plain-float snapshot of a finger: base rotation and position, then
+    (open, closed, offset) per joint."""
+    base = finger.base_local if wrist_world is None else wrist_world @ finger.base_local
+    joints = tuple(tuple(tuple(float(v) for v in vec)
+                         for vec in (j.open_rotation, j.closed_rotation, j.offset))
+                   for j in finger.joints)
+    return (tuple(float(v) for v in base.rotation),
+            tuple(float(v) for v in base.translation), joints)
+
+
+def reference_finger_objective(chain: tuple, shape: CapsuleShape, penalty: float,
+                               tip_button, button_weight: float, t_vec) -> float:
+    """Penalized surface distance of the chain points, plus the weighted
+    distance from the last point to `tip_button` when one is given."""
+    (rw, rx, ry, rz), (px, py, pz), joints = chain
+    total = 0.0
+    for (open_q, closed_q, (ox, oy, oz)), t in zip(joints, t_vec):
+        qw, qx, qy, qz = reference_slerp(open_q, closed_q, float(t))
+        rw, rx, ry, rz = (
+            rw * qw - rx * qx - ry * qy - rz * qz,
+            rw * qx + rx * qw + ry * qz - rz * qy,
+            rw * qy - rx * qz + ry * qw + rz * qx,
+            rw * qz + rx * qy - ry * qx + rz * qw,
+        )
+        tx = 2.0 * (ry * oz - rz * oy)
+        ty = 2.0 * (rz * ox - rx * oz)
+        tz = 2.0 * (rx * oy - ry * ox)
+        px += ox + rw * tx + (ry * tz - rz * ty)
+        py += oy + rw * ty + (rz * tx - rx * tz)
+        pz += oz + rw * tz + (rx * ty - ry * tx)
+        d = capsule_sdf(shape, (px, py, pz))
+        total += d if d >= 0.0 else -penalty * d
+    if tip_button is not None:
+        bx, by, bz = tip_button
+        total += button_weight * math.sqrt((px - bx) ** 2 + (py - by) ** 2 + (pz - bz) ** 2)
+    return total
+
+
+def reference_descend(hand: HandModel, params: FingerParams, shape: CapsuleShape,
+                      config: DescentConfig, wrist_world: Transform | None = None,
+                      button=None) -> tuple[FingerParams, list[FingerDescent]]:
+    """Fixed-step descent on central differences, one full evaluation each."""
+    out = params.clamped()
+    reports = []
+    for fi, finger in enumerate(hand.fingers):
+        t = out.values[fi]
+        n = len(t)
+        tip_button = (None if button is None or finger.name != "thumb"
+                      else tuple(float(v) for v in button))
+        objective = partial(reference_finger_objective, reference_chain(finger, wrist_world),
+                            shape, config.penalty, tip_button, config.button_weight)
+        prev = objective(t)
+        history = [prev]
+        first_clamp = None
+        iterations = 0
+        converged = False
+        for it in range(1, config.max_iters + 1):
+            iterations = it
+            grad = np.zeros(n)
+            for k in range(n):
+                plus = t.copy()
+                minus = t.copy()
+                plus[k] += FD_STEP
+                minus[k] -= FD_STEP
+                grad[k] = (objective(plus) - objective(minus)) / (2.0 * FD_STEP)
+            raw = t - config.eta * grad
+            t = np.clip(raw, 0.0, 1.0)
+            if first_clamp is None and np.any(raw != t):
+                first_clamp = it
+            current = objective(t)
+            history.append(current)
+            if abs(prev - current) < config.converge_tol:
+                converged = True
+                break
+            prev = current
+        out.values[fi] = t
+        reports.append(FingerDescent(finger.name, iterations, history[-1], converged,
+                                     history, first_clamp))
+    return out, reports

@@ -199,3 +199,40 @@ class TestCalibrateSession:
         session, _, profile, _ = matched_setup
         assert profile.role_map == session.role_map
         assert identify_roles(session.calibration_frame()) == session.role_map
+
+
+class TestCalibrationNoise:
+    """Noise in the calibration frame becomes a permanent offset bias."""
+
+    # Worst error / sigma over 30 noise draws (seeds 0-29) of this squat:
+    # 4.16 for the ankles, 3.85 for the wrists. K leaves 44% margin on the
+    # ankle figure. The error grows linearly: the ratio of one draw moves by
+    # at most 3.5% between 2 and 10 mm.
+    K = 6.0
+
+    def test_error_bound_linear_in_sigma(self, user_skeleton):
+        session, truth = generate_synthetic_session(user_skeleton,
+                                                    squat_script(user_skeleton, fps=4.0))
+        calibration = session.frames[0]
+        avatar = humanoid_long_legs()
+        for seed in range(4):
+            draw = np.random.default_rng(seed).normal(size=(len(calibration.devices), 3))
+            for sigma in (0.0, 0.002, 0.005, 0.010):
+                noisy = type(calibration)(calibration.timestamp, [
+                    (did, Transform(pose.rotation, pose.translation + sigma * z))
+                    for (did, pose), z in zip(calibration.devices, draw)])
+                profile, scaled, _ = calibrate_session(
+                    type(session)([noisy, *session.frames[1:]], session.role_map, 0), avatar)
+                # Every frame is solved noiseless; frame 0 as it truly was.
+                solved, metrics = solve_session(session, profile, scaled, OffsetMode.EXACT,
+                                                truth)
+                assert metrics.frame_errors == []
+                error = max(
+                    float(np.linalg.norm(pose.world[scaled.role_index(role)].translation
+                                         - truth.by_role(i, role).translation))
+                    for i, pose in enumerate(solved)
+                    for role in ("ankle_l", "ankle_r", "wrist_l", "wrist_r"))
+                if sigma == 0.0:
+                    assert error < 1e-9
+                else:
+                    assert error <= self.K * sigma, (seed, sigma, error / sigma)

@@ -112,6 +112,19 @@ class TestHandModel:
             metrics["hand_mean_objective_l"], abs=1e-9)
 
 
+class TestDescentFlags:
+    @pytest.mark.parametrize("flag", [("--eta", "nan"), ("--eta", "0"), ("--penalty", "-1"),
+                                      ("--max-iters", "0")])
+    def test_bad_value_is_a_usage_error(self, tmp_path, rig_files, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            run("solve", "--skeleton", rig_files["avatar"], "--session", tmp_path / "s.jsonl",
+                "--profile", tmp_path / "p.json", "--hand-model", rig_files["hand"],
+                "--controller", rig_files["controller"], "--out", tmp_path / "trace.jsonl",
+                *flag)
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert f"argument {flag[0]}: must be positive and finite" in capsys.readouterr().err
+
+
 def put(*keys_and_value):
     """Corruption that sets the value at a key path of a document."""
     *keys, value = keys_and_value
@@ -141,6 +154,7 @@ MALFORMED = {
     "skeleton joint not an object": ("skeleton", put("joints", 3, 5)),
     "skeleton NaN rotation": ("skeleton", put("joints", 1, "rotation", [NAN, 0, 0, 0])),
     "session line 5": ("session", lambda lines: lines[:2] + [5] + lines[2:]),
+    "session role_map of seven devices": ("session", put(0, "role_map", "dev9", "hmd")),
     "profile top level list": ("profile", lambda document: [1, 2]),
     "profile NaN v0": ("profile", put("parts", "root", "v0", [NAN, 0.0, 0.0])),
     "profile NaN scale": ("profile", put("scale", NAN)),

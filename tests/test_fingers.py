@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from avatarfit.fingers import (
     CapsuleShape,
@@ -30,7 +30,7 @@ from avatarfit.fingers import (
 from avatarfit.math3d import Transform, quat_from_axis_angle, quat_rotate
 
 from conftest import random_quat, random_unit
-from oracles import sample_capsule_surface
+from oracles import reference_descend, sample_capsule_surface
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -226,6 +226,41 @@ class TestDescend:
             DescentConfig(max_iters=0)
         with pytest.raises(ValueError):
             DescentConfig(penalty=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_config_rejected(self, value):
+        for name in ("eta", "penalty", "converge_tol", "button_weight"):
+            with pytest.raises(ValueError, match=name):
+                DescentConfig(**{name: value})
+
+
+class TestDescentOracle:
+    @settings(max_examples=60)
+    @given(seeds, st.sampled_from(["left", "right"]), st.sampled_from([0.01, 0.1, 0.3]),
+           st.booleans(), st.integers(min_value=1, max_value=100))
+    def test_bit_identical_to_full_evaluation(self, seed, side, eta, with_button, max_iters):
+        # The prefix-cached descent must reproduce the one-evaluation-per-call
+        # reference float for float: exact equality, no tolerance.
+        rng = np.random.default_rng(seed)
+        hand = default_hand_model(side)
+        wrist = Transform(random_quat(rng), rng.normal(size=3))
+        grip = default_grip_capsule(hand)
+        shape = transform_capsule(
+            CapsuleShape(grip.start + rng.normal(size=3) * 0.02,
+                         grip.end + rng.normal(size=3) * 0.02, float(rng.uniform(0.01, 0.04))),
+            wrist)
+        button = (wrist.apply(hand.palm_anchor.translation + rng.normal(size=3) * 0.03)
+                  if with_button else None)
+        start = FingerParams([rng.uniform(-0.2, 1.2, size=len(f.joints)) for f in hand.fingers])
+        config = DescentConfig(eta=eta, max_iters=max_iters)
+        params, reports = descend(hand, start, shape, config, wrist, button)
+        ref_params, ref_reports = reference_descend(hand, start, shape, config, wrist, button)
+        assert reports == ref_reports
+        for got, want in zip(params.values, ref_params.values):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        for fi, report in enumerate(reports):
+            assert finger_objective(hand, fi, start.clamped(), shape, config.penalty, wrist,
+                                    button, config.button_weight) == report.history[0]
 
 
 def small_curl_hand() -> HandModel:

@@ -21,6 +21,7 @@ from avatarfit.math3d import (
 )
 
 from conftest import random_quat, random_unit
+from oracles import reference_slerp
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -112,6 +113,19 @@ class TestQuaternions:
         assert abs(np.linalg.norm(q) - 1.0) < 1e-9
         np.testing.assert_allclose(quat_slerp(a, b, 0.0), a, atol=1e-9)
         assert quat_angle_between(quat_slerp(a, b, 1.0), b) < 1e-9
+
+    @given(seeds, st.sampled_from([1.0, 1e-4, 1e-6, 1e-12]), st.booleans(),
+           st.floats(min_value=-0.5, max_value=1.5))
+    def test_slerp_matches_one_shot_reference(self, seed, spread, flip, t):
+        # The basis/evaluation split changes no float, on both branches
+        # (spreads 1e-6 and 1e-12 take the near-parallel linear branch, 1e-4
+        # the slerp branch just past it) and across the hemisphere flip.
+        rng = np.random.default_rng(seed)
+        a = random_quat(rng)
+        b = a + spread * rng.normal(size=4)
+        b = (-1.0 if flip else 1.0) * b / np.linalg.norm(b)
+        a, b = tuple(a.tolist()), tuple(b.tolist())
+        assert quat_slerp(a, b, t) == reference_slerp(a, b, t)
 
 
 class TestTransform:
