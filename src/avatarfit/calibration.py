@@ -1,12 +1,18 @@
 """Per-user calibration: avatar scaling and exact tracker-to-joint offsets.
 
 At the calibration frame (t = 0) the user stands in T-pose aligned with the
-avatar, which is rendered in bind pose at a known placement. For the back and
-foot trackers we store the world-frame displacement from tracker to joint and
-both initial rotations; replaying those offsets later reproduces the joint
-targets exactly for any tracker mounting orientation. The headset-to-back
-vector drives the spine bend, and controller-to-wrist transforms anchor the
-hands so each controller stays under its palm.
+avatar, which is rendered in bind pose at a known placement. For each tracked
+part (back, feet, hands) we store the joint's capture pose in its device's
+frame, O = T0^-1 J0, and every later joint target is the composition T(t) O.
+That is the paper's exact offset written as one rigid transform: with the
+world-frame displacement v0 = p0(J) - p0(T), O has rotation R0(T)^-1 R0(J) and
+translation R0(T)^-1 v0, so
+
+    T(t) O = (R(T) R0(T)^-1 R0(J),  p(T) + R(T) R0(T)^-1 v0),
+
+which reproduces the joint targets exactly for any tracker mounting
+orientation and keeps each controller under its palm. The headset-to-back
+vector drives the spine bend.
 """
 
 from __future__ import annotations
@@ -15,22 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .math3d import FormatError, Transform, floats_from_json, floats_to_json, quat_from_json, \
-    quat_to_json, read_json_file, transform_from_obj, transform_to_obj, write_json_file
+from .math3d import FormatError, Transform, floats_from_json, floats_to_json, read_json_file, \
+    transform_from_obj, transform_to_obj, write_json_file
 from .session import DeviceFrame, DeviceRole, Session, identify_roles
 from .skeleton import SkeletonModel, scale_uniform
 
-# Format 2 dropped the two per-part t=0 positions of format 1, which nothing read.
-PROFILE_FORMAT = 2
+# Format 3 stores each part's offset as a transform in its device's frame.
+PROFILE_FORMAT = 3
 
 # A correctly performed walk-in leaves every device near its joint.
 MAX_WALK_IN_OFFSET = 0.5
 
-# Body parts with stored positional offsets, and the devices/joints they pair.
+# Tracked body parts with stored offsets, and the devices/joints they pair.
 PART_ROLES = {
     "root": (DeviceRole.TRACKER_ROOT, "root"),
     "foot_left": (DeviceRole.TRACKER_FOOT_LEFT, "ankle_l"),
     "foot_right": (DeviceRole.TRACKER_FOOT_RIGHT, "ankle_r"),
+    "hand_left": (DeviceRole.CONTROLLER_LEFT, "wrist_l"),
+    "hand_right": (DeviceRole.CONTROLLER_RIGHT, "wrist_r"),
 }
 
 
@@ -38,28 +46,17 @@ class MisalignmentError(ValueError):
     """A device is too far from its joint for a plausible walk-in."""
 
 
-def _check_walk_in(error: type, device: str, offset) -> None:
-    gap = float(np.linalg.norm(offset))
+def _check_walk_in(error: type, where: str, offset: Transform) -> None:
+    gap = float(np.linalg.norm(offset.translation))
     if gap > MAX_WALK_IN_OFFSET:
-        raise error(f"{device} is {gap:.2f} m from its joint; walk-in alignment failed")
-
-
-@dataclass
-class PartOffsets:
-    """Initial offsets for one tracked body part, all in the t=0 world frame."""
-
-    v0: np.ndarray          # joint position minus tracker position
-    r0_tracker: np.ndarray  # tracker rotation at t=0
-    r0_joint: np.ndarray    # joint rotation at t=0
+        raise error(f"{where}: device is {gap:.2f} m from its joint; walk-in alignment failed")
 
 
 @dataclass
 class CalibrationProfile:
     scale: float
-    parts: dict[str, PartOffsets]
+    offsets: dict[str, Transform]  # per PART_ROLES part: joint pose in its device's frame
     w0: np.ndarray  # headset position minus back-tracker position at t=0
-    wrist_palm_offset_left: Transform   # controller frame -> wrist frame
-    wrist_palm_offset_right: Transform
     role_map: dict[str, DeviceRole]
 
     def device_id(self, role: DeviceRole) -> str:
@@ -106,41 +103,15 @@ def capture_profile(
     if len(device) != 6:
         raise ValueError("role map must cover all six devices")
 
-    world = [placement @ w for w in skeleton.bind_world()]
-
-    parts: dict[str, PartOffsets] = {}
+    bind = skeleton.bind_world()
+    offsets = {}
     for part, (dev_role, joint_role) in PART_ROLES.items():
-        tracker = device[dev_role]
-        joint = world[skeleton.role_index(joint_role)]
-        v0 = joint.translation - tracker.translation
-        _check_walk_in(MisalignmentError, f"{part}: tracker", v0)
-        parts[part] = PartOffsets(
-            v0=v0,
-            r0_tracker=tracker.rotation.copy(),
-            r0_joint=joint.rotation.copy(),
-        )
+        joint = placement @ bind[skeleton.role_index(joint_role)]
+        offsets[part] = device[dev_role].inverse() @ joint
+        _check_walk_in(MisalignmentError, part, offsets[part])
 
     w0 = device[DeviceRole.HMD].translation - device[DeviceRole.TRACKER_ROOT].translation
-
-    wrist_offsets = {}
-    for side, dev_role, joint_role in (
-        ("left", DeviceRole.CONTROLLER_LEFT, "wrist_l"),
-        ("right", DeviceRole.CONTROLLER_RIGHT, "wrist_r"),
-    ):
-        controller = device[dev_role]
-        wrist = world[skeleton.role_index(joint_role)]
-        _check_walk_in(MisalignmentError, f"hand_{side}: controller",
-                       wrist.translation - controller.translation)
-        wrist_offsets[side] = controller.inverse() @ wrist
-
-    return CalibrationProfile(
-        scale=scale,
-        parts=parts,
-        w0=w0,
-        wrist_palm_offset_left=wrist_offsets["left"],
-        wrist_palm_offset_right=wrist_offsets["right"],
-        role_map=dict(role_map),
-    )
+    return CalibrationProfile(scale=scale, offsets=offsets, w0=w0, role_map=dict(role_map))
 
 
 def calibrate_session(
@@ -169,20 +140,11 @@ def calibrate_session(
 # passes the checks that every captured profile passes.
 
 def profile_to_document(profile: CalibrationProfile) -> dict:
-    parts = {}
-    for name, off in profile.parts.items():
-        parts[name] = {
-            "v0": floats_to_json(off.v0),
-            "r0_tracker": quat_to_json(off.r0_tracker),
-            "r0_joint": quat_to_json(off.r0_joint),
-        }
     return {
         "format": PROFILE_FORMAT,
         "scale": profile.scale,
-        "parts": parts,
+        "offsets": {part: transform_to_obj(o) for part, o in profile.offsets.items()},
         "w0": floats_to_json(profile.w0),
-        "wrist_palm_offset_left": transform_to_obj(profile.wrist_palm_offset_left),
-        "wrist_palm_offset_right": transform_to_obj(profile.wrist_palm_offset_right),
         "role_map": {d: r.value for d, r in sorted(profile.role_map.items())},
     }
 
@@ -191,32 +153,21 @@ def profile_from_document(document: dict) -> CalibrationProfile:
     if document.get("format") != PROFILE_FORMAT:
         raise FormatError(f"unsupported profile format {document.get('format')!r}")
     try:
-        if set(document["parts"]) != set(PART_ROLES):
-            raise FormatError(f"parts must be exactly {sorted(PART_ROLES)}")
-        parts = {}
-        for name, obj in document["parts"].items():
-            parts[name] = PartOffsets(
-                v0=floats_from_json(obj["v0"], (3,), f"parts.{name}.v0"),
-                r0_tracker=quat_from_json(obj["r0_tracker"], f"parts.{name}.r0_tracker"),
-                r0_joint=quat_from_json(obj["r0_joint"], f"parts.{name}.r0_joint"),
-            )
-            _check_walk_in(FormatError, f"parts.{name}.v0: tracker", parts[name].v0)
+        if set(document["offsets"]) != set(PART_ROLES):
+            raise FormatError(f"offsets must be exactly {sorted(PART_ROLES)}")
+        offsets = {}
+        for part in PART_ROLES:
+            offsets[part] = transform_from_obj(document["offsets"][part], f"offsets.{part}")
+            _check_walk_in(FormatError, f"offsets.{part}.translation", offsets[part])
         scale = float(floats_from_json(document["scale"], (), "scale"))
         if not scale > 0.0:
             raise FormatError(f"scale must be positive, got {scale}")
         role_map = {d: DeviceRole(r) for d, r in document["role_map"].items()}
         if len(role_map) != 6 or len(set(role_map.values())) != 6:
             raise FormatError("role_map must map six devices onto the six roles")
-        return CalibrationProfile(
-            scale=scale,
-            parts=parts,
-            w0=floats_from_json(document["w0"], (3,), "w0"),
-            wrist_palm_offset_left=transform_from_obj(document["wrist_palm_offset_left"],
-                                                      "wrist_palm_offset_left"),
-            wrist_palm_offset_right=transform_from_obj(document["wrist_palm_offset_right"],
-                                                       "wrist_palm_offset_right"),
-            role_map=role_map,
-        )
+        return CalibrationProfile(scale=scale, offsets=offsets,
+                                  w0=floats_from_json(document["w0"], (3,), "w0"),
+                                  role_map=role_map)
     except (KeyError, TypeError, AttributeError) as e:
         raise FormatError(f"malformed calibration profile ({e!r})") from e
 

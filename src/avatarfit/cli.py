@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .calibration import (
+    PART_ROLES,
     MisalignmentError,
     calibrate_session,
     load_profile_file,
@@ -35,7 +36,6 @@ from .math3d import DegenerateGeometryError, FormatError, Transform, pose_to_obj
 from .motion import SCRIPT_NAMES, ScriptError, builtin_script, read_script_file
 from .retarget import OffsetMode, solve_session, write_pose_trace
 from .session import (
-    DeviceRole,
     NoiseModel,
     PostureError,
     RoleAmbiguityError,
@@ -53,12 +53,14 @@ EXIT_PARSE = 3
 EXIT_CALIBRATION = 4
 
 
-def _positive(kind):
-    """argparse type: a `kind` number in (0, inf), so a bad flag is a usage error."""
+def _positive(kind, zero_ok: bool = False):
+    """argparse type: a finite `kind` number above 0 (at least 0 if `zero_ok`), so a
+    bad flag is a usage error rather than a silent no-op or a traceback."""
     def parse(text: str):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        if not (0 <= value if zero_ok else 0 < value) or value == math.inf:
+            wording = "non-negative" if zero_ok else "positive"
+            raise argparse.ArgumentTypeError(f"must be {wording} and finite, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its own errors
     return parse
@@ -93,9 +95,8 @@ def cmd_calibrate(args) -> int:
     roles = {did: role.value for did, role in sorted(profile.role_map.items())}
     print(f"roles: {roles}")
     print(f"scale: {profile.scale:.6f}")
-    for part, off in profile.parts.items():
-        norm = sum(float(v) ** 2 for v in off.v0) ** 0.5
-        print(f"offset {part}: |v0| = {norm:.4f} m")
+    for part, offset in profile.offsets.items():
+        print(f"offset {part}: {math.hypot(*offset.translation):.4f} m")
     for w in warnings:
         print(f"warning: {w}")
     print(f"wrote profile to {args.out}")
@@ -113,10 +114,6 @@ def _solve_hands(args, session, solved, profile, scaled):
     capsules = {hand.side: capsule, other: mirror_capsule(capsule)}
     buttons = {hand.side: button, other: None if button is None else mirror_x(button)}
     config = DescentConfig(eta=args.eta, penalty=args.penalty, max_iters=args.max_iters)
-    controllers = {
-        "left": (DeviceRole.CONTROLLER_LEFT, profile.wrist_palm_offset_left, "wrist_l"),
-        "right": (DeviceRole.CONTROLLER_RIGHT, profile.wrist_palm_offset_right, "wrist_r"),
-    }
     extras = []
     objectives = {"left": [], "right": []}
     for frame, sp in zip(session.frames, solved):
@@ -124,13 +121,14 @@ def _solve_hands(args, session, solved, profile, scaled):
             extras.append([])
             continue
         entries = []
-        for side, (dev_role, wrist_offset, wrist_role) in controllers.items():
+        for side in objectives:
+            dev_role, wrist_role = PART_ROLES[f"hand_{side}"]
             detached = (sp.diagnostics.controller_detached_left if side == "left"
                         else sp.diagnostics.controller_detached_right)
             wrist_world = sp.world[scaled.role_index(wrist_role)]
             if detached:
                 # Virtual controller rides on the hand when out of reach.
-                controller_world = wrist_world @ wrist_offset.inverse()
+                controller_world = wrist_world @ profile.offsets[f"hand_{side}"].inverse()
             else:
                 did = profile.device_id(dev_role)
                 controller_world = frame.pose_of(did)
@@ -229,11 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--skeleton", required=True, help="skeleton JSON (the synthetic user)")
     gen.add_argument("--script", choices=SCRIPT_NAMES, default="tpose")
     gen.add_argument("--script-file", help="JSONL joint-pose script (overrides --script)")
-    gen.add_argument("--noise", type=float, default=0.0, help="position noise sigma (m)")
-    gen.add_argument("--rot-noise", type=float, default=0.0, help="rotation noise sigma (rad)")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--duration", type=float, default=4.0, help="seconds")
-    gen.add_argument("--fps", type=float, default=30.0)
+    gen.add_argument("--noise", type=_positive(float, zero_ok=True), default=0.0,
+                     help="position noise sigma (m)")
+    gen.add_argument("--rot-noise", type=_positive(float, zero_ok=True), default=0.0,
+                     help="rotation noise sigma (rad)")
+    gen.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
+    gen.add_argument("--duration", type=_positive(float), default=4.0, help="seconds")
+    gen.add_argument("--fps", type=_positive(float), default=30.0)
     gen.add_argument("--out", required=True, help="session JSONL path")
     gen.add_argument("--ground-truth", help="ground-truth JSONL path (default: derived)")
     gen.set_defaults(func=cmd_gen)
@@ -276,7 +276,9 @@ def main(argv=None) -> int:
     except (RoleAmbiguityError, PostureError, MisalignmentError) as e:
         print(f"calibration error: {e}", file=sys.stderr)
         return EXIT_CALIBRATION
-    except (FormatError, ScriptError, DegenerateGeometryError, ValueError, OSError) as e:
+    # Only the package's own errors are expected here; any other exception is a
+    # bug and keeps its traceback.
+    except (FormatError, ScriptError, DegenerateGeometryError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

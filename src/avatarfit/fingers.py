@@ -34,13 +34,14 @@ not a per-rendered-frame mode that keeps converging across frames.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .math3d import FormatError, Transform, floats_from_json, floats_to_json, \
-    quat_from_axis_angle, quat_from_json, quat_slerp, quat_to_json, read_json_file, \
-    slerp_at, slerp_basis, transform_from_obj, transform_to_obj, write_json_file
+from .math3d import DegenerateGeometryError, FormatError, Transform, floats_from_json, \
+    floats_to_json, quat_from_axis_angle, quat_from_json, quat_slerp, quat_to_json, \
+    read_json_file, slerp_at, slerp_basis, transform_from_obj, transform_to_obj, write_json_file
 
 # Central finite-difference step on the interpolation factors.
 FD_STEP = 1e-3
@@ -67,7 +68,9 @@ class CapsuleShape:
         if not self.radius > 0.0:
             raise ValueError(f"capsule radius must be positive, got {self.radius}")
         if float(np.linalg.norm(self.end - self.start)) <= 0.0:
-            raise ValueError("capsule endpoints must be distinct")
+            # A geometry error, not a usage error: a rigid motion can round
+            # endpoints a few ulps apart onto each other.
+            raise DegenerateGeometryError("capsule endpoints must be distinct")
         start = tuple(float(v) for v in self.start)
         axis = tuple(float(e) - s for e, s in zip(self.end, start))
         object.__setattr__(self, "_start", start)
@@ -148,8 +151,8 @@ class DescentConfig:
         for name in ("eta", "penalty", "converge_tol", "button_weight"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,28 @@
 """Per-frame full-body solve from six device poses.
 
+Every tracked part (back, feet, hands) has one captured offset O = T0^-1 J0,
+the joint's calibration pose in its device's frame (see `calibration`), and
+its target at time t is the composition T(t) O. Written out, that is the
+paper's pair of exact-offset equations,
+
+    p(J) = p(T) + R(T) R0(T)^-1 v0,    R(J) = R(T) R0(T)^-1 R0(J),
+
+with v0 = p0(J) - p0(T), because O = (R0(T)^-1 R0(J), R0(T)^-1 v0).
+
 Pipeline per frame (exact mode):
 
-1. Root joint placed from the back tracker through the captured offsets:
-   p(J) = p(T) + R(T) R0(T)^-1 v0 and R(J) = R(T) R0(T)^-1 R0(J).
+1. Root joint placed at the back tracker's target.
 2. Spine bent by the angle between the initial and current back-to-head
    vectors. The bend is evaluated in the back tracker's delta frame so that
    a global rigid motion of all devices moves the solved pose rigidly.
 3. Head joint receives the headset rotation directly.
-4. Legs and arms solved by analytic two-bone IK toward the ankle targets
-   (same offset equations) and the controller-anchored wrist targets. When a
-   wrist target is out of reach the chain points at it and the frame is
-   flagged detached, i.e. the virtual controller rides on the hand.
+4. Legs and arms solved by analytic two-bone IK toward the ankle and wrist
+   targets. When a wrist target is out of reach the chain points at it and
+   the frame is flagged detached, i.e. the virtual controller rides on the
+   hand.
 
-Fixed mode runs the identical pipeline with the per-part offsets replaced by
-the ad-hoc zero-offset mapping (device pose used as the joint pose), which
+Fixed mode runs the identical pipeline with every offset set to the identity
+(device pose used as the joint pose), the ad-hoc zero-offset mapping that
 reproduces the classic bent-legs artifact on avatars with longer legs.
 """
 
@@ -26,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .calibration import CalibrationProfile, PartOffsets
+from .calibration import PART_ROLES, CalibrationProfile
 from .math3d import (
     RIGHT,
     UP,
@@ -60,18 +68,6 @@ ELBOW_POLE_BIND = np.array([0.0, -1.0, 1.0]) / math.sqrt(2.0)  # elbows back/dow
 class OffsetMode(str, Enum):
     EXACT = "exact"
     FIXED = "fixed"
-
-
-def effector_position(p_t_tracker, r_t_tracker, part: PartOffsets) -> np.ndarray:
-    """Current joint position from the tracker pose and captured offsets."""
-    delta = quat_mul(r_t_tracker, quat_conjugate(part.r0_tracker))
-    return np.asarray(p_t_tracker, dtype=np.float64) + quat_rotate(delta, part.v0)
-
-
-def effector_rotation(r_t_tracker, part: PartOffsets) -> np.ndarray:
-    """Current joint rotation from the tracker rotation and captured offsets."""
-    delta = quat_mul(r_t_tracker, quat_conjugate(part.r0_tracker))
-    return quat_mul(delta, part.r0_joint)
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +140,20 @@ class FrameDiagnostics:
 
 @dataclass
 class SolvedPose:
-    pose: PoseState
     world: list[Transform]
     diagnostics: FrameDiagnostics
 
 
-_FIXED_PART = PartOffsets(v0=np.zeros(3), r0_tracker=np.array([1.0, 0.0, 0.0, 0.0]),
-                          r0_joint=np.array([1.0, 0.0, 0.0, 0.0]))
+_FIXED_OFFSETS = dict.fromkeys(PART_ROLES, Transform.identity())
 
 _LIMBS = {
-    # name: (upper role, mid role, end role, device, part key, pole, flexion diagnostic)
-    "leg_l": ("hip_l", "knee_l", "ankle_l", DeviceRole.TRACKER_FOOT_LEFT, "foot_left",
-              KNEE_POLE_BIND, "knee_flexion_left"),
-    "leg_r": ("hip_r", "knee_r", "ankle_r", DeviceRole.TRACKER_FOOT_RIGHT, "foot_right",
-              KNEE_POLE_BIND, "knee_flexion_right"),
-    "arm_l": ("shoulder_l", "elbow_l", "wrist_l", DeviceRole.CONTROLLER_LEFT, None,
-              ELBOW_POLE_BIND, "elbow_flexion_left"),
-    "arm_r": ("shoulder_r", "elbow_r", "wrist_r", DeviceRole.CONTROLLER_RIGHT, None,
-              ELBOW_POLE_BIND, "elbow_flexion_right"),
+    # name: (upper role, mid role, end role, tracked part, pole, flexion diagnostic)
+    "leg_l": ("hip_l", "knee_l", "ankle_l", "foot_left", KNEE_POLE_BIND, "knee_flexion_left"),
+    "leg_r": ("hip_r", "knee_r", "ankle_r", "foot_right", KNEE_POLE_BIND, "knee_flexion_right"),
+    "arm_l": ("shoulder_l", "elbow_l", "wrist_l", "hand_left", ELBOW_POLE_BIND,
+              "elbow_flexion_left"),
+    "arm_r": ("shoulder_r", "elbow_r", "wrist_r", "hand_right", ELBOW_POLE_BIND,
+              "elbow_flexion_right"),
 }
 
 
@@ -193,26 +185,16 @@ def solve_frame(
         if not (np.all(np.isfinite(pose.translation)) and np.all(np.isfinite(pose.rotation))):
             raise ValueError(f"device pose for {role.value} is not finite")
 
-    exact = mode == OffsetMode.EXACT
-    part_of = (lambda key: profile.parts[key]) if exact else (lambda key: _FIXED_PART)
-    wrist_offset = {
-        "arm_l": profile.wrist_palm_offset_left if exact else Transform.identity(),
-        "arm_r": profile.wrist_palm_offset_right if exact else Transform.identity(),
-    }
+    offsets = profile.offsets if mode == OffsetMode.EXACT else _FIXED_OFFSETS
+    target = {part: device[role] @ offsets[part] for part, (role, _) in PART_ROLES.items()}
 
     bind_world = skeleton.bind_world()
     locals_ = bind_pose(skeleton).local_rotations.copy()
     diag = FrameDiagnostics()
 
-    # 1. Root joint from the back tracker.
-    root_tracker = device[DeviceRole.TRACKER_ROOT]
-    root_world = Transform(
-        effector_rotation(root_tracker.rotation, part_of("root")),
-        effector_position(root_tracker.translation, root_tracker.rotation, part_of("root")),
-    )
-
+    # 1. Root joint at the back tracker's target.
     def fk() -> list[Transform]:
-        return forward_kinematics(skeleton, PoseState(locals_, root_world))
+        return forward_kinematics(skeleton, PoseState(locals_, target["root"]))
 
     world = fk()
     root_idx = skeleton.role_index("root")
@@ -221,7 +203,7 @@ def solve_frame(
     # 2. Spine bend, evaluated in the back tracker's delta frame so the solve
     # stays equivariant under global rigid motions of the device set.
     spine_idx = skeleton.role_index("spine")
-    w_t = device[DeviceRole.HMD].translation - root_tracker.translation
+    w_t = device[DeviceRole.HMD].translation - device[DeviceRole.TRACKER_ROOT].translation
     w_local = quat_rotate(quat_conjugate(root_delta), w_t)
     diag.alpha = angle_between(profile.w0, w_local)
     bend_local = rotation_between(profile.w0, w_local)
@@ -239,24 +221,15 @@ def solve_frame(
     )
 
     # 4. Limbs. Parents (root, chest via spine) are final at this point.
-    for limb, (upper_role, mid_role, end_role, dev_role, part_key, pole_bind, _) in _LIMBS.items():
+    for limb, (upper_role, mid_role, end_role, part, pole_bind, _) in _LIMBS.items():
         upper = skeleton.role_index(upper_role)
         mid = skeleton.role_index(mid_role)
         end = skeleton.role_index(end_role)
-        if part_key is not None:
-            tracker = device[dev_role]
-            target_pos = effector_position(tracker.translation, tracker.rotation,
-                                           part_of(part_key))
-            target_rot = effector_rotation(tracker.rotation, part_of(part_key))
-        else:
-            anchored = device[dev_role] @ wrist_offset[limb]
-            target_pos, target_rot = anchored.translation, anchored.rotation
-
         pole = quat_rotate(root_delta, pole_bind)
         l1 = skeleton.bone_length(mid)
         l2 = skeleton.bone_length(end)
         root_pos = world[upper].translation
-        sol = two_bone_ik(root_pos, l1, l2, target_pos, pole)
+        sol = two_bone_ik(root_pos, l1, l2, target[part].translation, pole)
         diag.reach_deficits[limb] = sol.reach_deficit
         if sol.degenerate:
             diag.degenerate_limbs.append(limb)
@@ -276,15 +249,15 @@ def solve_frame(
         mid_rot = _swing_to(mid_carried, bind_world[mid].rotation, u2_bind, dir2)
         locals_[mid] = quat_mul(quat_conjugate(upper_rot), mid_rot)
 
-        locals_[end] = quat_mul(quat_conjugate(mid_rot), target_rot)
+        locals_[end] = quat_mul(quat_conjugate(mid_rot), target[part].rotation)
 
     world = fk()
     diag.controller_detached_left = diag.reach_deficits["arm_l"] > DETACH_EPS
     diag.controller_detached_right = diag.reach_deficits["arm_r"] > DETACH_EPS
-    for *roles, _, _, _, flexion_name in _LIMBS.values():
+    for *roles, _, _, flexion_name in _LIMBS.values():
         setattr(diag, flexion_name,
                 _flexion(*(world[skeleton.role_index(r)].translation for r in roles)))
-    return SolvedPose(PoseState(locals_, root_world), world, diag)
+    return SolvedPose(world, diag)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ class SkeletonModel:
     eye_height_bind: float
     _name_index: dict = field(init=False, repr=False, default_factory=dict)
     _role_index: dict = field(init=False, repr=False, default_factory=dict)
+    _bind_world: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         for i, j in enumerate(self.joints):
@@ -52,6 +53,7 @@ class SkeletonModel:
             # Repeatable roles ("other", "finger") keep the first occurrence;
             # required roles are unique by validation.
             self._role_index.setdefault(j.role, i)
+        self._bind_world = tuple(forward_kinematics(self, bind_pose(self)))
 
     def __len__(self) -> int:
         return len(self.joints)
@@ -67,8 +69,9 @@ class SkeletonModel:
     def bone_length(self, index: int) -> float:
         return float(np.linalg.norm(self.joints[index].bind_local.translation))
 
-    def bind_world(self) -> list[Transform]:
-        return forward_kinematics(self, bind_pose(self))
+    def bind_world(self) -> tuple[Transform, ...]:
+        """World transforms of the bind pose, computed once at construction."""
+        return self._bind_world
 
 
 @dataclass

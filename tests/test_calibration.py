@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from avatarfit.calibration import (
+    PART_ROLES,
     MisalignmentError,
     calibrate_session,
     capture_profile,
@@ -58,11 +59,10 @@ class TestCaptureProfile:
         # exactly the negated mount translation.
         _, _, profile, _ = matched_setup
         mounts = default_mount_offsets()
-        np.testing.assert_allclose(
-            profile.parts["root"].v0, -mounts[DeviceRole.TRACKER_ROOT].translation, atol=1e-12)
-        np.testing.assert_allclose(
-            profile.parts["foot_left"].v0,
-            -mounts[DeviceRole.TRACKER_FOOT_LEFT].translation, atol=1e-12)
+        np.testing.assert_allclose(profile.offsets["root"].translation,
+                                   -mounts[DeviceRole.TRACKER_ROOT].translation, atol=1e-12)
+        np.testing.assert_allclose(profile.offsets["foot_left"].translation,
+                                   -mounts[DeviceRole.TRACKER_FOOT_LEFT].translation, atol=1e-12)
 
     def test_tracker_exactly_at_joint_gives_zero_offset(self, user_skeleton):
         mounts = default_mount_offsets()
@@ -71,7 +71,7 @@ class TestCaptureProfile:
             user_skeleton, tpose_script(duration=0.2, fps=10.0), mount_offsets=mounts)
         profile = capture_profile(
             session.calibration_frame(), session.role_map, user_skeleton)
-        np.testing.assert_allclose(profile.parts["root"].v0, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(profile.offsets["root"].translation, np.zeros(3), atol=1e-12)
 
     def test_long_leg_avatar_root_offset_is_hip_difference(self, tpose_session):
         session, _ = tpose_session
@@ -81,8 +81,8 @@ class TestCaptureProfile:
                     - user.bind_world()[user.role_index("root")].translation[1])
         assert hip_diff == pytest.approx(0.084)
         mount = default_mount_offsets()[DeviceRole.TRACKER_ROOT].translation
-        assert profile.parts["root"].v0[1] == pytest.approx(hip_diff, abs=1e-12)
-        assert profile.parts["root"].v0[2] == pytest.approx(-mount[2], abs=1e-12)
+        assert profile.offsets["root"].translation[1] == pytest.approx(hip_diff, abs=1e-12)
+        assert profile.offsets["root"].translation[2] == pytest.approx(-mount[2], abs=1e-12)
 
     def test_w0_is_raw_device_difference(self, matched_setup):
         session, _, profile, _ = matched_setup
@@ -96,7 +96,7 @@ class TestCaptureProfile:
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
         controller = frame.pose_of(profile.device_id(DeviceRole.CONTROLLER_LEFT))
-        wrist = controller @ profile.wrist_palm_offset_left
+        wrist = controller @ profile.offsets["hand_left"]
         bind = scaled.bind_world()[scaled.role_index("wrist_l")]
         np.testing.assert_allclose(wrist.translation, bind.translation, atol=1e-12)
         assert quat_angle_between(wrist.rotation, bind.rotation) < 1e-9
@@ -119,15 +119,19 @@ class TestCaptureProfile:
         assert metrics.max_ankle_error <= 1e-9
 
     def test_capture_is_equivariant_under_rigid_motion(self, tpose_session, user_skeleton):
+        # Moving the devices and the avatar by one rigid motion rotates w0 with
+        # it and leaves every offset, a pose in its device's frame, unchanged.
         session, _ = tpose_session
         frame = session.calibration_frame()
         g = Transform(quat_from_axis_angle([0, 1, 0], 0.7), np.array([2.0, 0.0, -1.0]))
         moved = type(frame)(frame.timestamp, [(d, g @ p) for d, p in frame.devices])
         base = capture_profile(frame, session.role_map, user_skeleton)
         shifted = capture_profile(moved, session.role_map, user_skeleton, placement=g)
-        for part in base.parts:
-            np.testing.assert_allclose(
-                shifted.parts[part].v0, g.rotate(base.parts[part].v0), atol=1e-12)
+        assert list(shifted.offsets) == list(base.offsets) == list(PART_ROLES)
+        for part, offset in base.offsets.items():
+            np.testing.assert_allclose(shifted.offsets[part].translation, offset.translation,
+                                       atol=1e-12)
+            assert quat_angle_between(shifted.offsets[part].rotation, offset.rotation) < 1e-12
         np.testing.assert_allclose(shifted.w0, g.rotate(base.w0), atol=1e-12)
 
 
@@ -149,7 +153,7 @@ class TestValidateProfile:
     def test_oversize_offset_flagged(self, matched_setup):
         _, _, profile, _ = matched_setup
         doc = profile_to_document(profile)
-        doc["parts"]["root"]["v0"] = [0.0, 0.8, 0.0]
+        doc["offsets"]["root"]["translation"] = [0.0, 0.8, 0.0]
         with pytest.raises(FormatError, match="walk-in"):
             profile_from_document(doc)
 
@@ -162,10 +166,10 @@ class TestProfileFiles:
         loaded = load_profile_file(path)
         assert loaded.scale == profile.scale
         assert loaded.role_map == profile.role_map
-        for part in profile.parts:
-            np.testing.assert_array_equal(loaded.parts[part].v0, profile.parts[part].v0)
-            np.testing.assert_array_equal(loaded.parts[part].r0_joint,
-                                          profile.parts[part].r0_joint)
+        assert list(loaded.offsets) == list(profile.offsets)
+        for part, offset in profile.offsets.items():
+            np.testing.assert_array_equal(loaded.offsets[part].translation, offset.translation)
+            np.testing.assert_array_equal(loaded.offsets[part].rotation, offset.rotation)
         np.testing.assert_array_equal(loaded.w0, profile.w0)
 
     def test_unknown_format_rejected(self, matched_setup):

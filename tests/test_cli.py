@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -60,16 +61,18 @@ class TestPipeline:
         assert first == second
 
     def test_format_1_profile_rejected(self, tmp_path, rig_files, capsys):
+        # Formats 1 and 2 held world-frame offsets; recalibrate for format 3.
         pipeline(rig_files, tmp_path / "a")
         profile = tmp_path / "a" / "profile.json"
         document = json.loads(profile.read_text())
-        document["format"] = 1
-        profile.write_text(json.dumps(document))
-        code = run("solve", "--skeleton", rig_files["avatar"],
-                   "--session", tmp_path / "a" / "session.jsonl", "--profile", profile,
-                   "--out", tmp_path / "trace.jsonl")
-        assert code == cli.EXIT_PARSE
-        assert "unsupported profile format 1" in capsys.readouterr().err
+        for old_format in (1, 2):
+            document["format"] = old_format
+            profile.write_text(json.dumps(document))
+            code = run("solve", "--skeleton", rig_files["avatar"],
+                       "--session", tmp_path / "a" / "session.jsonl", "--profile", profile,
+                       "--out", tmp_path / "trace.jsonl")
+            assert code == cli.EXIT_PARSE
+            assert f"unsupported profile format {old_format}" in capsys.readouterr().err
 
 
 class TestCalibrationFrameHeader:
@@ -125,6 +128,23 @@ class TestDescentFlags:
         assert f"argument {flag[0]}: must be positive and finite" in capsys.readouterr().err
 
 
+class TestGenFlags:
+    @pytest.mark.parametrize("flag", [
+        ("--noise", "-1", "non-negative"), ("--noise", "nan", "non-negative"),
+        ("--rot-noise", "-0.1", "non-negative"), ("--seed", "-1", "non-negative"),
+        ("--duration", "0", "positive"), ("--duration", "-1", "positive"),
+        ("--duration", "inf", "positive"), ("--fps", "nan", "positive")],
+        ids=lambda flag: f"{flag[0]} {flag[1]}")
+    def test_bad_value_is_a_usage_error(self, tmp_path, rig_files, capsys, flag):
+        name, value, wording = flag
+        with pytest.raises(SystemExit) as exit_info:
+            run("gen", "--skeleton", rig_files["user"], "--out", tmp_path / "s.jsonl",
+                name, value)
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert f"argument {name}: must be {wording} and finite" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
+
+
 def put(*keys_and_value):
     """Corruption that sets the value at a key path of a document."""
     *keys, value = keys_and_value
@@ -150,19 +170,24 @@ def drop(*keys):
 
 
 # (file, corruption); JSONL files are corrupted as the list of their line objects.
+# A profile offset's translation is the paper's v0 and its rotation R0(J), both
+# in the device's frame; the profile rows keep those names.
 MALFORMED = {
     "skeleton joint not an object": ("skeleton", put("joints", 3, 5)),
     "skeleton NaN rotation": ("skeleton", put("joints", 1, "rotation", [NAN, 0, 0, 0])),
     "session line 5": ("session", lambda lines: lines[:2] + [5] + lines[2:]),
     "session role_map of seven devices": ("session", put(0, "role_map", "dev9", "hmd")),
     "profile top level list": ("profile", lambda document: [1, 2]),
-    "profile NaN v0": ("profile", put("parts", "root", "v0", [NAN, 0.0, 0.0])),
+    "profile NaN v0": ("profile", put("offsets", "root", "translation", [NAN, 0.0, 0.0])),
     "profile NaN scale": ("profile", put("scale", NAN)),
-    "profile v0 of length 2": ("profile", put("parts", "root", "v0", [0.0, 0.1])),
-    "profile missing part": ("profile", drop("parts", "foot_left")),
-    "profile non-unit r0_joint": ("profile", put("parts", "root", "r0_joint", [2, 0, 0, 0])),
+    "profile v0 of length 2": ("profile", put("offsets", "root", "translation", [0.0, 0.1])),
+    "profile missing part": ("profile", drop("offsets", "foot_left")),
+    "profile non-unit r0_joint": ("profile", put("offsets", "root", "rotation", [2, 0, 0, 0])),
     "profile negative scale": ("profile", put("scale", -1.0)),
-    "profile v0 past walk-in": ("profile", put("parts", "root", "v0", [0.0, 0.8, 0.0])),
+    "profile v0 past walk-in": ("profile", put("offsets", "root", "translation",
+                                               [0.0, 0.8, 0.0])),
+    "profile hand offset past walk-in": ("profile", put("offsets", "hand_left", "translation",
+                                                        [0.0, -0.8, 0.0])),
     "ground truth NaN quaternion": ("ground_truth", put(1, "q", 0, [NAN, 0, 0, 0])),
     "ground truth non-unit quaternion": ("ground_truth", put(1, "q", 0, [3, 0, 0, 0])),
     "ground truth fewer joints": ("ground_truth", lambda lines: lines[:1] + [
@@ -176,6 +201,8 @@ MALFORMED = {
     "hand side middle": ("hand", put("side", "middle")),
     "controller NaN r": ("controller", put("r", NAN)),
     "controller button of length 2": ("controller", put("button", [0.0, 0.0])),
+    "controller endpoints one ulp apart": ("controller", lambda document: put(
+        "e", [*document["s"][:2], math.nextafter(document["s"][2], 1.0)])(document)),
     "script root without p": ("script", put(1, "root", {"q": [1, 0, 0, 0]})),
     "script unknown joint": ("script", put(1, "rotations", {"tail": [1, 0, 0, 0]})),
     "script no t": ("script", drop(1, "t")),
@@ -253,6 +280,17 @@ class TestMalformedInputs:
         }
         argv["controller"] = argv["hand"]
         assert run(*argv[kind]) == cli.EXIT_PARSE
+
+    def test_internal_value_error_is_not_an_input_error(self, tmp_path, tiny_files,
+                                                        monkeypatch):
+        # A plain ValueError is a bug in the package, not a malformed file:
+        # `main` must not report it as exit 3.
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+        monkeypatch.setattr(cli, "solve_session", broken)
+        with pytest.raises(ValueError, match="internal"):
+            run("solve", "--skeleton", tiny_files["skeleton"], "--session", tiny_files["session"],
+                "--profile", tiny_files["profile"], "--out", tmp_path / "trace.jsonl")
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())

@@ -224,6 +224,8 @@ class TestDescend:
             DescentConfig(eta=0.0)
         with pytest.raises(ValueError):
             DescentConfig(max_iters=0)
+        with pytest.raises(ValueError, match="integer"):
+            DescentConfig(max_iters=2.5)
         with pytest.raises(ValueError):
             DescentConfig(penalty=-1.0)
 

@@ -4,26 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avatarfit.calibration import capture_profile
 from avatarfit.math3d import (
     Transform,
     quat_angle_between,
-    quat_conjugate,
     quat_from_axis_angle,
     quat_mul,
     quat_rotate,
 )
 from avatarfit.retarget import (
     OffsetMode,
-    effector_position,
-    effector_rotation,
     solve_frame,
     solve_session,
     two_bone_ik,
     write_pose_trace,
 )
 from avatarfit.session import DeviceFrame, DeviceRole
-from avatarfit.skeleton import forward_kinematics
 
 from conftest import random_quat, random_unit
 
@@ -40,66 +35,67 @@ def quat_to_matrix(q):
     ])
 
 
+def captured_offset(r0_tracker, p0_tracker, r0_joint, p0_joint) -> Transform:
+    """The calibration's offset: the joint's capture pose in its tracker's frame."""
+    return Transform(r0_tracker, p0_tracker).inverse() @ Transform(r0_joint, p0_joint)
+
+
 class TestEffectorEquations:
+    """Targets T(t) @ O with O = T0^-1 J0 obey the paper's exact-offset equations
+    p(J) = p(T) + R(T) R0(T)^-1 v0 and R(J) = R(T) R0(T)^-1 R0(J)."""
+
     def test_position_identity_at_capture(self, matched_setup):
         session, _, profile, scaled = matched_setup
-        part = profile.parts["root"]
         frame = session.calibration_frame()
         tracker = frame.pose_of(profile.device_id(DeviceRole.TRACKER_ROOT))
-        got = effector_position(tracker.translation, part.r0_tracker, part)
+        got = (tracker @ profile.offsets["root"]).translation
         want = scaled.bind_world()[scaled.role_index("root")].translation
         np.testing.assert_allclose(got, want, atol=1e-9)
 
-    def test_position_pure_rotation_of_offset(self, matched_setup):
-        _, _, profile, _ = matched_setup
-        part = type(profile.parts["root"])(
-            v0=np.array([0.0, 0.0, 0.1]),
-            r0_tracker=IDENT, r0_joint=IDENT,
-        )
+    def test_position_pure_rotation_of_offset(self):
+        offset = captured_offset(IDENT, np.zeros(3), IDENT, np.array([0.0, 0.0, 0.1]))
         r_t = quat_from_axis_angle([0, 1, 0], math.pi / 2)
-        got = effector_position(np.zeros(3), r_t, part)
+        got = (Transform(r_t, np.zeros(3)) @ offset).translation
         np.testing.assert_allclose(got, [0.1, 0.0, 0.0], atol=1e-12)
 
     @given(seeds)
-    def test_position_equivariance_oracle(self, seed, ):
+    def test_position_equivariance_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        from avatarfit.calibration import PartOffsets
-        part = PartOffsets(
-            v0=rng.normal(size=3) * 0.1,
-            r0_tracker=random_quat(rng), r0_joint=random_quat(rng),
-        )
+        r0_tracker, r0_joint = random_quat(rng), random_quat(rng)
         tracker0 = rng.normal(size=3)  # tracker position at capture
+        v0 = rng.normal(size=3) * 0.1
+        offset = captured_offset(r0_tracker, tracker0, r0_joint, tracker0 + v0)
         g = Transform(random_quat(rng), rng.normal(size=3))
-        p_t = g.apply(tracker0)
-        r_t = quat_mul(g.rotation, part.r0_tracker)
-        np.testing.assert_allclose(
-            effector_position(p_t, r_t, part), g.apply(tracker0 + part.v0), atol=1e-9)
-        assert quat_angle_between(
-            effector_rotation(r_t, part), quat_mul(g.rotation, part.r0_joint)) < 1e-9
+        target = Transform(quat_mul(g.rotation, r0_tracker), g.apply(tracker0)) @ offset
+        np.testing.assert_allclose(target.translation, g.apply(tracker0 + v0), atol=1e-9)
+        assert quat_angle_between(target.rotation, quat_mul(g.rotation, r0_joint)) < 1e-9
 
     def test_rotation_identity_at_capture(self, matched_setup):
-        _, _, profile, _ = matched_setup
-        part = profile.parts["foot_left"]
-        got = effector_rotation(part.r0_tracker, part)
-        assert quat_angle_between(got, part.r0_joint) < 1e-12
+        session, _, profile, scaled = matched_setup
+        frame = session.calibration_frame()
+        tracker = frame.pose_of(profile.device_id(DeviceRole.TRACKER_FOOT_LEFT))
+        got = (tracker @ profile.offsets["foot_left"]).rotation
+        want = scaled.bind_world()[scaled.role_index("ankle_l")].rotation
+        assert quat_angle_between(got, want) < 1e-12
 
     def test_rotation_passthrough_for_identity_offsets(self):
-        from avatarfit.calibration import PartOffsets
-        part = PartOffsets(np.zeros(3), IDENT, IDENT)
         r_t = quat_from_axis_angle([0, 1, 0], math.radians(30))
-        assert quat_angle_between(effector_rotation(r_t, part), r_t) < 1e-12
+        got = (Transform(r_t, np.zeros(3)) @ Transform.identity()).rotation
+        assert quat_angle_between(got, r_t) < 1e-12
 
     @given(seeds)
     def test_rotation_matches_matrix_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        from avatarfit.calibration import PartOffsets
         r0_t, r0_j = random_quat(rng), random_quat(rng)
-        part = PartOffsets(np.zeros(3), r0_t, r0_j)
+        p0_t, v0 = rng.normal(size=3), rng.normal(size=3) * 0.1
+        offset = captured_offset(r0_t, p0_t, r0_j, p0_t + v0)
         delta = quat_from_axis_angle(random_unit(rng), math.radians(45))
-        r_t = quat_mul(delta, r0_t)
-        got = quat_to_matrix(effector_rotation(r_t, part))
-        want = quat_to_matrix(r_t) @ quat_to_matrix(r0_t).T @ quat_to_matrix(r0_j)
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        r_t, p_t = quat_mul(delta, r0_t), rng.normal(size=3)
+        target = Transform(r_t, p_t) @ offset
+        rotate_back = quat_to_matrix(r_t) @ quat_to_matrix(r0_t).T
+        np.testing.assert_allclose(quat_to_matrix(target.rotation),
+                                   rotate_back @ quat_to_matrix(r0_j), atol=1e-9)
+        np.testing.assert_allclose(target.translation, p_t + rotate_back @ v0, atol=1e-9)
 
 
 def _with_positions(frame, profile, root_p, hmd_p) -> DeviceFrame:

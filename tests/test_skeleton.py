@@ -54,6 +54,11 @@ class TestForwardKinematics:
             np.testing.assert_array_equal(got.translation, want.translation)
             np.testing.assert_array_equal(got.rotation, want.rotation)
 
+    def test_bind_world_is_computed_once(self, user_skeleton):
+        cached = user_skeleton.bind_world()
+        assert isinstance(cached, tuple) and len(cached) == len(user_skeleton.joints)
+        assert user_skeleton.bind_world() is cached
+
     def test_root_rotation_spins_everything_about_root(self, user_skeleton):
         pose = bind_pose(user_skeleton)
         spin = quat_from_axis_angle([0, 1, 0], math.pi / 2)
