@@ -23,7 +23,6 @@ from .calibration import (
 )
 from .fingers import (
     DescentConfig,
-    finger_points,
     load_controller_file,
     load_hand_file,
     mirror_capsule,
@@ -32,7 +31,7 @@ from .fingers import (
     pose_hand_on_controller,
     transform_capsule,
 )
-from .math3d import DegenerateGeometryError, FormatError, Transform, pose_to_obj, write_json_file
+from .math3d import DegenerateGeometryError, FormatError, pose_to_obj, write_json_file
 from .motion import SCRIPT_NAMES, ScriptError, builtin_script, read_script_file
 from .retarget import OffsetMode, solve_session, write_pose_trace
 from .session import (
@@ -113,7 +112,7 @@ def _solve_hands(args, session, solved, profile, scaled):
     hands = {hand.side: hand, other: mirror_hand(hand)}
     capsules = {hand.side: capsule, other: mirror_capsule(capsule)}
     buttons = {hand.side: button, other: None if button is None else mirror_x(button)}
-    config = DescentConfig(eta=args.eta, penalty=args.penalty, max_iters=args.max_iters)
+    config = DescentConfig(penalty=args.penalty, max_iters=args.max_iters)
     extras = []
     objectives = {"left": [], "right": []}
     for frame, sp in zip(session.frames, solved):
@@ -136,11 +135,9 @@ def _solve_hands(args, session, solved, profile, scaled):
             button = None if buttons[side] is None else controller_world.apply(buttons[side])
             result = pose_hand_on_controller(hands[side], wrist_world, shape, config, button)
             objectives[side].append(sum(r.objective for r in result.reports))
-            for fi, finger in enumerate(hands[side].fingers):
-                pts = finger_points(finger, result.params.values[fi], wrist_world)
-                for ji, (p, q) in enumerate(zip(pts, result.local_rotations[fi]), start=1):
-                    entries.append({"name": f"{wrist_role}/{finger.name}_{ji}",
-                                    **pose_to_obj(Transform(q, p))})
+            for finger, poses in zip(hands[side].fingers, result.poses):
+                entries.extend({"name": f"{wrist_role}/{finger.name}_{ji}", **pose_to_obj(pose)}
+                               for ji, pose in enumerate(poses, start=1))
         extras.append(entries)
     summary = {f"hand_mean_objective_{side[0]}":
                (sum(v) / len(v) if v else None) for side, v in objectives.items()}
@@ -254,9 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--ground-truth", help="ground truth for error metrics")
     slv.add_argument("--hand-model", help="hand model JSON; poses fingers per frame")
     slv.add_argument("--controller", help="controller capsule JSON (with --hand-model)")
-    slv.add_argument("--eta", type=_positive(float), default=DescentConfig().eta)
-    slv.add_argument("--penalty", type=_positive(float), default=DescentConfig().penalty)
-    slv.add_argument("--max-iters", type=_positive(int), default=DescentConfig().max_iters)
+    slv.add_argument("--penalty", type=_positive(float), default=DescentConfig().penalty,
+                     help="grip: multiplier on the distances of finger points inside the "
+                          "controller")
+    slv.add_argument("--max-iters", type=_positive(int), default=DescentConfig().max_iters,
+                     help="grip: maximum number of poll rounds per finger")
     slv.set_defaults(func=cmd_solve)
 
     cmp_ = sub.add_parser("compare", help="exact vs fixed offsets, side by side")

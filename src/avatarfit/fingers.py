@@ -8,31 +8,27 @@ finger's joint points to the capsule surface, with penetration penalized:
     objective_f = sum_j |penalize(sdf(p_f^j))|,
     penalize(x) = x if x >= 0 else penalty * x.
 
-The gradient is taken numerically (central differences) and followed with a
-fixed learning rate; factors are clamped back into [0, 1] after every step.
-Fingers are independent, so each descends on its own three factors. A button
-target can be added for the thumb: its objective gains the distance from the
-thumb tip to the button point.
+The minimization is a compass search (Kolda, Lewis & Torczon 2003,
+"Optimization by direct search", SIAM Review 45(3)). It compares objective
+values only, so the kink of |sdf| at the surface does not matter. It starts
+from the best point of a GRID_POINTS^n grid on [0, 1]^n, polls +-step on each
+factor and halves the step after a round without a decrease, down to
+STEP_TOL. The grid costs GRID_POINTS^n walks, so hand files are limited to
+fingers of 1 to 4 joints. Fingers are independent, so each is searched on
+its own factors. A button target can be added for the thumb: its objective
+gains the distance from the thumb tip to the button point.
 
-One routine, `_FingerChain.walk`, evaluates a finger for `finger_points`,
-`finger_objective` and `descend`. Each joint keeps its `math3d.slerp_basis`,
-so a new factor costs one `slerp_at`. A walk can start at joint k from a
-cached chain state (rotation, position and the penalized sum after joints
-0..k-1). A difference on factor k leaves joints before k unchanged, so the
-descent walks joints k.. only and reuses the current iterate's rotations
-after k. An iteration on a three-joint finger then costs 15 joint steps and 9
-slerps (12 and 6 for the gradient, 3 and 3 for the walk after the step),
-against 21 and 21 for seven full evaluations. The sum still runs in joint
-order, so every iterate is bit-identical to full evaluations of the objective.
+One routine, `_FingerChain.walk`, evaluates a finger for `finger_objective`,
+`descend` and the posed points of `pose_hand_on_controller`. Each joint keeps
+its `math3d.slerp_basis`, so a new factor costs one `slerp_at`.
 
 Every call starts from the parameters it is given (the grip solve starts
-from the open hand) and iterates to convergence or `max_iters`; nothing is
-carried between calls. So max_iters=1 is a single step from the open hand,
-not a per-rendered-frame mode that keeps converging across frames.
+from the open hand) and nothing is carried between calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -40,11 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .math3d import DegenerateGeometryError, FormatError, Transform, floats_from_json, \
-    floats_to_json, quat_from_axis_angle, quat_from_json, quat_slerp, quat_to_json, \
-    read_json_file, slerp_at, slerp_basis, transform_from_obj, transform_to_obj, write_json_file
+    floats_to_json, quat_from_axis_angle, quat_from_json, quat_to_json, read_json_file, \
+    slerp_at, slerp_basis, transform_from_obj, transform_to_obj, write_json_file
 
-# Central finite-difference step on the interpolation factors.
-FD_STEP = 1e-3
+# The search starts from the best point of the grid {0, 1/6, ..., 1}^n and
+# stops once its step falls below STEP_TOL.
+GRID_POINTS = 7
+STEP_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +55,7 @@ class CapsuleShape:
     end: np.ndarray
     radius: float
     # Plain-float copies of start, end - start and its squared length, read by
-    # `capsule_sdf` in the descent's inner loop.
+    # `capsule_sdf` in the search's inner loop.
     _start: tuple = field(init=False, repr=False, compare=False)
     _axis: tuple = field(init=False, repr=False, compare=False)
     _axis_sq: float = field(init=False, repr=False, compare=False)
@@ -141,14 +139,12 @@ class FingerParams:
 
 @dataclass
 class DescentConfig:
-    eta: float = 0.1            # learning rate
     penalty: float = 10.0       # multiplier on negative (inside) distances
-    max_iters: int = 200
-    converge_tol: float = 1e-6  # stop when the objective changes less
+    max_iters: int = 200        # poll rounds per finger
     button_weight: float = 1.0  # weight of the thumb-to-button term
 
     def __post_init__(self):
-        for name in ("eta", "penalty", "converge_tol", "button_weight"):
+        for name in ("penalty", "button_weight"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
@@ -159,23 +155,13 @@ class DescentConfig:
 # Finger kinematics and objective
 # ---------------------------------------------------------------------------
 
-def finger_rotations(finger: Finger, t_vec) -> list[np.ndarray]:
-    """Interpolated local rotation per joint (shortest-arc, extrapolates)."""
-    return [
-        np.array(quat_slerp(spec.open_rotation, spec.closed_rotation, float(t)))
-        for spec, t in zip(finger.joints, t_vec)
-    ]
-
-
 class _FingerChain:
     """One finger and its cost, on plain floats, for fast repeated evaluation.
 
-    The descent evaluates the chain thousands of times per grip, so the FK
-    and the objective run on plain floats; numpy's per-call overhead on
-    3-vectors would dominate otherwise. A chain state is the tuple
-    (rw, rx, ry, rz, px, py, pz, total): world rotation and position after
-    some joints, and the penalized distance summed over their points.
-    `start` is the state before joint 0.
+    The search evaluates the chain hundreds of times per grip, so the FK and
+    the objective run on plain floats; numpy's per-call overhead on
+    3-vectors would dominate otherwise. `start` is the world rotation and
+    position (rw, rx, ry, rz, px, py, pz) of the finger's base.
     """
 
     __slots__ = ("start", "slerps", "offsets", "shape", "penalty", "button", "button_weight")
@@ -185,7 +171,7 @@ class _FingerChain:
                  button: tuple | None = None, button_weight: float = 0.0):
         base = finger.base_local if wrist_world is None else wrist_world @ finger.base_local
         self.start = (*(float(v) for v in base.rotation),
-                      *(float(v) for v in base.translation), 0.0)
+                      *(float(v) for v in base.translation))
         self.slerps = [slerp_basis(j.open_rotation, j.closed_rotation) for j in finger.joints]
         self.offsets = [tuple(float(v) for v in j.offset) for j in finger.joints]
         self.shape = shape
@@ -196,27 +182,23 @@ class _FingerChain:
     def rotations(self, t_vec) -> list[tuple]:
         return [slerp_at(basis, float(t)) for basis, t in zip(self.slerps, t_vec)]
 
-    def walk(self, state: tuple, k: int, rotations: list, trail: list | None = None) -> float:
-        """Objective of the chain from `state`, the chain state before joint k.
+    def walk(self, rotations: list, trail: list | None = None) -> float:
+        """Objective of the chain with joint j turned by `rotations[j]`.
 
-        Joints k.. turn by `rotations[k:]`; joints before k are already in
-        `state`. Each point adds its penalized capsule distance (none without
-        a shape); the thumb adds its weighted distance to the button last.
-        `trail` receives the state after each joint. The sum runs in joint
-        order whatever k is, so a walk from a cached prefix returns the same
-        float as a walk from `start`.
+        Each point adds its penalized capsule distance (none without a
+        shape); the thumb adds its weighted distance to the button last.
+        `trail` receives the world rotation and position after each joint.
         """
-        rw, rx, ry, rz, px, py, pz, total = state
-        shape, penalty, offsets = self.shape, self.penalty, self.offsets
-        for j in range(k, len(offsets)):
-            qw, qx, qy, qz = rotations[j]
+        rw, rx, ry, rz, px, py, pz = self.start
+        shape, penalty = self.shape, self.penalty
+        total = 0.0
+        for (qw, qx, qy, qz), (ox, oy, oz) in zip(rotations, self.offsets):
             rw, rx, ry, rz = (
                 rw * qw - rx * qx - ry * qy - rz * qz,
                 rw * qx + rx * qw + ry * qz - rz * qy,
                 rw * qy - rx * qz + ry * qw + rz * qx,
                 rw * qz + rx * qy - ry * qx + rz * qw,
             )
-            ox, oy, oz = offsets[j]
             # p += rot * offset (quaternion sandwich, expanded)
             tx = 2.0 * (ry * oz - rz * oy)
             ty = 2.0 * (rz * ox - rx * oz)
@@ -228,7 +210,7 @@ class _FingerChain:
                 d = capsule_sdf(shape, (px, py, pz))
                 total += d if d >= 0.0 else -penalty * d
             if trail is not None:
-                trail.append((rw, rx, ry, rz, px, py, pz, total))
+                trail.append((rw, rx, ry, rz, px, py, pz))
         if self.button is not None:
             bx, by, bz = self.button
             total += self.button_weight * math.sqrt(
@@ -238,14 +220,6 @@ class _FingerChain:
 
 def _float_point(p) -> tuple | None:
     return None if p is None else tuple(float(v) for v in np.asarray(p))
-
-
-def finger_points(finger: Finger, t_vec, wrist_world: Transform | None = None) -> list[np.ndarray]:
-    """World position of each measured point: the end of every phalanx."""
-    chain = _FingerChain(finger, wrist_world)
-    trail: list[tuple] = []
-    chain.walk(chain.start, 0, chain.rotations(t_vec), trail)
-    return [np.array(state[4:7]) for state in trail]
 
 
 def finger_objective(
@@ -261,7 +235,7 @@ def finger_objective(
     """Summed penalized surface distance of one finger's joint points."""
     chain = _FingerChain(hand.fingers[finger_index], wrist_world, shape, penalty,
                          _float_point(button), button_weight)
-    return chain.walk(chain.start, 0, chain.rotations(params.values[finger_index]))
+    return chain.walk(chain.rotations(params.values[finger_index]))
 
 
 @dataclass
@@ -271,7 +245,6 @@ class FingerDescent:
     objective: float
     converged: bool
     history: list[float] = field(default_factory=list)
-    first_clamp_iteration: int | None = None
 
 
 def descend(
@@ -282,70 +255,62 @@ def descend(
     wrist_world: Transform | None = None,
     button: np.ndarray | None = None,
 ) -> tuple[FingerParams, list[FingerDescent]]:
-    """Gradient-descend every finger's factors independently.
+    """Compass-search every finger's factors independently.
 
-    Gradients are central finite differences per factor; evaluation points may
-    leave [0, 1] (the interpolation extrapolates) but the updated factors are
-    clamped back. Non-convergence within max_iters is reported in the
-    diagnostics, never raised.
-
-    The chain states and joint rotations of the current factors come from the
-    walk after the previous step; each difference on factor k walks joints
-    k.. from them (see the module docstring). Factors, history, clamps and
-    convergence are bit-identical to full evaluations of `finger_objective`.
+    The search starts from the best of the given factors (clamped to [0, 1])
+    and the GRID_POINTS^n grid on [0, 1]^n; on a tie the given factors stay.
+    A round tries +step, then -step, on each factor in turn, clamped to
+    [0, 1], and accepts any strict decrease. The first step is half the grid
+    spacing, and a round without a decrease halves it. A finger converges
+    when the step falls below STEP_TOL; after max_iters rounds it stops
+    unconverged, which is reported, never raised. `history` holds the
+    accepted objective after each round, so it never rises.
     """
     cfg = config or DescentConfig()
     out = params.clamped()  # fresh arrays: the caller's params stay untouched
     button_f = _float_point(button)
+    grid = [i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
     reports = []
     for fi, finger in enumerate(hand.fingers):
         chain = _FingerChain(finger, wrist_world, shape, cfg.penalty, button_f,
                              cfg.button_weight)
-        slerps = chain.slerps
         t = [float(v) for v in out.values[fi]]
-        rotations = chain.rotations(t)
-        states = [chain.start]  # states[k]: the chain state before joint k
-        prev = chain.walk(chain.start, 0, rotations, states)
-        history = [prev]
-        first_clamp = None
-        iterations = 0
+        value = chain.walk(chain.rotations(t))
+        for point in itertools.product(grid, repeat=len(t)):
+            candidate = chain.walk(chain.rotations(point))
+            if candidate < value:
+                t, value = list(point), candidate
+        step = 0.5 / (GRID_POINTS - 1)
+        history = []
         converged = False
-        for it in range(1, cfg.max_iters + 1):
-            iterations = it
-            stepped = []
+        while len(history) < cfg.max_iters:
+            decreased = False
             for k, tk in enumerate(t):
-                # Overwriting joint k's rotation is safe: the differences on
-                # later factors start past joint k.
-                rotations[k] = slerp_at(slerps[k], tk + FD_STEP)
-                plus = chain.walk(states[k], k, rotations)
-                rotations[k] = slerp_at(slerps[k], tk - FD_STEP)
-                minus = chain.walk(states[k], k, rotations)
-                raw = tk - cfg.eta * ((plus - minus) / (2.0 * FD_STEP))
-                # np.clip's rule: NaN passes through and -0.0 becomes 0.0.
-                clipped = 0.0 if raw <= 0.0 else 1.0 if raw >= 1.0 else raw
-                if first_clamp is None and raw != clipped:
-                    first_clamp = it
-                stepped.append(clipped)
-            t = stepped
-            rotations = chain.rotations(t)
-            states = [chain.start]
-            current = chain.walk(chain.start, 0, rotations, states)
-            history.append(current)
-            if abs(prev - current) < cfg.converge_tol:
-                converged = True
-                break
-            prev = current
+                for trial in (min(tk + step, 1.0), max(tk - step, 0.0)):
+                    if trial == tk:
+                        continue
+                    probe = t.copy()
+                    probe[k] = trial
+                    candidate = chain.walk(chain.rotations(probe))
+                    if candidate < value:
+                        t, value, decreased = probe, candidate, True
+                        break
+            history.append(value)
+            if not decreased:
+                step *= 0.5
+                if step < STEP_TOL:
+                    converged = True
+                    break
         out.values[fi] = np.array(t)
-        reports.append(FingerDescent(finger.name, iterations, history[-1], converged,
-                                     history, first_clamp))
+        reports.append(FingerDescent(finger.name, len(history), value, converged, history))
     return out, reports
 
 
 @dataclass
 class HandPoseResult:
     params: FingerParams
-    local_rotations: list[list[np.ndarray]]  # per finger, per joint
-    joint_distances: list[list[float]]       # signed distances at convergence
+    poses: list[list[Transform]]        # per finger, per joint: world pose of its point
+    joint_distances: list[list[float]]  # signed distance of each point to the capsule
     reports: list[FingerDescent]
 
 
@@ -356,15 +321,21 @@ def pose_hand_on_controller(
     config: DescentConfig | None = None,
     button: np.ndarray | None = None,
 ) -> HandPoseResult:
-    """Grip solve: descend from the open hand onto a world-frame capsule."""
+    """Grip solve: search from the open hand onto a world-frame capsule.
+
+    Point j of a finger is the end of phalanx j, posed with the world
+    rotation after joint j.
+    """
     params, reports = descend(hand, FingerParams.open_hand(hand), controller,
                               config, wrist_world, button)
-    rotations = [finger_rotations(f, params.values[i]) for i, f in enumerate(hand.fingers)]
-    distances = []
-    for i, f in enumerate(hand.fingers):
-        pts = finger_points(f, params.values[i], wrist_world)
-        distances.append([capsule_sdf(controller, p) for p in pts])
-    return HandPoseResult(params, rotations, distances, reports)
+    poses, distances = [], []
+    for finger, t in zip(hand.fingers, params.values):
+        chain = _FingerChain(finger, wrist_world)
+        trail: list[tuple] = []
+        chain.walk(chain.rotations(t), trail)
+        poses.append([Transform(np.array(s[:4]), np.array(s[4:])) for s in trail])
+        distances.append([capsule_sdf(controller, s[4:]) for s in trail])
+    return HandPoseResult(params, poses, distances, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +425,7 @@ def default_grip_capsule(hand: HandModel) -> CapsuleShape:
 #    "fingers": [{"name": str, "base": {...},
 #                 "joints": [{"open": [wxyz], "closed": [wxyz],
 #                             "offset": [xyz]}]}]}
+#   A finger has 1 to 4 joints: the grip search's seed grid costs 7^n walks.
 # Controller: {"s": [xyz], "e": [xyz], "r": meters, "button": [xyz] optional}
 # Values follow the input rule of `math3d.FormatError`.
 
@@ -498,6 +470,9 @@ def hand_from_document(document: dict) -> HandModel:
             )
             for fi, f in enumerate(document["fingers"])
         )
+        for fi, f in enumerate(fingers):
+            if not 1 <= len(f.joints) <= 4:
+                raise FormatError(f"fingers[{fi}] has {len(f.joints)} joints, not 1 to 4")
         return HandModel(document["side"], fingers,
                          transform_from_obj(document["palm_anchor"], "palm_anchor"))
     except (KeyError, TypeError) as e:

@@ -30,10 +30,6 @@ class DegenerateGeometryError(ValueError):
     """Raised when an operation receives geometrically meaningless input."""
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([x, y, z], dtype=np.float64)
-
-
 def norm(v) -> float:
     return float(np.linalg.norm(v))
 
@@ -149,12 +145,15 @@ def quat_angle_between(a, b) -> float:
 
 
 def slerp_basis(a, b) -> tuple:
-    """The part of `quat_slerp(a, b, t)` that does not depend on t.
+    """The part of the shortest-arc slerp from a to b that does not depend on t.
 
     Flips b onto a's hemisphere (shortest arc) and returns the plain-float
     tuple (theta, sin(theta), a, b) that `slerp_at` evaluates. For a
     near-parallel pair the tuple is (0.0, 0.0, a, b - a), which `slerp_at`
-    evaluates as a normalized linear interpolation.
+    evaluates as a normalized linear interpolation. A caller that
+    interpolates one pair at many t (the grip search) keeps the basis and
+    calls `slerp_at` alone. Both work on plain floats: numpy's per-call
+    overhead on 4-vectors would dominate the search's inner loop.
     """
     aw, ax, ay, az = (float(v) for v in a)
     bw, bx, by, bz = (float(v) for v in b)
@@ -169,7 +168,7 @@ def slerp_basis(a, b) -> tuple:
 
 
 def slerp_at(basis: tuple, t: float) -> tuple[float, float, float, float]:
-    """Evaluate a `slerp_basis` at t: the (w, x, y, z) tuple of `quat_slerp`."""
+    """Evaluate a `slerp_basis` at t as a (w, x, y, z) tuple; extrapolates outside [0, 1]."""
     theta, s, aw, ax, ay, az, bw, bx, by, bz = basis
     if s == 0.0:
         w = aw + t * bw
@@ -181,19 +180,6 @@ def slerp_at(basis: tuple, t: float) -> tuple[float, float, float, float]:
     ka = math.sin((1.0 - t) * theta) / s
     kb = math.sin(t * theta) / s
     return (ka * aw + kb * bw, ka * ax + kb * bx, ka * ay + kb * by, ka * az + kb * bz)
-
-
-def quat_slerp(a, b, t: float) -> tuple[float, float, float, float]:
-    """Shortest-arc spherical interpolation; extrapolates for t outside [0,1].
-
-    Built from its two parts: `slerp_basis(a, b)` holds everything that
-    depends on the pair only, and `slerp_at` evaluates it at t. A caller that
-    interpolates one pair at many t (the finger descent) keeps the basis and
-    calls `slerp_at` alone; its results are bit-identical to `quat_slerp`'s.
-    Works on plain floats and returns a (w, x, y, z) tuple: numpy's per-call
-    overhead on 4-vectors would dominate the descent's inner loop.
-    """
-    return slerp_at(slerp_basis(a, b), t)
 
 
 # ---------------------------------------------------------------------------

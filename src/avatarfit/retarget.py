@@ -38,6 +38,7 @@ from .calibration import PART_ROLES, CalibrationProfile
 from .math3d import (
     RIGHT,
     UP,
+    DegenerateGeometryError,
     FormatError,
     Transform,
     angle_between,
@@ -68,6 +69,10 @@ ELBOW_POLE_BIND = np.array([0.0, -1.0, 1.0]) / math.sqrt(2.0)  # elbows back/dow
 class OffsetMode(str, Enum):
     EXACT = "exact"
     FIXED = "fixed"
+
+
+class FrameInputError(ValueError):
+    """A device frame the solve cannot use: a device missing or not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +183,12 @@ def solve_frame(
         try:
             device[role] = frame.pose_of(did)
         except KeyError as e:
-            raise ValueError(f"frame lacks device {did!r} for role {role.value}") from e
+            raise FrameInputError(f"frame lacks device {did!r} for role {role.value}") from e
     if len(device) != 6:
-        raise ValueError("profile role map does not resolve all six roles")
+        raise FrameInputError("profile role map does not resolve all six roles")
     for role, pose in device.items():
         if not (np.all(np.isfinite(pose.translation)) and np.all(np.isfinite(pose.rotation))):
-            raise ValueError(f"device pose for {role.value} is not finite")
+            raise FrameInputError(f"device pose for {role.value} is not finite")
 
     offsets = profile.offsets if mode == OffsetMode.EXACT else _FIXED_OFFSETS
     target = {part: device[role] @ offsets[part] for part, (role, _) in PART_ROLES.items()}
@@ -298,7 +303,11 @@ def solve_session(
     mode: OffsetMode = OffsetMode.EXACT,
     ground_truth: GroundTruth | None = None,
 ) -> tuple[list[SolvedPose | None], SessionMetrics]:
-    """Solve every frame; per-frame failures are recorded and skipped."""
+    """Solve every frame; frames with unusable input are recorded and skipped.
+
+    Only `FrameInputError` and `DegenerateGeometryError` are frame failures;
+    any other exception is a bug and propagates.
+    """
     metrics = SessionMetrics(mode=mode.value, frames=len(session.frames))
     if ground_truth is not None and len(ground_truth.frames) != metrics.frames:
         raise FormatError(f"ground truth has {len(ground_truth.frames)} frames, "
@@ -314,7 +323,7 @@ def solve_session(
     for i, frame in enumerate(session.frames):
         try:
             sp = solve_frame(frame, profile, skeleton, mode)
-        except (ValueError, KeyError) as e:
+        except (FrameInputError, DegenerateGeometryError) as e:
             metrics.frame_errors.append(f"frame {i}: {e}")
             solved.append(None)
             continue

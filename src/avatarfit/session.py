@@ -239,24 +239,6 @@ def default_mount_offsets() -> dict[DeviceRole, Transform]:
     }
 
 
-def rotated_mount_offsets() -> dict[DeviceRole, Transform]:
-    """Mounts with deliberate non-identity rotations (straps at odd angles)."""
-    mounts = default_mount_offsets()
-    spins = {
-        DeviceRole.CONTROLLER_LEFT: quat_from_axis_angle([0, 0, 1], math.radians(25)),
-        DeviceRole.CONTROLLER_RIGHT: quat_from_axis_angle([0, 0, 1], math.radians(-25)),
-        DeviceRole.TRACKER_ROOT: quat_from_axis_angle([0, 1, 0], math.pi),
-        DeviceRole.TRACKER_FOOT_LEFT: quat_from_axis_angle([1, 0, 0], math.radians(30)),
-        DeviceRole.TRACKER_FOOT_RIGHT: quat_from_axis_angle([1, 0, 0], math.radians(30)),
-    }
-    out = {}
-    for role, mount in mounts.items():
-        spin = spins.get(role)
-        rot = mount.rotation if spin is None else quat_mul(spin, mount.rotation)
-        out[role] = Transform(rot, mount.translation)
-    return out
-
-
 def _small_rotation(rng: np.random.Generator, sigma: float) -> np.ndarray:
     axis_angle = rng.normal(0.0, sigma, size=3)
     angle = float(np.linalg.norm(axis_angle))

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from avatarfit.calibration import calibrate_session
+from avatarfit.math3d import Transform, quat_from_axis_angle, quat_mul, slerp_at, slerp_basis
 from avatarfit.motion import squat_script, tpose_script
 from avatarfit.rigs import humanoid, humanoid_long_legs
-from avatarfit.session import generate_synthetic_session
+from avatarfit.session import DeviceRole, default_mount_offsets, generate_synthetic_session
 
 settings.register_profile(
     "ci",
@@ -14,6 +17,33 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("ci")
+
+
+def vec3(x: float, y: float, z: float) -> np.ndarray:
+    return np.array([x, y, z], dtype=np.float64)
+
+
+def quat_slerp(a, b, t: float) -> tuple[float, float, float, float]:
+    """Shortest-arc slerp from a to b at t, from the package's basis/evaluation pair."""
+    return slerp_at(slerp_basis(a, b), t)
+
+
+def rotated_mount_offsets() -> dict[DeviceRole, Transform]:
+    """Mounts with deliberate non-identity rotations (straps at odd angles)."""
+    mounts = default_mount_offsets()
+    spins = {
+        DeviceRole.CONTROLLER_LEFT: quat_from_axis_angle([0, 0, 1], math.radians(25)),
+        DeviceRole.CONTROLLER_RIGHT: quat_from_axis_angle([0, 0, 1], math.radians(-25)),
+        DeviceRole.TRACKER_ROOT: quat_from_axis_angle([0, 1, 0], math.pi),
+        DeviceRole.TRACKER_FOOT_LEFT: quat_from_axis_angle([1, 0, 0], math.radians(30)),
+        DeviceRole.TRACKER_FOOT_RIGHT: quat_from_axis_angle([1, 0, 0], math.radians(30)),
+    }
+    out = {}
+    for role, mount in mounts.items():
+        spin = spins.get(role)
+        rot = mount.rotation if spin is None else quat_mul(spin, mount.rotation)
+        out[role] = Transform(rot, mount.translation)
+    return out
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:

@@ -1,12 +1,10 @@
 """Independent brute-force oracles shared by the unit and acceptance tests."""
 
 import math
-from functools import partial
 
 import numpy as np
 
-from avatarfit.fingers import FD_STEP, CapsuleShape, DescentConfig, Finger, FingerDescent, \
-    FingerParams, HandModel, capsule_sdf
+from avatarfit.fingers import CapsuleShape, Finger, capsule_sdf
 from avatarfit.math3d import Transform
 
 
@@ -49,12 +47,10 @@ def sample_capsule_surface(shape: CapsuleShape, n_axis: int, n_ring: int):
 
 
 # ---------------------------------------------------------------------------
-# Finger descent reference: one full chain evaluation per objective call
+# Finger objective reference: one-shot slerps and a plain chain walk
 # ---------------------------------------------------------------------------
-# The straightforward grip descent: every objective call runs all slerps and
-# the whole chain, and the central differences perturb copies of the factor
-# array. `fingers.descend` caches the chain prefix and the slerp bases; its
-# iterates must equal this reference exactly, float for float.
+# `fingers.finger_objective` keeps a slerp basis per joint and walks the chain
+# on plain floats; its value must equal this reference exactly, float for float.
 
 def reference_slerp(a, b, t: float) -> tuple[float, float, float, float]:
     """One-shot shortest-arc slerp on plain floats."""
@@ -115,46 +111,3 @@ def reference_finger_objective(chain: tuple, shape: CapsuleShape, penalty: float
         bx, by, bz = tip_button
         total += button_weight * math.sqrt((px - bx) ** 2 + (py - by) ** 2 + (pz - bz) ** 2)
     return total
-
-
-def reference_descend(hand: HandModel, params: FingerParams, shape: CapsuleShape,
-                      config: DescentConfig, wrist_world: Transform | None = None,
-                      button=None) -> tuple[FingerParams, list[FingerDescent]]:
-    """Fixed-step descent on central differences, one full evaluation each."""
-    out = params.clamped()
-    reports = []
-    for fi, finger in enumerate(hand.fingers):
-        t = out.values[fi]
-        n = len(t)
-        tip_button = (None if button is None or finger.name != "thumb"
-                      else tuple(float(v) for v in button))
-        objective = partial(reference_finger_objective, reference_chain(finger, wrist_world),
-                            shape, config.penalty, tip_button, config.button_weight)
-        prev = objective(t)
-        history = [prev]
-        first_clamp = None
-        iterations = 0
-        converged = False
-        for it in range(1, config.max_iters + 1):
-            iterations = it
-            grad = np.zeros(n)
-            for k in range(n):
-                plus = t.copy()
-                minus = t.copy()
-                plus[k] += FD_STEP
-                minus[k] -= FD_STEP
-                grad[k] = (objective(plus) - objective(minus)) / (2.0 * FD_STEP)
-            raw = t - config.eta * grad
-            t = np.clip(raw, 0.0, 1.0)
-            if first_clamp is None and np.any(raw != t):
-                first_clamp = it
-            current = objective(t)
-            history.append(current)
-            if abs(prev - current) < config.converge_tol:
-                converged = True
-                break
-            prev = current
-        out.values[fi] = t
-        reports.append(FingerDescent(finger.name, iterations, history[-1], converged,
-                                     history, first_clamp))
-    return out, reports

@@ -23,9 +23,10 @@ from avatarfit.session import (
     default_mount_offsets,
     generate_synthetic_session,
     identify_roles,
-    rotated_mount_offsets,
 )
 from avatarfit.skeleton import scale_uniform
+
+from conftest import rotated_mount_offsets
 
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
 

@@ -1,18 +1,23 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avatarfit import cli
+from avatarfit import cli, fingers
 from avatarfit.calibration import profile_from_document
 from avatarfit.fingers import controller_from_document, default_grip_capsule, \
     default_hand_model, hand_from_document, save_controller_file, save_hand_file
+from avatarfit.math3d import Transform
 from avatarfit.rigs import humanoid_document, humanoid_long_legs_document
 from avatarfit.skeleton import load_skeleton
 
+from oracles import reference_slerp
+
 NAN = float("nan")
+IDENT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 @pytest.fixture(scope="module")
@@ -115,9 +120,45 @@ class TestHandModel:
             metrics["hand_mean_objective_l"], abs=1e-9)
 
 
+    def test_finger_entries_are_world_transforms(self, tmp_path, rig_files, monkeypatch):
+        # Entry j of a finger is the world pose of phalanx j's end, built here
+        # independently: wrist @ base @ prod(joint i's rotation @ its offset).
+        calls = []
+
+        def recording(hand, wrist_world, *args):
+            result = fingers.pose_hand_on_controller(hand, wrist_world, *args)
+            calls.append((hand, wrist_world, result.params))
+            return result
+
+        monkeypatch.setattr(cli, "pose_hand_on_controller", recording)
+        gen_and_calibrate(rig_files, tmp_path, duration="0.1")
+        assert run("solve", "--skeleton", rig_files["avatar"],
+                   "--session", tmp_path / "session.jsonl",
+                   "--profile", tmp_path / "profile.json", "--hand-model", rig_files["hand"],
+                   "--controller", rig_files["controller"],
+                   "--out", tmp_path / "trace.jsonl") == cli.EXIT_OK
+        lines = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+        assert len(calls) == 2 * len(lines) > 0
+        for i, line in enumerate(lines):
+            entries = {entry["name"]: entry for entry in line["joints"]}
+            for (hand, wrist, params), wrist_role in zip(calls[2 * i:2 * i + 2],
+                                                        ("wrist_l", "wrist_r")):
+                for finger, t in zip(hand.fingers, params.values):
+                    pose = wrist @ finger.base_local
+                    for j, (spec, tj) in enumerate(zip(finger.joints, t), start=1):
+                        q = reference_slerp(spec.open_rotation, spec.closed_rotation, tj)
+                        pose = pose @ Transform(np.array(q), np.zeros(3)) @ \
+                            Transform(IDENT, spec.offset)
+                        entry = entries[f"{wrist_role}/{finger.name}_{j}"]
+                        np.testing.assert_allclose(entry["p"], pose.translation, atol=1e-12)
+                        q_entry = np.array(entry["q"])
+                        np.testing.assert_allclose(q_entry * np.sign(q_entry @ pose.rotation),
+                                                   pose.rotation, atol=1e-12)
+
+
 class TestDescentFlags:
-    @pytest.mark.parametrize("flag", [("--eta", "nan"), ("--eta", "0"), ("--penalty", "-1"),
-                                      ("--max-iters", "0")])
+    @pytest.mark.parametrize("flag", [("--penalty", "-1"), ("--penalty", "inf"),
+                                      ("--max-iters", "0"), ("--max-iters", "-3")])
     def test_bad_value_is_a_usage_error(self, tmp_path, rig_files, capsys, flag):
         with pytest.raises(SystemExit) as exit_info:
             run("solve", "--skeleton", rig_files["avatar"], "--session", tmp_path / "s.jsonl",
@@ -126,6 +167,15 @@ class TestDescentFlags:
                 *flag)
         assert exit_info.value.code == cli.EXIT_USAGE
         assert f"argument {flag[0]}: must be positive and finite" in capsys.readouterr().err
+
+    def test_eta_is_an_unrecognized_argument(self, tmp_path, rig_files, capsys):
+        # The grip search has no learning rate.
+        with pytest.raises(SystemExit) as exit_info:
+            run("solve", "--skeleton", rig_files["avatar"], "--session", tmp_path / "s.jsonl",
+                "--profile", tmp_path / "p.json", "--out", tmp_path / "trace.jsonl",
+                "--eta", "0.1")
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments: --eta 0.1" in capsys.readouterr().err
 
 
 class TestGenFlags:
@@ -199,6 +249,9 @@ MALFORMED = {
     "hand NaN open": ("hand", put("fingers", 0, "joints", 0, "open", [NAN, 0, 0, 0])),
     "hand offset of length 2": ("hand", put("fingers", 0, "joints", 0, "offset", [0.01, 0.0])),
     "hand side middle": ("hand", put("side", "middle")),
+    "hand finger with 5 joints": ("hand", lambda document: put(
+        "fingers", 0, "joints", document["fingers"][0]["joints"] + document["fingers"][0]["joints"][:2])(document)),
+    "hand finger without joints": ("hand", put("fingers", 1, "joints", [])),
     "controller NaN r": ("controller", put("r", NAN)),
     "controller button of length 2": ("controller", put("button", [0.0, 0.0])),
     "controller endpoints one ulp apart": ("controller", lambda document: put(

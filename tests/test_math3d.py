@@ -15,12 +15,10 @@ from avatarfit.math3d import (
     quat_identity,
     quat_mul,
     quat_rotate,
-    quat_slerp,
     rotation_between,
-    vec3,
 )
 
-from conftest import random_quat, random_unit
+from conftest import quat_slerp, random_quat, random_unit, vec3
 from oracles import reference_slerp
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

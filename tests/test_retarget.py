@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from avatarfit import retarget
 from avatarfit.math3d import (
     Transform,
     quat_angle_between,
@@ -320,6 +321,17 @@ class TestSolveSession:
         assert solved[1] is None
         assert len(metrics.frame_errors) == 1 and "frame 1" in metrics.frame_errors[0]
         assert metrics.solved_frames == len(frames) - 1
+
+    def test_internal_error_is_not_a_frame_error(self, matched_setup, monkeypatch):
+        # Only unusable device input is a frame failure; a ValueError from
+        # inside the solve is a bug and must not be reported as a bad frame.
+        session, _, profile, scaled = matched_setup
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+        monkeypatch.setattr(retarget, "two_bone_ik", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            solve_session(session, profile, scaled)
 
     def test_trace_contains_spec_metrics(self, tmp_path, matched_setup):
         import json
