@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--metrics", help="metrics JSON path (default: derived)")
     slv.add_argument("--ground-truth", help="ground truth for error metrics")
     slv.add_argument("--hand-model", help="hand model JSON; poses fingers per frame")
-    slv.add_argument("--controller", help="controller capsule JSON (with --hand-model)")
+    slv.add_argument("--controller", help="controller capsule JSON in the controller device's "
+                                          "frame (with --hand-model)")
     slv.add_argument("--penalty", type=_positive(float), default=DescentConfig().penalty,
                      help="grip: multiplier on the distances of finger points inside the "
                           "controller")

@@ -18,9 +18,14 @@ fingers of 1 to 4 joints. Fingers are independent, so each is searched on
 its own factors. A button target can be added for the thumb: its objective
 gains the distance from the thumb tip to the button point.
 
-One routine, `_FingerChain.walk`, evaluates a finger for `finger_objective`,
-`descend` and the posed points of `pose_hand_on_controller`. Each joint keeps
-its `math3d.slerp_basis`, so a new factor costs one `slerp_at`.
+Two routines evaluate a finger. `_FingerChain.walk`, on plain floats, serves
+`finger_objective`, the search's polls and the posed points of
+`pose_hand_on_controller`; a poll changes one factor, so it reuses the other
+joints' rotations. `_FingerChain.grid_values` walks the whole seed grid at
+once on NumPy arrays, repeating `walk`'s operations in the same order, so
+each grid value is bit-identical to `walk` at that point
+(`tests/test_fingers.py::TestGridSeed`). Each joint keeps its
+`math3d.slerp_basis`, so a new factor costs one `slerp_at`.
 
 Every call starts from the parameters it is given (the grip solve starts
 from the open hand) and nothing is carried between calls.
@@ -28,7 +33,6 @@ from the open hand) and nothing is carried between calls.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -42,6 +46,7 @@ from .math3d import DegenerateGeometryError, FormatError, Transform, floats_from
 # The search starts from the best point of the grid {0, 1/6, ..., 1}^n and
 # stops once its step falls below STEP_TOL.
 GRID_POINTS = 7
+GRID = tuple(i / (GRID_POINTS - 1) for i in range(GRID_POINTS))
 STEP_TOL = 1e-4
 
 
@@ -156,12 +161,14 @@ class DescentConfig:
 # ---------------------------------------------------------------------------
 
 class _FingerChain:
-    """One finger and its cost, on plain floats, for fast repeated evaluation.
+    """One finger and its cost, for fast repeated evaluation.
 
-    The search evaluates the chain hundreds of times per grip, so the FK and
-    the objective run on plain floats; numpy's per-call overhead on
-    3-vectors would dominate otherwise. `start` is the world rotation and
-    position (rw, rx, ry, rz, px, py, pz) of the finger's base.
+    The polls evaluate the chain one point at a time, hundreds of times per
+    grip, so `walk` runs on plain floats; numpy's per-call overhead on
+    3-vectors would dominate otherwise. The seed grid's hundreds of points
+    are evaluated together, so `grid_values` runs on arrays. `start` is the
+    world rotation and position (rw, rx, ry, rz, px, py, pz) of the finger's
+    base.
     """
 
     __slots__ = ("start", "slerps", "offsets", "shape", "penalty", "button", "button_weight")
@@ -213,9 +220,76 @@ class _FingerChain:
                 trail.append((rw, rx, ry, rz, px, py, pz))
         if self.button is not None:
             bx, by, bz = self.button
-            total += self.button_weight * math.sqrt(
-                (px - bx) ** 2 + (py - by) ** 2 + (pz - bz) ** 2)
+            dx = px - bx
+            dy = py - by
+            dz = pz - bz
+            total += self.button_weight * math.sqrt(dx * dx + dy * dy + dz * dz)
         return total
+
+    def grid_values(self) -> np.ndarray:
+        """Objective at every point of the GRID^n seed grid, in `itertools.product` order.
+
+        One walk over (GRID_POINTS^n,) float64 arrays that repeats `walk`'s
+        operations in the same order, so each value is bit-identical to
+        `walk` at that point (`tests/test_fingers.py::TestGridSeed` pins the
+        two together). Each joint's GRID_POINTS rotations come from
+        `slerp_at` on plain floats. Needs a shape.
+        """
+        n = len(self.slerps)
+        index = np.indices((GRID_POINTS,) * n).reshape(n, -1)
+        rw, rx, ry, rz, px, py, pz = self.start
+        sx, sy, sz = self.shape._start
+        vx, vy, vz = self.shape._axis
+        radius, penalty = self.shape.radius, self.penalty
+        total = 0.0
+        for basis, (ox, oy, oz), choice in zip(self.slerps, self.offsets, index):
+            qw, qx, qy, qz = np.array([slerp_at(basis, g) for g in GRID]).T[:, choice]
+            rw, rx, ry, rz = (
+                rw * qw - rx * qx - ry * qy - rz * qz,
+                rw * qx + rx * qw + ry * qz - rz * qy,
+                rw * qy - rx * qz + ry * qw + rz * qx,
+                rw * qz + rx * qy - ry * qx + rz * qw,
+            )
+            tx = 2.0 * (ry * oz - rz * oy)
+            ty = 2.0 * (rz * ox - rx * oz)
+            tz = 2.0 * (rx * oy - ry * ox)
+            px = px + (ox + rw * tx + (ry * tz - rz * ty))
+            py = py + (oy + rw * ty + (rz * tx - rx * tz))
+            pz = pz + (oz + rw * tz + (rx * ty - ry * tx))
+            # capsule_sdf, elementwise
+            ux = px - sx
+            uy = py - sy
+            uz = pz - sz
+            h = np.clip((ux * vx + uy * vy + uz * vz) / self.shape._axis_sq, 0.0, 1.0)
+            dx = ux - vx * h
+            dy = uy - vy * h
+            dz = uz - vz * h
+            d = np.sqrt(dx * dx + dy * dy + dz * dz) - radius
+            total = total + np.where(d >= 0.0, d, -penalty * d)
+        if self.button is not None:
+            bx, by, bz = self.button
+            dx = px - bx
+            dy = py - by
+            dz = pz - bz
+            total = total + self.button_weight * np.sqrt(dx * dx + dy * dy + dz * dz)
+        return total
+
+    def seed(self, t: list[float]) -> tuple[list[float], list[tuple], float]:
+        """Best of the factors t and the grid: (factors, rotations, objective).
+
+        A grid point replaces t only if it is strictly better, and among
+        equal grid points the first in product order wins, as a scalar scan
+        with `<` would pick.
+        """
+        rotations = self.rotations(t)
+        value = self.walk(rotations)
+        values = self.grid_values()
+        best = int(np.argmin(values))
+        if values[best] < value:
+            point = np.unravel_index(best, (GRID_POINTS,) * len(t))
+            t = [GRID[i] for i in point]
+            rotations, value = self.rotations(t), float(values[best])
+        return t, rotations, value
 
 
 def _float_point(p) -> tuple | None:
@@ -269,17 +343,11 @@ def descend(
     cfg = config or DescentConfig()
     out = params.clamped()  # fresh arrays: the caller's params stay untouched
     button_f = _float_point(button)
-    grid = [i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
     reports = []
     for fi, finger in enumerate(hand.fingers):
         chain = _FingerChain(finger, wrist_world, shape, cfg.penalty, button_f,
                              cfg.button_weight)
-        t = [float(v) for v in out.values[fi]]
-        value = chain.walk(chain.rotations(t))
-        for point in itertools.product(grid, repeat=len(t)):
-            candidate = chain.walk(chain.rotations(point))
-            if candidate < value:
-                t, value = list(point), candidate
+        t, rotations, value = chain.seed([float(v) for v in out.values[fi]])
         step = 0.5 / (GRID_POINTS - 1)
         history = []
         converged = False
@@ -289,11 +357,13 @@ def descend(
                 for trial in (min(tk + step, 1.0), max(tk - step, 0.0)):
                     if trial == tk:
                         continue
-                    probe = t.copy()
-                    probe[k] = trial
-                    candidate = chain.walk(chain.rotations(probe))
+                    # Only joint k turns: the other rotations are reused.
+                    probe_rotations = rotations.copy()
+                    probe_rotations[k] = slerp_at(chain.slerps[k], trial)
+                    candidate = chain.walk(probe_rotations)
                     if candidate < value:
-                        t, value, decreased = probe, candidate, True
+                        t[k] = trial
+                        rotations, value, decreased = probe_rotations, candidate, True
                         break
             history.append(value)
             if not decreased:
@@ -426,7 +496,9 @@ def default_grip_capsule(hand: HandModel) -> CapsuleShape:
 #                 "joints": [{"open": [wxyz], "closed": [wxyz],
 #                             "offset": [xyz]}]}]}
 #   A finger has 1 to 4 joints: the grip search's seed grid costs 7^n walks.
-# Controller: {"s": [xyz], "e": [xyz], "r": meters, "button": [xyz] optional}
+# Controller: {"s": [xyz], "e": [xyz], "r": meters, "button": [xyz] optional},
+#   in the controller device's frame; `transform_capsule` by the profile's hand
+#   offset carries a wrist-frame capsule such as `default_grip_capsule` there.
 # Values follow the input rule of `math3d.FormatError`.
 
 def hand_to_document(hand: HandModel) -> dict:

@@ -42,6 +42,21 @@ def normalize(v) -> np.ndarray:
     return v / n
 
 
+def cross(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors as a float64 3-array.
+
+    Each component is one plain-float expression, a1*b2 - a2*b1 and so on,
+    the same products and subtraction in the same order as NumPy's `cross`,
+    so the result is bit-identical to it. NumPy's `cross` spends most of its
+    time on axis handling (`moveaxis`, broadcasting) that one 3-vector does
+    not need; on the body path that overhead was most of
+    `retarget.solve_frame`.
+    """
+    a0, a1, a2 = (float(v) for v in a)
+    b0, b1, b2 = (float(v) for v in b)
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def angle_between(a, b) -> float:
     """Angle between two vectors in [0, pi], via atan2 of cross/dot.
 
@@ -52,8 +67,7 @@ def angle_between(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if norm(a) <= DEGENERATE_EPS or norm(b) <= DEGENERATE_EPS:
         raise DegenerateGeometryError("angle_between requires nonzero vectors")
-    cross = np.cross(a, b)
-    return math.atan2(float(np.linalg.norm(cross)), float(np.dot(a, b)))
+    return math.atan2(float(np.linalg.norm(cross(a, b))), float(np.dot(a, b)))
 
 
 def rotation_between(a, b) -> np.ndarray:
@@ -67,11 +81,11 @@ def rotation_between(a, b) -> np.ndarray:
     bh = normalize(b)
     angle = angle_between(ah, bh)
     if angle > math.pi - 1e-6:
-        axis = np.cross(ah, UP)
+        axis = cross(ah, UP)
         if np.linalg.norm(axis) <= DEGENERATE_EPS:
-            axis = np.cross(ah, RIGHT)
+            axis = cross(ah, RIGHT)
         return quat_from_axis_angle(axis, angle)
-    xyz = np.cross(ah, bh)
+    xyz = cross(ah, bh)
     q = np.array([1.0 + float(np.dot(ah, bh)), xyz[0], xyz[1], xyz[2]])
     return quat_normalize(q)
 
@@ -120,11 +134,20 @@ def quat_conjugate(q) -> np.ndarray:
 
 
 def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector v by unit quaternion q."""
-    qv = np.asarray(q[1:], dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    t = 2.0 * np.cross(qv, v)
-    return v + q[0] * t + np.cross(qv, t)
+    """Rotate vector v by unit quaternion q: t = 2 q_xyz x v, then v + w t + q_xyz x t.
+
+    Written out on plain floats, with the operations of the form built on
+    NumPy's `cross` in the same order, so the result is bit-identical to it
+    (see `cross`).
+    """
+    w, x, y, z = (float(c) for c in q)
+    vx, vy, vz = (float(c) for c in v)
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return np.array([vx + w * tx + (y * tz - z * ty),
+                     vy + w * ty + (z * tx - x * tz),
+                     vz + w * tz + (x * ty - y * tx)])
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:

@@ -42,6 +42,7 @@ from .math3d import (
     FormatError,
     Transform,
     angle_between,
+    cross,
     normalize,
     pose_to_obj,
     quat_conjugate,
@@ -111,9 +112,9 @@ def two_bone_ik(root_pos, l1: float, l2: float, target_pos, pole_dir) -> TwoBone
     phi = math.acos(min(1.0, max(-1.0, cos_root)))
     perp = np.asarray(pole_dir, dtype=np.float64) - float(np.dot(pole_dir, u)) * u
     if float(np.linalg.norm(perp)) <= 1e-9:
-        perp = np.cross(u, UP)
+        perp = cross(u, UP)
         if float(np.linalg.norm(perp)) <= 1e-9:
-            perp = np.cross(u, RIGHT)
+            perp = cross(u, RIGHT)
     perp = normalize(perp)
     mid = root_pos + l1 * (math.cos(phi) * u + math.sin(phi) * perp)
     end = root_pos + min(d, l1 + l2) * u

@@ -25,6 +25,7 @@ from .math3d import (
     FormatError,
     FormatError as SessionFormatError,
     Transform,
+    cross,
     fit_plane,
     floats_from_json,
     floats_to_json,
@@ -152,7 +153,7 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
     # Lateral axis on the fitted plane; its sign is resolved after the root
     # is known, which only requires lateral *ordering*, not orientation.
     up_in_plane = normalize(UP - float(np.dot(UP, plane.normal)) * plane.normal)
-    lateral_axis = np.cross(plane.normal, up_in_plane)
+    lateral_axis = cross(plane.normal, up_in_plane)
     lat = {d: float(np.dot(pos[d] - centroid, lateral_axis)) for d in ids}
 
     middle_sorted = sorted(middle, key=lambda d: lat[d])
@@ -184,7 +185,7 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
     # Forward points from the back tracker toward the feet across the plane.
     feet_mid = 0.5 * (pos[feet[0]] + pos[feet[1]])
     forward = plane.normal if float(np.dot(feet_mid - pos[root], plane.normal)) > 0 else -plane.normal
-    left_axis = normalize(np.cross(UP, forward))
+    left_axis = normalize(cross(UP, forward))
     side = {d: float(np.dot(pos[d] - centroid, left_axis)) for d in ids}
 
     ctrl_left, ctrl_right = sorted(controllers, key=lambda d: side[d], reverse=True)

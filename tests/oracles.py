@@ -1,5 +1,6 @@
 """Independent brute-force oracles shared by the unit and acceptance tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -109,5 +110,44 @@ def reference_finger_objective(chain: tuple, shape: CapsuleShape, penalty: float
         total += d if d >= 0.0 else -penalty * d
     if tip_button is not None:
         bx, by, bz = tip_button
-        total += button_weight * math.sqrt((px - bx) ** 2 + (py - by) ** 2 + (pz - bz) ** 2)
+        dx = px - bx
+        dy = py - by
+        dz = pz - bz
+        total += button_weight * math.sqrt(dx * dx + dy * dy + dz * dz)
     return total
+
+
+def reference_grid_seed(chain: tuple, shape: CapsuleShape, penalty: float, tip_button,
+                        button_weight: float, t_given, grid_points: int = 7):
+    """Scalar scan of the seed grid {0, 1/(g-1), ..., 1}^n in `itertools.product`
+    order: (every grid value, chosen factors, chosen value). A grid point
+    replaces the best so far only when strictly lower, so the given factors
+    win a tie, and so does the earlier grid point."""
+    grid = [i / (grid_points - 1) for i in range(grid_points)]
+    best_t = [float(v) for v in t_given]
+    best = reference_finger_objective(chain, shape, penalty, tip_button, button_weight, best_t)
+    values = []
+    for point in itertools.product(grid, repeat=len(chain[2])):
+        value = reference_finger_objective(chain, shape, penalty, tip_button, button_weight,
+                                           point)
+        values.append(value)
+        if value < best:
+            best_t, best = list(point), value
+    return values, best_t, best
+
+
+# ---------------------------------------------------------------------------
+# Vector math in NumPy's form: `math3d` writes it out on plain floats and must
+# equal these bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_cross(a, b) -> np.ndarray:
+    return np.cross(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+
+
+def reference_quat_rotate(q, v) -> np.ndarray:
+    """v rotated by unit quaternion q: t = 2 q_xyz x v, then v + w t + q_xyz x t."""
+    qv = np.asarray(q[1:], dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    t = 2.0 * np.cross(qv, v)
+    return v + q[0] * t + np.cross(qv, t)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avatarfit import fingers
 from avatarfit.fingers import (
     CapsuleShape,
     DescentConfig,
@@ -29,7 +30,8 @@ from avatarfit.fingers import (
 from avatarfit.math3d import Transform, quat_from_axis_angle, quat_rotate
 
 from conftest import random_quat, random_unit
-from oracles import reference_chain, reference_finger_objective, sample_capsule_surface
+from oracles import reference_chain, reference_finger_objective, reference_grid_seed, \
+    sample_capsule_surface
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -309,6 +311,64 @@ class TestDescentOracle:
         for fi, report in enumerate(reports):
             assert report.objective == finger_objective(hand, fi, params, shape, penalty, wrist,
                                                         button, config.button_weight)
+
+
+class TestGridSeed:
+    """The array walk over the seed grid against a scalar loop over `itertools.product`."""
+
+    @settings(max_examples=25)
+    @given(seeds, st.sampled_from(["left", "right"]), st.floats(min_value=1.0, max_value=30.0),
+           st.booleans(), st.integers(min_value=1, max_value=4))
+    def test_bit_identical_to_scalar_scan(self, seed, side, penalty, with_button, n_joints):
+        # Fingers of n_joints joints, built from the default hand's own.
+        rng = np.random.default_rng(seed)
+        default = default_hand_model(side)
+        hand = HandModel(side, tuple(Finger(f.name, f.base_local, (f.joints * 2)[:n_joints])
+                                     for f in default.fingers), default.palm_anchor)
+        wrist = Transform(random_quat(rng), rng.normal(size=3))
+        grip = default_grip_capsule(hand)
+        shape = transform_capsule(
+            CapsuleShape(grip.start + rng.normal(size=3) * 0.02,
+                         grip.end + rng.normal(size=3) * 0.02, float(rng.uniform(0.01, 0.04))),
+            wrist)
+        button = (tuple(wrist.apply(hand.palm_anchor.translation
+                                    + rng.normal(size=3) * 0.03).tolist())
+                  if with_button else None)
+        weight = float(rng.uniform(0.5, 2.0))
+        for finger in hand.fingers:
+            tip_button = button if finger.name == "thumb" else None
+            given_t = rng.uniform(0.0, 1.0, size=n_joints).tolist()
+            chain = fingers._FingerChain(finger, wrist, shape, penalty, button, weight)
+            values = chain.grid_values()
+            want_values, want_t, want_value = reference_grid_seed(
+                reference_chain(finger, wrist), shape, penalty, tip_button, weight, given_t)
+            assert values.tobytes() == np.array(want_values).tobytes()
+            t, rotations, value = chain.seed(given_t)
+            assert (t, value) == (want_t, want_value)
+            assert chain.walk(rotations) == value
+
+    def test_ties_keep_the_given_factors_then_the_first_grid_point(self):
+        # A joint with open == closed turns nowhere. With both joints still,
+        # every grid value ties with the given factors, which stay; with
+        # joint 0 free, the grid ties in runs of seven over joint 1, and the
+        # run's first point (joint 1 at 0) wins.
+        still = FingerJointSpec(IDENT.copy(), IDENT.copy(), np.array([-0.05, 0.0, 0.0]))
+        free = FingerJointSpec(IDENT.copy(), quat_from_axis_angle(Z, math.radians(60)),
+                               np.array([-0.05, 0.0, 0.0]))
+
+        def seeded(joints, given_t):
+            finger = Finger("toy", Transform.identity(), joints)
+            chain = fingers._FingerChain(finger, None, far_capsule(), 10.0)
+            want_values, want_t, want_value = reference_grid_seed(
+                reference_chain(finger, None), far_capsule(), 10.0, None, 1.0, given_t)
+            values = chain.grid_values()
+            assert values.tobytes() == np.array(want_values).tobytes()
+            t, _, value = chain.seed(given_t)
+            assert (t, value) == (want_t, want_value)
+            return len(set(values.tolist())), t
+
+        assert seeded((still, still), [0.37, 0.81]) == (1, [0.37, 0.81])
+        assert seeded((free, still), [0.0, 0.81]) == (7, [1.0, 0.0])
 
 
 def small_curl_hand() -> HandModel:
