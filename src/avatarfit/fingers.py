@@ -13,17 +13,20 @@ The minimization is a compass search (Kolda, Lewis & Torczon 2003,
 values only, so the kink of |sdf| at the surface does not matter. It starts
 from the best point of a GRID_POINTS^n grid on [0, 1]^n, polls +-step on each
 factor and halves the step after a round without a decrease, down to
-STEP_TOL. The grid costs GRID_POINTS^n walks, so hand files are limited to
+STEP_TOL. The grid has GRID_POINTS^n points, so hand files are limited to
 fingers of 1 to 4 joints. Fingers are independent, so each is searched on
 its own factors. A button target can be added for the thumb: its objective
 gains the distance from the thumb tip to the button point.
 
-Two routines evaluate a finger. `_FingerChain.walk`, on plain floats, serves
+Two routines evaluate a finger, with the same operations in the same order,
+so they agree bit for bit. `_FingerChain.walk`, on plain floats, serves
 `finger_objective`, the search's polls and the posed points of
-`pose_hand_on_controller`; a poll changes one factor, so it reuses the other
-joints' rotations. `_FingerChain.grid_values` walks the whole seed grid at
-once on NumPy arrays, repeating `walk`'s operations in the same order, so
-each grid value is bit-identical to `walk` at that point
+`pose_hand_on_controller`. It walks from a list of per-joint states (world
+rotation, position and partial objective after each joint); a poll turns one
+joint k, so it resumes from the current point's state after joint k - 1.
+`_grid_values` walks the seed grid on NumPy arrays as a tree: level j holds
+the GRID_POINTS^(j+1) states of the first j + 1 factors, and the fingers of
+a hand with the same joint count and button presence are rows of one walk
 (`tests/test_fingers.py::TestGridSeed`). Each joint keeps its
 `math3d.slerp_basis`, so a new factor costs one `slerp_at`.
 
@@ -60,7 +63,7 @@ class CapsuleShape:
     end: np.ndarray
     radius: float
     # Plain-float copies of start, end - start and its squared length, read by
-    # `capsule_sdf` in the search's inner loop.
+    # `capsule_sdf` and by the grip search's walks.
     _start: tuple = field(init=False, repr=False, compare=False)
     _axis: tuple = field(init=False, repr=False, compare=False)
     _axis_sq: float = field(init=False, repr=False, compare=False)
@@ -152,7 +155,8 @@ class DescentConfig:
         for name in ("penalty", "button_weight"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
 
 
@@ -166,22 +170,24 @@ class _FingerChain:
     The polls evaluate the chain one point at a time, hundreds of times per
     grip, so `walk` runs on plain floats; numpy's per-call overhead on
     3-vectors would dominate otherwise. The seed grid's hundreds of points
-    are evaluated together, so `grid_values` runs on arrays. `start` is the
-    world rotation and position (rw, rx, ry, rz, px, py, pz) of the finger's
-    base.
+    are evaluated together, on arrays, by `_grid_values`. A walk's state
+    after a joint is the tuple (rw, rx, ry, rz, px, py, pz, total): the
+    world rotation and position of that joint's point and the penalized
+    capsule distance summed over the points up to it. `start` is the state
+    of the finger's base, with total 0.0.
     """
 
-    __slots__ = ("start", "slerps", "offsets", "shape", "penalty", "button", "button_weight")
+    __slots__ = ("start", "slerps", "offsets", "capsule", "penalty", "button",
+                 "button_weight")
 
-    def __init__(self, finger: Finger, wrist_world: Transform | None,
-                 shape: CapsuleShape | None = None, penalty: float = 0.0,
-                 button: tuple | None = None, button_weight: float = 0.0):
+    def __init__(self, finger: Finger, wrist_world: Transform | None, shape: CapsuleShape,
+                 penalty: float, button: tuple | None = None, button_weight: float = 0.0):
         base = finger.base_local if wrist_world is None else wrist_world @ finger.base_local
         self.start = (*(float(v) for v in base.rotation),
-                      *(float(v) for v in base.translation))
+                      *(float(v) for v in base.translation), 0.0)
         self.slerps = [slerp_basis(j.open_rotation, j.closed_rotation) for j in finger.joints]
         self.offsets = [tuple(float(v) for v in j.offset) for j in finger.joints]
-        self.shape = shape
+        self.capsule = (*shape._start, *shape._axis, shape._axis_sq, shape.radius)
         self.penalty = penalty
         self.button = button if finger.name == "thumb" else None
         self.button_weight = button_weight
@@ -189,17 +195,22 @@ class _FingerChain:
     def rotations(self, t_vec) -> list[tuple]:
         return [slerp_at(basis, float(t)) for basis, t in zip(self.slerps, t_vec)]
 
-    def walk(self, rotations: list, trail: list | None = None) -> float:
+    def walk(self, states: list, rotations: list) -> float:
         """Objective of the chain with joint j turned by `rotations[j]`.
 
-        Each point adds its penalized capsule distance (none without a
-        shape); the thumb adds its weighted distance to the button last.
-        `trail` receives the world rotation and position after each joint.
+        `states` holds the states of the first k joints, all turned by
+        `rotations[:k]`. The walk resumes from the last of them (from `start`
+        when there are none), appends the states of joints k.., and returns
+        the last total plus, for the thumb, its weighted distance to the
+        button. A resumed walk makes the same additions in the same order as
+        one from the base, so the two return the same float. The capsule
+        distance is `capsule_sdf`, written out.
         """
-        rw, rx, ry, rz, px, py, pz = self.start
-        shape, penalty = self.shape, self.penalty
-        total = 0.0
-        for (qw, qx, qy, qz), (ox, oy, oz) in zip(rotations, self.offsets):
+        k = len(states)
+        rw, rx, ry, rz, px, py, pz, total = states[-1] if k else self.start
+        sx, sy, sz, vx, vy, vz, axis_sq, radius = self.capsule
+        penalty = self.penalty
+        for (qw, qx, qy, qz), (ox, oy, oz) in zip(rotations[k:], self.offsets[k:]):
             rw, rx, ry, rz = (
                 rw * qw - rx * qx - ry * qy - rz * qz,
                 rw * qx + rx * qw + ry * qz - rz * qy,
@@ -213,11 +224,20 @@ class _FingerChain:
             px += ox + rw * tx + (ry * tz - rz * ty)
             py += oy + rw * ty + (rz * tx - rx * tz)
             pz += oz + rw * tz + (rx * ty - ry * tx)
-            if shape is not None:
-                d = capsule_sdf(shape, (px, py, pz))
-                total += d if d >= 0.0 else -penalty * d
-            if trail is not None:
-                trail.append((rw, rx, ry, rz, px, py, pz))
+            ux = px - sx
+            uy = py - sy
+            uz = pz - sz
+            h = (ux * vx + uy * vy + uz * vz) / axis_sq
+            if h < 0.0:
+                h = 0.0
+            elif h > 1.0:
+                h = 1.0
+            dx = ux - vx * h
+            dy = uy - vy * h
+            dz = uz - vz * h
+            d = math.sqrt(dx * dx + dy * dy + dz * dz) - radius
+            total += d if d >= 0.0 else -penalty * d
+            states.append((rw, rx, ry, rz, px, py, pz, total))
         if self.button is not None:
             bx, by, bz = self.button
             dx = px - bx
@@ -226,70 +246,74 @@ class _FingerChain:
             total += self.button_weight * math.sqrt(dx * dx + dy * dy + dz * dz)
         return total
 
-    def grid_values(self) -> np.ndarray:
-        """Objective at every point of the GRID^n seed grid, in `itertools.product` order.
+    def seed(self, t: list[float], values: np.ndarray) -> tuple[list, list, list, float]:
+        """Best of the factors t and the grid values: (factors, rotations, states, objective).
 
-        One walk over (GRID_POINTS^n,) float64 arrays that repeats `walk`'s
-        operations in the same order, so each value is bit-identical to
-        `walk` at that point (`tests/test_fingers.py::TestGridSeed` pins the
-        two together). Each joint's GRID_POINTS rotations come from
-        `slerp_at` on plain floats. Needs a shape.
+        `values` is this chain's row of `_grid_values`. A grid point
+        replaces t only if it is strictly better, and among equal grid
+        points the first in product order wins, as a scalar scan with `<`
+        would pick.
         """
-        n = len(self.slerps)
-        index = np.indices((GRID_POINTS,) * n).reshape(n, -1)
-        rw, rx, ry, rz, px, py, pz = self.start
-        sx, sy, sz = self.shape._start
-        vx, vy, vz = self.shape._axis
-        radius, penalty = self.shape.radius, self.penalty
-        total = 0.0
-        for basis, (ox, oy, oz), choice in zip(self.slerps, self.offsets, index):
-            qw, qx, qy, qz = np.array([slerp_at(basis, g) for g in GRID]).T[:, choice]
-            rw, rx, ry, rz = (
-                rw * qw - rx * qx - ry * qy - rz * qz,
-                rw * qx + rx * qw + ry * qz - rz * qy,
-                rw * qy - rx * qz + ry * qw + rz * qx,
-                rw * qz + rx * qy - ry * qx + rz * qw,
-            )
-            tx = 2.0 * (ry * oz - rz * oy)
-            ty = 2.0 * (rz * ox - rx * oz)
-            tz = 2.0 * (rx * oy - ry * ox)
-            px = px + (ox + rw * tx + (ry * tz - rz * ty))
-            py = py + (oy + rw * ty + (rz * tx - rx * tz))
-            pz = pz + (oz + rw * tz + (rx * ty - ry * tx))
-            # capsule_sdf, elementwise
-            ux = px - sx
-            uy = py - sy
-            uz = pz - sz
-            h = np.clip((ux * vx + uy * vy + uz * vz) / self.shape._axis_sq, 0.0, 1.0)
-            dx = ux - vx * h
-            dy = uy - vy * h
-            dz = uz - vz * h
-            d = np.sqrt(dx * dx + dy * dy + dz * dz) - radius
-            total = total + np.where(d >= 0.0, d, -penalty * d)
-        if self.button is not None:
-            bx, by, bz = self.button
-            dx = px - bx
-            dy = py - by
-            dz = pz - bz
-            total = total + self.button_weight * np.sqrt(dx * dx + dy * dy + dz * dz)
-        return total
-
-    def seed(self, t: list[float]) -> tuple[list[float], list[tuple], float]:
-        """Best of the factors t and the grid: (factors, rotations, objective).
-
-        A grid point replaces t only if it is strictly better, and among
-        equal grid points the first in product order wins, as a scalar scan
-        with `<` would pick.
-        """
-        rotations = self.rotations(t)
-        value = self.walk(rotations)
-        values = self.grid_values()
+        rotations, states = self.rotations(t), []
+        value = self.walk(states, rotations)
         best = int(np.argmin(values))
         if values[best] < value:
-            point = np.unravel_index(best, (GRID_POINTS,) * len(t))
-            t = [GRID[i] for i in point]
-            rotations, value = self.rotations(t), float(values[best])
-        return t, rotations, value
+            t = [GRID[i] for i in np.unravel_index(best, (GRID_POINTS,) * len(t))]
+            rotations, states = self.rotations(t), []
+            value = self.walk(states, rotations)
+        return t, rotations, states, value
+
+
+def _grid_values(chains: list[_FingerChain]) -> np.ndarray:
+    """Objective at every point of the GRID^n seed grid: one row per chain, in
+    `itertools.product` order.
+
+    The chains share n, the shape, the penalty and whether a button term is
+    added. The walk is a tree over the grid: joint j's state depends only on
+    the first j + 1 factors, so level j holds the GRID_POINTS^(j+1) states
+    of those prefixes, each parent state broadcast against the joint's
+    GRID_POINTS rotations (from `slerp_at` on plain floats). Every operation
+    is `walk`'s, elementwise and in the same order, so each value is
+    bit-identical to `walk` at that point (`tests/test_fingers.py::TestGridSeed`).
+    """
+    first = chains[0]
+    sx, sy, sz, vx, vy, vz, axis_sq, radius = first.capsule
+    penalty = first.penalty
+    # Level j's arrays are (GRID_POINTS,) * (j + 1) + (chains,), the newest
+    # joint's factor first, so the parent level broadcasts without a copy.
+    rw, rx, ry, rz, px, py, pz, total = np.array([c.start for c in chains]).T
+    for j in range(len(first.slerps)):
+        qw, qx, qy, qz = np.array([[slerp_at(c.slerps[j], g) for c in chains] for g in GRID]) \
+            .transpose(2, 0, 1).reshape(4, GRID_POINTS, *(1,) * j, len(chains))
+        ox, oy, oz = np.array([c.offsets[j] for c in chains]).T
+        rw, rx, ry, rz = (
+            rw * qw - rx * qx - ry * qy - rz * qz,
+            rw * qx + rx * qw + ry * qz - rz * qy,
+            rw * qy - rx * qz + ry * qw + rz * qx,
+            rw * qz + rx * qy - ry * qx + rz * qw,
+        )
+        tx = 2.0 * (ry * oz - rz * oy)
+        ty = 2.0 * (rz * ox - rx * oz)
+        tz = 2.0 * (rx * oy - ry * ox)
+        px = px + (ox + rw * tx + (ry * tz - rz * ty))
+        py = py + (oy + rw * ty + (rz * tx - rx * tz))
+        pz = pz + (oz + rw * tz + (rx * ty - ry * tx))
+        ux = px - sx
+        uy = py - sy
+        uz = pz - sz
+        h = np.clip((ux * vx + uy * vy + uz * vz) / axis_sq, 0.0, 1.0)
+        dx = ux - vx * h
+        dy = uy - vy * h
+        dz = uz - vz * h
+        d = np.sqrt(dx * dx + dy * dy + dz * dz) - radius
+        total = total + np.where(d >= 0.0, d, -penalty * d)
+    if first.button is not None:
+        bx, by, bz = first.button
+        dx = px - bx
+        dy = py - by
+        dz = pz - bz
+        total = total + first.button_weight * np.sqrt(dx * dx + dy * dy + dz * dz)
+    return total.T.reshape(len(chains), -1)
 
 
 def _float_point(p) -> tuple | None:
@@ -309,7 +333,7 @@ def finger_objective(
     """Summed penalized surface distance of one finger's joint points."""
     chain = _FingerChain(hand.fingers[finger_index], wrist_world, shape, penalty,
                          _float_point(button), button_weight)
-    return chain.walk(chain.rotations(params.values[finger_index]))
+    return chain.walk([], chain.rotations(params.values[finger_index]))
 
 
 @dataclass
@@ -333,21 +357,34 @@ def descend(
 
     The search starts from the best of the given factors (clamped to [0, 1])
     and the GRID_POINTS^n grid on [0, 1]^n; on a tie the given factors stay.
-    A round tries +step, then -step, on each factor in turn, clamped to
-    [0, 1], and accepts any strict decrease. The first step is half the grid
+    Fingers with the same joint count and the same button presence have
+    their grids walked together (`_grid_values`). A round tries +step, then
+    -step, on each factor in turn, clamped to [0, 1], and accepts any strict
+    decrease. A poll on factor k turns joint k only, so its walk resumes
+    from the current point's state after joint k - 1, and an accepted probe's
+    states become the current point's. The first step is half the grid
     spacing, and a round without a decrease halves it. A finger converges
     when the step falls below STEP_TOL; after max_iters rounds it stops
     unconverged, which is reported, never raised. `history` holds the
-    accepted objective after each round, so it never rises.
+    accepted objective after each round, so it never rises. Non-finite
+    given factors raise ValueError.
     """
     cfg = config or DescentConfig()
+    if not all(np.isfinite(v).all() for v in params.values):
+        raise ValueError("start factors must be finite")
     out = params.clamped()  # fresh arrays: the caller's params stay untouched
     button_f = _float_point(button)
+    chains = [_FingerChain(finger, wrist_world, shape, cfg.penalty, button_f, cfg.button_weight)
+              for finger in hand.fingers]
+    groups: dict[tuple, list[_FingerChain]] = {}
+    for chain in chains:
+        groups.setdefault((len(chain.slerps), chain.button is not None), []).append(chain)
+    grid_rows = {chain: row for group in groups.values()
+                 for chain, row in zip(group, _grid_values(group))}
     reports = []
-    for fi, finger in enumerate(hand.fingers):
-        chain = _FingerChain(finger, wrist_world, shape, cfg.penalty, button_f,
-                             cfg.button_weight)
-        t, rotations, value = chain.seed([float(v) for v in out.values[fi]])
+    for fi, (finger, chain) in enumerate(zip(hand.fingers, chains)):
+        t, rotations, states, value = chain.seed([float(v) for v in out.values[fi]],
+                                                 grid_rows[chain])
         step = 0.5 / (GRID_POINTS - 1)
         history = []
         converged = False
@@ -357,13 +394,16 @@ def descend(
                 for trial in (min(tk + step, 1.0), max(tk - step, 0.0)):
                     if trial == tk:
                         continue
-                    # Only joint k turns: the other rotations are reused.
+                    # Only joint k turns: the probe keeps the states before
+                    # it and the rotations after it.
                     probe_rotations = rotations.copy()
                     probe_rotations[k] = slerp_at(chain.slerps[k], trial)
-                    candidate = chain.walk(probe_rotations)
+                    probe_states = states[:k]
+                    candidate = chain.walk(probe_states, probe_rotations)
                     if candidate < value:
                         t[k] = trial
-                        rotations, value, decreased = probe_rotations, candidate, True
+                        rotations, states = probe_rotations, probe_states
+                        value, decreased = candidate, True
                         break
             history.append(value)
             if not decreased:
@@ -400,11 +440,11 @@ def pose_hand_on_controller(
                               config, wrist_world, button)
     poses, distances = [], []
     for finger, t in zip(hand.fingers, params.values):
-        chain = _FingerChain(finger, wrist_world)
-        trail: list[tuple] = []
-        chain.walk(chain.rotations(t), trail)
-        poses.append([Transform(np.array(s[:4]), np.array(s[4:])) for s in trail])
-        distances.append([capsule_sdf(controller, s[4:]) for s in trail])
+        chain = _FingerChain(finger, wrist_world, controller, 0.0)
+        states: list[tuple] = []
+        chain.walk(states, chain.rotations(t))
+        poses.append([Transform(np.array(s[:4]), np.array(s[4:7])) for s in states])
+        distances.append([capsule_sdf(controller, s[4:7]) for s in states])
     return HandPoseResult(params, poses, distances, reports)
 
 

@@ -136,6 +136,45 @@ def reference_grid_seed(chain: tuple, shape: CapsuleShape, penalty: float, tip_b
     return values, best_t, best
 
 
+
+def reference_compass_search(chain: tuple, shape: CapsuleShape, penalty: float, tip_button,
+                             button_weight: float, t_given, max_iters: int,
+                             grid_points: int = 7, step_tol: float = 1e-4):
+    """Scalar compass search from the best of the clamped given factors and
+    the seed grid: (factors, rounds, objective, converged, history).
+
+    Every poll is a full `reference_finger_objective`. A round tries +step,
+    then -step, on each factor in turn, clamped to [0, 1], skips a trial
+    equal to the factor, and takes the first strict decrease; the first step
+    is half the grid spacing, and a round without a decrease halves it,
+    converging once it falls below `step_tol`. `history` is the objective
+    after each round."""
+    start = [min(max(float(v), 0.0), 1.0) for v in t_given]
+    _, t, value = reference_grid_seed(chain, shape, penalty, tip_button, button_weight, start,
+                                      grid_points)
+    step = 0.5 / (grid_points - 1)
+    history = []
+    converged = False
+    while len(history) < max_iters:
+        decreased = False
+        for k in range(len(t)):
+            for trial in (min(t[k] + step, 1.0), max(t[k] - step, 0.0)):
+                if trial == t[k]:
+                    continue
+                probe = t[:k] + [trial] + t[k + 1:]
+                candidate = reference_finger_objective(chain, shape, penalty, tip_button,
+                                                       button_weight, probe)
+                if candidate < value:
+                    t, value, decreased = probe, candidate, True
+                    break
+        history.append(value)
+        if not decreased:
+            step *= 0.5
+            if step < step_tol:
+                converged = True
+                break
+    return t, len(history), value, converged, history
+
 # ---------------------------------------------------------------------------
 # Vector math in NumPy's form: `math3d` writes it out on plain floats and must
 # equal these bit for bit.

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avatarfit import fingers
 from avatarfit.fingers import (
@@ -30,8 +30,8 @@ from avatarfit.fingers import (
 from avatarfit.math3d import Transform, quat_from_axis_angle, quat_rotate
 
 from conftest import random_quat, random_unit
-from oracles import reference_chain, reference_finger_objective, reference_grid_seed, \
-    sample_capsule_surface
+from oracles import reference_chain, reference_compass_search, reference_finger_objective, \
+    reference_grid_seed, sample_capsule_surface
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -169,6 +169,20 @@ def random_grip_capsule(rng) -> CapsuleShape:
                         rng.normal(size=3) * 0.1 - [0.07, 0.05, 0.1], 0.02)
 
 
+def random_wrist_grip(rng, hand: HandModel, with_button: bool):
+    """A random wrist, the hand's default grip capsule jittered and carried by
+    it, and a button near the palm in world coordinates (or None)."""
+    wrist = Transform(random_quat(rng), rng.normal(size=3))
+    grip = default_grip_capsule(hand)
+    shape = transform_capsule(
+        CapsuleShape(grip.start + rng.normal(size=3) * 0.02,
+                     grip.end + rng.normal(size=3) * 0.02, float(rng.uniform(0.01, 0.04))),
+        wrist)
+    button = (wrist.apply(hand.palm_anchor.translation + rng.normal(size=3) * 0.03)
+              if with_button else None)
+    return wrist, shape, button
+
+
 def far_capsule() -> CapsuleShape:
     """A capsule far in the curl direction of `small_curl_hand`: full closure is optimal."""
     return CapsuleShape(np.array([0.05, -1.0, -0.05]), np.array([0.05, -1.0, 0.05]), 0.02)
@@ -215,7 +229,7 @@ class TestDescend:
             assert all(b <= a for a, b in zip(history, history[1:]))
             assert history[-1] == report.objective
 
-    def test_monotone_decrease_with_small_eta(self):
+    def test_monotone_decrease_as_step_shrinks(self):
         # From the open hand on the default grip, the history never rises as
         # the poll step shrinks, and every finger ends strictly below its start.
         hand = default_hand_model("left")
@@ -228,7 +242,7 @@ class TestDescend:
             assert all(b <= a for a, b in zip(history, history[1:]))
             assert history[-1] < finger_objective(hand, fi, start, shape, config.penalty)
 
-    def test_monotone_until_clamp_with_default_eta(self):
+    def test_monotone_at_clamped_edge(self):
         # Polls clamped at the unit interval's edge never raise the history:
         # the far capsule drives every factor to 1 and the history stays flat.
         hand = small_curl_hand()
@@ -268,6 +282,8 @@ class TestDescend:
             DescentConfig(max_iters=0)
         with pytest.raises(ValueError, match="integer"):
             DescentConfig(max_iters=2.5)
+        with pytest.raises(ValueError, match="integer"):
+            DescentConfig(max_iters=True)
         with pytest.raises(ValueError):
             DescentConfig(penalty=-1.0)
 
@@ -276,6 +292,16 @@ class TestDescend:
         for name in ("penalty", "button_weight"):
             with pytest.raises(ValueError, match=name):
                 DescentConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_start_factors_rejected(self, value):
+        # A NaN would lose every comparison and come back as a "converged"
+        # NaN grip; an infinity would be clamped away silently.
+        hand = default_hand_model("left")
+        start = FingerParams.open_hand(hand)
+        start.values[2][1] = value
+        with pytest.raises(ValueError, match="finite"):
+            descend(hand, start, default_grip_capsule(hand))
 
 
 class TestDescentOracle:
@@ -289,14 +315,7 @@ class TestDescentOracle:
         # objective at the factors the search returns.
         rng = np.random.default_rng(seed)
         hand = default_hand_model(side)
-        wrist = Transform(random_quat(rng), rng.normal(size=3))
-        grip = default_grip_capsule(hand)
-        shape = transform_capsule(
-            CapsuleShape(grip.start + rng.normal(size=3) * 0.02,
-                         grip.end + rng.normal(size=3) * 0.02, float(rng.uniform(0.01, 0.04))),
-            wrist)
-        button = (wrist.apply(hand.palm_anchor.translation + rng.normal(size=3) * 0.03)
-                  if with_button else None)
+        wrist, shape, button = random_wrist_grip(rng, hand, with_button)
         start = FingerParams([rng.uniform(-0.2, 1.2, size=len(f.joints)) for f in hand.fingers])
         config = DescentConfig(penalty=penalty, max_iters=max_iters)
         for fi, finger in enumerate(hand.fingers):
@@ -312,40 +331,78 @@ class TestDescentOracle:
             assert report.objective == finger_objective(hand, fi, params, shape, penalty, wrist,
                                                         button, config.button_weight)
 
+    @settings(max_examples=40)
+    @given(seeds, st.sampled_from(["left", "right"]), st.floats(min_value=1.0, max_value=30.0),
+           st.booleans(), st.lists(st.integers(min_value=1, max_value=4), min_size=5,
+                                   max_size=5), st.integers(min_value=1, max_value=200))
+    @example(0, "left", 10.0, True, [3, 3, 3, 3, 3], 200)
+    @example(1, "right", 1.0, False, [3, 3, 3, 3, 3], 200)
+    @example(2, "left", 30.0, True, [2, 1, 4, 1, 2], 200)
+    @example(3, "right", 5.0, False, [4, 2, 2, 1, 3], 3)
+    def test_search_matches_scalar_reference(self, seed, side, penalty, with_button,
+                                             joint_counts, max_iters):
+        # The grouped grid walk and the resumed polls against a scalar search
+        # that evaluates every grid point and every poll from the base: same
+        # factors, rounds, objectives and histories, byte for byte. Mixed
+        # joint counts give grid groups of one and of several; a button puts
+        # the thumb in a group of its own.
+        rng = np.random.default_rng(seed)
+        default = default_hand_model(side)
+        hand = HandModel(side, tuple(Finger(f.name, f.base_local, (f.joints * 2)[:n])
+                                     for f, n in zip(default.fingers, joint_counts)),
+                         default.palm_anchor)
+        wrist, shape, button = random_wrist_grip(rng, hand, with_button)
+        start = FingerParams([rng.uniform(-0.2, 1.2, size=n) for n in joint_counts])
+        config = DescentConfig(penalty=penalty, max_iters=max_iters)
+        params, reports = descend(hand, start, shape, config, wrist, button)
+        for fi, (finger, report) in enumerate(zip(hand.fingers, reports)):
+            tip_button = (None if button is None or finger.name != "thumb"
+                          else tuple(button.tolist()))
+            t, iterations, objective, converged, history = reference_compass_search(
+                reference_chain(finger, wrist), shape, penalty, tip_button,
+                config.button_weight, start.values[fi], max_iters)
+            assert params.values[fi].tobytes() == np.array(t).tobytes()
+            assert (report.iterations, report.converged) == (iterations, converged)
+            assert np.float64(report.objective).tobytes() == np.float64(objective).tobytes()
+            assert np.array(report.history).tobytes() == np.array(history).tobytes()
+
 
 class TestGridSeed:
-    """The array walk over the seed grid against a scalar loop over `itertools.product`."""
+    """The grouped tree walk over the seed grid against a scalar loop over
+    `itertools.product`."""
 
     @settings(max_examples=25)
     @given(seeds, st.sampled_from(["left", "right"]), st.floats(min_value=1.0, max_value=30.0),
-           st.booleans(), st.integers(min_value=1, max_value=4))
-    def test_bit_identical_to_scalar_scan(self, seed, side, penalty, with_button, n_joints):
-        # Fingers of n_joints joints, built from the default hand's own.
+           st.booleans(), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=5))
+    def test_bit_identical_to_scalar_scan(self, seed, side, penalty, with_button, n_joints,
+                                          group_size):
+        # A group of group_size fingers of n_joints joints, built from the
+        # default hand's own. With a button every finger is a thumb, so the
+        # whole group carries the button term.
         rng = np.random.default_rng(seed)
         default = default_hand_model(side)
-        hand = HandModel(side, tuple(Finger(f.name, f.base_local, (f.joints * 2)[:n_joints])
-                                     for f in default.fingers), default.palm_anchor)
-        wrist = Transform(random_quat(rng), rng.normal(size=3))
-        grip = default_grip_capsule(hand)
-        shape = transform_capsule(
-            CapsuleShape(grip.start + rng.normal(size=3) * 0.02,
-                         grip.end + rng.normal(size=3) * 0.02, float(rng.uniform(0.01, 0.04))),
-            wrist)
-        button = (tuple(wrist.apply(hand.palm_anchor.translation
-                                    + rng.normal(size=3) * 0.03).tolist())
-                  if with_button else None)
+        hand = HandModel(side, tuple(Finger("thumb" if with_button else f.name, f.base_local,
+                                            (f.joints * 2)[:n_joints])
+                                     for f in default.fingers[:group_size]), default.palm_anchor)
+        wrist, shape, button = random_wrist_grip(rng, hand, with_button)
+        button = None if button is None else tuple(button.tolist())
         weight = float(rng.uniform(0.5, 2.0))
-        for finger in hand.fingers:
+        chains = [fingers._FingerChain(finger, wrist, shape, penalty, button, weight)
+                  for finger in hand.fingers]
+        rows = fingers._grid_values(chains)
+        assert rows.shape == (group_size, 7 ** n_joints)
+        for finger, chain, values in zip(hand.fingers, chains, rows):
             tip_button = button if finger.name == "thumb" else None
             given_t = rng.uniform(0.0, 1.0, size=n_joints).tolist()
-            chain = fingers._FingerChain(finger, wrist, shape, penalty, button, weight)
-            values = chain.grid_values()
             want_values, want_t, want_value = reference_grid_seed(
                 reference_chain(finger, wrist), shape, penalty, tip_button, weight, given_t)
             assert values.tobytes() == np.array(want_values).tobytes()
-            t, rotations, value = chain.seed(given_t)
+            t, rotations, states, value = chain.seed(given_t, values)
             assert (t, value) == (want_t, want_value)
-            assert chain.walk(rotations) == value
+            fresh = []
+            assert chain.walk(fresh, rotations) == value
+            assert states == fresh
 
     def test_ties_keep_the_given_factors_then_the_first_grid_point(self):
         # A joint with open == closed turns nowhere. With both joints still,
@@ -361,9 +418,9 @@ class TestGridSeed:
             chain = fingers._FingerChain(finger, None, far_capsule(), 10.0)
             want_values, want_t, want_value = reference_grid_seed(
                 reference_chain(finger, None), far_capsule(), 10.0, None, 1.0, given_t)
-            values = chain.grid_values()
+            values = fingers._grid_values([chain])[0]
             assert values.tobytes() == np.array(want_values).tobytes()
-            t, _, value = chain.seed(given_t)
+            t, _, _, value = chain.seed(given_t, values)
             assert (t, value) == (want_t, want_value)
             return len(set(values.tolist())), t
 
