@@ -366,10 +366,18 @@ def descend(
     spacing, and a round without a decrease halves it. A finger converges
     when the step falls below STEP_TOL; after max_iters rounds it stops
     unconverged, which is reported, never raised. `history` holds the
-    accepted objective after each round, so it never rises. Non-finite
-    given factors raise ValueError.
+    accepted objective after each round, so it never rises. Factors that do
+    not match the hand (one array per finger, one factor per joint) or are
+    not finite raise ValueError.
     """
     cfg = config or DescentConfig()
+    for i, finger in enumerate(hand.fingers):
+        got = len(params.values[i]) if i < len(params.values) else 0
+        if got != len(finger.joints):
+            raise ValueError(f"finger {finger.name!r} needs {len(finger.joints)} factors, got {got}")
+    if len(params.values) > len(hand.fingers):
+        raise ValueError(f"{len(params.values)} factor arrays for the "
+                         f"{len(hand.fingers)} fingers of the hand")
     if not all(np.isfinite(v).all() for v in params.values):
         raise ValueError("start factors must be finite")
     out = params.clamped()  # fresh arrays: the caller's params stay untouched

@@ -119,35 +119,16 @@ def quat_canonical(q) -> np.ndarray:
 
 
 def quat_mul(a, b) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    return np.array(qmul(a, b))
 
 
 def quat_conjugate(q) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.array(qconj(q))
 
 
 def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector v by unit quaternion q: t = 2 q_xyz x v, then v + w t + q_xyz x t.
-
-    Written out on plain floats, with the operations of the form built on
-    NumPy's `cross` in the same order, so the result is bit-identical to it
-    (see `cross`).
-    """
-    w, x, y, z = (float(c) for c in q)
-    vx, vy, vz = (float(c) for c in v)
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return np.array([vx + w * tx + (y * tz - z * ty),
-                     vy + w * ty + (z * tx - x * tz),
-                     vz + w * tz + (x * ty - y * tx)])
+    """Rotate vector v by unit quaternion q (`qrotate` on floats, as an array)."""
+    return np.array(qrotate([float(c) for c in q], [float(c) for c in v]))
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -203,6 +184,65 @@ def slerp_at(basis: tuple, t: float) -> tuple[float, float, float, float]:
     ka = math.sin((1.0 - t) * theta) / s
     kb = math.sin(t * theta) / s
     return (ka * aw + kb * bw, ka * ax + kb * bx, ka * ay + kb * by, ka * az + kb * bz)
+
+
+# ---------------------------------------------------------------------------
+# Plain-float quaternions and pose states
+# ---------------------------------------------------------------------------
+# The per-frame body solve works on tuples of Python floats: a quaternion is
+# (w, x, y, z), a vector (x, y, z), and a pose state (w, x, y, z, px, py, pz)
+# is a `Transform`'s rotation followed by its translation. NumPy's per-call
+# overhead on 3- and 4-vectors would dominate that solve. Float arithmetic on
+# NumPy scalars and on Python floats rounds alike, so `quat_mul`,
+# `quat_conjugate` and `quat_rotate` are these functions wrapped in an array,
+# and `compose_state` makes `Transform.__matmul__`'s operations in its order:
+# both forms give the same bytes.
+
+def qmul(a, b) -> tuple:
+    """Hamilton product a * b."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
+def qconj(q) -> tuple:
+    return q[0], -q[1], -q[2], -q[3]
+
+
+def qrotate(q, v) -> tuple:
+    """Rotate vector v by unit quaternion q: t = 2 q_xyz x v, then v + w t + q_xyz x t.
+
+    Each component makes the operations of the form built on NumPy's `cross`
+    in the same order, so the result is bit-identical to it (see `cross`).
+    """
+    w, x, y, z = q
+    vx, vy, vz = v
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (vx + w * tx + (y * tz - z * ty),
+            vy + w * ty + (z * tx - x * tz),
+            vz + w * tz + (x * ty - y * tx))
+
+
+def compose_state(s, q, v) -> tuple:
+    """State of s @ Transform(q, v): rotation s_q * q, position s_p + s_q v."""
+    r = s[:4]
+    dx, dy, dz = qrotate(r, v)
+    return (*qmul(r, q), s[4] + dx, s[5] + dy, s[6] + dz)
+
+
+def pose_state(t: Transform) -> tuple:
+    """The pose state (w, x, y, z, px, py, pz) of a Transform."""
+    return (*t.rotation.tolist(), *t.translation.tolist())
+
+
+def state_transform(s) -> Transform:
+    """The Transform of a pose state."""
+    return Transform(np.array(s[:4]), np.array(s[4:]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .math3d import RIGHT, Transform, floats_from_json, pose_from_obj, quat_from_axis_angle, \
-    quat_from_json, quat_mul, read_jsonl
-from .skeleton import PoseState, SkeletonModel, bind_pose
+from .math3d import RIGHT, Transform, floats_from_json, pose_from_obj, pose_state, \
+    quat_from_axis_angle, quat_from_json, quat_mul, read_jsonl
+from .skeleton import SkeletonModel
 
 SCRIPT_NAMES = ("tpose", "squat", "arms", "free")
 
@@ -36,16 +36,24 @@ class ScriptPose:
     root_world: Transform | None = None
 
 
-def pose_from_script(skeleton: SkeletonModel, sp: ScriptPose) -> PoseState:
-    pose = bind_pose(skeleton)
+def pose_from_script(skeleton: SkeletonModel, sp: ScriptPose) -> tuple[list[tuple], tuple]:
+    """The `forward_kinematics` arguments of a script pose: (rotations, root state).
+
+    Joints the script does not rotate keep their bind rotations, and the
+    root keeps its bind placement unless the pose gives one.
+    """
+    rotations = list(skeleton.bind_rotations)
     for name, q in sp.rotations.items():
         try:
-            pose.local_rotations[skeleton.index_of(name)] = q
+            rotations[skeleton.index_of(name)] = tuple(map(float, q))
         except KeyError:
             raise ScriptError(f"script rotates unknown joint {name!r}") from None
-    if sp.root_world is not None:
-        pose.root_world = sp.root_world
-    return pose
+    root = _bind_root(skeleton) if sp.root_world is None else sp.root_world
+    return rotations, pose_state(root)
+
+
+def _bind_root(skeleton: SkeletonModel) -> Transform:
+    return skeleton.joints[skeleton.role_index("root")].bind_local
 
 
 def _times(duration: float, fps: float) -> list[float]:
@@ -64,7 +72,7 @@ def tpose_script(duration: float = 2.0, fps: float = 30.0) -> list[ScriptPose]:
 
 def squat_script(skeleton: SkeletonModel, duration: float = 4.0, fps: float = 30.0,
                  max_flexion: float = math.radians(60.0)) -> list[ScriptPose]:
-    bind_root = bind_pose(skeleton).root_world
+    bind_root = _bind_root(skeleton)
     l1 = skeleton.bone_length(skeleton.role_index("knee_l"))
     l2 = skeleton.bone_length(skeleton.role_index("ankle_l"))
     frames = []
@@ -114,7 +122,7 @@ def free_script(skeleton: SkeletonModel, duration: float = 6.0, fps: float = 30.
     for a in phase_axis:
         n = np.linalg.norm(a)
         axes.append(a / n if n > 1e-9 else up)
-    bind_root = bind_pose(skeleton).root_world
+    bind_root = _bind_root(skeleton)
     frames = []
     for t in _times(duration, fps):
         u = t / duration

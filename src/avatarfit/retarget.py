@@ -24,6 +24,15 @@ Pipeline per frame (exact mode):
 Fixed mode runs the identical pipeline with every offset set to the identity
 (device pose used as the joint pose), the ad-hoc zero-offset mapping that
 reproduces the classic bent-legs artifact on avatars with longer legs.
+
+The solve runs on pose states, tuples of Python floats (see
+`math3d.compose_state`): device poses, targets, local rotations and the
+three FK passes stay floats. `Transform` appears only at the edges: the
+frame's device poses and the profile's offsets going in, `SolvedPose.world`
+coming out. Norms and dot products keep NumPy's reductions (`np.linalg.norm`,
+`np.dot`): a plain-float sqrt(x*x + y*y + z*z) differs from `np.linalg.norm`
+in the last bit on about one 3-vector in ten, and that would move the
+outputs.
 """
 
 from __future__ import annotations
@@ -42,17 +51,20 @@ from .math3d import (
     FormatError,
     Transform,
     angle_between,
+    compose_state,
     cross,
     normalize,
+    pose_state,
     pose_to_obj,
-    quat_conjugate,
-    quat_mul,
-    quat_rotate,
+    qconj,
+    qmul,
+    qrotate,
     rotation_between,
+    state_transform,
     write_jsonl,
 )
 from .session import DeviceFrame, DeviceRole, GroundTruth, Session
-from .skeleton import PoseState, SkeletonModel, bind_pose, forward_kinematics
+from .skeleton import SkeletonModel, forward_kinematics
 
 # Deficits below this are float noise on an exactly-reachable target, not a
 # detached controller.
@@ -63,8 +75,8 @@ DETACH_EPS = 1e-7
 STRAIGHT_LEG_MAX = math.radians(0.5)
 
 # Mid-joint swivel hints in the bind frame; rotated by the root delta.
-KNEE_POLE_BIND = np.array([0.0, 0.0, -1.0])          # knees bend forward
-ELBOW_POLE_BIND = np.array([0.0, -1.0, 1.0]) / math.sqrt(2.0)  # elbows back/down
+KNEE_POLE_BIND = (0.0, 0.0, -1.0)                                    # knees bend forward
+ELBOW_POLE_BIND = (0.0, -1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))  # elbows back/down
 
 
 class OffsetMode(str, Enum):
@@ -121,10 +133,10 @@ def two_bone_ik(root_pos, l1: float, l2: float, target_pos, pole_dir) -> TwoBone
     return TwoBoneSolution(mid, end, 0.0)
 
 
-def _swing_to(carried_rot, bind_rot_of_joint, bind_dir, desired_dir) -> np.ndarray:
+def _swing_to(carried_rot, bind_rot_of_joint, bind_dir, desired_dir) -> tuple:
     """World rotation turning a joint's carried bone direction onto a target."""
-    carried_dir = quat_rotate(quat_mul(carried_rot, quat_conjugate(bind_rot_of_joint)), bind_dir)
-    return quat_mul(rotation_between(carried_dir, desired_dir), carried_rot)
+    carried_dir = qrotate(qmul(carried_rot, qconj(bind_rot_of_joint)), bind_dir)
+    return qmul(rotation_between(carried_dir, desired_dir).tolist(), carried_rot)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +177,8 @@ _LIMBS = {
 
 def _flexion(pa, pb, pc) -> float:
     """Bend angle at point b: 0 for a straight a-b-c chain."""
-    return math.pi - angle_between(pa - pb, pc - pb)
+    return math.pi - angle_between([a - b for a, b in zip(pa, pb)],
+                                   [c - b for c, b in zip(pc, pb)])
 
 
 def solve_frame(
@@ -179,91 +192,88 @@ def solve_frame(
     `skeleton` must be the one the profile was captured against (already
     scaled). See the module docstring for the pipeline and mode semantics.
     """
-    device: dict[DeviceRole, Transform] = {}
+    device: dict[DeviceRole, tuple] = {}
     for did, role in profile.role_map.items():
         try:
-            device[role] = frame.pose_of(did)
+            device[role] = pose_state(frame.pose_of(did))
         except KeyError as e:
             raise FrameInputError(f"frame lacks device {did!r} for role {role.value}") from e
     if len(device) != 6:
         raise FrameInputError("profile role map does not resolve all six roles")
-    for role, pose in device.items():
-        if not (np.all(np.isfinite(pose.translation)) and np.all(np.isfinite(pose.rotation))):
+    for role, state in device.items():
+        if not all(map(math.isfinite, state)):
             raise FrameInputError(f"device pose for {role.value} is not finite")
 
     offsets = profile.offsets if mode == OffsetMode.EXACT else _FIXED_OFFSETS
-    target = {part: device[role] @ offsets[part] for part, (role, _) in PART_ROLES.items()}
+    target = {part: compose_state(device[role], offsets[part].rotation.tolist(),
+                                  offsets[part].translation.tolist())
+              for part, (role, _) in PART_ROLES.items()}
 
-    bind_world = skeleton.bind_world()
-    locals_ = bind_pose(skeleton).local_rotations.copy()
+    bind = skeleton.bind_states
+    parents = skeleton.parents
+    locals_ = list(skeleton.bind_rotations)
     diag = FrameDiagnostics()
 
     # 1. Root joint at the back tracker's target.
-    def fk() -> list[Transform]:
-        return forward_kinematics(skeleton, PoseState(locals_, target["root"]))
-
-    world = fk()
+    world = forward_kinematics(skeleton, locals_, target["root"])
     root_idx = skeleton.role_index("root")
-    root_delta = quat_mul(world[root_idx].rotation, quat_conjugate(bind_world[root_idx].rotation))
+    root_delta = qmul(world[root_idx][:4], qconj(bind[root_idx][:4]))
 
     # 2. Spine bend, evaluated in the back tracker's delta frame so the solve
     # stays equivariant under global rigid motions of the device set.
     spine_idx = skeleton.role_index("spine")
-    w_t = device[DeviceRole.HMD].translation - device[DeviceRole.TRACKER_ROOT].translation
-    w_local = quat_rotate(quat_conjugate(root_delta), w_t)
+    hmd, back = device[DeviceRole.HMD], device[DeviceRole.TRACKER_ROOT]
+    w_local = qrotate(qconj(root_delta), (hmd[4] - back[4], hmd[5] - back[5], hmd[6] - back[6]))
     diag.alpha = angle_between(profile.w0, w_local)
-    bend_local = rotation_between(profile.w0, w_local)
-    bend_world = quat_mul(root_delta, quat_mul(bend_local, quat_conjugate(root_delta)))
-    spine_parent = skeleton.joints[spine_idx].parent
-    new_spine_rot = quat_mul(bend_world, world[spine_idx].rotation)
-    locals_[spine_idx] = quat_mul(quat_conjugate(world[spine_parent].rotation), new_spine_rot)
-    world = fk()
+    bend_local = rotation_between(profile.w0, w_local).tolist()
+    bend_world = qmul(root_delta, qmul(bend_local, qconj(root_delta)))
+    new_spine_rot = qmul(bend_world, world[spine_idx][:4])
+    locals_[spine_idx] = qmul(qconj(world[parents[spine_idx]][:4]), new_spine_rot)
+    world = forward_kinematics(skeleton, locals_, target["root"])
 
     # 3. Head rotation straight from the headset.
     head_idx = skeleton.role_index("head")
-    head_parent = skeleton.joints[head_idx].parent
-    locals_[head_idx] = quat_mul(
-        quat_conjugate(world[head_parent].rotation), device[DeviceRole.HMD].rotation
-    )
+    locals_[head_idx] = qmul(qconj(world[parents[head_idx]][:4]), hmd[:4])
 
     # 4. Limbs. Parents (root, chest via spine) are final at this point.
     for limb, (upper_role, mid_role, end_role, part, pole_bind, _) in _LIMBS.items():
         upper = skeleton.role_index(upper_role)
         mid = skeleton.role_index(mid_role)
         end = skeleton.role_index(end_role)
-        pole = quat_rotate(root_delta, pole_bind)
+        pole = qrotate(root_delta, pole_bind)
         l1 = skeleton.bone_length(mid)
         l2 = skeleton.bone_length(end)
-        root_pos = world[upper].translation
-        sol = two_bone_ik(root_pos, l1, l2, target[part].translation, pole)
+        root_pos = world[upper][4:]
+        sol = two_bone_ik(root_pos, l1, l2, target[part][4:], pole)
         diag.reach_deficits[limb] = sol.reach_deficit
         if sol.degenerate:
             diag.degenerate_limbs.append(limb)
             continue
 
-        dir1 = (sol.mid_position - root_pos) / l1
-        dir2 = sol.end_position - sol.mid_position
-        dir2 = dir2 / float(np.linalg.norm(dir2))
-        u1_bind = (bind_world[mid].translation - bind_world[upper].translation) / l1
-        u2_bind = (bind_world[end].translation - bind_world[mid].translation) / l2
+        mid_pos = sol.mid_position.tolist()
+        dir1 = [(m - r) / l1 for m, r in zip(mid_pos, root_pos)]
+        dir2 = [e - m for e, m in zip(sol.end_position.tolist(), mid_pos)]
+        n2 = float(np.linalg.norm(dir2))
+        dir2 = [c / n2 for c in dir2]
+        u1_bind = [(m - u) / l1 for m, u in zip(bind[mid][4:], bind[upper][4:])]
+        u2_bind = [(e - m) / l2 for e, m in zip(bind[end][4:], bind[mid][4:])]
 
-        upper_rot = _swing_to(world[upper].rotation, bind_world[upper].rotation, u1_bind, dir1)
-        parent_rot = world[skeleton.joints[upper].parent].rotation
-        locals_[upper] = quat_mul(quat_conjugate(parent_rot), upper_rot)
+        upper_rot = _swing_to(world[upper][:4], bind[upper][:4], u1_bind, dir1)
+        locals_[upper] = qmul(qconj(world[parents[upper]][:4]), upper_rot)
 
-        mid_carried = quat_mul(upper_rot, skeleton.joints[mid].bind_local.rotation)
-        mid_rot = _swing_to(mid_carried, bind_world[mid].rotation, u2_bind, dir2)
-        locals_[mid] = quat_mul(quat_conjugate(upper_rot), mid_rot)
+        mid_carried = qmul(upper_rot, skeleton.bind_rotations[mid])
+        mid_rot = _swing_to(mid_carried, bind[mid][:4], u2_bind, dir2)
+        locals_[mid] = qmul(qconj(upper_rot), mid_rot)
 
-        locals_[end] = quat_mul(quat_conjugate(mid_rot), target[part].rotation)
+        locals_[end] = qmul(qconj(mid_rot), target[part][:4])
 
-    world = fk()
+    world = forward_kinematics(skeleton, locals_, target["root"])
     diag.controller_detached_left = diag.reach_deficits["arm_l"] > DETACH_EPS
     diag.controller_detached_right = diag.reach_deficits["arm_r"] > DETACH_EPS
     for *roles, _, _, flexion_name in _LIMBS.values():
         setattr(diag, flexion_name,
-                _flexion(*(world[skeleton.role_index(r)].translation for r in roles)))
-    return SolvedPose(world, diag)
+                _flexion(*(world[skeleton.role_index(r)][4:] for r in roles)))
+    return SolvedPose([state_transform(s) for s in world], diag)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,11 @@ from .math3d import (
     quat_mul,
     quat_to_json,
     read_jsonl,
+    state_transform,
     write_jsonl,
 )
 from .motion import ScriptError, ScriptPose, pose_from_script
-from .skeleton import REQUIRED_ROLES, SkeletonModel, bind_pose, forward_kinematics
+from .skeleton import REQUIRED_ROLES, SkeletonModel, forward_kinematics
 
 
 class DeviceRole(str, Enum):
@@ -267,10 +268,9 @@ def generate_synthetic_session(
 
     if not script:
         raise ScriptError("motion script is empty")
-    first = pose_from_script(skeleton, script[0])
-    bind = bind_pose(skeleton)
-    for i in range(len(skeleton.joints)):
-        delta = quat_angle_between(bind.local_rotations[i], first.local_rotations[i])
+    first, _ = pose_from_script(skeleton, script[0])
+    for i, bind in enumerate(skeleton.bind_rotations):
+        delta = quat_angle_between(bind, first[i])
         if delta > math.radians(1.0):
             raise ScriptError(
                 f"script must start in T-pose: joint {skeleton.joints[i].name!r} "
@@ -286,7 +286,8 @@ def generate_synthetic_session(
     frames: list[DeviceFrame] = []
     truth_frames: list[list[Transform]] = []
     for sp in script:
-        world = forward_kinematics(skeleton, pose_from_script(skeleton, sp))
+        world = [state_transform(s)
+                 for s in forward_kinematics(skeleton, *pose_from_script(skeleton, sp))]
         truth_frames.append(world)
         devices = []
         for did in ids:

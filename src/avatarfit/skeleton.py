@@ -3,6 +3,12 @@
 Skeletons are loaded from a small JSON document (see `load_skeleton`) and are
 immutable after load. Local transforms are parent-relative; poses carry one
 local rotation per joint so bone lengths never change.
+
+Forward kinematics runs on plain floats: a pose is one local rotation per
+joint as a (w, x, y, z) tuple plus the root's pose state, and FK returns one
+pose state (w, x, y, z, px, py, pz) per joint (see `math3d.compose_state`).
+`Transform` appears only at the API edges: the joints' bind transforms of
+the document and `SkeletonModel.bind_world`.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .math3d import FormatError, Transform, floats_from_json, floats_to_json, quat_from_json, \
-    quat_to_json, read_json_file, write_json_file
+from .math3d import FormatError, Transform, compose_state, floats_from_json, floats_to_json, \
+    pose_state, quat_from_json, quat_to_json, read_json_file, state_transform, write_json_file
 
 REQUIRED_ROLES = frozenset({
     "root", "spine", "head",
@@ -41,10 +47,24 @@ class Joint:
 
 @dataclass
 class SkeletonModel:
+    """Joints in topological order (parents first) and the bind eye height.
+
+    Construction precomputes the tables FK and the body solve read, one
+    entry per joint: `parents` (index, None for the root),
+    `bind_translations` and `bind_rotations` (the bind local transform as
+    three and four floats), `bind_states` (the pose states of the bind
+    pose) and the bone lengths behind `bone_length`.
+    """
+
     joints: list[Joint]
     eye_height_bind: float
     _name_index: dict = field(init=False, repr=False, default_factory=dict)
     _role_index: dict = field(init=False, repr=False, default_factory=dict)
+    parents: tuple = field(init=False, repr=False, compare=False, default=())
+    bind_translations: tuple = field(init=False, repr=False, compare=False, default=())
+    _bone_lengths: tuple = field(init=False, repr=False, compare=False, default=())
+    bind_rotations: tuple = field(init=False, repr=False, compare=False, default=())
+    bind_states: tuple = field(init=False, repr=False, compare=False, default=())
     _bind_world: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
@@ -53,7 +73,15 @@ class SkeletonModel:
             # Repeatable roles ("other", "finger") keep the first occurrence;
             # required roles are unique by validation.
             self._role_index.setdefault(j.role, i)
-        self._bind_world = tuple(forward_kinematics(self, bind_pose(self)))
+        self.parents = tuple(j.parent for j in self.joints)
+        self.bind_translations = tuple(tuple(j.bind_local.translation.tolist())
+                                       for j in self.joints)
+        self._bone_lengths = tuple(float(np.linalg.norm(j.bind_local.translation))
+                                   for j in self.joints)
+        self.bind_rotations = tuple(tuple(j.bind_local.rotation.tolist()) for j in self.joints)
+        root = self.joints[self.role_index("root")].bind_local
+        self.bind_states = tuple(forward_kinematics(self, self.bind_rotations, pose_state(root)))
+        self._bind_world = tuple(state_transform(s) for s in self.bind_states)
 
     def __len__(self) -> int:
         return len(self.joints)
@@ -67,46 +95,32 @@ class SkeletonModel:
         return self._role_index[role]
 
     def bone_length(self, index: int) -> float:
-        return float(np.linalg.norm(self.joints[index].bind_local.translation))
+        return self._bone_lengths[index]
 
     def bind_world(self) -> tuple[Transform, ...]:
         """World transforms of the bind pose, computed once at construction."""
         return self._bind_world
 
 
-@dataclass
-class PoseState:
-    """Per-joint local rotations plus the root joint's full world transform.
+def forward_kinematics(skeleton: SkeletonModel, rotations, root: tuple) -> list[tuple]:
+    """Pose state of every joint, parents placed before children.
 
-    The root entry of `local_rotations` is carried for shape consistency but
-    ignored by FK; the root's placement comes from `root_world`.
+    `rotations` holds one local rotation (w, x, y, z) per joint; the root's
+    entry is ignored, since the root is placed at the pose state `root`.
+    Joint i's state is its parent's composed with (rotations[i],
+    bind_translations[i]) by `compose_state`, the operations of
+    `Transform.__matmul__` in its order, so each state equals the bytes of
+    the Transform-composition FK
+    (`tests/oracles.py::reference_forward_kinematics`).
     """
-
-    local_rotations: np.ndarray  # (J, 4) quaternions
-    root_world: Transform
-
-
-def bind_pose(skeleton: SkeletonModel) -> PoseState:
-    rots = np.stack([j.bind_local.rotation for j in skeleton.joints])
-    root = skeleton.joints[skeleton.role_index("root")]
-    return PoseState(rots, root.bind_local)
-
-
-def forward_kinematics(skeleton: SkeletonModel, pose: PoseState) -> list[Transform]:
-    """World transforms for every joint, parents accumulated before children."""
-    if len(pose.local_rotations) != len(skeleton.joints):
+    if len(rotations) != len(skeleton.parents):
         raise SkeletonError(
-            f"pose has {len(pose.local_rotations)} rotations for "
-            f"{len(skeleton.joints)} joints"
+            f"pose has {len(rotations)} rotations for {len(skeleton.parents)} joints"
         )
-    world: list[Transform] = [None] * len(skeleton.joints)  # type: ignore[list-item]
-    for i, joint in enumerate(skeleton.joints):
-        if joint.parent is None:
-            world[i] = pose.root_world
-        else:
-            local = Transform(pose.local_rotations[i], joint.bind_local.translation)
-            world[i] = world[joint.parent] @ local
-    return world
+    states: list[tuple] = []
+    for parent, q, v in zip(skeleton.parents, rotations, skeleton.bind_translations):
+        states.append(root if parent is None else compose_state(states[parent], q, v))
+    return states
 
 
 def scale_uniform(skeleton: SkeletonModel, s: float) -> SkeletonModel:

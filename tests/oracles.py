@@ -7,6 +7,7 @@ import numpy as np
 
 from avatarfit.fingers import CapsuleShape, Finger, capsule_sdf
 from avatarfit.math3d import Transform
+from avatarfit.skeleton import SkeletonModel
 
 
 def sample_capsule_surface(shape: CapsuleShape, n_axis: int, n_ring: int):
@@ -190,3 +191,22 @@ def reference_quat_rotate(q, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     t = 2.0 * np.cross(qv, v)
     return v + q[0] * t + np.cross(qv, t)
+
+
+# ---------------------------------------------------------------------------
+# Forward kinematics by Transform composition: `skeleton.forward_kinematics`
+# walks pose states on plain floats and must equal these bytes.
+# ---------------------------------------------------------------------------
+
+def reference_forward_kinematics(skeleton: SkeletonModel, rotations,
+                                 root: Transform) -> list[Transform]:
+    """World transform of every joint: the parent's composed with
+    Transform(local rotation, bind translation); the root sits at `root`."""
+    world: list[Transform] = [None] * len(skeleton.joints)  # type: ignore[list-item]
+    for i, joint in enumerate(skeleton.joints):
+        if joint.parent is None:
+            world[i] = root
+        else:
+            local = Transform(rotations[i], joint.bind_local.translation)
+            world[i] = world[joint.parent] @ local
+    return world

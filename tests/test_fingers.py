@@ -303,6 +303,26 @@ class TestDescend:
         with pytest.raises(ValueError, match="finite"):
             descend(hand, start, default_grip_capsule(hand))
 
+    @pytest.mark.parametrize("case", ["short", "long", "missing", "extra"])
+    def test_mismatched_factor_arrays_rejected(self, case):
+        # A short array would search a truncated finger and report it
+        # converged; the others would end in a bare IndexError.
+        hand = default_hand_model("left")
+        start = FingerParams.open_hand(hand)
+        if case == "short":
+            start.values[0], match = start.values[0][:-1], f"finger {hand.fingers[0].name!r}"
+        elif case == "long":
+            start.values[3], match = np.zeros(len(hand.fingers[3].joints) + 1), \
+                f"finger {hand.fingers[3].name!r}"
+        elif case == "missing":
+            del start.values[-1]
+            match = f"finger {hand.fingers[-1].name!r}"
+        else:
+            start.values.append(np.zeros(2))
+            match = "factor arrays"
+        with pytest.raises(ValueError, match=match):
+            descend(hand, start, default_grip_capsule(hand))
+
 
 class TestDescentOracle:
     @settings(max_examples=60)

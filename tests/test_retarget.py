@@ -13,6 +13,7 @@ from avatarfit.math3d import (
     quat_rotate,
 )
 from avatarfit.retarget import (
+    FrameInputError,
     OffsetMode,
     solve_frame,
     solve_session,
@@ -249,12 +250,26 @@ class TestSolveFrame:
             solve_frame(broken, profile, scaled)
 
     def test_nan_input_raises(self, matched_setup):
+        # Every role, rotation and translation, each non-finite value, in a
+        # different component each time.
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
-        devices = [(d, Transform(p.rotation, p.translation * np.nan) if i == 0 else p)
-                   for i, (d, p) in enumerate(frame.devices)]
-        with pytest.raises(ValueError, match="finite"):
-            solve_frame(DeviceFrame(0.0, devices), profile, scaled)
+        cases = 0
+        for bad_id, role in profile.role_map.items():
+            for component in ("rotation", "translation"):
+                for value in (math.nan, math.inf, -math.inf):
+                    devices = []
+                    for did, pose in frame.devices:
+                        if did == bad_id:
+                            parts = {"rotation": pose.rotation.copy(),
+                                     "translation": pose.translation.copy()}
+                            parts[component][cases % len(parts[component])] = value
+                            pose = Transform(**parts)
+                        devices.append((did, pose))
+                    with pytest.raises(FrameInputError, match=f"{role.value} is not finite"):
+                        solve_frame(DeviceFrame(0.0, devices), profile, scaled)
+                    cases += 1
+        assert cases == 36
 
     @given(seeds)
     def test_rigid_equivariance(self, seed):

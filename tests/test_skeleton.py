@@ -7,19 +7,19 @@ from hypothesis import given, strategies as st
 
 from avatarfit.math3d import (
     Transform,
+    pose_state,
     quat_angle_between,
     quat_from_axis_angle,
     quat_identity,
     quat_mul,
     quat_rotate,
+    state_transform,
 )
 from avatarfit.rigs import humanoid_document, humanoid_long_legs_document
 from avatarfit.skeleton import (
     Joint,
-    PoseState,
     SkeletonError,
     SkeletonModel,
-    bind_pose,
     forward_kinematics,
     load_skeleton,
     load_skeleton_file,
@@ -29,6 +29,7 @@ from avatarfit.skeleton import (
 )
 
 from conftest import random_quat, random_unit
+from oracles import reference_forward_kinematics
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -39,17 +40,24 @@ def three_joint_chain() -> SkeletonModel:
     return load_skeleton(doc)
 
 
-def random_pose(skeleton: SkeletonModel, rng) -> PoseState:
-    pose = bind_pose(skeleton)
-    for i in range(len(skeleton.joints)):
-        pose.local_rotations[i] = random_quat(rng)
-    pose.root_world = Transform(random_quat(rng), rng.normal(size=3))
-    return pose
+def bind_root(skeleton: SkeletonModel) -> Transform:
+    return skeleton.joints[skeleton.role_index("root")].bind_local
+
+
+def random_pose(skeleton: SkeletonModel, rng) -> tuple[list[tuple], Transform]:
+    rotations = [tuple(random_quat(rng).tolist()) for _ in skeleton.joints]
+    return rotations, Transform(random_quat(rng), rng.normal(size=3))
+
+
+def world_of(skeleton: SkeletonModel, rotations, root: Transform) -> list[Transform]:
+    return [state_transform(s)
+            for s in forward_kinematics(skeleton, rotations, pose_state(root))]
 
 
 class TestForwardKinematics:
     def test_bind_pose_reproduces_bind_world(self, user_skeleton):
-        world = forward_kinematics(user_skeleton, bind_pose(user_skeleton))
+        world = world_of(user_skeleton, list(user_skeleton.bind_rotations),
+                         bind_root(user_skeleton))
         for got, want in zip(world, user_skeleton.bind_world()):
             np.testing.assert_array_equal(got.translation, want.translation)
             np.testing.assert_array_equal(got.rotation, want.rotation)
@@ -60,11 +68,10 @@ class TestForwardKinematics:
         assert user_skeleton.bind_world() is cached
 
     def test_root_rotation_spins_everything_about_root(self, user_skeleton):
-        pose = bind_pose(user_skeleton)
         spin = quat_from_axis_angle([0, 1, 0], math.pi / 2)
-        root_bind = pose.root_world
-        pose.root_world = Transform(quat_mul(spin, root_bind.rotation), root_bind.translation)
-        world = forward_kinematics(user_skeleton, pose)
+        root_bind = bind_root(user_skeleton)
+        root = Transform(quat_mul(spin, root_bind.rotation), root_bind.translation)
+        world = world_of(user_skeleton, list(user_skeleton.bind_rotations), root)
         origin = root_bind.translation
         for got, b in zip(world, user_skeleton.bind_world()):
             expected = origin + quat_rotate(spin, b.translation - origin)
@@ -74,18 +81,18 @@ class TestForwardKinematics:
         # hips -> spine -> chest with random rotations, composed by hand.
         skel = three_joint_chain()
         rng = np.random.default_rng(5)
-        pose = bind_pose(skel)
+        rotations = list(skel.bind_rotations)
         names = ["hips", "spine", "chest"]
         idx = [skel.index_of(n) for n in names]
         qs = [random_quat(rng) for _ in names]
-        pose.root_world = Transform(qs[0], pose.root_world.translation)
-        pose.local_rotations[idx[1]] = qs[1]
-        pose.local_rotations[idx[2]] = qs[2]
-        world = forward_kinematics(skel, pose)
+        root = Transform(qs[0], bind_root(skel).translation)
+        rotations[idx[1]] = tuple(qs[1])
+        rotations[idx[2]] = tuple(qs[2])
+        world = world_of(skel, rotations, root)
 
         t_spine = skel.joints[idx[1]].bind_local.translation
         t_chest = skel.joints[idx[2]].bind_local.translation
-        p_spine = pose.root_world.translation + quat_rotate(qs[0], t_spine)
+        p_spine = root.translation + quat_rotate(qs[0], t_spine)
         r_spine = quat_mul(qs[0], qs[1])
         p_chest = p_spine + quat_rotate(r_spine, t_chest)
         r_chest = quat_mul(r_spine, qs[2])
@@ -94,20 +101,18 @@ class TestForwardKinematics:
         assert quat_angle_between(world[idx[2]].rotation, r_chest) < 1e-9
 
     def test_pose_size_mismatch(self, user_skeleton):
-        pose = bind_pose(user_skeleton)
-        bad = PoseState(pose.local_rotations[:-1], pose.root_world)
+        rotations = list(user_skeleton.bind_rotations)[:-1]
         with pytest.raises(SkeletonError):
-            forward_kinematics(user_skeleton, bad)
+            forward_kinematics(user_skeleton, rotations, pose_state(bind_root(user_skeleton)))
 
     @given(seeds)
     def test_equivariance_under_root_rigid_motion(self, seed):
         skel = humanoid_from_cache()
         rng = np.random.default_rng(seed)
-        pose = random_pose(skel, rng)
+        rotations, root = random_pose(skel, rng)
         g = Transform(random_quat(rng), rng.normal(size=3))
-        moved = PoseState(pose.local_rotations.copy(), g @ pose.root_world)
-        base = forward_kinematics(skel, pose)
-        got = forward_kinematics(skel, moved)
+        base = world_of(skel, rotations, root)
+        got = world_of(skel, rotations, g @ root)
         for w, b in zip(got, base):
             expected = g @ b
             np.testing.assert_allclose(w.translation, expected.translation, atol=1e-9)
@@ -117,13 +122,26 @@ class TestForwardKinematics:
     def test_bone_lengths_invariant_under_pose(self, seed):
         skel = humanoid_from_cache()
         rng = np.random.default_rng(seed)
-        world = forward_kinematics(skel, random_pose(skel, rng))
+        world = world_of(skel, *random_pose(skel, rng))
         for i, joint in enumerate(skel.joints):
             if joint.parent is None:
                 continue
             length = float(np.linalg.norm(
                 world[i].translation - world[joint.parent].translation))
             assert length == pytest.approx(skel.bone_length(i), abs=1e-9)
+
+    @given(seeds, st.sampled_from(["humanoid", "humanoid_long_legs"]))
+    def test_states_equal_transform_composition_bytes(self, seed, rig):
+        skel = rig_from_cache(rig)
+        rng = np.random.default_rng(seed)
+        rotations, root = random_pose(skel, rng)
+        root = Transform(root.rotation, root.translation * rng.uniform(0.1, 100.0))
+        states = forward_kinematics(skel, rotations, pose_state(root))
+        want = reference_forward_kinematics(skel, rotations, root)
+        assert len(states) == len(want) == len(skel)
+        for state, w in zip(states, want):
+            assert np.array(state[:4]).tobytes() == w.rotation.tobytes()
+            assert np.array(state[4:]).tobytes() == w.translation.tobytes()
 
 
 _HUMANOID_CACHE = []
@@ -133,6 +151,16 @@ def humanoid_from_cache() -> SkeletonModel:
     if not _HUMANOID_CACHE:
         _HUMANOID_CACHE.append(load_skeleton(humanoid_document()))
     return _HUMANOID_CACHE[0]
+
+
+_RIG_DOCUMENTS = {"humanoid": humanoid_document, "humanoid_long_legs": humanoid_long_legs_document}
+_RIG_CACHE: dict[str, SkeletonModel] = {}
+
+
+def rig_from_cache(name: str) -> SkeletonModel:
+    if name not in _RIG_CACHE:
+        _RIG_CACHE[name] = load_skeleton(_RIG_DOCUMENTS[name]())
+    return _RIG_CACHE[name]
 
 
 class TestScaleUniform:
