@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .math3d import FormatError, Transform, floats_from_json, floats_to_json, read_json_file, \
-    transform_from_obj, transform_to_obj, write_json_file
+    state_transform, transform_from_obj, transform_to_obj, write_json_file
 from .session import DeviceFrame, DeviceRole, Session, identify_roles
 from .skeleton import SkeletonModel, scale_uniform
 
@@ -58,12 +58,6 @@ class CalibrationProfile:
     offsets: dict[str, Transform]  # per PART_ROLES part: joint pose in its device's frame
     w0: np.ndarray  # headset position minus back-tracker position at t=0
     role_map: dict[str, DeviceRole]
-
-    def device_id(self, role: DeviceRole) -> str:
-        for did, r in self.role_map.items():
-            if r == role:
-                return did
-        raise KeyError(f"profile role map lacks {role.value}")
 
 
 @dataclass
@@ -103,10 +97,9 @@ def capture_profile(
     if len(device) != 6:
         raise ValueError("role map must cover all six devices")
 
-    bind = skeleton.bind_world()
     offsets = {}
     for part, (dev_role, joint_role) in PART_ROLES.items():
-        joint = placement @ bind[skeleton.role_index(joint_role)]
+        joint = placement @ state_transform(skeleton.bind_states[skeleton.role_index(joint_role)])
         offsets[part] = device[dev_role].inverse() @ joint
         _check_walk_in(MisalignmentError, part, offsets[part])
 

@@ -33,7 +33,7 @@ from .fingers import (
 )
 from .math3d import DegenerateGeometryError, FormatError, pose_to_obj, write_json_file
 from .motion import SCRIPT_NAMES, ScriptError, builtin_script, read_script_file
-from .retarget import OffsetMode, solve_session, write_pose_trace
+from .retarget import OffsetMode, mode_offsets, solve_session, write_pose_trace
 from .session import (
     NoiseModel,
     PostureError,
@@ -102,7 +102,7 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _solve_hands(args, session, solved, profile, scaled):
+def _solve_hands(args, solved, offsets, scaled):
     """Optional grip solve per frame; returns extra trace joints per frame."""
     hand = load_hand_file(args.hand_model)
     capsule, button = load_controller_file(args.controller)
@@ -115,22 +115,18 @@ def _solve_hands(args, session, solved, profile, scaled):
     config = DescentConfig(penalty=args.penalty, max_iters=args.max_iters)
     extras = []
     objectives = {"left": [], "right": []}
-    for frame, sp in zip(session.frames, solved):
+    for sp in solved:
         if sp is None:
             extras.append([])
             continue
         entries = []
         for side in objectives:
-            dev_role, wrist_role = PART_ROLES[f"hand_{side}"]
-            detached = (sp.diagnostics.controller_detached_left if side == "left"
-                        else sp.diagnostics.controller_detached_right)
+            wrist_role = PART_ROLES[f"hand_{side}"][1]
             wrist_world = sp.world[scaled.role_index(wrist_role)]
-            if detached:
-                # Virtual controller rides on the hand when out of reach.
-                controller_world = wrist_world @ profile.offsets[f"hand_{side}"].inverse()
-            else:
-                did = profile.device_id(dev_role)
-                controller_world = frame.pose_of(did)
+            # The controller under the solved palm, by the offset the body was
+            # solved with: the tracked pose when the arm reaches it (equal to
+            # rounding), a virtual controller riding on the hand when it does not.
+            controller_world = wrist_world @ offsets[f"hand_{side}"].inverse()
             shape = transform_capsule(capsules[side], controller_world)
             button = None if buttons[side] is None else controller_world.apply(buttons[side])
             result = pose_hand_on_controller(hands[side], wrist_world, shape, config, button)
@@ -165,7 +161,7 @@ def cmd_solve(args) -> int:
         if not args.controller:
             print("error: --hand-model requires --controller", file=sys.stderr)
             return EXIT_USAGE
-        extras, hand_summary = _solve_hands(args, session, solved, profile, scaled)
+        extras, hand_summary = _solve_hands(args, solved, mode_offsets(profile, mode), scaled)
         document.update(hand_summary)
 
     write_pose_trace(args.out, session, solved, scaled, extras)

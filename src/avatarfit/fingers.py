@@ -20,10 +20,11 @@ gains the distance from the thumb tip to the button point.
 
 Two routines evaluate a finger, with the same operations in the same order,
 so they agree bit for bit. `_FingerChain.walk`, on plain floats, serves
-`finger_objective`, the search's polls and the posed points of
-`pose_hand_on_controller`. It walks from a list of per-joint states (world
-rotation, position and partial objective after each joint); a poll turns one
-joint k, so it resumes from the current point's state after joint k - 1.
+`finger_objective` and the search's polls. It walks from a list of
+per-joint states (world rotation, position and partial objective after each
+joint); a poll turns one joint k, so it resumes from the current point's
+state after joint k - 1. The states of a finger's returned factors are the
+posed points of `pose_hand_on_controller`, with no walk of their own.
 `_grid_values` walks the seed grid on NumPy arrays as a tree: level j holds
 the GRID_POINTS^(j+1) states of the first j + 1 factors, and the fingers of
 a hand with the same joint count and button presence are rows of one walk
@@ -147,14 +148,12 @@ class FingerParams:
 
 @dataclass
 class DescentConfig:
-    penalty: float = 10.0       # multiplier on negative (inside) distances
-    max_iters: int = 200        # poll rounds per finger
-    button_weight: float = 1.0  # weight of the thumb-to-button term
+    penalty: float = 10.0  # multiplier on negative (inside) distances
+    max_iters: int = 200   # poll rounds per finger
 
     def __post_init__(self):
-        for name in ("penalty", "button_weight"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.penalty < math.inf:
+            raise ValueError("penalty must be positive and finite")
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
                 or self.max_iters < 1):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
@@ -177,11 +176,10 @@ class _FingerChain:
     of the finger's base, with total 0.0.
     """
 
-    __slots__ = ("start", "slerps", "offsets", "capsule", "penalty", "button",
-                 "button_weight")
+    __slots__ = ("start", "slerps", "offsets", "capsule", "penalty", "button")
 
     def __init__(self, finger: Finger, wrist_world: Transform | None, shape: CapsuleShape,
-                 penalty: float, button: tuple | None = None, button_weight: float = 0.0):
+                 penalty: float, button: tuple | None = None):
         base = finger.base_local if wrist_world is None else wrist_world @ finger.base_local
         self.start = (*(float(v) for v in base.rotation),
                       *(float(v) for v in base.translation), 0.0)
@@ -190,7 +188,6 @@ class _FingerChain:
         self.capsule = (*shape._start, *shape._axis, shape._axis_sq, shape.radius)
         self.penalty = penalty
         self.button = button if finger.name == "thumb" else None
-        self.button_weight = button_weight
 
     def rotations(self, t_vec) -> list[tuple]:
         return [slerp_at(basis, float(t)) for basis, t in zip(self.slerps, t_vec)]
@@ -201,10 +198,10 @@ class _FingerChain:
         `states` holds the states of the first k joints, all turned by
         `rotations[:k]`. The walk resumes from the last of them (from `start`
         when there are none), appends the states of joints k.., and returns
-        the last total plus, for the thumb, its weighted distance to the
-        button. A resumed walk makes the same additions in the same order as
-        one from the base, so the two return the same float. The capsule
-        distance is `capsule_sdf`, written out.
+        the last total plus, for the thumb, its distance to the button. A
+        resumed walk makes the same additions in the same order as one from
+        the base, so the two return the same float. The capsule distance is
+        `capsule_sdf`, written out.
         """
         k = len(states)
         rw, rx, ry, rz, px, py, pz, total = states[-1] if k else self.start
@@ -243,7 +240,7 @@ class _FingerChain:
             dx = px - bx
             dy = py - by
             dz = pz - bz
-            total += self.button_weight * math.sqrt(dx * dx + dy * dy + dz * dz)
+            total += math.sqrt(dx * dx + dy * dy + dz * dz)
         return total
 
     def seed(self, t: list[float], values: np.ndarray) -> tuple[list, list, list, float]:
@@ -312,7 +309,7 @@ def _grid_values(chains: list[_FingerChain]) -> np.ndarray:
         dx = px - bx
         dy = py - by
         dz = pz - bz
-        total = total + first.button_weight * np.sqrt(dx * dx + dy * dy + dz * dz)
+        total = total + np.sqrt(dx * dx + dy * dy + dz * dz)
     return total.T.reshape(len(chains), -1)
 
 
@@ -328,11 +325,10 @@ def finger_objective(
     penalty: float,
     wrist_world: Transform | None = None,
     button: np.ndarray | None = None,
-    button_weight: float = 1.0,
 ) -> float:
     """Summed penalized surface distance of one finger's joint points."""
     chain = _FingerChain(hand.fingers[finger_index], wrist_world, shape, penalty,
-                         _float_point(button), button_weight)
+                         _float_point(button))
     return chain.walk([], chain.rotations(params.values[finger_index]))
 
 
@@ -343,6 +339,8 @@ class FingerDescent:
     objective: float
     converged: bool
     history: list[float] = field(default_factory=list)
+    # The walk states (`_FingerChain.walk`) at the returned factors, one per joint.
+    states: list[tuple] = field(default_factory=list, repr=False)
 
 
 def descend(
@@ -368,7 +366,8 @@ def descend(
     unconverged, which is reported, never raised. `history` holds the
     accepted objective after each round, so it never rises. Factors that do
     not match the hand (one array per finger, one factor per joint) or are
-    not finite raise ValueError.
+    not finite raise ValueError. Each report keeps the walk states of its
+    finger's returned factors.
     """
     cfg = config or DescentConfig()
     for i, finger in enumerate(hand.fingers):
@@ -382,7 +381,7 @@ def descend(
         raise ValueError("start factors must be finite")
     out = params.clamped()  # fresh arrays: the caller's params stay untouched
     button_f = _float_point(button)
-    chains = [_FingerChain(finger, wrist_world, shape, cfg.penalty, button_f, cfg.button_weight)
+    chains = [_FingerChain(finger, wrist_world, shape, cfg.penalty, button_f)
               for finger in hand.fingers]
     groups: dict[tuple, list[_FingerChain]] = {}
     for chain in chains:
@@ -420,7 +419,8 @@ def descend(
                     converged = True
                     break
         out.values[fi] = np.array(t)
-        reports.append(FingerDescent(finger.name, len(history), value, converged, history))
+        reports.append(FingerDescent(finger.name, len(history), value, converged, history,
+                                     states))
     return out, reports
 
 
@@ -442,17 +442,12 @@ def pose_hand_on_controller(
     """Grip solve: search from the open hand onto a world-frame capsule.
 
     Point j of a finger is the end of phalanx j, posed with the world
-    rotation after joint j.
+    rotation after joint j, as the search's last walk of the finger left it.
     """
     params, reports = descend(hand, FingerParams.open_hand(hand), controller,
                               config, wrist_world, button)
-    poses, distances = [], []
-    for finger, t in zip(hand.fingers, params.values):
-        chain = _FingerChain(finger, wrist_world, controller, 0.0)
-        states: list[tuple] = []
-        chain.walk(states, chain.rotations(t))
-        poses.append([Transform(np.array(s[:4]), np.array(s[4:7])) for s in states])
-        distances.append([capsule_sdf(controller, s[4:7]) for s in states])
+    poses = [[Transform(np.array(s[:4]), np.array(s[4:7])) for s in r.states] for r in reports]
+    distances = [[capsule_sdf(controller, s[4:7]) for s in r.states] for r in reports]
     return HandPoseResult(params, poses, distances, reports)
 
 

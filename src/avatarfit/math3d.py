@@ -79,15 +79,15 @@ def rotation_between(a, b) -> np.ndarray:
     """
     ah = normalize(a)
     bh = normalize(b)
-    angle = angle_between(ah, bh)
+    xyz = cross(ah, bh)
+    dot = float(np.dot(ah, bh))
+    angle = math.atan2(float(np.linalg.norm(xyz)), dot)  # angle_between(ah, bh)
     if angle > math.pi - 1e-6:
         axis = cross(ah, UP)
         if np.linalg.norm(axis) <= DEGENERATE_EPS:
             axis = cross(ah, RIGHT)
         return quat_from_axis_angle(axis, angle)
-    xyz = cross(ah, bh)
-    q = np.array([1.0 + float(np.dot(ah, bh)), xyz[0], xyz[1], xyz[2]])
-    return quat_normalize(q)
+    return quat_normalize(np.array([1.0 + dot, xyz[0], xyz[1], xyz[2]]))
 
 
 # ---------------------------------------------------------------------------

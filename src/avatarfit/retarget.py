@@ -14,25 +14,28 @@ Pipeline per frame (exact mode):
 1. Root joint placed at the back tracker's target.
 2. Spine bent by the angle between the initial and current back-to-head
    vectors. The bend is evaluated in the back tracker's delta frame so that
-   a global rigid motion of all devices moves the solved pose rigidly.
+   a global rigid motion of all devices moves the solved pose rigidly; it is
+   set as the spine's local rotation directly, in the bind frame, with no
+   FK pass before it.
 3. Head joint receives the headset rotation directly.
 4. Legs and arms solved by analytic two-bone IK toward the ankle and wrist
-   targets. When a wrist target is out of reach the chain points at it and
-   the frame is flagged detached, i.e. the virtual controller rides on the
-   hand.
+   targets. Each bone is swung from its child's bind translation, turned by
+   the rotation the joint carries, onto the solved direction. When a wrist
+   target is out of reach the chain points at it and the frame is flagged
+   detached, i.e. the virtual controller rides on the hand.
 
 Fixed mode runs the identical pipeline with every offset set to the identity
 (device pose used as the joint pose), the ad-hoc zero-offset mapping that
 reproduces the classic bent-legs artifact on avatars with longer legs.
 
 The solve runs on pose states, tuples of Python floats (see
-`math3d.compose_state`): device poses, targets, local rotations and the
-three FK passes stay floats. `Transform` appears only at the edges: the
-frame's device poses and the profile's offsets going in, `SolvedPose.world`
-coming out. Norms and dot products keep NumPy's reductions (`np.linalg.norm`,
-`np.dot`): a plain-float sqrt(x*x + y*y + z*z) differs from `np.linalg.norm`
-in the last bit on about one 3-vector in ten, and that would move the
-outputs.
+`math3d.compose_state`): device poses, targets, local rotations and the two
+FK passes (after the spine bend, and the final pose) stay floats.
+`Transform` appears only at the edges: the frame's device poses and the
+profile's offsets going in, `SolvedPose.world` coming out. Norms and dot
+products keep NumPy's reductions (`np.linalg.norm`, `np.dot`): a plain-float
+sqrt(x*x + y*y + z*z) differs from `np.linalg.norm` in the last bit on about
+one 3-vector in ten, and that would move the outputs.
 """
 
 from __future__ import annotations
@@ -133,10 +136,14 @@ def two_bone_ik(root_pos, l1: float, l2: float, target_pos, pole_dir) -> TwoBone
     return TwoBoneSolution(mid, end, 0.0)
 
 
-def _swing_to(carried_rot, bind_rot_of_joint, bind_dir, desired_dir) -> tuple:
-    """World rotation turning a joint's carried bone direction onto a target."""
-    carried_dir = qrotate(qmul(carried_rot, qconj(bind_rot_of_joint)), bind_dir)
-    return qmul(rotation_between(carried_dir, desired_dir).tolist(), carried_rot)
+def _swing_to(carried_rot, bone, desired_dir) -> tuple:
+    """World rotation turning a joint's bone onto a target direction.
+
+    `bone` is the child's bind translation, in the joint's frame, so the
+    carried rotation turns it into the bone's current world direction. Neither
+    direction needs unit length: `rotation_between` normalizes both.
+    """
+    return qmul(rotation_between(qrotate(carried_rot, bone), desired_dir).tolist(), carried_rot)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +170,11 @@ class SolvedPose:
 
 
 _FIXED_OFFSETS = dict.fromkeys(PART_ROLES, Transform.identity())
+
+
+def mode_offsets(profile: CalibrationProfile, mode: OffsetMode) -> dict[str, Transform]:
+    """Device-to-joint offset per body part that `mode` solves with."""
+    return profile.offsets if mode == OffsetMode.EXACT else _FIXED_OFFSETS
 
 _LIMBS = {
     # name: (upper role, mid role, end role, tracked part, pole, flexion diagnostic)
@@ -204,31 +216,35 @@ def solve_frame(
         if not all(map(math.isfinite, state)):
             raise FrameInputError(f"device pose for {role.value} is not finite")
 
-    offsets = profile.offsets if mode == OffsetMode.EXACT else _FIXED_OFFSETS
+    offsets = mode_offsets(profile, mode)
     target = {part: compose_state(device[role], offsets[part].rotation.tolist(),
                                   offsets[part].translation.tolist())
               for part, (role, _) in PART_ROLES.items()}
 
     bind = skeleton.bind_states
     parents = skeleton.parents
+    bones = skeleton.bind_translations
     locals_ = list(skeleton.bind_rotations)
     diag = FrameDiagnostics()
 
-    # 1. Root joint at the back tracker's target.
-    world = forward_kinematics(skeleton, locals_, target["root"])
+    # 1. Root joint at the back tracker's target; root_delta turns the bind
+    # pose's root onto it.
     root_idx = skeleton.role_index("root")
-    root_delta = qmul(world[root_idx][:4], qconj(bind[root_idx][:4]))
+    root_delta = qmul(target["root"][:4], qconj(bind[root_idx][:4]))
 
     # 2. Spine bend, evaluated in the back tracker's delta frame so the solve
-    # stays equivariant under global rigid motions of the device set.
+    # stays equivariant under global rigid motions of the device set. Up to
+    # the spine every joint keeps its bind rotation, so the world-frame bend
+    # root_delta bend root_delta^-1 turns the spine's world rotation
+    # root_delta bind[spine] into one whose local rotation is
+    # bind[p]^-1 bend bind[spine], p the spine's parent.
     spine_idx = skeleton.role_index("spine")
     hmd, back = device[DeviceRole.HMD], device[DeviceRole.TRACKER_ROOT]
     w_local = qrotate(qconj(root_delta), (hmd[4] - back[4], hmd[5] - back[5], hmd[6] - back[6]))
     diag.alpha = angle_between(profile.w0, w_local)
-    bend_local = rotation_between(profile.w0, w_local).tolist()
-    bend_world = qmul(root_delta, qmul(bend_local, qconj(root_delta)))
-    new_spine_rot = qmul(bend_world, world[spine_idx][:4])
-    locals_[spine_idx] = qmul(qconj(world[parents[spine_idx]][:4]), new_spine_rot)
+    bend = rotation_between(profile.w0, w_local).tolist()
+    locals_[spine_idx] = qmul(qconj(bind[parents[spine_idx]][:4]),
+                              qmul(bend, bind[spine_idx][:4]))
     world = forward_kinematics(skeleton, locals_, target["root"])
 
     # 3. Head rotation straight from the headset.
@@ -241,28 +257,22 @@ def solve_frame(
         mid = skeleton.role_index(mid_role)
         end = skeleton.role_index(end_role)
         pole = qrotate(root_delta, pole_bind)
-        l1 = skeleton.bone_length(mid)
-        l2 = skeleton.bone_length(end)
         root_pos = world[upper][4:]
-        sol = two_bone_ik(root_pos, l1, l2, target[part][4:], pole)
+        sol = two_bone_ik(root_pos, skeleton.bone_length(mid), skeleton.bone_length(end),
+                          target[part][4:], pole)
         diag.reach_deficits[limb] = sol.reach_deficit
         if sol.degenerate:
             diag.degenerate_limbs.append(limb)
             continue
 
         mid_pos = sol.mid_position.tolist()
-        dir1 = [(m - r) / l1 for m, r in zip(mid_pos, root_pos)]
+        dir1 = [m - r for m, r in zip(mid_pos, root_pos)]
         dir2 = [e - m for e, m in zip(sol.end_position.tolist(), mid_pos)]
-        n2 = float(np.linalg.norm(dir2))
-        dir2 = [c / n2 for c in dir2]
-        u1_bind = [(m - u) / l1 for m, u in zip(bind[mid][4:], bind[upper][4:])]
-        u2_bind = [(e - m) / l2 for e, m in zip(bind[end][4:], bind[mid][4:])]
 
-        upper_rot = _swing_to(world[upper][:4], bind[upper][:4], u1_bind, dir1)
+        upper_rot = _swing_to(world[upper][:4], bones[mid], dir1)
         locals_[upper] = qmul(qconj(world[parents[upper]][:4]), upper_rot)
 
-        mid_carried = qmul(upper_rot, skeleton.bind_rotations[mid])
-        mid_rot = _swing_to(mid_carried, bind[mid][:4], u2_bind, dir2)
+        mid_rot = _swing_to(qmul(upper_rot, skeleton.bind_rotations[mid]), bones[end], dir2)
         locals_[mid] = qmul(qconj(upper_rot), mid_rot)
 
         locals_[end] = qmul(qconj(mid_rot), target[part][:4])

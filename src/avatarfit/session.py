@@ -103,7 +103,6 @@ class GroundTruth:
     joint_names: list[str]
     joint_roles: list[str]
     frames: list[list[Transform]]
-    eye_height: float
 
     def by_role(self, frame_index: int, role: str) -> Transform:
         return self.frames[frame_index][self.joint_roles.index(role)]
@@ -307,7 +306,6 @@ def generate_synthetic_session(
         joint_names=[j.name for j in skeleton.joints],
         joint_roles=[j.role for j in skeleton.joints],
         frames=truth_frames,
-        eye_height=skeleton.eye_height_bind,
     )
     return session, truth
 
@@ -379,7 +377,8 @@ def read_session(path) -> Session:
 # ---------------------------------------------------------------------------
 # Ground-truth files (JSONL)
 # ---------------------------------------------------------------------------
-# Header: {"format": 1, "joints": [...], "roles": [...], "eye_height": m}
+# Header: {"format": 1, "joints": [...], "roles": [...]}; other header keys
+# (an "eye_height" of older files) are ignored.
 # Frames: {"t": s, "p": [[x,y,z] x J], "q": [[w,x,y,z] x J]}
 # Values follow the input rule of `math3d.FormatError`.
 
@@ -388,7 +387,6 @@ def write_ground_truth(truth: GroundTruth, session: Session, path) -> None:
         "format": 1,
         "joints": truth.joint_names,
         "roles": truth.joint_roles,
-        "eye_height": truth.eye_height,
     }
     frames = ({"t": frame.timestamp,
                "p": [floats_to_json(w.translation) for w in world],
@@ -408,7 +406,6 @@ def read_ground_truth(path) -> GroundTruth:
         raise FormatError(f"{where}: joints and roles must be lists of equal length")
     if missing := REQUIRED_ROLES.difference(r for r in roles if isinstance(r, str)):
         raise FormatError(f"{where}: roles lack {sorted(missing)}")
-    eye_height = float(floats_from_json(header.get("eye_height"), (), f"{where} eye_height"))
     frames = []
     for lineno, obj in lines:
         where = f"{path}:{lineno}"
@@ -417,4 +414,4 @@ def read_ground_truth(path) -> GroundTruth:
         if np.abs(np.linalg.norm(q, axis=1) - 1.0).max() > 1e-6:
             raise FormatError(f"{where} q: not all unit quaternions")
         frames.append([Transform(qi, pi) for pi, qi in zip(p, q)])
-    return GroundTruth(names, roles, frames, eye_height)
+    return GroundTruth(names, roles, frames)

@@ -7,8 +7,8 @@ local rotation per joint so bone lengths never change.
 Forward kinematics runs on plain floats: a pose is one local rotation per
 joint as a (w, x, y, z) tuple plus the root's pose state, and FK returns one
 pose state (w, x, y, z, px, py, pz) per joint (see `math3d.compose_state`).
-`Transform` appears only at the API edges: the joints' bind transforms of
-the document and `SkeletonModel.bind_world`.
+`Transform` appears only at the document edge, the joints' bind transforms;
+`SkeletonModel.bind_states` is the one copy of the bind pose in the world.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .math3d import FormatError, Transform, compose_state, floats_from_json, floats_to_json, \
-    pose_state, quat_from_json, quat_to_json, read_json_file, state_transform, write_json_file
+    pose_state, quat_from_json, quat_to_json, read_json_file, write_json_file
 
 REQUIRED_ROLES = frozenset({
     "root", "spine", "head",
@@ -52,8 +52,8 @@ class SkeletonModel:
     Construction precomputes the tables FK and the body solve read, one
     entry per joint: `parents` (index, None for the root),
     `bind_translations` and `bind_rotations` (the bind local transform as
-    three and four floats), `bind_states` (the pose states of the bind
-    pose) and the bone lengths behind `bone_length`.
+    three and four floats), `bind_states` (the world pose states of the
+    bind pose, its one copy) and the bone lengths behind `bone_length`.
     """
 
     joints: list[Joint]
@@ -65,7 +65,6 @@ class SkeletonModel:
     _bone_lengths: tuple = field(init=False, repr=False, compare=False, default=())
     bind_rotations: tuple = field(init=False, repr=False, compare=False, default=())
     bind_states: tuple = field(init=False, repr=False, compare=False, default=())
-    _bind_world: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         for i, j in enumerate(self.joints):
@@ -81,7 +80,6 @@ class SkeletonModel:
         self.bind_rotations = tuple(tuple(j.bind_local.rotation.tolist()) for j in self.joints)
         root = self.joints[self.role_index("root")].bind_local
         self.bind_states = tuple(forward_kinematics(self, self.bind_rotations, pose_state(root)))
-        self._bind_world = tuple(state_transform(s) for s in self.bind_states)
 
     def __len__(self) -> int:
         return len(self.joints)
@@ -96,10 +94,6 @@ class SkeletonModel:
 
     def bone_length(self, index: int) -> float:
         return self._bone_lengths[index]
-
-    def bind_world(self) -> tuple[Transform, ...]:
-        """World transforms of the bind pose, computed once at construction."""
-        return self._bind_world
 
 
 def forward_kinematics(skeleton: SkeletonModel, rotations, root: tuple) -> list[tuple]:
@@ -227,7 +221,7 @@ def load_skeleton(document: dict) -> SkeletonModel:
         joints.append(Joint(name, parent_idx, Transform(q, t), entry["role"]))
 
     skeleton = SkeletonModel(joints, eye_height)
-    lowest = min(w.translation[1] for w in skeleton.bind_world())
+    lowest = min(state[5] for state in skeleton.bind_states)
     if abs(lowest) > FLOOR_TOLERANCE:
         raise SkeletonError(
             f"bind-pose feet must rest on the floor: lowest joint at y={lowest:.4f}"

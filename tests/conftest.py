@@ -28,6 +28,14 @@ def quat_slerp(a, b, t: float) -> tuple[float, float, float, float]:
     return slerp_at(slerp_basis(a, b), t)
 
 
+def device_id(profile, role: DeviceRole) -> str:
+    """The id of the device that a calibration profile maps onto `role`."""
+    for did, r in profile.role_map.items():
+        if r == role:
+            return did
+    raise KeyError(f"profile role map lacks {role.value}")
+
+
 def rotated_mount_offsets() -> dict[DeviceRole, Transform]:
     """Mounts with deliberate non-identity rotations (straps at odd angles)."""
     mounts = default_mount_offsets()

@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 from avatarfit.fingers import CapsuleShape, Finger, capsule_sdf
-from avatarfit.math3d import Transform
+from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, Transform, angle_between, cross, \
+    normalize, quat_from_axis_angle, quat_normalize
 from avatarfit.skeleton import SkeletonModel
 
 
@@ -88,9 +89,9 @@ def reference_chain(finger: Finger, wrist_world: Transform | None) -> tuple:
 
 
 def reference_finger_objective(chain: tuple, shape: CapsuleShape, penalty: float,
-                               tip_button, button_weight: float, t_vec) -> float:
-    """Penalized surface distance of the chain points, plus the weighted
-    distance from the last point to `tip_button` when one is given."""
+                               tip_button, t_vec) -> float:
+    """Penalized surface distance of the chain points, plus the distance
+    from the last point to `tip_button` when one is given."""
     (rw, rx, ry, rz), (px, py, pz), joints = chain
     total = 0.0
     for (open_q, closed_q, (ox, oy, oz)), t in zip(joints, t_vec):
@@ -114,23 +115,22 @@ def reference_finger_objective(chain: tuple, shape: CapsuleShape, penalty: float
         dx = px - bx
         dy = py - by
         dz = pz - bz
-        total += button_weight * math.sqrt(dx * dx + dy * dy + dz * dz)
+        total += math.sqrt(dx * dx + dy * dy + dz * dz)
     return total
 
 
 def reference_grid_seed(chain: tuple, shape: CapsuleShape, penalty: float, tip_button,
-                        button_weight: float, t_given, grid_points: int = 7):
+                        t_given, grid_points: int = 7):
     """Scalar scan of the seed grid {0, 1/(g-1), ..., 1}^n in `itertools.product`
     order: (every grid value, chosen factors, chosen value). A grid point
     replaces the best so far only when strictly lower, so the given factors
     win a tie, and so does the earlier grid point."""
     grid = [i / (grid_points - 1) for i in range(grid_points)]
     best_t = [float(v) for v in t_given]
-    best = reference_finger_objective(chain, shape, penalty, tip_button, button_weight, best_t)
+    best = reference_finger_objective(chain, shape, penalty, tip_button, best_t)
     values = []
     for point in itertools.product(grid, repeat=len(chain[2])):
-        value = reference_finger_objective(chain, shape, penalty, tip_button, button_weight,
-                                           point)
+        value = reference_finger_objective(chain, shape, penalty, tip_button, point)
         values.append(value)
         if value < best:
             best_t, best = list(point), value
@@ -139,7 +139,7 @@ def reference_grid_seed(chain: tuple, shape: CapsuleShape, penalty: float, tip_b
 
 
 def reference_compass_search(chain: tuple, shape: CapsuleShape, penalty: float, tip_button,
-                             button_weight: float, t_given, max_iters: int,
+                             t_given, max_iters: int,
                              grid_points: int = 7, step_tol: float = 1e-4):
     """Scalar compass search from the best of the clamped given factors and
     the seed grid: (factors, rounds, objective, converged, history).
@@ -151,8 +151,7 @@ def reference_compass_search(chain: tuple, shape: CapsuleShape, penalty: float, 
     converging once it falls below `step_tol`. `history` is the objective
     after each round."""
     start = [min(max(float(v), 0.0), 1.0) for v in t_given]
-    _, t, value = reference_grid_seed(chain, shape, penalty, tip_button, button_weight, start,
-                                      grid_points)
+    _, t, value = reference_grid_seed(chain, shape, penalty, tip_button, start, grid_points)
     step = 0.5 / (grid_points - 1)
     history = []
     converged = False
@@ -163,8 +162,7 @@ def reference_compass_search(chain: tuple, shape: CapsuleShape, penalty: float, 
                 if trial == t[k]:
                     continue
                 probe = t[:k] + [trial] + t[k + 1:]
-                candidate = reference_finger_objective(chain, shape, penalty, tip_button,
-                                                       button_weight, probe)
+                candidate = reference_finger_objective(chain, shape, penalty, tip_button, probe)
                 if candidate < value:
                     t, value, decreased = probe, candidate, True
                     break
@@ -183,6 +181,22 @@ def reference_compass_search(chain: tuple, shape: CapsuleShape, penalty: float, 
 
 def reference_cross(a, b) -> np.ndarray:
     return np.cross(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+
+
+def reference_rotation_between(a, b) -> np.ndarray:
+    """Minimal rotation taking a onto b, by `angle_between` on the normalized
+    pair, then a second cross and dot for the quaternion."""
+    ah = normalize(a)
+    bh = normalize(b)
+    angle = angle_between(ah, bh)
+    if angle > math.pi - 1e-6:
+        axis = cross(ah, UP)
+        if np.linalg.norm(axis) <= DEGENERATE_EPS:
+            axis = cross(ah, RIGHT)
+        return quat_from_axis_angle(axis, angle)
+    xyz = cross(ah, bh)
+    q = np.array([1.0 + float(np.dot(ah, bh)), xyz[0], xyz[1], xyz[2]])
+    return quat_normalize(q)
 
 
 def reference_quat_rotate(q, v) -> np.ndarray:

@@ -26,7 +26,7 @@ from avatarfit.session import (
 )
 from avatarfit.skeleton import scale_uniform
 
-from conftest import rotated_mount_offsets
+from conftest import device_id, rotated_mount_offsets
 
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -78,8 +78,8 @@ class TestCaptureProfile:
         session, _ = tpose_session
         user, avatar = humanoid(), humanoid_long_legs()
         profile = capture_profile(session.calibration_frame(), session.role_map, avatar)
-        hip_diff = (avatar.bind_world()[avatar.role_index("root")].translation[1]
-                    - user.bind_world()[user.role_index("root")].translation[1])
+        hip_diff = (avatar.bind_states[avatar.role_index("root")][5]
+                    - user.bind_states[user.role_index("root")][5])
         assert hip_diff == pytest.approx(0.084)
         mount = default_mount_offsets()[DeviceRole.TRACKER_ROOT].translation
         assert profile.offsets["root"].translation[1] == pytest.approx(hip_diff, abs=1e-12)
@@ -88,19 +88,19 @@ class TestCaptureProfile:
     def test_w0_is_raw_device_difference(self, matched_setup):
         session, _, profile, _ = matched_setup
         frame = session.calibration_frame()
-        hmd = frame.pose_of(profile.device_id(DeviceRole.HMD)).translation
-        root = frame.pose_of(profile.device_id(DeviceRole.TRACKER_ROOT)).translation
+        hmd = frame.pose_of(device_id(profile, DeviceRole.HMD)).translation
+        root = frame.pose_of(device_id(profile, DeviceRole.TRACKER_ROOT)).translation
         np.testing.assert_array_equal(profile.w0, hmd - root)
         assert profile.w0[1] > 0
 
     def test_wrist_anchor_reproduces_bind_wrist(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
-        controller = frame.pose_of(profile.device_id(DeviceRole.CONTROLLER_LEFT))
+        controller = frame.pose_of(device_id(profile, DeviceRole.CONTROLLER_LEFT))
         wrist = controller @ profile.offsets["hand_left"]
-        bind = scaled.bind_world()[scaled.role_index("wrist_l")]
-        np.testing.assert_allclose(wrist.translation, bind.translation, atol=1e-12)
-        assert quat_angle_between(wrist.rotation, bind.rotation) < 1e-9
+        bind = scaled.bind_states[scaled.role_index("wrist_l")]
+        np.testing.assert_allclose(wrist.translation, bind[4:], atol=1e-12)
+        assert quat_angle_between(wrist.rotation, bind[:4]) < 1e-9
 
     def test_far_placement_is_misalignment(self, tpose_session, user_skeleton):
         session, _ = tpose_session

@@ -132,6 +132,35 @@ class TestHandModel:
         assert metrics["hand_mean_objective_r"] == pytest.approx(
             metrics["hand_mean_objective_l"], abs=1e-9)
 
+    @pytest.mark.parametrize("mode", ["exact", "fixed"])
+    def test_controller_rides_the_wrist_by_the_solved_offset(self, tmp_path, rig_files,
+                                                             monkeypatch, mode):
+        # The grip closes on the controller at wrist @ offset^-1, with the
+        # offset the body was solved with: the calibrated one in exact mode,
+        # none in fixed mode (where the wrist is put on the controller).
+        calls = []
+
+        def recording(hand, wrist_world, shape, *args):
+            calls.append((hand.side, wrist_world, shape))
+            return fingers.pose_hand_on_controller(hand, wrist_world, shape, *args)
+
+        monkeypatch.setattr(cli, "pose_hand_on_controller", recording)
+        gen_and_calibrate(rig_files, tmp_path, duration="0.1")
+        assert run("solve", "--skeleton", rig_files["avatar"],
+                   "--session", tmp_path / "session.jsonl",
+                   "--profile", tmp_path / "profile.json", "--mode", mode,
+                   "--hand-model", rig_files["hand"], "--controller", rig_files["controller"],
+                   "--out", tmp_path / "trace.jsonl") == cli.EXIT_OK
+        profile = profile_from_document(json.loads((tmp_path / "profile.json").read_text()))
+        offset = profile.offsets["hand_left"] if mode == "exact" else Transform.identity()
+        capsule = controller_from_document(json.loads(rig_files["controller"].read_text()))[0]
+        left = [(wrist, shape) for side, wrist, shape in calls if side == "left"]
+        assert len(left) == len(calls) // 2 > 0
+        for wrist, shape in left:
+            want = transform_capsule(capsule, wrist @ offset.inverse())
+            np.testing.assert_allclose(shape.start, want.start, atol=1e-12)
+            np.testing.assert_allclose(shape.end, want.end, atol=1e-12)
+
 
     def test_finger_entries_are_world_transforms(self, tmp_path, rig_files, monkeypatch):
         # Entry j of a finger is the world pose of phalanx j's end, built here

@@ -277,8 +277,6 @@ class TestDescend:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DescentConfig(button_weight=0.0)
-        with pytest.raises(ValueError):
             DescentConfig(max_iters=0)
         with pytest.raises(ValueError, match="integer"):
             DescentConfig(max_iters=2.5)
@@ -289,9 +287,8 @@ class TestDescend:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_config_rejected(self, value):
-        for name in ("penalty", "button_weight"):
-            with pytest.raises(ValueError, match=name):
-                DescentConfig(**{name: value})
+        with pytest.raises(ValueError, match="penalty"):
+            DescentConfig(penalty=value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_nonfinite_start_factors_rejected(self, value):
@@ -342,14 +339,12 @@ class TestDescentOracle:
             tip_button = (None if button is None or finger.name != "thumb"
                           else tuple(button.tolist()))
             want = reference_finger_objective(reference_chain(finger, wrist), shape, penalty,
-                                              tip_button, config.button_weight,
-                                              start.values[fi])
-            assert finger_objective(hand, fi, start, shape, penalty, wrist, button,
-                                    config.button_weight) == want
+                                              tip_button, start.values[fi])
+            assert finger_objective(hand, fi, start, shape, penalty, wrist, button) == want
         params, reports = descend(hand, start, shape, config, wrist, button)
         for fi, report in enumerate(reports):
             assert report.objective == finger_objective(hand, fi, params, shape, penalty, wrist,
-                                                        button, config.button_weight)
+                                                        button)
 
     @settings(max_examples=40)
     @given(seeds, st.sampled_from(["left", "right"]), st.floats(min_value=1.0, max_value=30.0),
@@ -379,8 +374,8 @@ class TestDescentOracle:
             tip_button = (None if button is None or finger.name != "thumb"
                           else tuple(button.tolist()))
             t, iterations, objective, converged, history = reference_compass_search(
-                reference_chain(finger, wrist), shape, penalty, tip_button,
-                config.button_weight, start.values[fi], max_iters)
+                reference_chain(finger, wrist), shape, penalty, tip_button, start.values[fi],
+                max_iters)
             assert params.values[fi].tobytes() == np.array(t).tobytes()
             assert (report.iterations, report.converged) == (iterations, converged)
             assert np.float64(report.objective).tobytes() == np.float64(objective).tobytes()
@@ -407,8 +402,7 @@ class TestGridSeed:
                                      for f in default.fingers[:group_size]), default.palm_anchor)
         wrist, shape, button = random_wrist_grip(rng, hand, with_button)
         button = None if button is None else tuple(button.tolist())
-        weight = float(rng.uniform(0.5, 2.0))
-        chains = [fingers._FingerChain(finger, wrist, shape, penalty, button, weight)
+        chains = [fingers._FingerChain(finger, wrist, shape, penalty, button)
                   for finger in hand.fingers]
         rows = fingers._grid_values(chains)
         assert rows.shape == (group_size, 7 ** n_joints)
@@ -416,7 +410,7 @@ class TestGridSeed:
             tip_button = button if finger.name == "thumb" else None
             given_t = rng.uniform(0.0, 1.0, size=n_joints).tolist()
             want_values, want_t, want_value = reference_grid_seed(
-                reference_chain(finger, wrist), shape, penalty, tip_button, weight, given_t)
+                reference_chain(finger, wrist), shape, penalty, tip_button, given_t)
             assert values.tobytes() == np.array(want_values).tobytes()
             t, rotations, states, value = chain.seed(given_t, values)
             assert (t, value) == (want_t, want_value)
@@ -437,7 +431,7 @@ class TestGridSeed:
             finger = Finger("toy", Transform.identity(), joints)
             chain = fingers._FingerChain(finger, None, far_capsule(), 10.0)
             want_values, want_t, want_value = reference_grid_seed(
-                reference_chain(finger, None), far_capsule(), 10.0, None, 1.0, given_t)
+                reference_chain(finger, None), far_capsule(), 10.0, None, given_t)
             values = fingers._grid_values([chain])[0]
             assert values.tobytes() == np.array(want_values).tobytes()
             t, _, _, value = chain.seed(given_t, values)
@@ -467,6 +461,25 @@ class TestGrip:
                 assert abs(d) < 0.005, f"{finger.name}: {d}"
                 assert d > -0.002, f"{finger.name} penetrates: {d}"
 
+    @settings(max_examples=20)
+    @given(seeds, st.sampled_from(["left", "right"]), st.booleans())
+    def test_poses_are_a_fresh_walk_of_the_returned_factors(self, seed, side, with_button):
+        # The poses and distances come from the walk states the search kept
+        # for its last accepted point; states of a rejected probe, or of an
+        # earlier point, would show here as other bytes.
+        rng = np.random.default_rng(seed)
+        hand = default_hand_model(side)
+        wrist, shape, button = random_wrist_grip(rng, hand, with_button)
+        result = pose_hand_on_controller(hand, wrist, shape, button=button)
+        for finger, t, poses, distances in zip(hand.fingers, result.params.values,
+                                               result.poses, result.joint_distances):
+            chain = fingers._FingerChain(finger, wrist, shape, 0.0)
+            states = []
+            chain.walk(states, chain.rotations(t))
+            assert [np.concatenate([p.rotation, p.translation]).tobytes() for p in poses] \
+                == [np.array(state[:7]).tobytes() for state in states]
+            assert distances == [capsule_sdf(shape, state[4:7]) for state in states]
+
     def test_grip_quality_survives_rigid_motion(self):
         hand = default_hand_model("left")
         shape = default_grip_capsule(hand)
@@ -491,10 +504,8 @@ class TestGrip:
         hand = default_hand_model("left")
         shape = default_grip_capsule(hand)
         button = np.array([-0.098, -0.025, -0.080])  # within the thumb's arc
-        config = DescentConfig(button_weight=3.0)
-        plain = pose_hand_on_controller(hand, Transform.identity(), shape, config)
-        aimed = pose_hand_on_controller(hand, Transform.identity(), shape, config,
-                                        button=button)
+        plain = pose_hand_on_controller(hand, Transform.identity(), shape)
+        aimed = pose_hand_on_controller(hand, Transform.identity(), shape, button=button)
 
         def tip_dist(result):
             return float(np.linalg.norm(result.poses[0][-1].translation - button))

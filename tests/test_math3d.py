@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from avatarfit.math3d import (
     DegenerateGeometryError,
@@ -20,11 +20,36 @@ from avatarfit.math3d import (
 )
 
 from conftest import quat_slerp, random_quat, random_unit, vec3
-from oracles import reference_cross, reference_quat_rotate, reference_slerp
+from oracles import reference_cross, reference_quat_rotate, reference_rotation_between, \
+    reference_slerp
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 finite = st.floats(min_value=-1e6, max_value=1e6)
 vectors = st.tuples(finite, finite, finite)
+nonzero = vectors.filter(lambda v: math.hypot(*v) > 1e-6)
+vertical = st.floats(min_value=-1e3, max_value=1e3).filter(lambda y: abs(y) > 1e-6) \
+    .map(lambda y: (0.0, y, 0.0))
+
+
+def near_antiparallel(a, scale: float, delta: float) -> tuple:
+    """(a, b): b is -scale * a turned by `delta` radians about an axis normal to a."""
+    a = np.asarray(a, dtype=np.float64)
+    normal = np.cross(a, [0.0, 1.0, 0.0])
+    if np.linalg.norm(normal) < 1e-3 * np.linalg.norm(a):
+        normal = np.cross(a, [1.0, 0.0, 0.0])
+    normal *= np.linalg.norm(a) / np.linalg.norm(normal)
+    return tuple(a.tolist()), tuple((-scale * (math.cos(delta) * a + math.sin(delta) * normal))
+                                    .tolist())
+
+
+# Generic pairs, a vertical a, and pairs within 1e-5 rad of antiparallel:
+# the branch for an ambiguous axis starts at pi - 1e-6.
+rotation_pairs = st.one_of(
+    st.tuples(nonzero, nonzero),
+    st.tuples(vertical, nonzero),
+    st.builds(near_antiparallel, nonzero | vertical, st.floats(min_value=1e-3, max_value=1e3),
+              st.just(0.0) | st.floats(min_value=0.0, max_value=1e-5)),
+)
 
 
 class TestAngleBetween:
@@ -79,6 +104,18 @@ class TestRotationBetween:
         a = vec3(0, 1, 0)
         q = rotation_between(a, -a)
         np.testing.assert_allclose(quat_rotate(q, a), -a, atol=1e-9)
+
+    @given(rotation_pairs)
+    @example(((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)))
+    @example(((0.0, 1.0, 0.0), (0.0, -2.0, 0.0)))
+    @example(((0.0, 1.0, 0.0), (1e-9, -1.0, 0.0)))
+    @example(near_antiparallel((0.3, -0.2, 0.9), 1.0, 5e-7))
+    @example(near_antiparallel((0.3, -0.2, 0.9), 2.0, 2e-6))
+    def test_equals_two_pass_form(self, pair):
+        # One cross and one dot serve both the angle test and the
+        # quaternion; the bytes must equal the form that computes them twice.
+        a, b = pair
+        assert rotation_between(a, b).tobytes() == reference_rotation_between(a, b).tobytes()
 
 
 class TestQuaternions:

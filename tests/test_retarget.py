@@ -5,24 +5,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avatarfit import retarget
+from avatarfit.calibration import PART_ROLES, calibrate_session
 from avatarfit.math3d import (
     Transform,
     quat_angle_between,
+    quat_conjugate,
     quat_from_axis_angle,
     quat_mul,
     quat_rotate,
 )
+from avatarfit.motion import builtin_script
 from avatarfit.retarget import (
     FrameInputError,
     OffsetMode,
+    mode_offsets,
     solve_frame,
     solve_session,
     two_bone_ik,
     write_pose_trace,
 )
-from avatarfit.session import DeviceFrame, DeviceRole
+from avatarfit.rigs import humanoid, humanoid_long_legs
+from avatarfit.session import DeviceFrame, DeviceRole, NoiseModel, generate_synthetic_session
+from avatarfit.skeleton import SkeletonModel, load_skeleton, skeleton_to_document
 
-from conftest import random_quat, random_unit
+from conftest import device_id, random_quat, random_unit
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -49,9 +55,9 @@ class TestEffectorEquations:
     def test_position_identity_at_capture(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
-        tracker = frame.pose_of(profile.device_id(DeviceRole.TRACKER_ROOT))
+        tracker = frame.pose_of(device_id(profile, DeviceRole.TRACKER_ROOT))
         got = (tracker @ profile.offsets["root"]).translation
-        want = scaled.bind_world()[scaled.role_index("root")].translation
+        want = scaled.bind_states[scaled.role_index("root")][4:]
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_position_pure_rotation_of_offset(self):
@@ -75,9 +81,9 @@ class TestEffectorEquations:
     def test_rotation_identity_at_capture(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
-        tracker = frame.pose_of(profile.device_id(DeviceRole.TRACKER_FOOT_LEFT))
+        tracker = frame.pose_of(device_id(profile, DeviceRole.TRACKER_FOOT_LEFT))
         got = (tracker @ profile.offsets["foot_left"]).rotation
-        want = scaled.bind_world()[scaled.role_index("ankle_l")].rotation
+        want = scaled.bind_states[scaled.role_index("ankle_l")][:4]
         assert quat_angle_between(got, want) < 1e-12
 
     def test_rotation_passthrough_for_identity_offsets(self):
@@ -102,8 +108,8 @@ class TestEffectorEquations:
 
 def _with_positions(frame, profile, root_p, hmd_p) -> DeviceFrame:
     """`frame` with the back tracker moved to root_p and the headset to hmd_p."""
-    moved = {profile.device_id(DeviceRole.TRACKER_ROOT): root_p,
-             profile.device_id(DeviceRole.HMD): hmd_p}
+    moved = {device_id(profile, DeviceRole.TRACKER_ROOT): root_p,
+             device_id(profile, DeviceRole.HMD): hmd_p}
     return DeviceFrame(frame.timestamp, [
         (did, Transform(pose.rotation, moved[did]) if did in moved else pose)
         for did, pose in frame.devices])
@@ -115,8 +121,8 @@ class TestSpineBend:
         sp = solve_frame(session.calibration_frame(), profile, scaled)
         assert sp.diagnostics.alpha == pytest.approx(0.0, abs=1e-12)
         spine = scaled.role_index("spine")
-        bind = scaled.bind_world()[spine]
-        assert quat_angle_between(sp.world[spine].rotation, bind.rotation) < 1e-9
+        bind = scaled.bind_states[spine]
+        assert quat_angle_between(sp.world[spine].rotation, bind[:4]) < 1e-9
 
     def test_constructed_20_degree_lean(self, matched_setup):
         session, _, profile, scaled = matched_setup
@@ -191,8 +197,8 @@ class TestSolveFrame:
     def test_calibration_frame_reproduces_bind(self, matched_setup):
         session, _, profile, scaled = matched_setup
         sp = solve_frame(session.calibration_frame(), profile, scaled, OffsetMode.EXACT)
-        for got, want in zip(sp.world, scaled.bind_world()):
-            assert np.linalg.norm(got.translation - want.translation) < 1e-6
+        for got, want in zip(sp.world, scaled.bind_states):
+            assert np.linalg.norm(got.translation - want[4:]) < 1e-6
 
     def test_bone_lengths_preserved_exactly(self, long_leg_setup):
         session, _, profile, scaled = long_leg_setup
@@ -219,8 +225,8 @@ class TestSolveFrame:
     def test_spine_alpha_for_leaned_headset(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
-        hmd_id = profile.device_id(DeviceRole.HMD)
-        root_p = frame.pose_of(profile.device_id(DeviceRole.TRACKER_ROOT)).translation
+        hmd_id = device_id(profile, DeviceRole.HMD)
+        root_p = frame.pose_of(device_id(profile, DeviceRole.TRACKER_ROOT)).translation
         tilt = quat_from_axis_angle([1, 0, 0], math.radians(20))
         devices = []
         for did, pose in frame.devices:
@@ -233,7 +239,7 @@ class TestSolveFrame:
     def test_head_follows_headset_rotation(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
-        hmd_id = profile.device_id(DeviceRole.HMD)
+        hmd_id = device_id(profile, DeviceRole.HMD)
         spin = quat_from_axis_angle([0, 1, 0], 0.4)
         devices = [(did, Transform(quat_mul(spin, p.rotation), p.translation)
                     if did == hmd_id else p) for did, p in frame.devices]
@@ -283,6 +289,50 @@ class TestSolveFrame:
             expected = g @ b
             assert np.linalg.norm(w.translation - expected.translation) < 1e-5
             assert quat_angle_between(w.rotation, expected.rotation) < 1e-5
+
+
+def rebound(skeleton: SkeletonModel, rng) -> SkeletonModel:
+    """`skeleton` with a random bind rotation on every joint and the same bind
+    world positions: each bind translation re-expressed in its parent's new frame."""
+    rotations = [random_quat(rng) for _ in skeleton.joints]
+    positions = [np.array(state[4:]) for state in skeleton.bind_states]
+    document = skeleton_to_document(skeleton)
+    for i, (joint, entry) in enumerate(zip(skeleton.joints, document["joints"])):
+        if joint.parent is None:
+            entry["rotation"] = rotations[i].tolist()
+            continue
+        to_parent = quat_conjugate(rotations[joint.parent])
+        entry["rotation"] = quat_mul(to_parent, rotations[i]).tolist()
+        entry["translation"] = quat_rotate(to_parent,
+                                           positions[i] - positions[joint.parent]).tolist()
+    return load_skeleton(document)
+
+
+class TestBindRotationInvariance:
+    @pytest.mark.parametrize("script", ["free", "squat", "arms"])
+    def test_joint_positions_ignore_bind_rotations(self, user_skeleton, script):
+        # A bind rotation only picks a joint's frame: two avatars with the same
+        # bind world positions solve to the same joint positions in exact
+        # mode. A limb stretched to exactly its full reach is ill-conditioned:
+        # there the acos of `two_bone_ik` turns last-bit differences into
+        # ~1e-8 m. So the calibration frame, whose arms are straight, is left
+        # out, and tracker noise keeps the other frames' targets off that
+        # singular point (without it the squat's straight arms read 4e-9 m).
+        reference = humanoid_long_legs()
+        rotated = rebound(reference, np.random.default_rng(5))
+        for a, b in zip(reference.bind_states, rotated.bind_states):
+            np.testing.assert_allclose(a[4:], b[4:], atol=1e-15)
+        assert all(abs(q[0]) < 1.0 - 1e-3 for q in rotated.bind_rotations)
+        session, _ = generate_synthetic_session(user_skeleton,
+                                                builtin_script(script, user_skeleton),
+                                                noise=NoiseModel(0.002, 0.01, seed=1))
+        solved = []
+        for rig in (reference, rotated):
+            profile, scaled, _ = calibrate_session(session, rig)
+            solved.append(solve_session(session, profile, scaled)[0])
+        for want, got in list(zip(*solved))[1:]:
+            for w, g in zip(want.world, got.world):
+                assert np.abs(w.translation - g.translation).max() < 1e-9
 
 
 _EQ_CACHE = []
@@ -347,6 +397,36 @@ class TestSolveSession:
         monkeypatch.setattr(retarget, "two_bone_ik", broken)
         with pytest.raises(ValueError, match="internal bug"):
             solve_session(session, profile, scaled)
+
+    @pytest.mark.parametrize("mode", list(OffsetMode))
+    def test_reached_controller_is_wrist_times_inverse_offset(self, mode, matched_setup,
+                                                              long_leg_setup):
+        # `avatarfit solve --hand-model` places each controller at
+        # wrist_world @ offset^-1, with the offsets of the solved mode. Where
+        # the arm reaches its controller, that is the tracked pose to rounding.
+        # Fixed mode puts the wrist on the controller, out of the straight
+        # arms' reach, so only the arms script's bent arms check it.
+        arms_session, _ = generate_synthetic_session(humanoid(), builtin_script("arms", humanoid()))
+        arms_setup = (arms_session, None, *calibrate_session(arms_session, humanoid())[:2])
+        checked = 0
+        for session, _, profile, scaled in (matched_setup, long_leg_setup, arms_setup):
+            solved, _ = solve_session(session, profile, scaled, mode)
+            offsets = mode_offsets(profile, mode)
+            for frame, sp in zip(session.frames, solved):
+                d = sp.diagnostics
+                for side, detached in (("left", d.controller_detached_left),
+                                       ("right", d.controller_detached_right)):
+                    if detached:
+                        continue
+                    role, wrist_role = PART_ROLES[f"hand_{side}"]
+                    got = (sp.world[scaled.role_index(wrist_role)]
+                           @ offsets[f"hand_{side}"].inverse())
+                    want = frame.pose_of(device_id(profile, role))
+                    assert np.abs(got.translation - want.translation).max() < 1e-12
+                    assert min(np.abs(got.rotation - want.rotation).max(),
+                               np.abs(got.rotation + want.rotation).max()) < 1e-12
+                    checked += 1
+        assert checked > 100
 
     def test_trace_contains_spec_metrics(self, tmp_path, matched_setup):
         import json

@@ -237,7 +237,19 @@ class TestSessionFiles:
         loaded = read_ground_truth(path)
         assert loaded.joint_names == truth.joint_names
         assert loaded.joint_roles == truth.joint_roles
-        assert loaded.eye_height == truth.eye_height
         for fa, fb in zip(loaded.frames, truth.frames):
             for a, b in zip(fa, fb):
                 np.testing.assert_allclose(a.translation, b.translation, atol=1e-15)
+
+    def test_ground_truth_with_eye_height_key_loads(self, tmp_path, tpose_session):
+        # Older files carry an "eye_height" header key; it is ignored.
+        session, truth = tpose_session
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(truth, session, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert "eye_height" not in header
+        path.write_text("\n".join([json.dumps({**header, "eye_height": 1.68}), *lines[1:]]) + "\n")
+        loaded = read_ground_truth(path)
+        assert loaded.joint_names == truth.joint_names
+        assert len(loaded.frames) == len(truth.frames)

@@ -58,14 +58,16 @@ class TestForwardKinematics:
     def test_bind_pose_reproduces_bind_world(self, user_skeleton):
         world = world_of(user_skeleton, list(user_skeleton.bind_rotations),
                          bind_root(user_skeleton))
-        for got, want in zip(world, user_skeleton.bind_world()):
-            np.testing.assert_array_equal(got.translation, want.translation)
-            np.testing.assert_array_equal(got.rotation, want.rotation)
+        for got, want in zip(world, user_skeleton.bind_states):
+            assert pose_state(got) == want
 
     def test_bind_world_is_computed_once(self, user_skeleton):
-        cached = user_skeleton.bind_world()
-        assert isinstance(cached, tuple) and len(cached) == len(user_skeleton.joints)
-        assert user_skeleton.bind_world() is cached
+        # `bind_states` is the one copy of the bind world pose: one pose
+        # state of seven floats per joint, made at construction.
+        states = user_skeleton.bind_states
+        assert isinstance(states, tuple) and len(states) == len(user_skeleton.joints)
+        assert all(len(s) == 7 and all(type(v) is float for v in s) for s in states)
+        assert user_skeleton.bind_states is states
 
     def test_root_rotation_spins_everything_about_root(self, user_skeleton):
         spin = quat_from_axis_angle([0, 1, 0], math.pi / 2)
@@ -73,8 +75,8 @@ class TestForwardKinematics:
         root = Transform(quat_mul(spin, root_bind.rotation), root_bind.translation)
         world = world_of(user_skeleton, list(user_skeleton.bind_rotations), root)
         origin = root_bind.translation
-        for got, b in zip(world, user_skeleton.bind_world()):
-            expected = origin + quat_rotate(spin, b.translation - origin)
+        for got, b in zip(world, user_skeleton.bind_states):
+            expected = origin + quat_rotate(spin, b[4:] - origin)
             np.testing.assert_allclose(got.translation, expected, atol=1e-12)
 
     def test_three_joint_chain_matches_manual_composition(self):
@@ -193,7 +195,7 @@ class TestScaleUniform:
 
     def test_feet_stay_on_floor(self, user_skeleton):
         for s in (0.5, 0.914, 1.3):
-            lowest = min(w.translation[1] for w in scale_uniform(user_skeleton, s).bind_world())
+            lowest = min(state[5] for state in scale_uniform(user_skeleton, s).bind_states)
             assert abs(lowest) < 1e-9
 
     @given(st.floats(min_value=0.2, max_value=3.0), st.floats(min_value=0.2, max_value=3.0))
@@ -224,8 +226,8 @@ class TestLoadSkeleton:
                    + base.bone_length(base.role_index(f"ankle_{side}")))
             assert leg == pytest.approx(1.1 * ref)
         # Same head height despite the longer legs.
-        hb = base.bind_world()[base.role_index("head")].translation[1]
-        hl = long_legs.bind_world()[long_legs.role_index("head")].translation[1]
+        hb = base.bind_states[base.role_index("head")][5]
+        hl = long_legs.bind_states[long_legs.role_index("head")][5]
         assert hl == pytest.approx(hb)
 
     def test_two_roots_rejected(self):
@@ -276,5 +278,5 @@ class TestLoadSkeleton:
         doc["joints"].reverse()
         skel = load_skeleton(doc)
         assert len(skel) == 21
-        world = {j.name: w for j, w in zip(skel.joints, skel.bind_world())}
-        assert world["head"].translation[1] == pytest.approx(1.54)
+        world = {j.name: state for j, state in zip(skel.joints, skel.bind_states)}
+        assert world["head"][5] == pytest.approx(1.54)
