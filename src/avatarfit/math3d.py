@@ -4,9 +4,12 @@ Conventions used throughout the package:
 
 - Right-handed world frame, +Y up, +Z forward. A user at the origin in the
   start pose faces -Z, so their right hand is on +X and their left on -X.
-- Quaternions are stored as numpy arrays in (w, x, y, z) order and are kept
-  unit-length. Serialization canonicalizes the sign so w >= 0, making traces
+- Quaternions are in (w, x, y, z) order and are kept unit-length.
+  Serialization canonicalizes the sign so w >= 0, making traces
   byte-comparable across runs.
+- `Transform` and the file codecs hold float64 arrays. The vector helpers
+  and the pose-state functions take any sequence and return floats or
+  tuples of floats, which the per-frame body solve runs on.
 - Positions and translations are in meters, angles in radians.
 """
 
@@ -30,31 +33,27 @@ class DegenerateGeometryError(ValueError):
     """Raised when an operation receives geometrically meaningless input."""
 
 
+def dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def norm(v) -> float:
-    return float(np.linalg.norm(v))
+    return math.sqrt(dot(v, v))
 
 
-def normalize(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    n = float(np.linalg.norm(v))
+def normalize(v) -> tuple:
+    n = norm(v)
     if n <= DEGENERATE_EPS:
         raise DegenerateGeometryError(f"cannot normalize near-zero vector {v!r}")
-    return v / n
+    return v[0] / n, v[1] / n, v[2] / n
 
 
-def cross(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors as a float64 3-array.
-
-    Each component is one plain-float expression, a1*b2 - a2*b1 and so on,
-    the same products and subtraction in the same order as NumPy's `cross`,
-    so the result is bit-identical to it. NumPy's `cross` spends most of its
-    time on axis handling (`moveaxis`, broadcasting) that one 3-vector does
-    not need; on the body path that overhead was most of
-    `retarget.solve_frame`.
-    """
-    a0, a1, a2 = (float(v) for v in a)
-    b0, b1, b2 = (float(v) for v in b)
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def cross(a, b) -> tuple:
+    """Cross product of two 3-vectors: NumPy `cross`'s products and
+    subtractions in its order, so bit-identical to it."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def angle_between(a, b) -> float:
@@ -63,14 +62,12 @@ def angle_between(a, b) -> float:
     Stable for nearly parallel and nearly antiparallel inputs, unlike the
     plain acos-of-dot formulation. Scale invariant by construction.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     if norm(a) <= DEGENERATE_EPS or norm(b) <= DEGENERATE_EPS:
         raise DegenerateGeometryError("angle_between requires nonzero vectors")
-    return math.atan2(float(np.linalg.norm(cross(a, b))), float(np.dot(a, b)))
+    return math.atan2(norm(cross(a, b)), dot(a, b))
 
 
-def rotation_between(a, b) -> np.ndarray:
+def rotation_between(a, b) -> tuple:
     """Minimal rotation quaternion q with q * a/|a| = b/|b|.
 
     For antiparallel inputs (angle within 1e-6 of pi) the axis is ambiguous;
@@ -80,14 +77,16 @@ def rotation_between(a, b) -> np.ndarray:
     ah = normalize(a)
     bh = normalize(b)
     xyz = cross(ah, bh)
-    dot = float(np.dot(ah, bh))
-    angle = math.atan2(float(np.linalg.norm(xyz)), dot)  # angle_between(ah, bh)
+    c = dot(ah, bh)
+    angle = math.atan2(norm(xyz), c)  # angle_between(ah, bh)
     if angle > math.pi - 1e-6:
         axis = cross(ah, UP)
-        if np.linalg.norm(axis) <= DEGENERATE_EPS:
+        if norm(axis) <= DEGENERATE_EPS:
             axis = cross(ah, RIGHT)
-        return quat_from_axis_angle(axis, angle)
-    return quat_normalize(np.array([1.0 + dot, xyz[0], xyz[1], xyz[2]]))
+        return tuple(quat_from_axis_angle(axis, angle).tolist())
+    w, x, y, z = 1.0 + c, *xyz
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +95,6 @@ def rotation_between(a, b) -> np.ndarray:
 
 def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def quat_normalize(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    n = float(np.linalg.norm(q))
-    if n <= DEGENERATE_EPS:
-        raise DegenerateGeometryError("cannot normalize near-zero quaternion")
-    return q / n
 
 
 def quat_canonical(q) -> np.ndarray:
@@ -140,7 +131,7 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
 
 def quat_angle(q) -> float:
     """Rotation angle of q in [0, pi]; robust near identity."""
-    return 2.0 * math.atan2(float(np.linalg.norm(q[1:])), abs(float(q[0])))
+    return 2.0 * math.atan2(norm(q[1:]), abs(q[0]))
 
 
 def quat_angle_between(a, b) -> float:
@@ -189,14 +180,12 @@ def slerp_at(basis: tuple, t: float) -> tuple[float, float, float, float]:
 # ---------------------------------------------------------------------------
 # Plain-float quaternions and pose states
 # ---------------------------------------------------------------------------
-# The per-frame body solve works on tuples of Python floats: a quaternion is
-# (w, x, y, z), a vector (x, y, z), and a pose state (w, x, y, z, px, py, pz)
-# is a `Transform`'s rotation followed by its translation. NumPy's per-call
-# overhead on 3- and 4-vectors would dominate that solve. Float arithmetic on
-# NumPy scalars and on Python floats rounds alike, so `quat_mul`,
-# `quat_conjugate` and `quat_rotate` are these functions wrapped in an array,
-# and `compose_state` makes `Transform.__matmul__`'s operations in its order:
-# both forms give the same bytes.
+# A quaternion is (w, x, y, z) and a pose state (w, x, y, z, px, py, pz) is a
+# `Transform`'s rotation followed by its translation. NumPy's per-call
+# overhead on 3- and 4-vectors would dominate the body solve. Float arithmetic
+# on NumPy scalars and Python floats rounds alike, so `quat_mul`,
+# `quat_conjugate`, `quat_rotate` (these functions wrapped in an array) and
+# `Transform.__matmul__` (`compose_state`'s operations) give the same bytes.
 
 def qmul(a, b) -> tuple:
     """Hamilton product a * b."""
@@ -318,7 +307,7 @@ def floats_from_json(value, shape: tuple, where: str) -> np.ndarray:
 
 
 def quat_from_json(value, where: str) -> np.ndarray:
-    """Unit quaternion, renormalized exactly as `quat_normalize` does."""
+    """Unit quaternion, divided by its norm to undo the file's rounding."""
     q = floats_from_json(value, (4,), where)
     n = float(np.linalg.norm(q))
     if abs(n - 1.0) > 1e-6:

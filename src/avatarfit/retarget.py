@@ -28,14 +28,12 @@ Fixed mode runs the identical pipeline with every offset set to the identity
 (device pose used as the joint pose), the ad-hoc zero-offset mapping that
 reproduces the classic bent-legs artifact on avatars with longer legs.
 
-The solve runs on pose states, tuples of Python floats (see
-`math3d.compose_state`): device poses, targets, local rotations and the two
-FK passes (after the spine bend, and the final pose) stay floats.
-`Transform` appears only at the edges: the frame's device poses and the
-profile's offsets going in, `SolvedPose.world` coming out. Norms and dot
-products keep NumPy's reductions (`np.linalg.norm`, `np.dot`): a plain-float
-sqrt(x*x + y*y + z*z) differs from `np.linalg.norm` in the last bit on about
-one 3-vector in ten, and that would move the outputs.
+The solve runs on tuples of Python floats: pose states (see
+`math3d.compose_state`) for device poses, targets, local rotations and the
+two FK passes (after the spine bend, and the final pose), and 3-tuples for
+the spine bend's vectors and the limb IK's positions and directions.
+`Transform` and NumPy appear only at the edges: the frame's device poses, the
+profile's offsets and `w0` going in, `SolvedPose.world` coming out.
 """
 
 from __future__ import annotations
@@ -56,12 +54,15 @@ from .math3d import (
     angle_between,
     compose_state,
     cross,
+    dot,
+    norm,
     normalize,
     pose_state,
     pose_to_obj,
     qconj,
     qmul,
     qrotate,
+    quat_angle,
     rotation_between,
     state_transform,
     write_jsonl,
@@ -97,10 +98,23 @@ class FrameInputError(ValueError):
 
 @dataclass(frozen=True)
 class TwoBoneSolution:
-    mid_position: np.ndarray
-    end_position: np.ndarray
+    mid_position: tuple
+    end_position: tuple
     reach_deficit: float
     degenerate: bool = False
+
+
+def _root_angle(l1: float, l2: float, d: float) -> float:
+    """Root angle atan2(4 area, l1^2 + d^2 - l2^2) of the triangle l1, l2, d.
+
+    The area is Kahan's Heron formula on the sorted sides ("Miscalculating Area
+    and Angles of a Needle-like Triangle", 2014). Unlike acos of the law of
+    cosines this keeps its last bits on flat triangles (full reach and fold).
+    A d past l1 + l2 only by rounding makes the product negative: it reads flat.
+    """
+    c, b, a = sorted((l1, l2, d))
+    area4 = math.sqrt(max(0.0, (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))))
+    return math.atan2(area4, (l1 - l2) * (l1 + l2) + d * d)
 
 
 def two_bone_ik(root_pos, l1: float, l2: float, target_pos, pole_dir) -> TwoBoneSolution:
@@ -113,26 +127,26 @@ def two_bone_ik(root_pos, l1: float, l2: float, target_pos, pole_dir) -> TwoBone
     """
     if l1 <= 0.0 or l2 <= 0.0:
         raise ValueError("bone lengths must be positive")
-    root_pos = np.asarray(root_pos, dtype=np.float64)
-    diff = np.asarray(target_pos, dtype=np.float64) - root_pos
-    d = float(np.linalg.norm(diff))
+    root = tuple(root_pos)
+    diff = [t - r for t, r in zip(target_pos, root)]
+    d = norm(diff)
     if d < 1e-6:
-        return TwoBoneSolution(root_pos.copy(), root_pos.copy(), 0.0, degenerate=True)
-    u = diff / d
+        return TwoBoneSolution(root, root, 0.0, degenerate=True)
+    u = [c / d for c in diff]
+    reach = min(d, l1 + l2)
+    end = tuple(r + reach * c for r, c in zip(root, u))
     deficit = max(0.0, d - (l1 + l2))
     if deficit > 0.0:
-        return TwoBoneSolution(root_pos + l1 * u, root_pos + (l1 + l2) * u, deficit)
-    d_eff = max(d, abs(l1 - l2) + 1e-12)
-    cos_root = (l1 * l1 + d_eff * d_eff - l2 * l2) / (2.0 * l1 * d_eff)
-    phi = math.acos(min(1.0, max(-1.0, cos_root)))
-    perp = np.asarray(pole_dir, dtype=np.float64) - float(np.dot(pole_dir, u)) * u
-    if float(np.linalg.norm(perp)) <= 1e-9:
+        return TwoBoneSolution(tuple(r + l1 * c for r, c in zip(root, u)), end, deficit)
+    phi = _root_angle(l1, l2, max(d, abs(l1 - l2) + 1e-12))
+    k = dot(pole_dir, u)
+    perp = [p - k * c for p, c in zip(pole_dir, u)]
+    if norm(perp) <= 1e-9:
         perp = cross(u, UP)
-        if float(np.linalg.norm(perp)) <= 1e-9:
+        if norm(perp) <= 1e-9:
             perp = cross(u, RIGHT)
-    perp = normalize(perp)
-    mid = root_pos + l1 * (math.cos(phi) * u + math.sin(phi) * perp)
-    end = root_pos + min(d, l1 + l2) * u
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    mid = tuple(r + l1 * (cos_phi * a + sin_phi * b) for r, a, b in zip(root, u, normalize(perp)))
     return TwoBoneSolution(mid, end, 0.0)
 
 
@@ -143,7 +157,7 @@ def _swing_to(carried_rot, bone, desired_dir) -> tuple:
     carried rotation turns it into the bone's current world direction. Neither
     direction needs unit length: `rotation_between` normalizes both.
     """
-    return qmul(rotation_between(qrotate(carried_rot, bone), desired_dir).tolist(), carried_rot)
+    return qmul(rotation_between(qrotate(carried_rot, bone), desired_dir), carried_rot)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +255,8 @@ def solve_frame(
     spine_idx = skeleton.role_index("spine")
     hmd, back = device[DeviceRole.HMD], device[DeviceRole.TRACKER_ROOT]
     w_local = qrotate(qconj(root_delta), (hmd[4] - back[4], hmd[5] - back[5], hmd[6] - back[6]))
-    diag.alpha = angle_between(profile.w0, w_local)
-    bend = rotation_between(profile.w0, w_local).tolist()
+    bend = rotation_between(profile.w0.tolist(), w_local)
+    diag.alpha = quat_angle(bend)
     locals_[spine_idx] = qmul(qconj(bind[parents[spine_idx]][:4]),
                               qmul(bend, bind[spine_idx][:4]))
     world = forward_kinematics(skeleton, locals_, target["root"])
@@ -253,9 +267,7 @@ def solve_frame(
 
     # 4. Limbs. Parents (root, chest via spine) are final at this point.
     for limb, (upper_role, mid_role, end_role, part, pole_bind, _) in _LIMBS.items():
-        upper = skeleton.role_index(upper_role)
-        mid = skeleton.role_index(mid_role)
-        end = skeleton.role_index(end_role)
+        upper, mid, end = (skeleton.role_index(r) for r in (upper_role, mid_role, end_role))
         pole = qrotate(root_delta, pole_bind)
         root_pos = world[upper][4:]
         sol = two_bone_ik(root_pos, skeleton.bone_length(mid), skeleton.bone_length(end),
@@ -265,9 +277,8 @@ def solve_frame(
             diag.degenerate_limbs.append(limb)
             continue
 
-        mid_pos = sol.mid_position.tolist()
-        dir1 = [m - r for m, r in zip(mid_pos, root_pos)]
-        dir2 = [e - m for e, m in zip(sol.end_position.tolist(), mid_pos)]
+        dir1 = [m - r for m, r in zip(sol.mid_position, root_pos)]
+        dir2 = [e - m for e, m in zip(sol.end_position, sol.mid_position)]
 
         upper_rot = _swing_to(world[upper][:4], bones[mid], dir1)
         locals_[upper] = qmul(qconj(world[parents[upper]][:4]), upper_rot)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from avatarfit.fingers import CapsuleShape, Finger, capsule_sdf
-from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, Transform, angle_between, cross, \
-    normalize, quat_from_axis_angle, quat_normalize
+from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, Transform, angle_between, cross, dot, \
+    norm, normalize, quat_from_axis_angle
 from avatarfit.skeleton import SkeletonModel
 
 
@@ -183,7 +183,7 @@ def reference_cross(a, b) -> np.ndarray:
     return np.cross(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
 
 
-def reference_rotation_between(a, b) -> np.ndarray:
+def reference_rotation_between(a, b) -> tuple:
     """Minimal rotation taking a onto b, by `angle_between` on the normalized
     pair, then a second cross and dot for the quaternion."""
     ah = normalize(a)
@@ -191,12 +191,13 @@ def reference_rotation_between(a, b) -> np.ndarray:
     angle = angle_between(ah, bh)
     if angle > math.pi - 1e-6:
         axis = cross(ah, UP)
-        if np.linalg.norm(axis) <= DEGENERATE_EPS:
+        if norm(axis) <= DEGENERATE_EPS:
             axis = cross(ah, RIGHT)
-        return quat_from_axis_angle(axis, angle)
+        return tuple(quat_from_axis_angle(axis, angle).tolist())
     xyz = cross(ah, bh)
-    q = np.array([1.0 + float(np.dot(ah, bh)), xyz[0], xyz[1], xyz[2]])
-    return quat_normalize(q)
+    q = (1.0 + dot(ah, bh), xyz[0], xyz[1], xyz[2])
+    n = math.sqrt(sum(c * c for c in q))
+    return tuple(c / n for c in q)
 
 
 def reference_quat_rotate(q, v) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,7 +146,48 @@ class TestSpineBend:
         assert a1 == pytest.approx(a2, abs=1e-12)
 
 
+@st.composite
+def triangles(draw):
+    """Bone lengths l1, l2 and a root-target distance d: generic, within
+    0-5 ulps below l1 + l2 (full reach) or 1-5 ulps above |l1 - l2| (full fold)."""
+    l1, l2 = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0))
+    kind = draw(st.sampled_from(["generic", "reach", "fold"]))
+    if kind == "generic":
+        return l1, l2, draw(st.floats(abs(l1 - l2), l1 + l2))
+    d, toward, steps = (l1 + l2, 0.0, range(5)) if kind == "reach" else \
+        (abs(l1 - l2), math.inf, range(1, 6))
+    for _ in range(draw(st.sampled_from(steps))):
+        d = math.nextafter(d, toward)
+    return l1, l2, d
+
+
+def exact_root_angle(l1: float, l2: float, d: float) -> float:
+    """atan2(4 area, l1^2 + d^2 - l2^2) with 16 area^2 and the cosine term
+    computed exactly and each rounded once; a triangle that closes only by
+    rounding is flat."""
+    a, b, c = Fraction(l1), Fraction(l2), Fraction(d)
+    area16 = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
+    return math.atan2(math.sqrt(float(max(area16, 0))), float(a * a + c * c - b * b))
+
+
 class TestTwoBoneIk:
+    @given(triangles())
+    def test_root_angle_keeps_its_bits_on_flat_triangles(self, triangle):
+        # The acos of the law of cosines is off by up to ~1e-6 rad on these triangles.
+        assert abs(retarget._root_angle(*triangle) - exact_root_angle(*triangle)) < 1e-14
+
+    @pytest.mark.parametrize("l1, l2", [(0.5, 0.3), (0.3, 0.5)])
+    def test_target_inside_inner_reach_folds_fully(self, l1, l2):
+        root = np.array([0.1, 1.0, -0.2])
+        u = np.array([0.6, -0.8, 0.0])
+        sol = two_bone_ik(root, l1, l2, root + 0.5 * abs(l1 - l2) * u, np.array([0.0, 0.0, -1.0]))
+        # The mid joint lies along u when l1 > l2 and against it when l1 < l2;
+        # the 1e-12 floor on d bends the fold by ~1e-6.
+        want = root + math.copysign(l1, l1 - l2) * u
+        assert np.linalg.norm(np.asarray(sol.mid_position) - want) < 1e-5
+        assert sol.reach_deficit == 0.0
+        assert not sol.degenerate
+
     def test_target_at_full_reach_is_straight(self):
         sol = two_bone_ik(np.zeros(3), 0.4, 0.4, np.array([0.0, -0.8, 0.0]),
                           np.array([0.0, 0.0, -1.0]))
@@ -156,13 +198,14 @@ class TestTwoBoneIk:
     def test_law_of_cosines_interior_angle(self):
         sol = two_bone_ik(np.zeros(3), 0.4, 0.4, np.array([0.0, -0.4, 0.0]),
                           np.array([0.0, 0.0, -1.0]))
-        v1 = np.zeros(3) - sol.mid_position
-        v2 = sol.end_position - sol.mid_position
+        mid, end = np.asarray(sol.mid_position), np.asarray(sol.end_position)
+        v1 = np.zeros(3) - mid
+        v2 = end - mid
         interior = math.acos(float(np.dot(v1, v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))))
         assert interior == pytest.approx(math.radians(60.0), abs=1e-6)
         # Bone lengths preserved exactly.
-        assert np.linalg.norm(sol.mid_position) == pytest.approx(0.4, abs=1e-12)
-        assert np.linalg.norm(sol.end_position - sol.mid_position) == pytest.approx(0.4, abs=1e-12)
+        assert np.linalg.norm(mid) == pytest.approx(0.4, abs=1e-12)
+        assert np.linalg.norm(end - mid) == pytest.approx(0.4, abs=1e-12)
 
     def test_unreachable_reports_exact_deficit(self):
         sol = two_bone_ik(np.zeros(3), 0.4, 0.4, np.array([1.0, 0.0, 0.0]),
@@ -188,9 +231,10 @@ class TestTwoBoneIk:
         d = rng.uniform(abs(l1 - l2) + 0.01, l1 + l2 - 0.001)
         target = root + d * random_unit(rng)
         sol = two_bone_ik(root, l1, l2, target, random_unit(rng))
-        assert np.linalg.norm(sol.end_position - target) < 1e-4
-        assert np.linalg.norm(sol.mid_position - root) == pytest.approx(l1, abs=1e-9)
-        assert np.linalg.norm(sol.end_position - sol.mid_position) == pytest.approx(l2, abs=1e-9)
+        mid, end = np.asarray(sol.mid_position), np.asarray(sol.end_position)
+        assert np.linalg.norm(end - target) < 1e-4
+        assert np.linalg.norm(mid - root) == pytest.approx(l1, abs=1e-9)
+        assert np.linalg.norm(end - mid) == pytest.approx(l2, abs=1e-9)
 
 
 class TestSolveFrame:
@@ -313,26 +357,27 @@ class TestBindRotationInvariance:
     def test_joint_positions_ignore_bind_rotations(self, user_skeleton, script):
         # A bind rotation only picks a joint's frame: two avatars with the same
         # bind world positions solve to the same joint positions in exact
-        # mode. A limb stretched to exactly its full reach is ill-conditioned:
-        # there the acos of `two_bone_ik` turns last-bit differences into
-        # ~1e-8 m. So the calibration frame, whose arms are straight, is left
-        # out, and tracker noise keeps the other frames' targets off that
-        # singular point (without it the squat's straight arms read 4e-9 m).
+        # mode. Noise-free, every frame agrees to rounding, the calibration
+        # frame's straight arms included. With tracker noise the calibration
+        # frame's arm target sits within rounding of full reach, where the
+        # geometry itself, not the formula, turns last-bit differences into
+        # ~7e-9 m; that frame is left out of the noisy case.
         reference = humanoid_long_legs()
         rotated = rebound(reference, np.random.default_rng(5))
         for a, b in zip(reference.bind_states, rotated.bind_states):
             np.testing.assert_allclose(a[4:], b[4:], atol=1e-15)
         assert all(abs(q[0]) < 1.0 - 1e-3 for q in rotated.bind_rotations)
-        session, _ = generate_synthetic_session(user_skeleton,
-                                                builtin_script(script, user_skeleton),
-                                                noise=NoiseModel(0.002, 0.01, seed=1))
-        solved = []
-        for rig in (reference, rotated):
-            profile, scaled, _ = calibrate_session(session, rig)
-            solved.append(solve_session(session, profile, scaled)[0])
-        for want, got in list(zip(*solved))[1:]:
-            for w, g in zip(want.world, got.world):
-                assert np.abs(w.translation - g.translation).max() < 1e-9
+        for noise, first, bound in ((None, 0, 1e-12), (NoiseModel(0.002, 0.01, seed=1), 1, 1e-9)):
+            session, _ = generate_synthetic_session(user_skeleton,
+                                                    builtin_script(script, user_skeleton),
+                                                    noise=noise)
+            solved = []
+            for rig in (reference, rotated):
+                profile, scaled, _ = calibrate_session(session, rig)
+                solved.append(solve_session(session, profile, scaled)[0])
+            for want, got in list(zip(*solved))[first:]:
+                for w, g in zip(want.world, got.world):
+                    assert np.abs(w.translation - g.translation).max() < bound
 
 
 _EQ_CACHE = []
