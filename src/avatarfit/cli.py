@@ -31,7 +31,7 @@ from .fingers import (
     pose_hand_on_controller,
     transform_capsule,
 )
-from .math3d import DegenerateGeometryError, FormatError, pose_to_obj, write_json_file
+from .math3d import DegenerateGeometryError, FormatError, Transform, pose_to_obj, write_json_file
 from .motion import SCRIPT_NAMES, ScriptError, builtin_script, read_script_file
 from .retarget import OffsetMode, mode_offsets, solve_session, write_pose_trace
 from .session import (
@@ -103,7 +103,13 @@ def cmd_calibrate(args) -> int:
 
 
 def _solve_hands(args, solved, offsets, scaled):
-    """Optional grip solve per frame; returns extra trace joints per frame."""
+    """Grip each hand once, in its wrist frame, and pose its fingers on every
+    solved wrist; returns extra trace joints per frame and the grip objectives.
+
+    The controller rides on the wrist at wrist @ offset^-1, by the offset the
+    body was solved with, so in the wrist frame the capsule, the button and
+    the grip are the same on every frame.
+    """
     hand = load_hand_file(args.hand_model)
     capsule, button = load_controller_file(args.controller)
     # The controller file describes the grip of the hand file's side; the
@@ -113,30 +119,24 @@ def _solve_hands(args, solved, offsets, scaled):
     capsules = {hand.side: capsule, other: mirror_capsule(capsule)}
     buttons = {hand.side: button, other: None if button is None else mirror_x(button)}
     config = DescentConfig(penalty=args.penalty, max_iters=args.max_iters)
-    extras = []
-    objectives = {"left": [], "right": []}
-    for sp in solved:
-        if sp is None:
-            extras.append([])
-            continue
-        entries = []
-        for side in objectives:
-            wrist_role = PART_ROLES[f"hand_{side}"][1]
-            wrist_world = sp.world[scaled.role_index(wrist_role)]
-            # The controller under the solved palm, by the offset the body was
-            # solved with: the tracked pose when the arm reaches it (equal to
-            # rounding), a virtual controller riding on the hand when it does not.
-            controller_world = wrist_world @ offsets[f"hand_{side}"].inverse()
-            shape = transform_capsule(capsules[side], controller_world)
-            button = None if buttons[side] is None else controller_world.apply(buttons[side])
-            result = pose_hand_on_controller(hands[side], wrist_world, shape, config, button)
-            objectives[side].append(sum(r.objective for r in result.reports))
-            for finger, poses in zip(hands[side].fingers, result.poses):
-                entries.extend({"name": f"{wrist_role}/{finger.name}_{ji}", **pose_to_obj(pose)}
-                               for ji, pose in enumerate(poses, start=1))
-        extras.append(entries)
-    summary = {f"hand_mean_objective_{side[0]}":
-               (sum(v) / len(v) if v else None) for side, v in objectives.items()}
+    any_solved = any(sp is not None for sp in solved)
+    grips, summary = [], {}
+    for side in ("left", "right"):
+        wrist_role = PART_ROLES[f"hand_{side}"][1]
+        to_wrist = offsets[f"hand_{side}"].inverse()
+        button = None if buttons[side] is None else to_wrist.apply(buttons[side])
+        result = pose_hand_on_controller(hands[side], Transform.identity(),
+                                         transform_capsule(capsules[side], to_wrist),
+                                         config, button)
+        summary[f"hand_mean_objective_{side[0]}"] = (
+            sum(r.objective for r in result.reports) if any_solved else None)
+        grips.extend((scaled.role_index(wrist_role), f"{wrist_role}/{finger.name}_{ji}", pose)
+                     for finger, poses in zip(hands[side].fingers, result.poses)
+                     for ji, pose in enumerate(poses, start=1))
+    extras = [[] if sp is None else
+              [{"name": name, **pose_to_obj(sp.world[wrist] @ pose)}
+               for wrist, name, pose in grips]
+              for sp in solved]
     return extras, summary
 
 
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--out", required=True, help="pose trace JSONL path")
     slv.add_argument("--metrics", help="metrics JSON path (default: derived)")
     slv.add_argument("--ground-truth", help="ground truth for error metrics")
-    slv.add_argument("--hand-model", help="hand model JSON; poses fingers per frame")
+    slv.add_argument("--hand-model", help="hand model JSON; grips each hand once per run")
     slv.add_argument("--controller", help="controller capsule JSON in the controller device's "
                                           "frame (with --hand-model)")
     slv.add_argument("--penalty", type=_positive(float), default=DescentConfig().penalty,

@@ -113,10 +113,6 @@ def quat_mul(a, b) -> np.ndarray:
     return np.array(qmul(a, b))
 
 
-def quat_conjugate(q) -> np.ndarray:
-    return np.array(qconj(q))
-
-
 def quat_rotate(q, v) -> np.ndarray:
     """Rotate vector v by unit quaternion q (`qrotate` on floats, as an array)."""
     return np.array(qrotate([float(c) for c in q], [float(c) for c in v]))
@@ -136,7 +132,7 @@ def quat_angle(q) -> float:
 
 def quat_angle_between(a, b) -> float:
     """Angular distance between two rotations in [0, pi]."""
-    return quat_angle(quat_mul(quat_conjugate(a), b))
+    return quat_angle(qmul(qconj(a), b))
 
 
 def slerp_basis(a, b) -> tuple:
@@ -183,9 +179,9 @@ def slerp_at(basis: tuple, t: float) -> tuple[float, float, float, float]:
 # A quaternion is (w, x, y, z) and a pose state (w, x, y, z, px, py, pz) is a
 # `Transform`'s rotation followed by its translation. NumPy's per-call
 # overhead on 3- and 4-vectors would dominate the body solve. Float arithmetic
-# on NumPy scalars and Python floats rounds alike, so `quat_mul`,
-# `quat_conjugate`, `quat_rotate` (these functions wrapped in an array) and
-# `Transform.__matmul__` (`compose_state`'s operations) give the same bytes.
+# on NumPy scalars and Python floats rounds alike, so `quat_mul`, `quat_rotate`
+# (these functions wrapped in an array) and `Transform.__matmul__`
+# (`compose_state`'s operations) give the same bytes.
 
 def qmul(a, b) -> tuple:
     """Hamilton product a * b."""
@@ -261,7 +257,7 @@ class Transform:
         )
 
     def inverse(self) -> "Transform":
-        rinv = quat_conjugate(self.rotation)
+        rinv = np.array(qconj(self.rotation))
         return Transform(rinv, -quat_rotate(rinv, self.translation))
 
     def apply(self, p) -> np.ndarray:

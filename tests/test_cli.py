@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avatarfit import cli, fingers
+from avatarfit import cli, fingers, retarget
 from avatarfit.calibration import profile_from_document
-from avatarfit.fingers import controller_from_document, default_grip_capsule, \
-    default_hand_model, hand_from_document, save_controller_file, save_hand_file, \
-    transform_capsule
-from avatarfit.math3d import Transform
+from avatarfit.fingers import DescentConfig, controller_from_document, default_grip_capsule, \
+    default_hand_model, hand_from_document, mirror_capsule, mirror_x, save_controller_file, \
+    save_hand_file, transform_capsule
+from avatarfit.math3d import Transform, pose_from_obj
 from avatarfit.rigs import humanoid_document, humanoid_long_legs_document
 from avatarfit.skeleton import load_skeleton
 
@@ -19,6 +19,8 @@ from oracles import reference_slerp
 
 NAN = float("nan")
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
+# A button on the grip capsule's surface, relative to the palm anchor (wrist frame).
+BUTTON_FROM_PALM = np.array([0.0, -0.026, -0.03])
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +28,8 @@ def rig_files(tmp_path_factory):
     """User and avatar skeletons, a left hand model and its grip capsule (controller frame)."""
     root = tmp_path_factory.mktemp("rigs")
     files = {"user": root / "user.json", "avatar": root / "avatar.json",
-             "hand": root / "hand.json", "controller": root / "controller.json"}
+             "hand": root / "hand.json", "controller": root / "controller.json",
+             "button_controller": root / "button_controller.json"}
     files["user"].write_text(json.dumps(humanoid_document()))
     files["avatar"].write_text(json.dumps(humanoid_long_legs_document()))
     hand = default_hand_model("left")
@@ -35,15 +38,18 @@ def rig_files(tmp_path_factory):
     # hand offset is the one of every squat the tests solve.
     gen_and_calibrate(files, root, duration="0.1")
     save_grip_controller(hand, root / "profile.json", files["controller"])
+    save_grip_controller(hand, root / "profile.json", files["button_controller"], button=True)
     return files
 
 
-def save_grip_controller(hand, profile_path, path):
+def save_grip_controller(hand, profile_path, path, button=False):
     """`default_grip_capsule` (wrist frame) carried into the controller device's
-    frame by the profile's hand offset, as the controller file is read."""
+    frame by the profile's hand offset, as the controller file is read; with
+    `button`, a button on the capsule (`BUTTON_FROM_PALM`) carried alike."""
     profile = profile_from_document(json.loads(profile_path.read_text()))
-    save_controller_file(transform_capsule(default_grip_capsule(hand),
-                                           profile.offsets[f"hand_{hand.side}"]), path)
+    offset = profile.offsets[f"hand_{hand.side}"]
+    point = offset.apply(hand.palm_anchor.translation + BUTTON_FROM_PALM) if button else None
+    save_controller_file(transform_capsule(default_grip_capsule(hand), offset), path, point)
 
 
 def run(*argv) -> int:
@@ -58,13 +64,23 @@ def gen_and_calibrate(rigs, out, duration="0.5"):
                "--out", out / "profile.json") == cli.EXIT_OK
 
 
+def assert_entry_is(entry, pose):
+    """A trace joint entry is `pose` within 1e-12 (its quaternion up to sign)."""
+    np.testing.assert_allclose(entry["p"], pose.translation, atol=1e-12)
+    q = np.array(entry["q"])
+    np.testing.assert_allclose(q * np.sign(q @ pose.rotation), pose.rotation, atol=1e-12)
+
+
 def pipeline(rigs, out) -> dict[str, bytes]:
-    """gen -> calibrate -> solve --ground-truth -> compare; returns every output file."""
+    """gen -> calibrate -> solve --ground-truth (body only, and with a grip on a
+    controller with a button) -> compare; returns every output file."""
     out.mkdir()
     gen_and_calibrate(rigs, out)
     common = ("--skeleton", rigs["avatar"], "--session", out / "session.jsonl",
               "--profile", out / "profile.json", "--ground-truth", out / "session.gt.jsonl")
     assert run("solve", *common, "--out", out / "trace.jsonl") == cli.EXIT_OK
+    assert run("solve", *common, "--hand-model", rigs["hand"], "--controller",
+               rigs["button_controller"], "--out", out / "grip.jsonl") == cli.EXIT_OK
     assert run("compare", *common, "--out", out / "compare.json") == cli.EXIT_OK
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
@@ -73,8 +89,9 @@ class TestPipeline:
     def test_rerun_is_byte_identical(self, tmp_path, rig_files):
         first = pipeline(rig_files, tmp_path / "a")
         second = pipeline(rig_files, tmp_path / "b")
-        assert sorted(first) == ["compare.json", "profile.json", "session.gt.jsonl",
-                                 "session.jsonl", "trace.jsonl", "trace.metrics.json"]
+        assert sorted(first) == ["compare.json", "grip.jsonl", "grip.metrics.json",
+                                 "profile.json", "session.gt.jsonl", "session.jsonl",
+                                 "trace.jsonl", "trace.metrics.json"]
         assert first == second
 
     def test_format_1_profile_rejected(self, tmp_path, rig_files, capsys):
@@ -135,9 +152,11 @@ class TestHandModel:
     @pytest.mark.parametrize("mode", ["exact", "fixed"])
     def test_controller_rides_the_wrist_by_the_solved_offset(self, tmp_path, rig_files,
                                                              monkeypatch, mode):
-        # The grip closes on the controller at wrist @ offset^-1, with the
-        # offset the body was solved with: the calibrated one in exact mode,
-        # none in fixed mode (where the wrist is put on the controller).
+        # The controller rides on the solved wrist at wrist @ offset^-1, with
+        # the offset the body was solved with: the calibrated one in exact
+        # mode, none in fixed mode (where the wrist is put on the controller).
+        # So each hand is gripped once per run, on an identity wrist, around
+        # the file's capsule (mirrored for the other hand) moved by offset^-1.
         calls = []
 
         def recording(hand, wrist_world, shape, *args):
@@ -152,24 +171,27 @@ class TestHandModel:
                    "--hand-model", rig_files["hand"], "--controller", rig_files["controller"],
                    "--out", tmp_path / "trace.jsonl") == cli.EXIT_OK
         profile = profile_from_document(json.loads((tmp_path / "profile.json").read_text()))
-        offset = profile.offsets["hand_left"] if mode == "exact" else Transform.identity()
         capsule = controller_from_document(json.loads(rig_files["controller"].read_text()))[0]
-        left = [(wrist, shape) for side, wrist, shape in calls if side == "left"]
-        assert len(left) == len(calls) // 2 > 0
-        for wrist, shape in left:
-            want = transform_capsule(capsule, wrist @ offset.inverse())
-            np.testing.assert_allclose(shape.start, want.start, atol=1e-12)
-            np.testing.assert_allclose(shape.end, want.end, atol=1e-12)
-
+        assert [side for side, _, _ in calls] == ["left", "right"]
+        for (side, wrist, shape), side_capsule in zip(calls, (capsule, mirror_capsule(capsule))):
+            offset = (profile.offsets[f"hand_{side}"] if mode == "exact"
+                      else Transform.identity())
+            np.testing.assert_array_equal(wrist.rotation, IDENT)
+            np.testing.assert_array_equal(wrist.translation, np.zeros(3))
+            want = transform_capsule(side_capsule, offset.inverse())
+            np.testing.assert_array_equal(shape.start, want.start)
+            np.testing.assert_array_equal(shape.end, want.end)
+            assert shape.radius == want.radius
 
     def test_finger_entries_are_world_transforms(self, tmp_path, rig_files, monkeypatch):
         # Entry j of a finger is the world pose of phalanx j's end, built here
-        # independently: wrist @ base @ prod(joint i's rotation @ its offset).
+        # independently from the run's one grip on each frame's solved wrist:
+        # wrist @ base @ prod(joint i's rotation @ its offset).
         calls = []
 
-        def recording(hand, wrist_world, *args):
-            result = fingers.pose_hand_on_controller(hand, wrist_world, *args)
-            calls.append((hand, wrist_world, result.params))
+        def recording(hand, *args):
+            result = fingers.pose_hand_on_controller(hand, *args)
+            calls.append((hand, result.params))
             return result
 
         monkeypatch.setattr(cli, "pose_hand_on_controller", recording)
@@ -180,22 +202,79 @@ class TestHandModel:
                    "--controller", rig_files["controller"],
                    "--out", tmp_path / "trace.jsonl") == cli.EXIT_OK
         lines = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
-        assert len(calls) == 2 * len(lines) > 0
-        for i, line in enumerate(lines):
+        assert len(calls) == 2 and len(lines) > 1
+        for line in lines:
             entries = {entry["name"]: entry for entry in line["joints"]}
-            for (hand, wrist, params), wrist_role in zip(calls[2 * i:2 * i + 2],
-                                                        ("wrist_l", "wrist_r")):
+            for (hand, params), wrist_role in zip(calls, ("wrist_l", "wrist_r")):
+                wrist = pose_from_obj(entries[wrist_role], wrist_role)
                 for finger, t in zip(hand.fingers, params.values):
                     pose = wrist @ finger.base_local
                     for j, (spec, tj) in enumerate(zip(finger.joints, t), start=1):
                         q = reference_slerp(spec.open_rotation, spec.closed_rotation, tj)
                         pose = pose @ Transform(np.array(q), np.zeros(3)) @ \
                             Transform(IDENT, spec.offset)
-                        entry = entries[f"{wrist_role}/{finger.name}_{j}"]
-                        np.testing.assert_allclose(entry["p"], pose.translation, atol=1e-12)
-                        q_entry = np.array(entry["q"])
-                        np.testing.assert_allclose(q_entry * np.sign(q_entry @ pose.rotation),
-                                                   pose.rotation, atol=1e-12)
+                        assert_entry_is(entries[f"{wrist_role}/{finger.name}_{j}"], pose)
+
+    @pytest.mark.parametrize("with_button", [False, True], ids=["no_button", "button"])
+    @pytest.mark.parametrize("mode", ["exact", "fixed"])
+    @pytest.mark.parametrize("script", ["arms", "squat"])
+    def test_one_grip_is_the_per_frame_grip(self, tmp_path, rig_files, monkeypatch, script,
+                                            mode, with_button):
+        # Oracle: a grip searched on every frame around the world controller
+        # at wrist @ offset^-1. On noisy sessions, every frame's search
+        # returns the one wrist-frame grip's factors to the byte, and the
+        # finger entries differ from the oracle's poses by rounding only.
+        grips, solves = [], []
+
+        def recording_grip(hand, *args):
+            grips.append((hand, fingers.pose_hand_on_controller(hand, *args)))
+            return grips[-1][1]
+
+        def recording_solve(*args):
+            result = retarget.solve_session(*args)
+            solves.append((args, result[0]))
+            return result
+
+        monkeypatch.setattr(cli, "pose_hand_on_controller", recording_grip)
+        monkeypatch.setattr(cli, "solve_session", recording_solve)
+        session, profile_path = tmp_path / "session.jsonl", tmp_path / "profile.json"
+        assert run("gen", "--skeleton", rig_files["user"], "--script", script,
+                   "--duration", "0.3", "--noise", "0.002", "--rot-noise", "0.01",
+                   "--seed", "1", "--out", session) == cli.EXIT_OK
+        assert run("calibrate", "--skeleton", rig_files["avatar"], "--session", session,
+                   "--out", profile_path) == cli.EXIT_OK
+        hand = hand_from_document(json.loads(rig_files["hand"].read_text()))
+        save_grip_controller(hand, profile_path, tmp_path / "controller.json", with_button)
+        assert run("solve", "--skeleton", rig_files["avatar"], "--session", session,
+                   "--profile", profile_path, "--mode", mode, "--hand-model", rig_files["hand"],
+                   "--controller", tmp_path / "controller.json",
+                   "--out", tmp_path / "trace.jsonl") == cli.EXIT_OK
+
+        capsule, button = controller_from_document(
+            json.loads((tmp_path / "controller.json").read_text()))
+        controllers = {"left": (capsule, button),
+                       "right": (mirror_capsule(capsule),
+                                 None if button is None else mirror_x(button))}
+        [((_, profile, scaled, *_), solved)] = solves
+        offsets = retarget.mode_offsets(profile, retarget.OffsetMode(mode))
+        lines = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+        solved = [sp for sp in solved if sp is not None]
+        assert len(grips) == 2 and len(lines) == len(solved) > 1
+        for sp, line in zip(solved, lines):
+            entries = {entry["name"]: entry for entry in line["joints"]}
+            for grip_hand, grip in grips:
+                side, (c, b) = grip_hand.side, controllers[grip_hand.side]
+                wrist_role = f"wrist_{side[0]}"
+                wrist = sp.world[scaled.role_index(wrist_role)]
+                controller_world = wrist @ offsets[f"hand_{side}"].inverse()
+                oracle = fingers.pose_hand_on_controller(
+                    grip_hand, wrist, transform_capsule(c, controller_world), DescentConfig(),
+                    None if b is None else controller_world.apply(b))
+                assert [v.tobytes() for v in oracle.params.values] == \
+                    [v.tobytes() for v in grip.params.values]
+                for finger, poses in zip(grip_hand.fingers, oracle.poses):
+                    for j, pose in enumerate(poses, start=1):
+                        assert_entry_is(entries[f"{wrist_role}/{finger.name}_{j}"], pose)
 
 
 class TestDescentFlags:
