@@ -102,36 +102,44 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _solve_hands(args, solved, offsets, scaled):
-    """Grip each hand once, in its wrist frame, and pose its fingers on every
-    solved wrist; returns extra trace joints per frame and the grip objectives.
+def _load_hands(args) -> dict:
+    """Hand model, controller capsule and button of each side: {side: (hand,
+    capsule, button)}, read from --hand-model and --controller.
+
+    The controller file describes the grip of the hand file's side; the
+    other side gets the mirror image of both, x -> -x in the controller frame.
+    """
+    hand = load_hand_file(args.hand_model)
+    capsule, button = load_controller_file(args.controller)
+    other = "right" if hand.side == "left" else "left"
+    return {hand.side: (hand, capsule, button),
+            other: (mirror_hand(hand), mirror_capsule(capsule),
+                    None if button is None else mirror_x(button))}
+
+
+def _solve_hands(args, sides, solved, offsets, scaled):
+    """Grip each hand of `_load_hands` once, in its wrist frame, and pose its
+    fingers on every solved wrist; returns extra trace joints per frame and
+    the grip objectives.
 
     The controller rides on the wrist at wrist @ offset^-1, by the offset the
     body was solved with, so in the wrist frame the capsule, the button and
     the grip are the same on every frame.
     """
-    hand = load_hand_file(args.hand_model)
-    capsule, button = load_controller_file(args.controller)
-    # The controller file describes the grip of the hand file's side; the
-    # other side gets the mirror image of both, x -> -x in the controller frame.
-    other = "right" if hand.side == "left" else "left"
-    hands = {hand.side: hand, other: mirror_hand(hand)}
-    capsules = {hand.side: capsule, other: mirror_capsule(capsule)}
-    buttons = {hand.side: button, other: None if button is None else mirror_x(button)}
     config = DescentConfig(penalty=args.penalty, max_iters=args.max_iters)
     any_solved = any(sp is not None for sp in solved)
     grips, summary = [], {}
     for side in ("left", "right"):
+        hand, capsule, button = sides[side]
         wrist_role = PART_ROLES[f"hand_{side}"][1]
         to_wrist = offsets[f"hand_{side}"].inverse()
-        button = None if buttons[side] is None else to_wrist.apply(buttons[side])
-        result = pose_hand_on_controller(hands[side], Transform.identity(),
-                                         transform_capsule(capsules[side], to_wrist),
-                                         config, button)
+        button = None if button is None else to_wrist.apply(button)
+        result = pose_hand_on_controller(hand, Transform.identity(),
+                                         transform_capsule(capsule, to_wrist), config, button)
         summary[f"hand_mean_objective_{side[0]}"] = (
             sum(r.objective for r in result.reports) if any_solved else None)
         grips.extend((scaled.role_index(wrist_role), f"{wrist_role}/{finger.name}_{ji}", pose)
-                     for finger, poses in zip(hands[side].fingers, result.poses)
+                     for finger, poses in zip(hand.fingers, result.poses)
                      for ji, pose in enumerate(poses, start=1))
     extras = [[] if sp is None else
               [{"name": name, **pose_to_obj(sp.world[wrist] @ pose)}
@@ -151,17 +159,20 @@ def _solve_inputs(args):
 
 
 def cmd_solve(args) -> int:
+    # Usage and every input file are checked before the body solve.
+    if args.hand_model and not args.controller:
+        print("error: --hand-model requires --controller", file=sys.stderr)
+        return EXIT_USAGE
     session, profile, scaled, truth = _solve_inputs(args)
+    sides = _load_hands(args) if args.hand_model else None
     mode = OffsetMode(args.mode)
     solved, metrics = solve_session(session, profile, scaled, mode, truth)
 
     document = metrics.to_document()
     extras = None
-    if args.hand_model:
-        if not args.controller:
-            print("error: --hand-model requires --controller", file=sys.stderr)
-            return EXIT_USAGE
-        extras, hand_summary = _solve_hands(args, solved, mode_offsets(profile, mode), scaled)
+    if sides:
+        extras, hand_summary = _solve_hands(args, sides, solved, mode_offsets(profile, mode),
+                                            scaled)
         document.update(hand_summary)
 
     write_pose_trace(args.out, session, solved, scaled, extras)

@@ -31,8 +31,8 @@ a hand with the same joint count and button presence are rows of one walk
 (`tests/test_fingers.py::TestGridSeed`). Each joint keeps its
 `math3d.slerp_basis`, so a new factor costs one `slerp_at`.
 
-Every call starts from the parameters it is given (the grip solve starts
-from the open hand) and nothing is carried between calls.
+Every search starts from its seed grid alone, and nothing is carried
+between calls.
 """
 
 from __future__ import annotations
@@ -134,16 +134,13 @@ class HandModel:
 
 @dataclass
 class FingerParams:
-    """Interpolation factors, one array per finger (clamped to [0, 1])."""
+    """Interpolation factors, one array per finger."""
 
     values: list[np.ndarray]
 
     @classmethod
     def open_hand(cls, hand: HandModel) -> "FingerParams":
         return cls([np.zeros(len(f.joints)) for f in hand.fingers])
-
-    def clamped(self) -> "FingerParams":
-        return FingerParams([np.clip(v, 0.0, 1.0) for v in self.values])
 
 
 @dataclass
@@ -243,21 +240,17 @@ class _FingerChain:
             total += math.sqrt(dx * dx + dy * dy + dz * dz)
         return total
 
-    def seed(self, t: list[float], values: np.ndarray) -> tuple[list, list, list, float]:
-        """Best of the factors t and the grid values: (factors, rotations, states, objective).
+    def seed(self, values: np.ndarray) -> tuple[list, list, list, float]:
+        """Best grid point: (factors, rotations, states, objective).
 
-        `values` is this chain's row of `_grid_values`. A grid point
-        replaces t only if it is strictly better, and among equal grid
-        points the first in product order wins, as a scalar scan with `<`
-        would pick.
+        `values` is this chain's row of `_grid_values`. Among equal values
+        the first in product order wins, as a scalar scan with `<` would
+        pick.
         """
+        best = np.unravel_index(int(np.argmin(values)), (GRID_POINTS,) * len(self.slerps))
+        t = [GRID[i] for i in best]
         rotations, states = self.rotations(t), []
         value = self.walk(states, rotations)
-        best = int(np.argmin(values))
-        if values[best] < value:
-            t = [GRID[i] for i in np.unravel_index(best, (GRID_POINTS,) * len(t))]
-            rotations, states = self.rotations(t), []
-            value = self.walk(states, rotations)
         return t, rotations, states, value
 
 
@@ -345,7 +338,6 @@ class FingerDescent:
 
 def descend(
     hand: HandModel,
-    params: FingerParams,
     shape: CapsuleShape,
     config: DescentConfig | None = None,
     wrist_world: Transform | None = None,
@@ -353,33 +345,21 @@ def descend(
 ) -> tuple[FingerParams, list[FingerDescent]]:
     """Compass-search every finger's factors independently.
 
-    The search starts from the best of the given factors (clamped to [0, 1])
-    and the GRID_POINTS^n grid on [0, 1]^n; on a tie the given factors stay.
-    Fingers with the same joint count and the same button presence have
-    their grids walked together (`_grid_values`). A round tries +step, then
-    -step, on each factor in turn, clamped to [0, 1], and accepts any strict
-    decrease. A poll on factor k turns joint k only, so its walk resumes
-    from the current point's state after joint k - 1, and an accepted probe's
-    states become the current point's. The first step is half the grid
-    spacing, and a round without a decrease halves it. A finger converges
-    when the step falls below STEP_TOL; after max_iters rounds it stops
-    unconverged, which is reported, never raised. `history` holds the
-    accepted objective after each round, so it never rises. Factors that do
-    not match the hand (one array per finger, one factor per joint) or are
-    not finite raise ValueError. Each report keeps the walk states of its
-    finger's returned factors.
+    Each finger starts from the best point of the GRID_POINTS^n grid on
+    [0, 1]^n, the first in product order on a tie, so the open hand (grid
+    point 0) wins every tie. Fingers with the same joint count and the same
+    button presence have their grids walked together (`_grid_values`). A
+    round tries +step, then -step, on each factor in turn, held to [0, 1],
+    and accepts any strict decrease. A poll on factor k turns joint k only,
+    so its walk resumes from the current point's state after joint k - 1,
+    and an accepted probe's states become the current point's. The first
+    step is half the grid spacing, and a round without a decrease halves it.
+    A finger converges when the step falls below STEP_TOL; after max_iters
+    rounds it stops unconverged, which is reported, never raised. `history`
+    holds the accepted objective after each round, so it never rises. Each
+    report keeps the walk states of its finger's returned factors.
     """
     cfg = config or DescentConfig()
-    for i, finger in enumerate(hand.fingers):
-        got = len(params.values[i]) if i < len(params.values) else 0
-        if got != len(finger.joints):
-            raise ValueError(f"finger {finger.name!r} needs {len(finger.joints)} factors, got {got}")
-    if len(params.values) > len(hand.fingers):
-        raise ValueError(f"{len(params.values)} factor arrays for the "
-                         f"{len(hand.fingers)} fingers of the hand")
-    if not all(np.isfinite(v).all() for v in params.values):
-        raise ValueError("start factors must be finite")
-    out = params.clamped()  # fresh arrays: the caller's params stay untouched
     button_f = _float_point(button)
     chains = [_FingerChain(finger, wrist_world, shape, cfg.penalty, button_f)
               for finger in hand.fingers]
@@ -388,10 +368,9 @@ def descend(
         groups.setdefault((len(chain.slerps), chain.button is not None), []).append(chain)
     grid_rows = {chain: row for group in groups.values()
                  for chain, row in zip(group, _grid_values(group))}
-    reports = []
-    for fi, (finger, chain) in enumerate(zip(hand.fingers, chains)):
-        t, rotations, states, value = chain.seed([float(v) for v in out.values[fi]],
-                                                 grid_rows[chain])
+    factors, reports = [], []
+    for finger, chain in zip(hand.fingers, chains):
+        t, rotations, states, value = chain.seed(grid_rows[chain])
         step = 0.5 / (GRID_POINTS - 1)
         history = []
         converged = False
@@ -418,10 +397,10 @@ def descend(
                 if step < STEP_TOL:
                     converged = True
                     break
-        out.values[fi] = np.array(t)
+        factors.append(np.array(t))
         reports.append(FingerDescent(finger.name, len(history), value, converged, history,
                                      states))
-    return out, reports
+    return FingerParams(factors), reports
 
 
 @dataclass
@@ -439,13 +418,12 @@ def pose_hand_on_controller(
     config: DescentConfig | None = None,
     button: np.ndarray | None = None,
 ) -> HandPoseResult:
-    """Grip solve: search from the open hand onto a world-frame capsule.
+    """Grip solve: search from the seed grid onto a world-frame capsule.
 
     Point j of a finger is the end of phalanx j, posed with the world
     rotation after joint j, as the search's last walk of the finger left it.
     """
-    params, reports = descend(hand, FingerParams.open_hand(hand), controller,
-                              config, wrist_world, button)
+    params, reports = descend(hand, controller, config, wrist_world, button)
     poses = [[Transform(np.array(s[:4]), np.array(s[4:7])) for s in r.states] for r in reports]
     distances = [[capsule_sdf(controller, s[4:7]) for s in r.states] for r in reports]
     return HandPoseResult(params, poses, distances, reports)

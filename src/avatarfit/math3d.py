@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-UP = np.array([0.0, 1.0, 0.0])
-RIGHT = np.array([1.0, 0.0, 0.0])
-FORWARD = np.array([0.0, 0.0, 1.0])
+UP = (0.0, 1.0, 0.0)
+RIGHT = (1.0, 0.0, 0.0)
+FORWARD = (0.0, 0.0, 1.0)
 
 # Vectors shorter than this are treated as directionless.
 DEGENERATE_EPS = 1e-9

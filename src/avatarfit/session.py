@@ -23,7 +23,6 @@ import numpy as np
 from .math3d import (
     UP,
     FormatError,
-    FormatError as SessionFormatError,
     Transform,
     cross,
     fit_plane,

@@ -81,9 +81,6 @@ class SkeletonModel:
         root = self.joints[self.role_index("root")].bind_local
         self.bind_states = tuple(forward_kinematics(self, self.bind_rotations, pose_state(root)))
 
-    def __len__(self) -> int:
-        return len(self.joints)
-
     def index_of(self, name: str) -> int:
         return self._name_index[name]
 

@@ -120,14 +120,13 @@ def reference_finger_objective(chain: tuple, shape: CapsuleShape, penalty: float
 
 
 def reference_grid_seed(chain: tuple, shape: CapsuleShape, penalty: float, tip_button,
-                        t_given, grid_points: int = 7):
+                        grid_points: int = 7):
     """Scalar scan of the seed grid {0, 1/(g-1), ..., 1}^n in `itertools.product`
     order: (every grid value, chosen factors, chosen value). A grid point
-    replaces the best so far only when strictly lower, so the given factors
-    win a tie, and so does the earlier grid point."""
+    replaces the best so far only when strictly lower, so the earlier grid
+    point wins a tie."""
     grid = [i / (grid_points - 1) for i in range(grid_points)]
-    best_t = [float(v) for v in t_given]
-    best = reference_finger_objective(chain, shape, penalty, tip_button, best_t)
+    best_t, best = None, math.inf
     values = []
     for point in itertools.product(grid, repeat=len(chain[2])):
         value = reference_finger_objective(chain, shape, penalty, tip_button, point)
@@ -139,10 +138,9 @@ def reference_grid_seed(chain: tuple, shape: CapsuleShape, penalty: float, tip_b
 
 
 def reference_compass_search(chain: tuple, shape: CapsuleShape, penalty: float, tip_button,
-                             t_given, max_iters: int,
-                             grid_points: int = 7, step_tol: float = 1e-4):
-    """Scalar compass search from the best of the clamped given factors and
-    the seed grid: (factors, rounds, objective, converged, history).
+                             max_iters: int, grid_points: int = 7, step_tol: float = 1e-4):
+    """Scalar compass search from the seed grid's best point: (factors,
+    rounds, objective, converged, history).
 
     Every poll is a full `reference_finger_objective`. A round tries +step,
     then -step, on each factor in turn, clamped to [0, 1], skips a trial
@@ -150,8 +148,7 @@ def reference_compass_search(chain: tuple, shape: CapsuleShape, penalty: float, 
     is half the grid spacing, and a round without a decrease halves it,
     converging once it falls below `step_tol`. `history` is the objective
     after each round."""
-    start = [min(max(float(v), 0.0), 1.0) for v in t_given]
-    _, t, value = reference_grid_seed(chain, shape, penalty, tip_button, start, grid_points)
+    _, t, value = reference_grid_seed(chain, shape, penalty, tip_button, grid_points)
     step = 0.5 / (grid_points - 1)
     history = []
     converged = False

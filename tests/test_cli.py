@@ -299,6 +299,42 @@ class TestDescentFlags:
         assert "unrecognized arguments: --eta 0.1" in capsys.readouterr().err
 
 
+class TestSolveChecksFirst:
+    """A usage error or a malformed grip file ends `solve` before the body solve."""
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return retarget.solve_session(*args)
+
+        monkeypatch.setattr(cli, "solve_session", counting)
+        return calls
+
+    def solve(self, tiny_files, tmp_path, *grip):
+        return run("solve", "--skeleton", tiny_files["skeleton"],
+                   "--session", tiny_files["session"], "--profile", tiny_files["profile"],
+                   "--out", tmp_path / "trace.jsonl", *grip)
+
+    def test_hand_model_without_controller_exits_2(self, tmp_path, tiny_files, solve_calls,
+                                                   capsys):
+        assert self.solve(tiny_files, tmp_path, "--hand-model", tiny_files["hand"]) \
+            == cli.EXIT_USAGE
+        assert "--hand-model requires --controller" in capsys.readouterr().err
+        assert solve_calls == []
+
+    @pytest.mark.parametrize("kind", ["hand", "controller"])
+    def test_malformed_grip_file_exits_3(self, tmp_path, tiny_files, solve_calls, kind):
+        files = dict(tiny_files)
+        files[kind] = tmp_path / f"{kind}.json"
+        files[kind].write_text(json.dumps({"side": "left"}))
+        assert self.solve(tiny_files, tmp_path, "--hand-model", files["hand"],
+                          "--controller", files["controller"]) == cli.EXIT_PARSE
+        assert solve_calls == []
+
+
 class TestGenFlags:
     @pytest.mark.parametrize("flag", [
         ("--noise", "-1", "non-negative"), ("--noise", "nan", "non-negative"),

@@ -192,36 +192,34 @@ class TestDescend:
     def test_toy_finger_matches_grid_search(self):
         hand, shape = one_joint_toy()
         t_star = grid_search_optimum(hand, shape)
-        params, reports = descend(hand, FingerParams.open_hand(hand), shape)
+        params, reports = descend(hand, shape)
         assert abs(float(params.values[0][0]) - t_star) < 1e-3
 
     def test_fixed_point_at_smooth_optimum(self):
-        # Restarting at the far-capsule optimum keeps it: the given factors win
-        # every tie with the grid, and no poll decreases the objective.
+        # The far capsule's optimum, fully closed, is a grid point: the seed
+        # lands on it and no poll decreases the objective.
         hand = small_curl_hand()
-        params, _ = descend(hand, FingerParams.open_hand(hand), far_capsule())
-        again, reports = descend(hand, params, far_capsule())
-        assert again.values[0].tolist() == params.values[0].tolist()
+        params, reports = descend(hand, far_capsule())
+        assert params.values[0].tolist() == [1.0, 1.0, 1.0]
         assert reports[0].converged
         assert reports[0].history == [reports[0].objective] * reports[0].iterations
 
     def test_far_capsule_saturates_fully_closed(self):
         hand = small_curl_hand()
-        params, reports = descend(hand, FingerParams.open_hand(hand), far_capsule(),
-                                  DescentConfig(max_iters=2000))
+        params, reports = descend(hand, far_capsule(), DescentConfig(max_iters=2000))
         np.testing.assert_array_equal(params.values[0], np.ones(3))
         assert reports[0].objective > 0.5  # remains far away: non-zero terminal objective
 
     @given(seeds, st.integers(min_value=1, max_value=200))
     def test_history_never_rises(self, seed, max_iters):
         # Direct search accepts strict decreases only, and the grid seed is
-        # never worse than the given factors.
+        # never worse than the open hand, its first point.
         rng = np.random.default_rng(seed)
         hand = default_hand_model("left")
         shape = random_grip_capsule(rng)
-        start = FingerParams([rng.uniform(0, 1, size=len(f.joints)) for f in hand.fingers])
+        start = FingerParams.open_hand(hand)
         config = DescentConfig(max_iters=max_iters)
-        _, reports = descend(hand, start, shape, config)
+        _, reports = descend(hand, shape, config)
         for fi, report in enumerate(reports):
             history = report.history
             assert len(history) == report.iterations <= max_iters
@@ -236,7 +234,7 @@ class TestDescend:
         shape = default_grip_capsule(hand)
         start = FingerParams.open_hand(hand)
         config = DescentConfig()
-        _, reports = descend(hand, start, shape, config)
+        _, reports = descend(hand, shape, config)
         for fi, report in enumerate(reports):
             history = report.history
             assert all(b <= a for a, b in zip(history, history[1:]))
@@ -248,7 +246,7 @@ class TestDescend:
         hand = small_curl_hand()
         start = FingerParams.open_hand(hand)
         config = DescentConfig()
-        params, reports = descend(hand, start, far_capsule(), config)
+        params, reports = descend(hand, far_capsule(), config)
         rep = reports[0]
         np.testing.assert_array_equal(params.values[0], np.ones(3))
         assert rep.history[0] < finger_objective(hand, 0, start, far_capsule(), config.penalty)
@@ -259,8 +257,7 @@ class TestDescend:
         rng = np.random.default_rng(seed)
         hand = default_hand_model("left")
         shape = random_grip_capsule(rng)
-        start = FingerParams([rng.uniform(0, 1, size=len(f.joints)) for f in hand.fingers])
-        params, _ = descend(hand, start, shape, DescentConfig(max_iters=20))
+        params, _ = descend(hand, shape, DescentConfig(max_iters=20))
         for v in params.values:
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
@@ -290,36 +287,6 @@ class TestDescend:
         with pytest.raises(ValueError, match="penalty"):
             DescentConfig(penalty=value)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_start_factors_rejected(self, value):
-        # A NaN would lose every comparison and come back as a "converged"
-        # NaN grip; an infinity would be clamped away silently.
-        hand = default_hand_model("left")
-        start = FingerParams.open_hand(hand)
-        start.values[2][1] = value
-        with pytest.raises(ValueError, match="finite"):
-            descend(hand, start, default_grip_capsule(hand))
-
-    @pytest.mark.parametrize("case", ["short", "long", "missing", "extra"])
-    def test_mismatched_factor_arrays_rejected(self, case):
-        # A short array would search a truncated finger and report it
-        # converged; the others would end in a bare IndexError.
-        hand = default_hand_model("left")
-        start = FingerParams.open_hand(hand)
-        if case == "short":
-            start.values[0], match = start.values[0][:-1], f"finger {hand.fingers[0].name!r}"
-        elif case == "long":
-            start.values[3], match = np.zeros(len(hand.fingers[3].joints) + 1), \
-                f"finger {hand.fingers[3].name!r}"
-        elif case == "missing":
-            del start.values[-1]
-            match = f"finger {hand.fingers[-1].name!r}"
-        else:
-            start.values.append(np.zeros(2))
-            match = "factor arrays"
-        with pytest.raises(ValueError, match=match):
-            descend(hand, start, default_grip_capsule(hand))
-
 
 class TestDescentOracle:
     @settings(max_examples=60)
@@ -341,7 +308,7 @@ class TestDescentOracle:
             want = reference_finger_objective(reference_chain(finger, wrist), shape, penalty,
                                               tip_button, start.values[fi])
             assert finger_objective(hand, fi, start, shape, penalty, wrist, button) == want
-        params, reports = descend(hand, start, shape, config, wrist, button)
+        params, reports = descend(hand, shape, config, wrist, button)
         for fi, report in enumerate(reports):
             assert report.objective == finger_objective(hand, fi, params, shape, penalty, wrist,
                                                         button)
@@ -367,15 +334,13 @@ class TestDescentOracle:
                                      for f, n in zip(default.fingers, joint_counts)),
                          default.palm_anchor)
         wrist, shape, button = random_wrist_grip(rng, hand, with_button)
-        start = FingerParams([rng.uniform(-0.2, 1.2, size=n) for n in joint_counts])
         config = DescentConfig(penalty=penalty, max_iters=max_iters)
-        params, reports = descend(hand, start, shape, config, wrist, button)
+        params, reports = descend(hand, shape, config, wrist, button)
         for fi, (finger, report) in enumerate(zip(hand.fingers, reports)):
             tip_button = (None if button is None or finger.name != "thumb"
                           else tuple(button.tolist()))
             t, iterations, objective, converged, history = reference_compass_search(
-                reference_chain(finger, wrist), shape, penalty, tip_button, start.values[fi],
-                max_iters)
+                reference_chain(finger, wrist), shape, penalty, tip_button, max_iters)
             assert params.values[fi].tobytes() == np.array(t).tobytes()
             assert (report.iterations, report.converged) == (iterations, converged)
             assert np.float64(report.objective).tobytes() == np.float64(objective).tobytes()
@@ -408,38 +373,37 @@ class TestGridSeed:
         assert rows.shape == (group_size, 7 ** n_joints)
         for finger, chain, values in zip(hand.fingers, chains, rows):
             tip_button = button if finger.name == "thumb" else None
-            given_t = rng.uniform(0.0, 1.0, size=n_joints).tolist()
             want_values, want_t, want_value = reference_grid_seed(
-                reference_chain(finger, wrist), shape, penalty, tip_button, given_t)
+                reference_chain(finger, wrist), shape, penalty, tip_button)
             assert values.tobytes() == np.array(want_values).tobytes()
-            t, rotations, states, value = chain.seed(given_t, values)
+            t, rotations, states, value = chain.seed(values)
             assert (t, value) == (want_t, want_value)
             fresh = []
             assert chain.walk(fresh, rotations) == value
             assert states == fresh
 
-    def test_ties_keep_the_given_factors_then_the_first_grid_point(self):
+    def test_the_first_grid_point_wins_a_tie(self):
         # A joint with open == closed turns nowhere. With both joints still,
-        # every grid value ties with the given factors, which stay; with
-        # joint 0 free, the grid ties in runs of seven over joint 1, and the
-        # run's first point (joint 1 at 0) wins.
+        # every grid value ties and the first point, the open hand, wins;
+        # with joint 0 free, the grid ties in runs of seven over joint 1, and
+        # the best run's first point (joint 1 at 0) wins.
         still = FingerJointSpec(IDENT.copy(), IDENT.copy(), np.array([-0.05, 0.0, 0.0]))
         free = FingerJointSpec(IDENT.copy(), quat_from_axis_angle(Z, math.radians(60)),
                                np.array([-0.05, 0.0, 0.0]))
 
-        def seeded(joints, given_t):
+        def seeded(joints):
             finger = Finger("toy", Transform.identity(), joints)
             chain = fingers._FingerChain(finger, None, far_capsule(), 10.0)
             want_values, want_t, want_value = reference_grid_seed(
-                reference_chain(finger, None), far_capsule(), 10.0, None, given_t)
+                reference_chain(finger, None), far_capsule(), 10.0, None)
             values = fingers._grid_values([chain])[0]
             assert values.tobytes() == np.array(want_values).tobytes()
-            t, _, _, value = chain.seed(given_t, values)
+            t, _, _, value = chain.seed(values)
             assert (t, value) == (want_t, want_value)
             return len(set(values.tolist())), t
 
-        assert seeded((still, still), [0.37, 0.81]) == (1, [0.37, 0.81])
-        assert seeded((free, still), [0.0, 0.81]) == (7, [1.0, 0.0])
+        assert seeded((still, still)) == (1, [0.0, 0.0])
+        assert seeded((free, still)) == (7, [1.0, 0.0])
 
 
 def small_curl_hand() -> HandModel:

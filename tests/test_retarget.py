@@ -218,6 +218,16 @@ class TestTwoBoneIk:
         sol = two_bone_ik(np.zeros(3), 0.4, 0.4, np.array([0.0, -0.5, 0.0]), pole)
         assert sol.mid_position[2] < -0.01
 
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)], ids=["up", "right"])
+    def test_pole_along_the_reach_bends_in_plain_floats(self, axis):
+        # A pole parallel to the reach falls back to u x UP, and for a
+        # vertical reach to u x RIGHT; either way the solve stays on floats.
+        target = tuple(0.8 * c for c in axis)
+        sol = two_bone_ik((0.0, 0.0, 0.0), 0.5, 0.5, target, axis)
+        assert all(type(c) is float for c in (*sol.mid_position, *sol.end_position))
+        assert math.dist(sol.mid_position, (0.0, 0.0, 0.0)) == pytest.approx(0.5, abs=1e-12)
+        assert math.dist(sol.mid_position, target) == pytest.approx(0.5, abs=1e-12)
+
     def test_degenerate_target_keeps_pose(self):
         sol = two_bone_ik(np.ones(3), 0.4, 0.4, np.ones(3) + 1e-9,
                           np.array([0.0, 0.0, -1.0]))

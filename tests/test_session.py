@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avatarfit.math3d import Transform, quat_angle_between, quat_from_axis_angle, quat_mul
+from avatarfit.math3d import FormatError, Transform, quat_angle_between, quat_from_axis_angle
 from avatarfit.motion import arms_script, squat_script, tpose_script
 from avatarfit.rigs import humanoid
 from avatarfit.session import (
@@ -17,7 +17,6 @@ from avatarfit.session import (
     ROLE_TO_JOINT,
     ScriptError,
     Session,
-    SessionFormatError,
     default_mount_offsets,
     generate_synthetic_session,
     identify_roles,
@@ -91,7 +90,7 @@ class TestIdentifyRoles:
 
     def test_wrong_device_count(self):
         frame, _ = placement_frame()
-        with pytest.raises(SessionFormatError):
+        with pytest.raises(FormatError):
             identify_roles(DeviceFrame(0.0, frame.devices[:5]))
 
 
@@ -212,7 +211,7 @@ class TestSessionFiles:
         obj["devices"] = obj["devices"][:5]
         lines[2] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SessionFormatError, match=":3"):
+        with pytest.raises(FormatError, match=":3"):
             read_session(path)
 
     def test_nonmonotonic_timestamps_rejected(self, tmp_path, tpose_session):
@@ -221,13 +220,13 @@ class TestSessionFiles:
         frames[2] = DeviceFrame(frames[1].timestamp, frames[2].devices)
         path = tmp_path / "bad.jsonl"
         write_session(Session(frames, session.role_map, 0), path)
-        with pytest.raises(SessionFormatError, match="strictly increasing"):
+        with pytest.raises(FormatError, match="strictly increasing"):
             read_session(path)
 
     def test_malformed_json_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"calibration_frame": 0}\nnot json\n')
-        with pytest.raises(SessionFormatError, match=":2"):
+        with pytest.raises(FormatError, match=":2"):
             read_session(path)
 
     def test_ground_truth_round_trip(self, tmp_path, tpose_session):

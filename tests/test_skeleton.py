@@ -140,7 +140,7 @@ class TestForwardKinematics:
         root = Transform(root.rotation, root.translation * rng.uniform(0.1, 100.0))
         states = forward_kinematics(skel, rotations, pose_state(root))
         want = reference_forward_kinematics(skel, rotations, root)
-        assert len(states) == len(want) == len(skel)
+        assert len(states) == len(want) == len(skel.joints)
         for state, w in zip(states, want):
             assert np.array(state[:4]).tobytes() == w.rotation.tobytes()
             assert np.array(state[4:]).tobytes() == w.translation.tobytes()
@@ -212,7 +212,7 @@ class TestScaleUniform:
 class TestLoadSkeleton:
     def test_reference_humanoid(self):
         skel = load_skeleton(humanoid_document())
-        assert len(skel) == 21
+        assert len(skel.joints) == 21
         assert skel.eye_height_bind == pytest.approx(1.68)
 
     def test_long_leg_variant_geometry(self):
@@ -268,7 +268,7 @@ class TestLoadSkeleton:
         path = tmp_path / "skel.json"
         save_skeleton_file(user_skeleton, path)
         loaded = load_skeleton_file(path)
-        assert len(loaded) == len(user_skeleton)
+        assert len(loaded.joints) == len(user_skeleton.joints)
         for a, b in zip(loaded.joints, user_skeleton.joints):
             assert a.name == b.name and a.role == b.role and a.parent == b.parent
             np.testing.assert_array_equal(a.bind_local.translation, b.bind_local.translation)
@@ -277,6 +277,6 @@ class TestLoadSkeleton:
         doc = humanoid_document()
         doc["joints"].reverse()
         skel = load_skeleton(doc)
-        assert len(skel) == 21
+        assert len(skel.joints) == 21
         world = {j.name: state for j, state in zip(skel.joints, skel.bind_states)}
         assert world["head"][5] == pytest.approx(1.54)
