@@ -160,8 +160,10 @@ def _solve_inputs(args):
 
 def cmd_solve(args) -> int:
     # Usage and every input file are checked before the body solve.
-    if args.hand_model and not args.controller:
-        print("error: --hand-model requires --controller", file=sys.stderr)
+    if bool(args.hand_model) != bool(args.controller):
+        given, needed = (("--hand-model", "--controller") if args.hand_model
+                         else ("--controller", "--hand-model"))
+        print(f"error: {given} requires {needed}", file=sys.stderr)
         return EXIT_USAGE
     session, profile, scaled, truth = _solve_inputs(args)
     sides = _load_hands(args) if args.hand_model else None

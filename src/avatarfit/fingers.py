@@ -23,8 +23,10 @@ so they agree bit for bit. `_FingerChain.walk`, on plain floats, serves
 `finger_objective` and the search's polls. It walks from a list of
 per-joint states (world rotation, position and partial objective after each
 joint); a poll turns one joint k, so it resumes from the current point's
-state after joint k - 1. The states of a finger's returned factors are the
-posed points of `pose_hand_on_controller`, with no walk of their own.
+state after joint k - 1, and stops once its running total reaches the
+current value: every term is >= 0, so the poll has lost. The states of a
+finger's returned factors are the posed points of `pose_hand_on_controller`,
+with no walk of their own.
 `_grid_values` walks the seed grid on NumPy arrays as a tree: level j holds
 the GRID_POINTS^(j+1) states of the first j + 1 factors, and the fingers of
 a hand with the same joint count and button presence are rows of one walk
@@ -43,9 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .math3d import DegenerateGeometryError, FormatError, Transform, floats_from_json, \
-    floats_to_json, quat_from_axis_angle, quat_from_json, quat_to_json, read_json_file, \
-    slerp_at, slerp_basis, transform_from_obj, transform_to_obj, write_json_file
+from .math3d import DegenerateGeometryError, FormatError, Transform, compose_state, \
+    floats_from_json, floats_to_json, pose_state, quat_from_axis_angle, quat_from_json, \
+    quat_to_json, read_json_file, slerp_at, slerp_basis, transform_from_obj, transform_to_obj, \
+    write_json_file
 
 # The search starts from the best point of the grid {0, 1/6, ..., 1}^n and
 # stops once its step falls below STEP_TOL.
@@ -177,11 +180,12 @@ class _FingerChain:
 
     def __init__(self, finger: Finger, wrist_world: Transform | None, shape: CapsuleShape,
                  penalty: float, button: tuple | None = None):
-        base = finger.base_local if wrist_world is None else wrist_world @ finger.base_local
-        self.start = (*(float(v) for v in base.rotation),
-                      *(float(v) for v in base.translation), 0.0)
+        base = pose_state(finger.base_local)
+        if wrist_world is not None:
+            base = compose_state(pose_state(wrist_world), base[:4], base[4:])
+        self.start = (*base, 0.0)
         self.slerps = [slerp_basis(j.open_rotation, j.closed_rotation) for j in finger.joints]
-        self.offsets = [tuple(float(v) for v in j.offset) for j in finger.joints]
+        self.offsets = [j.offset.tolist() for j in finger.joints]
         self.capsule = (*shape._start, *shape._axis, shape._axis_sq, shape.radius)
         self.penalty = penalty
         self.button = button if finger.name == "thumb" else None
@@ -189,7 +193,7 @@ class _FingerChain:
     def rotations(self, t_vec) -> list[tuple]:
         return [slerp_at(basis, float(t)) for basis, t in zip(self.slerps, t_vec)]
 
-    def walk(self, states: list, rotations: list) -> float:
+    def walk(self, states: list, rotations: list, bound: float | None = None) -> float:
         """Objective of the chain with joint j turned by `rotations[j]`.
 
         `states` holds the states of the first k joints, all turned by
@@ -198,7 +202,11 @@ class _FingerChain:
         the last total plus, for the thumb, its distance to the button. A
         resumed walk makes the same additions in the same order as one from
         the base, so the two return the same float. The capsule distance is
-        `capsule_sdf`, written out.
+        `capsule_sdf`, written out. With a `bound`, the walk returns as soon
+        as the running total is >= it, with no states after that joint's.
+        That is exact: every term added (d, -penalty * d, the button
+        distance) is >= 0 and rounding is monotone, so the full walk would
+        return >= it too.
         """
         k = len(states)
         rw, rx, ry, rz, px, py, pz, total = states[-1] if k else self.start
@@ -232,6 +240,8 @@ class _FingerChain:
             d = math.sqrt(dx * dx + dy * dy + dz * dz) - radius
             total += d if d >= 0.0 else -penalty * d
             states.append((rw, rx, ry, rz, px, py, pz, total))
+            if bound is not None and total >= bound:
+                return total
         if self.button is not None:
             bx, by, bz = self.button
             dx = px - bx
@@ -351,13 +361,15 @@ def descend(
     button presence have their grids walked together (`_grid_values`). A
     round tries +step, then -step, on each factor in turn, held to [0, 1],
     and accepts any strict decrease. A poll on factor k turns joint k only,
-    so its walk resumes from the current point's state after joint k - 1,
-    and an accepted probe's states become the current point's. The first
-    step is half the grid spacing, and a round without a decrease halves it.
-    A finger converges when the step falls below STEP_TOL; after max_iters
-    rounds it stops unconverged, which is reported, never raised. `history`
-    holds the accepted objective after each round, so it never rises. Each
-    report keeps the walk states of its finger's returned factors.
+    so its walk resumes from the current point's state after joint k - 1;
+    the walk is bounded by the current value, so a losing poll stops early
+    and an accepted probe, whose states become the current point's, has
+    walked to the tip. The first step is half the grid spacing, and a round
+    without a decrease halves it. A finger converges when the step falls
+    below STEP_TOL; after max_iters rounds it stops unconverged, which is
+    reported, never raised. `history` holds the accepted objective after
+    each round, so it never rises. Each report keeps the walk states of its
+    finger's returned factors.
     """
     cfg = config or DescentConfig()
     button_f = _float_point(button)
@@ -385,7 +397,7 @@ def descend(
                     probe_rotations = rotations.copy()
                     probe_rotations[k] = slerp_at(chain.slerps[k], trial)
                     probe_states = states[:k]
-                    candidate = chain.walk(probe_states, probe_rotations)
+                    candidate = chain.walk(probe_states, probe_rotations, value)
                     if candidate < value:
                         t[k] = trial
                         rotations, states = probe_rotations, probe_states

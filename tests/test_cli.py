@@ -325,6 +325,16 @@ class TestSolveChecksFirst:
         assert "--hand-model requires --controller" in capsys.readouterr().err
         assert solve_calls == []
 
+    def test_controller_without_hand_model_exits_2(self, tmp_path, tiny_files, solve_calls,
+                                                   capsys):
+        # A malformed controller file: reading it would exit 3.
+        bad = tmp_path / "controller.json"
+        bad.write_text("{bad")
+        assert self.solve(tiny_files, tmp_path, "--controller", bad) == cli.EXIT_USAGE
+        assert "--controller requires --hand-model" in capsys.readouterr().err
+        assert solve_calls == []
+        assert not (tmp_path / "trace.jsonl").exists()
+
     @pytest.mark.parametrize("kind", ["hand", "controller"])
     def test_malformed_grip_file_exits_3(self, tmp_path, tiny_files, solve_calls, kind):
         files = dict(tiny_files)

@@ -406,6 +406,64 @@ class TestGridSeed:
         assert seeded((free, still)) == (7, [1.0, 0.0])
 
 
+class TestBoundedWalk:
+    """`_FingerChain.walk` with a bound, as the polls call it, against the walk
+    without one."""
+
+    @settings(max_examples=80)
+    @given(seeds, st.integers(min_value=1, max_value=4), st.booleans(),
+           st.floats(min_value=1.0, max_value=30.0), st.integers(min_value=0, max_value=4),
+           st.sampled_from(["full", "below_full", "above_full", "partial", "above_partial",
+                            "scaled"]),
+           st.floats(min_value=0.0, max_value=2.0))
+    @example(0, 3, False, 10.0, 0, "full", 1.0)
+    @example(1, 4, True, 10.0, 2, "full", 1.0)
+    def test_returns_the_full_walk_below_the_bound(self, seed, n_joints, with_button, penalty,
+                                                   k, bound_kind, scale):
+        # A random chain of n_joints joints, resumed after joint k from the
+        # full walk's states. The bound is the full value or a running total
+        # of the full walk, one of them plus or minus an ulp, or a multiple of
+        # the full value.
+        rng = np.random.default_rng(seed)
+        joints = tuple(FingerJointSpec(random_quat(rng), random_quat(rng),
+                                       rng.normal(size=3) * 0.04) for _ in range(n_joints))
+        finger = Finger("thumb" if with_button else "index",
+                        Transform(random_quat(rng), rng.normal(size=3) * 0.1), joints)
+        button = tuple((rng.normal(size=3) * 0.1).tolist()) if with_button else None
+        chain = fingers._FingerChain(finger, Transform(random_quat(rng), rng.normal(size=3)),
+                                     random_grip_capsule(rng), penalty, button)
+        rotations = chain.rotations(rng.uniform(0.0, 1.0, size=n_joints))
+        full_states = []
+        full = chain.walk(full_states, rotations)
+        k = min(k, n_joints)
+        partial = full_states[int(rng.integers(n_joints))][-1]
+        bound = {"full": full, "below_full": math.nextafter(full, -math.inf),
+                 "above_full": math.nextafter(full, math.inf), "partial": partial,
+                 "above_partial": math.nextafter(partial, math.inf),
+                 "scaled": full * scale}[bound_kind]
+        states = full_states[:k]
+        value = chain.walk(states, rotations, bound)
+        if full < bound:
+            assert np.float64(value).tobytes() == np.float64(full).tobytes()
+            assert states == full_states
+        else:
+            assert value >= bound
+            assert k <= len(states) <= n_joints
+            assert states == full_states[:len(states)]
+
+    def test_stops_before_the_tip(self):
+        # Every point of the curled toy finger is about 1 m from the far
+        # capsule, so a bound of the first point's total is reached at once.
+        chain = fingers._FingerChain(small_curl_hand().fingers[0], None, far_capsule(), 10.0)
+        rotations = chain.rotations([0.5, 0.5, 0.5])
+        full_states = []
+        full = chain.walk(full_states, rotations)
+        first = full_states[0][-1]
+        states = []
+        assert chain.walk(states, rotations, first) == first < full
+        assert states == full_states[:1]
+
+
 def small_curl_hand() -> HandModel:
     """Three-joint finger with 25-degree curls: closing always descends."""
     curl = quat_from_axis_angle(Z, math.radians(25))
