@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .math3d import FormatError, Transform, floats_from_json, floats_to_json, read_json_file, \
-    state_transform, transform_from_obj, transform_to_obj, write_json_file
+    transform_from_obj, transform_to_obj, write_json_file
 from .session import DeviceFrame, DeviceRole, Session, identify_roles
 from .skeleton import SkeletonModel, scale_uniform
 
@@ -56,7 +56,7 @@ def _check_walk_in(error: type, where: str, offset: Transform) -> None:
 class CalibrationProfile:
     scale: float
     offsets: dict[str, Transform]  # per PART_ROLES part: joint pose in its device's frame
-    w0: np.ndarray  # headset position minus back-tracker position at t=0
+    w0: tuple  # headset position minus back-tracker position at t=0, three floats
     role_map: dict[str, DeviceRole]
 
 
@@ -99,11 +99,13 @@ def capture_profile(
 
     offsets = {}
     for part, (dev_role, joint_role) in PART_ROLES.items():
-        joint = placement @ state_transform(skeleton.bind_states[skeleton.role_index(joint_role)])
+        bind = skeleton.bind_states[skeleton.role_index(joint_role)]
+        joint = placement @ Transform.of_state(bind)
         offsets[part] = device[dev_role].inverse() @ joint
         _check_walk_in(MisalignmentError, part, offsets[part])
 
-    w0 = device[DeviceRole.HMD].translation - device[DeviceRole.TRACKER_ROOT].translation
+    w0 = tuple(h - b for h, b in zip(device[DeviceRole.HMD].state[4:],
+                                     device[DeviceRole.TRACKER_ROOT].state[4:]))
     return CalibrationProfile(scale=scale, offsets=offsets, w0=w0, role_map=dict(role_map))
 
 
@@ -159,7 +161,7 @@ def profile_from_document(document: dict) -> CalibrationProfile:
         if len(role_map) != 6 or len(set(role_map.values())) != 6:
             raise FormatError("role_map must map six devices onto the six roles")
         return CalibrationProfile(scale=scale, offsets=offsets,
-                                  w0=floats_from_json(document["w0"], (3,), "w0"),
+                                  w0=tuple(floats_from_json(document["w0"], (3,), "w0").tolist()),
                                   role_map=role_map)
     except (KeyError, TypeError, AttributeError) as e:
         raise FormatError(f"malformed calibration profile ({e!r})") from e

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .math3d import DegenerateGeometryError, FormatError, Transform, compose_state, \
-    floats_from_json, floats_to_json, pose_state, quat_from_axis_angle, quat_from_json, \
+    floats_from_json, floats_to_json, quat_from_axis_angle, quat_from_json, \
     quat_to_json, read_json_file, slerp_at, slerp_basis, transform_from_obj, transform_to_obj, \
     write_json_file
 
@@ -180,9 +180,9 @@ class _FingerChain:
 
     def __init__(self, finger: Finger, wrist_world: Transform | None, shape: CapsuleShape,
                  penalty: float, button: tuple | None = None):
-        base = pose_state(finger.base_local)
+        base = finger.base_local.state
         if wrist_world is not None:
-            base = compose_state(pose_state(wrist_world), base[:4], base[4:])
+            base = compose_state(wrist_world.state, base[:4], base[4:])
         self.start = (*base, 0.0)
         self.slerps = [slerp_basis(j.open_rotation, j.closed_rotation) for j in finger.joints]
         self.offsets = [j.offset.tolist() for j in finger.joints]
@@ -436,7 +436,7 @@ def pose_hand_on_controller(
     rotation after joint j, as the search's last walk of the finger left it.
     """
     params, reports = descend(hand, controller, config, wrist_world, button)
-    poses = [[Transform(np.array(s[:4]), np.array(s[4:7])) for s in r.states] for r in reports]
+    poses = [[Transform.of_state(s[:7]) for s in r.states] for r in reports]
     distances = [[capsule_sdf(controller, s[4:7]) for s in r.states] for r in reports]
     return HandPoseResult(params, poses, distances, reports)
 

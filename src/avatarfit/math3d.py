@@ -7,9 +7,12 @@ Conventions used throughout the package:
 - Quaternions are in (w, x, y, z) order and are kept unit-length.
   Serialization canonicalizes the sign so w >= 0, making traces
   byte-comparable across runs.
-- `Transform` and the file codecs hold float64 arrays. The vector helpers
-  and the pose-state functions take any sequence and return floats or
-  tuples of floats, which the per-frame body solve runs on.
+- A pose is one type, `Transform`, which stores its pose state
+  (w, x, y, z, px, py, pz) as a tuple of floats; its `rotation` and
+  `translation` are float64 array copies for NumPy callers. The vector and
+  quaternion helpers take any sequence and return floats or tuples of
+  floats, which the per-frame body solve runs on; the file codecs read and
+  write float64 arrays.
 - Positions and translations are in meters, angles in radians.
 """
 
@@ -93,31 +96,6 @@ def rotation_between(a, b) -> tuple:
 # Quaternions (w, x, y, z)
 # ---------------------------------------------------------------------------
 
-def quat_identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def quat_canonical(q) -> np.ndarray:
-    """Flip sign so w >= 0 (and, at w == 0, the first nonzero of x,y,z > 0)."""
-    q = np.asarray(q, dtype=np.float64)
-    if q[0] < 0.0:
-        return -q
-    if q[0] == 0.0:
-        for c in q[1:]:
-            if c != 0.0:
-                return q if c > 0.0 else -q
-    return q
-
-
-def quat_mul(a, b) -> np.ndarray:
-    return np.array(qmul(a, b))
-
-
-def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector v by unit quaternion q (`qrotate` on floats, as an array)."""
-    return np.array(qrotate([float(c) for c in q], [float(c) for c in v]))
-
-
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     axis = normalize(axis)
     half = 0.5 * angle
@@ -146,8 +124,8 @@ def slerp_basis(a, b) -> tuple:
     calls `slerp_at` alone. Both work on plain floats: numpy's per-call
     overhead on 4-vectors would dominate the search's inner loop.
     """
-    aw, ax, ay, az = (float(v) for v in a)
-    bw, bx, by, bz = (float(v) for v in b)
+    aw, ax, ay, az = np.asarray(a, dtype=np.float64).tolist()
+    bw, bx, by, bz = np.asarray(b, dtype=np.float64).tolist()
     d = aw * bw + ax * bx + ay * by + az * bz
     if d < 0.0:
         bw, bx, by, bz = -bw, -bx, -by, -bz
@@ -177,11 +155,9 @@ def slerp_at(basis: tuple, t: float) -> tuple[float, float, float, float]:
 # Plain-float quaternions and pose states
 # ---------------------------------------------------------------------------
 # A quaternion is (w, x, y, z) and a pose state (w, x, y, z, px, py, pz) is a
-# `Transform`'s rotation followed by its translation. NumPy's per-call
-# overhead on 3- and 4-vectors would dominate the body solve. Float arithmetic
-# on NumPy scalars and Python floats rounds alike, so `quat_mul`, `quat_rotate`
-# (these functions wrapped in an array) and `Transform.__matmul__`
-# (`compose_state`'s operations) give the same bytes.
+# rotation followed by a translation, as `Transform.state` holds it. They are
+# tuples of floats: NumPy's per-call overhead on 3- and 4-vectors would
+# dominate the body solve.
 
 def qmul(a, b) -> tuple:
     """Hamilton product a * b."""
@@ -220,53 +196,60 @@ def compose_state(s, q, v) -> tuple:
     return (*qmul(r, q), s[4] + dx, s[5] + dy, s[6] + dz)
 
 
-def pose_state(t: Transform) -> tuple:
-    """The pose state (w, x, y, z, px, py, pz) of a Transform."""
-    return (*t.rotation.tolist(), *t.translation.tolist())
-
-
-def state_transform(s) -> Transform:
-    """The Transform of a pose state."""
-    return Transform(np.array(s[:4]), np.array(s[4:]))
-
-
 # ---------------------------------------------------------------------------
 # Rigid transforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Transform:
-    """Rigid transform: rotation (unit quaternion) followed by translation."""
+    """Rigid transform: rotation (unit quaternion) followed by translation.
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    `state` is its pose state (w, x, y, z, px, py, pz), a tuple of floats;
+    `rotation` and `translation` return it as fresh float64 arrays. Slotted,
+    since sessions and ground truths hold one per device or joint and frame.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64))
+    state: tuple
+
+    def __init__(self, rotation, translation):
+        object.__setattr__(self, "state", (*np.asarray(rotation, dtype=np.float64).tolist(),
+                                           *np.asarray(translation, dtype=np.float64).tolist()))
+
+    @classmethod
+    def of_state(cls, s) -> "Transform":
+        """The Transform of pose state `s`, which it keeps as it is."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "state", s)
+        return t
 
     @classmethod
     def identity(cls) -> "Transform":
-        return cls(quat_identity(), np.zeros(3))
+        return cls.of_state((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+    @property
+    def rotation(self) -> np.ndarray:
+        return np.array(self.state[:4])
+
+    @property
+    def translation(self) -> np.ndarray:
+        return np.array(self.state[4:])
 
     def __matmul__(self, other: "Transform") -> "Transform":
         """Composition: (self @ other)(p) = self(other(p))."""
-        return Transform(
-            quat_mul(self.rotation, other.rotation),
-            self.translation + quat_rotate(self.rotation, other.translation),
-        )
+        o = other.state
+        return Transform.of_state(compose_state(self.state, o[:4], o[4:]))
 
     def inverse(self) -> "Transform":
-        rinv = np.array(qconj(self.rotation))
-        return Transform(rinv, -quat_rotate(rinv, self.translation))
+        s = self.state
+        rinv = qconj(s)
+        dx, dy, dz = qrotate(rinv, s[4:])
+        return Transform.of_state((*rinv, -dx, -dy, -dz))
 
     def apply(self, p) -> np.ndarray:
         """Transform a point."""
-        return quat_rotate(self.rotation, p) + self.translation
-
-    def rotate(self, v) -> np.ndarray:
-        """Rotate a direction (translation ignored)."""
-        return quat_rotate(self.rotation, v)
+        s = self.state
+        dx, dy, dz = qrotate(s[:4], np.asarray(p, dtype=np.float64).tolist())
+        return np.array((dx + s[4], dy + s[5], dz + s[6]))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +269,15 @@ def floats_to_json(v) -> list:
 
 
 def quat_to_json(q) -> list:
-    return floats_to_json(quat_canonical(q))
+    """q as floats, its sign flipped so w >= 0 (at w == 0, the first nonzero of x, y, z > 0)."""
+    q = [float(c) for c in q]
+    if q[0] < 0.0:
+        return [-c for c in q]
+    if q[0] == 0.0:
+        for c in q[1:]:
+            if c != 0.0:
+                return q if c > 0.0 else [-c for c in q]
+    return q
 
 
 def floats_from_json(value, shape: tuple, where: str) -> np.ndarray:
@@ -324,7 +315,8 @@ def transform_from_obj(obj, where: str) -> Transform:
 
 def pose_to_obj(t: Transform) -> dict:
     """Compact pose object of the session and trace lines."""
-    return {"p": floats_to_json(t.translation), "q": quat_to_json(t.rotation)}
+    s = t.state
+    return {"p": list(s[4:]), "q": quat_to_json(s[:4])}
 
 
 def pose_from_obj(obj, where: str) -> Transform:

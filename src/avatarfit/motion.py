@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .math3d import RIGHT, Transform, floats_from_json, pose_from_obj, pose_state, \
-    quat_from_axis_angle, quat_from_json, quat_mul, read_jsonl
+from .math3d import RIGHT, Transform, floats_from_json, pose_from_obj, qmul, \
+    quat_from_axis_angle, quat_from_json, read_jsonl
 from .skeleton import SkeletonModel
 
 SCRIPT_NAMES = ("tpose", "squat", "arms", "free")
@@ -49,7 +49,7 @@ def pose_from_script(skeleton: SkeletonModel, sp: ScriptPose) -> tuple[list[tupl
         except KeyError:
             raise ScriptError(f"script rotates unknown joint {name!r}") from None
     root = _bind_root(skeleton) if sp.root_world is None else sp.root_world
-    return rotations, pose_state(root)
+    return rotations, root.state
 
 
 def _bind_root(skeleton: SkeletonModel) -> Transform:
@@ -134,7 +134,7 @@ def free_script(skeleton: SkeletonModel, duration: float = 6.0, fps: float = 30.
         sway = np.array([0.15 * math.sin(2.0 * math.pi * u),
                          0.0,
                          0.10 * math.sin(4.0 * math.pi * u)])
-        root = Transform(quat_mul(yaw, bind_root.rotation), bind_root.translation + sway)
+        root = Transform(qmul(yaw, bind_root.state[:4]), bind_root.translation + sway)
         frames.append(ScriptPose(t, rots, root))
     return frames
 

@@ -31,9 +31,10 @@ reproduces the classic bent-legs artifact on avatars with longer legs.
 The solve runs on tuples of Python floats: pose states (see
 `math3d.compose_state`) for device poses, targets, local rotations and the
 two FK passes (after the spine bend, and the final pose), and 3-tuples for
-the spine bend's vectors and the limb IK's positions and directions.
-`Transform` and NumPy appear only at the edges: the frame's device poses, the
-profile's offsets and `w0` going in, `SolvedPose.world` coming out.
+the spine bend's vectors and the limb IK's positions and directions. It
+reads the pose states of the frame's devices and the profile's offsets
+(`Transform.state`) and the profile's float `w0`, and wraps each solved
+state as a `Transform` of `SolvedPose.world`; nothing is converted.
 """
 
 from __future__ import annotations
@@ -57,14 +58,12 @@ from .math3d import (
     dot,
     norm,
     normalize,
-    pose_state,
     pose_to_obj,
     qconj,
     qmul,
     qrotate,
     quat_angle,
     rotation_between,
-    state_transform,
     write_jsonl,
 )
 from .session import DeviceFrame, DeviceRole, GroundTruth, Session
@@ -221,7 +220,7 @@ def solve_frame(
     device: dict[DeviceRole, tuple] = {}
     for did, role in profile.role_map.items():
         try:
-            device[role] = pose_state(frame.pose_of(did))
+            device[role] = frame.pose_of(did).state
         except KeyError as e:
             raise FrameInputError(f"frame lacks device {did!r} for role {role.value}") from e
     if len(device) != 6:
@@ -231,8 +230,7 @@ def solve_frame(
             raise FrameInputError(f"device pose for {role.value} is not finite")
 
     offsets = mode_offsets(profile, mode)
-    target = {part: compose_state(device[role], offsets[part].rotation.tolist(),
-                                  offsets[part].translation.tolist())
+    target = {part: compose_state(device[role], offsets[part].state[:4], offsets[part].state[4:])
               for part, (role, _) in PART_ROLES.items()}
 
     bind = skeleton.bind_states
@@ -255,7 +253,7 @@ def solve_frame(
     spine_idx = skeleton.role_index("spine")
     hmd, back = device[DeviceRole.HMD], device[DeviceRole.TRACKER_ROOT]
     w_local = qrotate(qconj(root_delta), (hmd[4] - back[4], hmd[5] - back[5], hmd[6] - back[6]))
-    bend = rotation_between(profile.w0.tolist(), w_local)
+    bend = rotation_between(profile.w0, w_local)
     diag.alpha = quat_angle(bend)
     locals_[spine_idx] = qmul(qconj(bind[parents[spine_idx]][:4]),
                               qmul(bend, bind[spine_idx][:4]))
@@ -294,7 +292,7 @@ def solve_frame(
     for *roles, _, _, flexion_name in _LIMBS.values():
         setattr(diag, flexion_name,
                 _flexion(*(world[skeleton.role_index(r)][4:] for r in roles)))
-    return SolvedPose([state_transform(s) for s in world], diag)
+    return SolvedPose([Transform.of_state(s) for s in world], diag)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +322,7 @@ class SessionMetrics:
 
 
 def _truth_flexion(truth: GroundTruth, frame_index: int, side: str) -> float:
-    return _flexion(*(truth.by_role(frame_index, f"{joint}_{side}").translation
+    return _flexion(*(truth.by_role(frame_index, f"{joint}_{side}").state[4:]
                       for joint in ("hip", "knee", "ankle")))
 
 
@@ -370,10 +368,10 @@ def solve_session(
 
         if ground_truth is not None:
             for role in ("ankle_l", "ankle_r", "wrist_l", "wrist_r"):
-                gt = ground_truth.by_role(i, role).translation
-                got = sp.world[skeleton.role_index(role)].translation
+                gt = ground_truth.by_role(i, role).state[4:]
+                got = sp.world[skeleton.role_index(role)].state[4:]
                 errors = ankle_errors if role.startswith("ankle") else wrist_errors
-                errors.append(float(np.linalg.norm(got - gt)))
+                errors.append(float(np.linalg.norm([a - b for a, b in zip(got, gt)])))
             if (_truth_flexion(ground_truth, i, "l") < STRAIGHT_LEG_MAX
                     and _truth_flexion(ground_truth, i, "r") < STRAIGHT_LEG_MAX):
                 straight_count += 1

@@ -27,16 +27,14 @@ from .math3d import (
     cross,
     fit_plane,
     floats_from_json,
-    floats_to_json,
     normalize,
     pose_from_obj,
     pose_to_obj,
+    qmul,
     quat_angle_between,
     quat_from_axis_angle,
-    quat_mul,
     quat_to_json,
     read_jsonl,
-    state_transform,
     write_jsonl,
 )
 from .motion import ScriptError, ScriptPose, pose_from_script
@@ -284,19 +282,18 @@ def generate_synthetic_session(
     frames: list[DeviceFrame] = []
     truth_frames: list[list[Transform]] = []
     for sp in script:
-        world = [state_transform(s)
+        world = [Transform.of_state(s)
                  for s in forward_kinematics(skeleton, *pose_from_script(skeleton, sp))]
         truth_frames.append(world)
         devices = []
         for did in ids:
             pose = world[joint_for[did]] @ mounts[role_map[did]]
             if noise.position_sigma > 0.0:
-                pose = Transform(pose.rotation,
+                pose = Transform(pose.state[:4],
                                  pose.translation + rng.normal(0.0, noise.position_sigma, 3))
             if noise.rotation_sigma > 0.0:
-                pose = Transform(quat_mul(_small_rotation(rng, noise.rotation_sigma),
-                                          pose.rotation),
-                                 pose.translation)
+                pose = Transform(qmul(_small_rotation(rng, noise.rotation_sigma), pose.state[:4]),
+                                 pose.state[4:])
             devices.append((did, pose))
         frames.append(DeviceFrame(sp.time, devices))
 
@@ -388,8 +385,8 @@ def write_ground_truth(truth: GroundTruth, session: Session, path) -> None:
         "roles": truth.joint_roles,
     }
     frames = ({"t": frame.timestamp,
-               "p": [floats_to_json(w.translation) for w in world],
-               "q": [quat_to_json(w.rotation) for w in world]}
+               "p": [list(w.state[4:]) for w in world],
+               "q": [quat_to_json(w.state[:4]) for w in world]}
               for frame, world in zip(session.frames, truth.frames))
     write_jsonl(path, [header, *frames])
 
@@ -412,5 +409,8 @@ def read_ground_truth(path) -> GroundTruth:
         q = floats_from_json(obj.get("q"), (len(names), 4), f"{where} q")
         if np.abs(np.linalg.norm(q, axis=1) - 1.0).max() > 1e-6:
             raise FormatError(f"{where} q: not all unit quaternions")
-        frames.append([Transform(qi, pi) for pi, qi in zip(p, q)])
+        # `float` returns a file float as it is, so the states share the
+        # parsed numbers rather than hold a second copy of every one.
+        frames.append([Transform.of_state((*map(float, qi), *map(float, pi)))
+                       for pi, qi in zip(obj["p"], obj["q"])])
     return GroundTruth(names, roles, frames)

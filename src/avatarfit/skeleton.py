@@ -7,7 +7,7 @@ local rotation per joint so bone lengths never change.
 Forward kinematics runs on plain floats: a pose is one local rotation per
 joint as a (w, x, y, z) tuple plus the root's pose state, and FK returns one
 pose state (w, x, y, z, px, py, pz) per joint (see `math3d.compose_state`).
-`Transform` appears only at the document edge, the joints' bind transforms;
+The joints' bind transforms are read once, as their `Transform.state`;
 `SkeletonModel.bind_states` is the one copy of the bind pose in the world.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .math3d import FormatError, Transform, compose_state, floats_from_json, floats_to_json, \
-    pose_state, quat_from_json, quat_to_json, read_json_file, write_json_file
+    quat_from_json, quat_to_json, read_json_file, write_json_file
 
 REQUIRED_ROLES = frozenset({
     "root", "spine", "head",
@@ -73,13 +73,11 @@ class SkeletonModel:
             # required roles are unique by validation.
             self._role_index.setdefault(j.role, i)
         self.parents = tuple(j.parent for j in self.joints)
-        self.bind_translations = tuple(tuple(j.bind_local.translation.tolist())
-                                       for j in self.joints)
-        self._bone_lengths = tuple(float(np.linalg.norm(j.bind_local.translation))
-                                   for j in self.joints)
-        self.bind_rotations = tuple(tuple(j.bind_local.rotation.tolist()) for j in self.joints)
+        self.bind_translations = tuple(j.bind_local.state[4:] for j in self.joints)
+        self._bone_lengths = tuple(float(np.linalg.norm(v)) for v in self.bind_translations)
+        self.bind_rotations = tuple(j.bind_local.state[:4] for j in self.joints)
         root = self.joints[self.role_index("root")].bind_local
-        self.bind_states = tuple(forward_kinematics(self, self.bind_rotations, pose_state(root)))
+        self.bind_states = tuple(forward_kinematics(self, self.bind_rotations, root.state))
 
     def index_of(self, name: str) -> int:
         return self._name_index[name]
@@ -99,10 +97,9 @@ def forward_kinematics(skeleton: SkeletonModel, rotations, root: tuple) -> list[
     `rotations` holds one local rotation (w, x, y, z) per joint; the root's
     entry is ignored, since the root is placed at the pose state `root`.
     Joint i's state is its parent's composed with (rotations[i],
-    bind_translations[i]) by `compose_state`, the operations of
-    `Transform.__matmul__` in its order, so each state equals the bytes of
-    the Transform-composition FK
-    (`tests/oracles.py::reference_forward_kinematics`).
+    bind_translations[i]) by `compose_state`, which `Transform.__matmul__`
+    also runs; each state equals the bytes of FK by composition on float64
+    arrays (`tests/oracles.py::reference_forward_kinematics`).
     """
     if len(rotations) != len(skeleton.parents):
         raise SkeletonError(

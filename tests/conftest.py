@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from avatarfit.calibration import calibrate_session
-from avatarfit.math3d import Transform, quat_from_axis_angle, quat_mul, slerp_at, slerp_basis
+from avatarfit.math3d import Transform, qmul, quat_from_axis_angle, slerp_at, slerp_basis
 from avatarfit.motion import squat_script, tpose_script
 from avatarfit.rigs import humanoid, humanoid_long_legs
 from avatarfit.session import DeviceRole, default_mount_offsets, generate_synthetic_session
@@ -49,7 +49,7 @@ def rotated_mount_offsets() -> dict[DeviceRole, Transform]:
     out = {}
     for role, mount in mounts.items():
         spin = spins.get(role)
-        rot = mount.rotation if spin is None else quat_mul(spin, mount.rotation)
+        rot = mount.rotation if spin is None else qmul(spin, mount.rotation)
         out[role] = Transform(rot, mount.translation)
     return out
 

@@ -206,19 +206,47 @@ def reference_quat_rotate(q, v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Forward kinematics by Transform composition: `skeleton.forward_kinematics`
-# walks pose states on plain floats and must equal these bytes.
+# Rigid transforms on float64 arrays, (rotation, translation) pairs: the
+# `Transform` of pose states and `skeleton.forward_kinematics` must equal
+# these bytes.
 # ---------------------------------------------------------------------------
 
+def reference_quat_mul(a, b) -> np.ndarray:
+    """Hamilton product a * b of two float64 arrays, each component's terms left to right."""
+    aw, ax, ay, az = np.asarray(a, dtype=np.float64)
+    bw, bx, by, bz = np.asarray(b, dtype=np.float64)
+    return np.array([aw * bw - ax * bx - ay * by - az * bz,
+                     aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx,
+                     aw * bz + ax * by - ay * bx + az * bw])
+
+
+def reference_compose(a: tuple, b: tuple) -> tuple:
+    """a @ b: rotation a_q * b_q, translation a_p + a_q b_p."""
+    return reference_quat_mul(a[0], b[0]), a[1] + reference_quat_rotate(a[0], b[1])
+
+
+def reference_inverse(a: tuple) -> tuple:
+    """a^-1: the conjugate rotation and the translation -(conj a_q) a_p."""
+    q = a[0]
+    rinv = np.array([q[0], -q[1], -q[2], -q[3]])
+    return rinv, -reference_quat_rotate(rinv, a[1])
+
+
+def reference_apply(a: tuple, p) -> np.ndarray:
+    """The point p moved by a: a_q p + a_p."""
+    return reference_quat_rotate(a[0], p) + a[1]
+
+
 def reference_forward_kinematics(skeleton: SkeletonModel, rotations,
-                                 root: Transform) -> list[Transform]:
-    """World transform of every joint: the parent's composed with
-    Transform(local rotation, bind translation); the root sits at `root`."""
-    world: list[Transform] = [None] * len(skeleton.joints)  # type: ignore[list-item]
+                                 root: Transform) -> list[tuple]:
+    """World (rotation, translation) of every joint: the parent's composed with
+    (local rotation, bind translation); the root sits at `root`."""
+    world: list[tuple] = [None] * len(skeleton.joints)  # type: ignore[list-item]
     for i, joint in enumerate(skeleton.joints):
         if joint.parent is None:
-            world[i] = root
+            world[i] = (root.rotation, root.translation)
         else:
-            local = Transform(rotations[i], joint.bind_local.translation)
-            world[i] = world[joint.parent] @ local
+            local = (np.asarray(rotations[i], dtype=np.float64), joint.bind_local.translation)
+            world[i] = reference_compose(world[joint.parent], local)
     return world

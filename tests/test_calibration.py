@@ -14,7 +14,8 @@ from avatarfit.calibration import (
     profile_to_document,
     save_profile_file,
 )
-from avatarfit.math3d import FormatError, Transform, quat_angle_between, quat_from_axis_angle
+from avatarfit.math3d import FormatError, Transform, qrotate, quat_angle_between, \
+    quat_from_axis_angle
 from avatarfit.motion import squat_script, tpose_script
 from avatarfit.retarget import OffsetMode, solve_session
 from avatarfit.rigs import humanoid, humanoid_long_legs
@@ -92,6 +93,7 @@ class TestCaptureProfile:
         root = frame.pose_of(device_id(profile, DeviceRole.TRACKER_ROOT)).translation
         np.testing.assert_array_equal(profile.w0, hmd - root)
         assert profile.w0[1] > 0
+        assert len(profile.w0) == 3 and all(type(v) is float for v in profile.w0)
 
     def test_wrist_anchor_reproduces_bind_wrist(self, matched_setup):
         session, _, profile, scaled = matched_setup
@@ -133,7 +135,7 @@ class TestCaptureProfile:
             np.testing.assert_allclose(shifted.offsets[part].translation, offset.translation,
                                        atol=1e-12)
             assert quat_angle_between(shifted.offsets[part].rotation, offset.rotation) < 1e-12
-        np.testing.assert_allclose(shifted.w0, g.rotate(base.w0), atol=1e-12)
+        np.testing.assert_allclose(shifted.w0, qrotate(g.rotation, base.w0), atol=1e-12)
 
 
 class TestValidateProfile:
@@ -171,7 +173,8 @@ class TestProfileFiles:
         for part, offset in profile.offsets.items():
             np.testing.assert_array_equal(loaded.offsets[part].translation, offset.translation)
             np.testing.assert_array_equal(loaded.offsets[part].rotation, offset.rotation)
-        np.testing.assert_array_equal(loaded.w0, profile.w0)
+        assert loaded.w0 == profile.w0
+        assert all(type(v) is float for v in loaded.w0)
 
     def test_unknown_format_rejected(self, matched_setup):
         _, _, profile, _ = matched_setup

@@ -27,7 +27,7 @@ from avatarfit.fingers import (
     save_hand_file,
     transform_capsule,
 )
-from avatarfit.math3d import Transform, quat_from_axis_angle, quat_rotate
+from avatarfit.math3d import Transform, qrotate, quat_from_axis_angle
 
 from conftest import random_quat, random_unit
 from oracles import reference_chain, reference_compass_search, reference_finger_objective, \
@@ -132,7 +132,7 @@ class TestFingerObjective:
             pos = finger.base_local.translation.copy()
             expected = 0.0
             for spec in finger.joints:
-                pos = pos + quat_rotate(base_rot, spec.offset)
+                pos = pos + np.array(qrotate(base_rot, spec.offset))
                 d = capsule_sdf(shape, pos)
                 expected += abs(d) if d >= 0 else 10.0 * abs(d)
             got = finger_objective(hand, fi, params, shape, penalty=10.0)

@@ -10,18 +10,19 @@ from avatarfit.math3d import (
     angle_between,
     cross,
     fit_plane,
+    qmul,
+    qrotate,
     quat_angle_between,
-    quat_canonical,
     quat_from_axis_angle,
-    quat_identity,
-    quat_mul,
-    quat_rotate,
+    quat_to_json,
     rotation_between,
 )
 
 from conftest import quat_slerp, random_quat, random_unit, vec3
-from oracles import reference_cross, reference_quat_rotate, reference_rotation_between, \
-    reference_slerp
+from oracles import reference_apply, reference_compose, reference_cross, reference_inverse, \
+    reference_quat_rotate, reference_rotation_between, reference_slerp
+
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 finite = st.floats(min_value=-1e6, max_value=1e6)
@@ -29,6 +30,28 @@ vectors = st.tuples(finite, finite, finite)
 nonzero = vectors.filter(lambda v: math.hypot(*v) > 1e-6)
 vertical = st.floats(min_value=-1e3, max_value=1e3).filter(lambda y: abs(y) > 1e-6) \
     .map(lambda y: (0.0, y, 0.0))
+
+
+def random_parts(seed: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    return random_quat(rng), 10.0 * rng.normal(size=3)
+
+
+# (rotation, translation) pairs: random ones, and ones of exact components
+# with signed zeros, which a reordered or array-converted formula would flip.
+exact = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+transform_parts = st.one_of(
+    seeds.map(random_parts),
+    st.tuples(st.tuples(exact, exact, exact, exact), st.tuples(exact, exact, exact)),
+)
+
+
+def state_bytes(t: Transform) -> bytes:
+    return np.array(t.state).tobytes()
+
+
+def arrays(parts) -> tuple:
+    return np.array(parts[0], dtype=np.float64), np.array(parts[1], dtype=np.float64)
 
 
 def near_antiparallel(a, scale: float, delta: float) -> tuple:
@@ -78,12 +101,12 @@ class TestAngleBetween:
 class TestRotationBetween:
     def test_identical_gives_identity(self):
         q = rotation_between(vec3(0, 1, 0), vec3(0, 1, 0))
-        np.testing.assert_allclose(q, quat_identity(), atol=1e-12)
+        np.testing.assert_allclose(q, IDENTITY, atol=1e-12)
 
     def test_axis_from_cross_product(self):
         q = rotation_between(vec3(0, 0, 1), vec3(1, 0, 0))
         expected = quat_from_axis_angle(vec3(0, 1, 0), math.pi / 2)
-        np.testing.assert_allclose(quat_canonical(q), quat_canonical(expected), atol=1e-12)
+        np.testing.assert_allclose(quat_to_json(q), quat_to_json(expected), atol=1e-12)
 
     @given(seeds)
     def test_maps_a_onto_b(self, seed):
@@ -91,19 +114,19 @@ class TestRotationBetween:
         a, b = random_unit(rng), random_unit(rng)
         if angle_between(a, b) > math.pi - 1e-3:
             b = -b  # keep away from the antiparallel tie-break
-        np.testing.assert_allclose(quat_rotate(rotation_between(a, b), a), b, atol=1e-6)
+        np.testing.assert_allclose(qrotate(rotation_between(a, b), a), b, atol=1e-6)
 
     def test_antiparallel_deterministic(self):
         a = vec3(1, 0, 0)
         q1 = rotation_between(a, -a)
         q2 = rotation_between(a, -a)
         np.testing.assert_array_equal(q1, q2)
-        np.testing.assert_allclose(quat_rotate(q1, a), -a, atol=1e-9)
+        np.testing.assert_allclose(qrotate(q1, a), -a, atol=1e-9)
 
     def test_antiparallel_vertical_falls_back(self):
         a = vec3(0, 1, 0)
         q = rotation_between(a, -a)
-        np.testing.assert_allclose(quat_rotate(q, a), -a, atol=1e-9)
+        np.testing.assert_allclose(qrotate(q, a), -a, atol=1e-9)
 
     @given(rotation_pairs)
     @example(((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)))
@@ -122,9 +145,9 @@ class TestRotationBetween:
 class TestQuaternions:
     def test_composition_chain_stays_unit(self):
         rng = np.random.default_rng(0)
-        q = quat_identity()
+        q = IDENTITY
         for _ in range(10_000):
-            q = quat_mul(q, quat_from_axis_angle(random_unit(rng), rng.uniform(-1, 1)))
+            q = qmul(q, quat_from_axis_angle(random_unit(rng), rng.uniform(-1, 1)))
         assert abs(np.linalg.norm(q) - 1.0) < 1e-6
 
     @given(seeds)
@@ -138,7 +161,7 @@ class TestQuaternions:
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ])
-        np.testing.assert_allclose(quat_rotate(q, v), mat @ v, atol=1e-9)
+        np.testing.assert_allclose(qrotate(q, v), mat @ v, atol=1e-9)
 
     @given(vectors, vectors)
     def test_cross_equals_numpy_cross(self, a, b):
@@ -148,11 +171,16 @@ class TestQuaternions:
     @given(st.tuples(finite, finite, finite, finite) | seeds.map(
         lambda seed: tuple(random_quat(np.random.default_rng(seed)))), vectors)
     def test_rotate_equals_numpy_cross_form(self, q, v):
-        assert quat_rotate(q, v).tobytes() == reference_quat_rotate(q, v).tobytes()
+        assert np.array(qrotate(q, v)).tobytes() == reference_quat_rotate(q, v).tobytes()
 
     def test_canonical_flips_negative_w(self):
         q = np.array([-0.5, 0.5, 0.5, 0.5])
-        assert quat_canonical(q)[0] == 0.5
+        assert quat_to_json(q)[0] == 0.5
+        # At w == 0 the first nonzero of x, y, z decides; zeros flip sign too.
+        assert np.array(quat_to_json((0.0, -0.0, -0.5, 0.5))).tobytes() == \
+            np.array([-0.0, 0.0, 0.5, -0.5]).tobytes()
+        assert np.array(quat_to_json((-0.0, 0.0, 0.5, -0.5))).tobytes() == \
+            np.array([-0.0, 0.0, 0.5, -0.5]).tobytes()
 
     @given(seeds, st.floats(min_value=0.0, max_value=1.0))
     def test_slerp_unit_and_endpoints(self, seed, t):
@@ -178,13 +206,50 @@ class TestQuaternions:
 
 
 class TestTransform:
+    @given(transform_parts, transform_parts, transform_parts)
+    @example(((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), ((1.0, -0.0, 0.0, -0.0), (-0.0, 0.0, -0.0)),
+             ((0.0, -0.0, 1.0, 0.0), (-0.0, -0.0, -0.0)))
+    # Rotated and translated y components that are -0.0: an added +0.0 flips them.
+    @example(((-1.0, 0.0, 0.0, -0.0), (0.0, -0.0, 0.0)), ((1.0, 0.0, 0.0, 0.0), (-0.0, -0.0, 0.0)),
+             ((1.0, 0.0, 0.0, 0.0), (-0.0, -0.0, 0.0)))
+    def test_operations_equal_array_formulas(self, a, b, point):
+        # Bit for bit, signed zeros included, against the same operations
+        # written on float64 (rotation, translation) arrays.
+        p = np.array(point[1], dtype=np.float64)
+        ta, tb = Transform(*a), Transform(*b)
+        assert state_bytes(ta @ tb) == np.concatenate(reference_compose(arrays(a), arrays(b))) \
+            .tobytes()
+        assert state_bytes(ta.inverse()) == np.concatenate(reference_inverse(arrays(a))).tobytes()
+        assert ta.apply(p).tobytes() == reference_apply(arrays(a), p).tobytes()
+
+    def test_rotation_and_translation_are_float64_copies(self):
+        q, p = np.array([1.0, 0.0, -0.0, 0.0]), np.array([1, 2, 3])
+        t = Transform(q, p)
+        state = t.state
+        assert state == (1.0, 0.0, -0.0, 0.0, 1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in state)
+        q[0], p[0] = 5.0, 5  # the arguments are converted once, not kept
+        rotation, translation = t.rotation, t.translation
+        assert rotation.dtype == translation.dtype == np.float64
+        rotation[0], translation[:] = 7.0, 7.0
+        assert t.state is state and state == (1.0, 0.0, -0.0, 0.0, 1.0, 2.0, 3.0)
+        assert t.rotation.tobytes() == np.array(state[:4]).tobytes()
+        assert t.translation is not t.translation
+
+    def test_of_state_wraps_the_state(self):
+        state = (0.0, 1.0, 0.0, 0.0, 0.5, -0.25, 2.0)
+        t = Transform.of_state(state)
+        assert t.state is state
+        assert t == Transform(state[:4], state[4:])
+        assert Transform.identity() == Transform(IDENTITY, (0.0, 0.0, 0.0))
+
     @given(seeds)
     def test_inverse_compose_is_identity(self, seed):
         rng = np.random.default_rng(seed)
         t = Transform(random_quat(rng), rng.normal(size=3))
         ident = t @ t.inverse()
         np.testing.assert_allclose(ident.translation, np.zeros(3), atol=1e-9)
-        assert quat_angle_between(ident.rotation, quat_identity()) < 1e-6
+        assert quat_angle_between(ident.rotation, IDENTITY) < 1e-6
 
     @given(seeds)
     def test_composition_is_associative(self, seed):
@@ -254,6 +319,6 @@ class TestFitPlane:
         base = residual(plane.normal, plane.offset)
         for _ in range(100):
             wiggle = quat_from_axis_angle(random_unit(rng), rng.uniform(0.001, 0.05))
-            n = quat_rotate(wiggle, plane.normal)
+            n = np.array(qrotate(wiggle, plane.normal))
             off = plane.offset + rng.normal(0, 0.01)
             assert base <= residual(n, off) + 1e-12

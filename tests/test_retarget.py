@@ -10,10 +10,10 @@ from avatarfit.calibration import PART_ROLES, calibrate_session
 from avatarfit.math3d import (
     Transform,
     qconj,
+    qmul,
+    qrotate,
     quat_angle_between,
     quat_from_axis_angle,
-    quat_mul,
-    quat_rotate,
 )
 from avatarfit.motion import builtin_script
 from avatarfit.retarget import (
@@ -75,9 +75,9 @@ class TestEffectorEquations:
         v0 = rng.normal(size=3) * 0.1
         offset = captured_offset(r0_tracker, tracker0, r0_joint, tracker0 + v0)
         g = Transform(random_quat(rng), rng.normal(size=3))
-        target = Transform(quat_mul(g.rotation, r0_tracker), g.apply(tracker0)) @ offset
+        target = Transform(qmul(g.rotation, r0_tracker), g.apply(tracker0)) @ offset
         np.testing.assert_allclose(target.translation, g.apply(tracker0 + v0), atol=1e-9)
-        assert quat_angle_between(target.rotation, quat_mul(g.rotation, r0_joint)) < 1e-9
+        assert quat_angle_between(target.rotation, qmul(g.rotation, r0_joint)) < 1e-9
 
     def test_rotation_identity_at_capture(self, matched_setup):
         session, _, profile, scaled = matched_setup
@@ -99,7 +99,7 @@ class TestEffectorEquations:
         p0_t, v0 = rng.normal(size=3), rng.normal(size=3) * 0.1
         offset = captured_offset(r0_t, p0_t, r0_j, p0_t + v0)
         delta = quat_from_axis_angle(random_unit(rng), math.radians(45))
-        r_t, p_t = quat_mul(delta, r0_t), rng.normal(size=3)
+        r_t, p_t = qmul(delta, r0_t), rng.normal(size=3)
         target = Transform(r_t, p_t) @ offset
         rotate_back = quat_to_matrix(r_t) @ quat_to_matrix(r0_t).T
         np.testing.assert_allclose(quat_to_matrix(target.rotation),
@@ -129,7 +129,7 @@ class TestSpineBend:
         session, _, profile, scaled = matched_setup
         tilt = quat_from_axis_angle([1, 0, 0], math.radians(20))
         root = np.array([0.0, 0.95, 0.1])
-        hmd = root + quat_rotate(tilt, profile.w0)
+        hmd = root + qrotate(tilt, profile.w0)
         frame = _with_positions(session.calibration_frame(), profile, root, hmd)
         alpha = solve_frame(frame, profile, scaled).diagnostics.alpha
         assert alpha == pytest.approx(0.3490658503988659, abs=1e-6)
@@ -138,7 +138,7 @@ class TestSpineBend:
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
         root = np.zeros(3)
-        w_t = quat_rotate(quat_from_axis_angle([1, 0, 0], 0.3), profile.w0)
+        w_t = np.array(qrotate(quat_from_axis_angle([1, 0, 0], 0.3), profile.w0))
         a1 = solve_frame(_with_positions(frame, profile, root, root + w_t),
                          profile, scaled).diagnostics.alpha
         a2 = solve_frame(_with_positions(frame, profile, root, root + 0.37 * w_t),
@@ -285,7 +285,7 @@ class TestSolveFrame:
         devices = []
         for did, pose in frame.devices:
             if did == hmd_id:
-                pose = Transform(pose.rotation, root_p + quat_rotate(tilt, profile.w0))
+                pose = Transform(pose.rotation, root_p + qrotate(tilt, profile.w0))
             devices.append((did, pose))
         sp = solve_frame(DeviceFrame(frame.timestamp, devices), profile, scaled)
         assert sp.diagnostics.alpha == pytest.approx(math.radians(20), abs=1e-6)
@@ -295,11 +295,11 @@ class TestSolveFrame:
         frame = session.calibration_frame()
         hmd_id = device_id(profile, DeviceRole.HMD)
         spin = quat_from_axis_angle([0, 1, 0], 0.4)
-        devices = [(did, Transform(quat_mul(spin, p.rotation), p.translation)
+        devices = [(did, Transform(qmul(spin, p.rotation), p.translation)
                     if did == hmd_id else p) for did, p in frame.devices]
         sp = solve_frame(DeviceFrame(frame.timestamp, devices), profile, scaled)
         head = sp.world[scaled.role_index("head")]
-        hmd_rot = quat_mul(spin, frame.pose_of(hmd_id).rotation)
+        hmd_rot = qmul(spin, frame.pose_of(hmd_id).rotation)
         assert quat_angle_between(head.rotation, hmd_rot) < 1e-9
 
     def test_missing_device_raises(self, matched_setup):
@@ -356,9 +356,8 @@ def rebound(skeleton: SkeletonModel, rng) -> SkeletonModel:
             entry["rotation"] = rotations[i].tolist()
             continue
         to_parent = qconj(rotations[joint.parent])
-        entry["rotation"] = quat_mul(to_parent, rotations[i]).tolist()
-        entry["translation"] = quat_rotate(to_parent,
-                                           positions[i] - positions[joint.parent]).tolist()
+        entry["rotation"] = list(qmul(to_parent, rotations[i]))
+        entry["translation"] = list(qrotate(to_parent, positions[i] - positions[joint.parent]))
     return load_skeleton(document)
 
 

@@ -240,6 +240,18 @@ class TestSessionFiles:
             for a, b in zip(fa, fb):
                 np.testing.assert_allclose(a.translation, b.translation, atol=1e-15)
 
+    def test_ground_truth_integers_load_as_floats(self, tmp_path, tpose_session):
+        session, truth = tpose_session
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(truth, session, path)
+        lines = path.read_text().splitlines()
+        frame = json.loads(lines[1])
+        frame["p"][0], frame["q"][0] = [0, 1, -2], [1, 0, 0, 0]
+        path.write_text("\n".join([lines[0], json.dumps(frame), *lines[2:]]) + "\n")
+        state = read_ground_truth(path).frames[0][0].state
+        assert state == (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -2.0)
+        assert all(type(v) is float for v in state)
+
     def test_ground_truth_with_eye_height_key_loads(self, tmp_path, tpose_session):
         # Older files carry an "eye_height" header key; it is ignored.
         session, truth = tpose_session

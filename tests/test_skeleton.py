@@ -5,16 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avatarfit.math3d import (
-    Transform,
-    pose_state,
-    quat_angle_between,
-    quat_from_axis_angle,
-    quat_identity,
-    quat_mul,
-    quat_rotate,
-    state_transform,
-)
+from avatarfit.math3d import Transform, qmul, qrotate, quat_angle_between, quat_from_axis_angle
 from avatarfit.rigs import humanoid_document, humanoid_long_legs_document
 from avatarfit.skeleton import (
     Joint,
@@ -50,8 +41,7 @@ def random_pose(skeleton: SkeletonModel, rng) -> tuple[list[tuple], Transform]:
 
 
 def world_of(skeleton: SkeletonModel, rotations, root: Transform) -> list[Transform]:
-    return [state_transform(s)
-            for s in forward_kinematics(skeleton, rotations, pose_state(root))]
+    return [Transform.of_state(s) for s in forward_kinematics(skeleton, rotations, root.state)]
 
 
 class TestForwardKinematics:
@@ -59,7 +49,7 @@ class TestForwardKinematics:
         world = world_of(user_skeleton, list(user_skeleton.bind_rotations),
                          bind_root(user_skeleton))
         for got, want in zip(world, user_skeleton.bind_states):
-            assert pose_state(got) == want
+            assert got.state == want
 
     def test_bind_world_is_computed_once(self, user_skeleton):
         # `bind_states` is the one copy of the bind world pose: one pose
@@ -72,11 +62,11 @@ class TestForwardKinematics:
     def test_root_rotation_spins_everything_about_root(self, user_skeleton):
         spin = quat_from_axis_angle([0, 1, 0], math.pi / 2)
         root_bind = bind_root(user_skeleton)
-        root = Transform(quat_mul(spin, root_bind.rotation), root_bind.translation)
+        root = Transform(qmul(spin, root_bind.rotation), root_bind.translation)
         world = world_of(user_skeleton, list(user_skeleton.bind_rotations), root)
         origin = root_bind.translation
         for got, b in zip(world, user_skeleton.bind_states):
-            expected = origin + quat_rotate(spin, b[4:] - origin)
+            expected = origin + qrotate(spin, b[4:] - origin)
             np.testing.assert_allclose(got.translation, expected, atol=1e-12)
 
     def test_three_joint_chain_matches_manual_composition(self):
@@ -94,10 +84,10 @@ class TestForwardKinematics:
 
         t_spine = skel.joints[idx[1]].bind_local.translation
         t_chest = skel.joints[idx[2]].bind_local.translation
-        p_spine = root.translation + quat_rotate(qs[0], t_spine)
-        r_spine = quat_mul(qs[0], qs[1])
-        p_chest = p_spine + quat_rotate(r_spine, t_chest)
-        r_chest = quat_mul(r_spine, qs[2])
+        p_spine = root.translation + qrotate(qs[0], t_spine)
+        r_spine = qmul(qs[0], qs[1])
+        p_chest = p_spine + qrotate(r_spine, t_chest)
+        r_chest = qmul(r_spine, qs[2])
         np.testing.assert_allclose(world[idx[1]].translation, p_spine, atol=1e-12)
         np.testing.assert_allclose(world[idx[2]].translation, p_chest, atol=1e-12)
         assert quat_angle_between(world[idx[2]].rotation, r_chest) < 1e-9
@@ -105,7 +95,7 @@ class TestForwardKinematics:
     def test_pose_size_mismatch(self, user_skeleton):
         rotations = list(user_skeleton.bind_rotations)[:-1]
         with pytest.raises(SkeletonError):
-            forward_kinematics(user_skeleton, rotations, pose_state(bind_root(user_skeleton)))
+            forward_kinematics(user_skeleton, rotations, bind_root(user_skeleton).state)
 
     @given(seeds)
     def test_equivariance_under_root_rigid_motion(self, seed):
@@ -138,12 +128,12 @@ class TestForwardKinematics:
         rng = np.random.default_rng(seed)
         rotations, root = random_pose(skel, rng)
         root = Transform(root.rotation, root.translation * rng.uniform(0.1, 100.0))
-        states = forward_kinematics(skel, rotations, pose_state(root))
+        states = forward_kinematics(skel, rotations, root.state)
         want = reference_forward_kinematics(skel, rotations, root)
         assert len(states) == len(want) == len(skel.joints)
-        for state, w in zip(states, want):
-            assert np.array(state[:4]).tobytes() == w.rotation.tobytes()
-            assert np.array(state[4:]).tobytes() == w.translation.tobytes()
+        for state, (rotation, translation) in zip(states, want):
+            assert np.array(state[:4]).tobytes() == rotation.tobytes()
+            assert np.array(state[4:]).tobytes() == translation.tobytes()
 
 
 _HUMANOID_CACHE = []
