@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .math3d import FormatError, Transform, floats_from_json, floats_to_json, read_json_file, \
-    transform_from_obj, transform_to_obj, write_json_file
+from .math3d import FormatError, Transform, float_from_json, floats_from_json, floats_to_json, \
+    read_json_file, transform_from_obj, transform_to_obj, write_json_file
 from .session import DeviceFrame, DeviceRole, Session, identify_roles
 from .skeleton import SkeletonModel, scale_uniform
 
@@ -154,14 +154,14 @@ def profile_from_document(document: dict) -> CalibrationProfile:
         for part in PART_ROLES:
             offsets[part] = transform_from_obj(document["offsets"][part], f"offsets.{part}")
             _check_walk_in(FormatError, f"offsets.{part}.translation", offsets[part])
-        scale = float(floats_from_json(document["scale"], (), "scale"))
+        scale = float_from_json(document["scale"], "scale")
         if not scale > 0.0:
             raise FormatError(f"scale must be positive, got {scale}")
         role_map = {d: DeviceRole(r) for d, r in document["role_map"].items()}
         if len(role_map) != 6 or len(set(role_map.values())) != 6:
             raise FormatError("role_map must map six devices onto the six roles")
         return CalibrationProfile(scale=scale, offsets=offsets,
-                                  w0=tuple(floats_from_json(document["w0"], (3,), "w0").tolist()),
+                                  w0=floats_from_json(document["w0"], 3, "w0"),
                                   role_map=role_map)
     except (KeyError, TypeError, AttributeError) as e:
         raise FormatError(f"malformed calibration profile ({e!r})") from e

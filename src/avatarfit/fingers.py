@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .math3d import DegenerateGeometryError, FormatError, Transform, compose_state, \
-    floats_from_json, floats_to_json, quat_from_axis_angle, quat_from_json, \
+    float_from_json, floats_from_json, floats_to_json, quat_from_axis_angle, quat_from_json, \
     quat_to_json, read_json_file, slerp_at, slerp_basis, transform_from_obj, transform_to_obj, \
     write_json_file
 
@@ -538,21 +538,11 @@ def hand_to_document(hand: HandModel) -> dict:
     return {
         "side": hand.side,
         "palm_anchor": transform_to_obj(hand.palm_anchor),
-        "fingers": [
-            {
-                "name": f.name,
-                "base": transform_to_obj(f.base_local),
-                "joints": [
-                    {
-                        "open": quat_to_json(j.open_rotation),
-                        "closed": quat_to_json(j.closed_rotation),
-                        "offset": floats_to_json(j.offset),
-                    }
-                    for j in f.joints
-                ],
-            }
-            for f in hand.fingers
-        ],
+        "fingers": [{"name": f.name, "base": transform_to_obj(f.base_local),
+                     "joints": [{"open": quat_to_json(j.open_rotation),
+                                 "closed": quat_to_json(j.closed_rotation),
+                                 "offset": floats_to_json(j.offset)} for j in f.joints]}
+                    for f in hand.fingers],
     }
 
 
@@ -560,25 +550,18 @@ def hand_from_document(document: dict) -> HandModel:
     if document.get("side") not in ("left", "right"):
         raise FormatError(f"side must be 'left' or 'right', got {document.get('side')!r:.40}")
     try:
-        fingers = tuple(
-            Finger(
-                f["name"],
-                transform_from_obj(f["base"], f"fingers[{fi}].base"),
-                tuple(
-                    FingerJointSpec(
-                        quat_from_json(j["open"], f"fingers[{fi}].joints[{ji}].open"),
-                        quat_from_json(j["closed"], f"fingers[{fi}].joints[{ji}].closed"),
-                        floats_from_json(j["offset"], (3,), f"fingers[{fi}].joints[{ji}].offset"),
-                    )
-                    for ji, j in enumerate(f["joints"])
-                ),
-            )
-            for fi, f in enumerate(document["fingers"])
-        )
-        for fi, f in enumerate(fingers):
-            if not 1 <= len(f.joints) <= 4:
-                raise FormatError(f"fingers[{fi}] has {len(f.joints)} joints, not 1 to 4")
-        return HandModel(document["side"], fingers,
+        fingers = []
+        for fi, f in enumerate(document["fingers"]):
+            at = f"fingers[{fi}]"
+            joints = tuple(FingerJointSpec(
+                np.array(quat_from_json(j["open"], f"{at}.joints[{ji}].open")),
+                np.array(quat_from_json(j["closed"], f"{at}.joints[{ji}].closed")),
+                np.array(floats_from_json(j["offset"], 3, f"{at}.joints[{ji}].offset")))
+                for ji, j in enumerate(f["joints"]))
+            if not 1 <= len(joints) <= 4:
+                raise FormatError(f"{at} has {len(joints)} joints, not 1 to 4")
+            fingers.append(Finger(f["name"], transform_from_obj(f["base"], f"{at}.base"), joints))
+        return HandModel(document["side"], tuple(fingers),
                          transform_from_obj(document["palm_anchor"], "palm_anchor"))
     except (KeyError, TypeError) as e:
         raise FormatError(f"malformed hand model ({e!r})") from e
@@ -593,11 +576,11 @@ def save_hand_file(hand: HandModel, path) -> None:
 
 
 def controller_from_document(document: dict) -> tuple[CapsuleShape, np.ndarray | None]:
-    shape = CapsuleShape(floats_from_json(document.get("s"), (3,), "s"),
-                         floats_from_json(document.get("e"), (3,), "e"),
-                         float(floats_from_json(document.get("r"), (), "r")))
+    shape = CapsuleShape(floats_from_json(document.get("s"), 3, "s"),
+                         floats_from_json(document.get("e"), 3, "e"),
+                         float_from_json(document.get("r"), "r"))
     button = document.get("button")
-    return shape, None if button is None else floats_from_json(button, (3,), "button")
+    return shape, None if button is None else np.array(floats_from_json(button, 3, "button"))
 
 
 def load_controller_file(path) -> tuple[CapsuleShape, np.ndarray | None]:

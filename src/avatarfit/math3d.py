@@ -11,8 +11,8 @@ Conventions used throughout the package:
   (w, x, y, z, px, py, pz) as a tuple of floats; its `rotation` and
   `translation` are float64 array copies for NumPy callers. The vector and
   quaternion helpers take any sequence and return floats or tuples of
-  floats, which the per-frame body solve runs on; the file codecs read and
-  write float64 arrays.
+  floats, which the per-frame body solve runs on. The file codecs read
+  numbers as plain floats and poses straight into `Transform.state`.
 - Positions and translations are in meters, angles in radians.
 """
 
@@ -256,9 +256,11 @@ class Transform:
 # JSON objects shared by the file formats
 # ---------------------------------------------------------------------------
 # The input rule of every file the package reads: an array has exactly its
-# documented length, every number is finite and below 1e150 in magnitude (so no
-# square or dot product of file values overflows), and a quaternion's norm is
-# within 1e-6 of 1. A FormatError names `path:line` (or the path) and the field.
+# documented length, and every number is a JSON int or float (true and false
+# are not numbers) whose magnitude is below 1e150, so no square or dot product
+# of file values overflows. Ints of any size below that are accepted, and NaN
+# and Infinity are not. A quaternion's norm is within 1e-6 of 1. A FormatError
+# names `path:line` (or the path) and the field.
 
 class FormatError(ValueError):
     """Malformed input file: invalid JSON, a missing field or a bad value."""
@@ -280,26 +282,37 @@ def quat_to_json(q) -> list:
     return q
 
 
-def floats_from_json(value, shape: tuple, where: str) -> np.ndarray:
-    """Float64 array of exactly `shape` (() for one number) within the input rule."""
-    try:
-        a = np.asarray(value)
-    except ValueError as e:  # ragged nesting
-        raise FormatError(f"{where}: expected numbers of shape {shape} ({e})") from e
-    if a.dtype.kind not in "iuf" or a.shape != shape:
-        raise FormatError(f"{where}: expected numbers of shape {shape}, got {value!r:.60}")
-    if not (np.abs(a) < 1e150).all():
-        raise FormatError(f"{where}: numbers must be finite and below 1e150 in magnitude")
-    return a.astype(np.float64, copy=False)
+def float_from_json(v, where: str) -> float:
+    """One number within the input rule as a float; a file float is returned as it is.
+    An int is compared with 1e150 exactly, so a huge one is no OverflowError."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < 1e150:
+        return float(v)
+    raise FormatError(f"{where}: expected a finite number below 1e150 in magnitude, "
+                      f"got {v!r:.60}")
 
 
-def quat_from_json(value, where: str) -> np.ndarray:
-    """Unit quaternion, divided by its norm to undo the file's rounding."""
-    q = floats_from_json(value, (4,), where)
-    n = float(np.linalg.norm(q))
+def floats_from_json(value, n: int, where: str) -> tuple:
+    """The floats of a JSON array of exactly `n` numbers within the input rule."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise FormatError(f"{where}: expected an array of {n} numbers, got {value!r:.60}")
+    for v in value:  # the common case, plain floats, is checked without a call per number
+        if type(v) is not float or not -1e150 < v < 1e150:
+            return tuple([float_from_json(v, where) for v in value])
+    return tuple(value)
+
+
+def quat_from_json(value, where: str) -> tuple:
+    """Unit quaternion as four floats, divided by its norm to undo the file's rounding.
+
+    The norm is `np.linalg.norm`'s, the root of NumPy's dot, which may fuse
+    multiplies and adds: a plain sum of squares would move some quaternions' bits.
+    """
+    w, x, y, z = q = floats_from_json(value, 4, where)
+    a = np.array(q)
+    n = math.sqrt(a.dot(a))
     if abs(n - 1.0) > 1e-6:
         raise FormatError(f"{where}: not a unit quaternion (norm {n:.9g})")
-    return q / n
+    return w / n, x / n, y / n, z / n
 
 
 def transform_to_obj(t: Transform) -> dict:
@@ -307,10 +320,7 @@ def transform_to_obj(t: Transform) -> dict:
 
 
 def transform_from_obj(obj, where: str) -> Transform:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where}: expected an object with rotation and translation")
-    return Transform(quat_from_json(obj.get("rotation"), f"{where}.rotation"),
-                     floats_from_json(obj.get("translation"), (3,), f"{where}.translation"))
+    return pose_from_obj(obj, where, "rotation", "translation")
 
 
 def pose_to_obj(t: Transform) -> dict:
@@ -319,11 +329,12 @@ def pose_to_obj(t: Transform) -> dict:
     return {"p": list(s[4:]), "q": quat_to_json(s[:4])}
 
 
-def pose_from_obj(obj, where: str) -> Transform:
+def pose_from_obj(obj, where: str, q: str = "q", p: str = "p") -> Transform:
+    """The pose of an object with a unit quaternion at key `q` and a position at `p`."""
     if not isinstance(obj, dict):
-        raise FormatError(f"{where}: expected an object with p and q")
-    return Transform(quat_from_json(obj.get("q"), f"{where} q"),
-                     floats_from_json(obj.get("p"), (3,), f"{where} p"))
+        raise FormatError(f"{where}: expected an object with {p} and {q}")
+    return Transform.of_state(quat_from_json(obj.get(q), f"{where} {q}")
+                              + floats_from_json(obj.get(p), 3, f"{where} {p}"))
 
 
 def read_json_file(path, parse):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .math3d import RIGHT, Transform, floats_from_json, pose_from_obj, qmul, \
+from .math3d import RIGHT, Transform, float_from_json, pose_from_obj, qmul, \
     quat_from_axis_angle, quat_from_json, read_jsonl
 from .skeleton import SkeletonModel
 
@@ -32,7 +32,7 @@ class ScriptPose:
     """One timed pose: local-rotation overrides by joint name, optional root."""
 
     time: float
-    rotations: dict[str, np.ndarray] = field(default_factory=dict)
+    rotations: dict = field(default_factory=dict)  # joint name -> (w, x, y, z) sequence
     root_world: Transform | None = None
 
 
@@ -163,7 +163,7 @@ def read_script_file(path) -> list[ScriptPose]:
     frames = []
     for lineno, obj in read_jsonl(path):
         where = f"{path}:{lineno}"
-        t = float(floats_from_json(obj.get("t"), (), f"{where} t"))
+        t = float_from_json(obj.get("t"), f"{where} t")
         if frames and t <= frames[-1].time:
             raise ScriptError(f"{where}: times must be strictly increasing")
         rotations = obj.get("rotations", {})

@@ -26,6 +26,7 @@ from .math3d import (
     Transform,
     cross,
     fit_plane,
+    float_from_json,
     floats_from_json,
     normalize,
     pose_from_obj,
@@ -348,7 +349,7 @@ def read_session(path) -> Session:
         devices = obj["devices"]
         if not isinstance(devices, list) or len(devices) != 6:
             raise FormatError(f"{where}: expected a list of 6 devices, got {devices!r:.60}")
-        t = float(floats_from_json(obj.get("t"), (), f"{where} t"))
+        t = float_from_json(obj.get("t"), f"{where} t")
         if frames and t <= frames[-1].timestamp:
             raise FormatError(f"{where}: timestamps must be strictly increasing")
         parsed = []
@@ -395,7 +396,7 @@ def read_ground_truth(path) -> GroundTruth:
     lines = read_jsonl(path)
     lineno, header = next(lines, (0, {}))
     where = f"{path}:{lineno}"
-    if header.get("format") != 1:
+    if header.get("format") != 1 or header["format"] is True:  # true == 1 in Python
         raise FormatError(f"{where}: unsupported ground-truth format {header.get('format')!r}")
     names, roles = header.get("joints"), header.get("roles")
     if not (isinstance(names, list) and isinstance(roles, list) and len(names) == len(roles)):
@@ -405,12 +406,16 @@ def read_ground_truth(path) -> GroundTruth:
     frames = []
     for lineno, obj in lines:
         where = f"{path}:{lineno}"
-        p = floats_from_json(obj.get("p"), (len(names), 3), f"{where} p")
-        q = floats_from_json(obj.get("q"), (len(names), 4), f"{where} q")
-        if np.abs(np.linalg.norm(q, axis=1) - 1.0).max() > 1e-6:
-            raise FormatError(f"{where} q: not all unit quaternions")
-        # `float` returns a file float as it is, so the states share the
-        # parsed numbers rather than hold a second copy of every one.
-        frames.append([Transform.of_state((*map(float, qi), *map(float, pi)))
-                       for pi, qi in zip(obj["p"], obj["q"])])
+        p, q = obj.get("p"), obj.get("q")
+        if not (isinstance(p, list) and isinstance(q, list) and len(p) == len(q) == len(names)):
+            raise FormatError(f"{where}: expected p and q of {len(names)} joints each")
+        # The states share the file's floats, which the codec returns as they
+        # are. Rotations are kept as written, so a plain sum's last bits in the
+        # unit check move no output.
+        wp, wq = f"{where} p", f"{where} q"
+        states = [floats_from_json(qj, 4, wq) + floats_from_json(pj, 3, wp) for pj, qj in zip(p, q)]
+        if any(abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) > 1e-6
+               for w, x, y, z, *_ in states):
+            raise FormatError(f"{wq}: not all unit quaternions")
+        frames.append([Transform.of_state(s) for s in states])
     return GroundTruth(names, roles, frames)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .math3d import FormatError, Transform, compose_state, floats_from_json, floats_to_json, \
-    quat_from_json, quat_to_json, read_json_file, write_json_file
+from .math3d import FormatError, Transform, compose_state, float_from_json, floats_from_json, \
+    floats_to_json, norm, quat_from_json, quat_to_json, read_json_file, write_json_file
 
 REQUIRED_ROLES = frozenset({
     "root", "spine", "head",
@@ -121,12 +121,9 @@ def scale_uniform(skeleton: SkeletonModel, s: float) -> SkeletonModel:
         raise ValueError(f"scale factor must be positive and finite, got {s}")
     joints = []
     for j in skeleton.joints:
-        t = j.bind_local.translation
-        if j.parent is None:
-            t = np.array([t[0], s * t[1], t[2]])
-        else:
-            t = s * t
-        joints.append(Joint(j.name, j.parent, Transform(j.bind_local.rotation, t), j.role))
+        w, x, y, z, px, py, pz = j.bind_local.state
+        scaled = (px, s * py, pz) if j.parent is None else (s * px, s * py, s * pz)
+        joints.append(Joint(j.name, j.parent, Transform.of_state((w, x, y, z, *scaled)), j.role))
     return SkeletonModel(joints, s * skeleton.eye_height_bind)
 
 
@@ -143,7 +140,7 @@ def scale_uniform(skeleton: SkeletonModel, s: float) -> SkeletonModel:
 def load_skeleton(document: dict) -> SkeletonModel:
     if not isinstance(document, dict):
         raise SkeletonError("skeleton document must be a JSON object")
-    eye_height = float(floats_from_json(document.get("eye_height"), (), "eye_height"))
+    eye_height = float_from_json(document.get("eye_height"), "eye_height")
     if not eye_height > 0:
         raise SkeletonError("eye_height must be a positive number")
     raw = document.get("joints")
@@ -206,13 +203,13 @@ def load_skeleton(document: dict) -> SkeletonModel:
     joints: list[Joint] = []
     for name in order:
         entry = by_name[name]
-        t = floats_from_json(entry.get("translation"), (3,), f"joint {name!r} translation")
+        t = floats_from_json(entry.get("translation"), 3, f"joint {name!r} translation")
         q = quat_from_json(entry.get("rotation", [1.0, 0.0, 0.0, 0.0]), f"joint {name!r} rotation")
         parent = entry.get("parent")
         parent_idx = None if parent is None else index_of[parent]
-        if parent_idx is not None and float(np.linalg.norm(t)) <= 1e-9:
+        if parent_idx is not None and norm(t) <= 1e-9:
             raise SkeletonError(f"joint {name!r}: bone length must be strictly positive")
-        joints.append(Joint(name, parent_idx, Transform(q, t), entry["role"]))
+        joints.append(Joint(name, parent_idx, Transform.of_state(q + t), entry["role"]))
 
     skeleton = SkeletonModel(joints, eye_height)
     lowest = min(state[5] for state in skeleton.bind_states)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from avatarfit.fingers import CapsuleShape, Finger, capsule_sdf
-from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, Transform, angle_between, cross, dot, \
-    norm, normalize, quat_from_axis_angle
+from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, FormatError, Transform, angle_between, \
+    cross, dot, norm, normalize, quat_from_axis_angle
 from avatarfit.skeleton import SkeletonModel
 
 
@@ -250,3 +250,30 @@ def reference_forward_kinematics(skeleton: SkeletonModel, rotations,
             local = (np.asarray(rotations[i], dtype=np.float64), joint.bind_local.translation)
             world[i] = reference_compose(world[joint.parent], local)
     return world
+
+
+# ---------------------------------------------------------------------------
+# File codec on float64 arrays: `math3d.floats_from_json` and `quat_from_json`
+# decode on plain floats and must return these floats, bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_floats_from_json(value, shape: tuple, where: str) -> np.ndarray:
+    """Float64 array of exactly `shape` (() for one number) within the input rule."""
+    try:
+        a = np.asarray(value)
+    except ValueError as e:  # ragged nesting
+        raise FormatError(f"{where}: expected numbers of shape {shape} ({e})") from e
+    if a.dtype.kind not in "iuf" or a.shape != shape:
+        raise FormatError(f"{where}: expected numbers of shape {shape}, got {value!r:.60}")
+    if not (np.abs(a) < 1e150).all():
+        raise FormatError(f"{where}: numbers must be finite and below 1e150 in magnitude")
+    return a.astype(np.float64, copy=False)
+
+
+def reference_quat_from_json(value, where: str) -> np.ndarray:
+    """Unit quaternion, divided by its `np.linalg.norm` to undo the file's rounding."""
+    q = reference_floats_from_json(value, (4,), where)
+    n = float(np.linalg.norm(q))
+    if abs(n - 1.0) > 1e-6:
+        raise FormatError(f"{where}: not a unit quaternion (norm {n:.9g})")
+    return q / n

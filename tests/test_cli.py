@@ -11,8 +11,9 @@ from avatarfit.calibration import profile_from_document
 from avatarfit.fingers import DescentConfig, controller_from_document, default_grip_capsule, \
     default_hand_model, hand_from_document, mirror_capsule, mirror_x, save_controller_file, \
     save_hand_file, transform_capsule
-from avatarfit.math3d import Transform, pose_from_obj
+from avatarfit.math3d import FormatError, Transform, pose_from_obj
 from avatarfit.rigs import humanoid_document, humanoid_long_legs_document
+from avatarfit.session import read_ground_truth, read_session
 from avatarfit.skeleton import load_skeleton
 
 from oracles import reference_slerp
@@ -411,6 +412,7 @@ MALFORMED = {
         {**line, "p": line["p"][:-1], "q": line["q"][:-1]} for line in lines[1:]]),
     "ground truth fewer frames": ("ground_truth", lambda lines: lines[:3]),
     "ground truth unknown format": ("ground_truth", put(0, "format", 2)),
+    "ground truth format true": ("ground_truth", put(0, "format", True)),
     "ground truth lacks a role": ("ground_truth", lambda lines: put(0, "roles", [
         "other" if role == "knee_r" else role for role in lines[0]["roles"]])(lines)),
     "hand NaN open": ("hand", put("fingers", 0, "joints", 0, "open", [NAN, 0, 0, 0])),
@@ -429,6 +431,16 @@ MALFORMED = {
     "script non-unit quaternion": ("script", put(1, "rotations", {"knee_l": [2, 0, 0, 0]})),
     "script NaN quaternion": ("script", put(1, "rotations", {"knee_l": [NAN, 0, 0, 0]})),
     "script decreasing t": ("script", put(2, "t", 0.05)),
+    # JSON true is not the number 1, wherever a number is read.
+    "session p with true": ("session", put(2, "devices", 0, "p", 0, True)),
+    "session q with true": ("session", put(2, "devices", 0, "q", [True, 0.0, 0.0, 0.0])),
+    "ground truth p with true": ("ground_truth", put(1, "p", 0, 0, True)),
+    "ground truth q with true": ("ground_truth", put(1, "q", 0, [True, 0.0, 0.0, 0.0])),
+    "skeleton translation with true": ("skeleton", put("joints", 1, "translation", 0, True)),
+    "profile v0 with true": ("profile", put("offsets", "root", "translation", 0, True)),
+    "hand offset with true": ("hand", put("fingers", 0, "joints", 0, "offset", 2, True)),
+    "controller s with true": ("controller", put("s", 0, True)),
+    "script quaternion with true": ("script", put(1, "rotations", {"knee_l": [True, 0, 0, 0]})),
 }
 
 
@@ -468,6 +480,7 @@ json_values = st.recursive(
                                                                  max_size=4),
     max_leaves=8)
 
+JSONL_READERS = {"session": read_session, "ground_truth": read_ground_truth}
 LOADERS = {"skeleton": load_skeleton, "profile": profile_from_document,
            "hand": hand_from_document, "controller": controller_from_document}
 
@@ -522,4 +535,21 @@ class TestMalformedInputs:
         try:
             LOADERS[kind](document)
         except ValueError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_leaf_of_a_frame_is_loaded_or_rejected(self, tiny_files, tmp_path_factory,
+                                                          data):
+        # The per-frame readers: a one-frame session or ground truth with one
+        # leaf replaced loads, or fails with a FormatError and nothing else.
+        kind = data.draw(st.sampled_from(sorted(JSONL_READERS)))
+        lines = [json.loads(line) for line in tiny_files[kind].read_text().splitlines()[:2]]
+        path = data.draw(st.sampled_from(leaf_paths(lines)))
+        put(*path, data.draw(json_values))(lines)
+        file = tmp_path_factory.getbasetemp() / f"random_leaf.{kind}.jsonl"
+        file.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        try:
+            JSONL_READERS[kind](file)
+        except FormatError:
             pass

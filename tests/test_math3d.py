@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,20 +7,26 @@ from hypothesis import example, given, strategies as st
 
 from avatarfit.math3d import (
     DegenerateGeometryError,
+    FormatError,
     Transform,
     angle_between,
     cross,
     fit_plane,
+    float_from_json,
+    floats_from_json,
+    pose_from_obj,
     qmul,
     qrotate,
     quat_angle_between,
     quat_from_axis_angle,
+    quat_from_json,
     quat_to_json,
     rotation_between,
 )
 
 from conftest import quat_slerp, random_quat, random_unit, vec3
-from oracles import reference_apply, reference_compose, reference_cross, reference_inverse, \
+from oracles import reference_apply, reference_compose, reference_cross, \
+    reference_floats_from_json, reference_inverse, reference_quat_from_json, \
     reference_quat_rotate, reference_rotation_between, reference_slerp
 
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
@@ -264,6 +271,109 @@ class TestTransform:
         a, b = (Transform(random_quat(rng), rng.normal(size=3)) for _ in range(2))
         p = rng.normal(size=3)
         np.testing.assert_allclose((a @ b).apply(p), a.apply(b.apply(p)), atol=1e-9)
+
+
+def file_pose(seed: int) -> tuple:
+    """(q, p) as a file holds them: a random pose with its quaternion written to
+    nine digits, so its norm is a few ulps to 1e-9 off 1."""
+    q, p = random_parts(seed)
+    return [float(f"{c:.9g}") for c in q], p.tolist()
+
+
+# File poses: random ones, and ones of exact components, ints and signed zeros
+# among them; most of the latter are not unit, and both codecs must reject those.
+file_number = st.sampled_from([0, 1, -1, 2, 0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+file_poses = st.one_of(
+    seeds.map(file_pose),
+    st.tuples(st.lists(file_number, min_size=4, max_size=4),
+              st.lists(file_number | st.integers(-2**62, 2**62), min_size=3, max_size=3)),
+)
+
+
+def decoded(decode, *args):
+    """The bytes of `decode(*args)` as float64, or FormatError if it rejects them."""
+    try:
+        return np.array(decode(*args), dtype=np.float64).tobytes()
+    except FormatError:
+        return FormatError
+
+
+class TestJsonCodec:
+    @given(file_poses)
+    @example(([1, 0, -0.0, 0], [0, -0.0, 2**62]))
+    @example(([0.5, -0.5, 0.5, -0.5], [-0.0, 0.0, -1]))
+    def test_floats_equal_the_array_codec(self, pose):
+        q, p = pose
+        assert decoded(quat_from_json, q, "q") == decoded(reference_quat_from_json, q, "q")
+        assert decoded(floats_from_json, p, 3, "p") == \
+            decoded(reference_floats_from_json, p, (3,), "p")
+        for v in p:
+            assert decoded(float_from_json, v, "v") == \
+                decoded(reference_floats_from_json, v, (), "v")
+
+    @given(seeds)
+    def test_pose_state_equals_the_array_codec(self, seed):
+        q, p = file_pose(seed)
+        state = pose_from_obj({"p": p, "q": q}, "pose").state
+        want = np.concatenate([reference_quat_from_json(q, "q"),
+                               reference_floats_from_json(p, (3,), "p")])
+        assert np.array(state).tobytes() == want.tobytes()
+
+    @given(seeds)
+    def test_dot_norm_is_linalg_norm(self, seed):
+        # `quat_from_json` divides by sqrt(q . q) taken by NumPy's dot, which
+        # is what `np.linalg.norm` computes. Its dot may fuse multiplies and
+        # adds, so a plain-float sum of squares differs in the last bit on
+        # some quaternions, and the divided quaternions with it.
+        q = np.array(file_pose(seed)[0])
+        assert math.sqrt(float(np.dot(q, q))) == float(np.linalg.norm(q))
+
+    def test_ints_of_any_size_below_1e150_are_floats(self):
+        for big in (2**63, 2**64, 10**149):
+            assert floats_from_json([big, 0, -1], 3, "p") == (float(big), 0.0, -1.0)
+            assert float_from_json(-big, "v") == -float(big)
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, 10**150, 1e150, -1e200])
+    def test_magnitude_from_1e150_is_rejected(self, value):
+        with pytest.raises(FormatError, match="below 1e150"):
+            floats_from_json([value, 0.0, 0.0], 3, "p")
+        with pytest.raises(FormatError, match="below 1e150"):
+            float_from_json(value, "v")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_nan_and_infinity_tokens_are_rejected(self, token):
+        with pytest.raises(FormatError):
+            floats_from_json(json.loads(f"[0.0, {token}, 0.0]"), 3, "p")
+        with pytest.raises(FormatError):
+            quat_from_json(json.loads(f"[{token}, 0.0, 0.0, 0.0]"), "q")
+
+    @pytest.mark.parametrize("value", [
+        [True, 0.9, 0.0], [0.1, False, 0.0], [True, False, True], ["0.1", 0.0, 0.0],
+        [[0.1], 0.0, 0.0], [None, 0.0, 0.0], [{}, 0.0, 0.0], [0.1, 0.2], [0.1, 0.2, 0.3, 0.4],
+        "0.1 0.2 0.3", {"x": 0.1}, None, 0.1,
+    ])
+    def test_non_numbers_and_wrong_lengths_are_rejected(self, value):
+        with pytest.raises(FormatError):
+            floats_from_json(value, 3, "p")
+
+    @pytest.mark.parametrize("value", [True, False, "1.0", None, [1.0]])
+    def test_one_number_is_not_a_bool_string_or_list(self, value):
+        with pytest.raises(FormatError):
+            float_from_json(value, "v")
+
+    def test_bool_in_a_quaternion_is_rejected(self):
+        with pytest.raises(FormatError):
+            quat_from_json([True, 0.0, 0.0, 0.0], "q")
+
+    def test_negative_zero_keeps_its_sign(self):
+        floats = floats_from_json([-0.0, 0, 0.0], 3, "p")
+        assert [math.copysign(1.0, v) for v in floats] == [-1.0, 1.0, 1.0]
+        assert math.copysign(1.0, quat_from_json([1.0, -0.0, 0.0, -0.0], "q")[3]) == -1.0
+        assert math.copysign(1.0, float_from_json(-0.0, "v")) == -1.0
+
+    def test_floats_are_returned_as_read(self):
+        value = [0.1, 0.2, 0.3]
+        assert all(a is b for a, b in zip(floats_from_json(value, 3, "p"), value))
 
 
 class TestFitPlane:
