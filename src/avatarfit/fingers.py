@@ -35,6 +35,9 @@ a hand with the same joint count and button presence are rows of one walk
 
 Every search starts from its seed grid alone, and nothing is carried
 between calls.
+
+The hand model, the capsule and the button hold tuples of floats, as the
+file readers decode them; NumPy holds only the seed grid and `FingerParams`.
 """
 
 from __future__ import annotations
@@ -63,39 +66,36 @@ STEP_TOL = 1e-4
 
 @dataclass(frozen=True)
 class CapsuleShape:
-    start: np.ndarray
-    end: np.ndarray
+    start: tuple  # (x, y, z) floats, from any sequence of three numbers
+    end: tuple    # likewise
     radius: float
-    # Plain-float copies of start, end - start and its squared length, read by
-    # `capsule_sdf` and by the grip search's walks.
-    _start: tuple = field(init=False, repr=False, compare=False)
-    _axis: tuple = field(init=False, repr=False, compare=False)
-    _axis_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "start", np.asarray(self.start, dtype=np.float64))
-        object.__setattr__(self, "end", np.asarray(self.end, dtype=np.float64))
+        object.__setattr__(self, "start", tuple(map(float, self.start)))
+        object.__setattr__(self, "end", tuple(map(float, self.end)))
         if not self.radius > 0.0:
             raise ValueError(f"capsule radius must be positive, got {self.radius}")
-        if float(np.linalg.norm(self.end - self.start)) <= 0.0:
-            # A geometry error, not a usage error: a rigid motion can round
-            # endpoints a few ulps apart onto each other.
+        # The squared length, not start == end: 0 to 1e-170 underflows to no axis.
+        # A geometry error: a rigid motion can round close endpoints together.
+        if _segment(self)[-1] <= 0.0:
             raise DegenerateGeometryError("capsule endpoints must be distinct")
-        start = tuple(float(v) for v in self.start)
-        axis = tuple(float(e) - s for e, s in zip(self.end, start))
-        object.__setattr__(self, "_start", start)
-        object.__setattr__(self, "_axis", axis)
-        object.__setattr__(self, "_axis_sq", sum(v * v for v in axis))
+
+
+def _segment(shape: CapsuleShape) -> tuple:
+    """(sx, sy, sz, vx, vy, vz, v . v): the start, axis v = end - start and its square."""
+    sx, sy, sz = shape.start
+    ex, ey, ez = shape.end
+    vx, vy, vz = ex - sx, ey - sy, ez - sz
+    return sx, sy, sz, vx, vy, vz, vx * vx + vy * vy + vz * vz
 
 
 def capsule_sdf(shape: CapsuleShape, p) -> float:
     """Signed distance from p to the capsule surface (negative inside)."""
-    sx, sy, sz = shape._start
-    vx, vy, vz = shape._axis
+    sx, sy, sz, vx, vy, vz, axis_sq = _segment(shape)
     ux = p[0] - sx
     uy = p[1] - sy
     uz = p[2] - sz
-    h = (ux * vx + uy * vy + uz * vz) / shape._axis_sq
+    h = (ux * vx + uy * vy + uz * vz) / axis_sq
     if h < 0.0:
         h = 0.0
     elif h > 1.0:
@@ -116,9 +116,9 @@ def transform_capsule(shape: CapsuleShape, t: Transform) -> CapsuleShape:
 
 @dataclass(frozen=True)
 class FingerJointSpec:
-    open_rotation: np.ndarray   # local rotation at t = 0
-    closed_rotation: np.ndarray  # local rotation at t = 1
-    offset: np.ndarray           # translation to the next point, joint frame
+    open_rotation: tuple    # local rotation (w, x, y, z) at t = 0
+    closed_rotation: tuple  # local rotation (w, x, y, z) at t = 1
+    offset: tuple           # translation (x, y, z) to the next point, joint frame
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,8 @@ class _FingerChain:
             base = compose_state(wrist_world.state, base[:4], base[4:])
         self.start = (*base, 0.0)
         self.slerps = [slerp_basis(j.open_rotation, j.closed_rotation) for j in finger.joints]
-        self.offsets = [j.offset.tolist() for j in finger.joints]
-        self.capsule = (*shape._start, *shape._axis, shape._axis_sq, shape.radius)
+        self.offsets = [j.offset for j in finger.joints]
+        self.capsule = (*_segment(shape), shape.radius)
         self.penalty = penalty
         self.button = button if finger.name == "thumb" else None
 
@@ -316,10 +316,6 @@ def _grid_values(chains: list[_FingerChain]) -> np.ndarray:
     return total.T.reshape(len(chains), -1)
 
 
-def _float_point(p) -> tuple | None:
-    return None if p is None else tuple(float(v) for v in np.asarray(p))
-
-
 def finger_objective(
     hand: HandModel,
     finger_index: int,
@@ -327,11 +323,10 @@ def finger_objective(
     shape: CapsuleShape,
     penalty: float,
     wrist_world: Transform | None = None,
-    button: np.ndarray | None = None,
+    button: tuple | None = None,
 ) -> float:
     """Summed penalized surface distance of one finger's joint points."""
-    chain = _FingerChain(hand.fingers[finger_index], wrist_world, shape, penalty,
-                         _float_point(button))
+    chain = _FingerChain(hand.fingers[finger_index], wrist_world, shape, penalty, button)
     return chain.walk([], chain.rotations(params.values[finger_index]))
 
 
@@ -351,7 +346,7 @@ def descend(
     shape: CapsuleShape,
     config: DescentConfig | None = None,
     wrist_world: Transform | None = None,
-    button: np.ndarray | None = None,
+    button: tuple | None = None,
 ) -> tuple[FingerParams, list[FingerDescent]]:
     """Compass-search every finger's factors independently.
 
@@ -372,8 +367,7 @@ def descend(
     finger's returned factors.
     """
     cfg = config or DescentConfig()
-    button_f = _float_point(button)
-    chains = [_FingerChain(finger, wrist_world, shape, cfg.penalty, button_f)
+    chains = [_FingerChain(finger, wrist_world, shape, cfg.penalty, button)
               for finger in hand.fingers]
     groups: dict[tuple, list[_FingerChain]] = {}
     for chain in chains:
@@ -428,7 +422,7 @@ def pose_hand_on_controller(
     wrist_world: Transform,
     controller: CapsuleShape,
     config: DescentConfig | None = None,
-    button: np.ndarray | None = None,
+    button: tuple | None = None,
 ) -> HandPoseResult:
     """Grip solve: search from the seed grid onto a world-frame capsule.
 
@@ -445,34 +439,27 @@ def pose_hand_on_controller(
 # Default hand model and grip capsule
 # ---------------------------------------------------------------------------
 
-def _mirror_x_quat(q) -> np.ndarray:
+def _mirror_x_quat(q) -> tuple:
     # Conjugation by the x-reflection: axis x kept, y/z axes and angle flip.
-    return np.array([q[0], q[1], -q[2], -q[3]])
+    return q[0], q[1], -q[2], -q[3]
 
 
-def mirror_x(p) -> np.ndarray:
+def mirror_x(p) -> tuple:
     """Reflect a point through the x = 0 plane of its frame."""
-    return np.array([-p[0], p[1], p[2]])
+    return -p[0], p[1], p[2]
 
 
 def _mirror_x_transform(t: Transform) -> Transform:
-    return Transform(_mirror_x_quat(t.rotation), mirror_x(t.translation))
+    s = t.state
+    return Transform.of_state((*_mirror_x_quat(s), *mirror_x(s[4:])))
 
 
 def mirror_hand(hand: HandModel) -> HandModel:
-    fingers = []
-    for f in hand.fingers:
-        joints = tuple(
-            FingerJointSpec(
-                _mirror_x_quat(j.open_rotation),
-                _mirror_x_quat(j.closed_rotation),
-                mirror_x(j.offset),
-            )
-            for j in f.joints
-        )
-        fingers.append(Finger(f.name, _mirror_x_transform(f.base_local), joints))
+    fingers = tuple(Finger(f.name, _mirror_x_transform(f.base_local), tuple(
+        FingerJointSpec(_mirror_x_quat(j.open_rotation), _mirror_x_quat(j.closed_rotation),
+                        mirror_x(j.offset)) for j in f.joints)) for f in hand.fingers)
     return HandModel("right" if hand.side == "left" else "left",
-                     tuple(fingers), _mirror_x_transform(hand.palm_anchor))
+                     fingers, _mirror_x_transform(hand.palm_anchor))
 
 
 def mirror_capsule(shape: CapsuleShape) -> CapsuleShape:
@@ -488,36 +475,32 @@ def default_hand_model(side: str = "left") -> HandModel:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    z_axis = np.array([0.0, 0.0, 1.0])
-    y_axis = np.array([0.0, 1.0, 0.0])
-    ident = np.array([1.0, 0.0, 0.0, 0.0])
-    curl = quat_from_axis_angle(z_axis, math.radians(110.0))
+    ident = (1.0, 0.0, 0.0, 0.0)
+    curl = quat_from_axis_angle((0.0, 0.0, 1.0), math.radians(110.0))
 
-    def finger(name, base_t, base_q, lengths, closed=curl):
-        joints = tuple(
-            FingerJointSpec(ident.copy(), closed.copy(), np.array([-length, 0.0, 0.0]))
-            for length in lengths
-        )
-        return Finger(name, Transform(base_q, np.asarray(base_t)), joints)
+    def finger(name, base_t, base_q, lengths):
+        joints = tuple(FingerJointSpec(ident, curl, (-length, 0.0, 0.0)) for length in lengths)
+        return Finger(name, Transform.of_state((*base_q, *base_t)), joints)
 
-    thumb_base_q = quat_from_axis_angle(y_axis, math.radians(-40.0))
+    thumb_base_q = quat_from_axis_angle((0.0, 1.0, 0.0), math.radians(-40.0))
     fingers = (
         finger("thumb", (-0.030, -0.015, -0.025), thumb_base_q, (0.035, 0.030, 0.026)),
-        finger("index", (-0.090, 0.0, -0.022), ident.copy(), (0.040, 0.028, 0.024)),
-        finger("middle", (-0.095, 0.0, 0.000), ident.copy(), (0.043, 0.030, 0.025)),
-        finger("ring", (-0.090, 0.0, 0.022), ident.copy(), (0.040, 0.028, 0.024)),
-        finger("pinky", (-0.082, 0.0, 0.042), ident.copy(), (0.032, 0.024, 0.021)),
+        finger("index", (-0.090, 0.0, -0.022), ident, (0.040, 0.028, 0.024)),
+        finger("middle", (-0.095, 0.0, 0.000), ident, (0.043, 0.030, 0.025)),
+        finger("ring", (-0.090, 0.0, 0.022), ident, (0.040, 0.028, 0.024)),
+        finger("pinky", (-0.082, 0.0, 0.042), ident, (0.032, 0.024, 0.021)),
     )
-    palm_anchor = Transform(ident.copy(), np.array([-0.072, -0.038, 0.0]))
+    palm_anchor = Transform.of_state((*ident, -0.072, -0.038, 0.0))
     left = HandModel("left", fingers, palm_anchor)
     return left if side == "left" else mirror_hand(left)
 
 
 def default_grip_capsule(hand: HandModel) -> CapsuleShape:
     """Controller capsule at the standard grip pose, in the wrist frame."""
-    center = hand.palm_anchor.translation
-    axis = np.array([0.0, 0.0, 0.055])
-    return CapsuleShape(center - axis, center + axis, 0.026)
+    center = hand.palm_anchor.state[4:]
+    axis = (0.0, 0.0, 0.055)
+    return CapsuleShape(tuple(c - a for c, a in zip(center, axis)),
+                        tuple(c + a for c, a in zip(center, axis)), 0.026)
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +536,20 @@ def hand_from_document(document: dict) -> HandModel:
         fingers = []
         for fi, f in enumerate(document["fingers"]):
             at = f"fingers[{fi}]"
+            name = f["name"]
+            if not isinstance(name, str) or not name or any(g.name == name for g in fingers):
+                raise FormatError(f"{at}.name: expected a non-empty string that no other "
+                                  f"finger has, got {name!r:.40}")
             joints = tuple(FingerJointSpec(
-                np.array(quat_from_json(j["open"], f"{at}.joints[{ji}].open")),
-                np.array(quat_from_json(j["closed"], f"{at}.joints[{ji}].closed")),
-                np.array(floats_from_json(j["offset"], 3, f"{at}.joints[{ji}].offset")))
+                quat_from_json(j["open"], f"{at}.joints[{ji}].open"),
+                quat_from_json(j["closed"], f"{at}.joints[{ji}].closed"),
+                floats_from_json(j["offset"], 3, f"{at}.joints[{ji}].offset"))
                 for ji, j in enumerate(f["joints"]))
             if not 1 <= len(joints) <= 4:
                 raise FormatError(f"{at} has {len(joints)} joints, not 1 to 4")
-            fingers.append(Finger(f["name"], transform_from_obj(f["base"], f"{at}.base"), joints))
+            fingers.append(Finger(name, transform_from_obj(f["base"], f"{at}.base"), joints))
+        if not fingers:
+            raise FormatError("a hand model needs at least one finger")
         return HandModel(document["side"], tuple(fingers),
                          transform_from_obj(document["palm_anchor"], "palm_anchor"))
     except (KeyError, TypeError) as e:
@@ -575,15 +564,15 @@ def save_hand_file(hand: HandModel, path) -> None:
     write_json_file(path, hand_to_document(hand))
 
 
-def controller_from_document(document: dict) -> tuple[CapsuleShape, np.ndarray | None]:
+def controller_from_document(document: dict) -> tuple[CapsuleShape, tuple | None]:
     shape = CapsuleShape(floats_from_json(document.get("s"), 3, "s"),
                          floats_from_json(document.get("e"), 3, "e"),
                          float_from_json(document.get("r"), "r"))
     button = document.get("button")
-    return shape, None if button is None else np.array(floats_from_json(button, 3, "button"))
+    return shape, None if button is None else floats_from_json(button, 3, "button")
 
 
-def load_controller_file(path) -> tuple[CapsuleShape, np.ndarray | None]:
+def load_controller_file(path) -> tuple[CapsuleShape, tuple | None]:
     return read_json_file(path, controller_from_document)
 
 

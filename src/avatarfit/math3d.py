@@ -8,11 +8,11 @@ Conventions used throughout the package:
   Serialization canonicalizes the sign so w >= 0, making traces
   byte-comparable across runs.
 - A pose is one type, `Transform`, which stores its pose state
-  (w, x, y, z, px, py, pz) as a tuple of floats; its `rotation` and
-  `translation` are float64 array copies for NumPy callers. The vector and
-  quaternion helpers take any sequence and return floats or tuples of
-  floats, which the per-frame body solve runs on. The file codecs read
-  numbers as plain floats and poses straight into `Transform.state`.
+  (w, x, y, z, px, py, pz) as a tuple of floats. The helpers take any
+  sequence and return floats or tuples of floats, which the body solve and
+  the grip search run on; only `Transform.rotation`/`translation` (float64
+  copies for NumPy callers) and `fit_plane` hand out arrays. The file codecs
+  read numbers as plain floats and poses straight into `Transform.state`.
 - Positions and translations are in meters, angles in radians.
 """
 
@@ -86,7 +86,7 @@ def rotation_between(a, b) -> tuple:
         axis = cross(ah, UP)
         if norm(axis) <= DEGENERATE_EPS:
             axis = cross(ah, RIGHT)
-        return tuple(quat_from_axis_angle(axis, angle).tolist())
+        return quat_from_axis_angle(axis, angle)
     w, x, y, z = 1.0 + c, *xyz
     n = math.sqrt(w * w + x * x + y * y + z * z)
     return w / n, x / n, y / n, z / n
@@ -96,11 +96,11 @@ def rotation_between(a, b) -> tuple:
 # Quaternions (w, x, y, z)
 # ---------------------------------------------------------------------------
 
-def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
-    axis = normalize(axis)
+def quat_from_axis_angle(axis, angle: float) -> tuple:
+    x, y, z = normalize(axis)
     half = 0.5 * angle
     s = math.sin(half)
-    return np.array([math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+    return math.cos(half), x * s, y * s, z * s
 
 
 def quat_angle(q) -> float:
@@ -124,8 +124,8 @@ def slerp_basis(a, b) -> tuple:
     calls `slerp_at` alone. Both work on plain floats: numpy's per-call
     overhead on 4-vectors would dominate the search's inner loop.
     """
-    aw, ax, ay, az = np.asarray(a, dtype=np.float64).tolist()
-    bw, bx, by, bz = np.asarray(b, dtype=np.float64).tolist()
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
     d = aw * bw + ax * bx + ay * by + az * bz
     if d < 0.0:
         bw, bx, by, bz = -bw, -bx, -by, -bz
@@ -245,11 +245,11 @@ class Transform:
         dx, dy, dz = qrotate(rinv, s[4:])
         return Transform.of_state((*rinv, -dx, -dy, -dz))
 
-    def apply(self, p) -> np.ndarray:
+    def apply(self, p) -> tuple:
         """Transform a point."""
         s = self.state
-        dx, dy, dz = qrotate(s[:4], np.asarray(p, dtype=np.float64).tolist())
-        return np.array((dx + s[4], dy + s[5], dz + s[6]))
+        dx, dy, dz = qrotate(s[:4], p)
+        return dx + s[4], dy + s[5], dz + s[6]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ class FormatError(ValueError):
 
 
 def floats_to_json(v) -> list:
-    return np.asarray(v, dtype=np.float64).tolist()
+    return [float(c) for c in v]
 
 
 def quat_to_json(q) -> list:
@@ -316,7 +316,8 @@ def quat_from_json(value, where: str) -> tuple:
 
 
 def transform_to_obj(t: Transform) -> dict:
-    return {"rotation": quat_to_json(t.rotation), "translation": floats_to_json(t.translation)}
+    s = t.state
+    return {"rotation": quat_to_json(s[:4]), "translation": floats_to_json(s[4:])}
 
 
 def transform_from_obj(obj, where: str) -> Transform:

@@ -29,11 +29,11 @@ from .math3d import (
     float_from_json,
     floats_from_json,
     normalize,
-    pose_from_obj,
     pose_to_obj,
     qmul,
     quat_angle_between,
     quat_from_axis_angle,
+    quat_from_json,
     quat_to_json,
     read_jsonl,
     write_jsonl,
@@ -238,11 +238,11 @@ def default_mount_offsets() -> dict[DeviceRole, Transform]:
     }
 
 
-def _small_rotation(rng: np.random.Generator, sigma: float) -> np.ndarray:
+def _small_rotation(rng: np.random.Generator, sigma: float) -> tuple:
     axis_angle = rng.normal(0.0, sigma, size=3)
     angle = float(np.linalg.norm(axis_angle))
     if angle < 1e-12:
-        return np.array([1.0, 0.0, 0.0, 0.0])
+        return 1.0, 0.0, 0.0, 0.0
     return quat_from_axis_angle(axis_angle, angle)
 
 
@@ -352,14 +352,19 @@ def read_session(path) -> Session:
         t = float_from_json(obj.get("t"), f"{where} t")
         if frames and t <= frames[-1].timestamp:
             raise FormatError(f"{where}: timestamps must be strictly increasing")
-        parsed = []
+        parsed, ids = [], set()
         for k, dev in enumerate(devices):
             did = dev.get("id") if isinstance(dev, dict) else None
             if not isinstance(did, str) or not did:
                 raise FormatError(f"{where}: device {k} lacks an id")
-            if did in (d for d, _ in parsed):
+            if did in ids:
                 raise FormatError(f"{where}: duplicate device id {did!r}")
-            parsed.append((did, pose_from_obj(dev, f"{where} device {did!r}")))
+            ids.add(did)
+            try:  # `pose_from_obj`, with the device's label formatted only for an error
+                state = quat_from_json(dev.get("q"), "q") + floats_from_json(dev.get("p"), 3, "p")
+            except FormatError as e:
+                raise FormatError(f"{where} device {did!r} {e}") from None
+            parsed.append((did, Transform.of_state(state)))
         frames.append(DeviceFrame(t, parsed))
     if not frames:
         raise FormatError(f"{path}: session contains no frames")

@@ -19,7 +19,7 @@ def sample_capsule_surface(shape: CapsuleShape, n_axis: int, n_ring: int):
     Returns (points, resolution) where resolution bounds the distance from
     any true surface point to its nearest sample.
     """
-    axis = shape.end - shape.start
+    axis = np.subtract(shape.end, shape.start)
     length = float(np.linalg.norm(axis))
     u = axis / length
     seed = np.array([1.0, 0.0, 0.0])
@@ -190,7 +190,7 @@ def reference_rotation_between(a, b) -> tuple:
         axis = cross(ah, UP)
         if norm(axis) <= DEGENERATE_EPS:
             axis = cross(ah, RIGHT)
-        return tuple(quat_from_axis_angle(axis, angle).tolist())
+        return quat_from_axis_angle(axis, angle)
     xyz = cross(ah, bh)
     q = (1.0 + dot(ah, bh), xyz[0], xyz[1], xyz[2])
     n = math.sqrt(sum(c * c for c in q))

@@ -421,6 +421,10 @@ MALFORMED = {
     "hand finger with 5 joints": ("hand", lambda document: put(
         "fingers", 0, "joints", document["fingers"][0]["joints"] + document["fingers"][0]["joints"][:2])(document)),
     "hand finger without joints": ("hand", put("fingers", 1, "joints", [])),
+    # A finger name labels trace joints, and "thumb" takes the button term.
+    "hand finger name not a string": ("hand", put("fingers", 0, "name", 5)),
+    "hand two thumbs": ("hand", put("fingers", 1, "name", "thumb")),
+    "hand without fingers": ("hand", put("fingers", [])),
     "controller NaN r": ("controller", put("r", NAN)),
     "controller button of length 2": ("controller", put("button", [0.0, 0.0])),
     "controller endpoints one ulp apart": ("controller", lambda document: put(

@@ -57,6 +57,8 @@ class TestCapsuleSdf:
             CapsuleShape(np.zeros(3), np.ones(3), 0.0)
         with pytest.raises(ValueError):
             CapsuleShape(np.ones(3), np.ones(3), 0.1)
+        with pytest.raises(ValueError):  # distinct, but the axis length underflows to 0
+            CapsuleShape((0.0, 0.0, 0.0), (1e-170, 0.0, 0.0), 0.1)
 
     def test_nan_radius_rejected(self):
         with pytest.raises(ValueError, match="radius"):
@@ -78,7 +80,7 @@ class TestCapsuleSdf:
         shape = unit_capsule()
         rng = np.random.default_rng(3)
         surface, resolution = sample_capsule_surface(shape, 400, 200)
-        seg = shape.start + np.linspace(0, 1, 2000)[:, None] * (shape.end - shape.start)
+        seg = shape.start + np.linspace(0, 1, 2000)[:, None] * np.subtract(shape.end, shape.start)
         for _ in range(500):
             p = rng.uniform(-0.4, 1.4, size=3)
             sd = capsule_sdf(shape, p)
@@ -303,8 +305,7 @@ class TestDescentOracle:
         start = FingerParams([rng.uniform(-0.2, 1.2, size=len(f.joints)) for f in hand.fingers])
         config = DescentConfig(penalty=penalty, max_iters=max_iters)
         for fi, finger in enumerate(hand.fingers):
-            tip_button = (None if button is None or finger.name != "thumb"
-                          else tuple(button.tolist()))
+            tip_button = None if finger.name != "thumb" else button
             want = reference_finger_objective(reference_chain(finger, wrist), shape, penalty,
                                               tip_button, start.values[fi])
             assert finger_objective(hand, fi, start, shape, penalty, wrist, button) == want
@@ -337,8 +338,7 @@ class TestDescentOracle:
         config = DescentConfig(penalty=penalty, max_iters=max_iters)
         params, reports = descend(hand, shape, config, wrist, button)
         for fi, (finger, report) in enumerate(zip(hand.fingers, reports)):
-            tip_button = (None if button is None or finger.name != "thumb"
-                          else tuple(button.tolist()))
+            tip_button = None if finger.name != "thumb" else button
             t, iterations, objective, converged, history = reference_compass_search(
                 reference_chain(finger, wrist), shape, penalty, tip_button, max_iters)
             assert params.values[fi].tobytes() == np.array(t).tobytes()
@@ -366,7 +366,6 @@ class TestGridSeed:
                                             (f.joints * 2)[:n_joints])
                                      for f in default.fingers[:group_size]), default.palm_anchor)
         wrist, shape, button = random_wrist_grip(rng, hand, with_button)
-        button = None if button is None else tuple(button.tolist())
         chains = [fingers._FingerChain(finger, wrist, shape, penalty, button)
                   for finger in hand.fingers]
         rows = fingers._grid_values(chains)
@@ -467,7 +466,7 @@ class TestBoundedWalk:
 def small_curl_hand() -> HandModel:
     """Three-joint finger with 25-degree curls: closing always descends."""
     curl = quat_from_axis_angle(Z, math.radians(25))
-    joints = tuple(FingerJointSpec(IDENT.copy(), curl.copy(), np.array([-0.05, 0.0, 0.0]))
+    joints = tuple(FingerJointSpec(IDENT.copy(), curl, np.array([-0.05, 0.0, 0.0]))
                    for _ in range(3))
     return HandModel("left", (Finger("toy", Transform.identity(), joints),),
                      Transform.identity())

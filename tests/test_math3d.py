@@ -227,7 +227,7 @@ class TestTransform:
         assert state_bytes(ta @ tb) == np.concatenate(reference_compose(arrays(a), arrays(b))) \
             .tobytes()
         assert state_bytes(ta.inverse()) == np.concatenate(reference_inverse(arrays(a))).tobytes()
-        assert ta.apply(p).tobytes() == reference_apply(arrays(a), p).tobytes()
+        assert np.array(ta.apply(p)).tobytes() == reference_apply(arrays(a), p).tobytes()
 
     def test_rotation_and_translation_are_float64_copies(self):
         q, p = np.array([1.0, 0.0, -0.0, 0.0]), np.array([1, 2, 3])
