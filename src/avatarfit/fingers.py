@@ -450,16 +450,23 @@ def mirror_x(p) -> tuple:
 
 
 def _mirror_x_transform(t: Transform) -> Transform:
-    s = t.state
-    return Transform.of_state((*_mirror_x_quat(s), *mirror_x(s[4:])))
+    return Transform.of_state((*_mirror_x_quat(t.state), *mirror_x(t.state[4:])))
 
 
 def mirror_hand(hand: HandModel) -> HandModel:
-    fingers = tuple(Finger(f.name, _mirror_x_transform(f.base_local), tuple(
-        FingerJointSpec(_mirror_x_quat(j.open_rotation), _mirror_x_quat(j.closed_rotation),
-                        mirror_x(j.offset)) for j in f.joints)) for f in hand.fingers)
+    fingers = []
+    for f in hand.fingers:
+        joints = tuple(
+            FingerJointSpec(
+                _mirror_x_quat(j.open_rotation),
+                _mirror_x_quat(j.closed_rotation),
+                mirror_x(j.offset),
+            )
+            for j in f.joints
+        )
+        fingers.append(Finger(f.name, _mirror_x_transform(f.base_local), joints))
     return HandModel("right" if hand.side == "left" else "left",
-                     fingers, _mirror_x_transform(hand.palm_anchor))
+                     tuple(fingers), _mirror_x_transform(hand.palm_anchor))
 
 
 def mirror_capsule(shape: CapsuleShape) -> CapsuleShape:
@@ -475,14 +482,19 @@ def default_hand_model(side: str = "left") -> HandModel:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    z_axis = (0.0, 0.0, 1.0)
+    y_axis = (0.0, 1.0, 0.0)
     ident = (1.0, 0.0, 0.0, 0.0)
-    curl = quat_from_axis_angle((0.0, 0.0, 1.0), math.radians(110.0))
+    curl = quat_from_axis_angle(z_axis, math.radians(110.0))
 
     def finger(name, base_t, base_q, lengths):
-        joints = tuple(FingerJointSpec(ident, curl, (-length, 0.0, 0.0)) for length in lengths)
+        joints = tuple(
+            FingerJointSpec(ident, curl, (-length, 0.0, 0.0))
+            for length in lengths
+        )
         return Finger(name, Transform.of_state((*base_q, *base_t)), joints)
 
-    thumb_base_q = quat_from_axis_angle((0.0, 1.0, 0.0), math.radians(-40.0))
+    thumb_base_q = quat_from_axis_angle(y_axis, math.radians(-40.0))
     fingers = (
         finger("thumb", (-0.030, -0.015, -0.025), thumb_base_q, (0.035, 0.030, 0.026)),
         finger("index", (-0.090, 0.0, -0.022), ident, (0.040, 0.028, 0.024)),

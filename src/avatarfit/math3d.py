@@ -316,8 +316,7 @@ def quat_from_json(value, where: str) -> tuple:
 
 
 def transform_to_obj(t: Transform) -> dict:
-    s = t.state
-    return {"rotation": quat_to_json(s[:4]), "translation": floats_to_json(s[4:])}
+    return {"rotation": quat_to_json(t.state[:4]), "translation": floats_to_json(t.state[4:])}
 
 
 def transform_from_obj(obj, where: str) -> Transform:

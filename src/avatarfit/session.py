@@ -29,11 +29,11 @@ from .math3d import (
     float_from_json,
     floats_from_json,
     normalize,
+    pose_from_obj,
     pose_to_obj,
     qmul,
     quat_angle_between,
     quat_from_axis_angle,
-    quat_from_json,
     quat_to_json,
     read_jsonl,
     write_jsonl,
@@ -360,11 +360,10 @@ def read_session(path) -> Session:
             if did in ids:
                 raise FormatError(f"{where}: duplicate device id {did!r}")
             ids.add(did)
-            try:  # `pose_from_obj`, with the device's label formatted only for an error
-                state = quat_from_json(dev.get("q"), "q") + floats_from_json(dev.get("p"), 3, "p")
+            try:  # the device's label is formatted only for an error
+                parsed.append((did, pose_from_obj(dev, "")))
             except FormatError as e:
-                raise FormatError(f"{where} device {did!r} {e}") from None
-            parsed.append((did, Transform.of_state(state)))
+                raise FormatError(f"{where} device {did!r}{e}") from None
         frames.append(DeviceFrame(t, parsed))
     if not frames:
         raise FormatError(f"{path}: session contains no frames")
