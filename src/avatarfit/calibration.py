@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .math3d import FormatError, Transform, float_from_json, floats_from_json, floats_to_json, \
-    read_json_file, transform_from_obj, transform_to_obj, write_json_file
+    norm, read_json_file, transform_from_obj, transform_to_obj, write_json_file
 from .session import DeviceFrame, DeviceRole, Session, identify_roles
 from .skeleton import SkeletonModel, scale_uniform
 
@@ -47,7 +45,7 @@ class MisalignmentError(ValueError):
 
 
 def _check_walk_in(error: type, where: str, offset: Transform) -> None:
-    gap = float(np.linalg.norm(offset.translation))
+    gap = norm(offset.state[4:])
     if gap > MAX_WALK_IN_OFFSET:
         raise error(f"{where}: device is {gap:.2f} m from its joint; walk-in alignment failed")
 
@@ -121,7 +119,7 @@ def calibrate_session(
     frame = session.calibration_frame()
     role_map = identify_roles(frame)
     hmd_id = next(did for did, role in role_map.items() if role == DeviceRole.HMD)
-    hmd_height = float(frame.pose_of(hmd_id).translation[1])
+    hmd_height = frame.pose_of(hmd_id).state[5]
     result = compute_scale(hmd_height, skeleton)
     scaled = scale_uniform(skeleton, result.scale)
     profile = capture_profile(frame, role_map, scaled, placement, scale=result.scale)

@@ -72,6 +72,10 @@ def _derived_path(base, tag: str) -> Path:
 
 
 def cmd_gen(args) -> int:
+    # Each flag is finite, but their product, the frame count, may not be.
+    if not math.isfinite(args.duration * args.fps):
+        print("error: --duration times --fps must be a finite frame count", file=sys.stderr)
+        return EXIT_USAGE
     skeleton = load_skeleton_file(args.skeleton)
     if args.script_file:
         script = read_script_file(args.script_file)
@@ -95,7 +99,7 @@ def cmd_calibrate(args) -> int:
     print(f"roles: {roles}")
     print(f"scale: {profile.scale:.6f}")
     for part, offset in profile.offsets.items():
-        print(f"offset {part}: {math.hypot(*offset.translation):.4f} m")
+        print(f"offset {part}: {math.hypot(*offset.state[4:]):.4f} m")
     for w in warnings:
         print(f"warning: {w}")
     print(f"wrote profile to {args.out}")

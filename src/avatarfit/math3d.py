@@ -1,4 +1,4 @@
-"""3D math primitives: vectors, unit quaternions, rigid transforms, planes.
+"""3D math primitives: vectors, unit quaternions, rigid transforms, plane fitting.
 
 Conventions used throughout the package:
 
@@ -8,11 +8,14 @@ Conventions used throughout the package:
   Serialization canonicalizes the sign so w >= 0, making traces
   byte-comparable across runs.
 - A pose is one type, `Transform`, which stores its pose state
-  (w, x, y, z, px, py, pz) as a tuple of floats. The helpers take any
-  sequence and return floats or tuples of floats, which the body solve and
-  the grip search run on; only `Transform.rotation`/`translation` (float64
-  copies for NumPy callers) and `fit_plane` hand out arrays. The file codecs
-  read numbers as plain floats and poses straight into `Transform.state`.
+  (w, x, y, z, px, py, pz) as a tuple of floats. The package builds poses
+  with `Transform.of_state` and reads them through `state`. The helpers take
+  any sequence and return floats or tuples of floats, which the body solve,
+  the grip search and the set-up run on. The file codecs read numbers as
+  plain floats and poses straight into `Transform.state`.
+- The array constructor `Transform(rotation, translation)` and the
+  `rotation`/`translation` views (fresh float64 arrays) exist for NumPy
+  callers; nothing in the package uses them.
 - Positions and translations are in meters, angles in radians.
 """
 
@@ -204,20 +207,22 @@ def compose_state(s, q, v) -> tuple:
 class Transform:
     """Rigid transform: rotation (unit quaternion) followed by translation.
 
-    `state` is its pose state (w, x, y, z, px, py, pz), a tuple of floats;
-    `rotation` and `translation` return it as fresh float64 arrays. Slotted,
-    since sessions and ground truths hold one per device or joint and frame.
+    `state` is its pose state (w, x, y, z, px, py, pz), a tuple of floats.
+    For NumPy callers, `Transform(rotation, translation)` takes any two
+    sequences of numbers, and `rotation` and `translation` return the state
+    as fresh float64 arrays. Slotted, since sessions and ground truths hold
+    one per device or joint and frame.
     """
 
     state: tuple
 
     def __init__(self, rotation, translation):
-        object.__setattr__(self, "state", (*np.asarray(rotation, dtype=np.float64).tolist(),
-                                           *np.asarray(translation, dtype=np.float64).tolist()))
+        object.__setattr__(self, "state", (*map(float, rotation), *map(float, translation)))
 
     @classmethod
     def of_state(cls, s) -> "Transform":
-        """The Transform of pose state `s`, which it keeps as it is."""
+        """The Transform of pose state `s`, which it keeps as it is: it converts
+        nothing, so `s` should be a tuple of seven floats."""
         t = cls.__new__(cls)
         object.__setattr__(t, "state", s)
         return t
@@ -383,16 +388,8 @@ def write_jsonl(path, objects) -> None:
 # Plane fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Plane:
-    """Plane {p : dot(normal, p) == offset} with unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-
-def fit_plane(points) -> Plane:
-    """Total-least-squares plane through >= 3 points.
+def fit_plane(points) -> tuple:
+    """Unit normal, as three floats, of the total-least-squares plane through >= 3 points.
 
     The normal is the smallest eigenvector of the 3x3 covariance of the
     centered points. Its sign is fixed deterministically: positive dot with
@@ -401,20 +398,18 @@ def fit_plane(points) -> Plane:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
         raise DegenerateGeometryError("fit_plane requires at least 3 points of dimension 3")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
+    centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered
     evals, evecs = np.linalg.eigh(cov)
     # eigh returns ascending eigenvalues; two near-zero ones mean the points
     # are collinear and the normal direction is not unique.
     if evals[1] < 1e-12:
         raise DegenerateGeometryError("plane fit is degenerate (collinear or coincident points)")
-    normal = evecs[:, 0]
+    normal = evecs[:, 0].tolist()
     for axis in (FORWARD, RIGHT, UP):
-        d = float(np.dot(normal, axis))
+        d = dot(normal, axis)
         if abs(d) > 1e-12:
             if d < 0.0:
-                normal = -normal
+                normal = [-c for c in normal]
             break
-    normal = normal / float(np.linalg.norm(normal))
-    return Plane(normal, float(np.dot(normal, centroid)))
+    return normalize(normal)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .math3d import RIGHT, Transform, float_from_json, pose_from_obj, qmul, \
+from .math3d import RIGHT, UP, Transform, float_from_json, pose_from_obj, qmul, \
     quat_from_axis_angle, quat_from_json, read_jsonl
 from .skeleton import SkeletonModel
 
@@ -72,7 +72,7 @@ def tpose_script(duration: float = 2.0, fps: float = 30.0) -> list[ScriptPose]:
 
 def squat_script(skeleton: SkeletonModel, duration: float = 4.0, fps: float = 30.0,
                  max_flexion: float = math.radians(60.0)) -> list[ScriptPose]:
-    bind_root = _bind_root(skeleton)
+    bind = _bind_root(skeleton).state
     l1 = skeleton.bone_length(skeleton.role_index("knee_l"))
     l2 = skeleton.bone_length(skeleton.role_index("ankle_l"))
     frames = []
@@ -88,7 +88,7 @@ def squat_script(skeleton: SkeletonModel, duration: float = 4.0, fps: float = 30
         # Root compensation keeps the ankles (and so the feet) fixed in world.
         dy = (l1 + l2) * (math.cos(0.5 * f) - 1.0)
         dz = -(l2 - l1) * math.sin(0.5 * f)
-        root = Transform(bind_root.rotation, bind_root.translation + np.array([0.0, dy, dz]))
+        root = Transform.of_state((*bind[:4], *(p + d for p, d in zip(bind[4:], (0.0, dy, dz)))))
         frames.append(ScriptPose(t, rots, root))
     return frames
 
@@ -96,14 +96,13 @@ def squat_script(skeleton: SkeletonModel, duration: float = 4.0, fps: float = 30
 def arms_script(duration: float = 4.0, fps: float = 30.0,
                 max_bend: float = math.radians(75.0)) -> list[ScriptPose]:
     """Elbows swing the hands toward the chest and back out again."""
-    up = np.array([0.0, 1.0, 0.0])
     frames = []
     for t in _times(duration, fps):
         u = t / duration
         psi = max_bend * _bump(u)
         rots = {
-            "elbow_l": quat_from_axis_angle(up, -psi),
-            "elbow_r": quat_from_axis_angle(up, psi),
+            "elbow_l": quat_from_axis_angle(UP, -psi),
+            "elbow_r": quat_from_axis_angle(UP, psi),
         }
         frames.append(ScriptPose(t, rots))
     return frames
@@ -113,16 +112,15 @@ def free_script(skeleton: SkeletonModel, duration: float = 6.0, fps: float = 30.
                 seed: int = 0) -> list[ScriptPose]:
     """Seeded mix of yaw, lean, arm and leg motion starting from T-pose."""
     rng = np.random.default_rng(seed)
-    up = np.array([0.0, 1.0, 0.0])
     wiggled = ["spine", "elbow_l", "elbow_r", "hip_l", "hip_r", "knee_l", "knee_r"]
     amp = rng.uniform(0.05, 0.25, size=len(wiggled))
     freq = rng.integers(1, 4, size=len(wiggled))
     phase_axis = [rng.normal(size=3) for _ in wiggled]
     axes = []
     for a in phase_axis:
-        n = np.linalg.norm(a)
-        axes.append(a / n if n > 1e-9 else up)
-    bind_root = _bind_root(skeleton)
+        n = np.linalg.norm(a)  # NumPy's norm: its bits reach the axes
+        axes.append((a / n).tolist() if n > 1e-9 else UP)
+    bind = _bind_root(skeleton).state
     frames = []
     for t in _times(duration, fps):
         u = t / duration
@@ -130,11 +128,11 @@ def free_script(skeleton: SkeletonModel, duration: float = 6.0, fps: float = 30.
         for name, a, k, axis in zip(wiggled, amp, freq, axes):
             angle = a * math.sin(2.0 * math.pi * k * u)
             rots[name] = quat_from_axis_angle(axis, angle)
-        yaw = quat_from_axis_angle(up, 0.5 * math.sin(2.0 * math.pi * u))
-        sway = np.array([0.15 * math.sin(2.0 * math.pi * u),
-                         0.0,
-                         0.10 * math.sin(4.0 * math.pi * u)])
-        root = Transform(qmul(yaw, bind_root.state[:4]), bind_root.translation + sway)
+        yaw = quat_from_axis_angle(UP, 0.5 * math.sin(2.0 * math.pi * u))
+        sway = (0.15 * math.sin(2.0 * math.pi * u),
+                0.0,
+                0.10 * math.sin(4.0 * math.pi * u))
+        root = Transform.of_state((*qmul(yaw, bind[:4]), *(p + d for p, d in zip(bind[4:], sway))))
         frames.append(ScriptPose(t, rots, root))
     return frames
 

@@ -25,6 +25,7 @@ from .math3d import (
     FormatError,
     Transform,
     cross,
+    dot,
     fit_plane,
     float_from_json,
     floats_from_json,
@@ -127,19 +128,18 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
     if len(frame.devices) != 6:
         raise FormatError(f"expected 6 devices, got {len(frame.devices)}")
     ids = [did for did, _ in frame.devices]
-    pos = {did: pose.translation for did, pose in frame.devices}
+    pos = {did: pose.state[4:] for did, pose in frame.devices}
 
-    plane = fit_plane(np.stack([pos[d] for d in ids]))
-    centroid = np.stack([pos[d] for d in ids]).mean(axis=0)
+    normal = fit_plane([pos[d] for d in ids])
 
-    by_height = sorted(ids, key=lambda d: float(pos[d][1]), reverse=True)
+    by_height = sorted(ids, key=lambda d: pos[d][1], reverse=True)
     if pos[by_height[0]][1] - pos[by_height[1]][1] < TIE_MARGIN:
         raise RoleAmbiguityError(
             f"headset height is ambiguous between {by_height[0]!r} and {by_height[1]!r}"
         )
     hmd = by_height[0]
 
-    lowest = sorted(ids, key=lambda d: float(pos[d][1]))
+    lowest = sorted(ids, key=lambda d: pos[d][1])
     if pos[lowest[2]][1] - pos[lowest[1]][1] < TIE_MARGIN:
         raise RoleAmbiguityError(
             f"foot tracker heights are ambiguous between {lowest[1]!r} and {lowest[2]!r}"
@@ -148,11 +148,11 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
 
     middle = [d for d in ids if d != hmd and d not in feet]
 
-    # Lateral axis on the fitted plane; its sign is resolved after the root
-    # is known, which only requires lateral *ordering*, not orientation.
-    up_in_plane = normalize(UP - float(np.dot(UP, plane.normal)) * plane.normal)
-    lateral_axis = cross(plane.normal, up_in_plane)
-    lat = {d: float(np.dot(pos[d] - centroid, lateral_axis)) for d in ids}
+    # The lateral axis: horizontal and on the fitted plane. Only differences
+    # and orderings along it are used, so positions need no centering, and
+    # which way it points is resolved once forward is known.
+    axis = normalize(cross(normal, UP))
+    lat = {d: dot(pos[d], axis) for d in ids}
 
     middle_sorted = sorted(middle, key=lambda d: lat[d])
     root = middle_sorted[1]
@@ -163,36 +163,33 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
                 f"lateral positions of {ctrl!r} and {root!r} are ambiguous"
             )
 
-    hmd_height = float(pos[hmd][1])
+    hmd_height = pos[hmd][1]
     for ctrl in controllers:
-        h = float(pos[ctrl][1])
+        h = pos[ctrl][1]
         if not ((1.0 - CONTROLLER_HEIGHT_BAND) * hmd_height <= h
                 <= (1.0 + CONTROLLER_HEIGHT_BAND) * hmd_height):
             raise PostureError(
                 f"device {ctrl!r} at height {h:.2f} is outside the controller band "
                 f"around the headset height {hmd_height:.2f}"
             )
-    root_h = float(pos[root][1])
-    feet_top = max(float(pos[d][1]) for d in feet)
-    ctrl_bottom = min(float(pos[d][1]) for d in controllers)
+    root_h = pos[root][1]
+    feet_top = max(pos[d][1] for d in feet)
+    ctrl_bottom = min(pos[d][1] for d in controllers)
     if not feet_top < root_h < ctrl_bottom:
         raise PostureError(
             f"back tracker height {root_h:.2f} is not between the feet and the controllers"
         )
 
-    # Forward points from the back tracker toward the feet across the plane.
-    feet_mid = 0.5 * (pos[feet[0]] + pos[feet[1]])
-    forward = plane.normal if float(np.dot(feet_mid - pos[root], plane.normal)) > 0 else -plane.normal
-    left_axis = normalize(cross(UP, forward))
-    side = {d: float(np.dot(pos[d] - centroid, left_axis)) for d in ids}
+    # Forward points from the back tracker toward the feet across the plane,
+    # and left is UP x forward: -axis when forward is the normal, else axis.
+    to_feet = [0.5 * (a + b) - r for a, b, r in zip(pos[feet[0]], pos[feet[1]], pos[root])]
+    left = -1.0 if dot(to_feet, normal) > 0 else 1.0
 
-    ctrl_left, ctrl_right = sorted(controllers, key=lambda d: side[d], reverse=True)
-    foot_left, foot_right = sorted(feet, key=lambda d: side[d], reverse=True)
-    if abs(side[ctrl_left] - side[ctrl_right]) < TIE_MARGIN:
-        raise RoleAmbiguityError(
-            f"left/right is ambiguous between controllers {ctrl_left!r} and {ctrl_right!r}"
-        )
-    if abs(side[foot_left] - side[foot_right]) < TIE_MARGIN:
+    # The controllers need no left/right tie check: the root lies between
+    # them on the axis, at least TIE_MARGIN from each.
+    ctrl_left, ctrl_right = sorted(controllers, key=lambda d: left * lat[d], reverse=True)
+    foot_left, foot_right = sorted(feet, key=lambda d: left * lat[d], reverse=True)
+    if abs(lat[foot_left] - lat[foot_right]) < TIE_MARGIN:
         raise RoleAmbiguityError(
             f"left/right is ambiguous between feet {foot_left!r} and {foot_right!r}"
         )
@@ -227,23 +224,24 @@ def default_mount_offsets() -> dict[DeviceRole, Transform]:
     controllers hang just below the palms; the back tracker is strapped
     behind the waist; the foot trackers ride on the insteps.
     """
-    ident = np.array([1.0, 0.0, 0.0, 0.0])
+    ident = (1.0, 0.0, 0.0, 0.0)
     return {
-        DeviceRole.HMD: Transform(ident, np.array([0.0, 0.14, -0.08])),
-        DeviceRole.CONTROLLER_LEFT: Transform(ident, np.array([0.0, -0.02, -0.05])),
-        DeviceRole.CONTROLLER_RIGHT: Transform(ident, np.array([0.0, -0.02, -0.05])),
-        DeviceRole.TRACKER_ROOT: Transform(ident, np.array([0.0, 0.0, 0.10])),
-        DeviceRole.TRACKER_FOOT_LEFT: Transform(ident, np.array([0.0, 0.07, -0.04])),
-        DeviceRole.TRACKER_FOOT_RIGHT: Transform(ident, np.array([0.0, 0.07, -0.04])),
+        DeviceRole.HMD: Transform.of_state((*ident, 0.0, 0.14, -0.08)),
+        DeviceRole.CONTROLLER_LEFT: Transform.of_state((*ident, 0.0, -0.02, -0.05)),
+        DeviceRole.CONTROLLER_RIGHT: Transform.of_state((*ident, 0.0, -0.02, -0.05)),
+        DeviceRole.TRACKER_ROOT: Transform.of_state((*ident, 0.0, 0.0, 0.10)),
+        DeviceRole.TRACKER_FOOT_LEFT: Transform.of_state((*ident, 0.0, 0.07, -0.04)),
+        DeviceRole.TRACKER_FOOT_RIGHT: Transform.of_state((*ident, 0.0, 0.07, -0.04)),
     }
 
 
 def _small_rotation(rng: np.random.Generator, sigma: float) -> tuple:
     axis_angle = rng.normal(0.0, sigma, size=3)
-    angle = float(np.linalg.norm(axis_angle))
+    angle = float(np.linalg.norm(axis_angle))  # NumPy's norm: its bits reach the session
     if angle < 1e-12:
         return 1.0, 0.0, 0.0, 0.0
-    return quat_from_axis_angle(axis_angle, angle)
+    # Floats, not NumPy scalars, which the session's pose states would keep.
+    return quat_from_axis_angle(axis_angle.tolist(), angle)
 
 
 def generate_synthetic_session(
@@ -290,11 +288,12 @@ def generate_synthetic_session(
         for did in ids:
             pose = world[joint_for[did]] @ mounts[role_map[did]]
             if noise.position_sigma > 0.0:
-                pose = Transform(pose.state[:4],
-                                 pose.translation + rng.normal(0.0, noise.position_sigma, 3))
+                dx, dy, dz = rng.normal(0.0, noise.position_sigma, 3).tolist()
+                w, x, y, z, px, py, pz = pose.state
+                pose = Transform.of_state((w, x, y, z, px + dx, py + dy, pz + dz))
             if noise.rotation_sigma > 0.0:
-                pose = Transform(qmul(_small_rotation(rng, noise.rotation_sigma), pose.state[:4]),
-                                 pose.state[4:])
+                q = qmul(_small_rotation(rng, noise.rotation_sigma), pose.state[:4])
+                pose = Transform.of_state(q + pose.state[4:])
             devices.append((did, pose))
         frames.append(DeviceFrame(sp.time, devices))
 

@@ -227,8 +227,8 @@ def skeleton_to_document(skeleton: SkeletonModel) -> dict:
             "name": j.name,
             "parent": None if j.parent is None else skeleton.joints[j.parent].name,
             "role": j.role,
-            "translation": floats_to_json(j.bind_local.translation),
-            "rotation": quat_to_json(j.bind_local.rotation),
+            "translation": floats_to_json(j.bind_local.state[4:]),
+            "rotation": quat_to_json(j.bind_local.state[:4]),
         })
     return {"eye_height": skeleton.eye_height_bind, "joints": joints}
 

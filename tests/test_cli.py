@@ -362,6 +362,13 @@ class TestGenFlags:
         assert f"argument {name}: must be {wording} and finite" in capsys.readouterr().err
         assert not (tmp_path / "s.jsonl").exists()
 
+    def test_infinite_frame_count_is_a_usage_error(self, tmp_path, capsys):
+        # 1e300 * 1e300 overflows; no file is read, so the missing skeleton is no error.
+        assert run("gen", "--skeleton", tmp_path / "missing.json", "--duration", "1e300",
+                   "--fps", "1e300", "--out", tmp_path / "s.jsonl") == cli.EXIT_USAGE
+        assert "--duration times --fps must be a finite frame count" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
+
 
 def put(*keys_and_value):
     """Corruption that sets the value at a key path of a document."""

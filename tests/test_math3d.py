@@ -379,15 +379,22 @@ class TestJsonCodec:
 class TestFitPlane:
     def test_exact_square_at_z(self):
         pts = [vec3(x, y, 0.3) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
-        plane = fit_plane(pts)
-        np.testing.assert_allclose(plane.normal, vec3(0, 0, 1), atol=1e-12)
-        assert plane.offset == pytest.approx(0.3, abs=1e-12)
+        np.testing.assert_allclose(fit_plane(pts), vec3(0, 0, 1), atol=1e-12)
 
     def test_exact_vertical_plane(self):
         pts = [vec3(2.0, y, z) for y, z in ((0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.3), (0.2, 0.9))]
-        plane = fit_plane(pts)
-        np.testing.assert_allclose(plane.normal, vec3(1, 0, 0), atol=1e-12)
-        assert plane.offset == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(fit_plane(pts), vec3(1, 0, 0), atol=1e-12)
+
+    @pytest.mark.parametrize("xz", [
+        ((0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.3)),
+        # eigh can return -Y for these, so the flip runs
+        ((0.3, -0.5), (-0.9, -1.0), (0.6, 0.8), (0.2, 0.5), (0.1, 0.9)),
+    ])
+    def test_horizontal_plane_normal_is_plus_y(self, xz):
+        # Zero dot with +Z and +X: the sign tie-break falls through to +Y.
+        normal = fit_plane([vec3(x, 1.5, z) for x, z in xz])
+        assert all(type(c) is float for c in normal)
+        np.testing.assert_allclose(normal, vec3(0, 1, 0), atol=1e-12)
 
     def test_collinear_raises(self):
         pts = [vec3(t, 2 * t, -t) for t in np.linspace(0, 1, 6)]
@@ -414,21 +421,22 @@ class TestFitPlane:
             center = rng.normal(size=3)
             pts = [center + a * u + b * v + rng.normal(0, 0.02, size=3)
                    for a, b in hexagon]
-            got = fit_plane(pts).normal
+            got = fit_plane(pts)
             err = min(angle_between(got, normal), angle_between(got, -normal))
             assert err < math.radians(5.0)
 
     def test_local_optimality_against_perturbed_planes(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(12, 3)) * np.array([1.0, 1.0, 0.05])
-        plane = fit_plane(pts)
+        normal = fit_plane(pts)
+        offset = float(np.dot(normal, pts.mean(axis=0)))  # the plane passes through the centroid
 
         def residual(normal, offset):
             return sum((float(np.dot(normal, p)) - offset) ** 2 for p in pts)
 
-        base = residual(plane.normal, plane.offset)
+        base = residual(normal, offset)
         for _ in range(100):
             wiggle = quat_from_axis_angle(random_unit(rng), rng.uniform(0.001, 0.05))
-            n = np.array(qrotate(wiggle, plane.normal))
-            off = plane.offset + rng.normal(0, 0.01)
+            n = np.array(qrotate(wiggle, normal))
+            off = offset + rng.normal(0, 0.01)
             assert base <= residual(n, off) + 1e-12

@@ -73,9 +73,15 @@ class TestIdentifyRoles:
                 user, script, noise=NoiseModel(position_sigma=0.02, seed=seed))
             assert identify_roles(session.frames[0]) == session.role_map
 
-    def test_headset_tie_is_ambiguous(self):
-        frame, _ = placement_frame(overrides={"b": (-0.7, 1.595, 0.0)})
-        with pytest.raises(RoleAmbiguityError):
+    @pytest.mark.parametrize("overrides, message", [
+        ({"b": (-0.7, 1.595, 0.0)}, "headset height is ambiguous"),
+        ({"d": (0.0, 0.11, 0.1)}, "foot tracker heights are ambiguous"),
+        ({"d": (-0.69, 1.0, 0.1)}, "lateral positions of 'b' and 'd' are ambiguous"),
+        ({"e": (0.14, 0.1, 0.0)}, "left/right is ambiguous between feet"),
+    ], ids=["headset", "foot_height", "lateral", "feet_left_right"])
+    def test_headset_tie_is_ambiguous(self, overrides, message):
+        frame, _ = placement_frame(overrides=overrides)
+        with pytest.raises(RoleAmbiguityError, match=message):
             identify_roles(frame)
 
     def test_controller_band_violation_is_posture_error(self):
