@@ -22,11 +22,11 @@ Two routines evaluate a finger, with the same operations in the same order,
 so they agree bit for bit. `_FingerChain.walk`, on plain floats, serves
 `finger_objective` and the search's polls. It walks from a list of
 per-joint states (world rotation, position and partial objective after each
-joint); a poll turns one joint k, so it resumes from the current point's
-state after joint k - 1, and stops once its running total reaches the
-current value: every term is >= 0, so the poll has lost. The states of a
-finger's returned factors are the posed points of `pose_hand_on_controller`,
-with no walk of their own.
+joint); a poll passes joint k's new rotation, resumes from the current
+point's state after joint k - 1 and copies no rotations. It stops once its
+running total exceeds the current value, with no state for that joint: every
+term is >= 0, so the poll has lost. The states of a finger's returned factors
+are the posed points of `pose_hand_on_controller`, with no walk of their own.
 `_grid_values` walks the seed grid on NumPy arrays as a tree: level j holds
 the GRID_POINTS^(j+1) states of the first j + 1 factors, and the fingers of
 a hand with the same joint count and button presence are rows of one walk
@@ -193,26 +193,27 @@ class _FingerChain:
     def rotations(self, t_vec) -> list[tuple]:
         return [slerp_at(basis, float(t)) for basis, t in zip(self.slerps, t_vec)]
 
-    def walk(self, states: list, rotations: list, bound: float | None = None) -> float:
-        """Objective of the chain with joint j turned by `rotations[j]`.
+    def walk(self, states: list, k: int, q: tuple, rotations: list,
+             bound: float = math.inf) -> float:
+        """Objective with joint k turned by `q` and each later joint j by `rotations[j]`.
 
-        `states` holds the states of the first k joints, all turned by
-        `rotations[:k]`. The walk resumes from the last of them (from `start`
-        when there are none), appends the states of joints k.., and returns
-        the last total plus, for the thumb, its distance to the button. A
-        resumed walk makes the same additions in the same order as one from
-        the base, so the two return the same float. The capsule distance is
-        `capsule_sdf`, written out. With a `bound`, the walk returns as soon
-        as the running total is >= it, with no states after that joint's.
-        That is exact: every term added (d, -penalty * d, the button
-        distance) is >= 0 and rounding is monotone, so the full walk would
-        return >= it too.
+        The walk resumes from `states[k - 1]` (from `start` when k is 0),
+        appends the states of joints k.. and returns the last total plus,
+        for the thumb, its distance to the button. A resumed walk makes the
+        same additions in the same order as one from the base, so the two
+        return the same float. The capsule distance is `capsule_sdf`, written
+        out. Once the running total exceeds `bound`, the walk returns it before
+        appending that joint's state. That is exact: every term added (d,
+        -penalty * d, the button distance) is >= 0 and rounding is monotone,
+        so the full walk would exceed it too.
         """
-        k = len(states)
-        rw, rx, ry, rz, px, py, pz, total = states[-1] if k else self.start
+        rw, rx, ry, rz, px, py, pz, total = states[k - 1] if k else self.start
         sx, sy, sz, vx, vy, vz, axis_sq, radius = self.capsule
         penalty = self.penalty
-        for (qw, qx, qy, qz), (ox, oy, oz) in zip(rotations[k:], self.offsets[k:]):
+        offsets = self.offsets
+        for j in range(k, len(offsets)):
+            qw, qx, qy, qz = rotations[j] if j > k else q
+            ox, oy, oz = offsets[j]
             rw, rx, ry, rz = (
                 rw * qw - rx * qx - ry * qy - rz * qz,
                 rw * qx + rx * qw + ry * qz - rz * qy,
@@ -239,9 +240,9 @@ class _FingerChain:
             dz = uz - vz * h
             d = math.sqrt(dx * dx + dy * dy + dz * dz) - radius
             total += d if d >= 0.0 else -penalty * d
-            states.append((rw, rx, ry, rz, px, py, pz, total))
-            if bound is not None and total >= bound:
+            if total > bound:
                 return total
+            states.append((rw, rx, ry, rz, px, py, pz, total))
         if self.button is not None:
             bx, by, bz = self.button
             dx = px - bx
@@ -260,7 +261,7 @@ class _FingerChain:
         best = np.unravel_index(int(np.argmin(values)), (GRID_POINTS,) * len(self.slerps))
         t = [GRID[i] for i in best]
         rotations, states = self.rotations(t), []
-        value = self.walk(states, rotations)
+        value = self.walk(states, 0, rotations[0], rotations)
         return t, rotations, states, value
 
 
@@ -327,7 +328,8 @@ def finger_objective(
 ) -> float:
     """Summed penalized surface distance of one finger's joint points."""
     chain = _FingerChain(hand.fingers[finger_index], wrist_world, shape, penalty, button)
-    return chain.walk([], chain.rotations(params.values[finger_index]))
+    rotations = chain.rotations(params.values[finger_index])
+    return chain.walk([], 0, rotations[0], rotations)
 
 
 @dataclass
@@ -355,16 +357,17 @@ def descend(
     point 0) wins every tie. Fingers with the same joint count and the same
     button presence have their grids walked together (`_grid_values`). A
     round tries +step, then -step, on each factor in turn, held to [0, 1],
-    and accepts any strict decrease. A poll on factor k turns joint k only,
-    so its walk resumes from the current point's state after joint k - 1;
-    the walk is bounded by the current value, so a losing poll stops early
-    and an accepted probe, whose states become the current point's, has
-    walked to the tip. The first step is half the grid spacing, and a round
-    without a decrease halves it. A finger converges when the step falls
-    below STEP_TOL; after max_iters rounds it stops unconverged, which is
-    reported, never raised. `history` holds the accepted objective after
-    each round, so it never rises. Each report keeps the walk states of its
-    finger's returned factors.
+    and accepts any strict decrease. A poll on factor k passes joint k's new
+    rotation, so its walk resumes from the current point's state after joint
+    k - 1 and reads the current rotations after it; only an accepted probe
+    copies them. The walk is bounded by the current value, so a losing poll
+    stops early and an accepted probe, whose states become the current
+    point's, has walked to the tip. The first step is half the grid
+    spacing, and a round without a decrease halves it. A finger converges when
+    the step falls below STEP_TOL; after max_iters rounds it stops
+    unconverged, which is reported, never raised. `history` holds the
+    accepted objective after each round, so it never rises. Each report
+    keeps the walk states of its finger's returned factors.
     """
     cfg = config or DescentConfig()
     chains = [_FingerChain(finger, wrist_world, shape, cfg.penalty, button)
@@ -382,19 +385,21 @@ def descend(
         converged = False
         while len(history) < cfg.max_iters:
             decreased = False
-            for k, tk in enumerate(t):
-                for trial in (min(tk + step, 1.0), max(tk - step, 0.0)):
+            for k in range(len(t)):
+                tk = t[k]
+                up, down = tk + step, tk - step
+                for trial in (up if up < 1.0 else 1.0, down if down > 0.0 else 0.0):
                     if trial == tk:
                         continue
                     # Only joint k turns: the probe keeps the states before
                     # it and the rotations after it.
-                    probe_rotations = rotations.copy()
-                    probe_rotations[k] = slerp_at(chain.slerps[k], trial)
+                    q = slerp_at(chain.slerps[k], trial)
                     probe_states = states[:k]
-                    candidate = chain.walk(probe_states, probe_rotations, value)
+                    candidate = chain.walk(probe_states, k, q, rotations, value)
                     if candidate < value:
                         t[k] = trial
-                        rotations, states = probe_rotations, probe_states
+                        rotations = rotations.copy()
+                        rotations[k], states = q, probe_states
                         value, decreased = candidate, True
                         break
             history.append(value)

@@ -123,7 +123,9 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
     Classification: the highest device is the headset, the two lowest are
     the feet trackers, and of the remaining three the laterally extreme pair
     are the controllers, leaving the back tracker in the middle. Left/right
-    follow the recovered facing direction.
+    follow the recovered facing direction, from the back tracker toward the
+    feet across the devices' plane; a layout that puts the feet within
+    TIE_MARGIN of the back tracker across that plane is a PostureError.
     """
     if len(frame.devices) != 6:
         raise FormatError(f"expected 6 devices, got {len(frame.devices)}")
@@ -183,7 +185,11 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
     # Forward points from the back tracker toward the feet across the plane,
     # and left is UP x forward: -axis when forward is the normal, else axis.
     to_feet = [0.5 * (a + b) - r for a, b, r in zip(pos[feet[0]], pos[feet[1]], pos[root])]
-    left = -1.0 if dot(to_feet, normal) > 0 else 1.0
+    facing = dot(to_feet, normal)
+    if abs(facing) < TIE_MARGIN:
+        raise PostureError(f"facing is ambiguous: the feet are {abs(facing):.3f} m from the back "
+                           f"tracker across the device plane")
+    left = -1.0 if facing > 0 else 1.0
 
     # The controllers need no left/right tie check: the root lies between
     # them on the axis, at least TIE_MARGIN from each.

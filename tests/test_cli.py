@@ -13,7 +13,8 @@ from avatarfit.fingers import DescentConfig, controller_from_document, default_g
     save_hand_file, transform_capsule
 from avatarfit.math3d import FormatError, Transform, pose_from_obj
 from avatarfit.rigs import humanoid_document, humanoid_long_legs_document
-from avatarfit.session import read_ground_truth, read_session
+from avatarfit.session import DeviceFrame, Session, read_ground_truth, read_session, \
+    write_session
 from avatarfit.skeleton import load_skeleton
 
 from oracles import reference_slerp
@@ -124,6 +125,21 @@ class TestCalibrationFrameHeader:
                    "--out", tmp_path / "profile.json")
         assert code == cli.EXIT_PARSE
         assert "calibration_frame" in capsys.readouterr().err
+
+
+class TestCalibrationErrors:
+    def test_coplanar_layout_exits_4(self, tmp_path, rig_files, capsys):
+        # A T-pose layout with all six devices on the plane z = 0: the feet
+        # are not in front of the back tracker, so it has no facing.
+        spots = {"a": (0.0, 1.6, 0.0), "b": (-0.7, 1.4, 0.0), "c": (0.7, 1.4, 0.0),
+                 "d": (0.0, 1.0, 0.0), "e": (-0.15, 0.1, 0.0), "f": (0.15, 0.1, 0.0)}
+        frame = DeviceFrame(0.0, [(d, Transform(IDENT, np.array(p))) for d, p in spots.items()])
+        write_session(Session([frame], calibration_frame_index=0), tmp_path / "session.jsonl")
+        code = run("calibrate", "--skeleton", rig_files["avatar"], "--session",
+                   tmp_path / "session.jsonl", "--out", tmp_path / "profile.json")
+        assert code == cli.EXIT_CALIBRATION
+        assert "facing is ambiguous" in capsys.readouterr().err
+        assert not (tmp_path / "profile.json").exists()
 
 
 class TestHandModel:

@@ -274,6 +274,25 @@ class TestDescend:
             assert report.converged and report.iterations < config.max_iters, report
         assert sum(r.objective for r in result.reports) <= 0.02
 
+    def test_overflowing_objective_keeps_every_point(self):
+        # A capsule of radius 10 around the palm holds every joint point about
+        # 10 m deep, and a penalty of 1e307 takes every walk's running total to
+        # inf by its second joint. No poll can win, the open hand (grid point
+        # 0) stays, and each finger still gets a pose per joint. The seed grid
+        # overflows on NumPy arrays, which would warn.
+        hand = default_hand_model("left")
+        center = hand.palm_anchor.state[4:]
+        shape = CapsuleShape(center, tuple(c + a for c, a in zip(center, (0.0, 0.0, 0.1))),
+                             10.0)
+        with np.errstate(over="ignore"):
+            result = pose_hand_on_controller(hand, Transform.identity(), shape,
+                                             DescentConfig(penalty=1e307))
+        for finger, t, poses, report in zip(hand.fingers, result.params.values, result.poses,
+                                            result.reports):
+            assert report.objective == math.inf
+            assert t.tolist() == [0.0] * len(finger.joints)
+            assert len(poses) == len(report.states) == len(finger.joints)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DescentConfig(max_iters=0)
@@ -378,7 +397,7 @@ class TestGridSeed:
             t, rotations, states, value = chain.seed(values)
             assert (t, value) == (want_t, want_value)
             fresh = []
-            assert chain.walk(fresh, rotations) == value
+            assert chain.walk(fresh, 0, rotations[0], rotations) == value
             assert states == fresh
 
     def test_the_first_grid_point_wins_a_tie(self):
@@ -405,6 +424,55 @@ class TestGridSeed:
         assert seeded((free, still)) == (7, [1.0, 0.0])
 
 
+def random_chain(rng, n_joints: int, with_button: bool, penalty: float):
+    """A chain of n_joints random joints under a random wrist, against a
+    random grip capsule."""
+    joints = tuple(FingerJointSpec(random_quat(rng), random_quat(rng),
+                                   rng.normal(size=3) * 0.04) for _ in range(n_joints))
+    finger = Finger("thumb" if with_button else "index",
+                    Transform(random_quat(rng), rng.normal(size=3) * 0.1), joints)
+    button = tuple((rng.normal(size=3) * 0.1).tolist()) if with_button else None
+    return fingers._FingerChain(finger, Transform(random_quat(rng), rng.normal(size=3)),
+                                random_grip_capsule(rng), penalty, button)
+
+
+def full_walk(chain, rotations: list) -> tuple[float, list]:
+    """The walk from the base with every joint turned by `rotations`: (value, states)."""
+    states = []
+    return chain.walk(states, 0, rotations[0], rotations), states
+
+
+class TestResumedWalk:
+    """`_FingerChain.walk` resumed at joint k with a new rotation, as a poll
+    calls it, against a walk from the base."""
+
+    @settings(max_examples=80)
+    @given(seeds, st.integers(min_value=1, max_value=4), st.booleans(),
+           st.floats(min_value=1.0, max_value=30.0), st.integers(min_value=0, max_value=3),
+           st.floats(min_value=-0.2, max_value=1.2))
+    @example(0, 3, False, 10.0, 0, 0.5)
+    @example(1, 4, True, 10.0, 3, 1.0)
+    def test_bit_identical_to_a_fresh_walk(self, seed, n_joints, with_button, penalty, k,
+                                           trial):
+        # The current point's states and rotations stay as they are; the
+        # fresh walk turns joint k by q in a copy of the rotations.
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, n_joints, with_button, penalty)
+        rotations = chain.rotations(rng.uniform(0.0, 1.0, size=n_joints))
+        k = min(k, n_joints - 1)
+        _, states = full_walk(chain, rotations)
+        kept_rotations, kept_states = rotations.copy(), states.copy()
+        q = fingers.slerp_at(chain.slerps[k], trial)
+        probe_states = states[:k]
+        value = chain.walk(probe_states, k, q, rotations)
+        turned = rotations.copy()
+        turned[k] = q
+        want, want_states = full_walk(chain, turned)
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()
+        assert probe_states == want_states
+        assert (rotations, states) == (kept_rotations, kept_states)
+
+
 class TestBoundedWalk:
     """`_FingerChain.walk` with a bound, as the polls call it, against the walk
     without one."""
@@ -422,18 +490,12 @@ class TestBoundedWalk:
         # A random chain of n_joints joints, resumed after joint k from the
         # full walk's states. The bound is the full value or a running total
         # of the full walk, one of them plus or minus an ulp, or a multiple of
-        # the full value.
+        # the full value. At k = n_joints the walk resumes after the tip: no
+        # joint turns, and q is unused.
         rng = np.random.default_rng(seed)
-        joints = tuple(FingerJointSpec(random_quat(rng), random_quat(rng),
-                                       rng.normal(size=3) * 0.04) for _ in range(n_joints))
-        finger = Finger("thumb" if with_button else "index",
-                        Transform(random_quat(rng), rng.normal(size=3) * 0.1), joints)
-        button = tuple((rng.normal(size=3) * 0.1).tolist()) if with_button else None
-        chain = fingers._FingerChain(finger, Transform(random_quat(rng), rng.normal(size=3)),
-                                     random_grip_capsule(rng), penalty, button)
+        chain = random_chain(rng, n_joints, with_button, penalty)
         rotations = chain.rotations(rng.uniform(0.0, 1.0, size=n_joints))
-        full_states = []
-        full = chain.walk(full_states, rotations)
+        full, full_states = full_walk(chain, rotations)
         k = min(k, n_joints)
         partial = full_states[int(rng.integers(n_joints))][-1]
         bound = {"full": full, "below_full": math.nextafter(full, -math.inf),
@@ -441,26 +503,32 @@ class TestBoundedWalk:
                  "above_partial": math.nextafter(partial, math.inf),
                  "scaled": full * scale}[bound_kind]
         states = full_states[:k]
-        value = chain.walk(states, rotations, bound)
-        if full < bound:
+        q = rotations[k] if k < n_joints else None
+        value = chain.walk(states, k, q, rotations, bound)
+        if full <= bound:
             assert np.float64(value).tobytes() == np.float64(full).tobytes()
             assert states == full_states
         else:
-            assert value >= bound
+            assert value > bound
             assert k <= len(states) <= n_joints
             assert states == full_states[:len(states)]
+            if len(states) < n_joints:
+                # Stopped inside the chain, at joint len(states), whose state
+                # holds the returned total but was not appended.
+                assert value == full_states[len(states)][-1]
 
     def test_stops_before_the_tip(self):
         # Every point of the curled toy finger is about 1 m from the far
-        # capsule, so a bound of the first point's total is reached at once.
+        # capsule, so a bound an ulp below the first point's total is
+        # exceeded at once.
         chain = fingers._FingerChain(small_curl_hand().fingers[0], None, far_capsule(), 10.0)
         rotations = chain.rotations([0.5, 0.5, 0.5])
-        full_states = []
-        full = chain.walk(full_states, rotations)
+        full, full_states = full_walk(chain, rotations)
         first = full_states[0][-1]
         states = []
-        assert chain.walk(states, rotations, first) == first < full
-        assert states == full_states[:1]
+        bound = math.nextafter(first, -math.inf)
+        assert chain.walk(states, 0, rotations[0], rotations, bound) == first < full
+        assert states == []
 
 
 def small_curl_hand() -> HandModel:
@@ -495,8 +563,7 @@ class TestGrip:
         for finger, t, poses, distances in zip(hand.fingers, result.params.values,
                                                result.poses, result.joint_distances):
             chain = fingers._FingerChain(finger, wrist, shape, 0.0)
-            states = []
-            chain.walk(states, chain.rotations(t))
+            _, states = full_walk(chain, chain.rotations(t))
             assert [np.concatenate([p.rotation, p.translation]).tobytes() for p in poses] \
                 == [np.array(state[:7]).tobytes() for state in states]
             assert distances == [capsule_sdf(shape, state[4:7]) for state in states]

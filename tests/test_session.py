@@ -94,6 +94,28 @@ class TestIdentifyRoles:
         with pytest.raises((PostureError, RoleAmbiguityError)):
             identify_roles(frame)
 
+    @pytest.mark.parametrize("angle", [0.0, 0.3, 1.2, 2.9, 4.5])
+    def test_coplanar_layout_has_no_facing(self, angle):
+        # All six devices on one vertical plane: the feet are not in front of
+        # the back tracker, so forward, and with it left and right, is only
+        # rounding noise. Yawed and shifted, the frame keeps that layout.
+        frame, _ = placement_frame(overrides={"a": (0.0, 1.6, 0.0), "d": (0.0, 1.0, 0.0)})
+        g = Transform(quat_from_axis_angle([0, 1, 0], angle), np.array([3.0, 0.0, -2.0]))
+        moved = DeviceFrame(0.0, [(d, g @ p) for d, p in frame.devices])
+        with pytest.raises(PostureError, match="facing is ambiguous"):
+            identify_roles(moved)
+
+    def test_facing_margin(self):
+        # The back tracker 3 cm off the plane of the other five puts the feet
+        # 0.029 m across the fitted plane from it, and the frame faces; 1.5 cm
+        # off gives 0.015 m, within TIE_MARGIN, and the facing is ambiguous.
+        flat = {"a": (0.0, 1.6, 0.0), "d": (0.0, 1.0, 0.0)}
+        frame, truth = placement_frame(overrides={**flat, "d": (0.0, 1.0, 0.03)})
+        assert identify_roles(frame) == truth
+        frame, _ = placement_frame(overrides={**flat, "d": (0.0, 1.0, 0.015)})
+        with pytest.raises(PostureError, match="facing is ambiguous"):
+            identify_roles(frame)
+
     def test_wrong_device_count(self):
         frame, _ = placement_frame()
         with pytest.raises(FormatError):

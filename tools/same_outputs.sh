@@ -8,8 +8,9 @@
 # hand and its grip capsule with a thumb button, carried into the controller
 # device's frame. Then, for the squat, arms, free and tpose scripts at seeds 1
 # and 3 (2 mm / 0.01 rad noise, 1 s at 30 fps), it runs gen, calibrate, solve
-# in exact and fixed mode, each without hands and with --hand-model and
-# --controller, and compare. Every command's stdout, stderr and exit code go to
+# in exact and fixed mode, each without hands, with --hand-model and
+# --controller (--max-iters 30, where the grip search converges), and with the
+# same files at --max-iters 3 (the search stops unconverged), and compare. Every command's stdout, stderr and exit code go to
 # a .out file, with the tree's output directory masked. Prints every file that
 # differs or exists on one side only; exits 0 when all are identical.
 # WORK_DIR (default: a new temporary directory) is kept for inspection.
@@ -49,7 +50,7 @@ EOF
         sed -i "s#$out#OUT#g" "$out/$name.out"
         echo "exit $status" >>"$out/$name.out"
     }
-    local script seed s mode hands
+    local script seed s mode hands iters
     for script in squat arms free tpose; do
         for seed in 1 3; do
             s="$out/$script-$seed"
@@ -59,13 +60,15 @@ EOF
             cli "$script-$seed.calibrate" calibrate --skeleton "$out/avatar.json" \
                 --session "$s.session.jsonl" --out "$s.profile.json"
             for mode in exact fixed; do
-                for hands in body hand; do
+                for hands in body hand capped; do
                     set -- --skeleton "$out/avatar.json" --session "$s.session.jsonl" \
                         --profile "$s.profile.json" --ground-truth "$s.session.gt.jsonl" \
                         --mode "$mode" --out "$s.$mode-$hands.trace.jsonl"
-                    if [ "$hands" = hand ]; then
+                    if [ "$hands" != body ]; then
+                        iters=30
+                        [ "$hands" = capped ] && iters=3
                         set -- "$@" --hand-model "$out/hand.json" \
-                            --controller "$out/controller.json" --max-iters 30
+                            --controller "$out/controller.json" --max-iters "$iters"
                     fi
                     cli "$script-$seed.solve-$mode-$hands" solve "$@"
                 done
