@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .math3d import FormatError, Transform, float_from_json, floats_from_json, floats_to_json, \
     norm, read_json_file, transform_from_obj, transform_to_obj, write_json_file
-from .session import DeviceFrame, DeviceRole, Session, identify_roles
+from .session import DeviceFrame, DeviceRole, Session, identify_roles, role_map_from_json
 from .skeleton import SkeletonModel, scale_uniform
 
 # Format 3 stores each part's offset as a transform in its device's frame.
@@ -91,7 +91,7 @@ def capture_profile(
     standing on the floor at the origin facing -Z).
     """
     placement = placement or Transform.identity()
-    device = {role: frame.pose_of(did) for did, role in role_map.items()}
+    device = {role: frame.devices[did] for did, role in role_map.items()}
     if len(device) != 6:
         raise ValueError("role map must cover all six devices")
 
@@ -119,7 +119,7 @@ def calibrate_session(
     frame = session.calibration_frame()
     role_map = identify_roles(frame)
     hmd_id = next(did for did, role in role_map.items() if role == DeviceRole.HMD)
-    hmd_height = frame.pose_of(hmd_id).state[5]
+    hmd_height = frame.devices[hmd_id].state[5]
     result = compute_scale(hmd_height, skeleton)
     scaled = scale_uniform(skeleton, result.scale)
     profile = capture_profile(frame, role_map, scaled, placement, scale=result.scale)
@@ -155,12 +155,9 @@ def profile_from_document(document: dict) -> CalibrationProfile:
         scale = float_from_json(document["scale"], "scale")
         if not scale > 0.0:
             raise FormatError(f"scale must be positive, got {scale}")
-        role_map = {d: DeviceRole(r) for d, r in document["role_map"].items()}
-        if len(role_map) != 6 or len(set(role_map.values())) != 6:
-            raise FormatError("role_map must map six devices onto the six roles")
         return CalibrationProfile(scale=scale, offsets=offsets,
                                   w0=floats_from_json(document["w0"], 3, "w0"),
-                                  role_map=role_map)
+                                  role_map=role_map_from_json(document["role_map"], "role_map"))
     except (KeyError, TypeError, AttributeError) as e:
         raise FormatError(f"malformed calibration profile ({e!r})") from e
 

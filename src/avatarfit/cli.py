@@ -52,14 +52,15 @@ EXIT_PARSE = 3
 EXIT_CALIBRATION = 4
 
 
-def _positive(kind, zero_ok: bool = False):
-    """argparse type: a finite `kind` number above 0 (at least 0 if `zero_ok`), so a
-    bad flag is a usage error rather than a silent no-op or a traceback."""
+def _positive(kind, zero_ok: bool = False, below: float = math.inf):
+    """argparse type: a finite `kind` number above 0 (at least 0 if `zero_ok`) and below
+    `below`, so a bad flag is a usage error rather than a silent no-op or a traceback."""
     def parse(text: str):
         value = kind(text)
-        if not (0 <= value if zero_ok else 0 < value) or value == math.inf:
+        if not (0 <= value if zero_ok else 0 < value) or value >= below:
             wording = "non-negative" if zero_ok else "positive"
-            raise argparse.ArgumentTypeError(f"must be {wording} and finite, got {text}")
+            limit = "" if below == math.inf else f" below {below:g}"
+            raise argparse.ArgumentTypeError(f"must be {wording} and finite{limit}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its own errors
     return parse
@@ -265,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--hand-model", help="hand model JSON; grips each hand once per run")
     slv.add_argument("--controller", help="controller capsule JSON in the controller device's "
                                           "frame (with --hand-model)")
-    slv.add_argument("--penalty", type=_positive(float), default=DescentConfig().penalty,
+    slv.add_argument("--penalty", type=_positive(float, below=1e150),
+                     default=DescentConfig().penalty,
                      help="grip: multiplier on the distances of finger points inside the "
                           "controller")
     slv.add_argument("--max-iters", type=_positive(int), default=DescentConfig().max_iters,

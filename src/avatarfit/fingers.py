@@ -152,8 +152,9 @@ class DescentConfig:
     max_iters: int = 200   # poll rounds per finger
 
     def __post_init__(self):
-        if not 0.0 < self.penalty < math.inf:
-            raise ValueError("penalty must be positive and finite")
+        # The input rule's bound: no walk over the values of input files overflows.
+        if not 0.0 < self.penalty < 1e150:
+            raise ValueError(f"penalty must be positive and below 1e150, got {self.penalty!r}")
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
                 or self.max_iters < 1):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
@@ -364,10 +365,10 @@ def descend(
     stops early and an accepted probe, whose states become the current
     point's, has walked to the tip. The first step is half the grid
     spacing, and a round without a decrease halves it. A finger converges when
-    the step falls below STEP_TOL; after max_iters rounds it stops
-    unconverged, which is reported, never raised. `history` holds the
-    accepted objective after each round, so it never rises. Each report
-    keeps the walk states of its finger's returned factors.
+    the step falls below STEP_TOL at a finite objective; at an infinite one, or
+    after max_iters rounds, it stops unconverged, reported, never raised.
+    `history` holds the accepted objective after each round, so it never
+    rises. Each report keeps the walk states of its finger's returned factors.
     """
     cfg = config or DescentConfig()
     chains = [_FingerChain(finger, wrist_world, shape, cfg.penalty, button)
@@ -406,7 +407,7 @@ def descend(
             if not decreased:
                 step *= 0.5
                 if step < STEP_TOL:
-                    converged = True
+                    converged = math.isfinite(value)
                     break
         factors.append(np.array(t))
         reports.append(FingerDescent(finger.name, len(history), value, converged, history,

@@ -220,7 +220,7 @@ def solve_frame(
     device: dict[DeviceRole, tuple] = {}
     for did, role in profile.role_map.items():
         try:
-            device[role] = frame.pose_of(did).state
+            device[role] = frame.devices[did].state
         except KeyError as e:
             raise FrameInputError(f"frame lacks device {did!r} for role {role.value}") from e
     if len(device) != 6:

@@ -74,13 +74,7 @@ class PostureError(ValueError):
 @dataclass
 class DeviceFrame:
     timestamp: float
-    devices: list[tuple[str, Transform]]  # exactly six (device_id, pose)
-
-    def pose_of(self, device_id: str) -> Transform:
-        for did, pose in self.devices:
-            if did == device_id:
-                return pose
-        raise KeyError(f"no device {device_id!r} in frame")
+    devices: dict[str, Transform]  # exactly six: device id -> world pose, in file order
 
 
 @dataclass
@@ -129,32 +123,31 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
     """
     if len(frame.devices) != 6:
         raise FormatError(f"expected 6 devices, got {len(frame.devices)}")
-    ids = [did for did, _ in frame.devices]
-    pos = {did: pose.state[4:] for did, pose in frame.devices}
+    pos = {did: pose.state[4:] for did, pose in frame.devices.items()}
 
-    normal = fit_plane([pos[d] for d in ids])
+    normal = fit_plane(list(pos.values()))
 
-    by_height = sorted(ids, key=lambda d: pos[d][1], reverse=True)
+    by_height = sorted(pos, key=lambda d: pos[d][1], reverse=True)
     if pos[by_height[0]][1] - pos[by_height[1]][1] < TIE_MARGIN:
         raise RoleAmbiguityError(
             f"headset height is ambiguous between {by_height[0]!r} and {by_height[1]!r}"
         )
     hmd = by_height[0]
 
-    lowest = sorted(ids, key=lambda d: pos[d][1])
+    lowest = sorted(pos, key=lambda d: pos[d][1])
     if pos[lowest[2]][1] - pos[lowest[1]][1] < TIE_MARGIN:
         raise RoleAmbiguityError(
             f"foot tracker heights are ambiguous between {lowest[1]!r} and {lowest[2]!r}"
         )
     feet = lowest[:2]
 
-    middle = [d for d in ids if d != hmd and d not in feet]
+    middle = [d for d in pos if d != hmd and d not in feet]
 
     # The lateral axis: horizontal and on the fitted plane. Only differences
     # and orderings along it are used, so positions need no centering, and
     # which way it points is resolved once forward is known.
     axis = normalize(cross(normal, UP))
-    lat = {d: dot(pos[d], axis) for d in ids}
+    lat = {d: dot(p, axis) for d, p in pos.items()}
 
     middle_sorted = sorted(middle, key=lambda d: lat[d])
     root = middle_sorted[1]
@@ -290,7 +283,7 @@ def generate_synthetic_session(
         world = [Transform.of_state(s)
                  for s in forward_kinematics(skeleton, *pose_from_script(skeleton, sp))]
         truth_frames.append(world)
-        devices = []
+        devices = {}
         for did in ids:
             pose = world[joint_for[did]] @ mounts[role_map[did]]
             if noise.position_sigma > 0.0:
@@ -300,7 +293,7 @@ def generate_synthetic_session(
             if noise.rotation_sigma > 0.0:
                 q = qmul(_small_rotation(rng, noise.rotation_sigma), pose.state[:4])
                 pose = Transform.of_state(q + pose.state[4:])
-            devices.append((did, pose))
+            devices[did] = pose
         frames.append(DeviceFrame(sp.time, devices))
 
     session = Session(frames, role_map=dict(role_map), calibration_frame_index=0)
@@ -319,6 +312,16 @@ def generate_synthetic_session(
 # Frame lines: {"t": seconds, "devices": [{"id": str, "p": [x,y,z],
 #                                          "q": [w,x,y,z]}, x6]}
 # Values follow the input rule of `math3d.FormatError`; `t` strictly increases.
+# The ids of a frame are distinct; a DeviceFrame maps them to poses in file order.
+
+def role_map_from_json(value, where: str) -> dict[str, DeviceRole]:
+    """The role map of a session header or a profile: six device ids onto the six roles."""
+    # str() makes values of every JSON type comparable; only role names match roles.
+    if not isinstance(value, dict) or sorted(map(str, value.values())) != sorted(DeviceRole):
+        raise FormatError(f"{where}: expected six device ids mapped onto the six roles, "
+                          f"got {value!r:.60}")
+    return {d: DeviceRole(r) for d, r in value.items()}
+
 
 def write_session(session: Session, path) -> None:
     header: dict = {}
@@ -327,7 +330,7 @@ def write_session(session: Session, path) -> None:
     if session.calibration_frame_index is not None:
         header["calibration_frame"] = session.calibration_frame_index
     frames = ({"t": frame.timestamp,
-               "devices": [{"id": did, **pose_to_obj(pose)} for did, pose in frame.devices]}
+               "devices": [{"id": did, **pose_to_obj(p)} for did, p in frame.devices.items()]}
               for frame in session.frames)
     write_jsonl(path, [header, *frames] if header else frames)
 
@@ -341,13 +344,7 @@ def read_session(path) -> Session:
         if "devices" not in obj:
             if lineno == 1 and ("role_map" in obj or "calibration_frame" in obj):
                 if "role_map" in obj:
-                    try:
-                        role_map = {d: DeviceRole(r) for d, r in obj["role_map"].items()}
-                    except (AttributeError, ValueError) as e:
-                        raise FormatError(f"{where}: bad role_map ({e})") from e
-                    if len(role_map) != 6 or len(set(role_map.values())) != 6:
-                        raise FormatError(
-                            f"{where}: role_map must map six devices onto the six roles")
+                    role_map = role_map_from_json(obj["role_map"], f"{where} role_map")
                 calibration_frame = obj.get("calibration_frame")
                 continue
             raise FormatError(f"{where}: frame line lacks 'devices'")
@@ -357,16 +354,15 @@ def read_session(path) -> Session:
         t = float_from_json(obj.get("t"), f"{where} t")
         if frames and t <= frames[-1].timestamp:
             raise FormatError(f"{where}: timestamps must be strictly increasing")
-        parsed, ids = [], set()
+        parsed = {}
         for k, dev in enumerate(devices):
             did = dev.get("id") if isinstance(dev, dict) else None
             if not isinstance(did, str) or not did:
                 raise FormatError(f"{where}: device {k} lacks an id")
-            if did in ids:
+            if did in parsed:
                 raise FormatError(f"{where}: duplicate device id {did!r}")
-            ids.add(did)
             try:  # the device's label is formatted only for an error
-                parsed.append((did, pose_from_obj(dev, "")))
+                parsed[did] = pose_from_obj(dev, "")
             except FormatError as e:
                 raise FormatError(f"{where} device {did!r}{e}") from None
         frames.append(DeviceFrame(t, parsed))

@@ -89,8 +89,8 @@ class TestCaptureProfile:
     def test_w0_is_raw_device_difference(self, matched_setup):
         session, _, profile, _ = matched_setup
         frame = session.calibration_frame()
-        hmd = frame.pose_of(device_id(profile, DeviceRole.HMD)).translation
-        root = frame.pose_of(device_id(profile, DeviceRole.TRACKER_ROOT)).translation
+        hmd = frame.devices[device_id(profile, DeviceRole.HMD)].translation
+        root = frame.devices[device_id(profile, DeviceRole.TRACKER_ROOT)].translation
         np.testing.assert_array_equal(profile.w0, hmd - root)
         assert profile.w0[1] > 0
         assert len(profile.w0) == 3 and all(type(v) is float for v in profile.w0)
@@ -98,7 +98,7 @@ class TestCaptureProfile:
     def test_wrist_anchor_reproduces_bind_wrist(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
-        controller = frame.pose_of(device_id(profile, DeviceRole.CONTROLLER_LEFT))
+        controller = frame.devices[device_id(profile, DeviceRole.CONTROLLER_LEFT)]
         wrist = controller @ profile.offsets["hand_left"]
         bind = scaled.bind_states[scaled.role_index("wrist_l")]
         np.testing.assert_allclose(wrist.translation, bind[4:], atol=1e-12)
@@ -127,7 +127,7 @@ class TestCaptureProfile:
         session, _ = tpose_session
         frame = session.calibration_frame()
         g = Transform(quat_from_axis_angle([0, 1, 0], 0.7), np.array([2.0, 0.0, -1.0]))
-        moved = type(frame)(frame.timestamp, [(d, g @ p) for d, p in frame.devices])
+        moved = type(frame)(frame.timestamp, {d: g @ p for d, p in frame.devices.items()})
         base = capture_profile(frame, session.role_map, user_skeleton)
         shifted = capture_profile(moved, session.role_map, user_skeleton, placement=g)
         assert list(shifted.offsets) == list(base.offsets) == list(PART_ROLES)
@@ -226,9 +226,9 @@ class TestCalibrationNoise:
         for seed in range(4):
             draw = np.random.default_rng(seed).normal(size=(len(calibration.devices), 3))
             for sigma in (0.0, 0.002, 0.005, 0.010):
-                noisy = type(calibration)(calibration.timestamp, [
-                    (did, Transform(pose.rotation, pose.translation + sigma * z))
-                    for (did, pose), z in zip(calibration.devices, draw)])
+                noisy = type(calibration)(calibration.timestamp, {
+                    did: Transform(pose.rotation, pose.translation + sigma * z)
+                    for (did, pose), z in zip(calibration.devices.items(), draw)})
                 profile, scaled, _ = calibrate_session(
                     type(session)([noisy, *session.frames[1:]], session.role_map, 0), avatar)
                 # Every frame is solved noiseless; frame 0 as it truly was.

@@ -133,7 +133,7 @@ class TestCalibrationErrors:
         # are not in front of the back tracker, so it has no facing.
         spots = {"a": (0.0, 1.6, 0.0), "b": (-0.7, 1.4, 0.0), "c": (0.7, 1.4, 0.0),
                  "d": (0.0, 1.0, 0.0), "e": (-0.15, 0.1, 0.0), "f": (0.15, 0.1, 0.0)}
-        frame = DeviceFrame(0.0, [(d, Transform(IDENT, np.array(p))) for d, p in spots.items()])
+        frame = DeviceFrame(0.0, {d: Transform(IDENT, np.array(p)) for d, p in spots.items()})
         write_session(Session([frame], calibration_frame_index=0), tmp_path / "session.jsonl")
         code = run("calibrate", "--skeleton", rig_files["avatar"], "--session",
                    tmp_path / "session.jsonl", "--out", tmp_path / "profile.json")
@@ -296,6 +296,7 @@ class TestHandModel:
 
 class TestDescentFlags:
     @pytest.mark.parametrize("flag", [("--penalty", "-1"), ("--penalty", "inf"),
+                                      ("--penalty", "1e307"),
                                       ("--max-iters", "0"), ("--max-iters", "-3")])
     def test_bad_value_is_a_usage_error(self, tmp_path, rig_files, capsys, flag):
         with pytest.raises(SystemExit) as exit_info:
@@ -305,6 +306,25 @@ class TestDescentFlags:
                 *flag)
         assert exit_info.value.code == cli.EXIT_USAGE
         assert f"argument {flag[0]}: must be positive and finite" in capsys.readouterr().err
+
+    def test_largest_penalty_writes_finite_metrics(self, tmp_path, tiny_files):
+        # The largest penalty below the input rule's 1e150, on a capsule of
+        # radius 10 around the palm that holds every finger point deep inside:
+        # every objective stays finite, so the metrics file is plain JSON.
+        controller = tmp_path / "controller.json"
+        controller.write_text(json.dumps(
+            {**json.loads(tiny_files["controller"].read_text()), "r": 10.0}))
+        assert run("solve", "--skeleton", tiny_files["skeleton"],
+                   "--session", tiny_files["session"], "--profile", tiny_files["profile"],
+                   "--hand-model", tiny_files["hand"], "--controller", controller,
+                   "--penalty", repr(math.nextafter(1e150, 0.0)),
+                   "--out", tmp_path / "trace.jsonl",
+                   "--metrics", tmp_path / "metrics.json") == cli.EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        metrics = json.loads((tmp_path / "metrics.json").read_text(), parse_constant=reject)
+        assert 1e150 < metrics["hand_mean_objective_l"] < math.inf
 
     def test_eta_is_an_unrecognized_argument(self, tmp_path, rig_files, capsys):
         # The grip search has no learning rate.
@@ -416,8 +436,20 @@ def drop(*keys):
 MALFORMED = {
     "skeleton joint not an object": ("skeleton", put("joints", 3, 5)),
     "skeleton NaN rotation": ("skeleton", put("joints", 1, "rotation", [NAN, 0, 0, 0])),
+    "skeleton joints empty": ("skeleton", put("joints", [])),
+    "skeleton joints not a list": ("skeleton", put("joints", {"name": "root"})),
+    "skeleton duplicate joint name": ("skeleton", lambda document: put(
+        "joints", 2, "name", document["joints"][1]["name"])(document)),
+    "skeleton zero-length bone": ("skeleton", put("joints", 1, "translation", [0.0, 0.0, 0.0])),
+    "skeleton eye_height 0": ("skeleton", put("eye_height", 0.0)),
     "session line 5": ("session", lambda lines: lines[:2] + [5] + lines[2:]),
     "session role_map of seven devices": ("session", put(0, "role_map", "dev9", "hmd")),
+    "session duplicate device id": ("session", lambda lines: put(
+        2, "devices", 1, "id", lines[2]["devices"][0]["id"])(lines)),
+    "session no frames": ("session", lambda lines: lines[:1]),
+    "session frame without devices": ("session", drop(2, "devices")),
+    # calibrate needs the header's calibration frame.
+    "session no calibration marker": ("session", drop(0, "calibration_frame")),
     "profile top level list": ("profile", lambda document: [1, 2]),
     "profile NaN v0": ("profile", put("offsets", "root", "translation", [NAN, 0.0, 0.0])),
     "profile NaN scale": ("profile", put("scale", NAN)),
@@ -425,6 +457,12 @@ MALFORMED = {
     "profile missing part": ("profile", drop("offsets", "foot_left")),
     "profile non-unit r0_joint": ("profile", put("offsets", "root", "rotation", [2, 0, 0, 0])),
     "profile negative scale": ("profile", put("scale", -1.0)),
+    "profile role_map of five devices": ("profile", lambda document: drop(
+        "role_map", sorted(document["role_map"])[0])(document)),
+    "profile role_map with an unknown role": ("profile", lambda document: put(
+        "role_map", sorted(document["role_map"])[0], "tracker_knee")(document)),
+    "profile missing w0": ("profile", drop("w0")),
+    "profile not JSON": ("profile", lambda document: "{bad"),
     "profile v0 past walk-in": ("profile", put("offsets", "root", "translation",
                                                [0.0, 0.8, 0.0])),
     "profile hand offset past walk-in": ("profile", put("offsets", "hand_left", "translation",
@@ -434,6 +472,8 @@ MALFORMED = {
     "ground truth fewer joints": ("ground_truth", lambda lines: lines[:1] + [
         {**line, "p": line["p"][:-1], "q": line["q"][:-1]} for line in lines[1:]]),
     "ground truth fewer frames": ("ground_truth", lambda lines: lines[:3]),
+    "ground truth fewer roles than joints": ("ground_truth", lambda lines: put(
+        0, "roles", lines[0]["roles"][:-1])(lines)),
     "ground truth unknown format": ("ground_truth", put(0, "format", 2)),
     "ground truth format true": ("ground_truth", put(0, "format", True)),
     "ground truth lacks a role": ("ground_truth", lambda lines: put(0, "roles", [
@@ -458,6 +498,9 @@ MALFORMED = {
     "script non-unit quaternion": ("script", put(1, "rotations", {"knee_l": [2, 0, 0, 0]})),
     "script NaN quaternion": ("script", put(1, "rotations", {"knee_l": [NAN, 0, 0, 0]})),
     "script decreasing t": ("script", put(2, "t", 0.05)),
+    "script rotations not an object": ("script", put(1, "rotations", [[1, 0, 0, 0]])),
+    "script empty": ("script", lambda lines: []),
+    "script root not an object": ("script", put(1, "root", [0.0, 0.95, 0.0])),
     # JSON true is not the number 1, wherever a number is read.
     "session p with true": ("session", put(2, "devices", 0, "p", 0, True)),
     "session q with true": ("session", put(2, "devices", 0, "q", [True, 0.0, 0.0, 0.0])),
@@ -523,8 +566,9 @@ class TestMalformedInputs:
         if path.suffix == ".jsonl":
             lines = [json.loads(line) for line in tiny_files[kind].read_text().splitlines()]
             path.write_text("".join(json.dumps(line) + "\n" for line in corrupt(lines)))
-        else:
-            path.write_text(json.dumps(corrupt(json.loads(tiny_files[kind].read_text()))))
+        else:  # a corruption that returns text writes that text
+            document = corrupt(json.loads(tiny_files[kind].read_text()))
+            path.write_text(document if isinstance(document, str) else json.dumps(document))
         session = ("--skeleton", files["skeleton"], "--session", files["session"])
         solve = ("solve", *session, "--profile", files["profile"],
                  "--out", tmp_path / "trace.jsonl")

@@ -275,21 +275,21 @@ class TestDescend:
         assert sum(r.objective for r in result.reports) <= 0.02
 
     def test_overflowing_objective_keeps_every_point(self):
-        # A capsule of radius 10 around the palm holds every joint point about
-        # 10 m deep, and a penalty of 1e307 takes every walk's running total to
-        # inf by its second joint. No poll can win, the open hand (grid point
-        # 0) stays, and each finger still gets a pose per joint. The seed grid
-        # overflows on NumPy arrays, which would warn.
+        # A capsule of radius 1e307 around the palm, beyond the input rule of
+        # files, holds every joint point about 1e307 m deep, and the default
+        # penalty takes every walk's running total to inf by its second joint.
+        # No poll can win, the open hand (grid point 0) stays, each finger
+        # still gets a pose per joint, and none reports convergence. The seed
+        # grid overflows on NumPy arrays, which would warn.
         hand = default_hand_model("left")
         center = hand.palm_anchor.state[4:]
         shape = CapsuleShape(center, tuple(c + a for c, a in zip(center, (0.0, 0.0, 0.1))),
-                             10.0)
+                             1e307)
         with np.errstate(over="ignore"):
-            result = pose_hand_on_controller(hand, Transform.identity(), shape,
-                                             DescentConfig(penalty=1e307))
+            result = pose_hand_on_controller(hand, Transform.identity(), shape, DescentConfig())
         for finger, t, poses, report in zip(hand.fingers, result.params.values, result.poses,
                                             result.reports):
-            assert report.objective == math.inf
+            assert report.objective == math.inf and not report.converged
             assert t.tolist() == [0.0] * len(finger.joints)
             assert len(poses) == len(report.states) == len(finger.joints)
 
@@ -302,6 +302,12 @@ class TestDescend:
             DescentConfig(max_iters=True)
         with pytest.raises(ValueError):
             DescentConfig(penalty=-1.0)
+
+    def test_penalty_is_below_the_input_rule(self):
+        # Below 1e150, no walk over the values of input files overflows.
+        assert DescentConfig(penalty=math.nextafter(1e150, 0.0)).penalty < 1e150
+        with pytest.raises(ValueError, match="below 1e150"):
+            DescentConfig(penalty=1e150)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_config_rejected(self, value):

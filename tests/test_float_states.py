@@ -42,7 +42,7 @@ def generated(request):
 def test_sessions_and_ground_truths(generated):
     _, session, truth = generated
     for frame, world in zip(session.frames, truth.frames):
-        assert_states([pose for _, pose in frame.devices], "session device")
+        assert_states(list(frame.devices.values()), "session device")
         assert_states(world, "ground-truth joint")
 
 

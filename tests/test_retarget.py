@@ -56,7 +56,7 @@ class TestEffectorEquations:
     def test_position_identity_at_capture(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
-        tracker = frame.pose_of(device_id(profile, DeviceRole.TRACKER_ROOT))
+        tracker = frame.devices[device_id(profile, DeviceRole.TRACKER_ROOT)]
         got = (tracker @ profile.offsets["root"]).translation
         want = scaled.bind_states[scaled.role_index("root")][4:]
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -82,7 +82,7 @@ class TestEffectorEquations:
     def test_rotation_identity_at_capture(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
-        tracker = frame.pose_of(device_id(profile, DeviceRole.TRACKER_FOOT_LEFT))
+        tracker = frame.devices[device_id(profile, DeviceRole.TRACKER_FOOT_LEFT)]
         got = (tracker @ profile.offsets["foot_left"]).rotation
         want = scaled.bind_states[scaled.role_index("ankle_l")][:4]
         assert quat_angle_between(got, want) < 1e-12
@@ -111,9 +111,9 @@ def _with_positions(frame, profile, root_p, hmd_p) -> DeviceFrame:
     """`frame` with the back tracker moved to root_p and the headset to hmd_p."""
     moved = {device_id(profile, DeviceRole.TRACKER_ROOT): root_p,
              device_id(profile, DeviceRole.HMD): hmd_p}
-    return DeviceFrame(frame.timestamp, [
-        (did, Transform(pose.rotation, moved[did]) if did in moved else pose)
-        for did, pose in frame.devices])
+    return DeviceFrame(frame.timestamp, {
+        did: Transform(pose.rotation, moved[did]) if did in moved else pose
+        for did, pose in frame.devices.items()})
 
 
 class TestSpineBend:
@@ -280,13 +280,13 @@ class TestSolveFrame:
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
         hmd_id = device_id(profile, DeviceRole.HMD)
-        root_p = frame.pose_of(device_id(profile, DeviceRole.TRACKER_ROOT)).translation
+        root_p = frame.devices[device_id(profile, DeviceRole.TRACKER_ROOT)].translation
         tilt = quat_from_axis_angle([1, 0, 0], math.radians(20))
-        devices = []
-        for did, pose in frame.devices:
+        devices = {}
+        for did, pose in frame.devices.items():
             if did == hmd_id:
                 pose = Transform(pose.rotation, root_p + qrotate(tilt, profile.w0))
-            devices.append((did, pose))
+            devices[did] = pose
         sp = solve_frame(DeviceFrame(frame.timestamp, devices), profile, scaled)
         assert sp.diagnostics.alpha == pytest.approx(math.radians(20), abs=1e-6)
 
@@ -295,17 +295,55 @@ class TestSolveFrame:
         frame = session.calibration_frame()
         hmd_id = device_id(profile, DeviceRole.HMD)
         spin = quat_from_axis_angle([0, 1, 0], 0.4)
-        devices = [(did, Transform(qmul(spin, p.rotation), p.translation)
-                    if did == hmd_id else p) for did, p in frame.devices]
+        devices = {did: Transform(qmul(spin, p.rotation), p.translation)
+                   if did == hmd_id else p for did, p in frame.devices.items()}
         sp = solve_frame(DeviceFrame(frame.timestamp, devices), profile, scaled)
         head = sp.world[scaled.role_index("head")]
-        hmd_rot = qmul(spin, frame.pose_of(hmd_id).rotation)
+        hmd_rot = qmul(spin, frame.devices[hmd_id].rotation)
         assert quat_angle_between(head.rotation, hmd_rot) < 1e-9
+
+    def test_wrist_target_on_shoulder_leaves_arm_at_bind(self, user_skeleton):
+        # Moving the left controller so that its wrist target lands on the
+        # solved left shoulder gives that arm no direction to point in. The
+        # arm keeps its bind-frame local rotations, and the body, head and
+        # other limbs are solved as before: the shoulder hangs off the root
+        # and spine, which the controllers do not move.
+        session, _ = generate_synthetic_session(
+            user_skeleton, builtin_script("arms", user_skeleton, duration=1.0))
+        profile, scaled, _ = calibrate_session(session, humanoid_long_legs())
+        frame = session.frames[len(session.frames) // 2]
+        base = solve_frame(frame, profile, scaled)
+        index = {role: scaled.role_index(role)
+                 for role in ("shoulder_l", "elbow_l", "wrist_l")}
+        shoulder = base.world[index["shoulder_l"]].translation
+        did = device_id(profile, DeviceRole.CONTROLLER_LEFT)
+        offset = profile.offsets["hand_left"]
+        wrist_target = frame.devices[did] @ offset
+        moved = Transform(wrist_target.rotation, shoulder) @ offset.inverse()
+        sp = solve_frame(DeviceFrame(frame.timestamp, {**frame.devices, did: moved}),
+                         profile, scaled)
+        assert sp.diagnostics.degenerate_limbs == ["arm_l"]
+        assert sorted(sp.diagnostics.reach_deficits) == ["arm_l", "arm_r", "leg_l", "leg_r"]
+        parents = scaled.parents
+
+        def local(pose, i):  # joint i's rotation in its parent's frame
+            return qmul(qconj(pose.world[parents[i]].rotation), pose.world[i].rotation)
+
+        for i in index.values():
+            assert quat_angle_between(local(base, i), scaled.bind_rotations[i]) > 1e-3
+            assert quat_angle_between(local(sp, i), scaled.bind_rotations[i]) < 1e-12
+        arm_l = set(index.values())
+        for i, parent in enumerate(parents):  # parents come first
+            if parent in arm_l:
+                arm_l.add(i)
+        for i, (got, want) in enumerate(zip(sp.world, base.world)):
+            if i not in arm_l:
+                assert got.state == want.state, scaled.joints[i].name
 
     def test_missing_device_raises(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
-        broken = DeviceFrame(0.0, [(d + "_x", p) for d, p in frame.devices])
+        broken = DeviceFrame(0.0, {d + "_x": p for d, p in frame.devices.items()})
         with pytest.raises(ValueError, match="lacks device"):
             solve_frame(broken, profile, scaled)
 
@@ -318,14 +356,14 @@ class TestSolveFrame:
         for bad_id, role in profile.role_map.items():
             for component in ("rotation", "translation"):
                 for value in (math.nan, math.inf, -math.inf):
-                    devices = []
-                    for did, pose in frame.devices:
+                    devices = {}
+                    for did, pose in frame.devices.items():
                         if did == bad_id:
                             parts = {"rotation": pose.rotation.copy(),
                                      "translation": pose.translation.copy()}
                             parts[component][cases % len(parts[component])] = value
                             pose = Transform(**parts)
-                        devices.append((did, pose))
+                        devices[did] = pose
                     with pytest.raises(FrameInputError, match=f"{role.value} is not finite"):
                         solve_frame(DeviceFrame(0.0, devices), profile, scaled)
                     cases += 1
@@ -337,7 +375,7 @@ class TestSolveFrame:
         rng = np.random.default_rng(seed)
         g = Transform(random_quat(rng), rng.normal(size=3) * 2)
         base = solve_frame(frame, profile, scaled)
-        moved = DeviceFrame(frame.timestamp, [(d, g @ p) for d, p in frame.devices])
+        moved = DeviceFrame(frame.timestamp, {d: g @ p for d, p in frame.devices.items()})
         got = solve_frame(moved, profile, scaled)
         for w, b in zip(got.world, base.world):
             expected = g @ b
@@ -445,9 +483,8 @@ class TestSolveSession:
     def test_bad_frame_recorded_and_skipped(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frames = list(session.frames)
-        did, pose = frames[1].devices[0]
-        broken = [(did, Transform(pose.rotation, pose.translation * np.nan))] + \
-            list(frames[1].devices[1:])
+        did, pose = next(iter(frames[1].devices.items()))
+        broken = {**frames[1].devices, did: Transform(pose.rotation, pose.translation * np.nan)}
         frames[1] = DeviceFrame(frames[1].timestamp, broken)
         patched = type(session)(frames, session.role_map, 0)
         solved, metrics = solve_session(patched, profile, scaled)
@@ -489,7 +526,7 @@ class TestSolveSession:
                     role, wrist_role = PART_ROLES[f"hand_{side}"]
                     got = (sp.world[scaled.role_index(wrist_role)]
                            @ offsets[f"hand_{side}"].inverse())
-                    want = frame.pose_of(device_id(profile, role))
+                    want = frame.devices[device_id(profile, role)]
                     assert np.abs(got.translation - want.translation).max() < 1e-12
                     assert min(np.abs(got.rotation - want.rotation).max(),
                                np.abs(got.rotation + want.rotation).max()) < 1e-12

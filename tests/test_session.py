@@ -44,7 +44,7 @@ def placement_frame(overrides=None) -> DeviceFrame:
     if overrides:
         for k, pos in overrides.items():
             spots[k] = (pos, spots[k][1])
-    devices = [(k, Transform(IDENT, np.array(p))) for k, (p, _) in spots.items()]
+    devices = {k: Transform(IDENT, np.array(p)) for k, (p, _) in spots.items()}
     return DeviceFrame(0.0, devices), {k: role for k, (_, role) in spots.items()}
 
 
@@ -55,14 +55,14 @@ class TestIdentifyRoles:
 
     def test_device_order_independence(self):
         frame, truth = placement_frame()
-        swapped = DeviceFrame(0.0, list(reversed(frame.devices)))
+        swapped = DeviceFrame(0.0, dict(reversed(frame.devices.items())))
         assert identify_roles(swapped) == truth
 
     def test_invariant_to_yaw_and_translation(self):
         frame, truth = placement_frame()
         for angle in (0.3, 1.2, 2.9, 4.5):
             g = Transform(quat_from_axis_angle([0, 1, 0], angle), np.array([3.0, 0.0, -2.0]))
-            moved = DeviceFrame(0.0, [(d, g @ p) for d, p in frame.devices])
+            moved = DeviceFrame(0.0, {d: g @ p for d, p in frame.devices.items()})
             assert identify_roles(moved) == truth
 
     def test_noise_monte_carlo_on_synthetic_sessions(self):
@@ -101,7 +101,7 @@ class TestIdentifyRoles:
         # rounding noise. Yawed and shifted, the frame keeps that layout.
         frame, _ = placement_frame(overrides={"a": (0.0, 1.6, 0.0), "d": (0.0, 1.0, 0.0)})
         g = Transform(quat_from_axis_angle([0, 1, 0], angle), np.array([3.0, 0.0, -2.0]))
-        moved = DeviceFrame(0.0, [(d, g @ p) for d, p in frame.devices])
+        moved = DeviceFrame(0.0, {d: g @ p for d, p in frame.devices.items()})
         with pytest.raises(PostureError, match="facing is ambiguous"):
             identify_roles(moved)
 
@@ -119,7 +119,7 @@ class TestIdentifyRoles:
     def test_wrong_device_count(self):
         frame, _ = placement_frame()
         with pytest.raises(FormatError):
-            identify_roles(DeviceFrame(0.0, frame.devices[:5]))
+            identify_roles(DeviceFrame(0.0, dict(list(frame.devices.items())[:5])))
 
 
 class TestSyntheticGenerator:
@@ -127,7 +127,7 @@ class TestSyntheticGenerator:
         session, truth = tpose_session
         first = session.frames[0]
         for frame in session.frames[1:]:
-            for (d0, p0), (d1, p1) in zip(first.devices, frame.devices):
+            for (d0, p0), (d1, p1) in zip(first.devices.items(), frame.devices.items()):
                 assert d0 == d1
                 np.testing.assert_array_equal(p0.translation, p1.translation)
                 np.testing.assert_array_equal(p0.rotation, p1.rotation)
@@ -138,7 +138,7 @@ class TestSyntheticGenerator:
     def test_squat_root_tracker_dips_and_recovers(self, user_skeleton):
         session, _ = generate_synthetic_session(user_skeleton, squat_script(user_skeleton))
         root_id = next(d for d, r in session.role_map.items() if r == DeviceRole.TRACKER_ROOT)
-        heights = [f.pose_of(root_id).translation[1] for f in session.frames]
+        heights = [f.devices[root_id].translation[1] for f in session.frames]
         mid = len(heights) // 2
         assert heights[mid] < heights[0] - 0.05
         assert heights[-1] == pytest.approx(heights[0], abs=1e-9)
@@ -158,7 +158,7 @@ class TestSyntheticGenerator:
                        if r == DeviceRole.CONTROLLER_LEFT)
         root_id = next(d for d, r in session.role_map.items()
                        if r == DeviceRole.TRACKER_ROOT)
-        lateral = [abs(f.pose_of(left_id).translation[0] - f.pose_of(root_id).translation[0])
+        lateral = [abs(f.devices[left_id].translation[0] - f.devices[root_id].translation[0])
                    for f in session.frames]
         mid = len(lateral) // 2
         assert lateral[mid] < lateral[0] - 0.1   # pulled toward the body
@@ -169,7 +169,7 @@ class TestSyntheticGenerator:
             user_skeleton, squat_script(user_skeleton, duration=1.0, fps=10.0))
         mounts = default_mount_offsets()
         for i, frame in enumerate(session.frames):
-            for did, pose in frame.devices:
+            for did, pose in frame.devices.items():
                 role = session.role_map[did]
                 joint = truth.joint_roles.index(ROLE_TO_JOINT[role])
                 expected = truth.frames[i][joint] @ mounts[role]
@@ -188,7 +188,7 @@ class TestSyntheticGenerator:
         s1, _ = generate_synthetic_session(user_skeleton, script, noise=noise)
         s2, _ = generate_synthetic_session(user_skeleton, script, noise=noise)
         for f1, f2 in zip(s1.frames, s2.frames):
-            for (d1, p1), (d2, p2) in zip(f1.devices, f2.devices):
+            for (d1, p1), (d2, p2) in zip(f1.devices.items(), f2.devices.items()):
                 assert d1 == d2
                 np.testing.assert_array_equal(p1.translation, p2.translation)
                 np.testing.assert_array_equal(p1.rotation, p2.rotation)
@@ -205,7 +205,7 @@ class TestSessionFiles:
         assert len(loaded.frames) == len(session.frames)
         for a, b in zip(loaded.frames, session.frames):
             assert a.timestamp == b.timestamp
-            for (da, pa), (db, pb) in zip(a.devices, b.devices):
+            for (da, pa), (db, pb) in zip(a.devices.items(), b.devices.items()):
                 assert da == db
                 np.testing.assert_array_equal(pa.translation, pb.translation)
                 assert quat_angle_between(pa.rotation, pb.rotation) < 1e-12
@@ -226,7 +226,7 @@ class TestSessionFiles:
         a, b = read_session(lf), read_session(crlf)
         assert len(a.frames) == len(b.frames)
         for fa, fb in zip(a.frames, b.frames):
-            for (da, pa), (db, pb) in zip(fa.devices, fb.devices):
+            for (da, pa), (db, pb) in zip(fa.devices.items(), fb.devices.items()):
                 assert da == db
                 np.testing.assert_array_equal(pa.translation, pb.translation)
 
