@@ -5,6 +5,10 @@ runs write byte-identical outputs. Exit codes: 0 success, 2 usage errors,
 3 any malformed input file (invalid JSON, a missing field, or a value that
 breaks the input rule of `math3d.FormatError`), 4 calibration failures (role
 ambiguity, posture, walk-in misalignment).
+
+No solved frame (say, the profile names devices the session lacks) is no
+error: `solve` prints `solved 0/N frames`, both it and `compare` exit 0, and
+every mean over solved frames is null in their JSON (`n/a` in the table).
 """
 
 from __future__ import annotations

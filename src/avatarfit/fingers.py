@@ -18,26 +18,38 @@ fingers of 1 to 4 joints. Fingers are independent, so each is searched on
 its own factors. A button target can be added for the thumb: its objective
 gains the distance from the thumb tip to the button point.
 
-Two routines evaluate a finger, with the same operations in the same order,
-so they agree bit for bit. `_FingerChain.walk`, on plain floats, serves
-`finger_objective` and the search's polls. It walks from a list of
-per-joint states (world rotation, position and partial objective after each
-joint); a poll passes joint k's new rotation, resumes from the current
-point's state after joint k - 1 and copies no rotations. It stops once its
-running total exceeds the current value, with no state for that joint: every
-term is >= 0, so the poll has lost. The states of a finger's returned factors
-are the posed points of `pose_hand_on_controller`, with no walk of their own.
-`_grid_values` walks the seed grid on NumPy arrays as a tree: level j holds
-the GRID_POINTS^(j+1) states of the first j + 1 factors, and the fingers of
-a hand with the same joint count and button presence are rows of one walk
-(`tests/test_fingers.py::TestGridSeed`). Each joint keeps its
+One routine evaluates a finger: `_FingerChain.walk`, on plain floats, serves
+`finger_objective`, the seed and the polls. It walks from a list of per-joint
+states (world rotation, position and partial objective after each joint).
+Every term is >= 0 and rounding is monotone, so once the running total
+exceeds a bound the walk stops, with no state for that joint: no point
+beyond it can come back under the bound. Each joint keeps its
 `math3d.slerp_basis`, so a new factor costs one `slerp_at`.
+
+The seed is an exact branch and bound over the grid's prefix tree (Land &
+Doig 1960, Econometrica 28(3)): a prefix whose running total exceeds the best
+grid point so far is not extended. Points compare (value, grid index), so on
+a tie the first in product order wins. The bound prunes when the controller
+is within the fingers' reach, as in the CLI's and the benchmark's grips, and
+less for a thumb with a button, whose term only the tip adds. Against a
+capsule 1 m away every partial total is below every full one, so the seed
+walks the whole tree, one joint per walk: about 2.5 times the former NumPy
+grid's time per hand for 3 joints and 5.5 times for 4 (5-8 and 26-40 ms on
+a shared 2-core x86 VM).
+
+A poll on factor k passes joint k's new rotation and resumes from the
+current point's state after joint k - 1. Its running total through joint k
+depends on factors 0..k only, so while those stay it bounds the objective of
+that trial from below: a trial known to lose, or left by an accepted probe,
+is not walked again while that total is at least the current value. The
+states of a finger's returned factors are the posed points of
+`pose_hand_on_controller`, with no walk of their own.
 
 Every search starts from its seed grid alone, and nothing is carried
 between calls.
 
 The hand model, the capsule and the button hold tuples of floats, as the
-file readers decode them; NumPy holds only the seed grid and `FingerParams`.
+file readers decode them; NumPy holds only `FingerParams`.
 """
 
 from __future__ import annotations
@@ -167,10 +179,9 @@ class DescentConfig:
 class _FingerChain:
     """One finger and its cost, for fast repeated evaluation.
 
-    The polls evaluate the chain one point at a time, hundreds of times per
-    grip, so `walk` runs on plain floats; numpy's per-call overhead on
-    3-vectors would dominate otherwise. The seed grid's hundreds of points
-    are evaluated together, on arrays, by `_grid_values`. A walk's state
+    The seed and the polls evaluate the chain one point at a time, hundreds
+    of times per grip, so `walk` runs on plain floats; numpy's per-call
+    overhead on 3-vectors would dominate otherwise. A walk's state
     after a joint is the tuple (rw, rx, ry, rz, px, py, pz, total): the
     world rotation and position of that joint's point and the penalized
     capsule distance summed over the points up to it. `start` is the state
@@ -195,24 +206,28 @@ class _FingerChain:
         return [slerp_at(basis, float(t)) for basis, t in zip(self.slerps, t_vec)]
 
     def walk(self, states: list, k: int, q: tuple, rotations: list,
-             bound: float = math.inf) -> float:
+             bound: float = math.inf, end: int | None = None) -> float:
         """Objective with joint k turned by `q` and each later joint j by `rotations[j]`.
 
         The walk resumes from `states[k - 1]` (from `start` when k is 0),
-        appends the states of joints k.. and returns the last total plus,
-        for the thumb, its distance to the button. A resumed walk makes the
-        same additions in the same order as one from the base, so the two
-        return the same float. The capsule distance is `capsule_sdf`, written
-        out. Once the running total exceeds `bound`, the walk returns it before
-        appending that joint's state. That is exact: every term added (d,
-        -penalty * d, the button distance) is >= 0 and rounding is monotone,
-        so the full walk would exceed it too.
+        appends the states of joints k..end - 1 (end defaults to the tip) and
+        returns the last total plus, when it walks to the tip of the thumb,
+        its distance to the button. A resumed walk makes the same additions in
+        the same order as one from the base, so the two return the same float.
+        The capsule distance is `capsule_sdf`, written out. Once the running
+        total exceeds `bound`, the walk returns it before appending that
+        joint's state. That is exact: every term added (d, -penalty * d, the
+        button distance) is >= 0 and rounding is monotone, so the full walk
+        would exceed it too.
         """
         rw, rx, ry, rz, px, py, pz, total = states[k - 1] if k else self.start
         sx, sy, sz, vx, vy, vz, axis_sq, radius = self.capsule
         penalty = self.penalty
         offsets = self.offsets
-        for j in range(k, len(offsets)):
+        tip = len(offsets)
+        if end is None:
+            end = tip
+        for j in range(k, end):
             qw, qx, qy, qz = rotations[j] if j > k else q
             ox, oy, oz = offsets[j]
             rw, rx, ry, rz = (
@@ -244,7 +259,7 @@ class _FingerChain:
             if total > bound:
                 return total
             states.append((rw, rx, ry, rz, px, py, pz, total))
-        if self.button is not None:
+        if self.button is not None and end == tip:
             bx, by, bz = self.button
             dx = px - bx
             dy = py - by
@@ -252,70 +267,45 @@ class _FingerChain:
             total += math.sqrt(dx * dx + dy * dy + dz * dz)
         return total
 
-    def seed(self, values: np.ndarray) -> tuple[list, list, list, float]:
+    def seed(self) -> tuple[list, list, list, float]:
         """Best grid point: (factors, rotations, states, objective).
 
-        `values` is this chain's row of `_grid_values`. Among equal values
-        the first in product order wins, as a scalar scan with `<` would
-        pick.
+        A best-first depth-first branch and bound over the grid's prefix
+        tree: a node's GRID_POINTS children are walked one joint each,
+        bounded by the best leaf so far, and entered in (running total, grid
+        index) order unless that total exceeds the best leaf's value (every
+        later term is >= 0 and rounding is monotone). Leaves compare (value,
+        grid index), so on a tie the first point in product order wins.
         """
-        best = np.unravel_index(int(np.argmin(values)), (GRID_POINTS,) * len(self.slerps))
-        t = [GRID[i] for i in best]
-        rotations, states = self.rotations(t), []
-        value = self.walk(states, 0, rotations[0], rotations)
-        return t, rotations, states, value
+        choices = [[slerp_at(basis, g) for g in GRID] for basis in self.slerps]
+        # Value, grid indices (the first sorts after every real one), states.
+        best = [math.inf, (GRID_POINTS,), None]
+        self._visit(choices, best, [], ())
+        value, index, states = best
+        return [GRID[i] for i in index], [choices[j][i] for j, i in enumerate(index)], \
+            states, value
 
-
-def _grid_values(chains: list[_FingerChain]) -> np.ndarray:
-    """Objective at every point of the GRID^n seed grid: one row per chain, in
-    `itertools.product` order.
-
-    The chains share n, the shape, the penalty and whether a button term is
-    added. The walk is a tree over the grid: joint j's state depends only on
-    the first j + 1 factors, so level j holds the GRID_POINTS^(j+1) states
-    of those prefixes, each parent state broadcast against the joint's
-    GRID_POINTS rotations (from `slerp_at` on plain floats). Every operation
-    is `walk`'s, elementwise and in the same order, so each value is
-    bit-identical to `walk` at that point (`tests/test_fingers.py::TestGridSeed`).
-    """
-    first = chains[0]
-    sx, sy, sz, vx, vy, vz, axis_sq, radius = first.capsule
-    penalty = first.penalty
-    # Level j's arrays are (GRID_POINTS,) * (j + 1) + (chains,), the newest
-    # joint's factor first, so the parent level broadcasts without a copy.
-    rw, rx, ry, rz, px, py, pz, total = np.array([c.start for c in chains]).T
-    for j in range(len(first.slerps)):
-        qw, qx, qy, qz = np.array([[slerp_at(c.slerps[j], g) for c in chains] for g in GRID]) \
-            .transpose(2, 0, 1).reshape(4, GRID_POINTS, *(1,) * j, len(chains))
-        ox, oy, oz = np.array([c.offsets[j] for c in chains]).T
-        rw, rx, ry, rz = (
-            rw * qw - rx * qx - ry * qy - rz * qz,
-            rw * qx + rx * qw + ry * qz - rz * qy,
-            rw * qy - rx * qz + ry * qw + rz * qx,
-            rw * qz + rx * qy - ry * qx + rz * qw,
-        )
-        tx = 2.0 * (ry * oz - rz * oy)
-        ty = 2.0 * (rz * ox - rx * oz)
-        tz = 2.0 * (rx * oy - ry * ox)
-        px = px + (ox + rw * tx + (ry * tz - rz * ty))
-        py = py + (oy + rw * ty + (rz * tx - rx * tz))
-        pz = pz + (oz + rw * tz + (rx * ty - ry * tx))
-        ux = px - sx
-        uy = py - sy
-        uz = pz - sz
-        h = np.clip((ux * vx + uy * vy + uz * vz) / axis_sq, 0.0, 1.0)
-        dx = ux - vx * h
-        dy = uy - vy * h
-        dz = uz - vz * h
-        d = np.sqrt(dx * dx + dy * dy + dz * dz) - radius
-        total = total + np.where(d >= 0.0, d, -penalty * d)
-    if first.button is not None:
-        bx, by, bz = first.button
-        dx = px - bx
-        dy = py - by
-        dz = pz - bz
-        total = total + np.sqrt(dx * dx + dy * dy + dz * dz)
-    return total.T.reshape(len(chains), -1)
+    def _visit(self, choices: list, best: list, states: list, index: tuple) -> None:
+        """`seed` below the grid prefix `index`, whose states are `states`. Not a
+        closure: a recursive one is a reference cycle, left to the collector."""
+        j = len(states)
+        children = []
+        for i, q in enumerate(choices[j]):
+            total = self.walk(states, j, q, (), best[0], j + 1)
+            if len(states) > j:
+                children.append((total, (*index, i), states.pop()))
+        if j + 1 == len(choices):
+            for total, leaf, state in children:
+                if (total, leaf) < (best[0], best[1]):
+                    best[:] = total, leaf, [*states, state]
+            return
+        children.sort()
+        for total, child, state in children:
+            if total > best[0]:
+                break
+            states.append(state)
+            self._visit(choices, best, states, child)
+            states.pop()
 
 
 def finger_objective(
@@ -354,34 +344,32 @@ def descend(
     """Compass-search every finger's factors independently.
 
     Each finger starts from the best point of the GRID_POINTS^n grid on
-    [0, 1]^n, the first in product order on a tie, so the open hand (grid
-    point 0) wins every tie. Fingers with the same joint count and the same
-    button presence have their grids walked together (`_grid_values`). A
-    round tries +step, then -step, on each factor in turn, held to [0, 1],
-    and accepts any strict decrease. A poll on factor k passes joint k's new
-    rotation, so its walk resumes from the current point's state after joint
-    k - 1 and reads the current rotations after it; only an accepted probe
-    copies them. The walk is bounded by the current value, so a losing poll
-    stops early and an accepted probe, whose states become the current
-    point's, has walked to the tip. The first step is half the grid
-    spacing, and a round without a decrease halves it. A finger converges when
-    the step falls below STEP_TOL at a finite objective; at an infinite one, or
-    after max_iters rounds, it stops unconverged, reported, never raised.
-    `history` holds the accepted objective after each round, so it never
-    rises. Each report keeps the walk states of its finger's returned factors.
+    [0, 1]^n (`_FingerChain.seed`), the first in product order on a tie, so
+    the open hand (grid point 0) wins every tie. A round tries +step, then
+    -step, on each factor in turn, held to [0, 1], and accepts any strict
+    decrease. A poll on factor k passes joint k's new rotation, so its walk
+    resumes from the current point's state after joint k - 1 and reads the
+    current rotations after it; only an accepted probe copies them. The walk
+    is bounded by the current value, so a losing poll stops early and an
+    accepted probe, whose states become the current point's, has walked to
+    the tip. `lost[k]` holds the running totals through joint k known at
+    trials of factor k (see the module docstring); an accepted probe on
+    factor k clears the maps of the factors after it. The first step is half
+    the grid spacing, and a round without a decrease halves it. A finger
+    converges when the step falls below STEP_TOL at a finite objective; at an
+    infinite one, or after max_iters rounds, it stops unconverged, reported,
+    never raised. `history` holds the accepted objective after each round, so
+    it never rises. Each report keeps the walk states of its finger's returned
+    factors.
     """
     cfg = config or DescentConfig()
-    chains = [_FingerChain(finger, wrist_world, shape, cfg.penalty, button)
-              for finger in hand.fingers]
-    groups: dict[tuple, list[_FingerChain]] = {}
-    for chain in chains:
-        groups.setdefault((len(chain.slerps), chain.button is not None), []).append(chain)
-    grid_rows = {chain: row for group in groups.values()
-                 for chain, row in zip(group, _grid_values(group))}
     factors, reports = [], []
-    for finger, chain in zip(hand.fingers, chains):
-        t, rotations, states, value = chain.seed(grid_rows[chain])
+    for finger in hand.fingers:
+        chain = _FingerChain(finger, wrist_world, shape, cfg.penalty, button)
+        t, rotations, states, value = chain.seed()
         step = 0.5 / (GRID_POINTS - 1)
+        # lost[k][trial]: a known running total through joint k at that trial.
+        lost = [{} for _ in t]
         history = []
         converged = False
         while len(history) < cfg.max_iters:
@@ -389,8 +377,9 @@ def descend(
             for k in range(len(t)):
                 tk = t[k]
                 up, down = tk + step, tk - step
+                lost_k = lost[k]
                 for trial in (up if up < 1.0 else 1.0, down if down > 0.0 else 0.0):
-                    if trial == tk:
+                    if trial == tk or lost_k.get(trial, -math.inf) >= value:
                         continue
                     # Only joint k turns: the probe keeps the states before
                     # it and the rotations after it.
@@ -398,11 +387,15 @@ def descend(
                     probe_states = states[:k]
                     candidate = chain.walk(probe_states, k, q, rotations, value)
                     if candidate < value:
+                        lost_k[tk] = states[k][7]
                         t[k] = trial
                         rotations = rotations.copy()
                         rotations[k], states = q, probe_states
                         value, decreased = candidate, True
+                        for later in lost[k + 1:]:
+                            later.clear()
                         break
+                    lost_k[trial] = probe_states[k][7] if len(probe_states) > k else candidate
             history.append(value)
             if not decreased:
                 step *= 0.5

@@ -307,12 +307,12 @@ class SessionMetrics:
     mean_ankle_error: float | None = None
     max_ankle_error: float | None = None
     mean_wrist_error: float | None = None
-    mean_knee_flexion: float = 0.0
+    mean_knee_flexion: float | None = None
     straight_leg_frames: int | None = None
     mean_knee_flexion_straight: float | None = None
     max_knee_flexion_straight: float | None = None
-    alpha_mean: float = 0.0
-    alpha_max: float = 0.0
+    alpha_mean: float | None = None
+    alpha_max: float | None = None
     detached_frames_left: int = 0
     detached_frames_right: int = 0
     frame_errors: list = field(default_factory=list)

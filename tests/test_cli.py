@@ -382,6 +382,38 @@ class TestSolveChecksFirst:
         assert solve_calls == []
 
 
+class TestNoSolvedFrame:
+    def test_renamed_devices_solve_no_frame(self, tmp_path, tiny_files, capsys):
+        # Every device id of the session renamed, header too: the profile's
+        # ids match none, so no frame solves. Both commands still exit 0, and
+        # every mean over solved frames is null in the JSON and n/a in the
+        # table.
+        session = read_session(tiny_files["session"])
+        renamed = Session([DeviceFrame(f.timestamp, {f"x{d}": p for d, p in f.devices.items()})
+                           for f in session.frames],
+                          {f"x{d}": role for d, role in session.role_map.items()},
+                          session.calibration_frame_index)
+        write_session(renamed, tmp_path / "renamed.jsonl")
+        common = ("--skeleton", tiny_files["skeleton"], "--session", tmp_path / "renamed.jsonl",
+                  "--profile", tiny_files["profile"],
+                  "--ground-truth", tiny_files["ground_truth"])
+        assert run("solve", *common, "--out", tmp_path / "trace.jsonl",
+                   "--metrics", tmp_path / "metrics.json") == cli.EXIT_OK
+        assert f"solved 0/{len(session.frames)} frames" in capsys.readouterr().out
+        assert run("compare", *common, "--out", tmp_path / "compare.json") == cli.EXIT_OK
+        table = capsys.readouterr().out.splitlines()
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        report = json.loads((tmp_path / "compare.json").read_text())
+        for document in (metrics, report["exact"], report["fixed"]):
+            assert document["solved_frames"] == 0
+            assert len(document["frame_errors"]) == len(session.frames)
+            for key in ("mean_knee_flexion", "alpha_mean", "alpha_max"):
+                assert document[key] is None, key
+        for label in ("knee flex mean", "spine angle mean"):
+            row = next(line for line in table if line.startswith(label))
+            assert row.split()[-2:] == ["n/a", "n/a"]
+
+
 class TestGenFlags:
     @pytest.mark.parametrize("flag", [
         ("--noise", "-1", "non-negative"), ("--noise", "nan", "non-negative"),

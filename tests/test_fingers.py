@@ -279,14 +279,12 @@ class TestDescend:
         # files, holds every joint point about 1e307 m deep, and the default
         # penalty takes every walk's running total to inf by its second joint.
         # No poll can win, the open hand (grid point 0) stays, each finger
-        # still gets a pose per joint, and none reports convergence. The seed
-        # grid overflows on NumPy arrays, which would warn.
+        # still gets a pose per joint, and none reports convergence.
         hand = default_hand_model("left")
         center = hand.palm_anchor.state[4:]
         shape = CapsuleShape(center, tuple(c + a for c, a in zip(center, (0.0, 0.0, 0.1))),
                              1e307)
-        with np.errstate(over="ignore"):
-            result = pose_hand_on_controller(hand, Transform.identity(), shape, DescentConfig())
+        result = pose_hand_on_controller(hand, Transform.identity(), shape, DescentConfig())
         for finger, t, poses, report in zip(hand.fingers, result.params.values, result.poses,
                                             result.reports):
             assert report.objective == math.inf and not report.converged
@@ -349,11 +347,11 @@ class TestDescentOracle:
     @example(3, "right", 5.0, False, [4, 2, 2, 1, 3], 3)
     def test_search_matches_scalar_reference(self, seed, side, penalty, with_button,
                                              joint_counts, max_iters):
-        # The grouped grid walk and the resumed polls against a scalar search
-        # that evaluates every grid point and every poll from the base: same
-        # factors, rounds, objectives and histories, byte for byte. Mixed
-        # joint counts give grid groups of one and of several; a button puts
-        # the thumb in a group of its own.
+        # The branch-and-bound seed and the resumed polls, which skip trials
+        # known to lose, against a scalar search that evaluates every grid
+        # point and every poll from the base: same factors, rounds,
+        # objectives and histories, byte for byte. Mixed joint counts and a
+        # thumb's button vary how far the seed's bound prunes.
         rng = np.random.default_rng(seed)
         default = default_hand_model(side)
         hand = HandModel(side, tuple(Finger(f.name, f.base_local, (f.joints * 2)[:n])
@@ -373,38 +371,38 @@ class TestDescentOracle:
 
 
 class TestGridSeed:
-    """The grouped tree walk over the seed grid against a scalar loop over
-    `itertools.product`."""
+    """The branch-and-bound seed against a scalar scan of the whole grid in
+    `itertools.product` order."""
 
     @settings(max_examples=25)
     @given(seeds, st.sampled_from(["left", "right"]), st.floats(min_value=1.0, max_value=30.0),
-           st.booleans(), st.integers(min_value=1, max_value=4),
-           st.integers(min_value=1, max_value=5))
+           st.booleans(), st.integers(min_value=1, max_value=4), st.booleans())
+    @example(0, "left", 10.0, True, 4, True)
+    @example(1, "right", 10.0, False, 3, True)
     def test_bit_identical_to_scalar_scan(self, seed, side, penalty, with_button, n_joints,
-                                          group_size):
-        # A group of group_size fingers of n_joints joints, built from the
-        # default hand's own. With a button every finger is a thumb, so the
-        # whole group carries the button term.
+                                          far):
+        # A finger of n_joints joints, built from the default hand's own; with
+        # a button it is the thumb. Its capsule is the jittered grip or, with
+        # `far`, `far_capsule`, which lies a metre or so from the wrists of
+        # the two examples: there every partial total is below every full
+        # one, so nothing prunes and the seed walks the whole tree.
         rng = np.random.default_rng(seed)
         default = default_hand_model(side)
-        hand = HandModel(side, tuple(Finger("thumb" if with_button else f.name, f.base_local,
-                                            (f.joints * 2)[:n_joints])
-                                     for f in default.fingers[:group_size]), default.palm_anchor)
+        source = default.fingers[0 if with_button else 1]
+        finger = Finger(source.name, source.base_local, (source.joints * 2)[:n_joints])
+        hand = HandModel(side, (finger,), default.palm_anchor)
         wrist, shape, button = random_wrist_grip(rng, hand, with_button)
-        chains = [fingers._FingerChain(finger, wrist, shape, penalty, button)
-                  for finger in hand.fingers]
-        rows = fingers._grid_values(chains)
-        assert rows.shape == (group_size, 7 ** n_joints)
-        for finger, chain, values in zip(hand.fingers, chains, rows):
-            tip_button = button if finger.name == "thumb" else None
-            want_values, want_t, want_value = reference_grid_seed(
-                reference_chain(finger, wrist), shape, penalty, tip_button)
-            assert values.tobytes() == np.array(want_values).tobytes()
-            t, rotations, states, value = chain.seed(values)
-            assert (t, value) == (want_t, want_value)
-            fresh = []
-            assert chain.walk(fresh, 0, rotations[0], rotations) == value
-            assert states == fresh
+        if far:
+            shape = far_capsule()
+        chain = fingers._FingerChain(finger, wrist, shape, penalty, button)
+        _, want_t, want_value = reference_grid_seed(reference_chain(finger, wrist), shape,
+                                                    penalty, button)
+        t, rotations, states, value = chain.seed()
+        assert (t, value) == (want_t, want_value)
+        assert rotations == chain.rotations(t)
+        fresh = []
+        assert chain.walk(fresh, 0, rotations[0], rotations) == value
+        assert states == fresh
 
     def test_the_first_grid_point_wins_a_tie(self):
         # A joint with open == closed turns nowhere. With both joints still,
@@ -418,16 +416,14 @@ class TestGridSeed:
         def seeded(joints):
             finger = Finger("toy", Transform.identity(), joints)
             chain = fingers._FingerChain(finger, None, far_capsule(), 10.0)
-            want_values, want_t, want_value = reference_grid_seed(
+            _, want_t, want_value = reference_grid_seed(
                 reference_chain(finger, None), far_capsule(), 10.0, None)
-            values = fingers._grid_values([chain])[0]
-            assert values.tobytes() == np.array(want_values).tobytes()
-            t, _, _, value = chain.seed(values)
+            t, _, _, value = chain.seed()
             assert (t, value) == (want_t, want_value)
-            return len(set(values.tolist())), t
+            return t
 
-        assert seeded((still, still)) == (1, [0.0, 0.0])
-        assert seeded((free, still)) == (7, [1.0, 0.0])
+        assert seeded((still, still)) == [0.0, 0.0]
+        assert seeded((free, still)) == [1.0, 0.0]
 
 
 def random_chain(rng, n_joints: int, with_button: bool, penalty: float):
@@ -450,18 +446,24 @@ def full_walk(chain, rotations: list) -> tuple[float, list]:
 
 class TestResumedWalk:
     """`_FingerChain.walk` resumed at joint k with a new rotation, as a poll
-    calls it, against a walk from the base."""
+    or the seed calls it, against a walk from the base."""
 
     @settings(max_examples=80)
     @given(seeds, st.integers(min_value=1, max_value=4), st.booleans(),
            st.floats(min_value=1.0, max_value=30.0), st.integers(min_value=0, max_value=3),
-           st.floats(min_value=-0.2, max_value=1.2))
-    @example(0, 3, False, 10.0, 0, 0.5)
-    @example(1, 4, True, 10.0, 3, 1.0)
+           st.floats(min_value=-0.2, max_value=1.2), st.booleans())
+    @example(0, 3, False, 10.0, 0, 0.5, False)
+    @example(1, 4, True, 10.0, 3, 1.0, False)
+    @example(2, 3, True, 10.0, 1, 0.5, True)
+    @example(3, 4, True, 10.0, 3, 1.0, True)
     def test_bit_identical_to_a_fresh_walk(self, seed, n_joints, with_button, penalty, k,
-                                           trial):
+                                           trial, one_joint):
         # The current point's states and rotations stay as they are; the
-        # fresh walk turns joint k by q in a copy of the rotations.
+        # fresh walk turns joint k by q in a copy of the rotations. With
+        # `one_joint` the walk ends after joint k, as the seed's walks do:
+        # it holds the fresh walk's first k + 1 states and, before the tip,
+        # returns state k's total with no button term. At the tip it is the
+        # full walk.
         rng = np.random.default_rng(seed)
         chain = random_chain(rng, n_joints, with_button, penalty)
         rotations = chain.rotations(rng.uniform(0.0, 1.0, size=n_joints))
@@ -470,10 +472,15 @@ class TestResumedWalk:
         kept_rotations, kept_states = rotations.copy(), states.copy()
         q = fingers.slerp_at(chain.slerps[k], trial)
         probe_states = states[:k]
-        value = chain.walk(probe_states, k, q, rotations)
+        if one_joint:
+            value = chain.walk(probe_states, k, q, (), end=k + 1)
+        else:
+            value = chain.walk(probe_states, k, q, rotations)
         turned = rotations.copy()
         turned[k] = q
         want, want_states = full_walk(chain, turned)
+        if one_joint and k + 1 < n_joints:
+            want, want_states = want_states[k][-1], want_states[:k + 1]
         assert np.float64(value).tobytes() == np.float64(want).tobytes()
         assert probe_states == want_states
         assert (rotations, states) == (kept_rotations, kept_states)

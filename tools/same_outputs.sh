@@ -10,9 +10,12 @@
 # and 3 (2 mm / 0.01 rad noise, 1 s at 30 fps), it runs gen, calibrate, solve
 # in exact and fixed mode, each without hands, with --hand-model and
 # --controller (--max-iters 30, where the grip search converges), and with the
-# same files at --max-iters 3 (the search stops unconverged), and compare. Every command's stdout, stderr and exit code go to
-# a .out file, with the tree's output directory masked. Prints every file that
-# differs or exists on one side only; exits 0 when all are identical.
+# same files at --max-iters 3 (the search stops unconverged), and compare. Last,
+# it solves squat seed 1 with a hand whose fingers have 4 joints against a
+# controller about 1 m out of reach, where no bound prunes the grip's seed
+# grid. Every command's stdout, stderr and exit code go to a .out file, with
+# the tree's output directory masked. Prints every file that differs or exists
+# on one side only; exits 0 when all are identical.
 # WORK_DIR (default: a new temporary directory) is kept for inspection.
 set -eu
 
@@ -42,6 +45,11 @@ to_device = session.default_mount_offsets()[session.DeviceRole.CONTROLLER_LEFT].
 capsule = fingers.transform_capsule(fingers.default_grip_capsule(hand), to_device)
 button = to_device.apply((-0.06, -0.012, -0.02))
 fingers.save_controller_file(capsule, f"{out}/controller.json", button)
+long_fingers = tuple(fingers.Finger(f.name, f.base_local, (f.joints * 2)[:4]) for f in hand.fingers)
+fingers.save_hand_file(fingers.HandModel(hand.side, long_fingers, hand.palm_anchor),
+                       f"{out}/hand4.json")
+fingers.save_controller_file(fingers.CapsuleShape((1.0, 0.0, -0.05), (1.0, 0.0, 0.05), 0.026),
+                             f"{out}/far_controller.json")
 EOF
     cli() {  # cli NAME ARGS...: run one command, recording its output and exit code
         local name=$1 status=0
@@ -78,6 +86,11 @@ EOF
                 --ground-truth "$s.session.gt.jsonl" --out "$s.compare.json"
         done
     done
+    s="$out/squat-1"
+    cli squat-1.solve-exact-far4 solve --skeleton "$out/avatar.json" \
+        --session "$s.session.jsonl" --profile "$s.profile.json" \
+        --ground-truth "$s.session.gt.jsonl" --out "$s.exact-far4.trace.jsonl" \
+        --hand-model "$out/hand4.json" --controller "$out/far_controller.json" --max-iters 30
 }
 
 rm -rf "$work/old" "$work/new"
