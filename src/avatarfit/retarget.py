@@ -15,14 +15,18 @@ Pipeline per frame (exact mode):
 2. Spine bent by the angle between the initial and current back-to-head
    vectors. The bend is evaluated in the back tracker's delta frame so that
    a global rigid motion of all devices moves the solved pose rigidly; it is
-   set as the spine's local rotation directly, in the bind frame, with no
-   FK pass before it.
+   set as the spine's local rotation directly, in the bind frame, from the
+   bind pose alone. FK pass 1 then places the joints that steps 3 and 4 read
+   or never turn.
 3. Head joint receives the headset rotation directly.
 4. Legs and arms solved by analytic two-bone IK toward the ankle and wrist
    targets. Each bone is swung from its child's bind translation, turned by
    the rotation the joint carries, onto the solved direction. When a wrist
    target is out of reach the chain points at it and the frame is flagged
    detached, i.e. the virtual controller rides on the hand.
+5. FK pass 2 places the head, the limb joints and their descendants. Every
+   joint is placed once per frame, except the limbs' upper joints, which
+   pass 1 places too because step 4 reads them (`SkeletonModel.solve_plan`).
 
 Fixed mode runs the identical pipeline with every offset set to the identity
 (device pose used as the joint pose), the ad-hoc zero-offset mapping that
@@ -30,11 +34,10 @@ reproduces the classic bent-legs artifact on avatars with longer legs.
 
 The solve runs on tuples of Python floats: pose states (see
 `math3d.compose_state`) for device poses, targets, local rotations and the
-two FK passes (after the spine bend, and the final pose), and 3-tuples for
-the spine bend's vectors and the limb IK's positions and directions. It
-reads the pose states of the frame's devices and the profile's offsets
-(`Transform.state`) and the profile's float `w0`, and wraps each solved
-state as a `Transform` of `SolvedPose.world`; nothing is converted.
+joints the two FK passes place, and 3-tuples for the spine bend's vectors
+and the limb IK's positions and directions. It reads the devices' pose
+states, the profile's offsets (`Transform.state`) and float `w0`, and wraps
+each solved state as a `Transform` of `SolvedPose.world`; nothing is converted.
 """
 
 from __future__ import annotations
@@ -189,15 +192,13 @@ def mode_offsets(profile: CalibrationProfile, mode: OffsetMode) -> dict[str, Tra
     """Device-to-joint offset per body part that `mode` solves with."""
     return profile.offsets if mode == OffsetMode.EXACT else _FIXED_OFFSETS
 
-_LIMBS = {
-    # name: (upper role, mid role, end role, tracked part, pole, flexion diagnostic)
-    "leg_l": ("hip_l", "knee_l", "ankle_l", "foot_left", KNEE_POLE_BIND, "knee_flexion_left"),
-    "leg_r": ("hip_r", "knee_r", "ankle_r", "foot_right", KNEE_POLE_BIND, "knee_flexion_right"),
-    "arm_l": ("shoulder_l", "elbow_l", "wrist_l", "hand_left", ELBOW_POLE_BIND,
-              "elbow_flexion_left"),
-    "arm_r": ("shoulder_r", "elbow_r", "wrist_r", "hand_right", ELBOW_POLE_BIND,
-              "elbow_flexion_right"),
-}
+# (name, tracked part, pole, flexion diagnostic) per `skeleton.LIMB_ROLES` entry.
+_LIMBS = (
+    ("leg_l", "foot_left", KNEE_POLE_BIND, "knee_flexion_left"),
+    ("leg_r", "foot_right", KNEE_POLE_BIND, "knee_flexion_right"),
+    ("arm_l", "hand_left", ELBOW_POLE_BIND, "elbow_flexion_left"),
+    ("arm_r", "hand_right", ELBOW_POLE_BIND, "elbow_flexion_right"),
+)
 
 
 def _flexion(pa, pb, pc) -> float:
@@ -236,12 +237,12 @@ def solve_frame(
     bind = skeleton.bind_states
     parents = skeleton.parents
     bones = skeleton.bind_translations
+    root_idx, spine_idx, head_idx, limbs, pass1, pass2 = skeleton.solve_plan
     locals_ = list(skeleton.bind_rotations)
     diag = FrameDiagnostics()
 
     # 1. Root joint at the back tracker's target; root_delta turns the bind
     # pose's root onto it.
-    root_idx = skeleton.role_index("root")
     root_delta = qmul(target["root"][:4], qconj(bind[root_idx][:4]))
 
     # 2. Spine bend, evaluated in the back tracker's delta frame so the solve
@@ -250,22 +251,19 @@ def solve_frame(
     # root_delta bend root_delta^-1 turns the spine's world rotation
     # root_delta bind[spine] into one whose local rotation is
     # bind[p]^-1 bend bind[spine], p the spine's parent.
-    spine_idx = skeleton.role_index("spine")
     hmd, back = device[DeviceRole.HMD], device[DeviceRole.TRACKER_ROOT]
     w_local = qrotate(qconj(root_delta), (hmd[4] - back[4], hmd[5] - back[5], hmd[6] - back[6]))
     bend = rotation_between(profile.w0, w_local)
     diag.alpha = quat_angle(bend)
     locals_[spine_idx] = qmul(qconj(bind[parents[spine_idx]][:4]),
                               qmul(bend, bind[spine_idx][:4]))
-    world = forward_kinematics(skeleton, locals_, target["root"])
+    world = forward_kinematics(skeleton, locals_, target["root"], pass1)
 
     # 3. Head rotation straight from the headset.
-    head_idx = skeleton.role_index("head")
     locals_[head_idx] = qmul(qconj(world[parents[head_idx]][:4]), hmd[:4])
 
-    # 4. Limbs. Parents (root, chest via spine) are final at this point.
-    for limb, (upper_role, mid_role, end_role, part, pole_bind, _) in _LIMBS.items():
-        upper, mid, end = (skeleton.role_index(r) for r in (upper_role, mid_role, end_role))
+    # 4. Limbs, from the upper joints and their parents as pass 1 placed them.
+    for (limb, part, pole_bind, _), (upper, mid, end) in zip(_LIMBS, limbs):
         pole = qrotate(root_delta, pole_bind)
         root_pos = world[upper][4:]
         sol = two_bone_ik(root_pos, skeleton.bone_length(mid), skeleton.bone_length(end),
@@ -286,12 +284,12 @@ def solve_frame(
 
         locals_[end] = qmul(qconj(mid_rot), target[part][:4])
 
-    world = forward_kinematics(skeleton, locals_, target["root"])
+    # 5. The head, the limb joints and their descendants, as turned.
+    forward_kinematics(skeleton, locals_, target["root"], pass2, world)
     diag.controller_detached_left = diag.reach_deficits["arm_l"] > DETACH_EPS
     diag.controller_detached_right = diag.reach_deficits["arm_r"] > DETACH_EPS
-    for *roles, _, _, flexion_name in _LIMBS.values():
-        setattr(diag, flexion_name,
-                _flexion(*(world[skeleton.role_index(r)][4:] for r in roles)))
+    for (*_, flexion_name), joints in zip(_LIMBS, limbs):
+        setattr(diag, flexion_name, _flexion(*(world[j][4:] for j in joints)))
     return SolvedPose([Transform.of_state(s) for s in world], diag)
 
 

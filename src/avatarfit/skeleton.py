@@ -29,6 +29,10 @@ REQUIRED_ROLES = frozenset({
 OPTIONAL_ROLES = frozenset({"neck", "toe_l", "toe_r", "finger", "other"})
 VALID_ROLES = REQUIRED_ROLES | OPTIONAL_ROLES
 
+# The limbs the body solve turns, as (upper, mid, end) roles: legs, then arms.
+LIMB_ROLES = (("hip_l", "knee_l", "ankle_l"), ("hip_r", "knee_r", "ankle_r"),
+              ("shoulder_l", "elbow_l", "wrist_l"), ("shoulder_r", "elbow_r", "wrist_r"))
+
 # Feet soles must rest on the floor (y = 0) in the bind pose within this.
 FLOOR_TOLERANCE = 1e-3
 
@@ -54,6 +58,11 @@ class SkeletonModel:
     `bind_translations` and `bind_rotations` (the bind local transform as
     three and four floats), `bind_states` (the world pose states of the
     bind pose, its one copy) and the bone lengths behind `bone_length`.
+    `solve_plan` is (root, spine, head, limbs, pass 1, pass 2) for the body
+    solve: joint indices, limbs an (upper, mid, end) triple per `LIMB_ROLES`
+    entry. Pass 2 lists the head, the limb joints and their descendants, and
+    pass 1 the other joints plus the ancestors-or-self of what the solve reads
+    between the passes: the head's parent, each upper joint and its parent.
     """
 
     joints: list[Joint]
@@ -65,6 +74,7 @@ class SkeletonModel:
     _bone_lengths: tuple = field(init=False, repr=False, compare=False, default=())
     bind_rotations: tuple = field(init=False, repr=False, compare=False, default=())
     bind_states: tuple = field(init=False, repr=False, compare=False, default=())
+    solve_plan: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         for i, j in enumerate(self.joints):
@@ -76,8 +86,20 @@ class SkeletonModel:
         self.bind_translations = tuple(j.bind_local.state[4:] for j in self.joints)
         self._bone_lengths = tuple(float(np.linalg.norm(v)) for v in self.bind_translations)
         self.bind_rotations = tuple(j.bind_local.state[:4] for j in self.joints)
-        root = self.joints[self.role_index("root")].bind_local
-        self.bind_states = tuple(forward_kinematics(self, self.bind_rotations, root.state))
+        root, spine, head = map(self.role_index, ("root", "spine", "head"))
+        self.bind_states = tuple(forward_kinematics(self, self.bind_rotations,
+                                                    self.joints[root].bind_local.state))
+        limbs = tuple(tuple(map(self.role_index, roles)) for roles in LIMB_ROLES)
+        moved = {head, *(j for limb in limbs for j in limb)}
+        for i, p in enumerate(self.parents):  # parents come first
+            if p in moved:
+                moved.add(i)
+        placed = set(range(len(self.joints))) - moved
+        for i in (self.parents[head], *(j for u, _, _ in limbs for j in (u, self.parents[u]))):
+            while i is not None and i not in placed:
+                placed.add(i)
+                i = self.parents[i]
+        self.solve_plan = (root, spine, head, limbs, sorted(placed), sorted(moved))
 
     def index_of(self, name: str) -> int:
         return self._name_index[name]
@@ -91,7 +113,8 @@ class SkeletonModel:
         return self._bone_lengths[index]
 
 
-def forward_kinematics(skeleton: SkeletonModel, rotations, root: tuple) -> list[tuple]:
+def forward_kinematics(skeleton: SkeletonModel, rotations, root: tuple,
+                       joints=None, states: list | None = None) -> list:
     """Pose state of every joint, parents placed before children.
 
     `rotations` holds one local rotation (w, x, y, z) per joint; the root's
@@ -100,14 +123,19 @@ def forward_kinematics(skeleton: SkeletonModel, rotations, root: tuple) -> list[
     bind_translations[i]) by `compose_state`, which `Transform.__matmul__`
     also runs; each state equals the bytes of FK by composition on float64
     arrays (`tests/oracles.py::reference_forward_kinematics`).
+
+    Given `joints`, a list of joint indices in topological order, only those
+    are placed, into `states` (one entry per joint; a new list of None by
+    default), which is returned. Each listed joint's parent must be listed
+    before it or already be placed in `states`.
     """
-    if len(rotations) != len(skeleton.parents):
-        raise SkeletonError(
-            f"pose has {len(rotations)} rotations for {len(skeleton.parents)} joints"
-        )
-    states: list[tuple] = []
-    for parent, q, v in zip(skeleton.parents, rotations, skeleton.bind_translations):
-        states.append(root if parent is None else compose_state(states[parent], q, v))
+    parents, bones = skeleton.parents, skeleton.bind_translations
+    if len(rotations) != len(parents):
+        raise SkeletonError(f"pose has {len(rotations)} rotations for {len(parents)} joints")
+    states = [None] * len(parents) if states is None else states
+    for i in range(len(parents)) if joints is None else joints:
+        p = parents[i]
+        states[i] = root if p is None else compose_state(states[p], rotations[i], bones[i])
     return states
 
 

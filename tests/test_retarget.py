@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avatarfit import retarget
+from avatarfit import retarget, skeleton as skeleton_module
 from avatarfit.calibration import PART_ROLES, calibrate_session
 from avatarfit.math3d import (
     Transform,
@@ -25,7 +26,8 @@ from avatarfit.retarget import (
     two_bone_ik,
     write_pose_trace,
 )
-from avatarfit.rigs import humanoid, humanoid_long_legs
+from avatarfit.rigs import humanoid, humanoid_document, humanoid_long_legs, \
+    humanoid_long_legs_document
 from avatarfit.session import DeviceFrame, DeviceRole, NoiseModel, generate_synthetic_session
 from avatarfit.skeleton import SkeletonModel, load_skeleton, skeleton_to_document
 
@@ -444,6 +446,102 @@ def _equivariance_fixture():
         frame = session.frames[len(session.frames) // 3]
         _EQ_CACHE.append((session, profile, scaled, frame))
     return _EQ_CACHE[0]
+
+
+def extended_rig(*extras: str) -> SkeletonModel:
+    """`humanoid_long_legs` with extra joints, each extra one of:
+
+    - "fingers": a `finger` joint under each wrist;
+    - "head_other": an `other` joint under the head;
+    - "hips_other": an `other` joint under the hips, no limb's ancestor;
+    - "arms_on_head": the clavicles moved under the head, same bind pose.
+    """
+    document = humanoid_long_legs_document()
+    joints = document["joints"]
+
+    def add(name, parent, role, t):
+        joints.append({"name": name, "parent": parent, "role": role, "translation": list(t)})
+
+    for extra in extras:
+        if extra == "fingers":
+            for side, sx in (("l", -1.0), ("r", 1.0)):
+                add(f"finger_{side}", f"wrist_{side}", "finger", (sx * 0.08, 0.0, 0.0))
+        elif extra == "head_other":
+            add("head_top", "head", "other", (0.0, 0.1, 0.0))
+        elif extra == "hips_other":
+            add("hip_pouch", "hips", "other", (0.0, 0.0, 0.1))
+        else:
+            head_from_chest = sum(j["translation"][1] for j in joints
+                                  if j["name"] in ("neck", "head"))
+            for j in joints:
+                if j["name"].startswith("clavicle_"):
+                    j["parent"] = "head"
+                    j["translation"][1] -= head_from_chest
+    return load_skeleton(document)
+
+
+def counted(monkeypatch, owner, name: str) -> list:
+    """Replace `owner.name` by a wrapper that counts its calls in calls[0]."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestFramePlacement:
+    """`solve_frame` places each joint once, apart from the limbs' upper joints
+    (`SkeletonModel.solve_plan`), with the bytes of two full FK passes."""
+
+    @staticmethod
+    def calibrated(rig: SkeletonModel):
+        user = humanoid()
+        session, _ = generate_synthetic_session(user, builtin_script("free", user, duration=0.3),
+                                                noise=NoiseModel(0.002, 0.01, seed=2))
+        profile, scaled, _ = calibrate_session(session, rig)
+        return session, profile, scaled
+
+    def calls_in_one_solve(self, monkeypatch, rig: SkeletonModel) -> tuple:
+        """(FK compositions, role lookups) of one `solve_frame`."""
+        session, profile, scaled = self.calibrated(rig)
+        compositions = counted(monkeypatch, skeleton_module, "compose_state")
+        lookups = counted(monkeypatch, SkeletonModel, "role_index")
+        solve_frame(session.frames[3], profile, scaled)
+        return compositions[0], lookups[0]
+
+    @pytest.mark.parametrize("document", [humanoid_document, humanoid_long_legs_document])
+    def test_reference_rig_composes_24_states(self, monkeypatch, document):
+        # Two full passes composed 40 states (20 joints below the root, twice)
+        # and looked up 27 roles.
+        assert self.calls_in_one_solve(monkeypatch, load_skeleton(document())) == (24, 0)
+
+    @pytest.mark.parametrize("extras", [("fingers",), ("fingers", "head_other", "hips_other")])
+    def test_each_extra_joint_composes_once(self, monkeypatch, extras):
+        # A finger joint is placed by pass 2 only; an `other` joint under the
+        # head or the hips is placed once too, by pass 2 or pass 1.
+        skel = extended_rig(*extras)
+        assert self.calls_in_one_solve(monkeypatch, skel) == (24 + len(skel.joints) - 21, 0)
+
+    @pytest.mark.parametrize("extras", [(), ("fingers", "head_other", "hips_other"),
+                                        ("arms_on_head",), ("arms_on_head", "fingers")])
+    def test_split_keeps_the_bytes_of_two_full_passes(self, extras):
+        # The same solve with both passes over every joint is the solve before
+        # the split: every joint state and diagnostic must keep its bytes.
+        session, profile, scaled = self.calibrated(extended_rig(*extras))
+        full = copy.copy(scaled)
+        every = list(range(len(scaled.joints)))
+        full.solve_plan = (*scaled.solve_plan[:4], every, every)
+        for mode in OffsetMode:
+            for frame in session.frames:
+                got = solve_frame(frame, profile, scaled, mode)
+                want = solve_frame(frame, profile, full, mode)
+                assert (np.array([w.state for w in got.world]).tobytes()
+                        == np.array([w.state for w in want.world]).tobytes())
+                assert got.diagnostics == want.diagnostics
 
 
 class TestSolveSession:

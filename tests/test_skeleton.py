@@ -94,8 +94,14 @@ class TestForwardKinematics:
 
     def test_pose_size_mismatch(self, user_skeleton):
         rotations = list(user_skeleton.bind_rotations)[:-1]
+        root = bind_root(user_skeleton).state
         with pytest.raises(SkeletonError):
-            forward_kinematics(user_skeleton, rotations, bind_root(user_skeleton).state)
+            forward_kinematics(user_skeleton, rotations, root)
+        with pytest.raises(SkeletonError, match="20 rotations for 21 joints"):
+            forward_kinematics(user_skeleton, rotations, root, [0, 1, 2])
+        with pytest.raises(SkeletonError, match="22 rotations for 21 joints"):
+            forward_kinematics(user_skeleton, rotations + rotations[-2:], root,
+                               [0], [None] * len(user_skeleton.joints))
 
     @given(seeds)
     def test_equivariance_under_root_rigid_motion(self, seed):
@@ -134,6 +140,29 @@ class TestForwardKinematics:
         for state, (rotation, translation) in zip(states, want):
             assert np.array(state[:4]).tobytes() == rotation.tobytes()
             assert np.array(state[4:]).tobytes() == translation.tobytes()
+
+    @given(seeds, st.sampled_from(["humanoid", "humanoid_long_legs"]))
+    def test_listed_joints_match_the_full_call_bit_for_bit(self, seed, rig):
+        # Placing an ancestor-closed list of joints gives each of them the
+        # full call's bytes and leaves every other entry as it was; the body
+        # solve's two passes together place every joint.
+        skel = rig_from_cache(rig)
+        rng = np.random.default_rng(seed)
+        rotations, root = random_pose(skel, rng)
+        full = [np.array(s).tobytes() for s in forward_kinematics(skel, rotations, root.state)]
+        picked = set()
+        for i in rng.choice(len(skel.joints), size=int(rng.integers(1, 6)), replace=False):
+            i = int(i)
+            while i is not None and i not in picked:
+                picked.add(i)
+                i = skel.parents[i]
+        states = forward_kinematics(skel, rotations, root.state, sorted(picked))
+        for i, state in enumerate(states):
+            assert (np.array(state).tobytes() == full[i]) if i in picked else state is None
+        pass1, pass2 = skel.solve_plan[4:]
+        states = forward_kinematics(skel, rotations, root.state, pass1)
+        assert forward_kinematics(skel, rotations, root.state, pass2, states) is states
+        assert [np.array(s).tobytes() for s in states] == full
 
 
 _HUMANOID_CACHE = []

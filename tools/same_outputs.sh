@@ -13,7 +13,11 @@
 # same files at --max-iters 3 (the search stops unconverged), and compare. Last,
 # it solves squat seed 1 with a hand whose fingers have 4 joints against a
 # controller about 1 m out of reach, where no bound prunes the grip's seed
-# grid. Every command's stdout, stderr and exit code go to a .out file, with
+# grid. It also calibrates the free seed 1 session on a third avatar, the
+# `humanoid_long_legs` rig plus a `finger` joint under each wrist, an `other`
+# joint under the head and an `other` joint under the hips that is no limb's
+# ancestor, and solves it in exact and fixed mode without hands. Every
+# command's stdout, stderr and exit code go to a .out file, with
 # the tree's output directory masked. Prints every file that differs or exists
 # on one side only; exits 0 when all are identical.
 # WORK_DIR (default: a new temporary directory) is kept for inspection.
@@ -39,6 +43,13 @@ from avatarfit import fingers, rigs, session, skeleton
 out = sys.argv[1]
 skeleton.save_skeleton_file(rigs.humanoid(), f"{out}/user.json")
 skeleton.save_skeleton_file(rigs.humanoid_long_legs(), f"{out}/avatar.json")
+extended = rigs.humanoid_long_legs_document()
+for name, parent, role, t in (("finger_l", "wrist_l", "finger", [-0.08, 0.0, 0.0]),
+                              ("finger_r", "wrist_r", "finger", [0.08, 0.0, 0.0]),
+                              ("head_top", "head", "other", [0.0, 0.1, 0.0]),
+                              ("hip_pouch", "hips", "other", [0.0, 0.0, 0.1])):
+    extended["joints"].append({"name": name, "parent": parent, "role": role, "translation": t})
+skeleton.save_skeleton_file(skeleton.load_skeleton(extended), f"{out}/avatar3.json")
 hand = fingers.default_hand_model("left")
 fingers.save_hand_file(hand, f"{out}/hand.json")
 to_device = session.default_mount_offsets()[session.DeviceRole.CONTROLLER_LEFT].inverse()
@@ -85,6 +96,15 @@ EOF
                 --session "$s.session.jsonl" --profile "$s.profile.json" \
                 --ground-truth "$s.session.gt.jsonl" --out "$s.compare.json"
         done
+    done
+    s="$out/free-1"
+    cli free-1.calibrate-avatar3 calibrate --skeleton "$out/avatar3.json" \
+        --session "$s.session.jsonl" --out "$s.avatar3.profile.json"
+    for mode in exact fixed; do
+        cli "free-1.solve-avatar3-$mode" solve --skeleton "$out/avatar3.json" \
+            --session "$s.session.jsonl" --profile "$s.avatar3.profile.json" \
+            --ground-truth "$s.session.gt.jsonl" --mode "$mode" \
+            --out "$s.avatar3-$mode.trace.jsonl"
     done
     s="$out/squat-1"
     cli squat-1.solve-exact-far4 solve --skeleton "$out/avatar.json" \
