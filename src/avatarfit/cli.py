@@ -9,6 +9,10 @@ ambiguity, posture, walk-in misalignment).
 No solved frame (say, the profile names devices the session lacks) is no
 error: `solve` prints `solved 0/N frames`, both it and `compare` exit 0, and
 every mean over solved frames is null in their JSON (`n/a` in the table).
+
+`solve` checks every input file and grips the hands before it opens the
+trace, then writes each frame's line as the frame is solved: an input error
+leaves no trace, but a bug raised mid-solve may leave part of one.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from .fingers import (
     pose_hand_on_controller,
     transform_capsule,
 )
-from .math3d import DegenerateGeometryError, FormatError, Transform, pose_to_obj, write_json_file
+from .math3d import DegenerateGeometryError, FormatError, Transform, write_json_file
 from .motion import SCRIPT_NAMES, ScriptError, builtin_script, read_script_file
-from .retarget import OffsetMode, mode_offsets, solve_session, write_pose_trace
+from .retarget import OffsetMode, mode_offsets, solve_session
 from .session import (
     NoiseModel,
     PostureError,
@@ -126,18 +130,19 @@ def _load_hands(args) -> dict:
                     None if button is None else mirror_x(button))}
 
 
-def _solve_hands(args, sides, solved, offsets, scaled):
-    """Grip each hand of `_load_hands` once, in its wrist frame, and pose its
-    fingers on every solved wrist; returns extra trace joints per frame and
-    the grip objectives.
+def _solve_hands(args, offsets, scaled):
+    """Grip each hand of `_load_hands` once, in its wrist frame; returns the
+    (wrist joint index, name, wrist-frame pose) triple of every finger joint,
+    which the trace places on each solved wrist, and each side's grip
+    objective.
 
     The controller rides on the wrist at wrist @ offset^-1, by the offset the
-    body was solved with, so in the wrist frame the capsule, the button and
+    body is solved with, so in the wrist frame the capsule, the button and
     the grip are the same on every frame.
     """
+    sides = _load_hands(args)
     config = DescentConfig(penalty=args.penalty, max_iters=args.max_iters)
-    any_solved = any(sp is not None for sp in solved)
-    grips, summary = [], {}
+    attached, objectives = [], {}
     for side in ("left", "right"):
         hand, capsule, button = sides[side]
         wrist_role = PART_ROLES[f"hand_{side}"][1]
@@ -145,16 +150,11 @@ def _solve_hands(args, sides, solved, offsets, scaled):
         button = None if button is None else to_wrist.apply(button)
         result = pose_hand_on_controller(hand, Transform.identity(),
                                          transform_capsule(capsule, to_wrist), config, button)
-        summary[f"hand_mean_objective_{side[0]}"] = (
-            sum(r.objective for r in result.reports) if any_solved else None)
-        grips.extend((scaled.role_index(wrist_role), f"{wrist_role}/{finger.name}_{ji}", pose)
-                     for finger, poses in zip(hand.fingers, result.poses)
-                     for ji, pose in enumerate(poses, start=1))
-    extras = [[] if sp is None else
-              [{"name": name, **pose_to_obj(sp.world[wrist] @ pose)}
-               for wrist, name, pose in grips]
-              for sp in solved]
-    return extras, summary
+        objectives[f"hand_mean_objective_{side[0]}"] = sum(r.objective for r in result.reports)
+        attached.extend((scaled.role_index(wrist_role), f"{wrist_role}/{finger.name}_{ji}", pose)
+                        for finger, poses in zip(hand.fingers, result.poses)
+                        for ji, pose in enumerate(poses, start=1))
+    return attached, objectives
 
 
 def _solve_inputs(args):
@@ -175,18 +175,16 @@ def cmd_solve(args) -> int:
         print(f"error: {given} requires {needed}", file=sys.stderr)
         return EXIT_USAGE
     session, profile, scaled, truth = _solve_inputs(args)
-    sides = _load_hands(args) if args.hand_model else None
     mode = OffsetMode(args.mode)
-    solved, metrics = solve_session(session, profile, scaled, mode, truth)
+    attached, objectives = (), {}
+    if args.hand_model:
+        attached, objectives = _solve_hands(args, mode_offsets(profile, mode), scaled)
+    metrics = solve_session(session, profile, scaled, mode, truth, args.out, attached)
 
     document = metrics.to_document()
-    extras = None
-    if sides:
-        extras, hand_summary = _solve_hands(args, sides, solved, mode_offsets(profile, mode),
-                                            scaled)
-        document.update(hand_summary)
-
-    write_pose_trace(args.out, session, solved, scaled, extras)
+    # A grip objective is a mean over solved frames: null when none solved.
+    document.update({key: value if metrics.solved_frames else None
+                     for key, value in objectives.items()})
     metrics_path = args.metrics or _derived_path(args.out, ".metrics").with_suffix(".json")
     write_json_file(metrics_path, document)
     err = ("n/a" if metrics.mean_ankle_error is None
@@ -212,7 +210,7 @@ def cmd_compare(args) -> int:
     session, profile, scaled, truth = _solve_inputs(args)
     rows = {}
     for mode in (OffsetMode.EXACT, OffsetMode.FIXED):
-        _, metrics = solve_session(session, profile, scaled, mode, truth)
+        metrics = solve_session(session, profile, scaled, mode, truth)
         rows[mode.value] = metrics.to_document()
 
     write_json_file(args.out, rows)

@@ -22,6 +22,9 @@ from .skeleton import SkeletonModel
 
 SCRIPT_NAMES = ("tpose", "squat", "arms", "free")
 
+SQUAT_MAX_FLEXION = math.radians(60.0)  # knee flexion at the squat's bottom
+ARMS_MAX_BEND = math.radians(75.0)      # elbow bend at the arms script's midpoint
+
 
 class ScriptError(ValueError):
     """Motion script violates generator preconditions."""
@@ -70,15 +73,15 @@ def tpose_script(duration: float = 2.0, fps: float = 30.0) -> list[ScriptPose]:
     return [ScriptPose(t) for t in _times(duration, fps)]
 
 
-def squat_script(skeleton: SkeletonModel, duration: float = 4.0, fps: float = 30.0,
-                 max_flexion: float = math.radians(60.0)) -> list[ScriptPose]:
+def squat_script(skeleton: SkeletonModel, duration: float = 4.0,
+                 fps: float = 30.0) -> list[ScriptPose]:
     bind = _bind_root(skeleton).state
     l1 = skeleton.bone_length(skeleton.role_index("knee_l"))
     l2 = skeleton.bone_length(skeleton.role_index("ankle_l"))
     frames = []
     for t in _times(duration, fps):
         u = t / duration
-        f = max_flexion * _bump(u)
+        f = SQUAT_MAX_FLEXION * _bump(u)
         half = quat_from_axis_angle(RIGHT, 0.5 * f)
         rots = {}
         for side in ("l", "r"):
@@ -93,13 +96,12 @@ def squat_script(skeleton: SkeletonModel, duration: float = 4.0, fps: float = 30
     return frames
 
 
-def arms_script(duration: float = 4.0, fps: float = 30.0,
-                max_bend: float = math.radians(75.0)) -> list[ScriptPose]:
+def arms_script(duration: float = 4.0, fps: float = 30.0) -> list[ScriptPose]:
     """Elbows swing the hands toward the chest and back out again."""
     frames = []
     for t in _times(duration, fps):
         u = t / duration
-        psi = max_bend * _bump(u)
+        psi = ARMS_MAX_BEND * _bump(u)
         rots = {
             "elbow_l": quat_from_axis_angle(UP, -psi),
             "elbow_r": quat_from_axis_angle(UP, psi),

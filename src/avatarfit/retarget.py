@@ -28,6 +28,9 @@ Pipeline per frame (exact mode):
    joint is placed once per frame, except the limbs' upper joints, which
    pass 1 places too because step 4 reads them (`SkeletonModel.solve_plan`).
 
+`solve_session` runs this per frame in one pass: it scores the frame and
+writes its trace line (`pose_trace_line`), then drops the pose.
+
 Fixed mode runs the identical pipeline with every offset set to the identity
 (device pose used as the joint pose), the ad-hoc zero-offset mapping that
 reproduces the classic bent-legs artifact on avatars with longer legs.
@@ -42,7 +45,9 @@ each solved state as a `Transform` of `SolvedPose.world`; nothing is converted.
 
 from __future__ import annotations
 
+import json
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -67,7 +72,6 @@ from .math3d import (
     qrotate,
     quat_angle,
     rotation_between,
-    write_jsonl,
 )
 from .session import DeviceFrame, DeviceRole, GroundTruth, Session
 from .skeleton import SkeletonModel, forward_kinematics
@@ -324,15 +328,37 @@ def _truth_flexion(truth: GroundTruth, frame_index: int, side: str) -> float:
                       for joint in ("hip", "knee", "ankle")))
 
 
+def pose_trace_line(frame: DeviceFrame, pose: SolvedPose, skeleton: SkeletonModel,
+                    attached) -> str:
+    """One JSON trace line, newline included: the frame's time, every joint's
+    world pose, then one entry per `attached` (joint index, name, pose in that
+    joint's frame) triple, placed on the solved joint, and the frame's metrics.
+    """
+    joints = [{"name": joint.name, **pose_to_obj(w)}
+              for joint, w in zip(skeleton.joints, pose.world)]
+    joints.extend({"name": name, **pose_to_obj(pose.world[j] @ local)}
+                  for j, name, local in attached)
+    d = pose.diagnostics
+    metrics = {"alpha": d.alpha, "knee_l": d.knee_flexion_left, "knee_r": d.knee_flexion_right,
+               "detached_l": d.controller_detached_left,
+               "detached_r": d.controller_detached_right}
+    return json.dumps({"t": frame.timestamp, "joints": joints, "metrics": metrics}) + "\n"
+
+
 def solve_session(
     session: Session,
     profile: CalibrationProfile,
     skeleton: SkeletonModel,
     mode: OffsetMode = OffsetMode.EXACT,
     ground_truth: GroundTruth | None = None,
-) -> tuple[list[SolvedPose | None], SessionMetrics]:
+    trace=None,
+    attached=(),
+) -> SessionMetrics:
     """Solve every frame; frames with unusable input are recorded and skipped.
 
+    With a `trace` path, each solved frame's `pose_trace_line` (with the
+    `attached` entries) is written as it is solved, and no pose is kept. The
+    path is opened only after the ground truth's frame count is checked.
     Only `FrameInputError` and `DegenerateGeometryError` are frame failures;
     any other exception is a bug and propagates.
     """
@@ -340,7 +366,6 @@ def solve_session(
     if ground_truth is not None and len(ground_truth.frames) != metrics.frames:
         raise FormatError(f"ground truth has {len(ground_truth.frames)} frames, "
                           f"the session {metrics.frames}")
-    solved: list[SolvedPose | None] = []
     ankle_errors: list[float] = []
     wrist_errors: list[float] = []
     knees: list[float] = []
@@ -348,34 +373,36 @@ def solve_session(
     alphas: list[float] = []
     straight_count = 0
 
-    for i, frame in enumerate(session.frames):
-        try:
-            sp = solve_frame(frame, profile, skeleton, mode)
-        except (FrameInputError, DegenerateGeometryError) as e:
-            metrics.frame_errors.append(f"frame {i}: {e}")
-            solved.append(None)
-            continue
-        solved.append(sp)
-        d = sp.diagnostics
-        alphas.append(d.alpha)
-        knees.append(0.5 * (d.knee_flexion_left + d.knee_flexion_right))
-        if d.controller_detached_left:
-            metrics.detached_frames_left += 1
-        if d.controller_detached_right:
-            metrics.detached_frames_right += 1
+    with (nullcontext() if trace is None
+          else open(trace, "w", encoding="utf-8", newline="\n")) as out:
+        for i, frame in enumerate(session.frames):
+            try:
+                sp = solve_frame(frame, profile, skeleton, mode)
+            except (FrameInputError, DegenerateGeometryError) as e:
+                metrics.frame_errors.append(f"frame {i}: {e}")
+                continue
+            metrics.solved_frames += 1
+            if out is not None:
+                out.write(pose_trace_line(frame, sp, skeleton, attached))
+            d = sp.diagnostics
+            alphas.append(d.alpha)
+            knees.append(0.5 * (d.knee_flexion_left + d.knee_flexion_right))
+            if d.controller_detached_left:
+                metrics.detached_frames_left += 1
+            if d.controller_detached_right:
+                metrics.detached_frames_right += 1
 
-        if ground_truth is not None:
-            for role in ("ankle_l", "ankle_r", "wrist_l", "wrist_r"):
-                gt = ground_truth.by_role(i, role).state[4:]
-                got = sp.world[skeleton.role_index(role)].state[4:]
-                errors = ankle_errors if role.startswith("ankle") else wrist_errors
-                errors.append(float(np.linalg.norm([a - b for a, b in zip(got, gt)])))
-            if (_truth_flexion(ground_truth, i, "l") < STRAIGHT_LEG_MAX
-                    and _truth_flexion(ground_truth, i, "r") < STRAIGHT_LEG_MAX):
-                straight_count += 1
-                knees_straight.append(max(d.knee_flexion_left, d.knee_flexion_right))
+            if ground_truth is not None:
+                for role in ("ankle_l", "ankle_r", "wrist_l", "wrist_r"):
+                    gt = ground_truth.by_role(i, role).state[4:]
+                    got = sp.world[skeleton.role_index(role)].state[4:]
+                    errors = ankle_errors if role.startswith("ankle") else wrist_errors
+                    errors.append(float(np.linalg.norm([a - b for a, b in zip(got, gt)])))
+                if (_truth_flexion(ground_truth, i, "l") < STRAIGHT_LEG_MAX
+                        and _truth_flexion(ground_truth, i, "r") < STRAIGHT_LEG_MAX):
+                    straight_count += 1
+                    knees_straight.append(max(d.knee_flexion_left, d.knee_flexion_right))
 
-    metrics.solved_frames = sum(1 for s in solved if s is not None)
     if alphas:
         metrics.alpha_mean = float(np.mean(alphas))
         metrics.alpha_max = float(np.max(alphas))
@@ -391,36 +418,4 @@ def solve_session(
         if knees_straight:
             metrics.mean_knee_flexion_straight = float(np.mean(knees_straight))
             metrics.max_knee_flexion_straight = float(np.max(knees_straight))
-    return solved, metrics
-
-
-def write_pose_trace(path, session: Session, solved: list[SolvedPose | None],
-                     skeleton: SkeletonModel,
-                     extra_joints: list[list[dict]] | None = None) -> None:
-    """One JSON line per solved frame: joint world transforms plus metrics.
-
-    `extra_joints` optionally appends pre-serialized joint entries (for
-    example posed finger chains) to each frame's joint list.
-    """
-    def lines():
-        for i, (frame, sp) in enumerate(zip(session.frames, solved)):
-            if sp is None:
-                continue
-            joints = [{"name": joint.name, **pose_to_obj(w)}
-                      for joint, w in zip(skeleton.joints, sp.world)]
-            if extra_joints is not None:
-                joints.extend(extra_joints[i])
-            d = sp.diagnostics
-            yield {
-                "t": frame.timestamp,
-                "joints": joints,
-                "metrics": {
-                    "alpha": d.alpha,
-                    "knee_l": d.knee_flexion_left,
-                    "knee_r": d.knee_flexion_right,
-                    "detached_l": d.controller_detached_left,
-                    "detached_r": d.controller_detached_right,
-                },
-            }
-
-    write_jsonl(path, lines())
+    return metrics

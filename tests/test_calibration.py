@@ -17,7 +17,7 @@ from avatarfit.calibration import (
 from avatarfit.math3d import FormatError, Transform, qrotate, quat_angle_between, \
     quat_from_axis_angle
 from avatarfit.motion import squat_script, tpose_script
-from avatarfit.retarget import OffsetMode, solve_session
+from avatarfit.retarget import OffsetMode, solve_frame, solve_session
 from avatarfit.rigs import humanoid, humanoid_long_legs
 from avatarfit.session import (
     DeviceRole,
@@ -117,7 +117,7 @@ class TestCaptureProfile:
         session, truth = generate_synthetic_session(
             user_skeleton, squat_script(user_skeleton), mount_offsets=rotated_mount_offsets())
         profile, scaled, _ = calibrate_session(session, humanoid_long_legs())
-        _, metrics = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
+        metrics = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
         assert metrics.frame_errors == []
         assert metrics.max_ankle_error <= 1e-9
 
@@ -232,9 +232,9 @@ class TestCalibrationNoise:
                 profile, scaled, _ = calibrate_session(
                     type(session)([noisy, *session.frames[1:]], session.role_map, 0), avatar)
                 # Every frame is solved noiseless; frame 0 as it truly was.
-                solved, metrics = solve_session(session, profile, scaled, OffsetMode.EXACT,
-                                                truth)
+                metrics = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
                 assert metrics.frame_errors == []
+                solved = [solve_frame(frame, profile, scaled) for frame in session.frames]
                 error = max(
                     float(np.linalg.norm(pose.world[scaled.role_index(role)].translation
                                          - truth.by_role(i, role).translation))

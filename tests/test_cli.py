@@ -248,9 +248,8 @@ class TestHandModel:
             return grips[-1][1]
 
         def recording_solve(*args):
-            result = retarget.solve_session(*args)
-            solves.append((args, result[0]))
-            return result
+            solves.append(args)
+            return retarget.solve_session(*args)
 
         monkeypatch.setattr(cli, "pose_hand_on_controller", recording_grip)
         monkeypatch.setattr(cli, "solve_session", recording_solve)
@@ -272,10 +271,12 @@ class TestHandModel:
         controllers = {"left": (capsule, button),
                        "right": (mirror_capsule(capsule),
                                  None if button is None else mirror_x(button))}
-        [((_, profile, scaled, *_), solved)] = solves
+        [(solved_session, profile, scaled, *_)] = solves
         offsets = retarget.mode_offsets(profile, retarget.OffsetMode(mode))
         lines = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
-        solved = [sp for sp in solved if sp is not None]
+        # The poses of the solve's own per-frame calls; every frame solves.
+        solved = [retarget.solve_frame(frame, profile, scaled, retarget.OffsetMode(mode))
+                  for frame in solved_session.frames]
         assert len(grips) == 2 and len(lines) == len(solved) > 1
         for sp, line in zip(solved, lines):
             entries = {entry["name"]: entry for entry in line["joints"]}
@@ -616,6 +617,8 @@ class TestMalformedInputs:
         }
         argv["controller"] = argv["hand"]
         assert run(*argv[kind]) == cli.EXIT_PARSE
+        # `solve` checks every input before it opens the trace.
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_internal_value_error_is_not_an_input_error(self, tmp_path, tiny_files,
                                                         monkeypatch):

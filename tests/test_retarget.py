@@ -1,5 +1,7 @@
 import copy
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,6 @@ from avatarfit.retarget import (
     solve_frame,
     solve_session,
     two_bone_ik,
-    write_pose_trace,
 )
 from avatarfit.rigs import humanoid, humanoid_document, humanoid_long_legs, \
     humanoid_long_legs_document
@@ -423,7 +424,7 @@ class TestBindRotationInvariance:
             solved = []
             for rig in (reference, rotated):
                 profile, scaled, _ = calibrate_session(session, rig)
-                solved.append(solve_session(session, profile, scaled)[0])
+                solved.append([solve_frame(frame, profile, scaled) for frame in session.frames])
             for want, got in list(zip(*solved))[first:]:
                 for w, g in zip(want.world, got.world):
                     assert np.abs(w.translation - g.translation).max() < bound
@@ -547,7 +548,7 @@ class TestFramePlacement:
 class TestSolveSession:
     def test_exact_squat_matches_ground_truth_ankles(self, long_leg_setup):
         session, truth, profile, scaled = long_leg_setup
-        _, metrics = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
+        metrics = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
         assert metrics.mean_ankle_error < 0.005
         assert metrics.max_ankle_error < 0.005
         assert metrics.frame_errors == []
@@ -559,7 +560,7 @@ class TestSolveSession:
         # one rounding of full reach, and the true angle of that d moves the knee.
         session, truth = squat_session
         profile, scaled, _ = calibrate_session(session, humanoid())
-        solved, _ = solve_session(session, profile, scaled, OffsetMode.EXACT)
+        solved = [solve_frame(frame, profile, scaled, OffsetMode.EXACT) for frame in session.frames]
         assert truth.joint_names == [joint.name for joint in scaled.joints]
         assert len(solved) == len(truth.frames) > 100
         for sp, want in zip(solved, truth.frames):
@@ -568,25 +569,27 @@ class TestSolveSession:
 
     def test_exact_beats_fixed_on_long_legs(self, long_leg_setup):
         session, truth, profile, scaled = long_leg_setup
-        _, exact = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
-        _, fixed = solve_session(session, profile, scaled, OffsetMode.FIXED, truth)
+        exact = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
+        fixed = solve_session(session, profile, scaled, OffsetMode.FIXED, truth)
         assert exact.mean_ankle_error * 5 <= fixed.mean_ankle_error
 
     def test_metrics_deterministic(self, long_leg_setup):
         session, truth, profile, scaled = long_leg_setup
-        _, m1 = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
-        _, m2 = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
+        m1 = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
+        m2 = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
         assert m1.to_document() == m2.to_document()
 
-    def test_bad_frame_recorded_and_skipped(self, matched_setup):
+    def test_bad_frame_recorded_and_skipped(self, matched_setup, tmp_path):
         session, _, profile, scaled = matched_setup
         frames = list(session.frames)
         did, pose = next(iter(frames[1].devices.items()))
         broken = {**frames[1].devices, did: Transform(pose.rotation, pose.translation * np.nan)}
         frames[1] = DeviceFrame(frames[1].timestamp, broken)
         patched = type(session)(frames, session.role_map, 0)
-        solved, metrics = solve_session(patched, profile, scaled)
-        assert solved[1] is None
+        metrics = solve_session(patched, profile, scaled, trace=tmp_path / "trace.jsonl")
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        assert [json.loads(line)["t"] for line in lines] == \
+            [f.timestamp for i, f in enumerate(frames) if i != 1]
         assert len(metrics.frame_errors) == 1 and "frame 1" in metrics.frame_errors[0]
         assert metrics.solved_frames == len(frames) - 1
 
@@ -613,7 +616,7 @@ class TestSolveSession:
         arms_setup = (arms_session, None, *calibrate_session(arms_session, humanoid())[:2])
         checked = 0
         for session, _, profile, scaled in (matched_setup, long_leg_setup, arms_setup):
-            solved, _ = solve_session(session, profile, scaled, mode)
+            solved = [solve_frame(frame, profile, scaled, mode) for frame in session.frames]
             offsets = mode_offsets(profile, mode)
             for frame, sp in zip(session.frames, solved):
                 d = sp.diagnostics
@@ -632,12 +635,9 @@ class TestSolveSession:
         assert checked > 100
 
     def test_trace_contains_spec_metrics(self, tmp_path, matched_setup):
-        import json
-
         session, _, profile, scaled = matched_setup
-        solved, _ = solve_session(session, profile, scaled)
         path = tmp_path / "trace.jsonl"
-        write_pose_trace(path, session, solved, scaled)
+        solve_session(session, profile, scaled, trace=path)
         lines = path.read_text().splitlines()
         assert len(lines) == len(session.frames)
         obj = json.loads(lines[0])
@@ -645,3 +645,24 @@ class TestSolveSession:
         assert {"alpha", "knee_l", "knee_r", "detached_l", "detached_r"} == set(obj["metrics"])
         assert len(obj["joints"]) == len(scaled.joints)
         assert {"name", "p", "q"} == set(obj["joints"][0])
+
+    def test_solve_keeps_nothing_per_frame(self, user_skeleton, tmp_path):
+        # With a trace path each frame's line is written as the frame is
+        # solved, so the solve's peak memory grows only by the few metric
+        # floats it keeps per frame, not by a pose (21 transforms) per frame.
+        peaks, frames = [], []
+        for seconds in (3.0, 6.0):
+            session, truth = generate_synthetic_session(
+                user_skeleton, builtin_script("free", user_skeleton, seconds, 30.0))
+            profile, scaled, _ = calibrate_session(session, humanoid_long_legs())
+            args = (session, profile, scaled, OffsetMode.EXACT, truth, tmp_path / "trace.jsonl")
+            solve_session(*args)  # warm-up: every lazy cache and import is filled
+            tracemalloc.start()
+            try:
+                solve_session(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            frames.append(len(session.frames))
+        assert frames[1] - frames[0] >= 90
+        assert peaks[1] - peaks[0] < 1024 * (frames[1] - frames[0]), peaks

@@ -16,7 +16,11 @@
 # grid. It also calibrates the free seed 1 session on a third avatar, the
 # `humanoid_long_legs` rig plus a `finger` joint under each wrist, an `other`
 # joint under the head and an `other` joint under the hips that is no limb's
-# ancestor, and solves it in exact and fixed mode without hands. Every
+# ancestor, and solves it in exact and fixed mode without hands. Last, squat
+# seed 1 again: with one device id renamed on a few frame lines, solved with
+# and without hands (frames skipped between solved ones); with every id
+# renamed, header too, solved with hands (no frame solves); and against a
+# ground truth cut to 10 frames (exit 3, and no trace). Every
 # command's stdout, stderr and exit code go to a .out file, with
 # the tree's output directory masked. Prints every file that differs or exists
 # on one side only; exits 0 when all are identical.
@@ -111,6 +115,48 @@ EOF
         --session "$s.session.jsonl" --profile "$s.profile.json" \
         --ground-truth "$s.session.gt.jsonl" --out "$s.exact-far4.trace.jsonl" \
         --hand-model "$out/hand4.json" --controller "$out/far_controller.json" --max-iters 30
+    "$python" - "$s" <<'EOF'
+import json
+import sys
+
+s = sys.argv[1]
+lines = [json.loads(line) for line in open(f"{s}.session.jsonl", encoding="utf-8")]
+
+
+def write(path, objects):
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(json.dumps(obj) + "\n" for obj in objects)
+
+
+gaps = json.loads(json.dumps(lines))
+for n in (5, 6, 20):
+    gaps[n]["devices"][0]["id"] += "-renamed"
+write(f"{s}.gaps.session.jsonl", gaps)
+for obj in lines:
+    if "role_map" in obj:
+        obj["role_map"] = {d + "-renamed": role for d, role in obj["role_map"].items()}
+    for device in obj.get("devices", ()):
+        device["id"] += "-renamed"
+write(f"{s}.renamed.session.jsonl", lines)
+EOF
+    head -n 11 "$s.session.gt.jsonl" >"$s.short.gt.jsonl"
+    for hands in body hand; do
+        set -- --skeleton "$out/avatar.json" --session "$s.gaps.session.jsonl" \
+            --profile "$s.profile.json" --ground-truth "$s.session.gt.jsonl" \
+            --out "$s.gaps-$hands.trace.jsonl"
+        if [ "$hands" = hand ]; then
+            set -- "$@" --hand-model "$out/hand.json" --controller "$out/controller.json" \
+                --max-iters 30
+        fi
+        cli "squat-1.solve-gaps-$hands" solve "$@"
+    done
+    cli squat-1.solve-renamed-hand solve --skeleton "$out/avatar.json" \
+        --session "$s.renamed.session.jsonl" --profile "$s.profile.json" \
+        --ground-truth "$s.session.gt.jsonl" --out "$s.renamed-hand.trace.jsonl" \
+        --hand-model "$out/hand.json" --controller "$out/controller.json" --max-iters 30
+    cli squat-1.solve-short-gt solve --skeleton "$out/avatar.json" \
+        --session "$s.session.jsonl" --profile "$s.profile.json" \
+        --ground-truth "$s.short.gt.jsonl" --out "$s.short-gt.trace.jsonl"
 }
 
 rm -rf "$work/old" "$work/new"
