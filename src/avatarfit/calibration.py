@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .math3d import FormatError, Transform, float_from_json, floats_from_json, floats_to_json, \
     norm, read_json_file, transform_from_obj, transform_to_obj, write_json_file
-from .session import DeviceFrame, DeviceRole, Session, identify_roles, role_map_from_json
+from .session import ROLE_TO_JOINT, DeviceFrame, DeviceRole, Session, identify_roles, \
+    role_map_from_json
 from .skeleton import SkeletonModel, scale_uniform
 
 # Format 3 stores each part's offset as a transform in its device's frame.
@@ -30,13 +31,14 @@ PROFILE_FORMAT = 3
 # A correctly performed walk-in leaves every device near its joint.
 MAX_WALK_IN_OFFSET = 0.5
 
-# Tracked body parts with stored offsets, and the devices/joints they pair.
+# Tracked body parts with stored offsets, in the profile's key order, and
+# their devices; `session.ROLE_TO_JOINT` names each device's joint.
 PART_ROLES = {
-    "root": (DeviceRole.TRACKER_ROOT, "root"),
-    "foot_left": (DeviceRole.TRACKER_FOOT_LEFT, "ankle_l"),
-    "foot_right": (DeviceRole.TRACKER_FOOT_RIGHT, "ankle_r"),
-    "hand_left": (DeviceRole.CONTROLLER_LEFT, "wrist_l"),
-    "hand_right": (DeviceRole.CONTROLLER_RIGHT, "wrist_r"),
+    "root": DeviceRole.TRACKER_ROOT,
+    "foot_left": DeviceRole.TRACKER_FOOT_LEFT,
+    "foot_right": DeviceRole.TRACKER_FOOT_RIGHT,
+    "hand_left": DeviceRole.CONTROLLER_LEFT,
+    "hand_right": DeviceRole.CONTROLLER_RIGHT,
 }
 
 
@@ -96,9 +98,9 @@ def capture_profile(
         raise ValueError("role map must cover all six devices")
 
     offsets = {}
-    for part, (dev_role, joint_role) in PART_ROLES.items():
-        bind = skeleton.bind_states[skeleton.role_index(joint_role)]
-        joint = placement @ Transform.of_state(bind)
+    for part, dev_role in PART_ROLES.items():
+        bind = skeleton.bind_states[skeleton.role_index(ROLE_TO_JOINT[dev_role])]
+        joint = placement @ Transform(bind)
         offsets[part] = device[dev_role].inverse() @ joint
         _check_walk_in(MisalignmentError, part, offsets[part])
 

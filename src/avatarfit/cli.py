@@ -39,10 +39,12 @@ from .fingers import (
     pose_hand_on_controller,
     transform_capsule,
 )
-from .math3d import DegenerateGeometryError, FormatError, Transform, write_json_file
+from .math3d import INPUT_BOUND, DegenerateGeometryError, FormatError, Transform, \
+    write_json_file
 from .motion import SCRIPT_NAMES, ScriptError, builtin_script, read_script_file
 from .retarget import OffsetMode, mode_offsets, solve_session
 from .session import (
+    ROLE_TO_JOINT,
     NoiseModel,
     PostureError,
     RoleAmbiguityError,
@@ -145,7 +147,7 @@ def _solve_hands(args, offsets, scaled):
     attached, objectives = [], {}
     for side in ("left", "right"):
         hand, capsule, button = sides[side]
-        wrist_role = PART_ROLES[f"hand_{side}"][1]
+        wrist_role = ROLE_TO_JOINT[PART_ROLES[f"hand_{side}"]]
         to_wrist = offsets[f"hand_{side}"].inverse()
         button = None if button is None else to_wrist.apply(button)
         result = pose_hand_on_controller(hand, Transform.identity(),
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--hand-model", help="hand model JSON; grips each hand once per run")
     slv.add_argument("--controller", help="controller capsule JSON in the controller device's "
                                           "frame (with --hand-model)")
-    slv.add_argument("--penalty", type=_positive(float, below=1e150),
+    slv.add_argument("--penalty", type=_positive(float, below=INPUT_BOUND),
                      default=DescentConfig().penalty,
                      help="grip: multiplier on the distances of finger points inside the "
                           "controller")

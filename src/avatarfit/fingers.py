@@ -48,8 +48,8 @@ states of a finger's returned factors are the posed points of
 Every search starts from its seed grid alone, and nothing is carried
 between calls.
 
-The hand model, the capsule and the button hold tuples of floats, as the
-file readers decode them; NumPy holds only `FingerParams`.
+The hand model, the capsule, the button and `FingerParams` hold tuples of
+floats, as the file readers decode them; the module uses no NumPy.
 """
 
 from __future__ import annotations
@@ -58,12 +58,10 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .math3d import DegenerateGeometryError, FormatError, Transform, compose_state, \
-    float_from_json, floats_from_json, floats_to_json, quat_from_axis_angle, quat_from_json, \
-    quat_to_json, read_json_file, slerp_at, slerp_basis, transform_from_obj, transform_to_obj, \
-    write_json_file
+from .math3d import INPUT_BOUND, INPUT_BOUND_TEXT, DegenerateGeometryError, FormatError, \
+    Transform, compose_state, float_from_json, floats_from_json, floats_to_json, \
+    quat_from_axis_angle, quat_from_json, quat_to_json, read_json_file, slerp_at, slerp_basis, \
+    transform_from_obj, transform_to_obj, write_json_file
 
 # The search starts from the best point of the grid {0, 1/6, ..., 1}^n and
 # stops once its step falls below STEP_TOL.
@@ -149,13 +147,13 @@ class HandModel:
 
 @dataclass
 class FingerParams:
-    """Interpolation factors, one array per finger."""
+    """Interpolation factors, one tuple of floats per finger."""
 
-    values: list[np.ndarray]
+    values: list[tuple]
 
     @classmethod
     def open_hand(cls, hand: HandModel) -> "FingerParams":
-        return cls([np.zeros(len(f.joints)) for f in hand.fingers])
+        return cls([(0.0,) * len(f.joints) for f in hand.fingers])
 
 
 @dataclass
@@ -165,8 +163,9 @@ class DescentConfig:
 
     def __post_init__(self):
         # The input rule's bound: no walk over the values of input files overflows.
-        if not 0.0 < self.penalty < 1e150:
-            raise ValueError(f"penalty must be positive and below 1e150, got {self.penalty!r}")
+        if not 0.0 < self.penalty < INPUT_BOUND:
+            raise ValueError(f"penalty must be positive and below {INPUT_BOUND_TEXT}, "
+                             f"got {self.penalty!r}")
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
                 or self.max_iters < 1):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
@@ -180,8 +179,8 @@ class _FingerChain:
     """One finger and its cost, for fast repeated evaluation.
 
     The seed and the polls evaluate the chain one point at a time, hundreds
-    of times per grip, so `walk` runs on plain floats; numpy's per-call
-    overhead on 3-vectors would dominate otherwise. A walk's state
+    of times per grip, so `walk` runs on plain floats; an array library's
+    per-call overhead on 3-vectors would dominate otherwise. A walk's state
     after a joint is the tuple (rw, rx, ry, rz, px, py, pz, total): the
     world rotation and position of that joint's point and the penalized
     capsule distance summed over the points up to it. `start` is the state
@@ -402,7 +401,7 @@ def descend(
                 if step < STEP_TOL:
                     converged = math.isfinite(value)
                     break
-        factors.append(np.array(t))
+        factors.append(tuple(t))
         reports.append(FingerDescent(finger.name, len(history), value, converged, history,
                                      states))
     return FingerParams(factors), reports
@@ -429,7 +428,7 @@ def pose_hand_on_controller(
     rotation after joint j, as the search's last walk of the finger left it.
     """
     params, reports = descend(hand, controller, config, wrist_world, button)
-    poses = [[Transform.of_state(s[:7]) for s in r.states] for r in reports]
+    poses = [[Transform(s[:7]) for s in r.states] for r in reports]
     distances = [[capsule_sdf(controller, s[4:7]) for s in r.states] for r in reports]
     return HandPoseResult(params, poses, distances, reports)
 
@@ -449,7 +448,7 @@ def mirror_x(p) -> tuple:
 
 
 def _mirror_x_transform(t: Transform) -> Transform:
-    return Transform.of_state((*_mirror_x_quat(t.state), *mirror_x(t.state[4:])))
+    return Transform((*_mirror_x_quat(t.state), *mirror_x(t.state[4:])))
 
 
 def mirror_hand(hand: HandModel) -> HandModel:
@@ -491,7 +490,7 @@ def default_hand_model(side: str = "left") -> HandModel:
             FingerJointSpec(ident, curl, (-length, 0.0, 0.0))
             for length in lengths
         )
-        return Finger(name, Transform.of_state((*base_q, *base_t)), joints)
+        return Finger(name, Transform((*base_q, *base_t)), joints)
 
     thumb_base_q = quat_from_axis_angle(y_axis, math.radians(-40.0))
     fingers = (
@@ -501,7 +500,7 @@ def default_hand_model(side: str = "left") -> HandModel:
         finger("ring", (-0.090, 0.0, 0.022), ident, (0.040, 0.028, 0.024)),
         finger("pinky", (-0.082, 0.0, 0.042), ident, (0.032, 0.024, 0.021)),
     )
-    palm_anchor = Transform.of_state((*ident, -0.072, -0.038, 0.0))
+    palm_anchor = Transform((*ident, -0.072, -0.038, 0.0))
     left = HandModel("left", fingers, palm_anchor)
     return left if side == "left" else mirror_hand(left)
 

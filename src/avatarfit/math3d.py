@@ -8,14 +8,14 @@ Conventions used throughout the package:
   Serialization canonicalizes the sign so w >= 0, making traces
   byte-comparable across runs.
 - A pose is one type, `Transform`, which stores its pose state
-  (w, x, y, z, px, py, pz) as a tuple of floats. The package builds poses
-  with `Transform.of_state` and reads them through `state`. The helpers take
-  any sequence and return floats or tuples of floats, which the body solve,
-  the grip search and the set-up run on. The file codecs read numbers as
-  plain floats and poses straight into `Transform.state`.
-- The array constructor `Transform(rotation, translation)` and the
-  `rotation`/`translation` views (fresh float64 arrays) exist for NumPy
-  callers; nothing in the package uses them.
+  (w, x, y, z, px, py, pz) as a tuple of floats. `Transform(state)` is its
+  one constructor and keeps the state as given; the package reads poses
+  through `state`. The helpers take any sequence and return floats or
+  tuples of floats, which the body solve, the grip search and the set-up
+  run on. The file codecs read numbers as plain floats and poses straight
+  into `Transform.state`.
+- The `translation` view (a fresh float64 array) is the one NumPy value
+  that the package's types hand out, for NumPy callers.
 - Positions and translations are in meters, angles in radians.
 """
 
@@ -33,6 +33,11 @@ FORWARD = (0.0, 0.0, 1.0)
 
 # Vectors shorter than this are treated as directionless.
 DEGENERATE_EPS = 1e-9
+
+# The input rule's bound on the magnitude of every number read from a file
+# (see `FormatError`), and its text in the error messages.
+INPUT_BOUND_TEXT = "1e150"
+INPUT_BOUND = float(INPUT_BOUND_TEXT)
 
 
 class DegenerateGeometryError(ValueError):
@@ -193,7 +198,7 @@ def qrotate(q, v) -> tuple:
 
 
 def compose_state(s, q, v) -> tuple:
-    """State of s @ Transform(q, v): rotation s_q * q, position s_p + s_q v."""
+    """State of s @ Transform((*q, *v)): rotation s_q * q, position s_p + s_q v."""
     r = s[:4]
     dx, dy, dz = qrotate(r, v)
     return (*qmul(r, q), s[4] + dx, s[5] + dy, s[6] + dz)
@@ -203,37 +208,21 @@ def compose_state(s, q, v) -> tuple:
 # Rigid transforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class Transform:
     """Rigid transform: rotation (unit quaternion) followed by translation.
 
-    `state` is its pose state (w, x, y, z, px, py, pz), a tuple of floats.
-    For NumPy callers, `Transform(rotation, translation)` takes any two
-    sequences of numbers, and `rotation` and `translation` return the state
-    as fresh float64 arrays. Slotted, since sessions and ground truths hold
-    one per device or joint and frame.
+    `state` is its pose state (w, x, y, z, px, py, pz), kept as given, so it
+    should be a tuple of seven floats. `translation` returns the position as
+    a fresh float64 array for NumPy callers. Slotted, since sessions and
+    ground truths hold one per device or joint and frame.
     """
 
     state: tuple
 
-    def __init__(self, rotation, translation):
-        object.__setattr__(self, "state", (*map(float, rotation), *map(float, translation)))
-
-    @classmethod
-    def of_state(cls, s) -> "Transform":
-        """The Transform of pose state `s`, which it keeps as it is: it converts
-        nothing, so `s` should be a tuple of seven floats."""
-        t = cls.__new__(cls)
-        object.__setattr__(t, "state", s)
-        return t
-
     @classmethod
     def identity(cls) -> "Transform":
-        return cls.of_state((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return np.array(self.state[:4])
+        return cls((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     @property
     def translation(self) -> np.ndarray:
@@ -242,13 +231,13 @@ class Transform:
     def __matmul__(self, other: "Transform") -> "Transform":
         """Composition: (self @ other)(p) = self(other(p))."""
         o = other.state
-        return Transform.of_state(compose_state(self.state, o[:4], o[4:]))
+        return Transform(compose_state(self.state, o[:4], o[4:]))
 
     def inverse(self) -> "Transform":
         s = self.state
         rinv = qconj(s)
         dx, dy, dz = qrotate(rinv, s[4:])
-        return Transform.of_state((*rinv, -dx, -dy, -dz))
+        return Transform((*rinv, -dx, -dy, -dz))
 
     def apply(self, p) -> tuple:
         """Transform a point."""
@@ -262,10 +251,10 @@ class Transform:
 # ---------------------------------------------------------------------------
 # The input rule of every file the package reads: an array has exactly its
 # documented length, and every number is a JSON int or float (true and false
-# are not numbers) whose magnitude is below 1e150, so no square or dot product
-# of file values overflows. Ints of any size below that are accepted, and NaN
-# and Infinity are not. A quaternion's norm is within 1e-6 of 1. A FormatError
-# names `path:line` (or the path) and the field.
+# are not numbers) whose magnitude is below `INPUT_BOUND` (1e150), so no
+# square or dot product of file values overflows. Ints of any size below that
+# are accepted, and NaN and Infinity are not. A quaternion's norm is within
+# 1e-6 of 1. A FormatError names `path:line` (or the path) and the field.
 
 class FormatError(ValueError):
     """Malformed input file: invalid JSON, a missing field or a bad value."""
@@ -289,19 +278,20 @@ def quat_to_json(q) -> list:
 
 def float_from_json(v, where: str) -> float:
     """One number within the input rule as a float; a file float is returned as it is.
-    An int is compared with 1e150 exactly, so a huge one is no OverflowError."""
-    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < 1e150:
+    An int is compared with the bound exactly, so a huge one is no OverflowError."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < INPUT_BOUND:
         return float(v)
-    raise FormatError(f"{where}: expected a finite number below 1e150 in magnitude, "
-                      f"got {v!r:.60}")
+    raise FormatError(f"{where}: expected a finite number below {INPUT_BOUND_TEXT} in "
+                      f"magnitude, got {v!r:.60}")
 
 
 def floats_from_json(value, n: int, where: str) -> tuple:
     """The floats of a JSON array of exactly `n` numbers within the input rule."""
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise FormatError(f"{where}: expected an array of {n} numbers, got {value!r:.60}")
+    bound = INPUT_BOUND
     for v in value:  # the common case, plain floats, is checked without a call per number
-        if type(v) is not float or not -1e150 < v < 1e150:
+        if type(v) is not float or not -bound < v < bound:
             return tuple([float_from_json(v, where) for v in value])
     return tuple(value)
 
@@ -338,8 +328,8 @@ def pose_from_obj(obj, where: str, q: str = "q", p: str = "p") -> Transform:
     """The pose of an object with a unit quaternion at key `q` and a position at `p`."""
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object with {p} and {q}")
-    return Transform.of_state(quat_from_json(obj.get(q), f"{where} {q}")
-                              + floats_from_json(obj.get(p), 3, f"{where} {p}"))
+    return Transform(quat_from_json(obj.get(q), f"{where} {q}")
+                     + floats_from_json(obj.get(p), 3, f"{where} {p}"))
 
 
 def read_json_file(path, parse):

@@ -91,7 +91,7 @@ def squat_script(skeleton: SkeletonModel, duration: float = 4.0,
         # Root compensation keeps the ankles (and so the feet) fixed in world.
         dy = (l1 + l2) * (math.cos(0.5 * f) - 1.0)
         dz = -(l2 - l1) * math.sin(0.5 * f)
-        root = Transform.of_state((*bind[:4], *(p + d for p, d in zip(bind[4:], (0.0, dy, dz)))))
+        root = Transform((*bind[:4], *(p + d for p, d in zip(bind[4:], (0.0, dy, dz)))))
         frames.append(ScriptPose(t, rots, root))
     return frames
 
@@ -134,7 +134,7 @@ def free_script(skeleton: SkeletonModel, duration: float = 6.0, fps: float = 30.
         sway = (0.15 * math.sin(2.0 * math.pi * u),
                 0.0,
                 0.10 * math.sin(4.0 * math.pi * u))
-        root = Transform.of_state((*qmul(yaw, bind[:4]), *(p + d for p, d in zip(bind[4:], sway))))
+        root = Transform((*qmul(yaw, bind[:4]), *(p + d for p, d in zip(bind[4:], sway))))
         frames.append(ScriptPose(t, rots, root))
     return frames
 

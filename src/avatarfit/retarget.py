@@ -39,8 +39,9 @@ The solve runs on tuples of Python floats: pose states (see
 `math3d.compose_state`) for device poses, targets, local rotations and the
 joints the two FK passes place, and 3-tuples for the spine bend's vectors
 and the limb IK's positions and directions. It reads the devices' pose
-states, the profile's offsets (`Transform.state`) and float `w0`, and wraps
-each solved state as a `Transform` of `SolvedPose.world`; nothing is converted.
+states, the profile's offsets (`Transform.state`) and float `w0`, and each
+`Transform` of `SolvedPose.world` is `Transform(state)` of a solved state,
+which keeps the tuple as it is; nothing is converted.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def solve_frame(
 
     offsets = mode_offsets(profile, mode)
     target = {part: compose_state(device[role], offsets[part].state[:4], offsets[part].state[4:])
-              for part, (role, _) in PART_ROLES.items()}
+              for part, role in PART_ROLES.items()}
 
     bind = skeleton.bind_states
     parents = skeleton.parents
@@ -294,7 +295,7 @@ def solve_frame(
     diag.controller_detached_right = diag.reach_deficits["arm_r"] > DETACH_EPS
     for (*_, flexion_name), joints in zip(_LIMBS, limbs):
         setattr(diag, flexion_name, _flexion(*(world[j][4:] for j in joints)))
-    return SolvedPose([Transform.of_state(s) for s in world], diag)
+    return SolvedPose([Transform(s) for s in world], diag)
 
 
 # ---------------------------------------------------------------------------

@@ -225,12 +225,12 @@ def default_mount_offsets() -> dict[DeviceRole, Transform]:
     """
     ident = (1.0, 0.0, 0.0, 0.0)
     return {
-        DeviceRole.HMD: Transform.of_state((*ident, 0.0, 0.14, -0.08)),
-        DeviceRole.CONTROLLER_LEFT: Transform.of_state((*ident, 0.0, -0.02, -0.05)),
-        DeviceRole.CONTROLLER_RIGHT: Transform.of_state((*ident, 0.0, -0.02, -0.05)),
-        DeviceRole.TRACKER_ROOT: Transform.of_state((*ident, 0.0, 0.0, 0.10)),
-        DeviceRole.TRACKER_FOOT_LEFT: Transform.of_state((*ident, 0.0, 0.07, -0.04)),
-        DeviceRole.TRACKER_FOOT_RIGHT: Transform.of_state((*ident, 0.0, 0.07, -0.04)),
+        DeviceRole.HMD: Transform((*ident, 0.0, 0.14, -0.08)),
+        DeviceRole.CONTROLLER_LEFT: Transform((*ident, 0.0, -0.02, -0.05)),
+        DeviceRole.CONTROLLER_RIGHT: Transform((*ident, 0.0, -0.02, -0.05)),
+        DeviceRole.TRACKER_ROOT: Transform((*ident, 0.0, 0.0, 0.10)),
+        DeviceRole.TRACKER_FOOT_LEFT: Transform((*ident, 0.0, 0.07, -0.04)),
+        DeviceRole.TRACKER_FOOT_RIGHT: Transform((*ident, 0.0, 0.07, -0.04)),
     }
 
 
@@ -280,7 +280,7 @@ def generate_synthetic_session(
     frames: list[DeviceFrame] = []
     truth_frames: list[list[Transform]] = []
     for sp in script:
-        world = [Transform.of_state(s)
+        world = [Transform(s)
                  for s in forward_kinematics(skeleton, *pose_from_script(skeleton, sp))]
         truth_frames.append(world)
         devices = {}
@@ -289,10 +289,10 @@ def generate_synthetic_session(
             if noise.position_sigma > 0.0:
                 dx, dy, dz = rng.normal(0.0, noise.position_sigma, 3).tolist()
                 w, x, y, z, px, py, pz = pose.state
-                pose = Transform.of_state((w, x, y, z, px + dx, py + dy, pz + dz))
+                pose = Transform((w, x, y, z, px + dx, py + dy, pz + dz))
             if noise.rotation_sigma > 0.0:
                 q = qmul(_small_rotation(rng, noise.rotation_sigma), pose.state[:4])
-                pose = Transform.of_state(q + pose.state[4:])
+                pose = Transform(q + pose.state[4:])
             devices[did] = pose
         frames.append(DeviceFrame(sp.time, devices))
 
@@ -422,5 +422,5 @@ def read_ground_truth(path) -> GroundTruth:
         if any(abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) > 1e-6
                for w, x, y, z, *_ in states):
             raise FormatError(f"{wq}: not all unit quaternions")
-        frames.append([Transform.of_state(s) for s in states])
+        frames.append([Transform(s) for s in states])
     return GroundTruth(names, roles, frames)

@@ -151,7 +151,7 @@ def scale_uniform(skeleton: SkeletonModel, s: float) -> SkeletonModel:
     for j in skeleton.joints:
         w, x, y, z, px, py, pz = j.bind_local.state
         scaled = (px, s * py, pz) if j.parent is None else (s * px, s * py, s * pz)
-        joints.append(Joint(j.name, j.parent, Transform.of_state((w, x, y, z, *scaled)), j.role))
+        joints.append(Joint(j.name, j.parent, Transform((w, x, y, z, *scaled)), j.role))
     return SkeletonModel(joints, s * skeleton.eye_height_bind)
 
 
@@ -237,7 +237,7 @@ def load_skeleton(document: dict) -> SkeletonModel:
         parent_idx = None if parent is None else index_of[parent]
         if parent_idx is not None and norm(t) <= 1e-9:
             raise SkeletonError(f"joint {name!r}: bone length must be strictly positive")
-        joints.append(Joint(name, parent_idx, Transform.of_state(q + t), entry["role"]))
+        joints.append(Joint(name, parent_idx, Transform(q + t), entry["role"]))
 
     skeleton = SkeletonModel(joints, eye_height)
     lowest = min(state[5] for state in skeleton.bind_states)

@@ -19,6 +19,11 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+def transform(q, p) -> Transform:
+    """The Transform of rotation `q` and translation `p`, any two sequences of numbers."""
+    return Transform((*map(float, q), *map(float, p)))
+
+
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([x, y, z], dtype=np.float64)
 
@@ -49,8 +54,8 @@ def rotated_mount_offsets() -> dict[DeviceRole, Transform]:
     out = {}
     for role, mount in mounts.items():
         spin = spins.get(role)
-        rot = mount.rotation if spin is None else qmul(spin, mount.rotation)
-        out[role] = Transform(rot, mount.translation)
+        rot = mount.state[:4] if spin is None else qmul(spin, mount.state[:4])
+        out[role] = transform(rot, mount.translation)
     return out
 
 

@@ -14,8 +14,7 @@ from avatarfit.calibration import (
     profile_to_document,
     save_profile_file,
 )
-from avatarfit.math3d import FormatError, Transform, qrotate, quat_angle_between, \
-    quat_from_axis_angle
+from avatarfit.math3d import FormatError, qrotate, quat_angle_between, quat_from_axis_angle
 from avatarfit.motion import squat_script, tpose_script
 from avatarfit.retarget import OffsetMode, solve_frame, solve_session
 from avatarfit.rigs import humanoid, humanoid_long_legs
@@ -27,7 +26,7 @@ from avatarfit.session import (
 )
 from avatarfit.skeleton import scale_uniform
 
-from conftest import device_id, rotated_mount_offsets
+from conftest import device_id, rotated_mount_offsets, transform
 
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -68,7 +67,7 @@ class TestCaptureProfile:
 
     def test_tracker_exactly_at_joint_gives_zero_offset(self, user_skeleton):
         mounts = default_mount_offsets()
-        mounts[DeviceRole.TRACKER_ROOT] = Transform(IDENT, np.zeros(3))
+        mounts[DeviceRole.TRACKER_ROOT] = transform(IDENT, np.zeros(3))
         session, _ = generate_synthetic_session(
             user_skeleton, tpose_script(duration=0.2, fps=10.0), mount_offsets=mounts)
         profile = capture_profile(
@@ -102,11 +101,11 @@ class TestCaptureProfile:
         wrist = controller @ profile.offsets["hand_left"]
         bind = scaled.bind_states[scaled.role_index("wrist_l")]
         np.testing.assert_allclose(wrist.translation, bind[4:], atol=1e-12)
-        assert quat_angle_between(wrist.rotation, bind[:4]) < 1e-9
+        assert quat_angle_between(wrist.state[:4], bind[:4]) < 1e-9
 
     def test_far_placement_is_misalignment(self, tpose_session, user_skeleton):
         session, _ = tpose_session
-        placement = Transform(IDENT, np.array([1.0, 0.0, 0.0]))
+        placement = transform(IDENT, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(MisalignmentError):
             capture_profile(session.calibration_frame(), session.role_map,
                             user_skeleton, placement)
@@ -126,7 +125,7 @@ class TestCaptureProfile:
         # it and leaves every offset, a pose in its device's frame, unchanged.
         session, _ = tpose_session
         frame = session.calibration_frame()
-        g = Transform(quat_from_axis_angle([0, 1, 0], 0.7), np.array([2.0, 0.0, -1.0]))
+        g = transform(quat_from_axis_angle([0, 1, 0], 0.7), np.array([2.0, 0.0, -1.0]))
         moved = type(frame)(frame.timestamp, {d: g @ p for d, p in frame.devices.items()})
         base = capture_profile(frame, session.role_map, user_skeleton)
         shifted = capture_profile(moved, session.role_map, user_skeleton, placement=g)
@@ -134,8 +133,8 @@ class TestCaptureProfile:
         for part, offset in base.offsets.items():
             np.testing.assert_allclose(shifted.offsets[part].translation, offset.translation,
                                        atol=1e-12)
-            assert quat_angle_between(shifted.offsets[part].rotation, offset.rotation) < 1e-12
-        np.testing.assert_allclose(shifted.w0, qrotate(g.rotation, base.w0), atol=1e-12)
+            assert quat_angle_between(shifted.offsets[part].state[:4], offset.state[:4]) < 1e-12
+        np.testing.assert_allclose(shifted.w0, qrotate(g.state[:4], base.w0), atol=1e-12)
 
 
 class TestValidateProfile:
@@ -172,7 +171,7 @@ class TestProfileFiles:
         assert list(loaded.offsets) == list(profile.offsets)
         for part, offset in profile.offsets.items():
             np.testing.assert_array_equal(loaded.offsets[part].translation, offset.translation)
-            np.testing.assert_array_equal(loaded.offsets[part].rotation, offset.rotation)
+            np.testing.assert_array_equal(loaded.offsets[part].state[:4], offset.state[:4])
         assert loaded.w0 == profile.w0
         assert all(type(v) is float for v in loaded.w0)
 
@@ -194,7 +193,7 @@ class TestCalibrateSession:
         # height, and the capture stays self-consistent.
         mounts = default_mount_offsets()
         hmd = mounts[DeviceRole.HMD]
-        mounts[DeviceRole.HMD] = Transform(hmd.rotation, hmd.translation + [0, -0.04, 0])
+        mounts[DeviceRole.HMD] = transform(hmd.state[:4], hmd.translation + [0, -0.04, 0])
         session, _ = generate_synthetic_session(
             user_skeleton, tpose_script(duration=0.2, fps=10.0), mount_offsets=mounts)
         profile, scaled, warnings = calibrate_session(session, humanoid())
@@ -227,7 +226,7 @@ class TestCalibrationNoise:
             draw = np.random.default_rng(seed).normal(size=(len(calibration.devices), 3))
             for sigma in (0.0, 0.002, 0.005, 0.010):
                 noisy = type(calibration)(calibration.timestamp, {
-                    did: Transform(pose.rotation, pose.translation + sigma * z)
+                    did: transform(pose.state[:4], pose.translation + sigma * z)
                     for (did, pose), z in zip(calibration.devices.items(), draw)})
                 profile, scaled, _ = calibrate_session(
                     type(session)([noisy, *session.frames[1:]], session.role_map, 0), avatar)

@@ -17,6 +17,7 @@ from avatarfit.session import DeviceFrame, Session, read_ground_truth, read_sess
     write_session
 from avatarfit.skeleton import load_skeleton
 
+from conftest import transform
 from oracles import reference_slerp
 
 NAN = float("nan")
@@ -70,7 +71,7 @@ def assert_entry_is(entry, pose):
     """A trace joint entry is `pose` within 1e-12 (its quaternion up to sign)."""
     np.testing.assert_allclose(entry["p"], pose.translation, atol=1e-12)
     q = np.array(entry["q"])
-    np.testing.assert_allclose(q * np.sign(q @ pose.rotation), pose.rotation, atol=1e-12)
+    np.testing.assert_allclose(q * np.sign(q @ pose.state[:4]), pose.state[:4], atol=1e-12)
 
 
 def pipeline(rigs, out) -> dict[str, bytes]:
@@ -133,7 +134,7 @@ class TestCalibrationErrors:
         # are not in front of the back tracker, so it has no facing.
         spots = {"a": (0.0, 1.6, 0.0), "b": (-0.7, 1.4, 0.0), "c": (0.7, 1.4, 0.0),
                  "d": (0.0, 1.0, 0.0), "e": (-0.15, 0.1, 0.0), "f": (0.15, 0.1, 0.0)}
-        frame = DeviceFrame(0.0, {d: Transform(IDENT, np.array(p)) for d, p in spots.items()})
+        frame = DeviceFrame(0.0, {d: transform(IDENT, np.array(p)) for d, p in spots.items()})
         write_session(Session([frame], calibration_frame_index=0), tmp_path / "session.jsonl")
         code = run("calibrate", "--skeleton", rig_files["avatar"], "--session",
                    tmp_path / "session.jsonl", "--out", tmp_path / "profile.json")
@@ -193,7 +194,7 @@ class TestHandModel:
         for (side, wrist, shape), side_capsule in zip(calls, (capsule, mirror_capsule(capsule))):
             offset = (profile.offsets[f"hand_{side}"] if mode == "exact"
                       else Transform.identity())
-            np.testing.assert_array_equal(wrist.rotation, IDENT)
+            np.testing.assert_array_equal(wrist.state[:4], IDENT)
             np.testing.assert_array_equal(wrist.translation, np.zeros(3))
             want = transform_capsule(side_capsule, offset.inverse())
             np.testing.assert_array_equal(shape.start, want.start)
@@ -228,8 +229,8 @@ class TestHandModel:
                     pose = wrist @ finger.base_local
                     for j, (spec, tj) in enumerate(zip(finger.joints, t), start=1):
                         q = reference_slerp(spec.open_rotation, spec.closed_rotation, tj)
-                        pose = pose @ Transform(np.array(q), np.zeros(3)) @ \
-                            Transform(IDENT, spec.offset)
+                        pose = pose @ transform(np.array(q), np.zeros(3)) @ \
+                            transform(IDENT, spec.offset)
                         assert_entry_is(entries[f"{wrist_role}/{finger.name}_{j}"], pose)
 
     @pytest.mark.parametrize("with_button", [False, True], ids=["no_button", "button"])
@@ -288,8 +289,8 @@ class TestHandModel:
                 oracle = fingers.pose_hand_on_controller(
                     grip_hand, wrist, transform_capsule(c, controller_world), DescentConfig(),
                     None if b is None else controller_world.apply(b))
-                assert [v.tobytes() for v in oracle.params.values] == \
-                    [v.tobytes() for v in grip.params.values]
+                assert [np.array(v).tobytes() for v in oracle.params.values] == \
+                    [np.array(v).tobytes() for v in grip.params.values]
                 for finger, poses in zip(grip_hand.fingers, oracle.poses):
                     for j, pose in enumerate(poses, start=1):
                         assert_entry_is(entries[f"{wrist_role}/{finger.name}_{j}"], pose)

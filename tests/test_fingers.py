@@ -29,7 +29,7 @@ from avatarfit.fingers import (
 )
 from avatarfit.math3d import Transform, qrotate, quat_from_axis_angle
 
-from conftest import random_quat, random_unit
+from conftest import random_quat, random_unit, transform
 from oracles import reference_chain, reference_compass_search, reference_finger_objective, \
     reference_grid_seed, sample_capsule_surface
 
@@ -69,7 +69,7 @@ class TestCapsuleSdf:
         rng = np.random.default_rng(seed)
         shape = unit_capsule()
         p = rng.normal(size=3)
-        g = Transform(random_quat(rng), rng.normal(size=3))
+        g = transform(random_quat(rng), rng.normal(size=3))
         moved = transform_capsule(shape, g)
         assert capsule_sdf(moved, g.apply(p)) == pytest.approx(
             capsule_sdf(shape, p), abs=1e-9)
@@ -130,7 +130,7 @@ class TestFingerObjective:
         shape = default_grip_capsule(hand)
         params = FingerParams.open_hand(hand)
         for fi, finger in enumerate(hand.fingers):
-            base_rot = finger.base_local.rotation
+            base_rot = finger.base_local.state[:4]
             pos = finger.base_local.translation.copy()
             expected = 0.0
             for spec in finger.joints:
@@ -174,7 +174,7 @@ def random_grip_capsule(rng) -> CapsuleShape:
 def random_wrist_grip(rng, hand: HandModel, with_button: bool):
     """A random wrist, the hand's default grip capsule jittered and carried by
     it, and a button near the palm in world coordinates (or None)."""
-    wrist = Transform(random_quat(rng), rng.normal(size=3))
+    wrist = transform(random_quat(rng), rng.normal(size=3))
     grip = default_grip_capsule(hand)
     shape = transform_capsule(
         CapsuleShape(grip.start + rng.normal(size=3) * 0.02,
@@ -202,7 +202,7 @@ class TestDescend:
         # lands on it and no poll decreases the objective.
         hand = small_curl_hand()
         params, reports = descend(hand, far_capsule())
-        assert params.values[0].tolist() == [1.0, 1.0, 1.0]
+        assert list(params.values[0]) == [1.0, 1.0, 1.0]
         assert reports[0].converged
         assert reports[0].history == [reports[0].objective] * reports[0].iterations
 
@@ -261,7 +261,7 @@ class TestDescend:
         shape = random_grip_capsule(rng)
         params, _ = descend(hand, shape, DescentConfig(max_iters=20))
         for v in params.values:
-            assert np.all(v >= 0.0) and np.all(v <= 1.0)
+            assert all(0.0 <= x <= 1.0 for x in v)
 
     def test_default_grip_converges(self):
         # Every finger's step falls below the tolerance long before the
@@ -288,7 +288,7 @@ class TestDescend:
         for finger, t, poses, report in zip(hand.fingers, result.params.values, result.poses,
                                             result.reports):
             assert report.objective == math.inf and not report.converged
-            assert t.tolist() == [0.0] * len(finger.joints)
+            assert list(t) == [0.0] * len(finger.joints)
             assert len(poses) == len(report.states) == len(finger.joints)
 
     def test_config_validation(self):
@@ -364,7 +364,7 @@ class TestDescentOracle:
             tip_button = None if finger.name != "thumb" else button
             t, iterations, objective, converged, history = reference_compass_search(
                 reference_chain(finger, wrist), shape, penalty, tip_button, max_iters)
-            assert params.values[fi].tobytes() == np.array(t).tobytes()
+            assert np.array(params.values[fi]).tobytes() == np.array(t).tobytes()
             assert (report.iterations, report.converged) == (iterations, converged)
             assert np.float64(report.objective).tobytes() == np.float64(objective).tobytes()
             assert np.array(report.history).tobytes() == np.array(history).tobytes()
@@ -432,9 +432,9 @@ def random_chain(rng, n_joints: int, with_button: bool, penalty: float):
     joints = tuple(FingerJointSpec(random_quat(rng), random_quat(rng),
                                    rng.normal(size=3) * 0.04) for _ in range(n_joints))
     finger = Finger("thumb" if with_button else "index",
-                    Transform(random_quat(rng), rng.normal(size=3) * 0.1), joints)
+                    transform(random_quat(rng), rng.normal(size=3) * 0.1), joints)
     button = tuple((rng.normal(size=3) * 0.1).tolist()) if with_button else None
-    return fingers._FingerChain(finger, Transform(random_quat(rng), rng.normal(size=3)),
+    return fingers._FingerChain(finger, transform(random_quat(rng), rng.normal(size=3)),
                                 random_grip_capsule(rng), penalty, button)
 
 
@@ -563,6 +563,15 @@ class TestGrip:
                 assert abs(d) < 0.005, f"{finger.name}: {d}"
                 assert d > -0.002, f"{finger.name} penetrates: {d}"
 
+    def test_factors_are_tuples_of_floats(self):
+        hand = default_hand_model("left")
+        for params in (FingerParams.open_hand(hand),
+                       pose_hand_on_controller(hand, Transform.identity(),
+                                               default_grip_capsule(hand)).params):
+            assert [len(t) for t in params.values] == [len(f.joints) for f in hand.fingers]
+            for t in params.values:
+                assert type(t) is tuple and all(type(v) is float for v in t)
+
     @settings(max_examples=20)
     @given(seeds, st.sampled_from(["left", "right"]), st.booleans())
     def test_poses_are_a_fresh_walk_of_the_returned_factors(self, seed, side, with_button):
@@ -577,14 +586,14 @@ class TestGrip:
                                                result.poses, result.joint_distances):
             chain = fingers._FingerChain(finger, wrist, shape, 0.0)
             _, states = full_walk(chain, chain.rotations(t))
-            assert [np.concatenate([p.rotation, p.translation]).tobytes() for p in poses] \
+            assert [np.concatenate([p.state[:4], p.translation]).tobytes() for p in poses] \
                 == [np.array(state[:7]).tobytes() for state in states]
             assert distances == [capsule_sdf(shape, state[4:7]) for state in states]
 
     def test_grip_quality_survives_rigid_motion(self):
         hand = default_hand_model("left")
         shape = default_grip_capsule(hand)
-        g = Transform(quat_from_axis_angle([0.3, 1.0, 0.2], 1.1), np.array([0.4, 1.2, -0.3]))
+        g = transform(quat_from_axis_angle([0.3, 1.0, 0.2], 1.1), np.array([0.4, 1.2, -0.3]))
         still = pose_hand_on_controller(hand, Transform.identity(), shape)
         moved = pose_hand_on_controller(hand, g, transform_capsule(shape, g))
         for distances in moved.joint_distances:

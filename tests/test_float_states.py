@@ -1,6 +1,6 @@
 """Every pose state the package builds holds Python floats.
 
-`Transform.of_state` keeps the state it is given. A NumPy scalar that gets
+`Transform(state)` keeps the state it is given. A NumPy scalar that gets
 into a state stays there, and every later solve on it runs on `np.float64`:
 the outputs keep their bytes and only the frame time shows it. These tests
 check the type of every number, `type(v) is float`, from the generator to

@@ -24,7 +24,7 @@ from avatarfit.math3d import (
     rotation_between,
 )
 
-from conftest import quat_slerp, random_quat, random_unit, vec3
+from conftest import quat_slerp, random_quat, random_unit, transform, vec3
 from oracles import reference_apply, reference_compose, reference_cross, \
     reference_floats_from_json, reference_inverse, reference_quat_from_json, \
     reference_quat_rotate, reference_rotation_between, reference_slerp
@@ -223,52 +223,54 @@ class TestTransform:
         # Bit for bit, signed zeros included, against the same operations
         # written on float64 (rotation, translation) arrays.
         p = np.array(point[1], dtype=np.float64)
-        ta, tb = Transform(*a), Transform(*b)
+        ta, tb = transform(*a), transform(*b)
         assert state_bytes(ta @ tb) == np.concatenate(reference_compose(arrays(a), arrays(b))) \
             .tobytes()
         assert state_bytes(ta.inverse()) == np.concatenate(reference_inverse(arrays(a))).tobytes()
         assert np.array(ta.apply(p)).tobytes() == reference_apply(arrays(a), p).tobytes()
 
-    def test_rotation_and_translation_are_float64_copies(self):
+    def test_translation_is_a_float64_copy(self):
         q, p = np.array([1.0, 0.0, -0.0, 0.0]), np.array([1, 2, 3])
-        t = Transform(q, p)
+        t = transform(q, p)  # the tests' array helper
         state = t.state
         assert state == (1.0, 0.0, -0.0, 0.0, 1.0, 2.0, 3.0)
         assert all(type(v) is float for v in state)
         q[0], p[0] = 5.0, 5  # the arguments are converted once, not kept
-        rotation, translation = t.rotation, t.translation
-        assert rotation.dtype == translation.dtype == np.float64
-        rotation[0], translation[:] = 7.0, 7.0
+        translation = t.translation
+        assert translation.dtype == np.float64
+        translation[:] = 7.0
         assert t.state is state and state == (1.0, 0.0, -0.0, 0.0, 1.0, 2.0, 3.0)
-        assert t.rotation.tobytes() == np.array(state[:4]).tobytes()
+        assert t.translation.tobytes() == np.array(state[4:]).tobytes()
         assert t.translation is not t.translation
 
-    def test_of_state_wraps_the_state(self):
+    def test_constructor_keeps_the_state(self):
         state = (0.0, 1.0, 0.0, 0.0, 0.5, -0.25, 2.0)
-        t = Transform.of_state(state)
+        t = Transform(state)
         assert t.state is state
-        assert t == Transform(state[:4], state[4:])
-        assert Transform.identity() == Transform(IDENTITY, (0.0, 0.0, 0.0))
+        assert t == transform(state[:4], state[4:])
+        assert Transform.identity() == transform(IDENTITY, (0.0, 0.0, 0.0))
+        with pytest.raises(TypeError):  # one constructor: the state alone
+            Transform(state[:4], state[4:])
 
     @given(seeds)
     def test_inverse_compose_is_identity(self, seed):
         rng = np.random.default_rng(seed)
-        t = Transform(random_quat(rng), rng.normal(size=3))
+        t = transform(random_quat(rng), rng.normal(size=3))
         ident = t @ t.inverse()
         np.testing.assert_allclose(ident.translation, np.zeros(3), atol=1e-9)
-        assert quat_angle_between(ident.rotation, IDENTITY) < 1e-6
+        assert quat_angle_between(ident.state[:4], IDENTITY) < 1e-6
 
     @given(seeds)
     def test_composition_is_associative(self, seed):
         rng = np.random.default_rng(seed)
-        a, b, c = (Transform(random_quat(rng), rng.normal(size=3)) for _ in range(3))
+        a, b, c = (transform(random_quat(rng), rng.normal(size=3)) for _ in range(3))
         p = rng.normal(size=3)
         np.testing.assert_allclose(((a @ b) @ c).apply(p), (a @ (b @ c)).apply(p), atol=1e-9)
 
     @given(seeds)
     def test_apply_matches_composition(self, seed):
         rng = np.random.default_rng(seed)
-        a, b = (Transform(random_quat(rng), rng.normal(size=3)) for _ in range(2))
+        a, b = (transform(random_quat(rng), rng.normal(size=3)) for _ in range(2))
         p = rng.normal(size=3)
         np.testing.assert_allclose((a @ b).apply(p), a.apply(b.apply(p)), atol=1e-9)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avatarfit import retarget, skeleton as skeleton_module
-from avatarfit.calibration import PART_ROLES, calibrate_session
+from avatarfit.calibration import PART_ROLES, CalibrationProfile, calibrate_session
 from avatarfit.math3d import (
     Transform,
     qconj,
@@ -29,10 +29,11 @@ from avatarfit.retarget import (
 )
 from avatarfit.rigs import humanoid, humanoid_document, humanoid_long_legs, \
     humanoid_long_legs_document
-from avatarfit.session import DeviceFrame, DeviceRole, NoiseModel, generate_synthetic_session
+from avatarfit.session import ROLE_TO_JOINT, DeviceFrame, DeviceRole, NoiseModel, \
+    generate_synthetic_session
 from avatarfit.skeleton import SkeletonModel, load_skeleton, skeleton_to_document
 
-from conftest import device_id, random_quat, random_unit
+from conftest import device_id, random_quat, random_unit, transform
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -49,7 +50,7 @@ def quat_to_matrix(q):
 
 def captured_offset(r0_tracker, p0_tracker, r0_joint, p0_joint) -> Transform:
     """The calibration's offset: the joint's capture pose in its tracker's frame."""
-    return Transform(r0_tracker, p0_tracker).inverse() @ Transform(r0_joint, p0_joint)
+    return transform(r0_tracker, p0_tracker).inverse() @ transform(r0_joint, p0_joint)
 
 
 class TestEffectorEquations:
@@ -67,7 +68,7 @@ class TestEffectorEquations:
     def test_position_pure_rotation_of_offset(self):
         offset = captured_offset(IDENT, np.zeros(3), IDENT, np.array([0.0, 0.0, 0.1]))
         r_t = quat_from_axis_angle([0, 1, 0], math.pi / 2)
-        got = (Transform(r_t, np.zeros(3)) @ offset).translation
+        got = (transform(r_t, np.zeros(3)) @ offset).translation
         np.testing.assert_allclose(got, [0.1, 0.0, 0.0], atol=1e-12)
 
     @given(seeds)
@@ -77,22 +78,22 @@ class TestEffectorEquations:
         tracker0 = rng.normal(size=3)  # tracker position at capture
         v0 = rng.normal(size=3) * 0.1
         offset = captured_offset(r0_tracker, tracker0, r0_joint, tracker0 + v0)
-        g = Transform(random_quat(rng), rng.normal(size=3))
-        target = Transform(qmul(g.rotation, r0_tracker), g.apply(tracker0)) @ offset
+        g = transform(random_quat(rng), rng.normal(size=3))
+        target = transform(qmul(g.state[:4], r0_tracker), g.apply(tracker0)) @ offset
         np.testing.assert_allclose(target.translation, g.apply(tracker0 + v0), atol=1e-9)
-        assert quat_angle_between(target.rotation, qmul(g.rotation, r0_joint)) < 1e-9
+        assert quat_angle_between(target.state[:4], qmul(g.state[:4], r0_joint)) < 1e-9
 
     def test_rotation_identity_at_capture(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
         tracker = frame.devices[device_id(profile, DeviceRole.TRACKER_FOOT_LEFT)]
-        got = (tracker @ profile.offsets["foot_left"]).rotation
+        got = (tracker @ profile.offsets["foot_left"]).state[:4]
         want = scaled.bind_states[scaled.role_index("ankle_l")][:4]
         assert quat_angle_between(got, want) < 1e-12
 
     def test_rotation_passthrough_for_identity_offsets(self):
         r_t = quat_from_axis_angle([0, 1, 0], math.radians(30))
-        got = (Transform(r_t, np.zeros(3)) @ Transform.identity()).rotation
+        got = (transform(r_t, np.zeros(3)) @ Transform.identity()).state[:4]
         assert quat_angle_between(got, r_t) < 1e-12
 
     @given(seeds)
@@ -103,9 +104,9 @@ class TestEffectorEquations:
         offset = captured_offset(r0_t, p0_t, r0_j, p0_t + v0)
         delta = quat_from_axis_angle(random_unit(rng), math.radians(45))
         r_t, p_t = qmul(delta, r0_t), rng.normal(size=3)
-        target = Transform(r_t, p_t) @ offset
+        target = transform(r_t, p_t) @ offset
         rotate_back = quat_to_matrix(r_t) @ quat_to_matrix(r0_t).T
-        np.testing.assert_allclose(quat_to_matrix(target.rotation),
+        np.testing.assert_allclose(quat_to_matrix(target.state[:4]),
                                    rotate_back @ quat_to_matrix(r0_j), atol=1e-9)
         np.testing.assert_allclose(target.translation, p_t + rotate_back @ v0, atol=1e-9)
 
@@ -115,7 +116,7 @@ def _with_positions(frame, profile, root_p, hmd_p) -> DeviceFrame:
     moved = {device_id(profile, DeviceRole.TRACKER_ROOT): root_p,
              device_id(profile, DeviceRole.HMD): hmd_p}
     return DeviceFrame(frame.timestamp, {
-        did: Transform(pose.rotation, moved[did]) if did in moved else pose
+        did: transform(pose.state[:4], moved[did]) if did in moved else pose
         for did, pose in frame.devices.items()})
 
 
@@ -126,7 +127,7 @@ class TestSpineBend:
         assert sp.diagnostics.alpha == pytest.approx(0.0, abs=1e-12)
         spine = scaled.role_index("spine")
         bind = scaled.bind_states[spine]
-        assert quat_angle_between(sp.world[spine].rotation, bind[:4]) < 1e-9
+        assert quat_angle_between(sp.world[spine].state[:4], bind[:4]) < 1e-9
 
     def test_constructed_20_degree_lean(self, matched_setup):
         session, _, profile, scaled = matched_setup
@@ -288,7 +289,7 @@ class TestSolveFrame:
         devices = {}
         for did, pose in frame.devices.items():
             if did == hmd_id:
-                pose = Transform(pose.rotation, root_p + qrotate(tilt, profile.w0))
+                pose = transform(pose.state[:4], root_p + qrotate(tilt, profile.w0))
             devices[did] = pose
         sp = solve_frame(DeviceFrame(frame.timestamp, devices), profile, scaled)
         assert sp.diagnostics.alpha == pytest.approx(math.radians(20), abs=1e-6)
@@ -298,12 +299,12 @@ class TestSolveFrame:
         frame = session.calibration_frame()
         hmd_id = device_id(profile, DeviceRole.HMD)
         spin = quat_from_axis_angle([0, 1, 0], 0.4)
-        devices = {did: Transform(qmul(spin, p.rotation), p.translation)
+        devices = {did: transform(qmul(spin, p.state[:4]), p.translation)
                    if did == hmd_id else p for did, p in frame.devices.items()}
         sp = solve_frame(DeviceFrame(frame.timestamp, devices), profile, scaled)
         head = sp.world[scaled.role_index("head")]
-        hmd_rot = qmul(spin, frame.devices[hmd_id].rotation)
-        assert quat_angle_between(head.rotation, hmd_rot) < 1e-9
+        hmd_rot = qmul(spin, frame.devices[hmd_id].state[:4])
+        assert quat_angle_between(head.state[:4], hmd_rot) < 1e-9
 
     def test_wrist_target_on_shoulder_leaves_arm_at_bind(self, user_skeleton):
         # Moving the left controller so that its wrist target lands on the
@@ -322,7 +323,7 @@ class TestSolveFrame:
         did = device_id(profile, DeviceRole.CONTROLLER_LEFT)
         offset = profile.offsets["hand_left"]
         wrist_target = frame.devices[did] @ offset
-        moved = Transform(wrist_target.rotation, shoulder) @ offset.inverse()
+        moved = transform(wrist_target.state[:4], shoulder) @ offset.inverse()
         sp = solve_frame(DeviceFrame(frame.timestamp, {**frame.devices, did: moved}),
                          profile, scaled)
         assert sp.diagnostics.degenerate_limbs == ["arm_l"]
@@ -330,7 +331,7 @@ class TestSolveFrame:
         parents = scaled.parents
 
         def local(pose, i):  # joint i's rotation in its parent's frame
-            return qmul(qconj(pose.world[parents[i]].rotation), pose.world[i].rotation)
+            return qmul(qconj(pose.world[parents[i]].state[:4]), pose.world[i].state[:4])
 
         for i in index.values():
             assert quat_angle_between(local(base, i), scaled.bind_rotations[i]) > 1e-3
@@ -362,10 +363,10 @@ class TestSolveFrame:
                     devices = {}
                     for did, pose in frame.devices.items():
                         if did == bad_id:
-                            parts = {"rotation": pose.rotation.copy(),
+                            parts = {"rotation": list(pose.state[:4]),
                                      "translation": pose.translation.copy()}
                             parts[component][cases % len(parts[component])] = value
-                            pose = Transform(**parts)
+                            pose = transform(parts["rotation"], parts["translation"])
                         devices[did] = pose
                     with pytest.raises(FrameInputError, match=f"{role.value} is not finite"):
                         solve_frame(DeviceFrame(0.0, devices), profile, scaled)
@@ -376,14 +377,14 @@ class TestSolveFrame:
     def test_rigid_equivariance(self, seed):
         session, profile, scaled, frame = _equivariance_fixture()
         rng = np.random.default_rng(seed)
-        g = Transform(random_quat(rng), rng.normal(size=3) * 2)
+        g = transform(random_quat(rng), rng.normal(size=3) * 2)
         base = solve_frame(frame, profile, scaled)
         moved = DeviceFrame(frame.timestamp, {d: g @ p for d, p in frame.devices.items()})
         got = solve_frame(moved, profile, scaled)
         for w, b in zip(got.world, base.world):
             expected = g @ b
             assert np.linalg.norm(w.translation - expected.translation) < 1e-5
-            assert quat_angle_between(w.rotation, expected.rotation) < 1e-5
+            assert quat_angle_between(w.state[:4], expected.state[:4]) < 1e-5
 
 
 def rebound(skeleton: SkeletonModel, rng) -> SkeletonModel:
@@ -583,7 +584,7 @@ class TestSolveSession:
         session, _, profile, scaled = matched_setup
         frames = list(session.frames)
         did, pose = next(iter(frames[1].devices.items()))
-        broken = {**frames[1].devices, did: Transform(pose.rotation, pose.translation * np.nan)}
+        broken = {**frames[1].devices, did: transform(pose.state[:4], pose.translation * np.nan)}
         frames[1] = DeviceFrame(frames[1].timestamp, broken)
         patched = type(session)(frames, session.role_map, 0)
         metrics = solve_session(patched, profile, scaled, trace=tmp_path / "trace.jsonl")
@@ -592,6 +593,18 @@ class TestSolveSession:
             [f.timestamp for i, f in enumerate(frames) if i != 1]
         assert len(metrics.frame_errors) == 1 and "frame 1" in metrics.frame_errors[0]
         assert metrics.solved_frames == len(frames) - 1
+
+    def test_role_map_short_of_a_role_fails_every_frame(self, matched_setup):
+        # Two ids sent to one role leave another role without a device.
+        session, _, profile, scaled = matched_setup
+        first, second = list(profile.role_map)[:2]
+        role_map = {**profile.role_map, second: profile.role_map[first]}
+        short = CalibrationProfile(profile.scale, profile.offsets, profile.w0, role_map)
+        metrics = solve_session(session, short, scaled)
+        assert metrics.frame_errors == [
+            f"frame {i}: profile role map does not resolve all six roles"
+            for i in range(len(session.frames))]
+        assert metrics.solved_frames == 0
 
     def test_internal_error_is_not_a_frame_error(self, matched_setup, monkeypatch):
         # Only unusable device input is a frame failure; a ValueError from
@@ -624,13 +637,15 @@ class TestSolveSession:
                                        ("right", d.controller_detached_right)):
                     if detached:
                         continue
-                    role, wrist_role = PART_ROLES[f"hand_{side}"]
+                    role = PART_ROLES[f"hand_{side}"]
+                    wrist_role = ROLE_TO_JOINT[role]
                     got = (sp.world[scaled.role_index(wrist_role)]
                            @ offsets[f"hand_{side}"].inverse())
                     want = frame.devices[device_id(profile, role)]
                     assert np.abs(got.translation - want.translation).max() < 1e-12
-                    assert min(np.abs(got.rotation - want.rotation).max(),
-                               np.abs(got.rotation + want.rotation).max()) < 1e-12
+                    got_q, want_q = np.array(got.state[:4]), np.array(want.state[:4])
+                    assert min(np.abs(got_q - want_q).max(),
+                               np.abs(got_q + want_q).max()) < 1e-12
                     checked += 1
         assert checked > 100
 

@@ -19,7 +19,7 @@ from avatarfit.skeleton import (
     skeleton_to_document,
 )
 
-from conftest import random_quat, random_unit
+from conftest import random_quat, random_unit, transform
 from oracles import reference_forward_kinematics
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -37,11 +37,11 @@ def bind_root(skeleton: SkeletonModel) -> Transform:
 
 def random_pose(skeleton: SkeletonModel, rng) -> tuple[list[tuple], Transform]:
     rotations = [tuple(random_quat(rng).tolist()) for _ in skeleton.joints]
-    return rotations, Transform(random_quat(rng), rng.normal(size=3))
+    return rotations, transform(random_quat(rng), rng.normal(size=3))
 
 
 def world_of(skeleton: SkeletonModel, rotations, root: Transform) -> list[Transform]:
-    return [Transform.of_state(s) for s in forward_kinematics(skeleton, rotations, root.state)]
+    return [Transform(s) for s in forward_kinematics(skeleton, rotations, root.state)]
 
 
 class TestForwardKinematics:
@@ -62,7 +62,7 @@ class TestForwardKinematics:
     def test_root_rotation_spins_everything_about_root(self, user_skeleton):
         spin = quat_from_axis_angle([0, 1, 0], math.pi / 2)
         root_bind = bind_root(user_skeleton)
-        root = Transform(qmul(spin, root_bind.rotation), root_bind.translation)
+        root = transform(qmul(spin, root_bind.state[:4]), root_bind.translation)
         world = world_of(user_skeleton, list(user_skeleton.bind_rotations), root)
         origin = root_bind.translation
         for got, b in zip(world, user_skeleton.bind_states):
@@ -77,7 +77,7 @@ class TestForwardKinematics:
         names = ["hips", "spine", "chest"]
         idx = [skel.index_of(n) for n in names]
         qs = [random_quat(rng) for _ in names]
-        root = Transform(qs[0], bind_root(skel).translation)
+        root = transform(qs[0], bind_root(skel).translation)
         rotations[idx[1]] = tuple(qs[1])
         rotations[idx[2]] = tuple(qs[2])
         world = world_of(skel, rotations, root)
@@ -90,7 +90,7 @@ class TestForwardKinematics:
         r_chest = qmul(r_spine, qs[2])
         np.testing.assert_allclose(world[idx[1]].translation, p_spine, atol=1e-12)
         np.testing.assert_allclose(world[idx[2]].translation, p_chest, atol=1e-12)
-        assert quat_angle_between(world[idx[2]].rotation, r_chest) < 1e-9
+        assert quat_angle_between(world[idx[2]].state[:4], r_chest) < 1e-9
 
     def test_pose_size_mismatch(self, user_skeleton):
         rotations = list(user_skeleton.bind_rotations)[:-1]
@@ -108,13 +108,13 @@ class TestForwardKinematics:
         skel = humanoid_from_cache()
         rng = np.random.default_rng(seed)
         rotations, root = random_pose(skel, rng)
-        g = Transform(random_quat(rng), rng.normal(size=3))
+        g = transform(random_quat(rng), rng.normal(size=3))
         base = world_of(skel, rotations, root)
         got = world_of(skel, rotations, g @ root)
         for w, b in zip(got, base):
             expected = g @ b
             np.testing.assert_allclose(w.translation, expected.translation, atol=1e-9)
-            assert quat_angle_between(w.rotation, expected.rotation) < 1e-9
+            assert quat_angle_between(w.state[:4], expected.state[:4]) < 1e-9
 
     @given(seeds)
     def test_bone_lengths_invariant_under_pose(self, seed):
@@ -133,7 +133,7 @@ class TestForwardKinematics:
         skel = rig_from_cache(rig)
         rng = np.random.default_rng(seed)
         rotations, root = random_pose(skel, rng)
-        root = Transform(root.rotation, root.translation * rng.uniform(0.1, 100.0))
+        root = transform(root.state[:4], root.translation * rng.uniform(0.1, 100.0))
         states = forward_kinematics(skel, rotations, root.state)
         want = reference_forward_kinematics(skel, rotations, root)
         assert len(states) == len(want) == len(skel.joints)

@@ -20,10 +20,12 @@
 # seed 1 again: with one device id renamed on a few frame lines, solved with
 # and without hands (frames skipped between solved ones); with every id
 # renamed, header too, solved with hands (no frame solves); and against a
-# ground truth cut to 10 frames (exit 3, and no trace). Every
-# command's stdout, stderr and exit code go to a .out file, with
-# the tree's output directory masked. Prints every file that differs or exists
-# on one side only; exits 0 when all are identical.
+# ground truth cut to 10 frames (exit 3, and no trace). After those, gen
+# reads a JSONL motion script (--script-file: a T-pose line, then 30 lines of
+# joint rotations and root poses), and the session is calibrated and solved
+# against its ground truth. Every command's stdout, stderr and exit code go
+# to a .out file, with the tree's output directory masked. Prints every file
+# that differs or exists on one side only; exits 0 when all are identical.
 # WORK_DIR (default: a new temporary directory) is kept for inspection.
 set -eu
 
@@ -157,6 +159,39 @@ EOF
     cli squat-1.solve-short-gt solve --skeleton "$out/avatar.json" \
         --session "$s.session.jsonl" --profile "$s.profile.json" \
         --ground-truth "$s.short.gt.jsonl" --out "$s.short-gt.trace.jsonl"
+    s="$out/file"
+    "$python" - "$s.script.jsonl" <<'EOF'
+import json
+import math
+import sys
+
+
+def axis_angle(axis, angle):
+    n = math.sqrt(sum(c * c for c in axis))
+    return [math.cos(angle / 2)] + [c * math.sin(angle / 2) / n for c in axis]
+
+
+with open(sys.argv[1], "w", encoding="utf-8") as f:
+    f.write(json.dumps({"t": 0.0}) + "\n")
+    for i in range(1, 31):
+        a = math.sin(math.pi * i / 30) ** 2
+        rotations = {"hip_l": axis_angle([1, 0, 0], 0.6 * a),
+                     "knee_l": axis_angle([1, 0, 0], -1.2 * a),
+                     "knee_r": axis_angle([1, 0, 0], -0.4 * a),
+                     "spine": axis_angle([1, 0.3, 0], 0.2 * a),
+                     "shoulder_l": axis_angle([0, 0.2, 1], 0.5 * a),
+                     "elbow_r": axis_angle([0, 1, 0], 1.1 * a)}
+        root = {"p": [0.02 * a, 0.95 - 0.08 * a, -0.3 * i / 30],
+                "q": axis_angle([0, 1, 0], 0.4 * a)}
+        f.write(json.dumps({"t": i / 30, "rotations": rotations, "root": root}) + "\n")
+EOF
+    cli file.gen gen --skeleton "$out/user.json" --script-file "$s.script.jsonl" \
+        --seed 2 --noise 0.002 --rot-noise 0.01 --out "$s.session.jsonl"
+    cli file.calibrate calibrate --skeleton "$out/avatar.json" \
+        --session "$s.session.jsonl" --out "$s.profile.json"
+    cli file.solve solve --skeleton "$out/avatar.json" --session "$s.session.jsonl" \
+        --profile "$s.profile.json" --ground-truth "$s.session.gt.jsonl" \
+        --out "$s.trace.jsonl"
 }
 
 rm -rf "$work/old" "$work/new"
