@@ -39,7 +39,7 @@ from .fingers import (
     pose_hand_on_controller,
     transform_capsule,
 )
-from .math3d import INPUT_BOUND, DegenerateGeometryError, FormatError, Transform, \
+from .math3d import INPUT_BOUND, DegenerateGeometryError, FormatError, Transform, norm, \
     write_json_file
 from .motion import SCRIPT_NAMES, ScriptError, builtin_script, read_script_file
 from .retarget import OffsetMode, mode_offsets, solve_session
@@ -110,7 +110,7 @@ def cmd_calibrate(args) -> int:
     print(f"roles: {roles}")
     print(f"scale: {profile.scale:.6f}")
     for part, offset in profile.offsets.items():
-        print(f"offset {part}: {math.hypot(*offset.state[4:]):.4f} m")
+        print(f"offset {part}: {norm(offset.state[4:]):.4f} m")
     for w in warnings:
         print(f"warning: {w}")
     print(f"wrote profile to {args.out}")

@@ -16,6 +16,10 @@ Conventions used throughout the package:
   into `Transform.state`.
 - The `translation` view (a fresh float64 array) is the one NumPy value
   that the package's types hand out, for NumPy callers.
+- One norm: a length is the root of the squares summed left to right
+  (`norm`; `quat_from_json`, `rotation_between` and `slerp_at` for
+  quaternions), never NumPy's dot. Only the bone lengths
+  (`SkeletonModel`) and the generator's random draws keep NumPy's norm.
 - Positions and translations are in meters, angles in radians.
 """
 
@@ -299,12 +303,11 @@ def floats_from_json(value, n: int, where: str) -> tuple:
 def quat_from_json(value, where: str) -> tuple:
     """Unit quaternion as four floats, divided by its norm to undo the file's rounding.
 
-    The norm is `np.linalg.norm`'s, the root of NumPy's dot, which may fuse
-    multiplies and adds: a plain sum of squares would move some quaternions' bits.
+    The norm is the plain root of w² + x² + y² + z², summed in that order, as
+    everywhere in the package (see the module's conventions).
     """
-    w, x, y, z = q = floats_from_json(value, 4, where)
-    a = np.array(q)
-    n = math.sqrt(a.dot(a))
+    w, x, y, z = floats_from_json(value, 4, where)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if abs(n - 1.0) > 1e-6:
         raise FormatError(f"{where}: not a unit quaternion (norm {n:.9g})")
     return w / n, x / n, y / n, z / n

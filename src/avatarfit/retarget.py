@@ -52,8 +52,6 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .calibration import PART_ROLES, CalibrationProfile
 from .math3d import (
     RIGHT,
@@ -361,7 +359,9 @@ def solve_session(
     `attached` entries) is written as it is solved, and no pose is kept. The
     path is opened only after the ground truth's frame count is checked.
     Only `FrameInputError` and `DegenerateGeometryError` are frame failures;
-    any other exception is a bug and propagates.
+    any other exception is a bug and propagates. Each summary is taken over
+    the solved frames: a mean is `math.fsum(xs) / len(xs)`, the exactly
+    rounded sum over the count, and a maximum is `max(xs)`.
     """
     metrics = SessionMetrics(mode=mode.value, frames=len(session.frames))
     if ground_truth is not None and len(ground_truth.frames) != metrics.frames:
@@ -398,25 +398,25 @@ def solve_session(
                     gt = ground_truth.by_role(i, role).state[4:]
                     got = sp.world[skeleton.role_index(role)].state[4:]
                     errors = ankle_errors if role.startswith("ankle") else wrist_errors
-                    errors.append(float(np.linalg.norm([a - b for a, b in zip(got, gt)])))
+                    errors.append(norm([a - b for a, b in zip(got, gt)]))
                 if (_truth_flexion(ground_truth, i, "l") < STRAIGHT_LEG_MAX
                         and _truth_flexion(ground_truth, i, "r") < STRAIGHT_LEG_MAX):
                     straight_count += 1
                     knees_straight.append(max(d.knee_flexion_left, d.knee_flexion_right))
 
     if alphas:
-        metrics.alpha_mean = float(np.mean(alphas))
-        metrics.alpha_max = float(np.max(alphas))
+        metrics.alpha_mean = math.fsum(alphas) / len(alphas)
+        metrics.alpha_max = max(alphas)
     if knees:
-        metrics.mean_knee_flexion = float(np.mean(knees))
+        metrics.mean_knee_flexion = math.fsum(knees) / len(knees)
     if ankle_errors:
-        metrics.mean_ankle_error = float(np.mean(ankle_errors))
-        metrics.max_ankle_error = float(np.max(ankle_errors))
+        metrics.mean_ankle_error = math.fsum(ankle_errors) / len(ankle_errors)
+        metrics.max_ankle_error = max(ankle_errors)
     if wrist_errors:
-        metrics.mean_wrist_error = float(np.mean(wrist_errors))
+        metrics.mean_wrist_error = math.fsum(wrist_errors) / len(wrist_errors)
     if ground_truth is not None:
         metrics.straight_leg_frames = straight_count
         if knees_straight:
-            metrics.mean_knee_flexion_straight = float(np.mean(knees_straight))
-            metrics.max_knee_flexion_straight = float(np.max(knees_straight))
+            metrics.mean_knee_flexion_straight = math.fsum(knees_straight) / len(knees_straight)
+            metrics.max_knee_flexion_straight = max(knees_straight)
     return metrics

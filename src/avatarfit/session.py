@@ -35,6 +35,7 @@ from .math3d import (
     qmul,
     quat_angle_between,
     quat_from_axis_angle,
+    quat_from_json,
     quat_to_json,
     read_jsonl,
     write_jsonl,
@@ -414,13 +415,8 @@ def read_ground_truth(path) -> GroundTruth:
         p, q = obj.get("p"), obj.get("q")
         if not (isinstance(p, list) and isinstance(q, list) and len(p) == len(q) == len(names)):
             raise FormatError(f"{where}: expected p and q of {len(names)} joints each")
-        # The states share the file's floats, which the codec returns as they
-        # are. Rotations are kept as written, so a plain sum's last bits in the
-        # unit check move no output.
+        # Each rotation is divided by its norm, as every reader's is.
         wp, wq = f"{where} p", f"{where} q"
-        states = [floats_from_json(qj, 4, wq) + floats_from_json(pj, 3, wp) for pj, qj in zip(p, q)]
-        if any(abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) > 1e-6
-               for w, x, y, z, *_ in states):
-            raise FormatError(f"{wq}: not all unit quaternions")
-        frames.append([Transform(s) for s in states])
+        frames.append([Transform(quat_from_json(qj, wq) + floats_from_json(pj, 3, wp))
+                       for pj, qj in zip(p, q)])
     return GroundTruth(names, roles, frames)

@@ -271,9 +271,11 @@ def reference_floats_from_json(value, shape: tuple, where: str) -> np.ndarray:
 
 
 def reference_quat_from_json(value, where: str) -> np.ndarray:
-    """Unit quaternion, divided by its `np.linalg.norm` to undo the file's rounding."""
+    """Unit quaternion, divided by the plain root of w² + x² + y² + z², summed
+    in that order, to undo the file's rounding."""
     q = reference_floats_from_json(value, (4,), where)
-    n = float(np.linalg.norm(q))
+    w, x, y, z = (float(c) for c in q)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if abs(n - 1.0) > 1e-6:
         raise FormatError(f"{where}: not a unit quaternion (norm {n:.9g})")
     return q / n

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_file_parses_as_python_3_10():
-    files = [path for folder in ("src", "tests", "bench")
+    files = [path for folder in ("src", "tests", "bench", "tools")
              for path in sorted((ROOT / folder).rglob("*.py"))]
     assert len(files) > 10
     for path in files:

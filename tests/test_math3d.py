@@ -321,15 +321,6 @@ class TestJsonCodec:
                                reference_floats_from_json(p, (3,), "p")])
         assert np.array(state).tobytes() == want.tobytes()
 
-    @given(seeds)
-    def test_dot_norm_is_linalg_norm(self, seed):
-        # `quat_from_json` divides by sqrt(q . q) taken by NumPy's dot, which
-        # is what `np.linalg.norm` computes. Its dot may fuse multiplies and
-        # adds, so a plain-float sum of squares differs in the last bit on
-        # some quaternions, and the divided quaternions with it.
-        q = np.array(file_pose(seed)[0])
-        assert math.sqrt(float(np.dot(q, q))) == float(np.linalg.norm(q))
-
     def test_ints_of_any_size_below_1e150_are_floats(self):
         for big in (2**63, 2**64, 10**149):
             assert floats_from_json([big, 0, -1], 3, "p") == (float(big), 0.0, -1.0)

@@ -12,6 +12,7 @@ from avatarfit import retarget, skeleton as skeleton_module
 from avatarfit.calibration import PART_ROLES, CalibrationProfile, calibrate_session
 from avatarfit.math3d import (
     Transform,
+    norm,
     qconj,
     qmul,
     qrotate,
@@ -579,6 +580,42 @@ class TestSolveSession:
         m1 = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
         m2 = solve_session(session, profile, scaled, OffsetMode.EXACT, truth)
         assert m1.to_document() == m2.to_document()
+
+    @pytest.mark.parametrize("mode", list(OffsetMode))
+    def test_summaries_are_exact_means_and_maxima(self, mode, user_skeleton):
+        # Each mean is the exactly rounded sum of its per-frame values over
+        # their count, and each maximum their max; the errors are
+        # `math3d.norm`s. A pairwise or BLAS sum misses some of these bits.
+        script = builtin_script("free", user_skeleton, 2.0, 30.0, 7)
+        session, truth = generate_synthetic_session(user_skeleton, script,
+                                                    noise=NoiseModel(0.002, 0.01, 7))
+        profile, scaled, _ = calibrate_session(session, humanoid_long_legs())
+        metrics = solve_session(session, profile, scaled, mode, truth)
+        alphas, knees, ankles, wrists, straight = [], [], [], [], []
+        for i, frame in enumerate(session.frames):
+            sp = solve_frame(frame, profile, scaled, mode)
+            d = sp.diagnostics
+            alphas.append(d.alpha)
+            knees.append(0.5 * (d.knee_flexion_left + d.knee_flexion_right))
+            for role, errors in (("ankle_l", ankles), ("ankle_r", ankles),
+                                 ("wrist_l", wrists), ("wrist_r", wrists)):
+                got = sp.world[scaled.role_index(role)].state[4:]
+                gt = truth.by_role(i, role).state[4:]
+                errors.append(norm([a - b for a, b in zip(got, gt)]))
+            if all(retarget._truth_flexion(truth, i, side) < retarget.STRAIGHT_LEG_MAX
+                   for side in "lr"):
+                straight.append(max(d.knee_flexion_left, d.knee_flexion_right))
+        assert len(alphas) == metrics.solved_frames == 61 and straight
+
+        def mean(xs):
+            return math.fsum(xs) / len(xs)
+        want = {"alpha_mean": mean(alphas), "alpha_max": max(alphas),
+                "mean_knee_flexion": mean(knees),
+                "mean_ankle_error": mean(ankles), "max_ankle_error": max(ankles),
+                "mean_wrist_error": mean(wrists),
+                "mean_knee_flexion_straight": mean(straight),
+                "max_knee_flexion_straight": max(straight)}
+        assert {key: getattr(metrics, key) for key in want} == want
 
     def test_bad_frame_recorded_and_skipped(self, matched_setup, tmp_path):
         session, _, profile, scaled = matched_setup

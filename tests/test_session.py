@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avatarfit.math3d import FormatError, quat_angle_between, quat_from_axis_angle
+from avatarfit.math3d import FormatError, quat_angle_between, quat_from_axis_angle, quat_from_json
 from avatarfit.motion import arms_script, squat_script, tpose_script
 from avatarfit.rigs import humanoid
 from avatarfit.session import (
@@ -281,6 +281,21 @@ class TestSessionFiles:
         state = read_ground_truth(path).frames[0][0].state
         assert state == (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -2.0)
         assert all(type(v) is float for v in state)
+
+    def test_ground_truth_rotations_are_divided_by_their_norm(self, tmp_path, tpose_session):
+        # A rotation 5e-7 off unit length, within the reader's tolerance,
+        # loads as `quat_from_json` decodes it, not as written.
+        session, truth = tpose_session
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(truth, session, path)
+        lines = path.read_text().splitlines()
+        frame = json.loads(lines[1])
+        q = [c * (1.0 + 5e-7) for c in quat_from_axis_angle((0.3, 1.0, -0.2), 0.7)]
+        frame["q"][2] = q
+        path.write_text("\n".join([lines[0], json.dumps(frame), *lines[2:]]) + "\n")
+        state = read_ground_truth(path).frames[0][2].state
+        assert np.array(state[:4]).tobytes() == np.array(quat_from_json(q, "q")).tobytes()
+        assert state[:4] != tuple(q) and state[4:] == tuple(frame["p"][2])
 
     def test_ground_truth_with_eye_height_key_loads(self, tmp_path, tpose_session):
         # Older files carry an "eye_height" header key; it is ignored.

@@ -26,7 +26,9 @@
 # against its ground truth. Every command's stdout, stderr and exit code go
 # to a .out file, with the tree's output directory masked. Prints every file
 # that differs or exists on one side only; exits 0 when all are identical.
-# WORK_DIR (default: a new temporary directory) is kept for inspection.
+# WORK_DIR (default: a new temporary directory) is kept for inspection;
+# tools/float_drift.py WORK_DIR tells whether the trees differ only in the
+# values of numbers, and by how much.
 set -eu
 
 if [ $# -lt 2 ]; then
