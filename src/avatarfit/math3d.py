@@ -20,6 +20,10 @@ Conventions used throughout the package:
   (`norm`; `quat_from_json`, `rotation_between` and `slerp_at` for
   quaternions), never NumPy's dot. Only the bone lengths
   (`SkeletonModel`) and the generator's random draws keep NumPy's norm.
+- The body solve's kernels `compose_state` and `rotation_between` write out
+  `qmul`, `qrotate`, `cross` and `normalize`, operation for operation, and
+  `tests/oracles.py::reference_compose_state` and `reference_rotation_between`
+  (the helper forms) pin them bit for bit.
 - Positions and translations are in meters, angles in radians.
 """
 
@@ -89,17 +93,23 @@ def rotation_between(a, b) -> tuple:
     the deterministic choice is normalize(a x UP), falling back to
     normalize(a x RIGHT) when a is vertical.
     """
-    ah = normalize(a)
-    bh = normalize(b)
-    xyz = cross(ah, bh)
-    c = dot(ah, bh)
-    angle = math.atan2(norm(xyz), c)  # angle_between(ah, bh)
+    (ax, ay, az), (bx, by, bz) = a, b
+    na = math.sqrt(ax * ax + ay * ay + az * az)
+    nb = math.sqrt(bx * bx + by * by + bz * bz)
+    if na <= DEGENERATE_EPS or nb <= DEGENERATE_EPS:
+        raise DegenerateGeometryError(
+            f"cannot normalize near-zero vector {(a if na <= DEGENERATE_EPS else b)!r}")
+    ax, ay, az = ax / na, ay / na, az / na
+    bx, by, bz = bx / nb, by / nb, bz / nb
+    x, y, z = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    c = ax * bx + ay * by + az * bz
+    angle = math.atan2(math.sqrt(x * x + y * y + z * z), c)  # angle_between(a, b)
     if angle > math.pi - 1e-6:
-        axis = cross(ah, UP)
+        axis = cross((ax, ay, az), UP)
         if norm(axis) <= DEGENERATE_EPS:
-            axis = cross(ah, RIGHT)
+            axis = cross((ax, ay, az), RIGHT)
         return quat_from_axis_angle(axis, angle)
-    w, x, y, z = 1.0 + c, *xyz
+    w = 1.0 + c
     n = math.sqrt(w * w + x * x + y * y + z * z)
     return w / n, x / n, y / n, z / n
 
@@ -203,9 +213,17 @@ def qrotate(q, v) -> tuple:
 
 def compose_state(s, q, v) -> tuple:
     """State of s @ Transform((*q, *v)): rotation s_q * q, position s_p + s_q v."""
-    r = s[:4]
-    dx, dy, dz = qrotate(r, v)
-    return (*qmul(r, q), s[4] + dx, s[5] + dy, s[6] + dz)
+    (sw, sx, sy, sz, px, py, pz), (qw, qx, qy, qz), (vx, vy, vz) = s, q, v
+    tx = 2.0 * (sy * vz - sz * vy)
+    ty = 2.0 * (sz * vx - sx * vz)
+    tz = 2.0 * (sx * vy - sy * vx)
+    return (sw * qw - sx * qx - sy * qy - sz * qz,
+            sw * qx + sx * qw + sy * qz - sz * qy,
+            sw * qy - sx * qz + sy * qw + sz * qx,
+            sw * qz + sx * qy - sy * qx + sz * qw,
+            px + (vx + sw * tx + (sy * tz - sz * ty)),
+            py + (vy + sw * ty + (sz * tx - sx * tz)),
+            pz + (vz + sw * tz + (sx * ty - sy * tx)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,7 @@ from .math3d import (
     angle_between,
     compose_state,
     cross,
-    dot,
     norm,
-    normalize,
     pose_to_obj,
     qconj,
     qmul,
@@ -129,29 +127,36 @@ def two_bone_ik(root_pos, l1: float, l2: float, target_pos, pole_dir) -> TwoBone
     chain pointing straight at the target with the shortfall reported as
     `reach_deficit`; targets closer than |l1 - l2| fold the chain fully. A
     target on the chain root is degenerate and leaves the pose untouched.
+    Written out on scalars, it equals `tests/oracles.py::reference_two_bone_ik`.
     """
     if l1 <= 0.0 or l2 <= 0.0:
         raise ValueError("bone lengths must be positive")
-    root = tuple(root_pos)
-    diff = [t - r for t, r in zip(target_pos, root)]
-    d = norm(diff)
+    (rx, ry, rz), (tx, ty, tz) = root_pos, target_pos
+    dx, dy, dz = tx - rx, ty - ry, tz - rz
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
     if d < 1e-6:
-        return TwoBoneSolution(root, root, 0.0, degenerate=True)
-    u = [c / d for c in diff]
+        return TwoBoneSolution((rx, ry, rz), (rx, ry, rz), 0.0, degenerate=True)
+    ux, uy, uz = dx / d, dy / d, dz / d
     reach = min(d, l1 + l2)
-    end = tuple(r + reach * c for r, c in zip(root, u))
+    end = (rx + reach * ux, ry + reach * uy, rz + reach * uz)
     deficit = max(0.0, d - (l1 + l2))
     if deficit > 0.0:
-        return TwoBoneSolution(tuple(r + l1 * c for r, c in zip(root, u)), end, deficit)
+        return TwoBoneSolution((rx + l1 * ux, ry + l1 * uy, rz + l1 * uz), end, deficit)
     phi = _root_angle(l1, l2, max(d, abs(l1 - l2) + 1e-12))
-    k = dot(pole_dir, u)
-    perp = [p - k * c for p, c in zip(pole_dir, u)]
-    if norm(perp) <= 1e-9:
-        perp = cross(u, UP)
-        if norm(perp) <= 1e-9:
-            perp = cross(u, RIGHT)
+    px, py, pz = pole_dir
+    k = px * ux + py * uy + pz * uz
+    px, py, pz = px - k * ux, py - k * uy, pz - k * uz
+    n = math.sqrt(px * px + py * py + pz * pz)
+    if n <= 1e-9:  # a pole along the reach: u x UP, or u x RIGHT for a vertical reach
+        px, py, pz = cross((ux, uy, uz), UP)
+        n = norm((px, py, pz))
+        if n <= 1e-9:
+            px, py, pz = cross((ux, uy, uz), RIGHT)
+            n = norm((px, py, pz))
+    px, py, pz = px / n, py / n, pz / n
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-    mid = tuple(r + l1 * (cos_phi * a + sin_phi * b) for r, a, b in zip(root, u, normalize(perp)))
+    mid = (rx + l1 * (cos_phi * ux + sin_phi * px), ry + l1 * (cos_phi * uy + sin_phi * py),
+           rz + l1 * (cos_phi * uz + sin_phi * pz))
     return TwoBoneSolution(mid, end, 0.0)
 
 
@@ -240,7 +245,7 @@ def solve_frame(
     bind = skeleton.bind_states
     parents = skeleton.parents
     bones = skeleton.bind_translations
-    root_idx, spine_idx, head_idx, limbs, pass1, pass2 = skeleton.solve_plan
+    root_idx, (spine_idx, spine_parent_inv), head_idx, limbs, pass1, pass2 = skeleton.solve_plan
     locals_ = list(skeleton.bind_rotations)
     diag = FrameDiagnostics()
 
@@ -258,29 +263,30 @@ def solve_frame(
     w_local = qrotate(qconj(root_delta), (hmd[4] - back[4], hmd[5] - back[5], hmd[6] - back[6]))
     bend = rotation_between(profile.w0, w_local)
     diag.alpha = quat_angle(bend)
-    locals_[spine_idx] = qmul(qconj(bind[parents[spine_idx]][:4]),
-                              qmul(bend, bind[spine_idx][:4]))
+    locals_[spine_idx] = qmul(spine_parent_inv, qmul(bend, bind[spine_idx][:4]))
     world = forward_kinematics(skeleton, locals_, target["root"], pass1)
 
     # 3. Head rotation straight from the headset.
     locals_[head_idx] = qmul(qconj(world[parents[head_idx]][:4]), hmd[:4])
 
     # 4. Limbs, from the upper joints and their parents as pass 1 placed them.
-    for (limb, part, pole_bind, _), (upper, mid, end) in zip(_LIMBS, limbs):
-        pole = qrotate(root_delta, pole_bind)
+    # Both knees bend toward one pole, both elbows toward another.
+    poles = {KNEE_POLE_BIND: qrotate(root_delta, KNEE_POLE_BIND),
+             ELBOW_POLE_BIND: qrotate(root_delta, ELBOW_POLE_BIND)}
+    for (limb, part, pole_bind, _), (upper, mid, end, parent, l1, l2) in zip(_LIMBS, limbs):
         root_pos = world[upper][4:]
-        sol = two_bone_ik(root_pos, skeleton.bone_length(mid), skeleton.bone_length(end),
-                          target[part][4:], pole)
+        sol = two_bone_ik(root_pos, l1, l2, target[part][4:], poles[pole_bind])
         diag.reach_deficits[limb] = sol.reach_deficit
         if sol.degenerate:
             diag.degenerate_limbs.append(limb)
             continue
 
-        dir1 = [m - r for m, r in zip(sol.mid_position, root_pos)]
-        dir2 = [e - m for e, m in zip(sol.end_position, sol.mid_position)]
+        (rx, ry, rz), (mx, my, mz), (ex, ey, ez) = root_pos, sol.mid_position, sol.end_position
+        dir1 = (mx - rx, my - ry, mz - rz)
+        dir2 = (ex - mx, ey - my, ez - mz)
 
         upper_rot = _swing_to(world[upper][:4], bones[mid], dir1)
-        locals_[upper] = qmul(qconj(world[parents[upper]][:4]), upper_rot)
+        locals_[upper] = qmul(qconj(world[parent][:4]), upper_rot)
 
         mid_rot = _swing_to(qmul(upper_rot, skeleton.bind_rotations[mid]), bones[end], dir2)
         locals_[mid] = qmul(qconj(upper_rot), mid_rot)
@@ -291,8 +297,8 @@ def solve_frame(
     forward_kinematics(skeleton, locals_, target["root"], pass2, world)
     diag.controller_detached_left = diag.reach_deficits["arm_l"] > DETACH_EPS
     diag.controller_detached_right = diag.reach_deficits["arm_r"] > DETACH_EPS
-    for (*_, flexion_name), joints in zip(_LIMBS, limbs):
-        setattr(diag, flexion_name, _flexion(*(world[j][4:] for j in joints)))
+    for (*_, flexion_name), (upper, mid, end, *_) in zip(_LIMBS, limbs):
+        setattr(diag, flexion_name, _flexion(world[upper][4:], world[mid][4:], world[end][4:]))
     return SolvedPose([Transform(s) for s in world], diag)
 
 
@@ -320,11 +326,6 @@ class SessionMetrics:
 
     def to_document(self) -> dict:
         return asdict(self)
-
-
-def _truth_flexion(truth: GroundTruth, frame_index: int, side: str) -> float:
-    return _flexion(*(truth.by_role(frame_index, f"{joint}_{side}").state[4:]
-                      for joint in ("hip", "knee", "ankle")))
 
 
 def pose_trace_line(frame: DeviceFrame, pose: SolvedPose, skeleton: SkeletonModel,
@@ -373,6 +374,13 @@ def solve_session(
     knees_straight: list[float] = []
     alphas: list[float] = []
     straight_count = 0
+    if ground_truth is not None:  # looked up once: a (truth column, joint, errors) per role
+        column = ground_truth.joint_roles.index
+        scored = [(column(role), skeleton.role_index(role), errors)
+                  for role, errors in (("ankle_l", ankle_errors), ("ankle_r", ankle_errors),
+                                       ("wrist_l", wrist_errors), ("wrist_r", wrist_errors))]
+        legs = [[column(f"{joint}_{side}") for joint in ("hip", "knee", "ankle")]
+                for side in "lr"]
 
     with (nullcontext() if trace is None
           else open(trace, "w", encoding="utf-8", newline="\n")) as out:
@@ -394,13 +402,12 @@ def solve_session(
                 metrics.detached_frames_right += 1
 
             if ground_truth is not None:
-                for role in ("ankle_l", "ankle_r", "wrist_l", "wrist_r"):
-                    gt = ground_truth.by_role(i, role).state[4:]
-                    got = sp.world[skeleton.role_index(role)].state[4:]
-                    errors = ankle_errors if role.startswith("ankle") else wrist_errors
+                truth = ground_truth.frames[i]
+                for t, j, errors in scored:
+                    got, gt = sp.world[j].state[4:], truth[t].state[4:]
                     errors.append(norm([a - b for a, b in zip(got, gt)]))
-                if (_truth_flexion(ground_truth, i, "l") < STRAIGHT_LEG_MAX
-                        and _truth_flexion(ground_truth, i, "r") < STRAIGHT_LEG_MAX):
+                if all(_flexion(*(truth[t].state[4:] for t in leg)) < STRAIGHT_LEG_MAX
+                       for leg in legs):
                     straight_count += 1
                     knees_straight.append(max(d.knee_flexion_left, d.knee_flexion_right))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .math3d import FormatError, Transform, compose_state, float_from_json, floats_from_json, \
-    floats_to_json, norm, quat_from_json, quat_to_json, read_json_file, write_json_file
+    floats_to_json, norm, qconj, quat_from_json, quat_to_json, read_json_file, write_json_file
 
 REQUIRED_ROLES = frozenset({
     "root", "spine", "head",
@@ -58,11 +58,13 @@ class SkeletonModel:
     `bind_translations` and `bind_rotations` (the bind local transform as
     three and four floats), `bind_states` (the world pose states of the
     bind pose, its one copy) and the bone lengths behind `bone_length`.
-    `solve_plan` is (root, spine, head, limbs, pass 1, pass 2) for the body
-    solve: joint indices, limbs an (upper, mid, end) triple per `LIMB_ROLES`
-    entry. Pass 2 lists the head, the limb joints and their descendants, and
-    pass 1 the other joints plus the ancestors-or-self of what the solve reads
-    between the passes: the head's parent, each upper joint and its parent.
+    `solve_plan` is (root, (spine, its parent's conjugated bind world
+    rotation), head, limbs, pass 1, pass 2) for the body solve: joint indices,
+    limbs an (upper, mid, end, upper's parent, mid and end bone lengths) tuple
+    per `LIMB_ROLES` entry. Pass 2 lists the head, the limb joints and their
+    descendants, and pass 1 the other joints plus the ancestors-or-self of
+    what the solve reads between the passes: the head's parent, each upper
+    joint and its parent.
     """
 
     joints: list[Joint]
@@ -99,7 +101,10 @@ class SkeletonModel:
             while i is not None and i not in placed:
                 placed.add(i)
                 i = self.parents[i]
-        self.solve_plan = (root, spine, head, limbs, sorted(placed), sorted(moved))
+        lengths = self._bone_lengths
+        self.solve_plan = (root, (spine, qconj(self.bind_states[self.parents[spine]])), head,
+                           tuple((u, m, e, self.parents[u], lengths[m], lengths[e])
+                                 for u, m, e in limbs), sorted(placed), sorted(moved))
 
     def index_of(self, name: str) -> int:
         return self._name_index[name]

@@ -7,7 +7,8 @@ import numpy as np
 
 from avatarfit.fingers import CapsuleShape, Finger, capsule_sdf
 from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, FormatError, Transform, angle_between, \
-    cross, dot, norm, normalize, quat_from_axis_angle
+    cross, dot, norm, normalize, qmul, qrotate, quat_from_axis_angle
+from avatarfit.retarget import TwoBoneSolution, _root_angle
 from avatarfit.skeleton import SkeletonModel
 
 
@@ -172,8 +173,9 @@ def reference_compass_search(chain: tuple, shape: CapsuleShape, penalty: float, 
     return t, len(history), value, converged, history
 
 # ---------------------------------------------------------------------------
-# Vector math in NumPy's form: `math3d` writes it out on plain floats and must
-# equal these bit for bit.
+# Vector math in NumPy's form, and by the helpers: `math3d` and
+# `retarget.two_bone_ik` write it out on plain floats and must equal these bit
+# for bit.
 # ---------------------------------------------------------------------------
 
 def reference_cross(a, b) -> np.ndarray:
@@ -203,6 +205,39 @@ def reference_quat_rotate(q, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     t = 2.0 * np.cross(qv, v)
     return v + q[0] * t + np.cross(qv, t)
+
+
+def reference_compose_state(s, q, v) -> tuple:
+    """s @ (q, v) by the helpers: rotation qmul(s_q, q), position s_p + qrotate(s_q, v)."""
+    r = s[:4]
+    dx, dy, dz = qrotate(r, v)
+    return (*qmul(r, q), s[4] + dx, s[5] + dy, s[6] + dz)
+
+
+def reference_two_bone_ik(root_pos, l1: float, l2: float, target_pos,
+                          pole_dir) -> TwoBoneSolution:
+    """Two-bone solve by the vector helpers, one comprehension per vector."""
+    root = tuple(root_pos)
+    diff = [t - r for t, r in zip(target_pos, root)]
+    d = norm(diff)
+    if d < 1e-6:
+        return TwoBoneSolution(root, root, 0.0, degenerate=True)
+    u = [c / d for c in diff]
+    reach = min(d, l1 + l2)
+    end = tuple(r + reach * c for r, c in zip(root, u))
+    deficit = max(0.0, d - (l1 + l2))
+    if deficit > 0.0:
+        return TwoBoneSolution(tuple(r + l1 * c for r, c in zip(root, u)), end, deficit)
+    phi = _root_angle(l1, l2, max(d, abs(l1 - l2) + 1e-12))
+    k = dot(pole_dir, u)
+    perp = [p - k * c for p, c in zip(pole_dir, u)]
+    if norm(perp) <= 1e-9:
+        perp = cross(u, UP)
+        if norm(perp) <= 1e-9:
+            perp = cross(u, RIGHT)
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    mid = tuple(r + l1 * (cos_phi * a + sin_phi * b) for r, a, b in zip(root, u, normalize(perp)))
+    return TwoBoneSolution(mid, end, 0.0)
 
 
 # ---------------------------------------------------------------------------

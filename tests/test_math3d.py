@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from avatarfit.math3d import (
     FormatError,
     Transform,
     angle_between,
+    compose_state,
     cross,
     fit_plane,
     float_from_json,
@@ -25,8 +27,8 @@ from avatarfit.math3d import (
 )
 
 from conftest import quat_slerp, random_quat, random_unit, transform, vec3
-from oracles import reference_apply, reference_compose, reference_cross, \
-    reference_floats_from_json, reference_inverse, reference_quat_from_json, \
+from oracles import reference_apply, reference_compose, reference_compose_state, \
+    reference_cross, reference_floats_from_json, reference_inverse, reference_quat_from_json, \
     reference_quat_rotate, reference_rotation_between, reference_slerp
 
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
@@ -130,6 +132,13 @@ class TestRotationBetween:
         np.testing.assert_array_equal(q1, q2)
         np.testing.assert_allclose(qrotate(q1, a), -a, atol=1e-9)
 
+    def test_near_zero_input_is_named(self):
+        # The first near-zero vector is named, as `normalize` would name it.
+        for a, b, named in (((0.0, 0.0, 0.0), (0.0, 0.0, 1e-12), "(0.0, 0.0, 0.0)"),
+                            ((1.0, 0.0, 0.0), (0.0, 1e-12, 0.0), "(0.0, 1e-12, 0.0)")):
+            with pytest.raises(DegenerateGeometryError, match=re.escape(named)):
+                rotation_between(a, b)
+
     def test_antiparallel_vertical_falls_back(self):
         a = vec3(0, 1, 0)
         q = rotation_between(a, -a)
@@ -179,6 +188,16 @@ class TestQuaternions:
         lambda seed: tuple(random_quat(np.random.default_rng(seed)))), vectors)
     def test_rotate_equals_numpy_cross_form(self, q, v):
         assert np.array(qrotate(q, v)).tobytes() == reference_quat_rotate(q, v).tobytes()
+
+    @given(transform_parts | st.tuples(st.tuples(finite, finite, finite, finite), vectors),
+           transform_parts | st.tuples(st.tuples(finite, finite, finite, finite), vectors))
+    def test_compose_state_equals_qmul_and_qrotate(self, a, b):
+        # Bit for bit, signed zeros included: the written-out Hamilton product
+        # and sandwich make the operations of `qmul` and `qrotate` in order.
+        s = tuple(float(c) for c in (*a[0], *a[1]))
+        q, v = tuple(float(c) for c in b[0]), tuple(float(c) for c in b[1])
+        assert np.array(compose_state(s, q, v)).tobytes() == \
+            np.array(reference_compose_state(s, q, v)).tobytes()
 
     def test_canonical_flips_negative_w(self):
         q = np.array([-0.5, 0.5, 0.5, 0.5])

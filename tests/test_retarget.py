@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 from avatarfit import retarget, skeleton as skeleton_module
 from avatarfit.calibration import PART_ROLES, CalibrationProfile, calibrate_session
 from avatarfit.math3d import (
+    RIGHT,
+    UP,
     Transform,
     norm,
     qconj,
@@ -35,6 +37,7 @@ from avatarfit.session import ROLE_TO_JOINT, DeviceFrame, DeviceRole, NoiseModel
 from avatarfit.skeleton import SkeletonModel, load_skeleton, skeleton_to_document
 
 from conftest import device_id, random_quat, random_unit, transform
+from oracles import reference_two_bone_ik
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -250,6 +253,56 @@ class TestTwoBoneIk:
         assert np.linalg.norm(end - target) < 1e-4
         assert np.linalg.norm(mid - root) == pytest.approx(l1, abs=1e-9)
         assert np.linalg.norm(end - mid) == pytest.approx(l2, abs=1e-9)
+
+
+def two_bone_case(rng: np.random.Generator, branch: str) -> tuple:
+    """(root, l1, l2, target, pole) as floats, its distance picked for `branch`."""
+    # A fold needs |l1 - l2| well above the degenerate distance.
+    l1, l2 = rng.permutation([rng.uniform(0.3, 0.6),
+                              rng.uniform(0.1, 0.2 if branch == "fold" else 0.6)])
+    root = rng.normal(size=3)
+    u = random_unit(rng)
+    pole = random_unit(rng)
+    lo, hi = abs(l1 - l2), l1 + l2
+    d = {"degenerate": rng.uniform(0.0, 9e-7), "out_of_reach": hi * rng.uniform(1.001, 3.0),
+         "fold": lo * rng.uniform(0.01, 0.99)}.get(branch, lo + (hi - lo) * rng.uniform(0.01, 0.99))
+    if branch == "vertical_pole_along_reach":
+        u = np.array([0.0, rng.choice([-1.0, 1.0]), 0.0])
+    if branch.endswith("pole_along_reach"):
+        pole = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]) * u
+    return (tuple(root.tolist()), float(l1), float(l2), tuple((root + d * u).tolist()),
+            tuple(pole.tolist()))
+
+
+def solution_bytes(sol) -> tuple:
+    return (np.array([*sol.mid_position, *sol.end_position, sol.reach_deficit]).tobytes(),
+            sol.degenerate)
+
+
+class TestTwoBoneOracle:
+    """`two_bone_ik` on scalars equals the vector-helper form bit for bit, on every branch."""
+
+    # Branch -> the `cross` fallbacks it takes: a pole along the reach swings
+    # about u x UP, and about u x RIGHT when the reach is vertical too.
+    BRANCHES = {"reach": [], "degenerate": [], "out_of_reach": [], "fold": [],
+                "pole_along_reach": [UP], "vertical_pole_along_reach": [UP, RIGHT]}
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_equals_reference(self, monkeypatch, branch):
+        fallbacks = []
+        cross = retarget.cross
+        monkeypatch.setattr(retarget, "cross", lambda a, b: fallbacks.append(b) or cross(a, b))
+        rng = np.random.default_rng(2611)
+        for _ in range(300):
+            root, l1, l2, target, pole = case = two_bone_case(rng, branch)
+            fallbacks.clear()
+            sol = two_bone_ik(*case)
+            d = math.dist(root, target)
+            assert sol.degenerate == (branch == "degenerate")
+            assert (sol.reach_deficit > 0.0) == (branch == "out_of_reach")
+            assert (1e-6 <= d < abs(l1 - l2)) == (branch == "fold")
+            assert fallbacks == self.BRANCHES[branch]
+            assert solution_bytes(sol) == solution_bytes(reference_two_bone_ik(*case))
 
 
 class TestSolveFrame:
@@ -602,8 +655,9 @@ class TestSolveSession:
                 got = sp.world[scaled.role_index(role)].state[4:]
                 gt = truth.by_role(i, role).state[4:]
                 errors.append(norm([a - b for a, b in zip(got, gt)]))
-            if all(retarget._truth_flexion(truth, i, side) < retarget.STRAIGHT_LEG_MAX
-                   for side in "lr"):
+            if all(retarget._flexion(*(truth.by_role(i, f"{joint}_{side}").state[4:]
+                                       for joint in ("hip", "knee", "ankle")))
+                   < retarget.STRAIGHT_LEG_MAX for side in "lr"):
                 straight.append(max(d.knee_flexion_left, d.knee_flexion_right))
         assert len(alphas) == metrics.solved_frames == 61 and straight
 
