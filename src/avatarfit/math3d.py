@@ -20,10 +20,13 @@ Conventions used throughout the package:
   (`norm`; `quat_from_json`, `rotation_between` and `slerp_at` for
   quaternions), never NumPy's dot. Only the bone lengths
   (`SkeletonModel`) and the generator's random draws keep NumPy's norm.
-- The body solve's kernels `compose_state` and `rotation_between` write out
-  `qmul`, `qrotate`, `cross` and `normalize`, operation for operation, and
-  `tests/oracles.py::reference_compose_state` and `reference_rotation_between`
-  (the helper forms) pin them bit for bit.
+- The body solve's kernels write out the helpers, operation for operation:
+  `compose_state` (`qmul`, `qrotate`), `rotation_between` (`normalize`,
+  `cross`, `dot`, `norm`), `qmul_conj` (`qmul(qconj(a), b)`) and
+  `retarget._flexion` (`norm`, `cross`, `dot`). The tests pin each to its
+  helper form bit for bit (`tests/oracles.py::reference_compose_state`,
+  `reference_rotation_between` and `reference_flexion`, and
+  `qmul(qconj(a), b)` itself).
 - Positions and translations are in meters, angles in radians.
 """
 
@@ -75,17 +78,6 @@ def cross(a, b) -> tuple:
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def angle_between(a, b) -> float:
-    """Angle between two vectors in [0, pi], via atan2 of cross/dot.
-
-    Stable for nearly parallel and nearly antiparallel inputs, unlike the
-    plain acos-of-dot formulation. Scale invariant by construction.
-    """
-    if norm(a) <= DEGENERATE_EPS or norm(b) <= DEGENERATE_EPS:
-        raise DegenerateGeometryError("angle_between requires nonzero vectors")
-    return math.atan2(norm(cross(a, b)), dot(a, b))
-
-
 def rotation_between(a, b) -> tuple:
     """Minimal rotation quaternion q with q * a/|a| = b/|b|.
 
@@ -103,7 +95,7 @@ def rotation_between(a, b) -> tuple:
     bx, by, bz = bx / nb, by / nb, bz / nb
     x, y, z = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
     c = ax * bx + ay * by + az * bz
-    angle = math.atan2(math.sqrt(x * x + y * y + z * z), c)  # angle_between(a, b)
+    angle = math.atan2(math.sqrt(x * x + y * y + z * z), c)  # the angle between a and b
     if angle > math.pi - 1e-6:
         axis = cross((ax, ay, az), UP)
         if norm(axis) <= DEGENERATE_EPS:
@@ -132,7 +124,7 @@ def quat_angle(q) -> float:
 
 def quat_angle_between(a, b) -> float:
     """Angular distance between two rotations in [0, pi]."""
-    return quat_angle(qmul(qconj(a), b))
+    return quat_angle(qmul_conj(a, b))
 
 
 def slerp_basis(a, b) -> tuple:
@@ -193,6 +185,16 @@ def qmul(a, b) -> tuple:
 
 def qconj(q) -> tuple:
     return q[0], -q[1], -q[2], -q[3]
+
+
+def qmul_conj(a, b) -> tuple:
+    """qmul(qconj(a), b): adding a negated product is subtracting it, bit for bit."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw + ax * bx + ay * by + az * bz,
+            aw * bx - ax * bw - ay * bz + az * by,
+            aw * by + ax * bz - ay * bw - az * bx,
+            aw * bz - ax * by + ay * bx - az * bw)
 
 
 def qrotate(q, v) -> tuple:

@@ -41,7 +41,11 @@ joints the two FK passes place, and 3-tuples for the spine bend's vectors
 and the limb IK's positions and directions. It reads the devices' pose
 states, the profile's offsets (`Transform.state`) and float `w0`, and each
 `Transform` of `SolvedPose.world` is `Transform(state)` of a solved state,
-which keeps the tuple as it is; nothing is converted.
+which keeps the tuple as it is; nothing is converted. The limb IK, the
+local rotations' conjugate products (`math3d.qmul_conj`), the flexion
+diagnostics and the session's error norms are written out on scalar locals,
+each making the operations of its helper form in order, so they keep its
+bits (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -51,21 +55,23 @@ import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .calibration import PART_ROLES, CalibrationProfile
 from .math3d import (
+    DEGENERATE_EPS,
     RIGHT,
     UP,
     DegenerateGeometryError,
     FormatError,
     Transform,
-    angle_between,
     compose_state,
     cross,
     norm,
     pose_to_obj,
     qconj,
     qmul,
+    qmul_conj,
     qrotate,
     quat_angle,
     rotation_between,
@@ -99,8 +105,7 @@ class FrameInputError(ValueError):
 # Two-bone IK
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoBoneSolution:
+class TwoBoneSolution(NamedTuple):
     mid_position: tuple
     end_position: tuple
     reach_deficit: float
@@ -210,9 +215,19 @@ _LIMBS = (
 
 
 def _flexion(pa, pb, pc) -> float:
-    """Bend angle at point b: 0 for a straight a-b-c chain."""
-    return math.pi - angle_between([a - b for a, b in zip(pa, pb)],
-                                   [c - b for c, b in zip(pc, pb)])
+    """Bend angle at point b: 0 for a straight a-b-c chain.
+
+    pi - atan2(|u x v|, u . v) of u = a - b, v = c - b, each root summed left to
+    right: on scalars, it equals `tests/oracles.py::reference_flexion`.
+    """
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = pa, pb, pc
+    ax, ay, az = ax - bx, ay - by, az - bz
+    cx, cy, cz = cx - bx, cy - by, cz - bz
+    if (math.sqrt(ax * ax + ay * ay + az * az) <= DEGENERATE_EPS
+            or math.sqrt(cx * cx + cy * cy + cz * cz) <= DEGENERATE_EPS):
+        raise DegenerateGeometryError("flexion requires a nonzero segment on each side")
+    x, y, z = ay * cz - az * cy, az * cx - ax * cz, ax * cy - ay * cx
+    return math.pi - math.atan2(math.sqrt(x * x + y * y + z * z), ax * cx + ay * cy + az * cz)
 
 
 def solve_frame(
@@ -267,7 +282,7 @@ def solve_frame(
     world = forward_kinematics(skeleton, locals_, target["root"], pass1)
 
     # 3. Head rotation straight from the headset.
-    locals_[head_idx] = qmul(qconj(world[parents[head_idx]][:4]), hmd[:4])
+    locals_[head_idx] = qmul_conj(world[parents[head_idx]][:4], hmd[:4])
 
     # 4. Limbs, from the upper joints and their parents as pass 1 placed them.
     # Both knees bend toward one pole, both elbows toward another.
@@ -275,23 +290,24 @@ def solve_frame(
              ELBOW_POLE_BIND: qrotate(root_delta, ELBOW_POLE_BIND)}
     for (limb, part, pole_bind, _), (upper, mid, end, parent, l1, l2) in zip(_LIMBS, limbs):
         root_pos = world[upper][4:]
-        sol = two_bone_ik(root_pos, l1, l2, target[part][4:], poles[pole_bind])
-        diag.reach_deficits[limb] = sol.reach_deficit
-        if sol.degenerate:
+        (mx, my, mz), (ex, ey, ez), deficit, degenerate = two_bone_ik(
+            root_pos, l1, l2, target[part][4:], poles[pole_bind])
+        diag.reach_deficits[limb] = deficit
+        if degenerate:
             diag.degenerate_limbs.append(limb)
             continue
 
-        (rx, ry, rz), (mx, my, mz), (ex, ey, ez) = root_pos, sol.mid_position, sol.end_position
+        rx, ry, rz = root_pos
         dir1 = (mx - rx, my - ry, mz - rz)
         dir2 = (ex - mx, ey - my, ez - mz)
 
         upper_rot = _swing_to(world[upper][:4], bones[mid], dir1)
-        locals_[upper] = qmul(qconj(world[parent][:4]), upper_rot)
+        locals_[upper] = qmul_conj(world[parent][:4], upper_rot)
 
         mid_rot = _swing_to(qmul(upper_rot, skeleton.bind_rotations[mid]), bones[end], dir2)
-        locals_[mid] = qmul(qconj(upper_rot), mid_rot)
+        locals_[mid] = qmul_conj(upper_rot, mid_rot)
 
-        locals_[end] = qmul(qconj(mid_rot), target[part][:4])
+        locals_[end] = qmul_conj(mid_rot, target[part][:4])
 
     # 5. The head, the limb joints and their descendants, as turned.
     forward_kinematics(skeleton, locals_, target["root"], pass2, world)
@@ -299,7 +315,7 @@ def solve_frame(
     diag.controller_detached_right = diag.reach_deficits["arm_r"] > DETACH_EPS
     for (*_, flexion_name), (upper, mid, end, *_) in zip(_LIMBS, limbs):
         setattr(diag, flexion_name, _flexion(world[upper][4:], world[mid][4:], world[end][4:]))
-    return SolvedPose([Transform(s) for s in world], diag)
+    return SolvedPose(list(map(Transform, world)), diag)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +374,14 @@ def solve_session(
 
     With a `trace` path, each solved frame's `pose_trace_line` (with the
     `attached` entries) is written as it is solved, and no pose is kept. The
-    path is opened only after the ground truth's frame count is checked.
-    Only `FrameInputError` and `DegenerateGeometryError` are frame failures;
-    any other exception is a bug and propagates. Each summary is taken over
-    the solved frames: a mean is `math.fsum(xs) / len(xs)`, the exactly
-    rounded sum over the count, and a maximum is `max(xs)`.
+    path is opened only after the ground truth is checked: its frame count,
+    and every frame's legs. A truth leg whose hip, knee and ankle give no knee
+    angle is an input error (`FormatError` naming the truth frame and side),
+    not a frame error. Only `FrameInputError` and `DegenerateGeometryError`
+    are frame failures; any other exception is a bug and propagates. Each
+    summary is taken over the solved frames: a mean is `math.fsum(xs) /
+    len(xs)`, the exactly rounded sum over the count, and a maximum is
+    `max(xs)`.
     """
     metrics = SessionMetrics(mode=mode.value, frames=len(session.frames))
     if ground_truth is not None and len(ground_truth.frames) != metrics.frames:
@@ -379,8 +398,19 @@ def solve_session(
         scored = [(column(role), skeleton.role_index(role), errors)
                   for role, errors in (("ankle_l", ankle_errors), ("ankle_r", ankle_errors),
                                        ("wrist_l", wrist_errors), ("wrist_r", wrist_errors))]
-        legs = [[column(f"{joint}_{side}") for joint in ("hip", "knee", "ankle")]
-                for side in "lr"]
+        legs = [(side, [column(f"{joint}_{side[0]}") for joint in ("hip", "knee", "ankle")])
+                for side in ("left", "right")]
+        straight = []  # per truth frame: are both legs straight
+        for i, truth in enumerate(ground_truth.frames):
+            frame_straight = True
+            for side, (hip, knee, ankle) in legs:
+                try:
+                    flexion = _flexion(truth[hip].state[4:], truth[knee].state[4:],
+                                       truth[ankle].state[4:])
+                except DegenerateGeometryError as e:
+                    raise FormatError(f"ground truth frame {i}, {side} leg: {e}") from e
+                frame_straight = frame_straight and flexion < STRAIGHT_LEG_MAX
+            straight.append(frame_straight)
 
     with (nullcontext() if trace is None
           else open(trace, "w", encoding="utf-8", newline="\n")) as out:
@@ -404,10 +434,11 @@ def solve_session(
             if ground_truth is not None:
                 truth = ground_truth.frames[i]
                 for t, j, errors in scored:
-                    got, gt = sp.world[j].state[4:], truth[t].state[4:]
-                    errors.append(norm([a - b for a, b in zip(got, gt)]))
-                if all(_flexion(*(truth[t].state[4:] for t in leg)) < STRAIGHT_LEG_MAX
-                       for leg in legs):
+                    _, _, _, _, gx, gy, gz = sp.world[j].state
+                    _, _, _, _, tx, ty, tz = truth[t].state
+                    dx, dy, dz = gx - tx, gy - ty, gz - tz
+                    errors.append(math.sqrt(dx * dx + dy * dy + dz * dz))
+                if straight[i]:
                     straight_count += 1
                     knees_straight.append(max(d.knee_flexion_left, d.knee_flexion_right))
 

@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from avatarfit.fingers import CapsuleShape, Finger, capsule_sdf
-from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, FormatError, Transform, angle_between, \
-    cross, dot, norm, normalize, qmul, qrotate, quat_from_axis_angle
+from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, DegenerateGeometryError, FormatError, \
+    Transform, cross, dot, norm, normalize, qmul, qrotate, quat_from_axis_angle
 from avatarfit.retarget import TwoBoneSolution, _root_angle
 from avatarfit.skeleton import SkeletonModel
 
@@ -180,6 +180,23 @@ def reference_compass_search(chain: tuple, shape: CapsuleShape, penalty: float, 
 
 def reference_cross(a, b) -> np.ndarray:
     return np.cross(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+
+
+def angle_between(a, b) -> float:
+    """Angle between two vectors in [0, pi], via atan2 of cross/dot.
+
+    Stable for nearly parallel and nearly antiparallel inputs, unlike the
+    plain acos-of-dot formulation. Scale invariant by construction.
+    """
+    if norm(a) <= DEGENERATE_EPS or norm(b) <= DEGENERATE_EPS:
+        raise DegenerateGeometryError("angle_between requires nonzero vectors")
+    return math.atan2(norm(cross(a, b)), dot(a, b))
+
+
+def reference_flexion(pa, pb, pc) -> float:
+    """Bend angle at point b by the helpers: pi - angle_between(a - b, c - b)."""
+    return math.pi - angle_between([a - b for a, b in zip(pa, pb)],
+                                   [c - b for c, b in zip(pc, pb)])
 
 
 def reference_rotation_between(a, b) -> tuple:

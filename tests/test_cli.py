@@ -416,6 +416,28 @@ class TestNoSolvedFrame:
             assert row.split()[-2:] == ["n/a", "n/a"]
 
 
+class TestDegenerateTruthLeg:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_exits_3_naming_frame_and_side(self, tmp_path, tiny_files, capsys, side):
+        # A truth knee on its hip gives no knee angle: an input error, found
+        # before `solve` opens the trace, on either leg of any frame.
+        lines = [json.loads(line) for line in tiny_files["ground_truth"].read_text().splitlines()]
+        column = lines[0]["roles"].index
+        p = lines[1 + 3]["p"]
+        p[column(f"knee_{side[0]}")] = p[column(f"hip_{side[0]}")]
+        truth = tmp_path / "gt.jsonl"
+        truth.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        common = ("--skeleton", tiny_files["skeleton"], "--session", tiny_files["session"],
+                  "--profile", tiny_files["profile"], "--ground-truth", truth)
+        message = (f"error: ground truth frame 3, {side} leg: "
+                   "flexion requires a nonzero segment on each side\n")
+        assert run("solve", *common, "--out", tmp_path / "trace.jsonl") == cli.EXIT_PARSE
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "trace.jsonl").exists()
+        assert run("compare", *common, "--out", tmp_path / "compare.json") == cli.EXIT_PARSE
+        assert capsys.readouterr().err == message
+
+
 class TestGenFlags:
     @pytest.mark.parametrize("flag", [
         ("--noise", "-1", "non-negative"), ("--noise", "nan", "non-negative"),

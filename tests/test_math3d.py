@@ -10,14 +10,15 @@ from avatarfit.math3d import (
     DegenerateGeometryError,
     FormatError,
     Transform,
-    angle_between,
     compose_state,
     cross,
     fit_plane,
     float_from_json,
     floats_from_json,
     pose_from_obj,
+    qconj,
     qmul,
+    qmul_conj,
     qrotate,
     quat_angle_between,
     quat_from_axis_angle,
@@ -27,7 +28,7 @@ from avatarfit.math3d import (
 )
 
 from conftest import quat_slerp, random_quat, random_unit, transform, vec3
-from oracles import reference_apply, reference_compose, reference_compose_state, \
+from oracles import angle_between, reference_apply, reference_compose, reference_compose_state, \
     reference_cross, reference_floats_from_json, reference_inverse, reference_quat_from_json, \
     reference_quat_rotate, reference_rotation_between, reference_slerp
 
@@ -52,6 +53,12 @@ exact = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
 transform_parts = st.one_of(
     seeds.map(random_parts),
     st.tuples(st.tuples(exact, exact, exact, exact), st.tuples(exact, exact, exact)),
+)
+# Quaternions: unit ones, exact components and arbitrary finite floats.
+quads = st.one_of(
+    seeds.map(lambda seed: tuple(random_quat(np.random.default_rng(seed)).tolist())),
+    st.tuples(exact, exact, exact, exact),
+    st.tuples(finite, finite, finite, finite),
 )
 
 
@@ -198,6 +205,12 @@ class TestQuaternions:
         q, v = tuple(float(c) for c in b[0]), tuple(float(c) for c in b[1])
         assert np.array(compose_state(s, q, v)).tobytes() == \
             np.array(reference_compose_state(s, q, v)).tobytes()
+
+    @given(quads, quads)
+    def test_qmul_conj_equals_qmul_of_qconj(self, a, b):
+        # Bit for bit, signed zeros included: adding a negated product is
+        # subtracting it.
+        assert np.array(qmul_conj(a, b)).tobytes() == np.array(qmul(qconj(a), b)).tobytes()
 
     def test_canonical_flips_negative_w(self):
         q = np.array([-0.5, 0.5, 0.5, 0.5])

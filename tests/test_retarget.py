@@ -11,8 +11,10 @@ from hypothesis import given, strategies as st
 from avatarfit import retarget, skeleton as skeleton_module
 from avatarfit.calibration import PART_ROLES, CalibrationProfile, calibrate_session
 from avatarfit.math3d import (
+    DEGENERATE_EPS,
     RIGHT,
     UP,
+    DegenerateGeometryError,
     Transform,
     norm,
     qconj,
@@ -37,7 +39,7 @@ from avatarfit.session import ROLE_TO_JOINT, DeviceFrame, DeviceRole, NoiseModel
 from avatarfit.skeleton import SkeletonModel, load_skeleton, skeleton_to_document
 
 from conftest import device_id, random_quat, random_unit, transform
-from oracles import reference_two_bone_ik
+from oracles import reference_flexion, reference_two_bone_ik
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -303,6 +305,56 @@ class TestTwoBoneOracle:
             assert (1e-6 <= d < abs(l1 - l2)) == (branch == "fold")
             assert fallbacks == self.BRANCHES[branch]
             assert solution_bytes(sol) == solution_bytes(reference_two_bone_ik(*case))
+
+
+# Exact coordinates with signed zeros, which a reordered formula would flip.
+EXACT = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0)
+
+
+def flexion_case(rng: np.random.Generator, kind: str) -> tuple:
+    """Points (a, b, c) as float tuples, the bend at b picked for `kind`."""
+    if kind == "signed_zero":
+        return tuple(tuple(rng.choice(EXACT, size=3).tolist()) for _ in range(3))
+    if kind == "threshold":  # both segments within a few ulps of the degenerate length
+        a, c = (DEGENERATE_EPS * (1.0 + rng.uniform(-2e-16, 2e-16)) * random_unit(rng)
+                for _ in range(2))
+        return tuple(a.tolist()), (0.0, 0.0, 0.0), tuple(c.tolist())
+    b = rng.normal(size=3)
+    u, v = random_unit(rng), random_unit(rng)
+    s, t = rng.uniform(0.05, 1.0, size=2)
+    a, c = {"random": (b + s * u, b + t * v), "straight": (b - s * u, b + t * u),
+            "folded": (b + s * u, b + t * u),
+            "degenerate": (b + rng.uniform(0.0, 5e-10) * u, b + t * v)}[kind]
+    if kind == "degenerate" and rng.uniform() < 0.5:
+        a, c = c, a
+    return tuple(a.tolist()), tuple(b.tolist()), tuple(c.tolist())
+
+
+def flexion_outcome(flexion, case):
+    """The flexion's bytes, or "degenerate" when it raises."""
+    try:
+        return np.array([flexion(*case)]).tobytes()
+    except DegenerateGeometryError:
+        return "degenerate"
+
+
+class TestFlexionOracle:
+    """`_flexion` on scalars equals the `angle_between` form bit for bit, raising alike."""
+
+    @pytest.mark.parametrize("kind", ["random", "straight", "folded", "signed_zero",
+                                      "threshold", "degenerate"])
+    def test_equals_reference(self, kind):
+        rng = np.random.default_rng(2711)
+        outcomes = set()
+        for _ in range(300):
+            case = flexion_case(rng, kind)
+            got = flexion_outcome(retarget._flexion, case)
+            assert got == flexion_outcome(reference_flexion, case)
+            outcomes.add(got == "degenerate")
+        # Exact triples repeat points and threshold ones straddle the
+        # degenerate length, so both kinds take both branches.
+        assert outcomes == {"signed_zero": {False, True}, "threshold": {False, True},
+                            "degenerate": {True}}.get(kind, {False})
 
 
 class TestSolveFrame:
