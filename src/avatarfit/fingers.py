@@ -18,24 +18,10 @@ fingers of 1 to 4 joints. Fingers are independent, so each is searched on
 its own factors. A button target can be added for the thumb: its objective
 gains the distance from the thumb tip to the button point.
 
-One routine evaluates a finger: `_FingerChain.walk`, on plain floats, serves
-`finger_objective`, the seed and the polls. It walks from a list of per-joint
-states (world rotation, position and partial objective after each joint).
-Every term is >= 0 and rounding is monotone, so once the running total
-exceeds a bound the walk stops, with no state for that joint: no point
-beyond it can come back under the bound. Each joint keeps its
-`math3d.slerp_basis`, so a new factor costs one `slerp_at`.
-
-The seed is an exact branch and bound over the grid's prefix tree (Land &
-Doig 1960, Econometrica 28(3)): a prefix whose running total exceeds the best
-grid point so far is not extended. Points compare (value, grid index), so on
-a tie the first in product order wins. The bound prunes when the controller
-is within the fingers' reach, as in the CLI's and the benchmark's grips, and
-less for a thumb with a button, whose term only the tip adds. Against a
-capsule 1 m away every partial total is below every full one, so the seed
-walks the whole tree, one joint per walk: about 2.5 times the former NumPy
-grid's time per hand for 3 joints and 5.5 times for 4 (5-8 and 26-40 ms on
-a shared 2-core x86 VM).
+`fingerchain` holds the grid, the seed and the walk that evaluates a finger.
+Each joint of the hand model keeps its `math3d.slerp_basis`
+(`FingerJointSpec.basis`, built on first use), so a new factor costs one
+`slerp_at`.
 
 A poll on factor k passes joint k's new rotation and resumes from the
 current point's state after joint k - 1. Its running total through joint k
@@ -45,8 +31,8 @@ is not walked again while that total is at least the current value. The
 states of a finger's returned factors are the posed points of
 `pose_hand_on_controller`, with no walk of their own.
 
-Every search starts from its seed grid alone, and nothing is carried
-between calls.
+Every search starts from its seed grid alone, and no search state is
+carried between calls; the hand model keeps only its joints' slerp bases.
 
 The hand model, the capsule, the button and `FingerParams` hold tuples of
 floats, as the file readers decode them; the module uses no NumPy.
@@ -57,16 +43,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
+from .fingerchain import GRID_POINTS, _FingerChain, _segment
 from .math3d import INPUT_BOUND, INPUT_BOUND_TEXT, DegenerateGeometryError, FormatError, \
-    Transform, compose_state, float_from_json, floats_from_json, floats_to_json, \
-    quat_from_axis_angle, quat_from_json, quat_to_json, read_json_file, slerp_at, slerp_basis, \
-    transform_from_obj, transform_to_obj, write_json_file
+    Transform, float_from_json, floats_from_json, floats_to_json, quat_from_axis_angle, \
+    quat_from_json, quat_to_json, read_json_file, slerp_at, slerp_basis, transform_from_obj, \
+    transform_to_obj, write_json_file
 
-# The search starts from the best point of the grid {0, 1/6, ..., 1}^n and
-# stops once its step falls below STEP_TOL.
-GRID_POINTS = 7
-GRID = tuple(i / (GRID_POINTS - 1) for i in range(GRID_POINTS))
+# The search stops once its step falls below STEP_TOL.
 STEP_TOL = 1e-4
 
 
@@ -89,14 +74,6 @@ class CapsuleShape:
         # A geometry error: a rigid motion can round close endpoints together.
         if _segment(self)[-1] <= 0.0:
             raise DegenerateGeometryError("capsule endpoints must be distinct")
-
-
-def _segment(shape: CapsuleShape) -> tuple:
-    """(sx, sy, sz, vx, vy, vz, v . v): the start, axis v = end - start and its square."""
-    sx, sy, sz = shape.start
-    ex, ey, ez = shape.end
-    vx, vy, vz = ex - sx, ey - sy, ez - sz
-    return sx, sy, sz, vx, vy, vz, vx * vx + vy * vy + vz * vz
 
 
 def capsule_sdf(shape: CapsuleShape, p) -> float:
@@ -129,6 +106,12 @@ class FingerJointSpec:
     open_rotation: tuple    # local rotation (w, x, y, z) at t = 0
     closed_rotation: tuple  # local rotation (w, x, y, z) at t = 1
     offset: tuple           # translation (x, y, z) to the next point, joint frame
+
+    @cached_property
+    def basis(self) -> tuple:
+        """`slerp_basis(open_rotation, closed_rotation)`, built on first use and
+        kept; not a field, so `==` and the file format ignore it."""
+        return slerp_basis(self.open_rotation, self.closed_rotation)
 
 
 @dataclass(frozen=True)
@@ -174,138 +157,6 @@ class DescentConfig:
 # ---------------------------------------------------------------------------
 # Finger kinematics and objective
 # ---------------------------------------------------------------------------
-
-class _FingerChain:
-    """One finger and its cost, for fast repeated evaluation.
-
-    The seed and the polls evaluate the chain one point at a time, hundreds
-    of times per grip, so `walk` runs on plain floats; an array library's
-    per-call overhead on 3-vectors would dominate otherwise. A walk's state
-    after a joint is the tuple (rw, rx, ry, rz, px, py, pz, total): the
-    world rotation and position of that joint's point and the penalized
-    capsule distance summed over the points up to it. `start` is the state
-    of the finger's base, with total 0.0.
-    """
-
-    __slots__ = ("start", "slerps", "offsets", "capsule", "penalty", "button")
-
-    def __init__(self, finger: Finger, wrist_world: Transform | None, shape: CapsuleShape,
-                 penalty: float, button: tuple | None = None):
-        base = finger.base_local.state
-        if wrist_world is not None:
-            base = compose_state(wrist_world.state, base[:4], base[4:])
-        self.start = (*base, 0.0)
-        self.slerps = [slerp_basis(j.open_rotation, j.closed_rotation) for j in finger.joints]
-        self.offsets = [j.offset for j in finger.joints]
-        self.capsule = (*_segment(shape), shape.radius)
-        self.penalty = penalty
-        self.button = button if finger.name == "thumb" else None
-
-    def rotations(self, t_vec) -> list[tuple]:
-        return [slerp_at(basis, float(t)) for basis, t in zip(self.slerps, t_vec)]
-
-    def walk(self, states: list, k: int, q: tuple, rotations: list,
-             bound: float = math.inf, end: int | None = None) -> float:
-        """Objective with joint k turned by `q` and each later joint j by `rotations[j]`.
-
-        The walk resumes from `states[k - 1]` (from `start` when k is 0),
-        appends the states of joints k..end - 1 (end defaults to the tip) and
-        returns the last total plus, when it walks to the tip of the thumb,
-        its distance to the button. A resumed walk makes the same additions in
-        the same order as one from the base, so the two return the same float.
-        The capsule distance is `capsule_sdf`, written out. Once the running
-        total exceeds `bound`, the walk returns it before appending that
-        joint's state. That is exact: every term added (d, -penalty * d, the
-        button distance) is >= 0 and rounding is monotone, so the full walk
-        would exceed it too.
-        """
-        rw, rx, ry, rz, px, py, pz, total = states[k - 1] if k else self.start
-        sx, sy, sz, vx, vy, vz, axis_sq, radius = self.capsule
-        penalty = self.penalty
-        offsets = self.offsets
-        tip = len(offsets)
-        if end is None:
-            end = tip
-        for j in range(k, end):
-            qw, qx, qy, qz = rotations[j] if j > k else q
-            ox, oy, oz = offsets[j]
-            rw, rx, ry, rz = (
-                rw * qw - rx * qx - ry * qy - rz * qz,
-                rw * qx + rx * qw + ry * qz - rz * qy,
-                rw * qy - rx * qz + ry * qw + rz * qx,
-                rw * qz + rx * qy - ry * qx + rz * qw,
-            )
-            # p += rot * offset (quaternion sandwich, expanded)
-            tx = 2.0 * (ry * oz - rz * oy)
-            ty = 2.0 * (rz * ox - rx * oz)
-            tz = 2.0 * (rx * oy - ry * ox)
-            px += ox + rw * tx + (ry * tz - rz * ty)
-            py += oy + rw * ty + (rz * tx - rx * tz)
-            pz += oz + rw * tz + (rx * ty - ry * tx)
-            ux = px - sx
-            uy = py - sy
-            uz = pz - sz
-            h = (ux * vx + uy * vy + uz * vz) / axis_sq
-            if h < 0.0:
-                h = 0.0
-            elif h > 1.0:
-                h = 1.0
-            dx = ux - vx * h
-            dy = uy - vy * h
-            dz = uz - vz * h
-            d = math.sqrt(dx * dx + dy * dy + dz * dz) - radius
-            total += d if d >= 0.0 else -penalty * d
-            if total > bound:
-                return total
-            states.append((rw, rx, ry, rz, px, py, pz, total))
-        if self.button is not None and end == tip:
-            bx, by, bz = self.button
-            dx = px - bx
-            dy = py - by
-            dz = pz - bz
-            total += math.sqrt(dx * dx + dy * dy + dz * dz)
-        return total
-
-    def seed(self) -> tuple[list, list, list, float]:
-        """Best grid point: (factors, rotations, states, objective).
-
-        A best-first depth-first branch and bound over the grid's prefix
-        tree: a node's GRID_POINTS children are walked one joint each,
-        bounded by the best leaf so far, and entered in (running total, grid
-        index) order unless that total exceeds the best leaf's value (every
-        later term is >= 0 and rounding is monotone). Leaves compare (value,
-        grid index), so on a tie the first point in product order wins.
-        """
-        choices = [[slerp_at(basis, g) for g in GRID] for basis in self.slerps]
-        # Value, grid indices (the first sorts after every real one), states.
-        best = [math.inf, (GRID_POINTS,), None]
-        self._visit(choices, best, [], ())
-        value, index, states = best
-        return [GRID[i] for i in index], [choices[j][i] for j, i in enumerate(index)], \
-            states, value
-
-    def _visit(self, choices: list, best: list, states: list, index: tuple) -> None:
-        """`seed` below the grid prefix `index`, whose states are `states`. Not a
-        closure: a recursive one is a reference cycle, left to the collector."""
-        j = len(states)
-        children = []
-        for i, q in enumerate(choices[j]):
-            total = self.walk(states, j, q, (), best[0], j + 1)
-            if len(states) > j:
-                children.append((total, (*index, i), states.pop()))
-        if j + 1 == len(choices):
-            for total, leaf, state in children:
-                if (total, leaf) < (best[0], best[1]):
-                    best[:] = total, leaf, [*states, state]
-            return
-        children.sort()
-        for total, child, state in children:
-            if total > best[0]:
-                break
-            states.append(state)
-            self._visit(choices, best, states, child)
-            states.pop()
-
 
 def finger_objective(
     hand: HandModel,

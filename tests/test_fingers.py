@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from avatarfit import fingers
+from avatarfit import fingerchain, fingers
 from avatarfit.fingers import (
     CapsuleShape,
     DescentConfig,
@@ -426,16 +426,66 @@ class TestGridSeed:
         assert seeded((free, still)) == [1.0, 0.0]
 
 
-def random_chain(rng, n_joints: int, with_button: bool, penalty: float):
+class TestJointConstants:
+    """`FingerJointSpec.basis`, built on first use and kept."""
+
+    def test_equal_to_slerp_basis_and_built_once(self):
+        # The default hands' specs hold tuples; a random one holds NumPy
+        # arrays, as the tests build them.
+        rng = np.random.default_rng(0)
+        specs = [j for side in ("left", "right") for f in default_hand_model(side).fingers
+                 for j in f.joints]
+        specs.append(FingerJointSpec(random_quat(rng), random_quat(rng), rng.normal(size=3)))
+        for spec in specs:
+            basis = fingers.slerp_basis(spec.open_rotation, spec.closed_rotation)
+            assert np.array(spec.basis).tobytes() == np.array(basis).tobytes()
+            assert spec.basis is spec.basis
+
+    def test_reading_it_changes_no_comparison_or_document(self):
+        hand, fresh = default_hand_model("right"), default_hand_model("right")
+        document = hand_to_document(hand)
+        for f in hand.fingers:
+            for j in f.joints:
+                assert j.basis
+        assert hand == fresh
+        assert hand_to_document(hand) == document == hand_to_document(fresh)
+
+    def test_a_second_grip_builds_no_basis(self, monkeypatch):
+        # The first grip builds each joint's basis. The second calls
+        # `slerp_basis` no more and `slerp_at` as often as the first: 105
+        # times for the seed's grid rotations and 354 for the polls.
+        hand = default_hand_model("left")
+        shape = default_grip_capsule(hand)
+        first = pose_hand_on_controller(hand, Transform.identity(), shape)
+        calls = {"slerp_basis": 0, "slerp_at": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(module, name, call)
+
+        counted(fingers, "slerp_basis")
+        counted(fingers, "slerp_at")
+        counted(fingerchain, "slerp_at")
+        second = pose_hand_on_controller(hand, Transform.identity(), shape)
+        assert calls == {"slerp_basis": 0, "slerp_at": 459}
+        assert second.params.values == first.params.values
+
+
+def random_chain(rng, n_joints: int, with_button: bool, penalty: float, far: bool = False):
     """A chain of n_joints random joints under a random wrist, against a
-    random grip capsule."""
+    random grip capsule or, with `far`, `far_capsule`."""
     joints = tuple(FingerJointSpec(random_quat(rng), random_quat(rng),
                                    rng.normal(size=3) * 0.04) for _ in range(n_joints))
     finger = Finger("thumb" if with_button else "index",
                     transform(random_quat(rng), rng.normal(size=3) * 0.1), joints)
     button = tuple((rng.normal(size=3) * 0.1).tolist()) if with_button else None
     return fingers._FingerChain(finger, transform(random_quat(rng), rng.normal(size=3)),
-                                random_grip_capsule(rng), penalty, button)
+                                far_capsule() if far else random_grip_capsule(rng), penalty,
+                                button)
 
 
 def full_walk(chain, rotations: list) -> tuple[float, list]:
@@ -446,24 +496,18 @@ def full_walk(chain, rotations: list) -> tuple[float, list]:
 
 class TestResumedWalk:
     """`_FingerChain.walk` resumed at joint k with a new rotation, as a poll
-    or the seed calls it, against a walk from the base."""
+    calls it, against a walk from the base."""
 
     @settings(max_examples=80)
     @given(seeds, st.integers(min_value=1, max_value=4), st.booleans(),
            st.floats(min_value=1.0, max_value=30.0), st.integers(min_value=0, max_value=3),
-           st.floats(min_value=-0.2, max_value=1.2), st.booleans())
-    @example(0, 3, False, 10.0, 0, 0.5, False)
-    @example(1, 4, True, 10.0, 3, 1.0, False)
-    @example(2, 3, True, 10.0, 1, 0.5, True)
-    @example(3, 4, True, 10.0, 3, 1.0, True)
+           st.floats(min_value=-0.2, max_value=1.2))
+    @example(0, 3, False, 10.0, 0, 0.5)
+    @example(1, 4, True, 10.0, 3, 1.0)
     def test_bit_identical_to_a_fresh_walk(self, seed, n_joints, with_button, penalty, k,
-                                           trial, one_joint):
+                                           trial):
         # The current point's states and rotations stay as they are; the
-        # fresh walk turns joint k by q in a copy of the rotations. With
-        # `one_joint` the walk ends after joint k, as the seed's walks do:
-        # it holds the fresh walk's first k + 1 states and, before the tip,
-        # returns state k's total with no button term. At the tip it is the
-        # full walk.
+        # fresh walk turns joint k by q in a copy of the rotations.
         rng = np.random.default_rng(seed)
         chain = random_chain(rng, n_joints, with_button, penalty)
         rotations = chain.rotations(rng.uniform(0.0, 1.0, size=n_joints))
@@ -472,18 +516,60 @@ class TestResumedWalk:
         kept_rotations, kept_states = rotations.copy(), states.copy()
         q = fingers.slerp_at(chain.slerps[k], trial)
         probe_states = states[:k]
-        if one_joint:
-            value = chain.walk(probe_states, k, q, (), end=k + 1)
-        else:
-            value = chain.walk(probe_states, k, q, rotations)
+        value = chain.walk(probe_states, k, q, rotations)
         turned = rotations.copy()
         turned[k] = q
         want, want_states = full_walk(chain, turned)
-        if one_joint and k + 1 < n_joints:
-            want, want_states = want_states[k][-1], want_states[:k + 1]
         assert np.float64(value).tobytes() == np.float64(want).tobytes()
         assert probe_states == want_states
         assert (rotations, states) == (kept_rotations, kept_states)
+
+
+class TestSeedChildren:
+    """`_FingerChain._children`, the seed's one pass over the grid children of
+    a prefix, against walks from the base."""
+
+    @settings(max_examples=80)
+    @given(seeds, st.integers(min_value=1, max_value=4), st.booleans(),
+           st.floats(min_value=1.0, max_value=30.0), st.integers(min_value=0, max_value=3),
+           st.booleans(), st.sampled_from(["none", "child", "below_child", "above_child"]))
+    @example(0, 3, False, 10.0, 0, False, "none")
+    @example(1, 4, True, 10.0, 3, False, "child")
+    @example(2, 3, True, 10.0, 2, True, "below_child")
+    @example(3, 4, True, 10.0, 1, True, "above_child")
+    def test_bit_identical_to_fresh_walks(self, seed, n_joints, with_button, penalty, j, far,
+                                          bound_kind):
+        # A random prefix of grid points before joint j, from a full walk's
+        # states. Child i's state is the state at joint j of a full walk with
+        # joint j at grid point i, and its total is that state's running
+        # total, plus the button term at the thumb's tip (there it is the
+        # walk's value). The bound is infinite, or one child's running total,
+        # or an ulp below or above it; exactly the children whose running
+        # total exceeds it are dropped.
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, n_joints, with_button, penalty, far)
+        j = min(j, n_joints - 1)
+        grids = [[fingers.slerp_at(basis, g) for g in fingerchain.GRID] for basis in chain.slerps]
+        index = tuple(int(i) for i in rng.integers(fingers.GRID_POINTS, size=n_joints))
+        rotations = [grid[i] for grid, i in zip(grids, index)]
+        _, full_states = full_walk(chain, rotations)
+        states = full_states[:j]
+        want = []
+        for i, q in enumerate(grids[j]):
+            value, child_states = full_walk(chain, [*rotations[:j], q, *rotations[j + 1:]])
+            state = child_states[j]
+            want.append((value if j + 1 == n_joints else state[-1], (*index[:j], i), state))
+        running = want[int(rng.integers(len(want)))][2][-1]
+        bound = {"none": math.inf, "child": running,
+                 "below_child": math.nextafter(running, -math.inf),
+                 "above_child": math.nextafter(running, math.inf)}[bound_kind]
+        want = [child for child in want if child[2][-1] <= bound]
+        children = chain._children(grids[j], states, index[:j], bound)
+        assert [leaf for _, leaf, _ in children] == [leaf for _, leaf, _ in want]
+        for (total, _, state), (want_total, _, want_state) in zip(children, want):
+            assert np.array([total, *state]).tobytes() == \
+                np.array([want_total, *want_state]).tobytes()
+        assert states == full_states[:j]
 
 
 class TestBoundedWalk:

@@ -13,7 +13,9 @@
 # same files at --max-iters 3 (the search stops unconverged), and compare. Last,
 # it solves squat seed 1 with a hand whose fingers have 4 joints against a
 # controller about 1 m out of reach, where no bound prunes the grip's seed
-# grid. It also calibrates the free seed 1 session on a third avatar, the
+# grid, and with the default right hand and its grip capsule in the right
+# controller's frame (--max-iters 30), which the CLI mirrors to the left
+# hand. It also calibrates the free seed 1 session on a third avatar, the
 # `humanoid_long_legs` rig plus a `finger` joint under each wrist, an `other`
 # joint under the head and an `other` joint under the hips that is no limb's
 # ancestor, and solves it in exact and fixed mode without hands. Last, squat
@@ -69,6 +71,11 @@ fingers.save_hand_file(fingers.HandModel(hand.side, long_fingers, hand.palm_anch
                        f"{out}/hand4.json")
 fingers.save_controller_file(fingers.CapsuleShape((1.0, 0.0, -0.05), (1.0, 0.0, 0.05), 0.026),
                              f"{out}/far_controller.json")
+right = fingers.default_hand_model("right")
+fingers.save_hand_file(right, f"{out}/hand_right.json")
+to_right = session.default_mount_offsets()[session.DeviceRole.CONTROLLER_RIGHT].inverse()
+fingers.save_controller_file(fingers.transform_capsule(fingers.default_grip_capsule(right), to_right),
+                             f"{out}/controller_right.json")
 EOF
     cli() {  # cli NAME ARGS...: run one command, recording its output and exit code
         local name=$1 status=0
@@ -119,6 +126,11 @@ EOF
         --session "$s.session.jsonl" --profile "$s.profile.json" \
         --ground-truth "$s.session.gt.jsonl" --out "$s.exact-far4.trace.jsonl" \
         --hand-model "$out/hand4.json" --controller "$out/far_controller.json" --max-iters 30
+    cli squat-1.solve-exact-right solve --skeleton "$out/avatar.json" \
+        --session "$s.session.jsonl" --profile "$s.profile.json" \
+        --ground-truth "$s.session.gt.jsonl" --out "$s.exact-right.trace.jsonl" \
+        --hand-model "$out/hand_right.json" --controller "$out/controller_right.json" \
+        --max-iters 30
     "$python" - "$s" <<'EOF'
 import json
 import sys
