@@ -15,11 +15,11 @@ Conventions used throughout the package:
   run on. The file codecs read numbers as plain floats and poses straight
   into `Transform.state`.
 - The `translation` view (a fresh float64 array) is the one NumPy value
-  that the package's types hand out, for NumPy callers.
+  that the package's types hand out, for NumPy callers. It imports NumPy
+  when read, as `fit_plane` does: `solve` and `compare` never load it.
 - One norm: a length is the root of the squares summed left to right
   (`norm`; `quat_from_json`, `rotation_between` and `slerp_at` for
-  quaternions), never NumPy's dot. Only the bone lengths
-  (`SkeletonModel`) and the generator's random draws keep NumPy's norm.
+  quaternions), never NumPy's; only the generator's random draws use NumPy's.
 - The body solve's kernels write out the helpers, operation for operation:
   `compose_state` (`qmul`, `qrotate`), `rotation_between` (`normalize`,
   `cross`, `dot`, `norm`), `qmul_conj` (`qmul(qconj(a), b)`) and
@@ -35,8 +35,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 UP = (0.0, 1.0, 0.0)
 RIGHT = (1.0, 0.0, 0.0)
@@ -249,7 +247,8 @@ class Transform:
         return cls((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     @property
-    def translation(self) -> np.ndarray:
+    def translation(self) -> "numpy.ndarray":
+        import numpy as np
         return np.array(self.state[4:])
 
     def __matmul__(self, other: "Transform") -> "Transform":
@@ -408,6 +407,7 @@ def fit_plane(points) -> tuple:
     centered points. Its sign is fixed deterministically: positive dot with
     +Z, tie broken toward +X, then +Y.
     """
+    import numpy as np
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
         raise DegenerateGeometryError("fit_plane requires at least 3 points of dimension 3")

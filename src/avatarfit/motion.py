@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .math3d import RIGHT, UP, Transform, float_from_json, pose_from_obj, qmul, \
     quat_from_axis_angle, quat_from_json, read_jsonl
 from .skeleton import SkeletonModel
@@ -113,6 +111,7 @@ def arms_script(duration: float = 4.0, fps: float = 30.0) -> list[ScriptPose]:
 def free_script(skeleton: SkeletonModel, duration: float = 6.0, fps: float = 30.0,
                 seed: int = 0) -> list[ScriptPose]:
     """Seeded mix of yaw, lean, arm and leg motion starting from T-pose."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     wiggled = ["spine", "elbow_l", "elbow_r", "hip_l", "hip_r", "knee_l", "knee_r"]
     amp = rng.uniform(0.05, 0.25, size=len(wiggled))

@@ -79,6 +79,8 @@ from .math3d import (
 from .session import DeviceFrame, DeviceRole, GroundTruth, Session
 from .skeleton import SkeletonModel, forward_kinematics
 
+FULL_REACH_BAND = 15 * 2.0 ** -53  # d this close to l1 + l2 is full reach (`two_bone_ik`)
+
 # Deficits below this are float noise on an exactly-reachable target, not a
 # detached controller.
 DETACH_EPS = 1e-7
@@ -117,8 +119,8 @@ def _root_angle(l1: float, l2: float, d: float) -> float:
 
     The area is Kahan's Heron formula on the sorted sides ("Miscalculating Area
     and Angles of a Needle-like Triangle", 2014). Unlike acos of the law of
-    cosines this keeps its last bits on flat triangles (full reach and fold).
-    A d past l1 + l2 only by rounding makes the product negative: it reads flat.
+    cosines this keeps its last bits on flat triangles. The clamp at 0 keeps
+    a product that rounding turns negative flat, as on the fold's floor.
     """
     c, b, a = sorted((l1, l2, d))
     area4 = math.sqrt(max(0.0, (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))))
@@ -128,11 +130,19 @@ def _root_angle(l1: float, l2: float, d: float) -> float:
 def two_bone_ik(root_pos, l1: float, l2: float, target_pos, pole_dir) -> TwoBoneSolution:
     """Analytic two-bone solve: mid/end joint positions for a reach target.
 
-    The mid joint bends toward `pole_dir`. Targets beyond l1 + l2 leave the
-    chain pointing straight at the target with the shortfall reported as
-    `reach_deficit`; targets closer than |l1 - l2| fold the chain fully. A
-    target on the chain root is degenerate and leaves the pose untouched.
-    Written out on scalars, it equals `tests/oracles.py::reference_two_bone_ik`.
+    The mid joint bends toward `pole_dir`. A target at full reach,
+    d >= (l1 + l2)(1 - FULL_REACH_BAND), leaves the chain straight, pointing
+    at it, with any shortfall past l1 + l2 as `reach_deficit`; a target closer
+    than |l1 - l2| folds it fully, and one on the chain root leaves the pose as
+    it is (degenerate). On scalars it equals `tests/oracles.py::reference_two_bone_ik`.
+
+    The band is the rounding of l1 + l2 - d, which the bend, a square root of
+    it, would turn into ~1e-8 m. To first order in u = 2^-53 (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, §3.1) a norm is within 2.5u:
+    gamma_3 on the squares, halved by the root, plus the root's rounding. So
+    with L = l1 + l2, the bone norms and their sum put 3.5u L on L, d's norm and
+    the differences t - r 3.5u L on d, and the last sums p + R v of the root's FK
+    and of T O u |p| each, 8u L for |p| <= 4 L (2 m for a 0.5 m arm): 15u L.
     """
     if l1 <= 0.0 or l2 <= 0.0:
         raise ValueError("bone lengths must be positive")
@@ -145,7 +155,7 @@ def two_bone_ik(root_pos, l1: float, l2: float, target_pos, pole_dir) -> TwoBone
     reach = min(d, l1 + l2)
     end = (rx + reach * ux, ry + reach * uy, rz + reach * uz)
     deficit = max(0.0, d - (l1 + l2))
-    if deficit > 0.0:
+    if d >= (l1 + l2) * (1.0 - FULL_REACH_BAND):
         return TwoBoneSolution((rx + l1 * ux, ry + l1 * uy, rz + l1 * uz), end, deficit)
     phi = _root_angle(l1, l2, max(d, abs(l1 - l2) + 1e-12))
     px, py, pz = pole_dir

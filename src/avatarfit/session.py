@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .math3d import (
     UP,
     FormatError,
@@ -235,7 +233,8 @@ def default_mount_offsets() -> dict[DeviceRole, Transform]:
     }
 
 
-def _small_rotation(rng: np.random.Generator, sigma: float) -> tuple:
+def _small_rotation(rng: "numpy.random.Generator", sigma: float) -> tuple:
+    import numpy as np
     axis_angle = rng.normal(0.0, sigma, size=3)
     angle = float(np.linalg.norm(axis_angle))  # NumPy's norm: its bits reach the session
     if angle < 1e-12:
@@ -257,6 +256,7 @@ def generate_synthetic_session(
     be the bind T-pose (every scripted joint within 1 degree of bind).
     Returns the session plus the true joint transforms as ground truth.
     """
+    import numpy as np
     mounts = mount_offsets or default_mount_offsets()
     noise = noise or NoiseModel()
     rng = np.random.default_rng(noise.seed)

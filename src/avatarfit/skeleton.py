@@ -8,15 +8,14 @@ Forward kinematics runs on plain floats: a pose is one local rotation per
 joint as a (w, x, y, z) tuple plus the root's pose state, and FK returns one
 pose state (w, x, y, z, px, py, pz) per joint (see `math3d.compose_state`).
 The joints' bind transforms are read once, as their `Transform.state`;
-`SkeletonModel.bind_states` is the one copy of the bind pose in the world.
+`SkeletonModel.bind_states` is the one copy of the bind pose in the world,
+and the bone lengths are the package's one norm (`math3d.norm`), not NumPy's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .math3d import FormatError, Transform, compose_state, float_from_json, floats_from_json, \
     floats_to_json, norm, qconj, quat_from_json, quat_to_json, read_json_file, write_json_file
@@ -86,7 +85,7 @@ class SkeletonModel:
             self._role_index.setdefault(j.role, i)
         self.parents = tuple(j.parent for j in self.joints)
         self.bind_translations = tuple(j.bind_local.state[4:] for j in self.joints)
-        self._bone_lengths = tuple(float(np.linalg.norm(v)) for v in self.bind_translations)
+        self._bone_lengths = tuple(map(norm, self.bind_translations))
         self.bind_rotations = tuple(j.bind_local.state[:4] for j in self.joints)
         root, spine, head = map(self.role_index, ("root", "spine", "head"))
         self.bind_states = tuple(forward_kinematics(self, self.bind_rotations,
@@ -174,8 +173,8 @@ def load_skeleton(document: dict) -> SkeletonModel:
     if not isinstance(document, dict):
         raise SkeletonError("skeleton document must be a JSON object")
     eye_height = float_from_json(document.get("eye_height"), "eye_height")
-    if not eye_height > 0:
-        raise SkeletonError("eye_height must be a positive number")
+    if not eye_height > 1e-9:  # the floor of a bone length too
+        raise SkeletonError("eye_height must be above 1e-9 m")
     raw = document.get("joints")
     if not isinstance(raw, list) or not raw:
         raise SkeletonError("joints must be a non-empty list")

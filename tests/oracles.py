@@ -8,7 +8,7 @@ import numpy as np
 from avatarfit.fingers import CapsuleShape, Finger, capsule_sdf
 from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, DegenerateGeometryError, FormatError, \
     Transform, cross, dot, norm, normalize, qmul, qrotate, quat_from_axis_angle
-from avatarfit.retarget import TwoBoneSolution, _root_angle
+from avatarfit.retarget import FULL_REACH_BAND, TwoBoneSolution, _root_angle
 from avatarfit.skeleton import SkeletonModel
 
 
@@ -243,7 +243,7 @@ def reference_two_bone_ik(root_pos, l1: float, l2: float, target_pos,
     reach = min(d, l1 + l2)
     end = tuple(r + reach * c for r, c in zip(root, u))
     deficit = max(0.0, d - (l1 + l2))
-    if deficit > 0.0:
+    if d >= (l1 + l2) * (1.0 - FULL_REACH_BAND):
         return TwoBoneSolution(tuple(r + l1 * c for r, c in zip(root, u)), end, deficit)
     phi = _root_angle(l1, l2, max(d, abs(l1 - l2) + 1e-12))
     k = dot(pole_dir, u)

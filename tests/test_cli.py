@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avatarfit
 from avatarfit import cli, fingers, retarget
 from avatarfit.calibration import profile_from_document
 from avatarfit.fingers import DescentConfig, controller_from_document, default_grip_capsule, \
@@ -338,6 +343,31 @@ class TestDescentFlags:
         assert "unrecognized arguments: --eta 0.1" in capsys.readouterr().err
 
 
+class TestNoNumpyOnTheSolvePath:
+    def test_solve_and_compare_never_import_numpy(self, rig_files, tmp_path):
+        # A fresh interpreter: the package's own arithmetic runs the solve,
+        # the grip and the scores, so NumPy's import stays off their start-up.
+        root = rig_files["user"].parent
+        common = ["--skeleton", rig_files["avatar"], "--session", root / "session.jsonl",
+                  "--profile", root / "profile.json", "--ground-truth", root / "session.gt.jsonl"]
+        commands = [["solve", *common, "--out", tmp_path / "trace.jsonl"],
+                    ["solve", *common, "--hand-model", rig_files["hand"], "--controller",
+                     rig_files["controller"], "--out", tmp_path / "grip.jsonl"],
+                    ["compare", *common, "--out", tmp_path / "compare.json"]]
+        script = ("import json, sys\nimport avatarfit.cli\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    assert avatarfit.cli.main(argv) == 0\n"
+                  "print('numpy' in sys.modules)\n")
+        src = str(Path(avatarfit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = json.dumps([[str(a) for a in command] for command in commands])
+        result = subprocess.run([sys.executable, "-c", script, argv], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+
+
 class TestSolveChecksFirst:
     """A usage error or a malformed grip file ends `solve` before the body solve."""
 
@@ -498,6 +528,7 @@ MALFORMED = {
         "joints", 2, "name", document["joints"][1]["name"])(document)),
     "skeleton zero-length bone": ("skeleton", put("joints", 1, "translation", [0.0, 0.0, 0.0])),
     "skeleton eye_height 0": ("skeleton", put("eye_height", 0.0)),
+    "skeleton eye_height 1e-320": ("skeleton", put("eye_height", 1e-320)),
     "session line 5": ("session", lambda lines: lines[:2] + [5] + lines[2:]),
     "session role_map of seven devices": ("session", put(0, "role_map", "dev9", "hmd")),
     "session duplicate device id": ("session", lambda lines: put(

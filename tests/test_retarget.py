@@ -205,6 +205,32 @@ class TestTwoBoneIk:
         np.testing.assert_allclose(sol.mid_position, [0, -0.4, 0], atol=1e-12)
         np.testing.assert_allclose(sol.end_position, [0, -0.8, 0], atol=1e-12)
 
+    @pytest.mark.parametrize("l1, l2", [(0.3, 0.25), (0.45, 0.45), (0.1, 0.6)])
+    @pytest.mark.parametrize("inside", [0.0, 0.5, 1.0, 2.0])
+    def test_full_reach_band(self, l1, l2, inside):
+        # A target within the band inside l1 + l2 is at full reach: the chain
+        # is straight, its mid joint on the root->target line. One band-width
+        # further in, it bends.
+        d = (l1 + l2) * (1.0 - inside * retarget.FULL_REACH_BAND)
+        sol = two_bone_ik((0.0, 0.0, 0.0), l1, l2, (0.0, -d, 0.0), (0.0, 0.0, -1.0))
+        assert sol.end_position == (0.0, -d, 0.0)
+        assert sol.reach_deficit == 0.0
+        if inside <= 1.0:
+            assert sol.mid_position == (0.0, -l1, 0.0)
+        else:
+            assert sol.mid_position[2] < -1e-9
+
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 4])
+    def test_target_ulps_inside_full_reach_is_straight(self, ulps):
+        # Without the band, one ulp inside bends this chain by 1.3e-8 rad
+        # (3.9e-9 m off the line) and four ulps by 3.4e-8 rad.
+        d = 0.3 + 0.25
+        for _ in range(ulps):
+            d = math.nextafter(d, 0.0)
+        sol = two_bone_ik((0.0, 0.0, 0.0), 0.3, 0.25, (0.0, -d, 0.0), (0.0, 0.0, -1.0))
+        assert sol.mid_position == (0.0, -0.3, 0.0)
+        assert sol.end_position == (0.0, -d, 0.0)
+
     def test_law_of_cosines_interior_angle(self):
         sol = two_bone_ik(np.zeros(3), 0.4, 0.4, np.array([0.0, -0.4, 0.0]),
                           np.array([0.0, 0.0, -1.0]))
@@ -267,7 +293,9 @@ def two_bone_case(rng: np.random.Generator, branch: str) -> tuple:
     pole = random_unit(rng)
     lo, hi = abs(l1 - l2), l1 + l2
     d = {"degenerate": rng.uniform(0.0, 9e-7), "out_of_reach": hi * rng.uniform(1.001, 3.0),
-         "fold": lo * rng.uniform(0.01, 0.99)}.get(branch, lo + (hi - lo) * rng.uniform(0.01, 0.99))
+         "fold": lo * rng.uniform(0.01, 0.99),
+         "full_reach": hi * (1.0 + rng.uniform(-1.0, 1.0) * retarget.FULL_REACH_BAND),
+         }.get(branch, lo + (hi - lo) * rng.uniform(0.01, 0.99))
     if branch == "vertical_pole_along_reach":
         u = np.array([0.0, rng.choice([-1.0, 1.0]), 0.0])
     if branch.endswith("pole_along_reach"):
@@ -286,7 +314,7 @@ class TestTwoBoneOracle:
 
     # Branch -> the `cross` fallbacks it takes: a pole along the reach swings
     # about u x UP, and about u x RIGHT when the reach is vertical too.
-    BRANCHES = {"reach": [], "degenerate": [], "out_of_reach": [], "fold": [],
+    BRANCHES = {"reach": [], "degenerate": [], "out_of_reach": [], "fold": [], "full_reach": [],
                 "pole_along_reach": [UP], "vertical_pole_along_reach": [UP, RIGHT]}
 
     @pytest.mark.parametrize("branch", BRANCHES)
@@ -301,7 +329,8 @@ class TestTwoBoneOracle:
             sol = two_bone_ik(*case)
             d = math.dist(root, target)
             assert sol.degenerate == (branch == "degenerate")
-            assert (sol.reach_deficit > 0.0) == (branch == "out_of_reach")
+            if branch != "full_reach":  # a full-reach target may lie past l1 + l2
+                assert (sol.reach_deficit > 0.0) == (branch == "out_of_reach")
             assert (1e-6 <= d < abs(l1 - l2)) == (branch == "fold")
             assert fallbacks == self.BRANCHES[branch]
             assert solution_bytes(sol) == solution_bytes(reference_two_bone_ik(*case))
@@ -514,17 +543,16 @@ class TestBindRotationInvariance:
     def test_joint_positions_ignore_bind_rotations(self, user_skeleton, script):
         # A bind rotation only picks a joint's frame: two avatars with the same
         # bind world positions solve to the same joint positions in exact
-        # mode. Noise-free, every frame agrees to rounding, the calibration
-        # frame's straight arms included. With tracker noise the calibration
-        # frame's arm target sits within rounding of full reach, where the
-        # geometry itself, not the formula, turns last-bit differences into
-        # ~7e-9 m; that frame is left out of the noisy case.
+        # mode, to rounding, on every frame. That holds on the calibration
+        # frame too, whose arm and leg targets sit within rounding of full
+        # reach: there a bend would turn the rigs' last-bit differences into
+        # ~7e-9 m, and `two_bone_ik` solves the chain straight instead.
         reference = humanoid_long_legs()
         rotated = rebound(reference, np.random.default_rng(5))
         for a, b in zip(reference.bind_states, rotated.bind_states):
             np.testing.assert_allclose(a[4:], b[4:], atol=1e-15)
         assert all(abs(q[0]) < 1.0 - 1e-3 for q in rotated.bind_rotations)
-        for noise, first, bound in ((None, 0, 1e-12), (NoiseModel(0.002, 0.01, seed=1), 1, 1e-9)):
+        for noise in (None, NoiseModel(0.002, 0.01, seed=1)):
             session, _ = generate_synthetic_session(user_skeleton,
                                                     builtin_script(script, user_skeleton),
                                                     noise=noise)
@@ -532,9 +560,9 @@ class TestBindRotationInvariance:
             for rig in (reference, rotated):
                 profile, scaled, _ = calibrate_session(session, rig)
                 solved.append([solve_frame(frame, profile, scaled) for frame in session.frames])
-            for want, got in list(zip(*solved))[first:]:
+            for want, got in zip(*solved):
                 for w, g in zip(want.world, got.world):
-                    assert np.abs(w.translation - g.translation).max() < bound
+                    assert np.abs(w.translation - g.translation).max() < 1e-12
 
 
 _EQ_CACHE = []

@@ -18,11 +18,15 @@
 # hand. It also calibrates the free seed 1 session on a third avatar, the
 # `humanoid_long_legs` rig plus a `finger` joint under each wrist, an `other`
 # joint under the head and an `other` joint under the hips that is no limb's
-# ancestor, and solves it in exact and fixed mode without hands. Last, squat
-# seed 1 again: with one device id renamed on a few frame lines, solved with
-# and without hands (frames skipped between solved ones); with every id
-# renamed, header too, solved with hands (no frame solves); and against a
-# ground truth cut to 10 frames (exit 3, and no trace). After those, gen
+# ancestor, and solves it in exact and fixed mode without hands. It does the
+# same on a fourth avatar, in exact mode only: `humanoid_long_legs` with
+# fixed, non-identity bind rotations and the same bind world positions, so
+# each bone lies oblique to its joint's axes and its length is the norm of
+# three nonzero components. Last, squat seed 1 again: with one device id
+# renamed on a few frame lines, solved with and without hands (frames skipped
+# between solved ones); with every id renamed, header too, solved with hands
+# (no frame solves); and against a ground truth cut to 10 frames (exit 3, and
+# no trace). After those, gen
 # reads a JSONL motion script (--script-file: a T-pose line, then 30 lines of
 # joint rotations and root poses), and the session is calibrated and solved
 # against its ground truth. Every command's stdout, stderr and exit code go
@@ -48,7 +52,7 @@ run_tree() {  # run_tree TREE OUT_DIR
     export PYTHONPATH="$tree/src"
     "$python" - "$out" <<'EOF'
 import sys
-from avatarfit import fingers, rigs, session, skeleton
+from avatarfit import fingers, math3d, rigs, session, skeleton
 
 out = sys.argv[1]
 skeleton.save_skeleton_file(rigs.humanoid(), f"{out}/user.json")
@@ -60,6 +64,21 @@ for name, parent, role, t in (("finger_l", "wrist_l", "finger", [-0.08, 0.0, 0.0
                               ("hip_pouch", "hips", "other", [0.0, 0.0, 0.1])):
     extended["joints"].append({"name": name, "parent": parent, "role": role, "translation": t})
 skeleton.save_skeleton_file(skeleton.load_skeleton(extended), f"{out}/avatar3.json")
+# Fixed bind rotations, each bind translation re-expressed in its parent's
+# new frame: the same bind world positions, with oblique bones.
+base = rigs.humanoid_long_legs()
+oblique = skeleton.skeleton_to_document(base)
+turns = [math3d.quat_from_axis_angle(math3d.normalize((1.0, 0.5 + i % 3, 0.3 * i - 0.7)),
+                                     0.4 + 0.1 * i) for i in range(len(base.joints))]
+for i, (joint, entry) in enumerate(zip(base.joints, oblique["joints"])):
+    if joint.parent is None:
+        entry["rotation"] = list(turns[i])
+        continue
+    to_parent = math3d.qconj(turns[joint.parent])
+    entry["rotation"] = list(math3d.qmul(to_parent, turns[i]))
+    bone = [a - b for a, b in zip(base.bind_states[i][4:], base.bind_states[joint.parent][4:])]
+    entry["translation"] = list(math3d.qrotate(to_parent, bone))
+skeleton.save_skeleton_file(skeleton.load_skeleton(oblique), f"{out}/avatar4.json")
 hand = fingers.default_hand_model("left")
 fingers.save_hand_file(hand, f"{out}/hand.json")
 to_device = session.default_mount_offsets()[session.DeviceRole.CONTROLLER_LEFT].inverse()
@@ -121,6 +140,11 @@ EOF
             --ground-truth "$s.session.gt.jsonl" --mode "$mode" \
             --out "$s.avatar3-$mode.trace.jsonl"
     done
+    cli free-1.calibrate-avatar4 calibrate --skeleton "$out/avatar4.json" \
+        --session "$s.session.jsonl" --out "$s.avatar4.profile.json"
+    cli free-1.solve-avatar4-exact solve --skeleton "$out/avatar4.json" \
+        --session "$s.session.jsonl" --profile "$s.avatar4.profile.json" \
+        --ground-truth "$s.session.gt.jsonl" --out "$s.avatar4-exact.trace.jsonl"
     s="$out/squat-1"
     cli squat-1.solve-exact-far4 solve --skeleton "$out/avatar.json" \
         --session "$s.session.jsonl" --profile "$s.profile.json" \
