@@ -349,7 +349,8 @@ class TestNoNumpyOnTheSolvePath:
         # the grip and the scores, so NumPy's import stays off their start-up.
         root = rig_files["user"].parent
         common = ["--skeleton", rig_files["avatar"], "--session", root / "session.jsonl",
-                  "--profile", root / "profile.json", "--ground-truth", root / "session.gt.jsonl"]
+                  "--profile", root / "profile.json",
+                  "--ground-truth", root / "session.gt.jsonl"]
         commands = [["solve", *common, "--out", tmp_path / "trace.jsonl"],
                     ["solve", *common, "--hand-model", rig_files["hand"], "--controller",
                      rig_files["controller"], "--out", tmp_path / "grip.jsonl"],
@@ -358,9 +359,7 @@ class TestNoNumpyOnTheSolvePath:
                   "for argv in json.loads(sys.argv[1]):\n"
                   "    assert avatarfit.cli.main(argv) == 0\n"
                   "print('numpy' in sys.modules)\n")
-        src = str(Path(avatarfit.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        env = {**os.environ, "PYTHONPATH": str(Path(avatarfit.__file__).resolve().parents[1])}
         argv = json.dumps([[str(a) for a in command] for command in commands])
         result = subprocess.run([sys.executable, "-c", script, argv], env=env,
                                 capture_output=True, text=True)
