@@ -47,7 +47,7 @@ class MisalignmentError(ValueError):
 
 
 def _check_walk_in(error: type, where: str, offset: Transform) -> None:
-    gap = norm(offset.state[4:])
+    gap = norm(offset[4:])
     if gap > MAX_WALK_IN_OFFSET:
         raise error(f"{where}: device is {gap:.2f} m from its joint; walk-in alignment failed")
 
@@ -104,8 +104,8 @@ def capture_profile(
         offsets[part] = device[dev_role].inverse() @ joint
         _check_walk_in(MisalignmentError, part, offsets[part])
 
-    w0 = tuple(h - b for h, b in zip(device[DeviceRole.HMD].state[4:],
-                                     device[DeviceRole.TRACKER_ROOT].state[4:]))
+    w0 = tuple(h - b for h, b in zip(device[DeviceRole.HMD][4:],
+                                     device[DeviceRole.TRACKER_ROOT][4:]))
     return CalibrationProfile(scale=scale, offsets=offsets, w0=w0, role_map=dict(role_map))
 
 
@@ -121,7 +121,7 @@ def calibrate_session(
     frame = session.calibration_frame()
     role_map = identify_roles(frame)
     hmd_id = next(did for did, role in role_map.items() if role == DeviceRole.HMD)
-    hmd_height = frame.devices[hmd_id].state[5]
+    hmd_height = frame.devices[hmd_id][5]
     result = compute_scale(hmd_height, skeleton)
     scaled = scale_uniform(skeleton, result.scale)
     profile = capture_profile(frame, role_map, scaled, placement, scale=result.scale)

@@ -110,7 +110,7 @@ def cmd_calibrate(args) -> int:
     print(f"roles: {roles}")
     print(f"scale: {profile.scale:.6f}")
     for part, offset in profile.offsets.items():
-        print(f"offset {part}: {norm(offset.state[4:]):.4f} m")
+        print(f"offset {part}: {norm(offset[4:]):.4f} m")
     for w in warnings:
         print(f"warning: {w}")
     print(f"wrote profile to {args.out}")

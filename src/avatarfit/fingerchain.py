@@ -61,9 +61,9 @@ class _FingerChain:
 
     def __init__(self, finger: Finger, wrist_world: Transform | None, shape: CapsuleShape,
                  penalty: float, button: tuple | None = None):
-        base = finger.base_local.state
+        base = finger.base_local
         if wrist_world is not None:
-            base = compose_state(wrist_world.state, base[:4], base[4:])
+            base = compose_state(wrist_world, base[:4], base[4:])
         self.start = (*base, 0.0)
         self.slerps = [j.basis for j in finger.joints]
         self.offsets = [j.offset for j in finger.joints]

@@ -299,7 +299,7 @@ def mirror_x(p) -> tuple:
 
 
 def _mirror_x_transform(t: Transform) -> Transform:
-    return Transform((*_mirror_x_quat(t.state), *mirror_x(t.state[4:])))
+    return Transform((*_mirror_x_quat(t), *mirror_x(t[4:])))
 
 
 def mirror_hand(hand: HandModel) -> HandModel:
@@ -358,7 +358,7 @@ def default_hand_model(side: str = "left") -> HandModel:
 
 def default_grip_capsule(hand: HandModel) -> CapsuleShape:
     """Controller capsule at the standard grip pose, in the wrist frame."""
-    center = hand.palm_anchor.state[4:]
+    center = hand.palm_anchor[4:]
     axis = (0.0, 0.0, 0.055)
     return CapsuleShape(tuple(c - a for c, a in zip(center, axis)),
                         tuple(c + a for c, a in zip(center, axis)), 0.026)

@@ -7,14 +7,13 @@ Conventions used throughout the package:
 - Quaternions are in (w, x, y, z) order and are kept unit-length.
   Serialization canonicalizes the sign so w >= 0, making traces
   byte-comparable across runs.
-- A pose is one type, `Transform`, which stores its pose state
-  (w, x, y, z, px, py, pz) as a tuple of floats. `Transform(state)` is its
-  one constructor and keeps the state as given; the package reads poses
-  through `state`. The helpers take any sequence and return floats or
-  tuples of floats, which the body solve, the grip search and the set-up
-  run on. The file codecs read numbers as plain floats and poses straight
-  into `Transform.state`.
-- The `translation` view (a fresh float64 array) is the one NumPy value
+- A pose is its state (w, x, y, z, px, py, pz), seven floats. `Transform`
+  is a tuple of them, and `Transform(state)` its one constructor. The
+  helpers take any sequence and return floats or tuples of floats. The hot
+  loops (FK, the body solve's targets, the grip's walks) run on plain
+  tuples, which unpack faster than a Transform. The file codecs read
+  numbers as plain floats and poses as Transforms.
+- `Transform.translation` (a fresh float64 array) is the one NumPy value
   that the package's types hand out, for NumPy callers. It imports NumPy
   when read, as `fit_plane` does: `solve` and `compare` never load it.
 - One norm: a length is the root of the squares summed left to right
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 UP = (0.0, 1.0, 0.0)
 RIGHT = (1.0, 0.0, 0.0)
@@ -167,9 +165,9 @@ def slerp_at(basis: tuple, t: float) -> tuple[float, float, float, float]:
 # Plain-float quaternions and pose states
 # ---------------------------------------------------------------------------
 # A quaternion is (w, x, y, z) and a pose state (w, x, y, z, px, py, pz) is a
-# rotation followed by a translation, as `Transform.state` holds it. They are
-# tuples of floats: NumPy's per-call overhead on 3- and 4-vectors would
-# dominate the body solve.
+# rotation followed by a translation, as a `Transform` is. They are tuples of
+# floats: NumPy's per-call overhead on 3- and 4-vectors would dominate the
+# body solve.
 
 def qmul(a, b) -> tuple:
     """Hamilton product a * b."""
@@ -212,7 +210,7 @@ def qrotate(q, v) -> tuple:
 
 
 def compose_state(s, q, v) -> tuple:
-    """State of s @ Transform((*q, *v)): rotation s_q * q, position s_p + s_q v."""
+    """The pose s @ (*q, *v) as a plain tuple: rotation s_q * q, position s_p + s_q v."""
     (sw, sx, sy, sz, px, py, pz), (qw, qx, qy, qz), (vx, vy, vz) = s, q, v
     tx = 2.0 * (sy * vz - sz * vy)
     ty = 2.0 * (sz * vx - sx * vz)
@@ -230,17 +228,15 @@ def compose_state(s, q, v) -> tuple:
 # Rigid transforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Transform:
+class Transform(tuple):
     """Rigid transform: rotation (unit quaternion) followed by translation.
 
-    `state` is its pose state (w, x, y, z, px, py, pz), kept as given, so it
-    should be a tuple of seven floats. `translation` returns the position as
-    a fresh float64 array for NumPy callers. Slotted, since sessions and
-    ground truths hold one per device or joint and frame.
+    A Transform is its pose state (w, x, y, z, px, py, pz): a tuple of the
+    seven floats given to `Transform(state)`. `translation` returns the
+    position as a fresh float64 array for NumPy callers.
     """
 
-    state: tuple
+    __slots__ = ()
 
     @classmethod
     def identity(cls) -> "Transform":
@@ -249,24 +245,21 @@ class Transform:
     @property
     def translation(self) -> "numpy.ndarray":
         import numpy as np
-        return np.array(self.state[4:])
+        return np.array(self[4:])
 
     def __matmul__(self, other: "Transform") -> "Transform":
         """Composition: (self @ other)(p) = self(other(p))."""
-        o = other.state
-        return Transform(compose_state(self.state, o[:4], o[4:]))
+        return Transform(compose_state(self, other[:4], other[4:]))
 
     def inverse(self) -> "Transform":
-        s = self.state
-        rinv = qconj(s)
-        dx, dy, dz = qrotate(rinv, s[4:])
+        rinv = qconj(self)
+        dx, dy, dz = qrotate(rinv, self[4:])
         return Transform((*rinv, -dx, -dy, -dz))
 
     def apply(self, p) -> tuple:
         """Transform a point."""
-        s = self.state
-        dx, dy, dz = qrotate(s[:4], p)
-        return dx + s[4], dy + s[5], dz + s[6]
+        dx, dy, dz = qrotate(self[:4], p)
+        return dx + self[4], dy + self[5], dz + self[6]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +326,7 @@ def quat_from_json(value, where: str) -> tuple:
 
 
 def transform_to_obj(t: Transform) -> dict:
-    return {"rotation": quat_to_json(t.state[:4]), "translation": floats_to_json(t.state[4:])}
+    return {"rotation": quat_to_json(t[:4]), "translation": floats_to_json(t[4:])}
 
 
 def transform_from_obj(obj, where: str) -> Transform:
@@ -342,8 +335,7 @@ def transform_from_obj(obj, where: str) -> Transform:
 
 def pose_to_obj(t: Transform) -> dict:
     """Compact pose object of the session and trace lines."""
-    s = t.state
-    return {"p": list(s[4:]), "q": quat_to_json(s[:4])}
+    return {"p": list(t[4:]), "q": quat_to_json(t[:4])}
 
 
 def pose_from_obj(obj, where: str, q: str = "q", p: str = "p") -> Transform:

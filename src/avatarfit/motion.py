@@ -50,7 +50,7 @@ def pose_from_script(skeleton: SkeletonModel, sp: ScriptPose) -> tuple[list[tupl
         except KeyError:
             raise ScriptError(f"script rotates unknown joint {name!r}") from None
     root = _bind_root(skeleton) if sp.root_world is None else sp.root_world
-    return rotations, root.state
+    return rotations, root
 
 
 def _bind_root(skeleton: SkeletonModel) -> Transform:
@@ -73,7 +73,7 @@ def tpose_script(duration: float = 2.0, fps: float = 30.0) -> list[ScriptPose]:
 
 def squat_script(skeleton: SkeletonModel, duration: float = 4.0,
                  fps: float = 30.0) -> list[ScriptPose]:
-    bind = _bind_root(skeleton).state
+    bind = _bind_root(skeleton)
     l1 = skeleton.bone_length(skeleton.role_index("knee_l"))
     l2 = skeleton.bone_length(skeleton.role_index("ankle_l"))
     frames = []
@@ -121,7 +121,7 @@ def free_script(skeleton: SkeletonModel, duration: float = 6.0, fps: float = 30.
     for a in phase_axis:
         n = np.linalg.norm(a)  # NumPy's norm: its bits reach the axes
         axes.append((a / n).tolist() if n > 1e-9 else UP)
-    bind = _bind_root(skeleton).state
+    bind = _bind_root(skeleton)
     frames = []
     for t in _times(duration, fps):
         u = t / duration

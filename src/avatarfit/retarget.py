@@ -36,12 +36,12 @@ Fixed mode runs the identical pipeline with every offset set to the identity
 reproduces the classic bent-legs artifact on avatars with longer legs.
 
 The solve runs on tuples of Python floats: pose states (see
-`math3d.compose_state`) for device poses, targets, local rotations and the
-joints the two FK passes place, and 3-tuples for the spine bend's vectors
-and the limb IK's positions and directions. It reads the devices' pose
-states, the profile's offsets (`Transform.state`) and float `w0`, and each
-`Transform` of `SolvedPose.world` is `Transform(state)` of a solved state,
-which keeps the tuple as it is; nothing is converted. The limb IK, the
+`math3d.compose_state`) for targets, local rotations and the joints the two
+FK passes place, and 3-tuples for the spine bend's vectors and the limb
+IK's positions and directions. These are exact tuples, not Transforms, which
+unpack slower: the only Transforms `solve_frame` unpacks are the five device
+poses that the targets compose with the profile's offsets. Each solved state
+is wrapped once, as a `Transform` of `SolvedPose.world`. The limb IK, the
 local rotations' conjugate products (`math3d.qmul_conj`), the flexion
 diagnostics and the session's error norms are written out on scalar locals,
 each making the operations of its helper form in order, so they keep its
@@ -254,7 +254,7 @@ def solve_frame(
     device: dict[DeviceRole, tuple] = {}
     for did, role in profile.role_map.items():
         try:
-            device[role] = frame.devices[did].state
+            device[role] = frame.devices[did]
         except KeyError as e:
             raise FrameInputError(f"frame lacks device {did!r} for role {role.value}") from e
     if len(device) != 6:
@@ -264,7 +264,7 @@ def solve_frame(
             raise FrameInputError(f"device pose for {role.value} is not finite")
 
     offsets = mode_offsets(profile, mode)
-    target = {part: compose_state(device[role], offsets[part].state[:4], offsets[part].state[4:])
+    target = {part: compose_state(device[role], offsets[part][:4], offsets[part][4:])
               for part, role in PART_ROLES.items()}
 
     bind = skeleton.bind_states
@@ -415,8 +415,7 @@ def solve_session(
             frame_straight = True
             for side, (hip, knee, ankle) in legs:
                 try:
-                    flexion = _flexion(truth[hip].state[4:], truth[knee].state[4:],
-                                       truth[ankle].state[4:])
+                    flexion = _flexion(truth[hip][4:], truth[knee][4:], truth[ankle][4:])
                 except DegenerateGeometryError as e:
                     raise FormatError(f"ground truth frame {i}, {side} leg: {e}") from e
                 frame_straight = frame_straight and flexion < STRAIGHT_LEG_MAX
@@ -444,8 +443,8 @@ def solve_session(
             if ground_truth is not None:
                 truth = ground_truth.frames[i]
                 for t, j, errors in scored:
-                    _, _, _, _, gx, gy, gz = sp.world[j].state
-                    _, _, _, _, tx, ty, tz = truth[t].state
+                    _, _, _, _, gx, gy, gz = sp.world[j]
+                    _, _, _, _, tx, ty, tz = truth[t]
                     dx, dy, dz = gx - tx, gy - ty, gz - tz
                     errors.append(math.sqrt(dx * dx + dy * dy + dz * dz))
                 if straight[i]:

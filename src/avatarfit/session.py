@@ -122,7 +122,7 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
     """
     if len(frame.devices) != 6:
         raise FormatError(f"expected 6 devices, got {len(frame.devices)}")
-    pos = {did: pose.state[4:] for did, pose in frame.devices.items()}
+    pos = {did: pose[4:] for did, pose in frame.devices.items()}
 
     normal = fit_plane(list(pos.values()))
 
@@ -289,11 +289,11 @@ def generate_synthetic_session(
             pose = world[joint_for[did]] @ mounts[role_map[did]]
             if noise.position_sigma > 0.0:
                 dx, dy, dz = rng.normal(0.0, noise.position_sigma, 3).tolist()
-                w, x, y, z, px, py, pz = pose.state
+                w, x, y, z, px, py, pz = pose
                 pose = Transform((w, x, y, z, px + dx, py + dy, pz + dz))
             if noise.rotation_sigma > 0.0:
-                q = qmul(_small_rotation(rng, noise.rotation_sigma), pose.state[:4])
-                pose = Transform(q + pose.state[4:])
+                q = qmul(_small_rotation(rng, noise.rotation_sigma), pose[:4])
+                pose = Transform(q + pose[4:])
             devices[did] = pose
         frames.append(DeviceFrame(sp.time, devices))
 
@@ -392,8 +392,8 @@ def write_ground_truth(truth: GroundTruth, session: Session, path) -> None:
         "roles": truth.joint_roles,
     }
     frames = ({"t": frame.timestamp,
-               "p": [list(w.state[4:]) for w in world],
-               "q": [quat_to_json(w.state[:4]) for w in world]}
+               "p": [list(w[4:]) for w in world],
+               "q": [quat_to_json(w[:4]) for w in world]}
               for frame, world in zip(session.frames, truth.frames))
     write_jsonl(path, [header, *frames])
 

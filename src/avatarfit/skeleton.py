@@ -7,9 +7,9 @@ local rotation per joint so bone lengths never change.
 Forward kinematics runs on plain floats: a pose is one local rotation per
 joint as a (w, x, y, z) tuple plus the root's pose state, and FK returns one
 pose state (w, x, y, z, px, py, pz) per joint (see `math3d.compose_state`).
-The joints' bind transforms are read once, as their `Transform.state`;
-`SkeletonModel.bind_states` is the one copy of the bind pose in the world,
-and the bone lengths are the package's one norm (`math3d.norm`), not NumPy's.
+The joints' bind transforms are sliced once; `SkeletonModel.bind_states`
+is the one copy of the bind pose in the world, and the bone lengths are
+the package's one norm (`math3d.norm`), not NumPy's.
 """
 
 from __future__ import annotations
@@ -84,12 +84,12 @@ class SkeletonModel:
             # required roles are unique by validation.
             self._role_index.setdefault(j.role, i)
         self.parents = tuple(j.parent for j in self.joints)
-        self.bind_translations = tuple(j.bind_local.state[4:] for j in self.joints)
+        self.bind_translations = tuple(j.bind_local[4:] for j in self.joints)
         self._bone_lengths = tuple(map(norm, self.bind_translations))
-        self.bind_rotations = tuple(j.bind_local.state[:4] for j in self.joints)
+        self.bind_rotations = tuple(j.bind_local[:4] for j in self.joints)
         root, spine, head = map(self.role_index, ("root", "spine", "head"))
         self.bind_states = tuple(forward_kinematics(self, self.bind_rotations,
-                                                    self.joints[root].bind_local.state))
+                                                    self.joints[root].bind_local))
         limbs = tuple(tuple(map(self.role_index, roles)) for roles in LIMB_ROLES)
         moved = {head, *(j for limb in limbs for j in limb)}
         for i, p in enumerate(self.parents):  # parents come first
@@ -126,7 +126,8 @@ def forward_kinematics(skeleton: SkeletonModel, rotations, root: tuple,
     Joint i's state is its parent's composed with (rotations[i],
     bind_translations[i]) by `compose_state`, which `Transform.__matmul__`
     also runs; each state equals the bytes of FK by composition on float64
-    arrays (`tests/oracles.py::reference_forward_kinematics`).
+    arrays (`tests/oracles.py::reference_forward_kinematics`). All but the
+    root's (`root` itself) are plain tuples, which unpack fastest.
 
     Given `joints`, a list of joint indices in topological order, only those
     are placed, into `states` (one entry per joint; a new list of None by
@@ -147,16 +148,20 @@ def scale_uniform(skeleton: SkeletonModel, s: float) -> SkeletonModel:
     """Scale all bone offsets and the eye height by s (rotations unchanged).
 
     The pivot is the floor projection of the root joint, so the root keeps
-    its horizontal position and the feet stay on the floor.
+    its horizontal position and the feet stay on the floor. A scale that
+    leaves a bone or the eye height at or below 1e-9 m is a SkeletonError.
     """
     if not 0.0 < s < math.inf:
         raise ValueError(f"scale factor must be positive and finite, got {s}")
+    eye_height = s * skeleton.eye_height_bind
     joints = []
     for j in skeleton.joints:
-        w, x, y, z, px, py, pz = j.bind_local.state
+        w, x, y, z, px, py, pz = j.bind_local
         scaled = (px, s * py, pz) if j.parent is None else (s * px, s * py, s * pz)
+        if eye_height <= 1e-9 or j.parent is not None and norm(scaled) <= 1e-9:
+            raise SkeletonError(f"scale {s:g} leaves a length at or below 1e-9 m")
         joints.append(Joint(j.name, j.parent, Transform((w, x, y, z, *scaled)), j.role))
-    return SkeletonModel(joints, s * skeleton.eye_height_bind)
+    return SkeletonModel(joints, eye_height)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +264,8 @@ def skeleton_to_document(skeleton: SkeletonModel) -> dict:
             "name": j.name,
             "parent": None if j.parent is None else skeleton.joints[j.parent].name,
             "role": j.role,
-            "translation": floats_to_json(j.bind_local.state[4:]),
-            "rotation": quat_to_json(j.bind_local.state[:4]),
+            "translation": floats_to_json(j.bind_local[4:]),
+            "rotation": quat_to_json(j.bind_local[:4]),
         })
     return {"eye_height": skeleton.eye_height_bind, "joints": joints}
 

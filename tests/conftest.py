@@ -20,7 +20,7 @@ settings.load_profile("ci")
 
 
 def transform(q, p) -> Transform:
-    """The Transform of rotation `q` and translation `p`, any two sequences of numbers."""
+    """The Transform of the seven floats (*q, *p), from any two sequences of numbers."""
     return Transform((*map(float, q), *map(float, p)))
 
 
@@ -54,7 +54,7 @@ def rotated_mount_offsets() -> dict[DeviceRole, Transform]:
     out = {}
     for role, mount in mounts.items():
         spin = spins.get(role)
-        rot = mount.state[:4] if spin is None else qmul(spin, mount.state[:4])
+        rot = mount[:4] if spin is None else qmul(spin, mount[:4])
         out[role] = transform(rot, mount.translation)
     return out
 

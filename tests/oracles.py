@@ -85,7 +85,7 @@ def reference_chain(finger: Finger, wrist_world: Transform | None) -> tuple:
     joints = tuple(tuple(tuple(float(v) for v in vec)
                          for vec in (j.open_rotation, j.closed_rotation, j.offset))
                    for j in finger.joints)
-    return (tuple(float(v) for v in base.state[:4]),
+    return (tuple(float(v) for v in base[:4]),
             tuple(float(v) for v in base.translation), joints)
 
 
@@ -297,7 +297,7 @@ def reference_forward_kinematics(skeleton: SkeletonModel, rotations,
     world: list[tuple] = [None] * len(skeleton.joints)  # type: ignore[list-item]
     for i, joint in enumerate(skeleton.joints):
         if joint.parent is None:
-            world[i] = (np.array(root.state[:4]), root.translation)
+            world[i] = (np.array(root[:4]), root.translation)
         else:
             local = (np.asarray(rotations[i], dtype=np.float64), joint.bind_local.translation)
             world[i] = reference_compose(world[joint.parent], local)

@@ -101,7 +101,7 @@ class TestCaptureProfile:
         wrist = controller @ profile.offsets["hand_left"]
         bind = scaled.bind_states[scaled.role_index("wrist_l")]
         np.testing.assert_allclose(wrist.translation, bind[4:], atol=1e-12)
-        assert quat_angle_between(wrist.state[:4], bind[:4]) < 1e-9
+        assert quat_angle_between(wrist[:4], bind[:4]) < 1e-9
 
     def test_far_placement_is_misalignment(self, tpose_session, user_skeleton):
         session, _ = tpose_session
@@ -133,8 +133,8 @@ class TestCaptureProfile:
         for part, offset in base.offsets.items():
             np.testing.assert_allclose(shifted.offsets[part].translation, offset.translation,
                                        atol=1e-12)
-            assert quat_angle_between(shifted.offsets[part].state[:4], offset.state[:4]) < 1e-12
-        np.testing.assert_allclose(shifted.w0, qrotate(g.state[:4], base.w0), atol=1e-12)
+            assert quat_angle_between(shifted.offsets[part][:4], offset[:4]) < 1e-12
+        np.testing.assert_allclose(shifted.w0, qrotate(g[:4], base.w0), atol=1e-12)
 
 
 class TestValidateProfile:
@@ -171,7 +171,7 @@ class TestProfileFiles:
         assert list(loaded.offsets) == list(profile.offsets)
         for part, offset in profile.offsets.items():
             np.testing.assert_array_equal(loaded.offsets[part].translation, offset.translation)
-            np.testing.assert_array_equal(loaded.offsets[part].state[:4], offset.state[:4])
+            np.testing.assert_array_equal(loaded.offsets[part][:4], offset[:4])
         assert loaded.w0 == profile.w0
         assert all(type(v) is float for v in loaded.w0)
 
@@ -193,7 +193,7 @@ class TestCalibrateSession:
         # height, and the capture stays self-consistent.
         mounts = default_mount_offsets()
         hmd = mounts[DeviceRole.HMD]
-        mounts[DeviceRole.HMD] = transform(hmd.state[:4], hmd.translation + [0, -0.04, 0])
+        mounts[DeviceRole.HMD] = transform(hmd[:4], hmd.translation + [0, -0.04, 0])
         session, _ = generate_synthetic_session(
             user_skeleton, tpose_script(duration=0.2, fps=10.0), mount_offsets=mounts)
         profile, scaled, warnings = calibrate_session(session, humanoid())
@@ -226,7 +226,7 @@ class TestCalibrationNoise:
             draw = np.random.default_rng(seed).normal(size=(len(calibration.devices), 3))
             for sigma in (0.0, 0.002, 0.005, 0.010):
                 noisy = type(calibration)(calibration.timestamp, {
-                    did: transform(pose.state[:4], pose.translation + sigma * z)
+                    did: transform(pose[:4], pose.translation + sigma * z)
                     for (did, pose), z in zip(calibration.devices.items(), draw)})
                 profile, scaled, _ = calibrate_session(
                     type(session)([noisy, *session.frames[1:]], session.role_map, 0), avatar)

@@ -76,7 +76,7 @@ def assert_entry_is(entry, pose):
     """A trace joint entry is `pose` within 1e-12 (its quaternion up to sign)."""
     np.testing.assert_allclose(entry["p"], pose.translation, atol=1e-12)
     q = np.array(entry["q"])
-    np.testing.assert_allclose(q * np.sign(q @ pose.state[:4]), pose.state[:4], atol=1e-12)
+    np.testing.assert_allclose(q * np.sign(q @ pose[:4]), pose[:4], atol=1e-12)
 
 
 def pipeline(rigs, out) -> dict[str, bytes]:
@@ -199,7 +199,7 @@ class TestHandModel:
         for (side, wrist, shape), side_capsule in zip(calls, (capsule, mirror_capsule(capsule))):
             offset = (profile.offsets[f"hand_{side}"] if mode == "exact"
                       else Transform.identity())
-            np.testing.assert_array_equal(wrist.state[:4], IDENT)
+            np.testing.assert_array_equal(wrist[:4], IDENT)
             np.testing.assert_array_equal(wrist.translation, np.zeros(3))
             want = transform_capsule(side_capsule, offset.inverse())
             np.testing.assert_array_equal(shape.start, want.start)
@@ -543,6 +543,7 @@ MALFORMED = {
     "profile missing part": ("profile", drop("offsets", "foot_left")),
     "profile non-unit r0_joint": ("profile", put("offsets", "root", "rotation", [2, 0, 0, 0])),
     "profile negative scale": ("profile", put("scale", -1.0)),
+    "profile scale 1e-200": ("profile", put("scale", 1e-200)),
     "profile role_map of five devices": ("profile", lambda document: drop(
         "role_map", sorted(document["role_map"])[0])(document)),
     "profile role_map with an unknown role": ("profile", lambda document: put(

@@ -130,7 +130,7 @@ class TestFingerObjective:
         shape = default_grip_capsule(hand)
         params = FingerParams.open_hand(hand)
         for fi, finger in enumerate(hand.fingers):
-            base_rot = finger.base_local.state[:4]
+            base_rot = finger.base_local[:4]
             pos = finger.base_local.translation.copy()
             expected = 0.0
             for spec in finger.joints:
@@ -281,7 +281,7 @@ class TestDescend:
         # No poll can win, the open hand (grid point 0) stays, each finger
         # still gets a pose per joint, and none reports convergence.
         hand = default_hand_model("left")
-        center = hand.palm_anchor.state[4:]
+        center = hand.palm_anchor[4:]
         shape = CapsuleShape(center, tuple(c + a for c, a in zip(center, (0.0, 0.0, 0.1))),
                              1e307)
         result = pose_hand_on_controller(hand, Transform.identity(), shape, DescentConfig())
@@ -672,7 +672,7 @@ class TestGrip:
                                                result.poses, result.joint_distances):
             chain = fingers._FingerChain(finger, wrist, shape, 0.0)
             _, states = full_walk(chain, chain.rotations(t))
-            assert [np.concatenate([p.state[:4], p.translation]).tobytes() for p in poses] \
+            assert [np.concatenate([p[:4], p.translation]).tobytes() for p in poses] \
                 == [np.array(state[:7]).tobytes() for state in states]
             assert distances == [capsule_sdf(shape, state[4:7]) for state in states]
 

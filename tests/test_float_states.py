@@ -1,10 +1,10 @@
 """Every pose state the package builds holds Python floats.
 
-`Transform(state)` keeps the state it is given. A NumPy scalar that gets
-into a state stays there, and every later solve on it runs on `np.float64`:
-the outputs keep their bytes and only the frame time shows it. These tests
-check the type of every number, `type(v) is float`, from the generator to
-the grip.
+A `Transform` is its state, and `Transform(state)` holds the number objects
+it is given. A NumPy scalar that gets into a state stays there, and every
+later solve on it runs on `np.float64`: the outputs keep their bytes and
+only the frame time shows it. These tests check the type of every number,
+`type(v) is float`, from the generator to the grip.
 """
 
 import pytest
@@ -12,10 +12,12 @@ import pytest
 from avatarfit.calibration import calibrate_session
 from avatarfit.fingers import DescentConfig, default_grip_capsule, default_hand_model, \
     pose_hand_on_controller, transform_capsule
+from avatarfit.math3d import Transform
 from avatarfit.motion import SCRIPT_NAMES, builtin_script
 from avatarfit.retarget import OffsetMode, solve_frame
 from avatarfit.rigs import humanoid, humanoid_long_legs
 from avatarfit.session import NoiseModel, default_mount_offsets, generate_synthetic_session
+from avatarfit.skeleton import forward_kinematics
 
 
 def assert_floats(values, what: str) -> None:
@@ -25,8 +27,8 @@ def assert_floats(values, what: str) -> None:
 
 def assert_states(transforms, what: str) -> None:
     for t in transforms:
-        assert len(t.state) == 7, what
-        assert_floats(t.state, what)
+        assert len(t) == 7, what
+        assert_floats(t, what)
 
 
 @pytest.fixture(scope="module", params=SCRIPT_NAMES)
@@ -77,12 +79,18 @@ def test_solved_world_and_grip(calibrated, mode):
     session, profile, scaled = calibrated
     hand = default_hand_model("left")
     wrist_index = scaled.role_index("wrist_l")
+    root_index = scaled.role_index("root")
     for frame in session.frames[::2]:
         world = solve_frame(frame, profile, scaled, mode).world
         assert_states(world, "solved joint")
+        # The benchmark reads `translation` off each solved joint, and FK
+        # composes plain tuples, which unpack faster than a Transform.
+        assert {type(w) for w in world} == {Transform}
+        states = forward_kinematics(scaled, scaled.bind_rotations, world[root_index])
+        assert {type(s) for i, s in enumerate(states) if i != root_index} == {tuple}
         wrist = world[wrist_index]
         capsule = transform_capsule(default_grip_capsule(hand), wrist)
-        button = wrist.apply(hand.palm_anchor.state[4:])
+        button = wrist.apply(hand.palm_anchor[4:])
         grip = pose_hand_on_controller(hand, wrist, capsule, DescentConfig(max_iters=5), button)
         for poses in grip.poses:
             assert_states(poses, "grip pose")

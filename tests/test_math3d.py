@@ -63,7 +63,7 @@ quads = st.one_of(
 
 
 def state_bytes(t: Transform) -> bytes:
-    return np.array(t.state).tobytes()
+    return np.array(t).tobytes()
 
 
 def arrays(parts) -> tuple:
@@ -264,25 +264,33 @@ class TestTransform:
     def test_translation_is_a_float64_copy(self):
         q, p = np.array([1.0, 0.0, -0.0, 0.0]), np.array([1, 2, 3])
         t = transform(q, p)  # the tests' array helper
-        state = t.state
-        assert state == (1.0, 0.0, -0.0, 0.0, 1.0, 2.0, 3.0)
-        assert all(type(v) is float for v in state)
+        want = np.array([1.0, 0.0, -0.0, 0.0, 1.0, 2.0, 3.0]).tobytes()
+        assert state_bytes(t) == want
+        assert all(type(v) is float for v in t)
         q[0], p[0] = 5.0, 5  # the arguments are converted once, not kept
         translation = t.translation
         assert translation.dtype == np.float64
         translation[:] = 7.0
-        assert t.state is state and state == (1.0, 0.0, -0.0, 0.0, 1.0, 2.0, 3.0)
-        assert t.translation.tobytes() == np.array(state[4:]).tobytes()
+        assert state_bytes(t) == want
+        assert t.translation.tobytes() == np.array(t[4:]).tobytes()
         assert t.translation is not t.translation
 
     def test_constructor_keeps_the_state(self):
         state = (0.0, 1.0, 0.0, 0.0, 0.5, -0.25, 2.0)
         t = Transform(state)
-        assert t.state is state
+        # A Transform is its state: a tuple of the given float objects.
+        assert type(t) is Transform and t == state and hash(t) == hash(state)
+        assert len(t) == 7 and all(a is b for a, b in zip(t, state))
+        assert np.array(t).shape == (7,)
+        from_list = Transform(list(state))
+        assert isinstance(from_list, tuple) and from_list == state
         assert t == transform(state[:4], state[4:])
         assert Transform.identity() == transform(IDENTITY, (0.0, 0.0, 0.0))
         with pytest.raises(TypeError):  # one constructor: the state alone
             Transform(state[:4], state[4:])
+        assert not hasattr(t, "state")
+        with pytest.raises(AttributeError):  # slotted: nothing beside the seven floats
+            setattr(t, "state", state)
 
     @given(seeds)
     def test_inverse_compose_is_identity(self, seed):
@@ -290,7 +298,7 @@ class TestTransform:
         t = transform(random_quat(rng), rng.normal(size=3))
         ident = t @ t.inverse()
         np.testing.assert_allclose(ident.translation, np.zeros(3), atol=1e-9)
-        assert quat_angle_between(ident.state[:4], IDENTITY) < 1e-6
+        assert quat_angle_between(ident[:4], IDENTITY) < 1e-6
 
     @given(seeds)
     def test_composition_is_associative(self, seed):
@@ -348,7 +356,7 @@ class TestJsonCodec:
     @given(seeds)
     def test_pose_state_equals_the_array_codec(self, seed):
         q, p = file_pose(seed)
-        state = pose_from_obj({"p": p, "q": q}, "pose").state
+        state = pose_from_obj({"p": p, "q": q}, "pose")
         want = np.concatenate([reference_quat_from_json(q, "q"),
                                reference_floats_from_json(p, (3,), "p")])
         assert np.array(state).tobytes() == want.tobytes()

@@ -85,21 +85,21 @@ class TestEffectorEquations:
         v0 = rng.normal(size=3) * 0.1
         offset = captured_offset(r0_tracker, tracker0, r0_joint, tracker0 + v0)
         g = transform(random_quat(rng), rng.normal(size=3))
-        target = transform(qmul(g.state[:4], r0_tracker), g.apply(tracker0)) @ offset
+        target = transform(qmul(g[:4], r0_tracker), g.apply(tracker0)) @ offset
         np.testing.assert_allclose(target.translation, g.apply(tracker0 + v0), atol=1e-9)
-        assert quat_angle_between(target.state[:4], qmul(g.state[:4], r0_joint)) < 1e-9
+        assert quat_angle_between(target[:4], qmul(g[:4], r0_joint)) < 1e-9
 
     def test_rotation_identity_at_capture(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
         tracker = frame.devices[device_id(profile, DeviceRole.TRACKER_FOOT_LEFT)]
-        got = (tracker @ profile.offsets["foot_left"]).state[:4]
+        got = (tracker @ profile.offsets["foot_left"])[:4]
         want = scaled.bind_states[scaled.role_index("ankle_l")][:4]
         assert quat_angle_between(got, want) < 1e-12
 
     def test_rotation_passthrough_for_identity_offsets(self):
         r_t = quat_from_axis_angle([0, 1, 0], math.radians(30))
-        got = (transform(r_t, np.zeros(3)) @ Transform.identity()).state[:4]
+        got = (transform(r_t, np.zeros(3)) @ Transform.identity())[:4]
         assert quat_angle_between(got, r_t) < 1e-12
 
     @given(seeds)
@@ -112,7 +112,7 @@ class TestEffectorEquations:
         r_t, p_t = qmul(delta, r0_t), rng.normal(size=3)
         target = transform(r_t, p_t) @ offset
         rotate_back = quat_to_matrix(r_t) @ quat_to_matrix(r0_t).T
-        np.testing.assert_allclose(quat_to_matrix(target.state[:4]),
+        np.testing.assert_allclose(quat_to_matrix(target[:4]),
                                    rotate_back @ quat_to_matrix(r0_j), atol=1e-9)
         np.testing.assert_allclose(target.translation, p_t + rotate_back @ v0, atol=1e-9)
 
@@ -122,7 +122,7 @@ def _with_positions(frame, profile, root_p, hmd_p) -> DeviceFrame:
     moved = {device_id(profile, DeviceRole.TRACKER_ROOT): root_p,
              device_id(profile, DeviceRole.HMD): hmd_p}
     return DeviceFrame(frame.timestamp, {
-        did: transform(pose.state[:4], moved[did]) if did in moved else pose
+        did: transform(pose[:4], moved[did]) if did in moved else pose
         for did, pose in frame.devices.items()})
 
 
@@ -133,7 +133,7 @@ class TestSpineBend:
         assert sp.diagnostics.alpha == pytest.approx(0.0, abs=1e-12)
         spine = scaled.role_index("spine")
         bind = scaled.bind_states[spine]
-        assert quat_angle_between(sp.world[spine].state[:4], bind[:4]) < 1e-9
+        assert quat_angle_between(sp.world[spine][:4], bind[:4]) < 1e-9
 
     def test_constructed_20_degree_lean(self, matched_setup):
         session, _, profile, scaled = matched_setup
@@ -424,7 +424,7 @@ class TestSolveFrame:
         devices = {}
         for did, pose in frame.devices.items():
             if did == hmd_id:
-                pose = transform(pose.state[:4], root_p + qrotate(tilt, profile.w0))
+                pose = transform(pose[:4], root_p + qrotate(tilt, profile.w0))
             devices[did] = pose
         sp = solve_frame(DeviceFrame(frame.timestamp, devices), profile, scaled)
         assert sp.diagnostics.alpha == pytest.approx(math.radians(20), abs=1e-6)
@@ -434,12 +434,12 @@ class TestSolveFrame:
         frame = session.calibration_frame()
         hmd_id = device_id(profile, DeviceRole.HMD)
         spin = quat_from_axis_angle([0, 1, 0], 0.4)
-        devices = {did: transform(qmul(spin, p.state[:4]), p.translation)
+        devices = {did: transform(qmul(spin, p[:4]), p.translation)
                    if did == hmd_id else p for did, p in frame.devices.items()}
         sp = solve_frame(DeviceFrame(frame.timestamp, devices), profile, scaled)
         head = sp.world[scaled.role_index("head")]
-        hmd_rot = qmul(spin, frame.devices[hmd_id].state[:4])
-        assert quat_angle_between(head.state[:4], hmd_rot) < 1e-9
+        hmd_rot = qmul(spin, frame.devices[hmd_id][:4])
+        assert quat_angle_between(head[:4], hmd_rot) < 1e-9
 
     def test_wrist_target_on_shoulder_leaves_arm_at_bind(self, user_skeleton):
         # Moving the left controller so that its wrist target lands on the
@@ -458,7 +458,7 @@ class TestSolveFrame:
         did = device_id(profile, DeviceRole.CONTROLLER_LEFT)
         offset = profile.offsets["hand_left"]
         wrist_target = frame.devices[did] @ offset
-        moved = transform(wrist_target.state[:4], shoulder) @ offset.inverse()
+        moved = transform(wrist_target[:4], shoulder) @ offset.inverse()
         sp = solve_frame(DeviceFrame(frame.timestamp, {**frame.devices, did: moved}),
                          profile, scaled)
         assert sp.diagnostics.degenerate_limbs == ["arm_l"]
@@ -466,7 +466,7 @@ class TestSolveFrame:
         parents = scaled.parents
 
         def local(pose, i):  # joint i's rotation in its parent's frame
-            return qmul(qconj(pose.world[parents[i]].state[:4]), pose.world[i].state[:4])
+            return qmul(qconj(pose.world[parents[i]][:4]), pose.world[i][:4])
 
         for i in index.values():
             assert quat_angle_between(local(base, i), scaled.bind_rotations[i]) > 1e-3
@@ -477,7 +477,7 @@ class TestSolveFrame:
                 arm_l.add(i)
         for i, (got, want) in enumerate(zip(sp.world, base.world)):
             if i not in arm_l:
-                assert got.state == want.state, scaled.joints[i].name
+                assert got == want, scaled.joints[i].name
 
     def test_missing_device_raises(self, matched_setup):
         session, _, profile, scaled = matched_setup
@@ -498,7 +498,7 @@ class TestSolveFrame:
                     devices = {}
                     for did, pose in frame.devices.items():
                         if did == bad_id:
-                            parts = {"rotation": list(pose.state[:4]),
+                            parts = {"rotation": list(pose[:4]),
                                      "translation": pose.translation.copy()}
                             parts[component][cases % len(parts[component])] = value
                             pose = transform(parts["rotation"], parts["translation"])
@@ -519,7 +519,7 @@ class TestSolveFrame:
         for w, b in zip(got.world, base.world):
             expected = g @ b
             assert np.linalg.norm(w.translation - expected.translation) < 1e-5
-            assert quat_angle_between(w.state[:4], expected.state[:4]) < 1e-5
+            assert quat_angle_between(w[:4], expected[:4]) < 1e-5
 
 
 def rebound(skeleton: SkeletonModel, rng) -> SkeletonModel:
@@ -675,8 +675,7 @@ class TestFramePlacement:
             for frame in session.frames:
                 got = solve_frame(frame, profile, scaled, mode)
                 want = solve_frame(frame, profile, full, mode)
-                assert (np.array([w.state for w in got.world]).tobytes()
-                        == np.array([w.state for w in want.world]).tobytes())
+                assert np.array(got.world).tobytes() == np.array(want.world).tobytes()
                 assert got.diagnostics == want.diagnostics
 
 
@@ -732,10 +731,10 @@ class TestSolveSession:
             knees.append(0.5 * (d.knee_flexion_left + d.knee_flexion_right))
             for role, errors in (("ankle_l", ankles), ("ankle_r", ankles),
                                  ("wrist_l", wrists), ("wrist_r", wrists)):
-                got = sp.world[scaled.role_index(role)].state[4:]
-                gt = truth.by_role(i, role).state[4:]
+                got = sp.world[scaled.role_index(role)][4:]
+                gt = truth.by_role(i, role)[4:]
                 errors.append(norm([a - b for a, b in zip(got, gt)]))
-            if all(retarget._flexion(*(truth.by_role(i, f"{joint}_{side}").state[4:]
+            if all(retarget._flexion(*(truth.by_role(i, f"{joint}_{side}")[4:]
                                        for joint in ("hip", "knee", "ankle")))
                    < retarget.STRAIGHT_LEG_MAX for side in "lr"):
                 straight.append(max(d.knee_flexion_left, d.knee_flexion_right))
@@ -755,7 +754,7 @@ class TestSolveSession:
         session, _, profile, scaled = matched_setup
         frames = list(session.frames)
         did, pose = next(iter(frames[1].devices.items()))
-        broken = {**frames[1].devices, did: transform(pose.state[:4], pose.translation * np.nan)}
+        broken = {**frames[1].devices, did: transform(pose[:4], pose.translation * np.nan)}
         frames[1] = DeviceFrame(frames[1].timestamp, broken)
         patched = type(session)(frames, session.role_map, 0)
         metrics = solve_session(patched, profile, scaled, trace=tmp_path / "trace.jsonl")
@@ -814,7 +813,7 @@ class TestSolveSession:
                            @ offsets[f"hand_{side}"].inverse())
                     want = frame.devices[device_id(profile, role)]
                     assert np.abs(got.translation - want.translation).max() < 1e-12
-                    got_q, want_q = np.array(got.state[:4]), np.array(want.state[:4])
+                    got_q, want_q = np.array(got[:4]), np.array(want[:4])
                     assert min(np.abs(got_q - want_q).max(),
                                np.abs(got_q + want_q).max()) < 1e-12
                     checked += 1

@@ -132,7 +132,7 @@ class TestSyntheticGenerator:
             for (d0, p0), (d1, p1) in zip(first.devices.items(), frame.devices.items()):
                 assert d0 == d1
                 np.testing.assert_array_equal(p0.translation, p1.translation)
-                np.testing.assert_array_equal(p0.state[:4], p1.state[:4])
+                np.testing.assert_array_equal(p0[:4], p1[:4])
         for world in truth.frames:
             for a, b in zip(world, truth.frames[0]):
                 np.testing.assert_array_equal(a.translation, b.translation)
@@ -176,7 +176,7 @@ class TestSyntheticGenerator:
                 joint = truth.joint_roles.index(ROLE_TO_JOINT[role])
                 expected = truth.frames[i][joint] @ mounts[role]
                 np.testing.assert_allclose(pose.translation, expected.translation, atol=1e-9)
-                assert quat_angle_between(pose.state[:4], expected.state[:4]) < 1e-9
+                assert quat_angle_between(pose[:4], expected[:4]) < 1e-9
 
     def test_script_must_start_in_tpose(self, user_skeleton):
         script = squat_script(user_skeleton)
@@ -193,7 +193,7 @@ class TestSyntheticGenerator:
             for (d1, p1), (d2, p2) in zip(f1.devices.items(), f2.devices.items()):
                 assert d1 == d2
                 np.testing.assert_array_equal(p1.translation, p2.translation)
-                np.testing.assert_array_equal(p1.state[:4], p2.state[:4])
+                np.testing.assert_array_equal(p1[:4], p2[:4])
 
 
 class TestSessionFiles:
@@ -210,7 +210,7 @@ class TestSessionFiles:
             for (da, pa), (db, pb) in zip(a.devices.items(), b.devices.items()):
                 assert da == db
                 np.testing.assert_array_equal(pa.translation, pb.translation)
-                assert quat_angle_between(pa.state[:4], pb.state[:4]) < 1e-12
+                assert quat_angle_between(pa[:4], pb[:4]) < 1e-12
 
     def test_write_read_write_is_stable(self, tmp_path, tpose_session):
         session, _ = tpose_session
@@ -278,7 +278,7 @@ class TestSessionFiles:
         frame = json.loads(lines[1])
         frame["p"][0], frame["q"][0] = [0, 1, -2], [1, 0, 0, 0]
         path.write_text("\n".join([lines[0], json.dumps(frame), *lines[2:]]) + "\n")
-        state = read_ground_truth(path).frames[0][0].state
+        state = read_ground_truth(path).frames[0][0]
         assert state == (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -2.0)
         assert all(type(v) is float for v in state)
 
@@ -293,7 +293,7 @@ class TestSessionFiles:
         q = [c * (1.0 + 5e-7) for c in quat_from_axis_angle((0.3, 1.0, -0.2), 0.7)]
         frame["q"][2] = q
         path.write_text("\n".join([lines[0], json.dumps(frame), *lines[2:]]) + "\n")
-        state = read_ground_truth(path).frames[0][2].state
+        state = read_ground_truth(path).frames[0][2]
         assert np.array(state[:4]).tobytes() == np.array(quat_from_json(q, "q")).tobytes()
         assert state[:4] != tuple(q) and state[4:] == tuple(frame["p"][2])
 

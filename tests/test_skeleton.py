@@ -41,7 +41,7 @@ def random_pose(skeleton: SkeletonModel, rng) -> tuple[list[tuple], Transform]:
 
 
 def world_of(skeleton: SkeletonModel, rotations, root: Transform) -> list[Transform]:
-    return [Transform(s) for s in forward_kinematics(skeleton, rotations, root.state)]
+    return [Transform(s) for s in forward_kinematics(skeleton, rotations, root)]
 
 
 class TestForwardKinematics:
@@ -49,7 +49,7 @@ class TestForwardKinematics:
         world = world_of(user_skeleton, list(user_skeleton.bind_rotations),
                          bind_root(user_skeleton))
         for got, want in zip(world, user_skeleton.bind_states):
-            assert got.state == want
+            assert got == want
 
     def test_bind_world_is_computed_once(self, user_skeleton):
         # `bind_states` is the one copy of the bind world pose: one pose
@@ -62,7 +62,7 @@ class TestForwardKinematics:
     def test_root_rotation_spins_everything_about_root(self, user_skeleton):
         spin = quat_from_axis_angle([0, 1, 0], math.pi / 2)
         root_bind = bind_root(user_skeleton)
-        root = transform(qmul(spin, root_bind.state[:4]), root_bind.translation)
+        root = transform(qmul(spin, root_bind[:4]), root_bind.translation)
         world = world_of(user_skeleton, list(user_skeleton.bind_rotations), root)
         origin = root_bind.translation
         for got, b in zip(world, user_skeleton.bind_states):
@@ -90,11 +90,11 @@ class TestForwardKinematics:
         r_chest = qmul(r_spine, qs[2])
         np.testing.assert_allclose(world[idx[1]].translation, p_spine, atol=1e-12)
         np.testing.assert_allclose(world[idx[2]].translation, p_chest, atol=1e-12)
-        assert quat_angle_between(world[idx[2]].state[:4], r_chest) < 1e-9
+        assert quat_angle_between(world[idx[2]][:4], r_chest) < 1e-9
 
     def test_pose_size_mismatch(self, user_skeleton):
         rotations = list(user_skeleton.bind_rotations)[:-1]
-        root = bind_root(user_skeleton).state
+        root = bind_root(user_skeleton)
         with pytest.raises(SkeletonError):
             forward_kinematics(user_skeleton, rotations, root)
         with pytest.raises(SkeletonError, match="20 rotations for 21 joints"):
@@ -114,7 +114,7 @@ class TestForwardKinematics:
         for w, b in zip(got, base):
             expected = g @ b
             np.testing.assert_allclose(w.translation, expected.translation, atol=1e-9)
-            assert quat_angle_between(w.state[:4], expected.state[:4]) < 1e-9
+            assert quat_angle_between(w[:4], expected[:4]) < 1e-9
 
     @given(seeds)
     def test_bone_lengths_invariant_under_pose(self, seed):
@@ -133,8 +133,8 @@ class TestForwardKinematics:
         skel = rig_from_cache(rig)
         rng = np.random.default_rng(seed)
         rotations, root = random_pose(skel, rng)
-        root = transform(root.state[:4], root.translation * rng.uniform(0.1, 100.0))
-        states = forward_kinematics(skel, rotations, root.state)
+        root = transform(root[:4], root.translation * rng.uniform(0.1, 100.0))
+        states = forward_kinematics(skel, rotations, root)
         want = reference_forward_kinematics(skel, rotations, root)
         assert len(states) == len(want) == len(skel.joints)
         for state, (rotation, translation) in zip(states, want):
@@ -149,19 +149,19 @@ class TestForwardKinematics:
         skel = rig_from_cache(rig)
         rng = np.random.default_rng(seed)
         rotations, root = random_pose(skel, rng)
-        full = [np.array(s).tobytes() for s in forward_kinematics(skel, rotations, root.state)]
+        full = [np.array(s).tobytes() for s in forward_kinematics(skel, rotations, root)]
         picked = set()
         for i in rng.choice(len(skel.joints), size=int(rng.integers(1, 6)), replace=False):
             i = int(i)
             while i is not None and i not in picked:
                 picked.add(i)
                 i = skel.parents[i]
-        states = forward_kinematics(skel, rotations, root.state, sorted(picked))
+        states = forward_kinematics(skel, rotations, root, sorted(picked))
         for i, state in enumerate(states):
             assert (np.array(state).tobytes() == full[i]) if i in picked else state is None
         pass1, pass2 = skel.solve_plan[4:]
-        states = forward_kinematics(skel, rotations, root.state, pass1)
-        assert forward_kinematics(skel, rotations, root.state, pass2, states) is states
+        states = forward_kinematics(skel, rotations, root, pass1)
+        assert forward_kinematics(skel, rotations, root, pass2, states) is states
         assert [np.array(s).tobytes() for s in states] == full
 
 
@@ -211,6 +211,20 @@ class TestScaleUniform:
     def test_nonfinite_scale_rejected(self, user_skeleton, s):
         with pytest.raises(ValueError, match="finite"):
             scale_uniform(user_skeleton, s)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-300])
+    def test_scale_that_underflows_a_bone_rejected(self, user_skeleton, s):
+        # Every scaled bone length rounds to 0, which `two_bone_ik` refuses.
+        with pytest.raises(SkeletonError, match=f"scale {s:g} leaves"):
+            scale_uniform(user_skeleton, s)
+
+    def test_scale_that_shrinks_the_eye_height_to_the_floor_rejected(self):
+        doc = humanoid_document()
+        doc["eye_height"] = 2e-9
+        skel = load_skeleton(doc)
+        assert scale_uniform(skel, 0.6).eye_height_bind == pytest.approx(1.2e-9)
+        with pytest.raises(SkeletonError, match="1e-9 m"):
+            scale_uniform(skel, 0.5)
 
     def test_feet_stay_on_floor(self, user_skeleton):
         for s in (0.5, 0.914, 1.3):
