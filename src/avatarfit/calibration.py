@@ -112,7 +112,6 @@ def capture_profile(
 def calibrate_session(
     session: Session,
     skeleton: SkeletonModel,
-    placement: Transform | None = None,
 ) -> tuple[CalibrationProfile, SkeletonModel, list[str]]:
     """Full calibration flow: identify roles, scale the avatar, capture offsets.
 
@@ -124,7 +123,7 @@ def calibrate_session(
     hmd_height = frame.devices[hmd_id][5]
     result = compute_scale(hmd_height, skeleton)
     scaled = scale_uniform(skeleton, result.scale)
-    profile = capture_profile(frame, role_map, scaled, placement, scale=result.scale)
+    profile = capture_profile(frame, role_map, scaled, scale=result.scale)
     return profile, scaled, result.warnings
 
 

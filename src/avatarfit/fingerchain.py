@@ -36,14 +36,6 @@ GRID_POINTS = 7
 GRID = tuple(i / (GRID_POINTS - 1) for i in range(GRID_POINTS))
 
 
-def _segment(shape: CapsuleShape) -> tuple:
-    """(sx, sy, sz, vx, vy, vz, v . v): the start, axis v = end - start and its square."""
-    sx, sy, sz = shape.start
-    ex, ey, ez = shape.end
-    vx, vy, vz = ex - sx, ey - sy, ez - sz
-    return sx, sy, sz, vx, vy, vz, vx * vx + vy * vy + vz * vz
-
-
 class _FingerChain:
     """One finger and its cost, for fast repeated evaluation.
 
@@ -54,7 +46,8 @@ class _FingerChain:
     world rotation and position of that joint's point and the penalized
     capsule distance summed over the points up to it. `start` is the state
     of the finger's base, with total 0.0. The joints' slerp bases are the
-    hand model's own (`FingerJointSpec.basis`).
+    hand model's own (`FingerJointSpec.basis`), and `capsule` is the shape's
+    own `CapsuleShape.segment` plus its radius.
     """
 
     __slots__ = ("start", "slerps", "offsets", "capsule", "penalty", "button")
@@ -67,7 +60,7 @@ class _FingerChain:
         self.start = (*base, 0.0)
         self.slerps = [j.basis for j in finger.joints]
         self.offsets = [j.offset for j in finger.joints]
-        self.capsule = (*_segment(shape), shape.radius)
+        self.capsule = (*shape.segment, shape.radius)
         self.penalty = penalty
         self.button = button if finger.name == "thumb" else None
 

@@ -45,7 +45,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .fingerchain import GRID_POINTS, _FingerChain, _segment
+from .fingerchain import GRID_POINTS, _FingerChain
 from .math3d import INPUT_BOUND, INPUT_BOUND_TEXT, DegenerateGeometryError, FormatError, \
     Transform, float_from_json, floats_from_json, floats_to_json, quat_from_axis_angle, \
     quat_from_json, quat_to_json, read_json_file, slerp_at, slerp_basis, transform_from_obj, \
@@ -64,21 +64,27 @@ class CapsuleShape:
     start: tuple  # (x, y, z) floats, from any sequence of three numbers
     end: tuple    # likewise
     radius: float
+    # (sx, sy, sz, vx, vy, vz, v . v): the start, the axis v = end - start and
+    # its square, for `capsule_sdf` and the grip; derived, so never compared or saved.
+    segment: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", tuple(map(float, self.start)))
         object.__setattr__(self, "end", tuple(map(float, self.end)))
         if not self.radius > 0.0:
             raise ValueError(f"capsule radius must be positive, got {self.radius}")
+        (sx, sy, sz), (ex, ey, ez) = self.start, self.end
+        vx, vy, vz = ex - sx, ey - sy, ez - sz
+        object.__setattr__(self, "segment", (sx, sy, sz, vx, vy, vz, vx * vx + vy * vy + vz * vz))
         # The squared length, not start == end: 0 to 1e-170 underflows to no axis.
         # A geometry error: a rigid motion can round close endpoints together.
-        if _segment(self)[-1] <= 0.0:
+        if self.segment[-1] <= 0.0:
             raise DegenerateGeometryError("capsule endpoints must be distinct")
 
 
 def capsule_sdf(shape: CapsuleShape, p) -> float:
     """Signed distance from p to the capsule surface (negative inside)."""
-    sx, sy, sz, vx, vy, vz, axis_sq = _segment(shape)
+    sx, sy, sz, vx, vy, vz, axis_sq = shape.segment
     ux = p[0] - sx
     uy = p[1] - sy
     uz = p[2] - sz
@@ -199,10 +205,10 @@ def descend(
     -step, on each factor in turn, held to [0, 1], and accepts any strict
     decrease. A poll on factor k passes joint k's new rotation, so its walk
     resumes from the current point's state after joint k - 1 and reads the
-    current rotations after it; only an accepted probe copies them. The walk
-    is bounded by the current value, so a losing poll stops early and an
-    accepted probe, whose states become the current point's, has walked to
-    the tip. `lost[k]` holds the running totals through joint k known at
+    current rotations after it; only an accepted probe writes into them. The
+    walk is bounded by the current value, so a losing poll stops early and
+    an accepted probe, whose states become the current point's, has walked
+    to the tip. `lost[k]` holds the running totals through joint k known at
     trials of factor k (see the module docstring); an accepted probe on
     factor k clears the maps of the factors after it. The first step is half
     the grid spacing, and a round without a decrease halves it. A finger
@@ -239,7 +245,6 @@ def descend(
                     if candidate < value:
                         lost_k[tk] = states[k][7]
                         t[k] = trial
-                        rotations = rotations.copy()
                         rotations[k], states = q, probe_states
                         value, decreased = candidate, True
                         for later in lost[k + 1:]:

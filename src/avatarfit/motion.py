@@ -46,7 +46,7 @@ def pose_from_script(skeleton: SkeletonModel, sp: ScriptPose) -> tuple[list[tupl
     rotations = list(skeleton.bind_rotations)
     for name, q in sp.rotations.items():
         try:
-            rotations[skeleton.index_of(name)] = tuple(map(float, q))
+            rotations[skeleton.name_index[name]] = tuple(map(float, q))
         except KeyError:
             raise ScriptError(f"script rotates unknown joint {name!r}") from None
     root = _bind_root(skeleton) if sp.root_world is None else sp.root_world
@@ -74,8 +74,8 @@ def tpose_script(duration: float = 2.0, fps: float = 30.0) -> list[ScriptPose]:
 def squat_script(skeleton: SkeletonModel, duration: float = 4.0,
                  fps: float = 30.0) -> list[ScriptPose]:
     bind = _bind_root(skeleton)
-    l1 = skeleton.bone_length(skeleton.role_index("knee_l"))
-    l2 = skeleton.bone_length(skeleton.role_index("ankle_l"))
+    l1 = skeleton.bone_lengths[skeleton.role_index("knee_l")]
+    l2 = skeleton.bone_lengths[skeleton.role_index("ankle_l")]
     frames = []
     for t in _times(duration, fps):
         u = t / duration

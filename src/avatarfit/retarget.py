@@ -143,6 +143,7 @@ def two_bone_ik(root_pos, l1: float, l2: float, target_pos, pole_dir) -> TwoBone
     with L = l1 + l2, the bone norms and their sum put 3.5u L on L, d's norm and
     the differences t - r 3.5u L on d, and the last sums p + R v of the root's FK
     and of T O u |p| each, 8u L for |p| <= 4 L (2 m for a 0.5 m arm): 15u L.
+    That is the band's domain: farther out, such a target can bend by ~1e-8 m.
     """
     if l1 <= 0.0 or l2 <= 0.0:
         raise ValueError("bone lengths must be positive")

@@ -15,7 +15,7 @@ the package's one norm (`math3d.norm`), not NumPy's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .math3d import FormatError, Transform, compose_state, float_from_json, floats_from_json, \
     floats_to_json, norm, qconj, quat_from_json, quat_to_json, read_json_file, write_json_file
@@ -48,15 +48,16 @@ class Joint:
     role: str
 
 
-@dataclass
 class SkeletonModel:
     """Joints in topological order (parents first) and the bind eye height.
 
-    Construction precomputes the tables FK and the body solve read, one
-    entry per joint: `parents` (index, None for the root),
-    `bind_translations` and `bind_rotations` (the bind local transform as
-    three and four floats), `bind_states` (the world pose states of the
-    bind pose, its one copy) and the bone lengths behind `bone_length`.
+    The constructor computes the tables that the motion scripts, FK and the
+    body solve read, one entry per joint: `name_index` (joint name to
+    index), `parents` (index, None for the root), `bind_translations` and
+    `bind_rotations` (the bind local transform as three and four floats),
+    `bone_lengths` (the norm of each bind translation), and `bind_states`
+    (the world pose states of the bind pose, its one copy). Each limb of
+    `LIMB_ROLES` must be a parent-child chain, or it is a SkeletonError.
     `solve_plan` is (root, (spine, its parent's conjugated bind world
     rotation), head, limbs, pass 1, pass 2) for the body solve: joint indices,
     limbs an (upper, mid, end, upper's parent, mid and end bone lengths) tuple
@@ -66,55 +67,43 @@ class SkeletonModel:
     joint and its parent.
     """
 
-    joints: list[Joint]
-    eye_height_bind: float
-    _name_index: dict = field(init=False, repr=False, default_factory=dict)
-    _role_index: dict = field(init=False, repr=False, default_factory=dict)
-    parents: tuple = field(init=False, repr=False, compare=False, default=())
-    bind_translations: tuple = field(init=False, repr=False, compare=False, default=())
-    _bone_lengths: tuple = field(init=False, repr=False, compare=False, default=())
-    bind_rotations: tuple = field(init=False, repr=False, compare=False, default=())
-    bind_states: tuple = field(init=False, repr=False, compare=False, default=())
-    solve_plan: tuple = field(init=False, repr=False, compare=False, default=())
-
-    def __post_init__(self):
-        for i, j in enumerate(self.joints):
-            self._name_index[j.name] = i
-            # Repeatable roles ("other", "finger") keep the first occurrence;
-            # required roles are unique by validation.
+    def __init__(self, joints: list[Joint], eye_height_bind: float):
+        self.joints = joints
+        self.eye_height_bind = eye_height_bind
+        self.name_index = {j.name: i for i, j in enumerate(joints)}
+        # Repeatable roles ("other", "finger") keep the first occurrence;
+        # required roles are unique by validation.
+        self._role_index = {}
+        for i, j in enumerate(joints):
             self._role_index.setdefault(j.role, i)
-        self.parents = tuple(j.parent for j in self.joints)
-        self.bind_translations = tuple(j.bind_local[4:] for j in self.joints)
-        self._bone_lengths = tuple(map(norm, self.bind_translations))
-        self.bind_rotations = tuple(j.bind_local[:4] for j in self.joints)
+        self.parents = tuple(j.parent for j in joints)
+        self.bind_translations = tuple(j.bind_local[4:] for j in joints)
+        self.bone_lengths = lengths = tuple(map(norm, self.bind_translations))
+        self.bind_rotations = tuple(j.bind_local[:4] for j in joints)
         root, spine, head = map(self.role_index, ("root", "spine", "head"))
         self.bind_states = tuple(forward_kinematics(self, self.bind_rotations,
-                                                    self.joints[root].bind_local))
+                                                    joints[root].bind_local))
         limbs = tuple(tuple(map(self.role_index, roles)) for roles in LIMB_ROLES)
+        for roles, (u, m, e) in zip(LIMB_ROLES, limbs):
+            if self.parents[m] != u or self.parents[e] != m:
+                raise SkeletonError(f"limb {'-'.join(roles)} must be a parent-child chain")
         moved = {head, *(j for limb in limbs for j in limb)}
         for i, p in enumerate(self.parents):  # parents come first
             if p in moved:
                 moved.add(i)
-        placed = set(range(len(self.joints))) - moved
+        placed = set(range(len(joints))) - moved
         for i in (self.parents[head], *(j for u, _, _ in limbs for j in (u, self.parents[u]))):
             while i is not None and i not in placed:
                 placed.add(i)
                 i = self.parents[i]
-        lengths = self._bone_lengths
         self.solve_plan = (root, (spine, qconj(self.bind_states[self.parents[spine]])), head,
                            tuple((u, m, e, self.parents[u], lengths[m], lengths[e])
                                  for u, m, e in limbs), sorted(placed), sorted(moved))
-
-    def index_of(self, name: str) -> int:
-        return self._name_index[name]
 
     def role_index(self, role: str) -> int:
         if role not in self._role_index:
             raise SkeletonError(f"skeleton has no joint with role {role!r}")
         return self._role_index[role]
-
-    def bone_length(self, index: int) -> float:
-        return self._bone_lengths[index]
 
 
 def forward_kinematics(skeleton: SkeletonModel, rotations, root: tuple,

@@ -20,7 +20,7 @@ from avatarfit.math3d import FormatError, Transform, pose_from_obj
 from avatarfit.rigs import humanoid_document, humanoid_long_legs_document
 from avatarfit.session import DeviceFrame, Session, read_ground_truth, read_session, \
     write_session
-from avatarfit.skeleton import load_skeleton
+from avatarfit.skeleton import load_skeleton, save_skeleton_file, scale_uniform
 
 from conftest import transform
 from oracles import reference_slerp
@@ -134,6 +134,22 @@ class TestCalibrationFrameHeader:
 
 
 class TestCalibrationErrors:
+    def test_implausible_height_warns_and_exits_0(self, tmp_path, rig_files, capsys):
+        # A user 1.7 times the humanoid: the headset at 2.76 m is calibrated,
+        # with a warning, not refused.
+        save_skeleton_file(scale_uniform(load_skeleton(humanoid_document()), 1.7),
+                           tmp_path / "tall.json")
+        assert run("gen", "--skeleton", tmp_path / "tall.json", "--script", "tpose",
+                   "--duration", "0.2", "--out", tmp_path / "session.jsonl") == cli.EXIT_OK
+        capsys.readouterr()
+        code = run("calibrate", "--skeleton", rig_files["avatar"], "--session",
+                   tmp_path / "session.jsonl", "--out", tmp_path / "profile.json")
+        assert code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert ("warning: headset height 2.76 m is implausible; check the calibration frame\n"
+                in out)
+        assert (tmp_path / "profile.json").exists()
+
     def test_coplanar_layout_exits_4(self, tmp_path, rig_files, capsys):
         # A T-pose layout with all six devices on the plane z = 0: the feet
         # are not in front of the back tracker, so it has no facing.
@@ -528,6 +544,10 @@ MALFORMED = {
     "skeleton zero-length bone": ("skeleton", put("joints", 1, "translation", [0.0, 0.0, 0.0])),
     "skeleton eye_height 0": ("skeleton", put("eye_height", 0.0)),
     "skeleton eye_height 1e-320": ("skeleton", put("eye_height", 1e-320)),
+    # The left arm's limb roles are then no parent-child chain.
+    "skeleton wrist_l a child of shoulder_l": ("skeleton", lambda document: put(
+        "joints", [j["name"] for j in document["joints"]].index("wrist_l"), "parent",
+        "shoulder_l")(document)),
     "session line 5": ("session", lambda lines: lines[:2] + [5] + lines[2:]),
     "session role_map of seven devices": ("session", put(0, "role_map", "dev9", "hmd")),
     "session duplicate device id": ("session", lambda lines: put(

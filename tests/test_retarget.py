@@ -401,7 +401,7 @@ class TestSolveFrame:
                 continue
             length = float(np.linalg.norm(
                 sp.world[i].translation - sp.world[joint.parent].translation))
-            assert length == pytest.approx(scaled.bone_length(i), abs=1e-12)
+            assert length == pytest.approx(scaled.bone_lengths[i], abs=1e-12)
 
     def test_fixed_mode_bends_long_legs(self, long_leg_setup):
         session, _, profile, scaled = long_leg_setup
@@ -563,6 +563,38 @@ class TestBindRotationInvariance:
             for want, got in zip(*solved):
                 for w, g in zip(want.world, got.world):
                     assert np.abs(w.translation - g.translation).max() < 1e-12
+
+
+def mirrored_session(session):
+    """Every device pose reflected through x = 0: p.x -> -p.x, (w, x, y, z) -> (w, x, -y, -z)."""
+    frames = [DeviceFrame(frame.timestamp, {did: Transform((w, x, -y, -z, -px, py, pz))
+                                            for did, (w, x, y, z, px, py, pz)
+                                            in frame.devices.items()})
+              for frame in session.frames]
+    return type(session)(frames, None, session.calibration_frame_index)
+
+
+class TestMirrorSymmetry:
+    @pytest.mark.parametrize("script", ["squat", "arms", "free", "tpose"])
+    def test_mirrored_session_solves_to_the_mirrored_pose(self, user_skeleton, script):
+        # The solve has no side of its own: the mirrored recording, calibrated
+        # and solved on the same avatar, puts every joint at the reflection of
+        # its left/right partner's original position, bit for bit.
+        avatar = humanoid_long_legs()
+        partner = [avatar.name_index[j.name[:-1] + {"l": "r", "r": "l"}[j.name[-1]]]
+                   if j.name[-2:] in ("_l", "_r") else i for i, j in enumerate(avatar.joints)]
+        for seed in range(3):
+            motion = builtin_script(script, user_skeleton, seed=seed)
+            for noise in (None, NoiseModel(0.002, 0.01, seed=seed)):
+                session, _ = generate_synthetic_session(user_skeleton, motion, noise=noise)
+                solved = []
+                for recording in (session, mirrored_session(session)):
+                    profile, scaled, _ = calibrate_session(recording, avatar)
+                    solved.append([solve_frame(f, profile, scaled) for f in recording.frames])
+                for pose, mirror in zip(*solved):
+                    for i, j in enumerate(partner):
+                        x, y, z = pose.world[j][4:]
+                        assert mirror.world[i][4:] == (-x, y, z)
 
 
 _EQ_CACHE = []

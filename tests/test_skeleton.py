@@ -75,7 +75,7 @@ class TestForwardKinematics:
         rng = np.random.default_rng(5)
         rotations = list(skel.bind_rotations)
         names = ["hips", "spine", "chest"]
-        idx = [skel.index_of(n) for n in names]
+        idx = [skel.name_index[n] for n in names]
         qs = [random_quat(rng) for _ in names]
         root = transform(qs[0], bind_root(skel).translation)
         rotations[idx[1]] = tuple(qs[1])
@@ -126,7 +126,7 @@ class TestForwardKinematics:
                 continue
             length = float(np.linalg.norm(
                 world[i].translation - world[joint.parent].translation))
-            assert length == pytest.approx(skel.bone_length(i), abs=1e-9)
+            assert length == pytest.approx(skel.bone_lengths[i], abs=1e-9)
 
     @given(seeds, st.sampled_from(["humanoid", "humanoid_long_legs"]))
     def test_states_equal_transform_composition_bytes(self, seed, rig):
@@ -195,7 +195,7 @@ class TestScaleUniform:
         scaled = scale_uniform(user_skeleton, 2.0)
         for i, joint in enumerate(user_skeleton.joints):
             if joint.parent is not None:
-                assert scaled.bone_length(i) == pytest.approx(2 * user_skeleton.bone_length(i))
+                assert scaled.bone_lengths[i] == pytest.approx(2 * user_skeleton.bone_lengths[i])
 
     def test_eye_height_arithmetic(self):
         doc = humanoid_document()
@@ -253,10 +253,10 @@ class TestLoadSkeleton:
         long_legs = load_skeleton(humanoid_long_legs_document())
         assert long_legs.eye_height_bind == base.eye_height_bind
         for side in ("l", "r"):
-            leg = (long_legs.bone_length(long_legs.role_index(f"knee_{side}"))
-                   + long_legs.bone_length(long_legs.role_index(f"ankle_{side}")))
-            ref = (base.bone_length(base.role_index(f"knee_{side}"))
-                   + base.bone_length(base.role_index(f"ankle_{side}")))
+            leg = (long_legs.bone_lengths[long_legs.role_index(f"knee_{side}")]
+                   + long_legs.bone_lengths[long_legs.role_index(f"ankle_{side}")])
+            ref = (base.bone_lengths[base.role_index(f"knee_{side}")]
+                   + base.bone_lengths[base.role_index(f"ankle_{side}")])
             assert leg == pytest.approx(1.1 * ref)
         # Same head height despite the longer legs.
         hb = base.bind_states[base.role_index("head")][5]
@@ -282,6 +282,25 @@ class TestLoadSkeleton:
         doc["joints"][1]["parent"] = "chest"  # spine <-> chest
         with pytest.raises(SkeletonError, match="cyclic"):
             load_skeleton(doc)
+
+    def test_limb_with_a_joint_between_its_roles_rejected(self):
+        # The body solve takes a limb's bones from its mid and end joints; a
+        # forearm joint halfway between elbow and wrist (same bind world
+        # positions) would split the forearm, so the rig is refused.
+        doc = humanoid_long_legs_document()
+        for side in ("l", "r"):
+            wrist = next(j for j in doc["joints"] if j["name"] == f"wrist_{side}")
+            half = [0.5 * c for c in wrist["translation"]]
+            doc["joints"].append({"name": f"forearm_{side}", "parent": f"elbow_{side}",
+                                  "role": "other", "translation": half})
+            wrist["parent"], wrist["translation"] = f"forearm_{side}", half
+        with pytest.raises(SkeletonError, match="limb shoulder_l-elbow_l-wrist_l "):
+            load_skeleton(doc)
+        for side in ("l", "r"):  # a forearm leaf leaves the arm a chain
+            wrist = next(j for j in doc["joints"] if j["name"] == f"wrist_{side}")
+            wrist["parent"] = f"elbow_{side}"
+            wrist["translation"] = [2 * c for c in wrist["translation"]]
+        assert len(load_skeleton(doc).joints) == 23
 
     def test_feet_off_floor_rejected(self):
         doc = humanoid_document()
