@@ -71,7 +71,7 @@ def test_calibrated_profile_and_scaled_avatar(calibrated):
     assert_floats([profile.scale], "scale")
     for state in scaled.bind_states:
         assert_floats(state, "scaled bind state")
-    assert_floats([scaled.bone_lengths[i] for i in range(len(scaled.joints))], "bone length")
+    assert_floats(scaled.bone_lengths, "bone length")
 
 
 @pytest.mark.parametrize("mode", list(OffsetMode))
