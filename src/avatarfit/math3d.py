@@ -1,4 +1,4 @@
-"""3D math primitives: vectors, unit quaternions, rigid transforms, plane fitting.
+"""3D math primitives: vectors, unit quaternions, rigid transforms, JSON codecs.
 
 Conventions used throughout the package:
 
@@ -15,7 +15,7 @@ Conventions used throughout the package:
   numbers as plain floats and poses as Transforms.
 - `Transform.translation` (a fresh float64 array) is the one NumPy value
   that the package's types hand out, for NumPy callers. It imports NumPy
-  when read, as `fit_plane` does: `solve` and `compare` never load it.
+  when read, so `calibrate`, `solve` and `compare` never load it.
 - One norm: a length is the root of the squares summed left to right
   (`norm`; `quat_from_json`, `rotation_between` and `slerp_at` for
   quaternions), never NumPy's; only the generator's random draws use NumPy's.
@@ -36,7 +36,6 @@ import math
 
 UP = (0.0, 1.0, 0.0)
 RIGHT = (1.0, 0.0, 0.0)
-FORWARD = (0.0, 0.0, 1.0)
 
 # Vectors shorter than this are treated as directionless.
 DEGENERATE_EPS = 1e-9
@@ -387,34 +386,3 @@ def write_jsonl(path, objects) -> None:
         for obj in objects:
             f.write(json.dumps(obj) + "\n")
 
-
-# ---------------------------------------------------------------------------
-# Plane fitting
-# ---------------------------------------------------------------------------
-
-def fit_plane(points) -> tuple:
-    """Unit normal, as three floats, of the total-least-squares plane through >= 3 points.
-
-    The normal is the smallest eigenvector of the 3x3 covariance of the
-    centered points. Its sign is fixed deterministically: positive dot with
-    +Z, tie broken toward +X, then +Y.
-    """
-    import numpy as np
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-        raise DegenerateGeometryError("fit_plane requires at least 3 points of dimension 3")
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered
-    evals, evecs = np.linalg.eigh(cov)
-    # eigh returns ascending eigenvalues; two near-zero ones mean the points
-    # are collinear and the normal direction is not unique.
-    if evals[1] < 1e-12:
-        raise DegenerateGeometryError("plane fit is degenerate (collinear or coincident points)")
-    normal = evecs[:, 0].tolist()
-    for axis in (FORWARD, RIGHT, UP):
-        d = dot(normal, axis)
-        if abs(d) > 1e-12:
-            if d < 0.0:
-                normal = [-c for c in normal]
-            break
-    return normalize(normal)

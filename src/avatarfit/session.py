@@ -5,11 +5,12 @@ devices: one headset, two hand controllers, and three body trackers (lower
 back and both feet). Sessions are files rather than live streams; the
 calibration trigger press becomes `calibration_frame_index`.
 
-Role identification fits a plane through the device positions of one T-pose
-frame and classifies devices by height and lateral position on that plane.
-The facing direction is recovered from the plane normal: the back tracker
-sits behind the body plane while the feet trackers sit at or in front of it,
-so forward points from the back tracker toward the feet.
+Role identification classifies the devices of one T-pose frame by height and
+by lateral position on the body plane, which holds the arms' span and the
+axis from the feet to the headset. The facing direction is recovered from
+the plane normal: the back tracker sits behind the body plane while the feet
+trackers sit at or in front of it, so forward points from the back tracker
+toward the feet.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .math3d import (
     Transform,
     cross,
     dot,
-    fit_plane,
     float_from_json,
     floats_from_json,
+    norm,
     normalize,
     pose_from_obj,
     pose_to_obj,
@@ -114,17 +115,18 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
     """Assign the six device roles from one T-pose frame.
 
     Classification: the highest device is the headset, the two lowest are
-    the feet trackers, and of the remaining three the laterally extreme pair
-    are the controllers, leaving the back tracker in the middle. Left/right
-    follow the recovered facing direction, from the back tracker toward the
-    feet across the devices' plane; a layout that puts the feet within
-    TIE_MARGIN of the back tracker across that plane is a PostureError.
+    the feet trackers, and of the remaining three the horizontally farthest
+    pair are the controllers, leaving the back tracker. The body plane's
+    normal is the cross product of the controllers' span and the axis from
+    the feet's midpoint to the headset; devices on one line span no plane
+    (DegenerateGeometryError). Left/right follow the recovered facing
+    direction, from the back tracker toward the feet across that plane; a
+    layout that puts the feet within TIE_MARGIN of the back tracker across
+    it is a PostureError.
     """
     if len(frame.devices) != 6:
         raise FormatError(f"expected 6 devices, got {len(frame.devices)}")
     pos = {did: pose[4:] for did, pose in frame.devices.items()}
-
-    normal = fit_plane(list(pos.values()))
 
     by_height = sorted(pos, key=lambda d: pos[d][1], reverse=True)
     if pos[by_height[0]][1] - pos[by_height[1]][1] < TIE_MARGIN:
@@ -142,20 +144,28 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
 
     middle = [d for d in pos if d != hmd and d not in feet]
 
-    # The lateral axis: horizontal and on the fitted plane. Only differences
-    # and orderings along it are used, so positions need no centering, and
-    # which way it points is resolved once forward is known.
+    def span(d):  # horizontal distance between the two middle devices other than d
+        (ax, _, az), (bx, _, bz) = (pos[m] for m in middle if m != d)
+        return norm((ax - bx, 0.0, az - bz))
+
+    root = max(middle, key=span)
+    controllers = [m for m in middle if m != root]
+
+    # The body plane holds the arms' span and the axis from the feet to the
+    # headset. The lateral axis is horizontal and on that plane. Only
+    # differences and orderings along it are used, so positions need no
+    # centering, and which way it points is resolved once forward is known.
+    feet_mid = [0.5 * (a + b) for a, b in zip(pos[feet[0]], pos[feet[1]])]
+    arms = [b - a for a, b in zip(*(pos[c] for c in controllers))]
+    normal = normalize(cross(arms, [h - f for h, f in zip(pos[hmd], feet_mid)]))
     axis = normalize(cross(normal, UP))
     lat = {d: dot(p, axis) for d, p in pos.items()}
 
-    middle_sorted = sorted(middle, key=lambda d: lat[d])
-    root = middle_sorted[1]
-    controllers = [middle_sorted[0], middle_sorted[2]]
-    for ctrl in controllers:
-        if abs(lat[ctrl] - lat[root]) < TIE_MARGIN:
-            raise RoleAmbiguityError(
-                f"lateral positions of {ctrl!r} and {root!r} are ambiguous"
-            )
+    # The back tracker lies between the controllers, TIE_MARGIN inside each.
+    lo, hi = sorted(controllers, key=lambda d: lat[d])
+    for ctrl, gap in ((lo, lat[root] - lat[lo]), (hi, lat[hi] - lat[root])):
+        if gap < TIE_MARGIN:
+            raise RoleAmbiguityError(f"lateral positions of {ctrl!r} and {root!r} are ambiguous")
 
     hmd_height = pos[hmd][1]
     for ctrl in controllers:
@@ -176,7 +186,7 @@ def identify_roles(frame: DeviceFrame) -> dict[str, DeviceRole]:
 
     # Forward points from the back tracker toward the feet across the plane,
     # and left is UP x forward: -axis when forward is the normal, else axis.
-    to_feet = [0.5 * (a + b) - r for a, b, r in zip(pos[feet[0]], pos[feet[1]], pos[root])]
+    to_feet = [f - r for f, r in zip(feet_mid, pos[root])]
     facing = dot(to_feet, normal)
     if abs(facing) < TIE_MARGIN:
         raise PostureError(f"facing is ambiguous: the feet are {abs(facing):.3f} m from the back "

@@ -163,6 +163,25 @@ class TestCalibrationErrors:
         assert "facing is ambiguous" in capsys.readouterr().err
         assert not (tmp_path / "profile.json").exists()
 
+    @pytest.mark.parametrize("layout, code, message", [
+        ("vertical_line", cli.EXIT_PARSE, "cannot normalize near-zero vector"),
+        ("one_height", cli.EXIT_CALIBRATION, "headset height is ambiguous"),
+    ])
+    def test_layout_with_no_body_plane(self, tmp_path, rig_files, capsys, layout, code,
+                                       message):
+        # Six devices on one vertical line span no plane. Six on one
+        # horizontal line stop at the headset's height tie before any plane
+        # is built.
+        heights = (1.6, 1.4, 1.2, 1.0, 0.12, 0.05)
+        spots = [(0.3, y, -0.2) if layout == "vertical_line" else (0.1 * k, 1.2, -0.2)
+                 for k, y in enumerate(heights)]
+        frame = DeviceFrame(0.0, {f"d{k}": transform(IDENT, p) for k, p in enumerate(spots)})
+        write_session(Session([frame], calibration_frame_index=0), tmp_path / "session.jsonl")
+        assert run("calibrate", "--skeleton", rig_files["avatar"], "--session",
+                   tmp_path / "session.jsonl", "--out", tmp_path / "profile.json") == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "profile.json").exists()
+
 
 class TestHandModel:
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -359,15 +378,17 @@ class TestDescentFlags:
         assert "unrecognized arguments: --eta 0.1" in capsys.readouterr().err
 
 
-class TestNoNumpyOnTheSolvePath:
-    def test_solve_and_compare_never_import_numpy(self, rig_files, tmp_path):
-        # A fresh interpreter: the package's own arithmetic runs the solve,
-        # the grip and the scores, so NumPy's import stays off their start-up.
+class TestNoNumpyOutsideTheGenerator:
+    def test_calibrate_solve_and_compare_never_import_numpy(self, rig_files, tmp_path):
+        # A fresh interpreter: the package's own arithmetic finds the roles
+        # and runs the solve, the grip and the scores, so NumPy's import stays
+        # off their start-up. Only `gen`'s random draws need it.
         root = rig_files["user"].parent
-        common = ["--skeleton", rig_files["avatar"], "--session", root / "session.jsonl",
-                  "--profile", root / "profile.json",
+        session = ["--skeleton", rig_files["avatar"], "--session", root / "session.jsonl"]
+        common = [*session, "--profile", root / "profile.json",
                   "--ground-truth", root / "session.gt.jsonl"]
-        commands = [["solve", *common, "--out", tmp_path / "trace.jsonl"],
+        commands = [["calibrate", *session, "--out", tmp_path / "profile.json"],
+                    ["solve", *common, "--out", tmp_path / "trace.jsonl"],
                     ["solve", *common, "--hand-model", rig_files["hand"], "--controller",
                      rig_files["controller"], "--out", tmp_path / "grip.jsonl"],
                     ["compare", *common, "--out", tmp_path / "compare.json"]]

@@ -12,7 +12,6 @@ from avatarfit.math3d import (
     Transform,
     compose_state,
     cross,
-    fit_plane,
     float_from_json,
     floats_from_json,
     pose_from_obj,
@@ -407,69 +406,3 @@ class TestJsonCodec:
     def test_floats_are_returned_as_read(self):
         value = [0.1, 0.2, 0.3]
         assert all(a is b for a, b in zip(floats_from_json(value, 3, "p"), value))
-
-
-class TestFitPlane:
-    def test_exact_square_at_z(self):
-        pts = [vec3(x, y, 0.3) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
-        np.testing.assert_allclose(fit_plane(pts), vec3(0, 0, 1), atol=1e-12)
-
-    def test_exact_vertical_plane(self):
-        pts = [vec3(2.0, y, z) for y, z in ((0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.3), (0.2, 0.9))]
-        np.testing.assert_allclose(fit_plane(pts), vec3(1, 0, 0), atol=1e-12)
-
-    @pytest.mark.parametrize("xz", [
-        ((0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.3)),
-        # eigh can return -Y for these, so the flip runs
-        ((0.3, -0.5), (-0.9, -1.0), (0.6, 0.8), (0.2, 0.5), (0.1, 0.9)),
-    ])
-    def test_horizontal_plane_normal_is_plus_y(self, xz):
-        # Zero dot with +Z and +X: the sign tie-break falls through to +Y.
-        normal = fit_plane([vec3(x, 1.5, z) for x, z in xz])
-        assert all(type(c) is float for c in normal)
-        np.testing.assert_allclose(normal, vec3(0, 1, 0), atol=1e-12)
-
-    def test_collinear_raises(self):
-        pts = [vec3(t, 2 * t, -t) for t in np.linspace(0, 1, 6)]
-        with pytest.raises(DegenerateGeometryError):
-            fit_plane(pts)
-
-    def test_too_few_points(self):
-        with pytest.raises(DegenerateGeometryError):
-            fit_plane([vec3(0, 0, 0), vec3(1, 0, 0)])
-
-    def test_noisy_normal_monte_carlo(self):
-        # 1000 trials of 6 on-plane points (hexagon, 0.7 m radius) with 2 cm
-        # noise: the recovered normal stays within 5 degrees of the truth.
-        rng = np.random.default_rng(42)
-        hexagon = [(0.7 * math.cos(k * math.pi / 3), 0.7 * math.sin(k * math.pi / 3))
-                   for k in range(6)]
-        for _ in range(1000):
-            normal = random_unit(rng)
-            u = np.cross(normal, random_unit(rng))
-            while np.linalg.norm(u) < 1e-6:
-                u = np.cross(normal, random_unit(rng))
-            u /= np.linalg.norm(u)
-            v = np.cross(normal, u)
-            center = rng.normal(size=3)
-            pts = [center + a * u + b * v + rng.normal(0, 0.02, size=3)
-                   for a, b in hexagon]
-            got = fit_plane(pts)
-            err = min(angle_between(got, normal), angle_between(got, -normal))
-            assert err < math.radians(5.0)
-
-    def test_local_optimality_against_perturbed_planes(self):
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(12, 3)) * np.array([1.0, 1.0, 0.05])
-        normal = fit_plane(pts)
-        offset = float(np.dot(normal, pts.mean(axis=0)))  # the plane passes through the centroid
-
-        def residual(normal, offset):
-            return sum((float(np.dot(normal, p)) - offset) ** 2 for p in pts)
-
-        base = residual(normal, offset)
-        for _ in range(100):
-            wiggle = quat_from_axis_angle(random_unit(rng), rng.uniform(0.001, 0.05))
-            n = np.array(qrotate(wiggle, normal))
-            off = offset + rng.normal(0, 0.01)
-            assert base <= residual(n, off) + 1e-12

@@ -17,6 +17,7 @@ from avatarfit.math3d import (
     DegenerateGeometryError,
     Transform,
     norm,
+    normalize,
     qconj,
     qmul,
     qrotate,
@@ -440,6 +441,24 @@ class TestSolveFrame:
         head = sp.world[scaled.role_index("head")]
         hmd_rot = qmul(spin, frame.devices[hmd_id][:4])
         assert quat_angle_between(head[:4], hmd_rot) < 1e-9
+
+    def test_detached_beyond_detach_eps(self, matched_setup):
+        # The calibration frame holds the arms straight. Moving the left
+        # controller outward along the arm leaves the wrist target that far
+        # out of reach; past DETACH_EPS (1e-7 m) the controller is detached.
+        session, _, profile, scaled = matched_setup
+        frame = session.calibration_frame()
+        base = solve_frame(frame, profile, scaled)
+        shoulder, wrist = (base.world[scaled.role_index(r)][4:] for r in ("shoulder_l", "wrist_l"))
+        along = normalize([w - s for w, s in zip(wrist, shoulder)])
+        did = device_id(profile, DeviceRole.CONTROLLER_LEFT)
+        pose = frame.devices[did]
+        for step, detached in ((5e-8, False), (2e-7, True)):
+            moved = transform(pose[:4], [p + step * u for p, u in zip(pose[4:], along)])
+            d = solve_frame(DeviceFrame(frame.timestamp, {**frame.devices, did: moved}),
+                            profile, scaled).diagnostics
+            assert d.reach_deficits["arm_l"] == pytest.approx(step, rel=1e-6)
+            assert (d.controller_detached_left, d.controller_detached_right) == (detached, False)
 
     def test_wrist_target_on_shoulder_leaves_arm_at_bind(self, user_skeleton):
         # Moving the left controller so that its wrist target lands on the

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avatarfit.math3d import FormatError, quat_angle_between, quat_from_axis_angle, quat_from_json
-from avatarfit.motion import arms_script, squat_script, tpose_script
-from avatarfit.rigs import humanoid
+from avatarfit.math3d import FormatError, qrotate, quat_angle_between, \
+    quat_from_axis_angle, quat_from_json
+from avatarfit.motion import SCRIPT_NAMES, arms_script, builtin_script, squat_script, tpose_script
+from avatarfit.rigs import humanoid, humanoid_long_legs
 from avatarfit.session import (
     DeviceFrame,
     DeviceRole,
@@ -68,12 +70,51 @@ class TestIdentifyRoles:
             assert identify_roles(moved) == truth
 
     def test_noise_monte_carlo_on_synthetic_sessions(self):
-        user = humanoid()
-        script = tpose_script(duration=0.2, fps=10.0)
-        for seed in range(25):
-            session, _ = generate_synthetic_session(
-                user, script, noise=NoiseModel(position_sigma=0.02, seed=seed))
-            assert identify_roles(session.frames[0]) == session.role_map
+        # Both rigs, 2 mm and 2 cm of noise. Every script starts from the same
+        # T-pose, so each script gets its own seeds and no calibration frame
+        # is drawn twice.
+        for user in (humanoid(), humanoid_long_legs()):
+            for k, name in enumerate(SCRIPT_NAMES):
+                script = builtin_script(name, user, duration=0.1, fps=10.0)
+                for sigma, seed in itertools.product((0.002, 0.02), range(10 * k, 10 * k + 5)):
+                    session, _ = generate_synthetic_session(
+                        user, script, noise=NoiseModel(position_sigma=sigma, seed=seed))
+                    assert identify_roles(session.calibration_frame()) == session.role_map
+
+    @pytest.mark.parametrize("rig", [humanoid, humanoid_long_legs])
+    @pytest.mark.parametrize("posture", ["lean_forward", "lean_back", "arms_sag",
+                                         "arms_forward", "wide_stance"])
+    def test_postures_keep_the_generated_roles(self, rig, posture):
+        # Off the exact T-pose the body plane tilts with the body: a lean
+        # about the lateral axis tilts its normal, which a vertical plane
+        # through the controllers alone would miss.
+        session, truth = generate_synthetic_session(rig(), tpose_script(duration=0.1, fps=10.0))
+        frame = session.calibration_frame()
+        devices = dict(frame.devices)
+        arms = {DeviceRole.CONTROLLER_LEFT: (1.0, "shoulder_l"),
+                DeviceRole.CONTROLLER_RIGHT: (-1.0, "shoulder_r")}
+        stance = {DeviceRole.TRACKER_FOOT_LEFT: -0.15, DeviceRole.TRACKER_FOOT_RIGHT: 0.15}
+
+        def turned(pose, axis, angle, pivot=(0.0, 0.0, 0.0)):
+            q = quat_from_axis_angle(axis, math.radians(angle))
+            return transform(q, np.subtract(pivot, qrotate(q, pivot))) @ pose
+
+        for did, pose in frame.devices.items():
+            role = session.role_map[did]
+            if posture.startswith("lean"):  # the user faces -Z: -20 degrees about +X leans forward
+                devices[did] = turned(pose, [1, 0, 0], -20 if posture == "lean_forward" else 20)
+            elif posture.startswith("arms") and role in arms:
+                side, joint = arms[role]
+                shoulder = truth.by_role(0, joint)[4:]
+                if posture == "arms_sag":
+                    devices[did] = turned(pose, [0, 0, 1], 20 * side, shoulder)
+                    assert devices[did][5] < pose[5] - 0.1
+                else:
+                    devices[did] = turned(pose, [0, 1, 0], -60 * side, shoulder)
+                    assert devices[did][6] < pose[6] - 0.3
+            elif posture == "wide_stance" and role in stance:
+                devices[did] = transform(pose[:4], np.add(pose[4:], (stance[role], 0.0, 0.0)))
+        assert identify_roles(DeviceFrame(frame.timestamp, devices)) == session.role_map
 
     @pytest.mark.parametrize("overrides, message", [
         ({"b": (-0.7, 1.595, 0.0)}, "headset height is ambiguous"),
@@ -85,6 +126,17 @@ class TestIdentifyRoles:
         frame, _ = placement_frame(overrides=overrides)
         with pytest.raises(RoleAmbiguityError, match=message):
             identify_roles(frame)
+
+    def test_back_tracker_beyond_a_controller_is_ambiguous(self):
+        # Leaned 45 degrees with the left arm raised and the right lowered:
+        # the controllers are still the horizontally farthest pair, but the
+        # back tracker lies 5 cm beyond the left one on the lateral axis.
+        frame, _ = placement_frame(overrides={
+            "b": (-0.7, 1.55, 0.0), "c": (0.1, 1.1, 0.0), "d": (-0.75, 0.9, 0.1)})
+        g = transform(quat_from_axis_angle([1, 0, 0], math.radians(45)), (0.0, 0.0, 0.0))
+        leaned = DeviceFrame(0.0, {d: g @ p for d, p in frame.devices.items()})
+        with pytest.raises(RoleAmbiguityError, match="lateral positions of 'b' and 'd'"):
+            identify_roles(leaned)
 
     def test_controller_band_violation_is_posture_error(self):
         frame, _ = placement_frame(overrides={"b": (-0.7, 0.8, 0.0)})
@@ -109,7 +161,7 @@ class TestIdentifyRoles:
 
     def test_facing_margin(self):
         # The back tracker 3 cm off the plane of the other five puts the feet
-        # 0.029 m across the fitted plane from it, and the frame faces; 1.5 cm
+        # 0.030 m across the body plane from it, and the frame faces; 1.5 cm
         # off gives 0.015 m, within TIE_MARGIN, and the facing is ambiguous.
         flat = {"a": (0.0, 1.6, 0.0), "d": (0.0, 1.0, 0.0)}
         frame, truth = placement_frame(overrides={**flat, "d": (0.0, 1.0, 0.03)})

@@ -310,6 +310,21 @@ class TestLoadSkeleton:
         with pytest.raises(SkeletonError, match="floor"):
             load_skeleton(doc)
 
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    def test_floor_tolerance_is_one_millimeter(self, side):
+        # FLOOR_TOLERANCE: the lowest joint 0.9 mm off the floor loads, 1.1 mm off does not.
+        def lifted(gap):
+            doc = humanoid_document()
+            lowest = min(state[5] for state in load_skeleton(doc).bind_states)
+            hips = next(j for j in doc["joints"] if j["name"] == "hips")
+            hips["translation"][1] += side * gap - lowest
+            return doc
+
+        lowest = min(state[5] for state in load_skeleton(lifted(0.0009)).bind_states)
+        assert lowest == pytest.approx(side * 0.0009, abs=1e-12)
+        with pytest.raises(SkeletonError, match="floor"):
+            load_skeleton(lifted(0.0011))
+
     def test_unknown_parent_rejected(self):
         doc = humanoid_document()
         doc["joints"][3]["parent"] = "nonexistent"
