@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .math3d import FormatError, Transform, float_from_json, floats_from_json, floats_to_json, \
-    norm, read_json_file, transform_from_obj, transform_to_obj, write_json_file
+from .math3d import IDENTITY, FormatError, compose_state, float_from_json, floats_from_json, \
+    floats_to_json, invert_state, norm, read_json_file, transform_from_obj, transform_to_obj, \
+    write_json_file
 from .session import ROLE_TO_JOINT, DeviceFrame, DeviceRole, Session, identify_roles, \
     role_map_from_json
 from .skeleton import SkeletonModel, scale_uniform
@@ -46,7 +47,7 @@ class MisalignmentError(ValueError):
     """A device is too far from its joint for a plausible walk-in."""
 
 
-def _check_walk_in(error: type, where: str, offset: Transform) -> None:
+def _check_walk_in(error: type, where: str, offset: tuple) -> None:
     gap = norm(offset[4:])
     if gap > MAX_WALK_IN_OFFSET:
         raise error(f"{where}: device is {gap:.2f} m from its joint; walk-in alignment failed")
@@ -55,7 +56,7 @@ def _check_walk_in(error: type, where: str, offset: Transform) -> None:
 @dataclass
 class CalibrationProfile:
     scale: float
-    offsets: dict[str, Transform]  # per PART_ROLES part: joint pose in its device's frame
+    offsets: dict[str, tuple]  # per PART_ROLES part: joint pose in its device's frame
     w0: tuple  # headset position minus back-tracker position at t=0, three floats
     role_map: dict[str, DeviceRole]
 
@@ -83,7 +84,7 @@ def capture_profile(
     frame: DeviceFrame,
     role_map: dict[str, DeviceRole],
     skeleton: SkeletonModel,
-    placement: Transform | None = None,
+    placement: tuple | None = None,
     scale: float = 1.0,
 ) -> CalibrationProfile:
     """Record exact offsets between the devices and the posed avatar.
@@ -92,7 +93,7 @@ def capture_profile(
     to the whole bind pose (identity leaves the avatar at its authored spot,
     standing on the floor at the origin facing -Z).
     """
-    placement = placement or Transform.identity()
+    placement = placement or IDENTITY
     device = {role: frame.devices[did] for did, role in role_map.items()}
     if len(device) != 6:
         raise ValueError("role map must cover all six devices")
@@ -100,8 +101,8 @@ def capture_profile(
     offsets = {}
     for part, dev_role in PART_ROLES.items():
         bind = skeleton.bind_states[skeleton.role_index(ROLE_TO_JOINT[dev_role])]
-        joint = placement @ Transform(bind)
-        offsets[part] = device[dev_role].inverse() @ joint
+        joint = compose_state(placement, bind[:4], bind[4:])
+        offsets[part] = compose_state(invert_state(device[dev_role]), joint[:4], joint[4:])
         _check_walk_in(MisalignmentError, part, offsets[part])
 
     w0 = tuple(h - b for h, b in zip(device[DeviceRole.HMD][4:],

@@ -39,8 +39,8 @@ from .fingers import (
     pose_hand_on_controller,
     transform_capsule,
 )
-from .math3d import INPUT_BOUND, DegenerateGeometryError, FormatError, Transform, norm, \
-    write_json_file
+from .math3d import IDENTITY, INPUT_BOUND, DegenerateGeometryError, FormatError, apply_state, \
+    invert_state, norm, write_json_file
 from .motion import SCRIPT_NAMES, ScriptError, builtin_script, read_script_file
 from .retarget import OffsetMode, mode_offsets, solve_session
 from .session import (
@@ -148,9 +148,9 @@ def _solve_hands(args, offsets, scaled):
     for side in ("left", "right"):
         hand, capsule, button = sides[side]
         wrist_role = ROLE_TO_JOINT[PART_ROLES[f"hand_{side}"]]
-        to_wrist = offsets[f"hand_{side}"].inverse()
-        button = None if button is None else to_wrist.apply(button)
-        result = pose_hand_on_controller(hand, Transform.identity(),
+        to_wrist = invert_state(offsets[f"hand_{side}"])
+        button = None if button is None else apply_state(to_wrist, button)
+        result = pose_hand_on_controller(hand, IDENTITY,
                                          transform_capsule(capsule, to_wrist), config, button)
         objectives[f"hand_mean_objective_{side[0]}"] = sum(r.objective for r in result.reports)
         attached.extend((scaled.role_index(wrist_role), f"{wrist_role}/{finger.name}_{ji}", pose)

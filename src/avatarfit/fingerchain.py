@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .math3d import Transform, compose_state, slerp_at
+from .math3d import compose_state, slerp_at
 
 if TYPE_CHECKING:  # `fingers` imports this module
     from .fingers import CapsuleShape, Finger
@@ -52,7 +52,7 @@ class _FingerChain:
 
     __slots__ = ("start", "slerps", "offsets", "capsule", "penalty", "button")
 
-    def __init__(self, finger: Finger, wrist_world: Transform | None, shape: CapsuleShape,
+    def __init__(self, finger: Finger, wrist_world: tuple | None, shape: CapsuleShape,
                  penalty: float, button: tuple | None = None):
         base = finger.base_local
         if wrist_world is not None:

@@ -47,7 +47,7 @@ from functools import cached_property
 
 from .fingerchain import GRID_POINTS, _FingerChain
 from .math3d import INPUT_BOUND, INPUT_BOUND_TEXT, DegenerateGeometryError, FormatError, \
-    Transform, float_from_json, floats_from_json, floats_to_json, quat_from_axis_angle, \
+    apply_state, float_from_json, floats_from_json, floats_to_json, quat_from_axis_angle, \
     quat_from_json, quat_to_json, read_json_file, slerp_at, slerp_basis, transform_from_obj, \
     transform_to_obj, write_json_file
 
@@ -99,8 +99,8 @@ def capsule_sdf(shape: CapsuleShape, p) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz) - shape.radius
 
 
-def transform_capsule(shape: CapsuleShape, t: Transform) -> CapsuleShape:
-    return CapsuleShape(t.apply(shape.start), t.apply(shape.end), shape.radius)
+def transform_capsule(shape: CapsuleShape, t: tuple) -> CapsuleShape:
+    return CapsuleShape(apply_state(t, shape.start), apply_state(t, shape.end), shape.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ class FingerJointSpec:
 @dataclass(frozen=True)
 class Finger:
     name: str
-    base_local: Transform  # knuckle placement relative to the wrist
+    base_local: tuple  # knuckle placement relative to the wrist
     joints: tuple[FingerJointSpec, ...]
 
 
@@ -131,7 +131,7 @@ class Finger:
 class HandModel:
     side: str  # "left" or "right"
     fingers: tuple[Finger, ...]
-    palm_anchor: Transform  # palm grip point relative to the wrist
+    palm_anchor: tuple  # palm grip point relative to the wrist
 
 
 @dataclass
@@ -170,7 +170,7 @@ def finger_objective(
     params: FingerParams,
     shape: CapsuleShape,
     penalty: float,
-    wrist_world: Transform | None = None,
+    wrist_world: tuple | None = None,
     button: tuple | None = None,
 ) -> float:
     """Summed penalized surface distance of one finger's joint points."""
@@ -194,7 +194,7 @@ def descend(
     hand: HandModel,
     shape: CapsuleShape,
     config: DescentConfig | None = None,
-    wrist_world: Transform | None = None,
+    wrist_world: tuple | None = None,
     button: tuple | None = None,
 ) -> tuple[FingerParams, list[FingerDescent]]:
     """Compass-search every finger's factors independently.
@@ -266,14 +266,14 @@ def descend(
 @dataclass
 class HandPoseResult:
     params: FingerParams
-    poses: list[list[Transform]]        # per finger, per joint: world pose of its point
+    poses: list[list[tuple]]            # per finger, per joint: world pose of its point
     joint_distances: list[list[float]]  # signed distance of each point to the capsule
     reports: list[FingerDescent]
 
 
 def pose_hand_on_controller(
     hand: HandModel,
-    wrist_world: Transform,
+    wrist_world: tuple,
     controller: CapsuleShape,
     config: DescentConfig | None = None,
     button: tuple | None = None,
@@ -284,7 +284,7 @@ def pose_hand_on_controller(
     rotation after joint j, as the search's last walk of the finger left it.
     """
     params, reports = descend(hand, controller, config, wrist_world, button)
-    poses = [[Transform(s[:7]) for s in r.states] for r in reports]
+    poses = [[s[:7] for s in r.states] for r in reports]
     distances = [[capsule_sdf(controller, s[4:7]) for s in r.states] for r in reports]
     return HandPoseResult(params, poses, distances, reports)
 
@@ -303,8 +303,8 @@ def mirror_x(p) -> tuple:
     return -p[0], p[1], p[2]
 
 
-def _mirror_x_transform(t: Transform) -> Transform:
-    return Transform((*_mirror_x_quat(t), *mirror_x(t[4:])))
+def _mirror_x_transform(t: tuple) -> tuple:
+    return (*_mirror_x_quat(t), *mirror_x(t[4:]))
 
 
 def mirror_hand(hand: HandModel) -> HandModel:
@@ -346,7 +346,7 @@ def default_hand_model(side: str = "left") -> HandModel:
             FingerJointSpec(ident, curl, (-length, 0.0, 0.0))
             for length in lengths
         )
-        return Finger(name, Transform((*base_q, *base_t)), joints)
+        return Finger(name, (*base_q, *base_t), joints)
 
     thumb_base_q = quat_from_axis_angle(y_axis, math.radians(-40.0))
     fingers = (
@@ -356,7 +356,7 @@ def default_hand_model(side: str = "left") -> HandModel:
         finger("ring", (-0.090, 0.0, 0.022), ident, (0.040, 0.028, 0.024)),
         finger("pinky", (-0.082, 0.0, 0.042), ident, (0.032, 0.024, 0.021)),
     )
-    palm_anchor = Transform((*ident, -0.072, -0.038, 0.0))
+    palm_anchor = (*ident, -0.072, -0.038, 0.0)
     left = HandModel("left", fingers, palm_anchor)
     return left if side == "left" else mirror_hand(left)
 

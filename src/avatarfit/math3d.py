@@ -1,4 +1,4 @@
-"""3D math primitives: vectors, unit quaternions, rigid transforms, JSON codecs.
+"""3D math primitives: vectors, unit quaternions, pose states, JSON codecs.
 
 Conventions used throughout the package:
 
@@ -7,15 +7,16 @@ Conventions used throughout the package:
 - Quaternions are in (w, x, y, z) order and are kept unit-length.
   Serialization canonicalizes the sign so w >= 0, making traces
   byte-comparable across runs.
-- A pose is its state (w, x, y, z, px, py, pz), seven floats. `Transform`
-  is a tuple of them, and `Transform(state)` its one constructor. The
-  helpers take any sequence and return floats or tuples of floats. The hot
-  loops (FK, the body solve's targets, the grip's walks) run on plain
-  tuples, which unpack faster than a Transform. The file codecs read
-  numbers as plain floats and poses as Transforms.
-- `Transform.translation` (a fresh float64 array) is the one NumPy value
-  that the package's types hand out, for NumPy callers. It imports NumPy
-  when read, so `calibrate`, `solve` and `compare` never load it.
+- A pose is its state (w, x, y, z, px, py, pz): a plain tuple of seven
+  floats, composed by `compose_state`, inverted by `invert_state` and
+  applied to a point by `apply_state`; `IDENTITY` is the identity. The
+  helpers take any sequence and return floats or tuples of floats, and the
+  file codecs read numbers as plain floats and poses as plain tuples.
+- `Transform` wraps a pose state only in the two outward results, the
+  solve's `SolvedPose.world` and the ground truth's frames. Its
+  `translation` (a fresh float64 array) is the one NumPy value that the
+  package's types hand out, for NumPy callers. It imports NumPy when read,
+  so `calibrate`, `solve` and `compare` never load it.
 - One norm: a length is the root of the squares summed left to right
   (`norm`; `quat_from_json`, `rotation_between` and `slerp_at` for
   quaternions), never NumPy's; only the generator's random draws use NumPy's.
@@ -164,9 +165,11 @@ def slerp_at(basis: tuple, t: float) -> tuple[float, float, float, float]:
 # Plain-float quaternions and pose states
 # ---------------------------------------------------------------------------
 # A quaternion is (w, x, y, z) and a pose state (w, x, y, z, px, py, pz) is a
-# rotation followed by a translation, as a `Transform` is. They are tuples of
-# floats: NumPy's per-call overhead on 3- and 4-vectors would dominate the
-# body solve.
+# rotation followed by a translation. They are tuples of floats: NumPy's
+# per-call overhead on 3- and 4-vectors would dominate the body solve.
+
+IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
 
 def qmul(a, b) -> tuple:
     """Hamilton product a * b."""
@@ -209,7 +212,7 @@ def qrotate(q, v) -> tuple:
 
 
 def compose_state(s, q, v) -> tuple:
-    """The pose s @ (*q, *v) as a plain tuple: rotation s_q * q, position s_p + s_q v."""
+    """The pose s composed with (*q, *v): rotation s_q * q, position s_p + s_q v."""
     (sw, sx, sy, sz, px, py, pz), (qw, qx, qy, qz), (vx, vy, vz) = s, q, v
     tx = 2.0 * (sy * vz - sz * vy)
     ty = 2.0 * (sz * vx - sx * vz)
@@ -223,42 +226,31 @@ def compose_state(s, q, v) -> tuple:
             pz + (vz + sw * tz + (sx * ty - sy * tx)))
 
 
-# ---------------------------------------------------------------------------
-# Rigid transforms
-# ---------------------------------------------------------------------------
+def invert_state(s) -> tuple:
+    """The pose that undoes s: rotation s_q^-1, position -(s_q^-1 s_p)."""
+    rinv = qconj(s)
+    dx, dy, dz = qrotate(rinv, s[4:])
+    return (*rinv, -dx, -dy, -dz)
+
+
+def apply_state(s, p) -> tuple:
+    """The point p moved by the pose s: s_q p + s_p."""
+    dx, dy, dz = qrotate(s[:4], p)
+    return dx + s[4], dy + s[5], dz + s[6]
+
 
 class Transform(tuple):
-    """Rigid transform: rotation (unit quaternion) followed by translation.
-
-    A Transform is its pose state (w, x, y, z, px, py, pz): a tuple of the
-    seven floats given to `Transform(state)`. `translation` returns the
-    position as a fresh float64 array for NumPy callers.
+    """A pose state handed out by the solve (`SolvedPose.world`) and the ground
+    truth (`GroundTruth.frames`): the tuple of seven floats given to
+    `Transform(state)`, plus its position as a fresh float64 array.
     """
 
     __slots__ = ()
-
-    @classmethod
-    def identity(cls) -> "Transform":
-        return cls((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     @property
     def translation(self) -> "numpy.ndarray":
         import numpy as np
         return np.array(self[4:])
-
-    def __matmul__(self, other: "Transform") -> "Transform":
-        """Composition: (self @ other)(p) = self(other(p))."""
-        return Transform(compose_state(self, other[:4], other[4:]))
-
-    def inverse(self) -> "Transform":
-        rinv = qconj(self)
-        dx, dy, dz = qrotate(rinv, self[4:])
-        return Transform((*rinv, -dx, -dy, -dz))
-
-    def apply(self, p) -> tuple:
-        """Transform a point."""
-        dx, dy, dz = qrotate(self[:4], p)
-        return dx + self[4], dy + self[5], dz + self[6]
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +316,25 @@ def quat_from_json(value, where: str) -> tuple:
     return w / n, x / n, y / n, z / n
 
 
-def transform_to_obj(t: Transform) -> dict:
+def transform_to_obj(t: tuple) -> dict:
     return {"rotation": quat_to_json(t[:4]), "translation": floats_to_json(t[4:])}
 
 
-def transform_from_obj(obj, where: str) -> Transform:
+def transform_from_obj(obj, where: str) -> tuple:
     return pose_from_obj(obj, where, "rotation", "translation")
 
 
-def pose_to_obj(t: Transform) -> dict:
+def pose_to_obj(t: tuple) -> dict:
     """Compact pose object of the session and trace lines."""
     return {"p": list(t[4:]), "q": quat_to_json(t[:4])}
 
 
-def pose_from_obj(obj, where: str, q: str = "q", p: str = "p") -> Transform:
+def pose_from_obj(obj, where: str, q: str = "q", p: str = "p") -> tuple:
     """The pose of an object with a unit quaternion at key `q` and a position at `p`."""
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object with {p} and {q}")
-    return Transform(quat_from_json(obj.get(q), f"{where} {q}")
-                     + floats_from_json(obj.get(p), 3, f"{where} {p}"))
+    return (quat_from_json(obj.get(q), f"{where} {q}")
+            + floats_from_json(obj.get(p), 3, f"{where} {p}"))
 
 
 def read_json_file(path, parse):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .math3d import RIGHT, UP, Transform, float_from_json, pose_from_obj, qmul, \
+from .math3d import RIGHT, UP, float_from_json, pose_from_obj, qmul, \
     quat_from_axis_angle, quat_from_json, read_jsonl
 from .skeleton import SkeletonModel
 
@@ -34,7 +34,7 @@ class ScriptPose:
 
     time: float
     rotations: dict = field(default_factory=dict)  # joint name -> (w, x, y, z) sequence
-    root_world: Transform | None = None
+    root_world: tuple | None = None
 
 
 def pose_from_script(skeleton: SkeletonModel, sp: ScriptPose) -> tuple[list[tuple], tuple]:
@@ -53,7 +53,7 @@ def pose_from_script(skeleton: SkeletonModel, sp: ScriptPose) -> tuple[list[tupl
     return rotations, root
 
 
-def _bind_root(skeleton: SkeletonModel) -> Transform:
+def _bind_root(skeleton: SkeletonModel) -> tuple:
     return skeleton.joints[skeleton.role_index("root")].bind_local
 
 
@@ -89,7 +89,7 @@ def squat_script(skeleton: SkeletonModel, duration: float = 4.0,
         # Root compensation keeps the ankles (and so the feet) fixed in world.
         dy = (l1 + l2) * (math.cos(0.5 * f) - 1.0)
         dz = -(l2 - l1) * math.sin(0.5 * f)
-        root = Transform((*bind[:4], *(p + d for p, d in zip(bind[4:], (0.0, dy, dz)))))
+        root = (*bind[:4], *(p + d for p, d in zip(bind[4:], (0.0, dy, dz))))
         frames.append(ScriptPose(t, rots, root))
     return frames
 
@@ -133,7 +133,7 @@ def free_script(skeleton: SkeletonModel, duration: float = 6.0, fps: float = 30.
         sway = (0.15 * math.sin(2.0 * math.pi * u),
                 0.0,
                 0.10 * math.sin(4.0 * math.pi * u))
-        root = Transform((*qmul(yaw, bind[:4]), *(p + d for p, d in zip(bind[4:], sway))))
+        root = (*qmul(yaw, bind[:4]), *(p + d for p, d in zip(bind[4:], sway)))
         frames.append(ScriptPose(t, rots, root))
     return frames
 

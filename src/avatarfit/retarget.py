@@ -35,17 +35,15 @@ Fixed mode runs the identical pipeline with every offset set to the identity
 (device pose used as the joint pose), the ad-hoc zero-offset mapping that
 reproduces the classic bent-legs artifact on avatars with longer legs.
 
-The solve runs on tuples of Python floats: pose states (see
-`math3d.compose_state`) for targets, local rotations and the joints the two
-FK passes place, and 3-tuples for the spine bend's vectors and the limb
-IK's positions and directions. These are exact tuples, not Transforms, which
-unpack slower: the only Transforms `solve_frame` unpacks are the five device
-poses that the targets compose with the profile's offsets. Each solved state
-is wrapped once, as a `Transform` of `SolvedPose.world`. The limb IK, the
-local rotations' conjugate products (`math3d.qmul_conj`), the flexion
-diagnostics and the session's error norms are written out on scalar locals,
-each making the operations of its helper form in order, so they keep its
-bits (`tests/oracles.py`).
+The solve runs on exact tuples of Python floats: pose states (see
+`math3d.compose_state`) for the device poses, the offsets, the targets,
+local rotations and the joints the two FK passes place, and 3-tuples for the
+spine bend's vectors and the limb IK's positions and directions. Each solved
+state is wrapped once, as a `Transform` of `SolvedPose.world`, the solve's
+outward result. The limb IK, the local rotations' conjugate products
+(`math3d.qmul_conj`), the flexion diagnostics and the session's error norms
+are written out on scalar locals, each making the operations of its helper
+form in order, so they keep its bits (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -60,6 +58,7 @@ from typing import NamedTuple
 from .calibration import PART_ROLES, CalibrationProfile
 from .math3d import (
     DEGENERATE_EPS,
+    IDENTITY,
     RIGHT,
     UP,
     DegenerateGeometryError,
@@ -209,10 +208,10 @@ class SolvedPose:
     diagnostics: FrameDiagnostics
 
 
-_FIXED_OFFSETS = dict.fromkeys(PART_ROLES, Transform.identity())
+_FIXED_OFFSETS = dict.fromkeys(PART_ROLES, IDENTITY)
 
 
-def mode_offsets(profile: CalibrationProfile, mode: OffsetMode) -> dict[str, Transform]:
+def mode_offsets(profile: CalibrationProfile, mode: OffsetMode) -> dict[str, tuple]:
     """Device-to-joint offset per body part that `mode` solves with."""
     return profile.offsets if mode == OffsetMode.EXACT else _FIXED_OFFSETS
 
@@ -363,7 +362,7 @@ def pose_trace_line(frame: DeviceFrame, pose: SolvedPose, skeleton: SkeletonMode
     """
     joints = [{"name": joint.name, **pose_to_obj(w)}
               for joint, w in zip(skeleton.joints, pose.world)]
-    joints.extend({"name": name, **pose_to_obj(pose.world[j] @ local)}
+    joints.extend({"name": name, **pose_to_obj(compose_state(pose.world[j], local[:4], local[4:]))}
                   for j, name, local in attached)
     d = pose.diagnostics
     metrics = {"alpha": d.alpha, "knee_l": d.knee_flexion_left, "knee_r": d.knee_flexion_right,

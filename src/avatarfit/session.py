@@ -23,6 +23,7 @@ from .math3d import (
     UP,
     FormatError,
     Transform,
+    compose_state,
     cross,
     dot,
     float_from_json,
@@ -74,7 +75,7 @@ class PostureError(ValueError):
 @dataclass
 class DeviceFrame:
     timestamp: float
-    devices: dict[str, Transform]  # exactly six: device id -> world pose, in file order
+    devices: dict[str, tuple]  # exactly six: device id -> world pose, in file order
 
 
 @dataclass
@@ -225,7 +226,7 @@ class NoiseModel:
     seed: int = 0
 
 
-def default_mount_offsets() -> dict[DeviceRole, Transform]:
+def default_mount_offsets() -> dict[DeviceRole, tuple]:
     """Device pose relative to its body segment joint.
 
     The headset sits at eye level slightly in front of the head joint; the
@@ -234,12 +235,12 @@ def default_mount_offsets() -> dict[DeviceRole, Transform]:
     """
     ident = (1.0, 0.0, 0.0, 0.0)
     return {
-        DeviceRole.HMD: Transform((*ident, 0.0, 0.14, -0.08)),
-        DeviceRole.CONTROLLER_LEFT: Transform((*ident, 0.0, -0.02, -0.05)),
-        DeviceRole.CONTROLLER_RIGHT: Transform((*ident, 0.0, -0.02, -0.05)),
-        DeviceRole.TRACKER_ROOT: Transform((*ident, 0.0, 0.0, 0.10)),
-        DeviceRole.TRACKER_FOOT_LEFT: Transform((*ident, 0.0, 0.07, -0.04)),
-        DeviceRole.TRACKER_FOOT_RIGHT: Transform((*ident, 0.0, 0.07, -0.04)),
+        DeviceRole.HMD: (*ident, 0.0, 0.14, -0.08),
+        DeviceRole.CONTROLLER_LEFT: (*ident, 0.0, -0.02, -0.05),
+        DeviceRole.CONTROLLER_RIGHT: (*ident, 0.0, -0.02, -0.05),
+        DeviceRole.TRACKER_ROOT: (*ident, 0.0, 0.0, 0.10),
+        DeviceRole.TRACKER_FOOT_LEFT: (*ident, 0.0, 0.07, -0.04),
+        DeviceRole.TRACKER_FOOT_RIGHT: (*ident, 0.0, 0.07, -0.04),
     }
 
 
@@ -256,7 +257,7 @@ def _small_rotation(rng: "numpy.random.Generator", sigma: float) -> tuple:
 def generate_synthetic_session(
     skeleton: SkeletonModel,
     script: list[ScriptPose],
-    mount_offsets: dict[DeviceRole, Transform] | None = None,
+    mount_offsets: dict[DeviceRole, tuple] | None = None,
     noise: NoiseModel | None = None,
 ) -> tuple[Session, GroundTruth]:
     """Simulate a six-device recording of `skeleton` performing `script`.
@@ -291,19 +292,19 @@ def generate_synthetic_session(
     frames: list[DeviceFrame] = []
     truth_frames: list[list[Transform]] = []
     for sp in script:
-        world = [Transform(s)
-                 for s in forward_kinematics(skeleton, *pose_from_script(skeleton, sp))]
-        truth_frames.append(world)
+        world = forward_kinematics(skeleton, *pose_from_script(skeleton, sp))
+        truth_frames.append([Transform(s) for s in world])
         devices = {}
         for did in ids:
-            pose = world[joint_for[did]] @ mounts[role_map[did]]
+            mount = mounts[role_map[did]]
+            pose = compose_state(world[joint_for[did]], mount[:4], mount[4:])
             if noise.position_sigma > 0.0:
                 dx, dy, dz = rng.normal(0.0, noise.position_sigma, 3).tolist()
                 w, x, y, z, px, py, pz = pose
-                pose = Transform((w, x, y, z, px + dx, py + dy, pz + dz))
+                pose = (w, x, y, z, px + dx, py + dy, pz + dz)
             if noise.rotation_sigma > 0.0:
                 q = qmul(_small_rotation(rng, noise.rotation_sigma), pose[:4])
-                pose = Transform(q + pose[4:])
+                pose = q + pose[4:]
             devices[did] = pose
         frames.append(DeviceFrame(sp.time, devices))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .math3d import FormatError, Transform, compose_state, float_from_json, floats_from_json, \
+from .math3d import FormatError, compose_state, float_from_json, floats_from_json, \
     floats_to_json, norm, qconj, quat_from_json, quat_to_json, read_json_file, write_json_file
 
 REQUIRED_ROLES = frozenset({
@@ -44,7 +44,7 @@ class SkeletonError(FormatError):
 class Joint:
     name: str
     parent: int | None
-    bind_local: Transform
+    bind_local: tuple
     role: str
 
 
@@ -113,10 +113,10 @@ def forward_kinematics(skeleton: SkeletonModel, rotations, root: tuple,
     `rotations` holds one local rotation (w, x, y, z) per joint; the root's
     entry is ignored, since the root is placed at the pose state `root`.
     Joint i's state is its parent's composed with (rotations[i],
-    bind_translations[i]) by `compose_state`, which `Transform.__matmul__`
-    also runs; each state equals the bytes of FK by composition on float64
-    arrays (`tests/oracles.py::reference_forward_kinematics`). All but the
-    root's (`root` itself) are plain tuples, which unpack fastest.
+    bind_translations[i]) by `compose_state`; each state equals the bytes of
+    FK by composition on float64 arrays
+    (`tests/oracles.py::reference_forward_kinematics`). All but the root's
+    (`root` itself) are new plain tuples, which unpack fastest.
 
     Given `joints`, a list of joint indices in topological order, only those
     are placed, into `states` (one entry per joint; a new list of None by
@@ -149,7 +149,7 @@ def scale_uniform(skeleton: SkeletonModel, s: float) -> SkeletonModel:
         scaled = (px, s * py, pz) if j.parent is None else (s * px, s * py, s * pz)
         if eye_height <= 1e-9 or j.parent is not None and norm(scaled) <= 1e-9:
             raise SkeletonError(f"scale {s:g} leaves a length at or below 1e-9 m")
-        joints.append(Joint(j.name, j.parent, Transform((w, x, y, z, *scaled)), j.role))
+        joints.append(Joint(j.name, j.parent, (w, x, y, z, *scaled), j.role))
     return SkeletonModel(joints, eye_height)
 
 
@@ -235,7 +235,7 @@ def load_skeleton(document: dict) -> SkeletonModel:
         parent_idx = None if parent is None else index_of[parent]
         if parent_idx is not None and norm(t) <= 1e-9:
             raise SkeletonError(f"joint {name!r}: bone length must be strictly positive")
-        joints.append(Joint(name, parent_idx, Transform(q + t), entry["role"]))
+        joints.append(Joint(name, parent_idx, q + t, entry["role"]))
 
     skeleton = SkeletonModel(joints, eye_height)
     lowest = min(state[5] for state in skeleton.bind_states)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from avatarfit.calibration import calibrate_session
-from avatarfit.math3d import Transform, qmul, quat_from_axis_angle, slerp_at, slerp_basis
+from avatarfit.math3d import compose_state, qmul, quat_from_axis_angle, slerp_at, slerp_basis
 from avatarfit.motion import squat_script, tpose_script
 from avatarfit.rigs import humanoid, humanoid_long_legs
 from avatarfit.session import DeviceRole, default_mount_offsets, generate_synthetic_session
@@ -19,9 +19,14 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-def transform(q, p) -> Transform:
-    """The Transform of the seven floats (*q, *p), from any two sequences of numbers."""
-    return Transform((*map(float, q), *map(float, p)))
+def transform(q, p) -> tuple:
+    """The pose state of the seven floats (*q, *p), from any two sequences of numbers."""
+    return (*map(float, q), *map(float, p))
+
+
+def compose(a, b) -> tuple:
+    """The pose a composed with the pose b: `compose_state(a, b[:4], b[4:])`."""
+    return compose_state(a, b[:4], b[4:])
 
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
@@ -41,7 +46,7 @@ def device_id(profile, role: DeviceRole) -> str:
     raise KeyError(f"profile role map lacks {role.value}")
 
 
-def rotated_mount_offsets() -> dict[DeviceRole, Transform]:
+def rotated_mount_offsets() -> dict[DeviceRole, tuple]:
     """Mounts with deliberate non-identity rotations (straps at odd angles)."""
     mounts = default_mount_offsets()
     spins = {
@@ -55,7 +60,7 @@ def rotated_mount_offsets() -> dict[DeviceRole, Transform]:
     for role, mount in mounts.items():
         spin = spins.get(role)
         rot = mount[:4] if spin is None else qmul(spin, mount[:4])
-        out[role] = transform(rot, mount.translation)
+        out[role] = transform(rot, np.array(mount[4:]))
     return out
 
 

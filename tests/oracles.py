@@ -7,7 +7,7 @@ import numpy as np
 
 from avatarfit.fingers import CapsuleShape, Finger, capsule_sdf
 from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, DegenerateGeometryError, FormatError, \
-    Transform, cross, dot, norm, normalize, qmul, qrotate, quat_from_axis_angle
+    compose_state, cross, dot, norm, normalize, qmul, qrotate, quat_from_axis_angle
 from avatarfit.retarget import FULL_REACH_BAND, TwoBoneSolution, _root_angle
 from avatarfit.skeleton import SkeletonModel
 
@@ -78,15 +78,17 @@ def reference_slerp(a, b, t: float) -> tuple[float, float, float, float]:
     return (ka * aw + kb * bw, ka * ax + kb * bx, ka * ay + kb * by, ka * az + kb * bz)
 
 
-def reference_chain(finger: Finger, wrist_world: Transform | None) -> tuple:
+def reference_chain(finger: Finger, wrist_world: tuple | None) -> tuple:
     """Plain-float snapshot of a finger: base rotation and position, then
     (open, closed, offset) per joint."""
-    base = finger.base_local if wrist_world is None else wrist_world @ finger.base_local
+    base = finger.base_local
+    if wrist_world is not None:
+        base = compose_state(wrist_world, base[:4], base[4:])
     joints = tuple(tuple(tuple(float(v) for v in vec)
                          for vec in (j.open_rotation, j.closed_rotation, j.offset))
                    for j in finger.joints)
     return (tuple(float(v) for v in base[:4]),
-            tuple(float(v) for v in base.translation), joints)
+            tuple(float(v) for v in base[4:]), joints)
 
 
 def reference_finger_objective(chain: tuple, shape: CapsuleShape, penalty: float,
@@ -225,7 +227,8 @@ def reference_quat_rotate(q, v) -> np.ndarray:
 
 
 def reference_compose_state(s, q, v) -> tuple:
-    """s @ (q, v) by the helpers: rotation qmul(s_q, q), position s_p + qrotate(s_q, v)."""
+    """s composed with (q, v) by the helpers: rotation qmul(s_q, q), position
+    s_p + qrotate(s_q, v)."""
     r = s[:4]
     dx, dy, dz = qrotate(r, v)
     return (*qmul(r, q), s[4] + dx, s[5] + dy, s[6] + dz)
@@ -259,7 +262,7 @@ def reference_two_bone_ik(root_pos, l1: float, l2: float, target_pos,
 
 # ---------------------------------------------------------------------------
 # Rigid transforms on float64 arrays, (rotation, translation) pairs: the
-# `Transform` of pose states and `skeleton.forward_kinematics` must equal
+# pose-state helpers of `math3d` and `skeleton.forward_kinematics` must equal
 # these bytes.
 # ---------------------------------------------------------------------------
 
@@ -274,7 +277,7 @@ def reference_quat_mul(a, b) -> np.ndarray:
 
 
 def reference_compose(a: tuple, b: tuple) -> tuple:
-    """a @ b: rotation a_q * b_q, translation a_p + a_q b_p."""
+    """a composed with b: rotation a_q * b_q, translation a_p + a_q b_p."""
     return reference_quat_mul(a[0], b[0]), a[1] + reference_quat_rotate(a[0], b[1])
 
 
@@ -291,15 +294,15 @@ def reference_apply(a: tuple, p) -> np.ndarray:
 
 
 def reference_forward_kinematics(skeleton: SkeletonModel, rotations,
-                                 root: Transform) -> list[tuple]:
+                                 root: tuple) -> list[tuple]:
     """World (rotation, translation) of every joint: the parent's composed with
     (local rotation, bind translation); the root sits at `root`."""
     world: list[tuple] = [None] * len(skeleton.joints)  # type: ignore[list-item]
     for i, joint in enumerate(skeleton.joints):
         if joint.parent is None:
-            world[i] = (np.array(root[:4]), root.translation)
+            world[i] = (np.array(root[:4]), np.array(root[4:]))
         else:
-            local = (np.asarray(rotations[i], dtype=np.float64), joint.bind_local.translation)
+            local = (np.asarray(rotations[i], dtype=np.float64), np.array(joint.bind_local[4:]))
             world[i] = reference_compose(world[joint.parent], local)
     return world
 

@@ -26,7 +26,7 @@ from avatarfit.session import (
 )
 from avatarfit.skeleton import scale_uniform
 
-from conftest import device_id, rotated_mount_offsets, transform
+from conftest import compose, device_id, rotated_mount_offsets, transform
 
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -60,10 +60,10 @@ class TestCaptureProfile:
         # exactly the negated mount translation.
         _, _, profile, _ = matched_setup
         mounts = default_mount_offsets()
-        np.testing.assert_allclose(profile.offsets["root"].translation,
-                                   -mounts[DeviceRole.TRACKER_ROOT].translation, atol=1e-12)
-        np.testing.assert_allclose(profile.offsets["foot_left"].translation,
-                                   -mounts[DeviceRole.TRACKER_FOOT_LEFT].translation, atol=1e-12)
+        np.testing.assert_allclose(np.array(profile.offsets["root"][4:]),
+                                   -np.array(mounts[DeviceRole.TRACKER_ROOT][4:]), atol=1e-12)
+        np.testing.assert_allclose(np.array(profile.offsets["foot_left"][4:]),
+                                   -np.array(mounts[DeviceRole.TRACKER_FOOT_LEFT][4:]), atol=1e-12)
 
     def test_tracker_exactly_at_joint_gives_zero_offset(self, user_skeleton):
         mounts = default_mount_offsets()
@@ -72,7 +72,7 @@ class TestCaptureProfile:
             user_skeleton, tpose_script(duration=0.2, fps=10.0), mount_offsets=mounts)
         profile = capture_profile(
             session.calibration_frame(), session.role_map, user_skeleton)
-        np.testing.assert_allclose(profile.offsets["root"].translation, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(np.array(profile.offsets["root"][4:]), np.zeros(3), atol=1e-12)
 
     def test_long_leg_avatar_root_offset_is_hip_difference(self, tpose_session):
         session, _ = tpose_session
@@ -81,15 +81,15 @@ class TestCaptureProfile:
         hip_diff = (avatar.bind_states[avatar.role_index("root")][5]
                     - user.bind_states[user.role_index("root")][5])
         assert hip_diff == pytest.approx(0.084)
-        mount = default_mount_offsets()[DeviceRole.TRACKER_ROOT].translation
-        assert profile.offsets["root"].translation[1] == pytest.approx(hip_diff, abs=1e-12)
-        assert profile.offsets["root"].translation[2] == pytest.approx(-mount[2], abs=1e-12)
+        mount = np.array(default_mount_offsets()[DeviceRole.TRACKER_ROOT][4:])
+        assert profile.offsets["root"][5] == pytest.approx(hip_diff, abs=1e-12)
+        assert profile.offsets["root"][6] == pytest.approx(-mount[2], abs=1e-12)
 
     def test_w0_is_raw_device_difference(self, matched_setup):
         session, _, profile, _ = matched_setup
         frame = session.calibration_frame()
-        hmd = frame.devices[device_id(profile, DeviceRole.HMD)].translation
-        root = frame.devices[device_id(profile, DeviceRole.TRACKER_ROOT)].translation
+        hmd = np.array(frame.devices[device_id(profile, DeviceRole.HMD)][4:])
+        root = np.array(frame.devices[device_id(profile, DeviceRole.TRACKER_ROOT)][4:])
         np.testing.assert_array_equal(profile.w0, hmd - root)
         assert profile.w0[1] > 0
         assert len(profile.w0) == 3 and all(type(v) is float for v in profile.w0)
@@ -98,9 +98,9 @@ class TestCaptureProfile:
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
         controller = frame.devices[device_id(profile, DeviceRole.CONTROLLER_LEFT)]
-        wrist = controller @ profile.offsets["hand_left"]
+        wrist = compose(controller, profile.offsets["hand_left"])
         bind = scaled.bind_states[scaled.role_index("wrist_l")]
-        np.testing.assert_allclose(wrist.translation, bind[4:], atol=1e-12)
+        np.testing.assert_allclose(np.array(wrist[4:]), bind[4:], atol=1e-12)
         assert quat_angle_between(wrist[:4], bind[:4]) < 1e-9
 
     def test_far_placement_is_misalignment(self, tpose_session, user_skeleton):
@@ -126,12 +126,12 @@ class TestCaptureProfile:
         session, _ = tpose_session
         frame = session.calibration_frame()
         g = transform(quat_from_axis_angle([0, 1, 0], 0.7), np.array([2.0, 0.0, -1.0]))
-        moved = type(frame)(frame.timestamp, {d: g @ p for d, p in frame.devices.items()})
+        moved = type(frame)(frame.timestamp, {d: compose(g, p) for d, p in frame.devices.items()})
         base = capture_profile(frame, session.role_map, user_skeleton)
         shifted = capture_profile(moved, session.role_map, user_skeleton, placement=g)
         assert list(shifted.offsets) == list(base.offsets) == list(PART_ROLES)
         for part, offset in base.offsets.items():
-            np.testing.assert_allclose(shifted.offsets[part].translation, offset.translation,
+            np.testing.assert_allclose(np.array(shifted.offsets[part][4:]), np.array(offset[4:]),
                                        atol=1e-12)
             assert quat_angle_between(shifted.offsets[part][:4], offset[:4]) < 1e-12
         np.testing.assert_allclose(shifted.w0, qrotate(g[:4], base.w0), atol=1e-12)
@@ -170,7 +170,7 @@ class TestProfileFiles:
         assert loaded.role_map == profile.role_map
         assert list(loaded.offsets) == list(profile.offsets)
         for part, offset in profile.offsets.items():
-            np.testing.assert_array_equal(loaded.offsets[part].translation, offset.translation)
+            np.testing.assert_array_equal(np.array(loaded.offsets[part][4:]), np.array(offset[4:]))
             np.testing.assert_array_equal(loaded.offsets[part][:4], offset[:4])
         assert loaded.w0 == profile.w0
         assert all(type(v) is float for v in loaded.w0)
@@ -193,7 +193,7 @@ class TestCalibrateSession:
         # height, and the capture stays self-consistent.
         mounts = default_mount_offsets()
         hmd = mounts[DeviceRole.HMD]
-        mounts[DeviceRole.HMD] = transform(hmd[:4], hmd.translation + [0, -0.04, 0])
+        mounts[DeviceRole.HMD] = transform(hmd[:4], np.array(hmd[4:]) + [0, -0.04, 0])
         session, _ = generate_synthetic_session(
             user_skeleton, tpose_script(duration=0.2, fps=10.0), mount_offsets=mounts)
         profile, scaled, warnings = calibrate_session(session, humanoid())
@@ -226,7 +226,7 @@ class TestCalibrationNoise:
             draw = np.random.default_rng(seed).normal(size=(len(calibration.devices), 3))
             for sigma in (0.0, 0.002, 0.005, 0.010):
                 noisy = type(calibration)(calibration.timestamp, {
-                    did: transform(pose[:4], pose.translation + sigma * z)
+                    did: transform(pose[:4], np.array(pose[4:]) + sigma * z)
                     for (did, pose), z in zip(calibration.devices.items(), draw)})
                 profile, scaled, _ = calibrate_session(
                     type(session)([noisy, *session.frames[1:]], session.role_map, 0), avatar)
@@ -235,8 +235,8 @@ class TestCalibrationNoise:
                 assert metrics.frame_errors == []
                 solved = [solve_frame(frame, profile, scaled) for frame in session.frames]
                 error = max(
-                    float(np.linalg.norm(pose.world[scaled.role_index(role)].translation
-                                         - truth.by_role(i, role).translation))
+                    float(np.linalg.norm(np.array(pose.world[scaled.role_index(role)][4:])
+                                         - np.array(truth.by_role(i, role)[4:])))
                     for i, pose in enumerate(solved)
                     for role in ("ankle_l", "ankle_r", "wrist_l", "wrist_r"))
                 if sigma == 0.0:

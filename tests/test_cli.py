@@ -16,13 +16,13 @@ from avatarfit.calibration import profile_from_document
 from avatarfit.fingers import DescentConfig, controller_from_document, default_grip_capsule, \
     default_hand_model, hand_from_document, mirror_capsule, mirror_x, save_controller_file, \
     save_hand_file, transform_capsule
-from avatarfit.math3d import FormatError, Transform, pose_from_obj
+from avatarfit.math3d import IDENTITY, FormatError, apply_state, invert_state, pose_from_obj
 from avatarfit.rigs import humanoid_document, humanoid_long_legs_document
 from avatarfit.session import DeviceFrame, Session, read_ground_truth, read_session, \
     write_session
 from avatarfit.skeleton import load_skeleton, save_skeleton_file, scale_uniform
 
-from conftest import transform
+from conftest import compose, transform
 from oracles import reference_slerp
 
 NAN = float("nan")
@@ -56,7 +56,8 @@ def save_grip_controller(hand, profile_path, path, button=False):
     `button`, a button on the capsule (`BUTTON_FROM_PALM`) carried alike."""
     profile = profile_from_document(json.loads(profile_path.read_text()))
     offset = profile.offsets[f"hand_{hand.side}"]
-    point = offset.apply(hand.palm_anchor.translation + BUTTON_FROM_PALM) if button else None
+    point = (apply_state(offset, np.array(hand.palm_anchor[4:]) + BUTTON_FROM_PALM)
+             if button else None)
     save_controller_file(transform_capsule(default_grip_capsule(hand), offset), path, point)
 
 
@@ -74,7 +75,7 @@ def gen_and_calibrate(rigs, out, duration="0.5"):
 
 def assert_entry_is(entry, pose):
     """A trace joint entry is `pose` within 1e-12 (its quaternion up to sign)."""
-    np.testing.assert_allclose(entry["p"], pose.translation, atol=1e-12)
+    np.testing.assert_allclose(entry["p"], np.array(pose[4:]), atol=1e-12)
     q = np.array(entry["q"])
     np.testing.assert_allclose(q * np.sign(q @ pose[:4]), pose[:4], atol=1e-12)
 
@@ -232,11 +233,10 @@ class TestHandModel:
         capsule = controller_from_document(json.loads(rig_files["controller"].read_text()))[0]
         assert [side for side, _, _ in calls] == ["left", "right"]
         for (side, wrist, shape), side_capsule in zip(calls, (capsule, mirror_capsule(capsule))):
-            offset = (profile.offsets[f"hand_{side}"] if mode == "exact"
-                      else Transform.identity())
+            offset = profile.offsets[f"hand_{side}"] if mode == "exact" else IDENTITY
             np.testing.assert_array_equal(wrist[:4], IDENT)
-            np.testing.assert_array_equal(wrist.translation, np.zeros(3))
-            want = transform_capsule(side_capsule, offset.inverse())
+            np.testing.assert_array_equal(np.array(wrist[4:]), np.zeros(3))
+            want = transform_capsule(side_capsule, invert_state(offset))
             np.testing.assert_array_equal(shape.start, want.start)
             np.testing.assert_array_equal(shape.end, want.end)
             assert shape.radius == want.radius
@@ -266,11 +266,11 @@ class TestHandModel:
             for (hand, params), wrist_role in zip(calls, ("wrist_l", "wrist_r")):
                 wrist = pose_from_obj(entries[wrist_role], wrist_role)
                 for finger, t in zip(hand.fingers, params.values):
-                    pose = wrist @ finger.base_local
+                    pose = compose(wrist, finger.base_local)
                     for j, (spec, tj) in enumerate(zip(finger.joints, t), start=1):
                         q = reference_slerp(spec.open_rotation, spec.closed_rotation, tj)
-                        pose = pose @ transform(np.array(q), np.zeros(3)) @ \
-                            transform(IDENT, spec.offset)
+                        pose = compose(compose(pose, transform(np.array(q), np.zeros(3))),
+                                       transform(IDENT, spec.offset))
                         assert_entry_is(entries[f"{wrist_role}/{finger.name}_{j}"], pose)
 
     @pytest.mark.parametrize("with_button", [False, True], ids=["no_button", "button"])
@@ -325,10 +325,10 @@ class TestHandModel:
                 side, (c, b) = grip_hand.side, controllers[grip_hand.side]
                 wrist_role = f"wrist_{side[0]}"
                 wrist = sp.world[scaled.role_index(wrist_role)]
-                controller_world = wrist @ offsets[f"hand_{side}"].inverse()
+                controller_world = compose(wrist, invert_state(offsets[f"hand_{side}"]))
                 oracle = fingers.pose_hand_on_controller(
                     grip_hand, wrist, transform_capsule(c, controller_world), DescentConfig(),
-                    None if b is None else controller_world.apply(b))
+                    None if b is None else apply_state(controller_world, b))
                 assert [np.array(v).tobytes() for v in oracle.params.values] == \
                     [np.array(v).tobytes() for v in grip.params.values]
                 for finger, poses in zip(grip_hand.fingers, oracle.poses):

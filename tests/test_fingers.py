@@ -27,7 +27,7 @@ from avatarfit.fingers import (
     save_hand_file,
     transform_capsule,
 )
-from avatarfit.math3d import Transform, qrotate, quat_from_axis_angle
+from avatarfit.math3d import IDENTITY, apply_state, qrotate, quat_from_axis_angle
 
 from conftest import random_quat, random_unit, transform
 from oracles import reference_chain, reference_compass_search, reference_finger_objective, \
@@ -71,7 +71,7 @@ class TestCapsuleSdf:
         p = rng.normal(size=3)
         g = transform(random_quat(rng), rng.normal(size=3))
         moved = transform_capsule(shape, g)
-        assert capsule_sdf(moved, g.apply(p)) == pytest.approx(
+        assert capsule_sdf(moved, apply_state(g, p)) == pytest.approx(
             capsule_sdf(shape, p), abs=1e-9)
 
     def test_brute_force_sampling_agreement(self):
@@ -100,7 +100,7 @@ def straight_toy_finger(points: list[np.ndarray]) -> Finger:
         prev = np.asarray(p, dtype=np.float64)
     joints = tuple(FingerJointSpec(IDENT.copy(), quat_from_axis_angle(Z, 1.0), off)
                    for off in offsets)
-    return Finger("toy", Transform.identity(), joints)
+    return Finger("toy", IDENTITY, joints)
 
 
 class TestFingerObjective:
@@ -108,7 +108,7 @@ class TestFingerObjective:
         shape = unit_capsule()
         pts = [np.array([0.1, 0.5, 0.0]), np.array([0.0, 0.5, 0.1]),
                np.array([-0.1, 0.5, 0.0])]
-        hand = HandModel("left", (straight_toy_finger(pts),), Transform.identity())
+        hand = HandModel("left", (straight_toy_finger(pts),), IDENTITY)
         params = FingerParams.open_hand(hand)
         assert finger_objective(hand, 0, params, shape, penalty=10.0) == pytest.approx(
             0.0, abs=1e-12)
@@ -118,7 +118,7 @@ class TestFingerObjective:
         shape = unit_capsule()
         pts = [np.array([0.11, 0.5, 0.0]), np.array([0.12, 0.5, 0.0]),
                np.array([0.09, 0.5, 0.0])]
-        hand = HandModel("left", (straight_toy_finger(pts),), Transform.identity())
+        hand = HandModel("left", (straight_toy_finger(pts),), IDENTITY)
         params = FingerParams.open_hand(hand)
         assert finger_objective(hand, 0, params, shape, penalty=10.0) == pytest.approx(
             0.13, abs=1e-12)
@@ -131,7 +131,7 @@ class TestFingerObjective:
         params = FingerParams.open_hand(hand)
         for fi, finger in enumerate(hand.fingers):
             base_rot = finger.base_local[:4]
-            pos = finger.base_local.translation.copy()
+            pos = np.array(finger.base_local[4:])
             expected = 0.0
             for spec in finger.joints:
                 pos = pos + np.array(qrotate(base_rot, spec.offset))
@@ -149,8 +149,8 @@ def one_joint_toy() -> tuple[HandModel, CapsuleShape]:
     """
     joint = FingerJointSpec(IDENT.copy(), quat_from_axis_angle(Z, math.pi / 2),
                             np.array([-0.05, 0.0, 0.0]))
-    hand = HandModel("left", (Finger("toy", Transform.identity(), (joint,)),),
-                     Transform.identity())
+    hand = HandModel("left", (Finger("toy", IDENTITY, (joint,)),),
+                     IDENTITY)
     shape = CapsuleShape(np.array([0.01, -0.055, -0.1]), np.array([0.01, -0.055, 0.1]), 0.02)
     return hand, shape
 
@@ -180,7 +180,7 @@ def random_wrist_grip(rng, hand: HandModel, with_button: bool):
         CapsuleShape(grip.start + rng.normal(size=3) * 0.02,
                      grip.end + rng.normal(size=3) * 0.02, float(rng.uniform(0.01, 0.04))),
         wrist)
-    button = (wrist.apply(hand.palm_anchor.translation + rng.normal(size=3) * 0.03)
+    button = (apply_state(wrist, np.array(hand.palm_anchor[4:]) + rng.normal(size=3) * 0.03)
               if with_button else None)
     return wrist, shape, button
 
@@ -268,7 +268,7 @@ class TestDescend:
         # round limit, and the hand lands close to the capsule surface.
         hand = default_hand_model("left")
         config = DescentConfig()
-        result = pose_hand_on_controller(hand, Transform.identity(),
+        result = pose_hand_on_controller(hand, IDENTITY,
                                          default_grip_capsule(hand), config)
         for report in result.reports:
             assert report.converged and report.iterations < config.max_iters, report
@@ -284,7 +284,7 @@ class TestDescend:
         center = hand.palm_anchor[4:]
         shape = CapsuleShape(center, tuple(c + a for c, a in zip(center, (0.0, 0.0, 0.1))),
                              1e307)
-        result = pose_hand_on_controller(hand, Transform.identity(), shape, DescentConfig())
+        result = pose_hand_on_controller(hand, IDENTITY, shape, DescentConfig())
         for finger, t, poses, report in zip(hand.fingers, result.params.values, result.poses,
                                             result.reports):
             assert report.objective == math.inf and not report.converged
@@ -414,7 +414,7 @@ class TestGridSeed:
                                np.array([-0.05, 0.0, 0.0]))
 
         def seeded(joints):
-            finger = Finger("toy", Transform.identity(), joints)
+            finger = Finger("toy", IDENTITY, joints)
             chain = fingers._FingerChain(finger, None, far_capsule(), 10.0)
             _, want_t, want_value = reference_grid_seed(
                 reference_chain(finger, None), far_capsule(), 10.0, None)
@@ -456,7 +456,7 @@ class TestJointConstants:
         # times for the seed's grid rotations and 354 for the polls.
         hand = default_hand_model("left")
         shape = default_grip_capsule(hand)
-        first = pose_hand_on_controller(hand, Transform.identity(), shape)
+        first = pose_hand_on_controller(hand, IDENTITY, shape)
         calls = {"slerp_basis": 0, "slerp_at": 0}
 
         def counted(module, name):
@@ -470,7 +470,7 @@ class TestJointConstants:
         counted(fingers, "slerp_basis")
         counted(fingers, "slerp_at")
         counted(fingerchain, "slerp_at")
-        second = pose_hand_on_controller(hand, Transform.identity(), shape)
+        second = pose_hand_on_controller(hand, IDENTITY, shape)
         assert calls == {"slerp_basis": 0, "slerp_at": 459}
         assert second.params.values == first.params.values
 
@@ -635,14 +635,14 @@ def small_curl_hand() -> HandModel:
     curl = quat_from_axis_angle(Z, math.radians(25))
     joints = tuple(FingerJointSpec(IDENT.copy(), curl, np.array([-0.05, 0.0, 0.0]))
                    for _ in range(3))
-    return HandModel("left", (Finger("toy", Transform.identity(), joints),),
-                     Transform.identity())
+    return HandModel("left", (Finger("toy", IDENTITY, joints),),
+                     IDENTITY)
 
 
 class TestGrip:
     def test_standard_grip_contact_quality(self):
         hand = default_hand_model("left")
-        result = pose_hand_on_controller(hand, Transform.identity(),
+        result = pose_hand_on_controller(hand, IDENTITY,
                                          default_grip_capsule(hand))
         for finger, distances in zip(hand.fingers, result.joint_distances):
             for d in distances:
@@ -652,7 +652,7 @@ class TestGrip:
     def test_factors_are_tuples_of_floats(self):
         hand = default_hand_model("left")
         for params in (FingerParams.open_hand(hand),
-                       pose_hand_on_controller(hand, Transform.identity(),
+                       pose_hand_on_controller(hand, IDENTITY,
                                                default_grip_capsule(hand)).params):
             assert [len(t) for t in params.values] == [len(f.joints) for f in hand.fingers]
             for t in params.values:
@@ -672,7 +672,7 @@ class TestGrip:
                                                result.poses, result.joint_distances):
             chain = fingers._FingerChain(finger, wrist, shape, 0.0)
             _, states = full_walk(chain, chain.rotations(t))
-            assert [np.concatenate([p[:4], p.translation]).tobytes() for p in poses] \
+            assert [np.concatenate([p[:4], np.array(p[4:])]).tobytes() for p in poses] \
                 == [np.array(state[:7]).tobytes() for state in states]
             assert distances == [capsule_sdf(shape, state[4:7]) for state in states]
 
@@ -680,7 +680,7 @@ class TestGrip:
         hand = default_hand_model("left")
         shape = default_grip_capsule(hand)
         g = transform(quat_from_axis_angle([0.3, 1.0, 0.2], 1.1), np.array([0.4, 1.2, -0.3]))
-        still = pose_hand_on_controller(hand, Transform.identity(), shape)
+        still = pose_hand_on_controller(hand, IDENTITY, shape)
         moved = pose_hand_on_controller(hand, g, transform_capsule(shape, g))
         for distances in moved.joint_distances:
             for d in distances:
@@ -691,8 +691,8 @@ class TestGrip:
     def test_mirrored_hand_gives_mirrored_parameters(self):
         left = default_hand_model("left")
         right = default_hand_model("right")
-        rl = pose_hand_on_controller(left, Transform.identity(), default_grip_capsule(left))
-        rr = pose_hand_on_controller(right, Transform.identity(), default_grip_capsule(right))
+        rl = pose_hand_on_controller(left, IDENTITY, default_grip_capsule(left))
+        rr = pose_hand_on_controller(right, IDENTITY, default_grip_capsule(right))
         for a, b in zip(rl.params.values, rr.params.values):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -700,11 +700,11 @@ class TestGrip:
         hand = default_hand_model("left")
         shape = default_grip_capsule(hand)
         button = np.array([-0.098, -0.025, -0.080])  # within the thumb's arc
-        plain = pose_hand_on_controller(hand, Transform.identity(), shape)
-        aimed = pose_hand_on_controller(hand, Transform.identity(), shape, button=button)
+        plain = pose_hand_on_controller(hand, IDENTITY, shape)
+        aimed = pose_hand_on_controller(hand, IDENTITY, shape, button=button)
 
         def tip_dist(result):
-            return float(np.linalg.norm(result.poses[0][-1].translation - button))
+            return float(np.linalg.norm(np.array(result.poses[0][-1][4:]) - button))
 
         assert tip_dist(aimed) < tip_dist(plain) - 0.002
 
@@ -718,8 +718,8 @@ class TestHandFiles:
         assert loaded.side == hand.side
         assert [f.name for f in loaded.fingers] == [f.name for f in hand.fingers]
         for fa, fb in zip(loaded.fingers, hand.fingers):
-            np.testing.assert_allclose(fa.base_local.translation,
-                                       fb.base_local.translation, atol=1e-15)
+            np.testing.assert_allclose(np.array(fa.base_local[4:]),
+                                       np.array(fb.base_local[4:]), atol=1e-15)
             for ja, jb in zip(fa.joints, fb.joints):
                 np.testing.assert_allclose(ja.offset, jb.offset, atol=1e-15)
 
@@ -741,7 +741,7 @@ class TestHandFiles:
         hand = default_hand_model("left")
         back = mirror_hand(mirror_hand(hand))
         for fa, fb in zip(back.fingers, hand.fingers):
-            np.testing.assert_array_equal(fa.base_local.translation,
-                                          fb.base_local.translation)
+            np.testing.assert_array_equal(np.array(fa.base_local[4:]),
+                                          np.array(fb.base_local[4:]))
             for ja, jb in zip(fa.joints, fb.joints):
                 np.testing.assert_array_equal(ja.closed_rotation, jb.closed_rotation)

@@ -12,10 +12,12 @@ from avatarfit import retarget, skeleton as skeleton_module
 from avatarfit.calibration import PART_ROLES, CalibrationProfile, calibrate_session
 from avatarfit.math3d import (
     DEGENERATE_EPS,
+    IDENTITY,
     RIGHT,
     UP,
     DegenerateGeometryError,
-    Transform,
+    apply_state,
+    invert_state,
     norm,
     normalize,
     qconj,
@@ -39,7 +41,7 @@ from avatarfit.session import ROLE_TO_JOINT, DeviceFrame, DeviceRole, NoiseModel
     generate_synthetic_session
 from avatarfit.skeleton import SkeletonModel, load_skeleton, skeleton_to_document
 
-from conftest import device_id, random_quat, random_unit, transform
+from conftest import compose, device_id, random_quat, random_unit, transform
 from oracles import reference_flexion, reference_two_bone_ik
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -55,27 +57,27 @@ def quat_to_matrix(q):
     ])
 
 
-def captured_offset(r0_tracker, p0_tracker, r0_joint, p0_joint) -> Transform:
+def captured_offset(r0_tracker, p0_tracker, r0_joint, p0_joint) -> tuple:
     """The calibration's offset: the joint's capture pose in its tracker's frame."""
-    return transform(r0_tracker, p0_tracker).inverse() @ transform(r0_joint, p0_joint)
+    return compose(invert_state(transform(r0_tracker, p0_tracker)), transform(r0_joint, p0_joint))
 
 
 class TestEffectorEquations:
-    """Targets T(t) @ O with O = T0^-1 J0 obey the paper's exact-offset equations
+    """Targets T(t) O with O = T0^-1 J0 obey the paper's exact-offset equations
     p(J) = p(T) + R(T) R0(T)^-1 v0 and R(J) = R(T) R0(T)^-1 R0(J)."""
 
     def test_position_identity_at_capture(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
         tracker = frame.devices[device_id(profile, DeviceRole.TRACKER_ROOT)]
-        got = (tracker @ profile.offsets["root"]).translation
+        got = np.array(compose(tracker, profile.offsets["root"])[4:])
         want = scaled.bind_states[scaled.role_index("root")][4:]
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_position_pure_rotation_of_offset(self):
         offset = captured_offset(IDENT, np.zeros(3), IDENT, np.array([0.0, 0.0, 0.1]))
         r_t = quat_from_axis_angle([0, 1, 0], math.pi / 2)
-        got = (transform(r_t, np.zeros(3)) @ offset).translation
+        got = np.array(compose(transform(r_t, np.zeros(3)), offset)[4:])
         np.testing.assert_allclose(got, [0.1, 0.0, 0.0], atol=1e-12)
 
     @given(seeds)
@@ -86,21 +88,21 @@ class TestEffectorEquations:
         v0 = rng.normal(size=3) * 0.1
         offset = captured_offset(r0_tracker, tracker0, r0_joint, tracker0 + v0)
         g = transform(random_quat(rng), rng.normal(size=3))
-        target = transform(qmul(g[:4], r0_tracker), g.apply(tracker0)) @ offset
-        np.testing.assert_allclose(target.translation, g.apply(tracker0 + v0), atol=1e-9)
+        target = compose(transform(qmul(g[:4], r0_tracker), apply_state(g, tracker0)), offset)
+        np.testing.assert_allclose(np.array(target[4:]), apply_state(g, tracker0 + v0), atol=1e-9)
         assert quat_angle_between(target[:4], qmul(g[:4], r0_joint)) < 1e-9
 
     def test_rotation_identity_at_capture(self, matched_setup):
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
         tracker = frame.devices[device_id(profile, DeviceRole.TRACKER_FOOT_LEFT)]
-        got = (tracker @ profile.offsets["foot_left"])[:4]
+        got = compose(tracker, profile.offsets["foot_left"])[:4]
         want = scaled.bind_states[scaled.role_index("ankle_l")][:4]
         assert quat_angle_between(got, want) < 1e-12
 
     def test_rotation_passthrough_for_identity_offsets(self):
         r_t = quat_from_axis_angle([0, 1, 0], math.radians(30))
-        got = (transform(r_t, np.zeros(3)) @ Transform.identity())[:4]
+        got = compose(transform(r_t, np.zeros(3)), IDENTITY)[:4]
         assert quat_angle_between(got, r_t) < 1e-12
 
     @given(seeds)
@@ -111,11 +113,11 @@ class TestEffectorEquations:
         offset = captured_offset(r0_t, p0_t, r0_j, p0_t + v0)
         delta = quat_from_axis_angle(random_unit(rng), math.radians(45))
         r_t, p_t = qmul(delta, r0_t), rng.normal(size=3)
-        target = transform(r_t, p_t) @ offset
+        target = compose(transform(r_t, p_t), offset)
         rotate_back = quat_to_matrix(r_t) @ quat_to_matrix(r0_t).T
         np.testing.assert_allclose(quat_to_matrix(target[:4]),
                                    rotate_back @ quat_to_matrix(r0_j), atol=1e-9)
-        np.testing.assert_allclose(target.translation, p_t + rotate_back @ v0, atol=1e-9)
+        np.testing.assert_allclose(np.array(target[4:]), p_t + rotate_back @ v0, atol=1e-9)
 
 
 def _with_positions(frame, profile, root_p, hmd_p) -> DeviceFrame:
@@ -392,7 +394,7 @@ class TestSolveFrame:
         session, _, profile, scaled = matched_setup
         sp = solve_frame(session.calibration_frame(), profile, scaled, OffsetMode.EXACT)
         for got, want in zip(sp.world, scaled.bind_states):
-            assert np.linalg.norm(got.translation - want[4:]) < 1e-6
+            assert np.linalg.norm(np.array(got[4:]) - want[4:]) < 1e-6
 
     def test_bone_lengths_preserved_exactly(self, long_leg_setup):
         session, _, profile, scaled = long_leg_setup
@@ -401,7 +403,7 @@ class TestSolveFrame:
             if joint.parent is None:
                 continue
             length = float(np.linalg.norm(
-                sp.world[i].translation - sp.world[joint.parent].translation))
+                np.array(sp.world[i][4:]) - np.array(sp.world[joint.parent][4:])))
             assert length == pytest.approx(scaled.bone_lengths[i], abs=1e-12)
 
     def test_fixed_mode_bends_long_legs(self, long_leg_setup):
@@ -420,7 +422,7 @@ class TestSolveFrame:
         session, _, profile, scaled = matched_setup
         frame = session.calibration_frame()
         hmd_id = device_id(profile, DeviceRole.HMD)
-        root_p = frame.devices[device_id(profile, DeviceRole.TRACKER_ROOT)].translation
+        root_p = np.array(frame.devices[device_id(profile, DeviceRole.TRACKER_ROOT)][4:])
         tilt = quat_from_axis_angle([1, 0, 0], math.radians(20))
         devices = {}
         for did, pose in frame.devices.items():
@@ -435,7 +437,7 @@ class TestSolveFrame:
         frame = session.calibration_frame()
         hmd_id = device_id(profile, DeviceRole.HMD)
         spin = quat_from_axis_angle([0, 1, 0], 0.4)
-        devices = {did: transform(qmul(spin, p[:4]), p.translation)
+        devices = {did: transform(qmul(spin, p[:4]), np.array(p[4:]))
                    if did == hmd_id else p for did, p in frame.devices.items()}
         sp = solve_frame(DeviceFrame(frame.timestamp, devices), profile, scaled)
         head = sp.world[scaled.role_index("head")]
@@ -473,11 +475,11 @@ class TestSolveFrame:
         base = solve_frame(frame, profile, scaled)
         index = {role: scaled.role_index(role)
                  for role in ("shoulder_l", "elbow_l", "wrist_l")}
-        shoulder = base.world[index["shoulder_l"]].translation
+        shoulder = np.array(base.world[index["shoulder_l"]][4:])
         did = device_id(profile, DeviceRole.CONTROLLER_LEFT)
         offset = profile.offsets["hand_left"]
-        wrist_target = frame.devices[did] @ offset
-        moved = transform(wrist_target[:4], shoulder) @ offset.inverse()
+        wrist_target = compose(frame.devices[did], offset)
+        moved = compose(transform(wrist_target[:4], shoulder), invert_state(offset))
         sp = solve_frame(DeviceFrame(frame.timestamp, {**frame.devices, did: moved}),
                          profile, scaled)
         assert sp.diagnostics.degenerate_limbs == ["arm_l"]
@@ -518,7 +520,7 @@ class TestSolveFrame:
                     for did, pose in frame.devices.items():
                         if did == bad_id:
                             parts = {"rotation": list(pose[:4]),
-                                     "translation": pose.translation.copy()}
+                                     "translation": np.array(pose[4:])}
                             parts[component][cases % len(parts[component])] = value
                             pose = transform(parts["rotation"], parts["translation"])
                         devices[did] = pose
@@ -533,11 +535,11 @@ class TestSolveFrame:
         rng = np.random.default_rng(seed)
         g = transform(random_quat(rng), rng.normal(size=3) * 2)
         base = solve_frame(frame, profile, scaled)
-        moved = DeviceFrame(frame.timestamp, {d: g @ p for d, p in frame.devices.items()})
+        moved = DeviceFrame(frame.timestamp, {d: compose(g, p) for d, p in frame.devices.items()})
         got = solve_frame(moved, profile, scaled)
         for w, b in zip(got.world, base.world):
-            expected = g @ b
-            assert np.linalg.norm(w.translation - expected.translation) < 1e-5
+            expected = compose(g, b)
+            assert np.linalg.norm(np.array(w[4:]) - np.array(expected[4:])) < 1e-5
             assert quat_angle_between(w[:4], expected[:4]) < 1e-5
 
 
@@ -581,12 +583,12 @@ class TestBindRotationInvariance:
                 solved.append([solve_frame(frame, profile, scaled) for frame in session.frames])
             for want, got in zip(*solved):
                 for w, g in zip(want.world, got.world):
-                    assert np.abs(w.translation - g.translation).max() < 1e-12
+                    assert np.abs(np.array(w[4:]) - np.array(g[4:])).max() < 1e-12
 
 
 def mirrored_session(session):
     """Every device pose reflected through x = 0: p.x -> -p.x, (w, x, y, z) -> (w, x, -y, -z)."""
-    frames = [DeviceFrame(frame.timestamp, {did: Transform((w, x, -y, -z, -px, py, pz))
+    frames = [DeviceFrame(frame.timestamp, {did: (w, x, -y, -z, -px, py, pz)
                                             for did, (w, x, y, z, px, py, pz)
                                             in frame.devices.items()})
               for frame in session.frames]
@@ -750,7 +752,7 @@ class TestSolveSession:
         assert len(solved) == len(truth.frames) > 100
         for sp, want in zip(solved, truth.frames):
             for got, true in zip(sp.world, want):
-                assert np.linalg.norm(got.translation - true.translation) < 1e-8
+                assert np.linalg.norm(np.array(got[4:]) - np.array(true[4:])) < 1e-8
 
     def test_exact_beats_fixed_on_long_legs(self, long_leg_setup):
         session, truth, profile, scaled = long_leg_setup
@@ -805,7 +807,7 @@ class TestSolveSession:
         session, _, profile, scaled = matched_setup
         frames = list(session.frames)
         did, pose = next(iter(frames[1].devices.items()))
-        broken = {**frames[1].devices, did: transform(pose[:4], pose.translation * np.nan)}
+        broken = {**frames[1].devices, did: transform(pose[:4], np.array(pose[4:]) * np.nan)}
         frames[1] = DeviceFrame(frames[1].timestamp, broken)
         patched = type(session)(frames, session.role_map, 0)
         metrics = solve_session(patched, profile, scaled, trace=tmp_path / "trace.jsonl")
@@ -860,10 +862,10 @@ class TestSolveSession:
                         continue
                     role = PART_ROLES[f"hand_{side}"]
                     wrist_role = ROLE_TO_JOINT[role]
-                    got = (sp.world[scaled.role_index(wrist_role)]
-                           @ offsets[f"hand_{side}"].inverse())
+                    got = compose(sp.world[scaled.role_index(wrist_role)],
+                                  invert_state(offsets[f"hand_{side}"]))
                     want = frame.devices[device_id(profile, role)]
-                    assert np.abs(got.translation - want.translation).max() < 1e-12
+                    assert np.abs(np.array(got[4:]) - np.array(want[4:])).max() < 1e-12
                     got_q, want_q = np.array(got[:4]), np.array(want[:4])
                     assert min(np.abs(got_q - want_q).max(),
                                np.abs(got_q + want_q).max()) < 1e-12

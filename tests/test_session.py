@@ -30,7 +30,7 @@ from avatarfit.session import (
 from avatarfit.skeleton import forward_kinematics
 from avatarfit.motion import pose_from_script
 
-from conftest import transform
+from conftest import compose, transform
 
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -66,7 +66,7 @@ class TestIdentifyRoles:
         frame, truth = placement_frame()
         for angle in (0.3, 1.2, 2.9, 4.5):
             g = transform(quat_from_axis_angle([0, 1, 0], angle), np.array([3.0, 0.0, -2.0]))
-            moved = DeviceFrame(0.0, {d: g @ p for d, p in frame.devices.items()})
+            moved = DeviceFrame(0.0, {d: compose(g, p) for d, p in frame.devices.items()})
             assert identify_roles(moved) == truth
 
     def test_noise_monte_carlo_on_synthetic_sessions(self):
@@ -97,7 +97,7 @@ class TestIdentifyRoles:
 
         def turned(pose, axis, angle, pivot=(0.0, 0.0, 0.0)):
             q = quat_from_axis_angle(axis, math.radians(angle))
-            return transform(q, np.subtract(pivot, qrotate(q, pivot))) @ pose
+            return compose(transform(q, np.subtract(pivot, qrotate(q, pivot))), pose)
 
         for did, pose in frame.devices.items():
             role = session.role_map[did]
@@ -134,7 +134,7 @@ class TestIdentifyRoles:
         frame, _ = placement_frame(overrides={
             "b": (-0.7, 1.55, 0.0), "c": (0.1, 1.1, 0.0), "d": (-0.75, 0.9, 0.1)})
         g = transform(quat_from_axis_angle([1, 0, 0], math.radians(45)), (0.0, 0.0, 0.0))
-        leaned = DeviceFrame(0.0, {d: g @ p for d, p in frame.devices.items()})
+        leaned = DeviceFrame(0.0, {d: compose(g, p) for d, p in frame.devices.items()})
         with pytest.raises(RoleAmbiguityError, match="lateral positions of 'b' and 'd'"):
             identify_roles(leaned)
 
@@ -155,7 +155,7 @@ class TestIdentifyRoles:
         # rounding noise. Yawed and shifted, the frame keeps that layout.
         frame, _ = placement_frame(overrides={"a": (0.0, 1.6, 0.0), "d": (0.0, 1.0, 0.0)})
         g = transform(quat_from_axis_angle([0, 1, 0], angle), np.array([3.0, 0.0, -2.0]))
-        moved = DeviceFrame(0.0, {d: g @ p for d, p in frame.devices.items()})
+        moved = DeviceFrame(0.0, {d: compose(g, p) for d, p in frame.devices.items()})
         with pytest.raises(PostureError, match="facing is ambiguous"):
             identify_roles(moved)
 
@@ -183,16 +183,16 @@ class TestSyntheticGenerator:
         for frame in session.frames[1:]:
             for (d0, p0), (d1, p1) in zip(first.devices.items(), frame.devices.items()):
                 assert d0 == d1
-                np.testing.assert_array_equal(p0.translation, p1.translation)
+                np.testing.assert_array_equal(np.array(p0[4:]), np.array(p1[4:]))
                 np.testing.assert_array_equal(p0[:4], p1[:4])
         for world in truth.frames:
             for a, b in zip(world, truth.frames[0]):
-                np.testing.assert_array_equal(a.translation, b.translation)
+                np.testing.assert_array_equal(np.array(a[4:]), np.array(b[4:]))
 
     def test_squat_root_tracker_dips_and_recovers(self, user_skeleton):
         session, _ = generate_synthetic_session(user_skeleton, squat_script(user_skeleton))
         root_id = next(d for d, r in session.role_map.items() if r == DeviceRole.TRACKER_ROOT)
-        heights = [f.devices[root_id].translation[1] for f in session.frames]
+        heights = [f.devices[root_id][5] for f in session.frames]
         mid = len(heights) // 2
         assert heights[mid] < heights[0] - 0.05
         assert heights[-1] == pytest.approx(heights[0], abs=1e-9)
@@ -203,8 +203,8 @@ class TestSyntheticGenerator:
         for i in range(len(truth.frames)):
             for role in ("ankle_l", "ankle_r"):
                 np.testing.assert_allclose(
-                    truth.by_role(i, role).translation,
-                    truth.by_role(0, role).translation, atol=1e-9)
+                    np.array(truth.by_role(i, role)[4:]),
+                    np.array(truth.by_role(0, role)[4:]), atol=1e-9)
 
     def test_arms_script_controllers_move_in_then_out(self, user_skeleton):
         session, _ = generate_synthetic_session(user_skeleton, arms_script())
@@ -212,7 +212,7 @@ class TestSyntheticGenerator:
                        if r == DeviceRole.CONTROLLER_LEFT)
         root_id = next(d for d, r in session.role_map.items()
                        if r == DeviceRole.TRACKER_ROOT)
-        lateral = [abs(f.devices[left_id].translation[0] - f.devices[root_id].translation[0])
+        lateral = [abs(f.devices[left_id][4] - f.devices[root_id][4])
                    for f in session.frames]
         mid = len(lateral) // 2
         assert lateral[mid] < lateral[0] - 0.1   # pulled toward the body
@@ -226,8 +226,8 @@ class TestSyntheticGenerator:
             for did, pose in frame.devices.items():
                 role = session.role_map[did]
                 joint = truth.joint_roles.index(ROLE_TO_JOINT[role])
-                expected = truth.frames[i][joint] @ mounts[role]
-                np.testing.assert_allclose(pose.translation, expected.translation, atol=1e-9)
+                expected = compose(truth.frames[i][joint], mounts[role])
+                np.testing.assert_allclose(np.array(pose[4:]), np.array(expected[4:]), atol=1e-9)
                 assert quat_angle_between(pose[:4], expected[:4]) < 1e-9
 
     def test_script_must_start_in_tpose(self, user_skeleton):
@@ -244,7 +244,7 @@ class TestSyntheticGenerator:
         for f1, f2 in zip(s1.frames, s2.frames):
             for (d1, p1), (d2, p2) in zip(f1.devices.items(), f2.devices.items()):
                 assert d1 == d2
-                np.testing.assert_array_equal(p1.translation, p2.translation)
+                np.testing.assert_array_equal(np.array(p1[4:]), np.array(p2[4:]))
                 np.testing.assert_array_equal(p1[:4], p2[:4])
 
 
@@ -261,7 +261,7 @@ class TestSessionFiles:
             assert a.timestamp == b.timestamp
             for (da, pa), (db, pb) in zip(a.devices.items(), b.devices.items()):
                 assert da == db
-                np.testing.assert_array_equal(pa.translation, pb.translation)
+                np.testing.assert_array_equal(np.array(pa[4:]), np.array(pb[4:]))
                 assert quat_angle_between(pa[:4], pb[:4]) < 1e-12
 
     def test_write_read_write_is_stable(self, tmp_path, tpose_session):
@@ -282,7 +282,7 @@ class TestSessionFiles:
         for fa, fb in zip(a.frames, b.frames):
             for (da, pa), (db, pb) in zip(fa.devices.items(), fb.devices.items()):
                 assert da == db
-                np.testing.assert_array_equal(pa.translation, pb.translation)
+                np.testing.assert_array_equal(np.array(pa[4:]), np.array(pb[4:]))
 
     def test_five_devices_reports_line(self, tmp_path, tpose_session):
         session, _ = tpose_session
@@ -320,7 +320,7 @@ class TestSessionFiles:
         assert loaded.joint_roles == truth.joint_roles
         for fa, fb in zip(loaded.frames, truth.frames):
             for a, b in zip(fa, fb):
-                np.testing.assert_allclose(a.translation, b.translation, atol=1e-15)
+                np.testing.assert_allclose(np.array(a[4:]), np.array(b[4:]), atol=1e-15)
 
     def test_ground_truth_integers_load_as_floats(self, tmp_path, tpose_session):
         session, truth = tpose_session

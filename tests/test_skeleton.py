@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avatarfit.math3d import Transform, qmul, qrotate, quat_angle_between, quat_from_axis_angle
+from avatarfit.math3d import qmul, qrotate, quat_angle_between, quat_from_axis_angle
 from avatarfit.rigs import humanoid_document, humanoid_long_legs_document
 from avatarfit.skeleton import (
     Joint,
@@ -19,7 +19,7 @@ from avatarfit.skeleton import (
     skeleton_to_document,
 )
 
-from conftest import random_quat, random_unit, transform
+from conftest import compose, random_quat, random_unit, transform
 from oracles import reference_forward_kinematics
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -31,23 +31,19 @@ def three_joint_chain() -> SkeletonModel:
     return load_skeleton(doc)
 
 
-def bind_root(skeleton: SkeletonModel) -> Transform:
+def bind_root(skeleton: SkeletonModel) -> tuple:
     return skeleton.joints[skeleton.role_index("root")].bind_local
 
 
-def random_pose(skeleton: SkeletonModel, rng) -> tuple[list[tuple], Transform]:
+def random_pose(skeleton: SkeletonModel, rng) -> tuple[list[tuple], tuple]:
     rotations = [tuple(random_quat(rng).tolist()) for _ in skeleton.joints]
     return rotations, transform(random_quat(rng), rng.normal(size=3))
 
 
-def world_of(skeleton: SkeletonModel, rotations, root: Transform) -> list[Transform]:
-    return [Transform(s) for s in forward_kinematics(skeleton, rotations, root)]
-
-
 class TestForwardKinematics:
     def test_bind_pose_reproduces_bind_world(self, user_skeleton):
-        world = world_of(user_skeleton, list(user_skeleton.bind_rotations),
-                         bind_root(user_skeleton))
+        world = forward_kinematics(user_skeleton, list(user_skeleton.bind_rotations),
+                                   bind_root(user_skeleton))
         for got, want in zip(world, user_skeleton.bind_states):
             assert got == want
 
@@ -62,12 +58,12 @@ class TestForwardKinematics:
     def test_root_rotation_spins_everything_about_root(self, user_skeleton):
         spin = quat_from_axis_angle([0, 1, 0], math.pi / 2)
         root_bind = bind_root(user_skeleton)
-        root = transform(qmul(spin, root_bind[:4]), root_bind.translation)
-        world = world_of(user_skeleton, list(user_skeleton.bind_rotations), root)
-        origin = root_bind.translation
+        root = transform(qmul(spin, root_bind[:4]), np.array(root_bind[4:]))
+        world = forward_kinematics(user_skeleton, list(user_skeleton.bind_rotations), root)
+        origin = np.array(root_bind[4:])
         for got, b in zip(world, user_skeleton.bind_states):
             expected = origin + qrotate(spin, b[4:] - origin)
-            np.testing.assert_allclose(got.translation, expected, atol=1e-12)
+            np.testing.assert_allclose(np.array(got[4:]), expected, atol=1e-12)
 
     def test_three_joint_chain_matches_manual_composition(self):
         # hips -> spine -> chest with random rotations, composed by hand.
@@ -77,19 +73,19 @@ class TestForwardKinematics:
         names = ["hips", "spine", "chest"]
         idx = [skel.name_index[n] for n in names]
         qs = [random_quat(rng) for _ in names]
-        root = transform(qs[0], bind_root(skel).translation)
+        root = transform(qs[0], np.array(bind_root(skel)[4:]))
         rotations[idx[1]] = tuple(qs[1])
         rotations[idx[2]] = tuple(qs[2])
-        world = world_of(skel, rotations, root)
+        world = forward_kinematics(skel, rotations, root)
 
-        t_spine = skel.joints[idx[1]].bind_local.translation
-        t_chest = skel.joints[idx[2]].bind_local.translation
-        p_spine = root.translation + qrotate(qs[0], t_spine)
+        t_spine = np.array(skel.joints[idx[1]].bind_local[4:])
+        t_chest = np.array(skel.joints[idx[2]].bind_local[4:])
+        p_spine = np.array(root[4:]) + qrotate(qs[0], t_spine)
         r_spine = qmul(qs[0], qs[1])
         p_chest = p_spine + qrotate(r_spine, t_chest)
         r_chest = qmul(r_spine, qs[2])
-        np.testing.assert_allclose(world[idx[1]].translation, p_spine, atol=1e-12)
-        np.testing.assert_allclose(world[idx[2]].translation, p_chest, atol=1e-12)
+        np.testing.assert_allclose(np.array(world[idx[1]][4:]), p_spine, atol=1e-12)
+        np.testing.assert_allclose(np.array(world[idx[2]][4:]), p_chest, atol=1e-12)
         assert quat_angle_between(world[idx[2]][:4], r_chest) < 1e-9
 
     def test_pose_size_mismatch(self, user_skeleton):
@@ -109,23 +105,23 @@ class TestForwardKinematics:
         rng = np.random.default_rng(seed)
         rotations, root = random_pose(skel, rng)
         g = transform(random_quat(rng), rng.normal(size=3))
-        base = world_of(skel, rotations, root)
-        got = world_of(skel, rotations, g @ root)
+        base = forward_kinematics(skel, rotations, root)
+        got = forward_kinematics(skel, rotations, compose(g, root))
         for w, b in zip(got, base):
-            expected = g @ b
-            np.testing.assert_allclose(w.translation, expected.translation, atol=1e-9)
+            expected = compose(g, b)
+            np.testing.assert_allclose(np.array(w[4:]), np.array(expected[4:]), atol=1e-9)
             assert quat_angle_between(w[:4], expected[:4]) < 1e-9
 
     @given(seeds)
     def test_bone_lengths_invariant_under_pose(self, seed):
         skel = humanoid_from_cache()
         rng = np.random.default_rng(seed)
-        world = world_of(skel, *random_pose(skel, rng))
+        world = forward_kinematics(skel, *random_pose(skel, rng))
         for i, joint in enumerate(skel.joints):
             if joint.parent is None:
                 continue
             length = float(np.linalg.norm(
-                world[i].translation - world[joint.parent].translation))
+                np.array(world[i][4:]) - np.array(world[joint.parent][4:])))
             assert length == pytest.approx(skel.bone_lengths[i], abs=1e-9)
 
     @given(seeds, st.sampled_from(["humanoid", "humanoid_long_legs"]))
@@ -133,7 +129,7 @@ class TestForwardKinematics:
         skel = rig_from_cache(rig)
         rng = np.random.default_rng(seed)
         rotations, root = random_pose(skel, rng)
-        root = transform(root[:4], root.translation * rng.uniform(0.1, 100.0))
+        root = transform(root[:4], np.array(root[4:]) * rng.uniform(0.1, 100.0))
         states = forward_kinematics(skel, rotations, root)
         want = reference_forward_kinematics(skel, rotations, root)
         assert len(states) == len(want) == len(skel.joints)
@@ -189,7 +185,7 @@ class TestScaleUniform:
         scaled = scale_uniform(user_skeleton, 1.0)
         assert scaled.eye_height_bind == user_skeleton.eye_height_bind
         for a, b in zip(scaled.joints, user_skeleton.joints):
-            np.testing.assert_array_equal(a.bind_local.translation, b.bind_local.translation)
+            np.testing.assert_array_equal(np.array(a.bind_local[4:]), np.array(b.bind_local[4:]))
 
     def test_double_scale_doubles_bone_lengths(self, user_skeleton):
         scaled = scale_uniform(user_skeleton, 2.0)
@@ -238,7 +234,7 @@ class TestScaleUniform:
         twice = scale_uniform(scale_uniform(skel, s1), s2)
         assert twice.eye_height_bind == pytest.approx(once.eye_height_bind, abs=1e-9)
         for a, b in zip(twice.joints, once.joints):
-            np.testing.assert_allclose(a.bind_local.translation, b.bind_local.translation,
+            np.testing.assert_allclose(np.array(a.bind_local[4:]), np.array(b.bind_local[4:]),
                                        atol=1e-9)
 
 
@@ -338,7 +334,7 @@ class TestLoadSkeleton:
         assert len(loaded.joints) == len(user_skeleton.joints)
         for a, b in zip(loaded.joints, user_skeleton.joints):
             assert a.name == b.name and a.role == b.role and a.parent == b.parent
-            np.testing.assert_array_equal(a.bind_local.translation, b.bind_local.translation)
+            np.testing.assert_array_equal(np.array(a.bind_local[4:]), np.array(b.bind_local[4:]))
 
     def test_child_before_parent_in_document(self):
         doc = humanoid_document()

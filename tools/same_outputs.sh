@@ -34,7 +34,8 @@
 # that differs or exists on one side only; exits 0 when all are identical.
 # WORK_DIR (default: a new temporary directory) is kept for inspection;
 # tools/float_drift.py WORK_DIR tells whether the trees differ only in the
-# values of numbers, and by how much.
+# values of numbers, and by how much. The Python below runs in each tree, so
+# it may use only the package API that both trees have.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -53,6 +54,20 @@ run_tree() {  # run_tree TREE OUT_DIR
     "$python" - "$out" <<'EOF'
 import sys
 from avatarfit import fingers, math3d, rigs, session, skeleton
+
+
+def inverse(pose):
+    """The inverse pose, from helpers both trees have; a `math3d.Transform`,
+    whose `apply` an older tree's `transform_capsule` calls."""
+    rinv = math3d.qconj(pose[:4])
+    dx, dy, dz = math3d.qrotate(rinv, pose[4:])
+    return math3d.Transform((*rinv, -dx, -dy, -dz))
+
+
+def apply(pose, p):
+    dx, dy, dz = math3d.qrotate(pose[:4], p)
+    return dx + pose[4], dy + pose[5], dz + pose[6]
+
 
 out = sys.argv[1]
 skeleton.save_skeleton_file(rigs.humanoid(), f"{out}/user.json")
@@ -81,9 +96,9 @@ for i, (joint, entry) in enumerate(zip(base.joints, oblique["joints"])):
 skeleton.save_skeleton_file(skeleton.load_skeleton(oblique), f"{out}/avatar4.json")
 hand = fingers.default_hand_model("left")
 fingers.save_hand_file(hand, f"{out}/hand.json")
-to_device = session.default_mount_offsets()[session.DeviceRole.CONTROLLER_LEFT].inverse()
+to_device = inverse(session.default_mount_offsets()[session.DeviceRole.CONTROLLER_LEFT])
 capsule = fingers.transform_capsule(fingers.default_grip_capsule(hand), to_device)
-button = to_device.apply((-0.06, -0.012, -0.02))
+button = apply(to_device, (-0.06, -0.012, -0.02))
 fingers.save_controller_file(capsule, f"{out}/controller.json", button)
 long_fingers = tuple(fingers.Finger(f.name, f.base_local, (f.joints * 2)[:4]) for f in hand.fingers)
 fingers.save_hand_file(fingers.HandModel(hand.side, long_fingers, hand.palm_anchor),
@@ -92,7 +107,7 @@ fingers.save_controller_file(fingers.CapsuleShape((1.0, 0.0, -0.05), (1.0, 0.0, 
                              f"{out}/far_controller.json")
 right = fingers.default_hand_model("right")
 fingers.save_hand_file(right, f"{out}/hand_right.json")
-to_right = session.default_mount_offsets()[session.DeviceRole.CONTROLLER_RIGHT].inverse()
+to_right = inverse(session.default_mount_offsets()[session.DeviceRole.CONTROLLER_RIGHT])
 fingers.save_controller_file(fingers.transform_capsule(fingers.default_grip_capsule(right), to_right),
                              f"{out}/controller_right.json")
 EOF
