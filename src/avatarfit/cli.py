@@ -18,6 +18,7 @@ leaves no trace, but a bug raised mid-solve may leave part of one.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -231,7 +232,10 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it as it
+    is and returns a new namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="avatarfit",
         description="Six-device self-avatar calibration and retargeting pipeline.",

@@ -29,7 +29,9 @@ Pipeline per frame (exact mode):
    pass 1 places too because step 4 reads them (`SkeletonModel.solve_plan`).
 
 `solve_session` runs this per frame in one pass: it scores the frame and
-writes its trace line (`pose_trace_line`), then drops the pose.
+writes its trace line, then drops the pose. The line fills a template built
+once per run from the joint and attached names (`trace_template`) with the
+frame's floats (`pose_trace_line`), so no per-joint object is built.
 
 Fixed mode runs the identical pipeline with every offset set to the identity
 (device pose used as the joint pose), the ad-hoc zero-offset mapping that
@@ -67,12 +69,12 @@ from .math3d import (
     compose_state,
     cross,
     norm,
-    pose_to_obj,
     qconj,
     qmul,
     qmul_conj,
     qrotate,
     quat_angle,
+    quat_to_json,
     rotation_between,
 )
 from .session import DeviceFrame, DeviceRole, GroundTruth, Session
@@ -354,21 +356,50 @@ class SessionMetrics:
         return asdict(self)
 
 
-def pose_trace_line(frame: DeviceFrame, pose: SolvedPose, skeleton: SkeletonModel,
-                    attached) -> str:
+_JSON_BOOL = ("false", "true")
+
+
+def trace_template(skeleton: SkeletonModel, attached) -> str:
+    """The `%`-format string of `pose_trace_line` for `skeleton` and `attached`.
+
+    Each name is written by `json.dumps`, with `%` doubled, so it is escaped
+    as in any JSON line; the placeholders are, in order, the time, each
+    joint's p and q, then each attached entry's, and the frame's metrics.
+    """
+    names = [joint.name for joint in skeleton.joints] + [name for _, name, _ in attached]
+    entries = ", ".join('{"name": %s, "p": [%%s, %%s, %%s], "q": [%%s, %%s, %%s, %%s]}'
+                        % json.dumps(name).replace("%", "%%") for name in names)
+    return ('{"t": %s, "joints": [' + entries + '], "metrics": {"alpha": %s, "knee_l": %s, '
+            '"knee_r": %s, "detached_l": %s, "detached_r": %s}}\n')
+
+
+def pose_trace_line(template: str, frame: DeviceFrame, pose: SolvedPose, attached) -> str:
     """One JSON trace line, newline included: the frame's time, every joint's
     world pose, then one entry per `attached` (joint index, name, pose in that
     joint's frame) triple, placed on the solved joint, and the frame's metrics.
+
+    `template` is `trace_template` of the solved skeleton and `attached`. It
+    is filled with `%s`, which prints a float as `json.dumps` does, and q's
+    sign is `math3d.quat_to_json`'s, so the line is byte for byte the
+    `json.dumps` of its objects (`tests/oracles.py::reference_pose_trace_line`).
+    A NaN or infinite value is spelled as JSON spells it.
     """
-    joints = [{"name": joint.name, **pose_to_obj(w)}
-              for joint, w in zip(skeleton.joints, pose.world)]
-    joints.extend({"name": name, **pose_to_obj(compose_state(pose.world[j], local[:4], local[4:]))}
-                  for j, name, local in attached)
+    world = pose.world
+    values = [frame.timestamp]
+    for w, x, y, z, px, py, pz in world + [compose_state(world[j], local[:4], local[4:])
+                                           for j, _, local in attached]:
+        if w > 0.0:
+            values += px, py, pz, w, x, y, z
+        elif w < 0.0:
+            values += px, py, pz, -w, -x, -y, -z
+        else:
+            values += px, py, pz, *quat_to_json((w, x, y, z))
     d = pose.diagnostics
-    metrics = {"alpha": d.alpha, "knee_l": d.knee_flexion_left, "knee_r": d.knee_flexion_right,
-               "detached_l": d.controller_detached_left,
-               "detached_r": d.controller_detached_right}
-    return json.dumps({"t": frame.timestamp, "joints": joints, "metrics": metrics}) + "\n"
+    values += d.alpha, d.knee_flexion_left, d.knee_flexion_right
+    if not math.isfinite(sum(values)):
+        values = list(map(json.dumps, values))
+    values += _JSON_BOOL[d.controller_detached_left], _JSON_BOOL[d.controller_detached_right]
+    return template % tuple(values)
 
 
 def solve_session(
@@ -421,6 +452,7 @@ def solve_session(
                 frame_straight = frame_straight and flexion < STRAIGHT_LEG_MAX
             straight.append(frame_straight)
 
+    template = None if trace is None else trace_template(skeleton, attached)
     with (nullcontext() if trace is None
           else open(trace, "w", encoding="utf-8", newline="\n")) as out:
         for i, frame in enumerate(session.frames):
@@ -431,7 +463,7 @@ def solve_session(
                 continue
             metrics.solved_frames += 1
             if out is not None:
-                out.write(pose_trace_line(frame, sp, skeleton, attached))
+                out.write(pose_trace_line(template, frame, sp, attached))
             d = sp.diagnostics
             alphas.append(d.alpha)
             knees.append(0.5 * (d.knee_flexion_left + d.knee_flexion_right))

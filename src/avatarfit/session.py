@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .math3d import (
+    INPUT_BOUND,
     UP,
     FormatError,
     Transform,
@@ -426,8 +427,22 @@ def read_ground_truth(path) -> GroundTruth:
         p, q = obj.get("p"), obj.get("q")
         if not (isinstance(p, list) and isinstance(q, list) and len(p) == len(q) == len(names)):
             raise FormatError(f"{where}: expected p and q of {len(names)} joints each")
-        # Each rotation is divided by its norm, as every reader's is.
-        wp, wq = f"{where} p", f"{where} q"
-        frames.append([Transform(quat_from_json(qj, wq) + floats_from_json(pj, 3, wp))
-                       for pj, qj in zip(p, q)])
+        # Each rotation is divided by its norm, as every reader's is. Seven
+        # plain floats with a unit q are decoded in one step, as
+        # `quat_from_json` and `floats_from_json` would; any other joint goes
+        # through them, so their error names the fault.
+        frame = []
+        for pj, qj in zip(p, q):
+            try:
+                (w, x, y, z), (px, py, pz) = qj, pj
+                n = math.sqrt(w * w + x * x + y * y + z * z)
+                plain = (abs(n - 1.0) <= 1e-6 and abs(px) + abs(py) + abs(pz) < INPUT_BOUND
+                         and type(w) is type(x) is type(y) is type(z) is type(px) is type(py)
+                         is type(pz) is float)
+            except (TypeError, ValueError, OverflowError):
+                plain = False
+            frame.append(Transform((w / n, x / n, y / n, z / n, px, py, pz) if plain else
+                                   quat_from_json(qj, f"{where} q")
+                                   + floats_from_json(pj, 3, f"{where} p")))
+        frames.append(frame)
     return GroundTruth(names, roles, frames)

@@ -1,13 +1,14 @@
 """Independent brute-force oracles shared by the unit and acceptance tests."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 
 from avatarfit.fingers import CapsuleShape, Finger, capsule_sdf
 from avatarfit.math3d import DEGENERATE_EPS, RIGHT, UP, DegenerateGeometryError, FormatError, \
-    compose_state, cross, dot, norm, normalize, qmul, qrotate, quat_from_axis_angle
+    compose_state, cross, dot, norm, normalize, pose_to_obj, qmul, qrotate, quat_from_axis_angle
 from avatarfit.retarget import FULL_REACH_BAND, TwoBoneSolution, _root_angle
 from avatarfit.skeleton import SkeletonModel
 
@@ -258,6 +259,26 @@ def reference_two_bone_ik(root_pos, l1: float, l2: float, target_pos,
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     mid = tuple(r + l1 * (cos_phi * a + sin_phi * b) for r, a, b in zip(root, u, normalize(perp)))
     return TwoBoneSolution(mid, end, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Trace line by `json.dumps`: `retarget.pose_trace_line` fills a per-run
+# template and must write the same bytes.
+# ---------------------------------------------------------------------------
+
+def reference_pose_trace_line(frame, pose, skeleton: SkeletonModel, attached) -> str:
+    """The trace line as the `json.dumps` of its objects: per-joint dicts of
+    `math3d.pose_to_obj`, the attached entries composed onto their joints,
+    and the metrics."""
+    joints = [{"name": joint.name, **pose_to_obj(w)}
+              for joint, w in zip(skeleton.joints, pose.world)]
+    joints.extend({"name": name, **pose_to_obj(compose_state(pose.world[j], local[:4], local[4:]))}
+                  for j, name, local in attached)
+    d = pose.diagnostics
+    metrics = {"alpha": d.alpha, "knee_l": d.knee_flexion_left, "knee_r": d.knee_flexion_right,
+               "detached_l": d.controller_detached_left,
+               "detached_r": d.controller_detached_right}
+    return json.dumps({"t": frame.timestamp, "joints": joints, "metrics": metrics}) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,36 @@ class TestNoNumpyOutsideTheGenerator:
         assert result.stdout.splitlines()[-1] == "False"
 
 
+class TestOneParserPerProcess:
+    def test_no_flag_or_default_leaks_between_calls(self, tmp_path, tiny_files, capsys):
+        # `main` parses with one cached parser. After a solve with every grip
+        # flag and another mode, and a usage error, a solve with the defaults
+        # writes the bytes of a fresh `python -m avatarfit` process.
+        assert cli.build_parser() is cli.build_parser()
+        common = ("--skeleton", tiny_files["skeleton"], "--session", tiny_files["session"],
+                  "--profile", tiny_files["profile"], "--ground-truth", tiny_files["ground_truth"],
+                  "--hand-model", tiny_files["hand"], "--controller", tiny_files["controller"])
+        assert run("solve", *common, "--penalty", "5", "--max-iters", "3", "--mode", "fixed",
+                   "--out", tmp_path / "flags.jsonl",
+                   "--metrics", tmp_path / "flags.json") == cli.EXIT_OK
+        with pytest.raises(SystemExit) as exit_info:
+            run("solve", *common, "--max-iters", "0", "--out", tmp_path / "bad.jsonl")
+        assert exit_info.value.code == cli.EXIT_USAGE
+        (tmp_path / "here").mkdir()
+        (tmp_path / "fresh").mkdir()
+        assert run("solve", *common, "--out", tmp_path / "here" / "trace.jsonl") == cli.EXIT_OK
+        env = {**os.environ, "PYTHONPATH": str(Path(avatarfit.__file__).resolve().parents[1])}
+        result = subprocess.run([sys.executable, "-m", "avatarfit", "solve",
+                                 *map(str, common), "--out", tmp_path / "fresh" / "trace.jsonl"],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        for name in ("trace.jsonl", "trace.metrics.json"):
+            assert (tmp_path / "here" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes()
+        assert (tmp_path / "flags.jsonl").read_bytes() != \
+            (tmp_path / "fresh" / "trace.jsonl").read_bytes()
+
+
 class TestSolveChecksFirst:
     """A usage error or a malformed grip file ends `solve` before the body solve."""
 

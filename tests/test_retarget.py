@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -42,7 +43,7 @@ from avatarfit.session import ROLE_TO_JOINT, DeviceFrame, DeviceRole, NoiseModel
 from avatarfit.skeleton import SkeletonModel, load_skeleton, skeleton_to_document
 
 from conftest import compose, device_id, random_quat, random_unit, transform
-from oracles import reference_flexion, reference_two_bone_ik
+from oracles import reference_flexion, reference_pose_trace_line, reference_two_bone_ik
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -904,3 +905,95 @@ class TestSolveSession:
             frames.append(len(session.frames))
         assert frames[1] - frames[0] >= 90
         assert peaks[1] - peaks[0] < 1024 * (frames[1] - frames[0]), peaks
+
+
+def escaped_name_rig() -> SkeletonModel:
+    """`humanoid_long_legs` with joint names that JSON must escape, `%` among them."""
+    document = humanoid_long_legs_document()
+    names = {"hips": 'hi"ps', "spine": "sp\\ine", "chest": "ch%est", "head": "héad%s",
+             "wrist_l": 'wr"ist%%_l\\'}
+    for joint in document["joints"]:
+        joint["name"] = names.get(joint["name"], joint["name"])
+        joint["parent"] = names.get(joint["parent"], joint["parent"])
+    return load_skeleton(document)
+
+
+class TestTraceLine:
+    """`pose_trace_line` writes the bytes of the `json.dumps` form (`tests/oracles.py`)."""
+
+    ATTACHED_NAMES = ('wrist_l/th%umb"_1', "wrist_r/%s_2", 'x"%%"', "ïndex_3")
+
+    @pytest.fixture(scope="class")
+    def escaped_setup(self, squat_session):
+        session, _ = squat_session
+        profile, scaled, _ = calibrate_session(session, escaped_name_rig())
+        wrists = (scaled.role_index("wrist_l"), scaled.role_index("wrist_r"))
+        attached = [(wrists[i % 2], name, transform(quat_from_axis_angle((1.0, 2.0, 0.5), 0.3 * i),
+                                                     (0.01 * i, -0.02, 0.03)))
+                    for i, name in enumerate(self.ATTACHED_NAMES)]
+        return session, profile, scaled, attached
+
+    def assert_line(self, frame, pose, skeleton_, attached):
+        line = retarget.pose_trace_line(retarget.trace_template(skeleton_, attached), frame, pose,
+                                        attached)
+        assert line == reference_pose_trace_line(frame, pose, skeleton_, attached)
+        return line
+
+    def test_solved_session_trace_is_the_json_dumps_form(self, escaped_setup, tmp_path):
+        session, profile, scaled, attached = escaped_setup
+        path = tmp_path / "trace.jsonl"
+        for attach in ((), attached):
+            solve_session(session, profile, scaled, trace=path, attached=attach)
+            want = [reference_pose_trace_line(frame, solve_frame(frame, profile, scaled), scaled,
+                                              attach) for frame in session.frames]
+            assert path.read_text(encoding="utf-8") == "".join(want)
+        names = [entry["name"] for entry in json.loads(want[0])["joints"]]
+        assert names == [joint.name for joint in scaled.joints] + list(self.ATTACHED_NAMES)
+        assert '"h\\u00e9ad%s"' in want[0] and '"wr\\"ist%%_l\\\\"' in want[0]
+
+    def special_pose(self, escaped_setup, states, **diagnostics):
+        """A solved pose whose first joints hold `states`, with `diagnostics` set."""
+        session, profile, scaled, _ = escaped_setup
+        solved = solve_frame(session.frames[3], profile, scaled)
+        world = list(states) + solved.world[len(states):]
+        return retarget.SolvedPose(world, dataclasses.replace(solved.diagnostics, **diagnostics))
+
+    SIGNS = (
+        (-0.5, 0.5, -0.5, 0.5, 0.0, -0.0, 1.0),     # w < 0: negated
+        (0.0, -0.0, -0.6, 0.8, -0.0, 0.0, -0.0),    # w == 0, first nonzero < 0: negated
+        (-0.0, 0.0, 0.6, -0.8, 0.0, 0.0, 0.0),      # w == -0.0, first nonzero > 0: kept
+        (0.0, -0.0, 0.0, -0.0, -0.0, -0.0, -0.0),   # all zero: the signed zeros kept
+        (-0.0, -0.0, -0.0, 0.0, 1e-320, -1e300, 5e-324),
+        (1.0, -0.0, 0.0, -0.0, 1e16, 0.1, 1 / 3),
+    )
+
+    def test_quaternion_signs_and_signed_zeros(self, escaped_setup):
+        session, _, scaled, attached = escaped_setup
+        pose = self.special_pose(escaped_setup, self.SIGNS, controller_detached_left=True)
+        line = self.assert_line(session.frames[3], pose, scaled, attached)
+        first = json.loads(line)["joints"][0]
+        assert first["q"] == [0.5, -0.5, 0.5, -0.5] and str(first["p"]) == "[0.0, -0.0, 1.0]"
+        assert '"detached_l": true' in line
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_spelled_as_json_spells_them(self, escaped_setup, bad):
+        session, _, scaled, attached = escaped_setup
+        frame = session.frames[3]
+        in_pose = self.special_pose(escaped_setup,
+                                    (*self.SIGNS, (bad, 0.0, 0.0, 0.0, 0.1, bad, -0.0)))
+        in_metrics = self.special_pose(escaped_setup, self.SIGNS, alpha=bad,
+                                       knee_flexion_right=bad)
+        for pose in (in_pose, in_metrics):
+            line = self.assert_line(frame, pose, scaled, attached)
+            assert {"NaN", "Infinity", "-Infinity"}.intersection(line.replace(",", " ").split())
+        # A sum that overflows though every value is finite takes the same spelling.
+        big = self.special_pose(escaped_setup, [(1.0, 0.0, 0.0, 0.0, 1e308, 1e308, 1e308)])
+        self.assert_line(frame, big, scaled, attached)
+
+    @pytest.mark.parametrize("t", [3, 0, -2, np.float64(0.1), np.float64(1e16), 2.5e-7])
+    def test_time_of_any_number_type(self, escaped_setup, t):
+        session, _, scaled, attached = escaped_setup
+        frame = DeviceFrame(t, session.frames[3].devices)
+        pose = self.special_pose(escaped_setup, ())
+        line = self.assert_line(frame, pose, scaled, attached)
+        assert line.startswith('{"t": %s, ' % json.dumps(t))

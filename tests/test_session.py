@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avatarfit.math3d import FormatError, qrotate, quat_angle_between, \
+from avatarfit.math3d import FormatError, floats_from_json, qrotate, quat_angle_between, \
     quat_from_axis_angle, quat_from_json
 from avatarfit.motion import SCRIPT_NAMES, arms_script, builtin_script, squat_script, tpose_script
 from avatarfit.rigs import humanoid, humanoid_long_legs
@@ -348,6 +348,57 @@ class TestSessionFiles:
         state = read_ground_truth(path).frames[0][2]
         assert np.array(state[:4]).tobytes() == np.array(quat_from_json(q, "q")).tobytes()
         assert state[:4] != tuple(q) and state[4:] == tuple(frame["p"][2])
+
+    UNIT_Q = list(quat_from_axis_angle((0.3, 1.0, -0.2), 0.7))
+    BELOW_BOUND = math.nextafter(1e150, 0.0)
+
+    @pytest.mark.parametrize("q, p", [
+        (UNIT_Q, [0.1, -0.0, 2.5]),
+        (UNIT_Q, [BELOW_BOUND, -BELOW_BOUND, 0.0]),
+        (UNIT_Q, [9e149, 9e149, 9e149]),  # each value within the bound, their sum not
+        (UNIT_Q, [1e150, 0.0, 0.0]),
+        (UNIT_Q, [0.0, -math.inf, 0.0]),
+        (UNIT_Q, [0.0, 0.0, math.nan]),
+        (UNIT_Q, [0, 1, -2]),
+        (UNIT_Q, [0.0, True, 0.0]),
+        (UNIT_Q, [0.0, None, 0.0]),
+        (UNIT_Q, [0.0, 0.0]),
+        (UNIT_Q, {"x": 0.0, "y": 0.0, "z": 0.0}),
+        (UNIT_Q, "xyz"),
+        ([c * (1.0 + 2e-6) for c in UNIT_Q], [0.0, 0.0, 0.0]),
+        ([math.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ([math.inf, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ([1e200, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ([10 ** 400, 0, 0, 0], [0.0, 0.0, 0.0]),
+        ([1, 0, 0, 0], [0.0, 0.0, 0.0]),
+        ([True, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ([[1.0], 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        (["w", "x", "y", "z"], [0.0, 0.0, 0.0]),
+        ("wxyz", [0.0, 0.0, 0.0]),
+        (UNIT_Q[:3], [0.0, 0.0, 0.0]),
+        (None, [0.0, 0.0, 0.0]),
+    ])
+    def test_ground_truth_joint_decodes_as_the_readers(self, tmp_path, tpose_session, q, p):
+        # A joint loads, or fails with the message, as `quat_from_json` and
+        # `floats_from_json` decode it.
+        session, truth = tpose_session
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(truth, session, path)
+        lines = path.read_text().splitlines()
+        frame = json.loads(lines[1])
+        frame["q"][2], frame["p"][2] = q, p
+        path.write_text("\n".join([lines[0], json.dumps(frame), *lines[2:]]) + "\n")
+        where = f"{path}:2"
+        try:
+            want = quat_from_json(q, f"{where} q") + floats_from_json(p, 3, f"{where} p")
+        except FormatError as e:
+            with pytest.raises(FormatError) as error:
+                read_ground_truth(path)
+            assert str(error.value) == str(e)
+        else:
+            state = read_ground_truth(path).frames[0][2]
+            assert state == want and list(map(type, state)) == [float] * 7
+            assert str(state) == str(want)  # the signs of zeros too
 
     def test_ground_truth_with_eye_height_key_loads(self, tmp_path, tpose_session):
         # Older files carry an "eye_height" header key; it is ignored.

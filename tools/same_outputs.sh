@@ -22,7 +22,11 @@
 # same on a fourth avatar, in exact mode only: `humanoid_long_legs` with
 # fixed, non-identity bind rotations and the same bind world positions, so
 # each bone lies oblique to its joint's axes and its length is the norm of
-# three nonzero components. Last, squat seed 1 again: with one device id
+# three nonzero components. It calibrates squat seed 1 on a fifth avatar,
+# `humanoid_long_legs` with joint names that JSON escapes (a quote, a
+# backslash, `%` and a non-ASCII letter), and solves it without hands and with
+# a left hand whose finger names hold `"`, `%` and a non-ASCII letter
+# (--max-iters 30). Last, squat seed 1 again: with one device id
 # renamed on a few frame lines, solved with and without hands (frames skipped
 # between solved ones); with every id renamed, header too, solved with hands
 # (no frame solves); and against a ground truth cut to 10 frames (exit 3, and
@@ -30,8 +34,9 @@
 # reads a JSONL motion script (--script-file: a T-pose line, then 30 lines of
 # joint rotations and root poses), and the session is calibrated and solved
 # against its ground truth. Every command's stdout, stderr and exit code go
-# to a .out file, with the tree's output directory masked. Prints every file
-# that differs or exists on one side only; exits 0 when all are identical.
+# to a .out file, with the tree's output directory masked: 172 data files and
+# 89 command outputs per tree. Prints every file that differs or exists on one
+# side only; exits 0 when all are identical.
 # WORK_DIR (default: a new temporary directory) is kept for inspection;
 # tools/float_drift.py WORK_DIR tells whether the trees differ only in the
 # values of numbers, and by how much. The Python below runs in each tree, so
@@ -110,6 +115,19 @@ fingers.save_hand_file(right, f"{out}/hand_right.json")
 to_right = inverse(session.default_mount_offsets()[session.DeviceRole.CONTROLLER_RIGHT])
 fingers.save_controller_file(fingers.transform_capsule(fingers.default_grip_capsule(right), to_right),
                              f"{out}/controller_right.json")
+# Joint and finger names that a trace line must escape: quotes, backslashes,
+# `%` and a non-ASCII letter.
+escaped = rigs.humanoid_long_legs_document()
+names = {"hips": 'hi"ps', "spine": "sp\\ine", "chest": "ch%est", "head": "h\u00e9ad%s",
+         "wrist_l": 'wr"ist%%_l\\'}
+for joint in escaped["joints"]:
+    joint["name"] = names.get(joint["name"], joint["name"])
+    joint["parent"] = names.get(joint["parent"], joint["parent"])
+skeleton.save_skeleton_file(skeleton.load_skeleton(escaped), f"{out}/avatar5.json")
+finger_names = ["thumb", 'in"dex%', "mid%sdle", 'r"%%ing', "p\u00efnky"]
+fingers.save_hand_file(fingers.HandModel(hand.side, tuple(
+    fingers.Finger(name, f.base_local, f.joints) for name, f in zip(finger_names, hand.fingers)),
+    hand.palm_anchor), f"{out}/hand5.json")
 EOF
     cli() {  # cli NAME ARGS...: run one command, recording its output and exit code
         local name=$1 status=0
@@ -161,6 +179,18 @@ EOF
         --session "$s.session.jsonl" --profile "$s.avatar4.profile.json" \
         --ground-truth "$s.session.gt.jsonl" --out "$s.avatar4-exact.trace.jsonl"
     s="$out/squat-1"
+    cli squat-1.calibrate-avatar5 calibrate --skeleton "$out/avatar5.json" \
+        --session "$s.session.jsonl" --out "$s.avatar5.profile.json"
+    for hands in body hand; do
+        set -- --skeleton "$out/avatar5.json" --session "$s.session.jsonl" \
+            --profile "$s.avatar5.profile.json" --ground-truth "$s.session.gt.jsonl" \
+            --out "$s.avatar5-$hands.trace.jsonl"
+        if [ "$hands" = hand ]; then
+            set -- "$@" --hand-model "$out/hand5.json" --controller "$out/controller.json" \
+                --max-iters 30
+        fi
+        cli "squat-1.solve-avatar5-$hands" solve "$@"
+    done
     cli squat-1.solve-exact-far4 solve --skeleton "$out/avatar.json" \
         --session "$s.session.jsonl" --profile "$s.profile.json" \
         --ground-truth "$s.session.gt.jsonl" --out "$s.exact-far4.trace.jsonl" \
