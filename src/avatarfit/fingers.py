@@ -18,21 +18,21 @@ fingers of 1 to 4 joints. Fingers are independent, so each is searched on
 its own factors. A button target can be added for the thumb: its objective
 gains the distance from the thumb tip to the button point.
 
-`fingerchain` holds the grid, the seed and the walk that evaluates a finger.
-Each joint of the hand model keeps its `math3d.slerp_basis`
-(`FingerJointSpec.basis`, built on first use), so a new factor costs one
-`slerp_at`.
+`fingerchain` holds the grid, the seed and each finger's search. Each joint
+of the hand model keeps its `math3d.slerp_basis` and its grid rotations
+(`FingerJointSpec.basis` and `grid`, built on first use), so the seed builds
+no rotation and a poll's new factor costs one `slerp_at`.
 
-A poll on factor k passes joint k's new rotation and resumes from the
+A poll on factor k turns joint k by its new rotation and resumes from the
 current point's state after joint k - 1. Its running total through joint k
 depends on factors 0..k only, so while those stay it bounds the objective of
 that trial from below: a trial known to lose, or left by an accepted probe,
-is not walked again while that total is at least the current value. The
+is not polled again while that total is at least the current value. The
 states of a finger's returned factors are the posed points of
-`pose_hand_on_controller`, with no walk of their own.
+`pose_hand_on_controller`, with no evaluation of their own.
 
 Every search starts from its seed grid alone, and no search state is
-carried between calls; the hand model keeps only its joints' slerp bases.
+carried between calls; the hand model keeps only what depends on it alone.
 
 The hand model, the capsule, the button and `FingerParams` hold tuples of
 floats, as the file readers decode them; the module uses no NumPy.
@@ -42,18 +42,15 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .fingerchain import GRID_POINTS, _FingerChain
+from .fingerchain import GRID, GRID_POINTS, STEP_TOL, _FingerChain
 from .math3d import INPUT_BOUND, INPUT_BOUND_TEXT, DegenerateGeometryError, FormatError, \
     apply_state, float_from_json, floats_from_json, floats_to_json, quat_from_axis_angle, \
     quat_from_json, quat_to_json, read_json_file, slerp_at, slerp_basis, transform_from_obj, \
     transform_to_obj, write_json_file
-
-# The search stops once its step falls below STEP_TOL.
-STEP_TOL = 1e-4
-
 
 # ---------------------------------------------------------------------------
 # Capsule signed distance
@@ -119,6 +116,18 @@ class FingerJointSpec:
         kept; not a field, so `==` and the file format ignore it."""
         return slerp_basis(self.open_rotation, self.closed_rotation)
 
+    @cached_property
+    def grid(self) -> tuple:
+        """`slerp_at(basis, g)` at each g of the seed's GRID, kept like `basis`;
+        joints whose bases have the same bits share one tuple."""
+        return _grid(struct.pack("10d", *self.basis), self.basis)
+
+
+@lru_cache(maxsize=64)
+def _grid(bits: bytes, basis: tuple) -> tuple:
+    # Shared, so a new hand model of the same joints adds no peak memory.
+    return tuple(slerp_at(basis, g) for g in GRID)
+
 
 @dataclass(frozen=True)
 class Finger:
@@ -151,7 +160,7 @@ class DescentConfig:
     max_iters: int = 200   # poll rounds per finger
 
     def __post_init__(self):
-        # The input rule's bound: no walk over the values of input files overflows.
+        # The input rule's bound: no evaluation over the values of input files overflows.
         if not 0.0 < self.penalty < INPUT_BOUND:
             raise ValueError(f"penalty must be positive and below {INPUT_BOUND_TEXT}, "
                              f"got {self.penalty!r}")
@@ -175,8 +184,7 @@ def finger_objective(
 ) -> float:
     """Summed penalized surface distance of one finger's joint points."""
     chain = _FingerChain(hand.fingers[finger_index], wrist_world, shape, penalty, button)
-    rotations = chain.rotations(params.values[finger_index])
-    return chain.walk([], 0, rotations[0], rotations)
+    return chain.evaluate(chain.rotations(params.values[finger_index]))[0]
 
 
 @dataclass
@@ -186,7 +194,7 @@ class FingerDescent:
     objective: float
     converged: bool
     history: list[float] = field(default_factory=list)
-    # The walk states (`_FingerChain.walk`) at the returned factors, one per joint.
+    # The chain states (`_FingerChain`) at the returned factors, one per joint.
     states: list[tuple] = field(default_factory=list, repr=False)
 
 
@@ -197,66 +205,32 @@ def descend(
     wrist_world: tuple | None = None,
     button: tuple | None = None,
 ) -> tuple[FingerParams, list[FingerDescent]]:
-    """Compass-search every finger's factors independently.
+    """Compass-search every finger's factors independently (`_FingerChain.search`).
 
     Each finger starts from the best point of the GRID_POINTS^n grid on
-    [0, 1]^n (`_FingerChain.seed`), the first in product order on a tie, so
-    the open hand (grid point 0) wins every tie. A round tries +step, then
-    -step, on each factor in turn, held to [0, 1], and accepts any strict
-    decrease. A poll on factor k passes joint k's new rotation, so its walk
-    resumes from the current point's state after joint k - 1 and reads the
-    current rotations after it; only an accepted probe writes into them. The
-    walk is bounded by the current value, so a losing poll stops early and
-    an accepted probe, whose states become the current point's, has walked
-    to the tip. `lost[k]` holds the running totals through joint k known at
-    trials of factor k (see the module docstring); an accepted probe on
-    factor k clears the maps of the factors after it. The first step is half
-    the grid spacing, and a round without a decrease halves it. A finger
-    converges when the step falls below STEP_TOL at a finite objective; at an
-    infinite one, or after max_iters rounds, it stops unconverged, reported,
-    never raised. `history` holds the accepted objective after each round, so
-    it never rises. Each report keeps the walk states of its finger's returned
-    factors.
+    [0, 1]^n (`_FingerChain.seed`, at the hand model's kept grid rotations),
+    the first in product order on a tie, so the open hand (grid point 0)
+    wins every tie. A round tries +step, then -step, on each factor in turn,
+    held to [0, 1], and accepts any strict decrease. A poll on factor k turns
+    joint k by its new rotation, so it resumes from the current point's state
+    after joint k - 1 and reads the current rotations after it; only an
+    accepted probe writes into them. The poll is bounded by the current
+    value, so a losing poll stops early and keeps no states, and an accepted
+    probe, whose states become the current point's, has reached the tip.
+    `lost[k]` holds the running totals through joint k known at trials of
+    factor k (see the module docstring); an accepted probe on factor k clears
+    the maps of the factors after it. The first step is half the grid
+    spacing, and a round without a decrease halves it. A finger converges
+    when the step falls below STEP_TOL at a finite objective; at an infinite
+    one, or after max_iters rounds, it stops unconverged, reported, never
+    raised. `history` holds the accepted objective after each round, so it
+    never rises. Each report keeps the chain states of its returned factors.
     """
     cfg = config or DescentConfig()
     factors, reports = [], []
     for finger in hand.fingers:
         chain = _FingerChain(finger, wrist_world, shape, cfg.penalty, button)
-        t, rotations, states, value = chain.seed()
-        step = 0.5 / (GRID_POINTS - 1)
-        # lost[k][trial]: a known running total through joint k at that trial.
-        lost = [{} for _ in t]
-        history = []
-        converged = False
-        while len(history) < cfg.max_iters:
-            decreased = False
-            for k in range(len(t)):
-                tk = t[k]
-                up, down = tk + step, tk - step
-                lost_k = lost[k]
-                for trial in (up if up < 1.0 else 1.0, down if down > 0.0 else 0.0):
-                    if trial == tk or lost_k.get(trial, -math.inf) >= value:
-                        continue
-                    # Only joint k turns: the probe keeps the states before
-                    # it and the rotations after it.
-                    q = slerp_at(chain.slerps[k], trial)
-                    probe_states = states[:k]
-                    candidate = chain.walk(probe_states, k, q, rotations, value)
-                    if candidate < value:
-                        lost_k[tk] = states[k][7]
-                        t[k] = trial
-                        rotations[k], states = q, probe_states
-                        value, decreased = candidate, True
-                        for later in lost[k + 1:]:
-                            later.clear()
-                        break
-                    lost_k[trial] = probe_states[k][7] if len(probe_states) > k else candidate
-            history.append(value)
-            if not decreased:
-                step *= 0.5
-                if step < STEP_TOL:
-                    converged = math.isfinite(value)
-                    break
+        t, value, converged, history, states = chain.search(cfg.max_iters)
         factors.append(tuple(t))
         reports.append(FingerDescent(finger.name, len(history), value, converged, history,
                                      states))
@@ -281,7 +255,8 @@ def pose_hand_on_controller(
     """Grip solve: search from the seed grid onto a world-frame capsule.
 
     Point j of a finger is the end of phalanx j, posed with the world
-    rotation after joint j, as the search's last walk of the finger left it.
+    rotation after joint j, as the search's last accepted poll of the finger
+    (or its seed) left it.
     """
     params, reports = descend(hand, controller, config, wrist_world, button)
     poses = [[s[:7] for s in r.states] for r in reports]
@@ -377,7 +352,7 @@ def default_grip_capsule(hand: HandModel) -> CapsuleShape:
 #    "fingers": [{"name": str, "base": {...},
 #                 "joints": [{"open": [wxyz], "closed": [wxyz],
 #                             "offset": [xyz]}]}]}
-#   A finger has 1 to 4 joints: the grip search's seed grid costs 7^n walks.
+#   A finger has 1 to 4 joints: the grip search's seed grid has 7^n points.
 # Controller: {"s": [xyz], "e": [xyz], "r": meters, "button": [xyz] optional},
 #   in the controller device's frame; `transform_capsule` by the profile's hand
 #   offset carries a wrist-frame capsule such as `default_grip_capsule` there.

@@ -31,7 +31,6 @@ from .math3d import (
     floats_from_json,
     norm,
     normalize,
-    pose_from_obj,
     pose_to_obj,
     qmul,
     quat_angle_between,
@@ -348,6 +347,32 @@ def write_session(session: Session, path) -> None:
     write_jsonl(path, [header, *frames] if header else frames)
 
 
+def _poses_from_json(rotations, positions, label) -> list:
+    """The pose of each pair of a rotation and a position, as
+    `quat_from_json(rotation) + floats_from_json(position, 3)` decode it, with
+    pair i labelled `{label(i)} q` and `{label(i)} p`: a label is formatted
+    only for an error. Seven plain floats with a unit rotation (and
+    |x| + |y| + |z| of the position below INPUT_BOUND) are decoded in one
+    step, with `quat_from_json`'s arithmetic; any other pair goes through
+    those readers, so their error names the fault."""
+    poses = []
+    for rotation, position in zip(rotations, positions):
+        try:
+            (w, x, y, z), (px, py, pz) = rotation, position
+            n = math.sqrt(w * w + x * x + y * y + z * z)
+            if (abs(n - 1.0) <= 1e-6 and abs(px) + abs(py) + abs(pz) < INPUT_BOUND
+                    and type(w) is type(x) is type(y) is type(z) is type(px) is type(py)
+                    is type(pz) is float):
+                poses.append((w / n, x / n, y / n, z / n, px, py, pz))
+                continue
+        except (TypeError, ValueError, OverflowError):
+            pass
+        where = label(len(poses))
+        poses.append(quat_from_json(rotation, f"{where} q")
+                     + floats_from_json(position, 3, f"{where} p"))
+    return poses
+
+
 def read_session(path) -> Session:
     frames: list[DeviceFrame] = []
     role_map = None
@@ -367,18 +392,18 @@ def read_session(path) -> Session:
         t = float_from_json(obj.get("t"), f"{where} t")
         if frames and t <= frames[-1].timestamp:
             raise FormatError(f"{where}: timestamps must be strictly increasing")
-        parsed = {}
+        ids = []
         for k, dev in enumerate(devices):
             did = dev.get("id") if isinstance(dev, dict) else None
             if not isinstance(did, str) or not did:
                 raise FormatError(f"{where}: device {k} lacks an id")
-            if did in parsed:
+            if did in ids:
                 raise FormatError(f"{where}: duplicate device id {did!r}")
-            try:  # the device's label is formatted only for an error
-                parsed[did] = pose_from_obj(dev, "")
-            except FormatError as e:
-                raise FormatError(f"{where} device {did!r}{e}") from None
-        frames.append(DeviceFrame(t, parsed))
+            ids.append(did)
+        poses = _poses_from_json([dev.get("q") for dev in devices],
+                                 [dev.get("p") for dev in devices],
+                                 lambda i: f"{where} device {ids[i]!r}")
+        frames.append(DeviceFrame(t, dict(zip(ids, poses))))
     if not frames:
         raise FormatError(f"{path}: session contains no frames")
     # type() rather than isinstance(): JSON true/false must not pass as 1/0.
@@ -423,26 +448,8 @@ def read_ground_truth(path) -> GroundTruth:
         raise FormatError(f"{where}: roles lack {sorted(missing)}")
     frames = []
     for lineno, obj in lines:
-        where = f"{path}:{lineno}"
         p, q = obj.get("p"), obj.get("q")
         if not (isinstance(p, list) and isinstance(q, list) and len(p) == len(q) == len(names)):
-            raise FormatError(f"{where}: expected p and q of {len(names)} joints each")
-        # Each rotation is divided by its norm, as every reader's is. Seven
-        # plain floats with a unit q are decoded in one step, as
-        # `quat_from_json` and `floats_from_json` would; any other joint goes
-        # through them, so their error names the fault.
-        frame = []
-        for pj, qj in zip(p, q):
-            try:
-                (w, x, y, z), (px, py, pz) = qj, pj
-                n = math.sqrt(w * w + x * x + y * y + z * z)
-                plain = (abs(n - 1.0) <= 1e-6 and abs(px) + abs(py) + abs(pz) < INPUT_BOUND
-                         and type(w) is type(x) is type(y) is type(z) is type(px) is type(py)
-                         is type(pz) is float)
-            except (TypeError, ValueError, OverflowError):
-                plain = False
-            frame.append(Transform((w / n, x / n, y / n, z / n, px, py, pz) if plain else
-                                   quat_from_json(qj, f"{where} q")
-                                   + floats_from_json(pj, 3, f"{where} p")))
-        frames.append(frame)
+            raise FormatError(f"{path}:{lineno}: expected p and q of {len(names)} joints each")
+        frames.append(list(map(Transform, _poses_from_json(q, p, lambda i: f"{path}:{lineno}"))))
     return GroundTruth(names, roles, frames)

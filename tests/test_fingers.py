@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -340,24 +341,30 @@ class TestDescentOracle:
     @settings(max_examples=40)
     @given(seeds, st.sampled_from(["left", "right"]), st.floats(min_value=1.0, max_value=30.0),
            st.booleans(), st.lists(st.integers(min_value=1, max_value=4), min_size=5,
-                                   max_size=5), st.integers(min_value=1, max_value=200))
-    @example(0, "left", 10.0, True, [3, 3, 3, 3, 3], 200)
-    @example(1, "right", 1.0, False, [3, 3, 3, 3, 3], 200)
-    @example(2, "left", 30.0, True, [2, 1, 4, 1, 2], 200)
-    @example(3, "right", 5.0, False, [4, 2, 2, 1, 3], 3)
+                                   max_size=5), st.integers(min_value=1, max_value=200),
+           st.booleans())
+    @example(0, "left", 10.0, True, [3, 3, 3, 3, 3], 200, False)
+    @example(1, "right", 1.0, False, [3, 3, 3, 3, 3], 200, False)
+    @example(2, "left", 30.0, True, [2, 1, 4, 1, 2], 200, False)
+    @example(3, "right", 5.0, False, [4, 2, 2, 1, 3], 3, False)
+    @example(4, "left", 10.0, True, [4, 4, 1, 1, 1], 200, True)
     def test_search_matches_scalar_reference(self, seed, side, penalty, with_button,
-                                             joint_counts, max_iters):
+                                             joint_counts, max_iters, far):
         # The branch-and-bound seed and the resumed polls, which skip trials
         # known to lose, against a scalar search that evaluates every grid
         # point and every poll from the base: same factors, rounds,
         # objectives and histories, byte for byte. Mixed joint counts and a
-        # thumb's button vary how far the seed's bound prunes.
+        # thumb's button vary how far the seed's bound prunes. With `far`,
+        # the capsule is `far_capsule`, out of the fingers' reach, where the
+        # seed visits the whole tree and the polls walk farthest.
         rng = np.random.default_rng(seed)
         default = default_hand_model(side)
         hand = HandModel(side, tuple(Finger(f.name, f.base_local, (f.joints * 2)[:n])
                                      for f, n in zip(default.fingers, joint_counts)),
                          default.palm_anchor)
         wrist, shape, button = random_wrist_grip(rng, hand, with_button)
+        if far:
+            shape = far_capsule()
         config = DescentConfig(penalty=penalty, max_iters=max_iters)
         params, reports = descend(hand, shape, config, wrist, button)
         for fi, (finger, report) in enumerate(zip(hand.fingers, reports)):
@@ -400,9 +407,7 @@ class TestGridSeed:
         t, rotations, states, value = chain.seed()
         assert (t, value) == (want_t, want_value)
         assert rotations == chain.rotations(t)
-        fresh = []
-        assert chain.walk(fresh, 0, rotations[0], rotations) == value
-        assert states == fresh
+        assert chain.evaluate(rotations) == (value, states)
 
     def test_the_first_grid_point_wins_a_tie(self):
         # A joint with open == closed turns nowhere. With both joints still,
@@ -426,34 +431,55 @@ class TestGridSeed:
         assert seeded((free, still)) == [1.0, 0.0]
 
 
+def joint_specs() -> list:
+    """The default hands' specs, which hold tuples, and a random one holding
+    NumPy arrays, as the tests build them."""
+    rng = np.random.default_rng(0)
+    specs = [j for side in ("left", "right") for f in default_hand_model(side).fingers
+             for j in f.joints]
+    specs.append(FingerJointSpec(random_quat(rng), random_quat(rng), rng.normal(size=3)))
+    return specs
+
+
 class TestJointConstants:
-    """`FingerJointSpec.basis`, built on first use and kept."""
+    """`FingerJointSpec.basis` and `FingerJointSpec.grid`, built on first use and kept."""
 
     def test_equal_to_slerp_basis_and_built_once(self):
-        # The default hands' specs hold tuples; a random one holds NumPy
-        # arrays, as the tests build them.
-        rng = np.random.default_rng(0)
-        specs = [j for side in ("left", "right") for f in default_hand_model(side).fingers
-                 for j in f.joints]
-        specs.append(FingerJointSpec(random_quat(rng), random_quat(rng), rng.normal(size=3)))
-        for spec in specs:
+        for spec in joint_specs():
             basis = fingers.slerp_basis(spec.open_rotation, spec.closed_rotation)
             assert np.array(spec.basis).tobytes() == np.array(basis).tobytes()
             assert spec.basis is spec.basis
+
+    def test_grid_is_the_slerps_of_the_grid_and_built_once(self):
+        for spec in joint_specs():
+            want = [fingers.slerp_at(spec.basis, g) for g in fingerchain.GRID]
+            assert len(spec.grid) == fingerchain.GRID_POINTS
+            assert np.array(spec.grid).tobytes() == np.array(want).tobytes()
+            assert spec.grid is spec.grid
+
+    def test_grid_is_shared_by_bitwise_equal_bases_only(self):
+        # The default hand's joints share one basis, so one grid tuple; a joint
+        # whose open rotation differs only in the sign of a zero compares
+        # equal but gets its own.
+        left = default_hand_model("left")
+        assert len({id(j.grid) for f in left.fingers for j in f.joints}) == 1
+        joint = left.fingers[1].joints[0]
+        signed = FingerJointSpec((1.0, -0.0, 0.0, 0.0), joint.closed_rotation, joint.offset)
+        assert signed.basis == joint.basis and signed.grid is not joint.grid
 
     def test_reading_it_changes_no_comparison_or_document(self):
         hand, fresh = default_hand_model("right"), default_hand_model("right")
         document = hand_to_document(hand)
         for f in hand.fingers:
             for j in f.joints:
-                assert j.basis
+                assert j.basis and j.grid
         assert hand == fresh
         assert hand_to_document(hand) == document == hand_to_document(fresh)
 
     def test_a_second_grip_builds_no_basis(self, monkeypatch):
-        # The first grip builds each joint's basis. The second calls
-        # `slerp_basis` no more and `slerp_at` as often as the first: 105
-        # times for the seed's grid rotations and 354 for the polls.
+        # The first grip builds each joint's basis and grid rotations. The
+        # second calls `slerp_basis` no more and `slerp_at` only for the
+        # polls: 354 times.
         hand = default_hand_model("left")
         shape = default_grip_capsule(hand)
         first = pose_hand_on_controller(hand, IDENTITY, shape)
@@ -471,7 +497,7 @@ class TestJointConstants:
         counted(fingers, "slerp_at")
         counted(fingerchain, "slerp_at")
         second = pose_hand_on_controller(hand, IDENTITY, shape)
-        assert calls == {"slerp_basis": 0, "slerp_at": 459}
+        assert calls == {"slerp_basis": 0, "slerp_at": 354}
         assert second.params.values == first.params.values
 
 
@@ -486,43 +512,6 @@ def random_chain(rng, n_joints: int, with_button: bool, penalty: float, far: boo
     return fingers._FingerChain(finger, transform(random_quat(rng), rng.normal(size=3)),
                                 far_capsule() if far else random_grip_capsule(rng), penalty,
                                 button)
-
-
-def full_walk(chain, rotations: list) -> tuple[float, list]:
-    """The walk from the base with every joint turned by `rotations`: (value, states)."""
-    states = []
-    return chain.walk(states, 0, rotations[0], rotations), states
-
-
-class TestResumedWalk:
-    """`_FingerChain.walk` resumed at joint k with a new rotation, as a poll
-    calls it, against a walk from the base."""
-
-    @settings(max_examples=80)
-    @given(seeds, st.integers(min_value=1, max_value=4), st.booleans(),
-           st.floats(min_value=1.0, max_value=30.0), st.integers(min_value=0, max_value=3),
-           st.floats(min_value=-0.2, max_value=1.2))
-    @example(0, 3, False, 10.0, 0, 0.5)
-    @example(1, 4, True, 10.0, 3, 1.0)
-    def test_bit_identical_to_a_fresh_walk(self, seed, n_joints, with_button, penalty, k,
-                                           trial):
-        # The current point's states and rotations stay as they are; the
-        # fresh walk turns joint k by q in a copy of the rotations.
-        rng = np.random.default_rng(seed)
-        chain = random_chain(rng, n_joints, with_button, penalty)
-        rotations = chain.rotations(rng.uniform(0.0, 1.0, size=n_joints))
-        k = min(k, n_joints - 1)
-        _, states = full_walk(chain, rotations)
-        kept_rotations, kept_states = rotations.copy(), states.copy()
-        q = fingers.slerp_at(chain.slerps[k], trial)
-        probe_states = states[:k]
-        value = chain.walk(probe_states, k, q, rotations)
-        turned = rotations.copy()
-        turned[k] = q
-        want, want_states = full_walk(chain, turned)
-        assert np.float64(value).tobytes() == np.float64(want).tobytes()
-        assert probe_states == want_states
-        assert (rotations, states) == (kept_rotations, kept_states)
 
 
 class TestSeedChildren:
@@ -552,11 +541,11 @@ class TestSeedChildren:
         grids = [[fingers.slerp_at(basis, g) for g in fingerchain.GRID] for basis in chain.slerps]
         index = tuple(int(i) for i in rng.integers(fingers.GRID_POINTS, size=n_joints))
         rotations = [grid[i] for grid, i in zip(grids, index)]
-        _, full_states = full_walk(chain, rotations)
+        _, full_states = chain.evaluate(rotations)
         states = full_states[:j]
         want = []
         for i, q in enumerate(grids[j]):
-            value, child_states = full_walk(chain, [*rotations[:j], q, *rotations[j + 1:]])
+            value, child_states = chain.evaluate([*rotations[:j], q, *rotations[j + 1:]])
             state = child_states[j]
             want.append((value if j + 1 == n_joints else state[-1], (*index[:j], i), state))
         running = want[int(rng.integers(len(want)))][2][-1]
@@ -572,62 +561,127 @@ class TestSeedChildren:
         assert states == full_states[:j]
 
 
-class TestBoundedWalk:
-    """`_FingerChain.walk` with a bound, as the polls call it, against the walk
-    without one."""
+def mirror_search(chain, max_iters: int) -> tuple[list, list, list]:
+    """`_FingerChain.search`'s rounds with every poll a fresh `evaluate` from
+    the base: (factors, history, polls). A poll is (k, trial, joint steps):
+    the joints that a poll bounded by the current value steps, up to the
+    first whose running total exceeds it, plus one for the button term of a
+    thumb's poll that reaches the tip."""
+    t, rotations, states, value = chain.seed()
+    n = len(t)
+    step = 0.5 / (fingers.GRID_POINTS - 1)
+    lost = [{} for _ in t]
+    history, polls = [], []
+    while len(history) < max_iters:
+        decreased = False
+        for k in range(n):
+            for trial in (min(t[k] + step, 1.0), max(t[k] - step, 0.0)):
+                if trial == t[k] or lost[k].get(trial, -math.inf) >= value:
+                    continue
+                turned = [*rotations[:k], fingers.slerp_at(chain.slerps[k], trial),
+                          *rotations[k + 1:]]
+                candidate, probe_states = chain.evaluate(turned)
+                over = [j for j in range(k, n) if probe_states[j][7] > value]
+                polls.append((k, trial, over[0] + 1 - k if over else
+                              n - k + (chain.button is not None)))
+                if candidate < value:
+                    lost[k][t[k]] = states[k][7]
+                    t[k], rotations, states = trial, turned, probe_states
+                    value, decreased = candidate, True
+                    for later in lost[k + 1:]:
+                        later.clear()
+                    break
+                lost[k][trial] = probe_states[k][7]
+        history.append(value)
+        if not decreased:
+            step *= 0.5
+            if step < fingers.STEP_TOL:
+                break
+    return t, history, polls
 
-    @settings(max_examples=80)
+
+def counted_polls(chain, max_iters: int) -> list:
+    """(trial, joint steps) of each poll of `chain.search`. A poll computes
+    one `slerp_at`, then one root per joint it steps and one for a button
+    term; the seed's roots come before the first poll."""
+    polls = []
+
+    def slerp_at(basis, trial):
+        polls.append([trial, 0])
+        return fingers.slerp_at(basis, trial)
+
+    def sqrt(x):
+        if polls:
+            polls[-1][1] += 1
+        return math.sqrt(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fingerchain, "slerp_at", slerp_at)
+        patch.setattr(fingerchain, "math", SimpleNamespace(sqrt=sqrt, inf=math.inf,
+                                                           isfinite=math.isfinite))
+        chain.search(max_iters)
+    return [tuple(poll) for poll in polls]
+
+
+class TestPolls:
+    """`_FingerChain.search`'s polls, resumed after the joints they keep and
+    bounded by the current value, against `mirror_search`."""
+
+    @settings(max_examples=60)
     @given(seeds, st.integers(min_value=1, max_value=4), st.booleans(),
-           st.floats(min_value=1.0, max_value=30.0), st.integers(min_value=0, max_value=4),
-           st.sampled_from(["full", "below_full", "above_full", "partial", "above_partial",
-                            "scaled"]),
-           st.floats(min_value=0.0, max_value=2.0))
-    @example(0, 3, False, 10.0, 0, "full", 1.0)
-    @example(1, 4, True, 10.0, 2, "full", 1.0)
-    def test_returns_the_full_walk_below_the_bound(self, seed, n_joints, with_button, penalty,
-                                                   k, bound_kind, scale):
-        # A random chain of n_joints joints, resumed after joint k from the
-        # full walk's states. The bound is the full value or a running total
-        # of the full walk, one of them plus or minus an ulp, or a multiple of
-        # the full value. At k = n_joints the walk resumes after the tip: no
-        # joint turns, and q is unused.
+           st.floats(min_value=1.0, max_value=30.0), st.booleans(),
+           st.integers(min_value=1, max_value=60))
+    @example(0, 3, False, 10.0, False, 60)
+    @example(1, 4, True, 10.0, True, 60)
+    def test_resumed_polls_match_fresh_evaluations(self, seed, n_joints, with_button, penalty,
+                                                   far, max_iters):
+        # A resumed poll's value is bit-identical to a fresh evaluation's, so
+        # the search takes the mirror's steps; its states are the fresh ones
+        # at the returned factors.
         rng = np.random.default_rng(seed)
-        chain = random_chain(rng, n_joints, with_button, penalty)
-        rotations = chain.rotations(rng.uniform(0.0, 1.0, size=n_joints))
-        full, full_states = full_walk(chain, rotations)
-        k = min(k, n_joints)
-        partial = full_states[int(rng.integers(n_joints))][-1]
-        bound = {"full": full, "below_full": math.nextafter(full, -math.inf),
-                 "above_full": math.nextafter(full, math.inf), "partial": partial,
-                 "above_partial": math.nextafter(partial, math.inf),
-                 "scaled": full * scale}[bound_kind]
-        states = full_states[:k]
-        q = rotations[k] if k < n_joints else None
-        value = chain.walk(states, k, q, rotations, bound)
-        if full <= bound:
-            assert np.float64(value).tobytes() == np.float64(full).tobytes()
-            assert states == full_states
-        else:
-            assert value > bound
-            assert k <= len(states) <= n_joints
-            assert states == full_states[:len(states)]
-            if len(states) < n_joints:
-                # Stopped inside the chain, at joint len(states), whose state
-                # holds the returned total but was not appended.
-                assert value == full_states[len(states)][-1]
+        chain = random_chain(rng, n_joints, with_button, penalty, far)
+        want_t, want_history, _ = mirror_search(chain, max_iters)
+        t, value, _, history, states = chain.search(max_iters)
+        assert np.array(t).tobytes() == np.array(want_t).tobytes()
+        assert np.array(history).tobytes() == np.array(want_history).tobytes()
+        assert chain.evaluate(chain.rotations(t)) == (value, states)
 
-    def test_stops_before_the_tip(self):
-        # Every point of the curled toy finger is about 1 m from the far
-        # capsule, so a bound an ulp below the first point's total is
-        # exceeded at once.
-        chain = fingers._FingerChain(small_curl_hand().fingers[0], None, far_capsule(), 10.0)
-        rotations = chain.rotations([0.5, 0.5, 0.5])
-        full, full_states = full_walk(chain, rotations)
-        first = full_states[0][-1]
-        states = []
-        bound = math.nextafter(first, -math.inf)
-        assert chain.walk(states, 0, rotations[0], rotations, bound) == first < full
-        assert states == []
+    @settings(max_examples=60)
+    @given(seeds, st.integers(min_value=1, max_value=4), st.booleans(),
+           st.floats(min_value=1.0, max_value=30.0), st.booleans(),
+           st.integers(min_value=1, max_value=60))
+    @example(0, 3, False, 10.0, False, 60)
+    @example(1, 4, True, 10.0, True, 60)
+    def test_a_poll_stops_once_its_total_exceeds_the_value(self, seed, n_joints, with_button,
+                                                           penalty, far, max_iters):
+        # The search tries the mirror's trials in order, and each poll steps
+        # exactly the joints up to the first running total above the value.
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, n_joints, with_button, penalty, far)
+        _, _, want = mirror_search(chain, max_iters)
+        assert counted_polls(chain, max_iters) == [(trial, steps) for _, trial, steps in want]
+
+    def test_polls_stop_inside_the_chain(self):
+        # On the default grip the objective is a few mm, and many polls of
+        # the index finger's first joints exceed it before the tip.
+        hand = default_hand_model("left")
+        chain = fingers._FingerChain(hand.fingers[1], None, default_grip_capsule(hand), 10.0)
+        _, _, want = mirror_search(chain, 200)
+        assert any(steps < 3 - k for k, _, steps in want)
+        assert counted_polls(chain, 200) == [(trial, steps) for _, trial, steps in want]
+
+    def test_a_tie_is_no_excess(self):
+        # A thumb whose joints turn nowhere, with the button at its tip: every
+        # poll's running total meets the current value at the tip without
+        # exceeding it, so the poll goes on to add the button's zero term.
+        still = FingerJointSpec(IDENT.copy(), IDENT.copy(), np.array([-0.05, 0.0, 0.0]))
+        finger = Finger("thumb", IDENTITY, (still, still))
+        _, states = fingers._FingerChain(finger, None, far_capsule(), 10.0).evaluate(
+            [(1.0, 0.0, 0.0, 0.0)] * 2)
+        chain = fingers._FingerChain(finger, None, far_capsule(), 10.0, states[-1][4:7])
+        _, _, want = mirror_search(chain, 200)
+        assert want and all(steps == 3 - k for k, _, steps in want)
+        assert counted_polls(chain, 200) == [(trial, steps) for _, trial, steps in want]
 
 
 def small_curl_hand() -> HandModel:
@@ -671,7 +725,7 @@ class TestGrip:
         for finger, t, poses, distances in zip(hand.fingers, result.params.values,
                                                result.poses, result.joint_distances):
             chain = fingers._FingerChain(finger, wrist, shape, 0.0)
-            _, states = full_walk(chain, chain.rotations(t))
+            _, states = chain.evaluate(chain.rotations(t))
             assert [np.concatenate([p[:4], np.array(p[4:])]).tobytes() for p in poses] \
                 == [np.array(state[:7]).tobytes() for state in states]
             assert distances == [capsule_sdf(shape, state[4:7]) for state in states]

@@ -352,7 +352,7 @@ class TestSessionFiles:
     UNIT_Q = list(quat_from_axis_angle((0.3, 1.0, -0.2), 0.7))
     BELOW_BOUND = math.nextafter(1e150, 0.0)
 
-    @pytest.mark.parametrize("q, p", [
+    POSE_VALUES = [
         (UNIT_Q, [0.1, -0.0, 2.5]),
         (UNIT_Q, [BELOW_BOUND, -BELOW_BOUND, 0.0]),
         (UNIT_Q, [9e149, 9e149, 9e149]),  # each value within the bound, their sum not
@@ -377,7 +377,9 @@ class TestSessionFiles:
         ("wxyz", [0.0, 0.0, 0.0]),
         (UNIT_Q[:3], [0.0, 0.0, 0.0]),
         (None, [0.0, 0.0, 0.0]),
-    ])
+    ]
+
+    @pytest.mark.parametrize("q, p", POSE_VALUES)
     def test_ground_truth_joint_decodes_as_the_readers(self, tmp_path, tpose_session, q, p):
         # A joint loads, or fails with the message, as `quat_from_json` and
         # `floats_from_json` decode it.
@@ -397,6 +399,30 @@ class TestSessionFiles:
             assert str(error.value) == str(e)
         else:
             state = read_ground_truth(path).frames[0][2]
+            assert state == want and list(map(type, state)) == [float] * 7
+            assert str(state) == str(want)  # the signs of zeros too
+
+    @pytest.mark.parametrize("q, p", POSE_VALUES)
+    def test_session_device_decodes_as_the_readers(self, tmp_path, tpose_session, q, p):
+        # A device pose loads, or fails with the message, as `quat_from_json`
+        # and `floats_from_json` decode it under the device's label.
+        session, _ = tpose_session
+        path = tmp_path / "s.jsonl"
+        write_session(session, path)
+        lines = path.read_text().splitlines()
+        frame = json.loads(lines[1])
+        device = frame["devices"][2]
+        device["q"], device["p"] = q, p
+        path.write_text("\n".join([lines[0], json.dumps(frame), *lines[2:]]) + "\n")
+        where = f"{path}:2 device {device['id']!r}"
+        try:
+            want = quat_from_json(q, f"{where} q") + floats_from_json(p, 3, f"{where} p")
+        except FormatError as e:
+            with pytest.raises(FormatError) as error:
+                read_session(path)
+            assert str(error.value) == str(e)
+        else:
+            state = read_session(path).frames[0].devices[device["id"]]
             assert state == want and list(map(type, state)) == [float] * 7
             assert str(state) == str(want)  # the signs of zeros too
 

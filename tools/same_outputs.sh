@@ -15,7 +15,11 @@
 # controller about 1 m out of reach, where no bound prunes the grip's seed
 # grid, and with the default right hand and its grip capsule in the right
 # controller's frame (--max-iters 30), which the CLI mirrors to the left
-# hand. It also calibrates the free seed 1 session on a third avatar, the
+# hand. Every CLI grip runs at the identity wrist, so each tree also writes
+# the `repr` of `pose_hand_on_controller` at six seeded world wrists: the
+# default left and right hands on their grip capsules, and the 4-joint hand
+# near and about 1 m out of reach, each with and without a thumb button
+# (8 data files). It also calibrates the free seed 1 session on a third avatar, the
 # `humanoid_long_legs` rig plus a `finger` joint under each wrist, an `other`
 # joint under the head and an `other` joint under the hips that is no limb's
 # ancestor, and solves it in exact and fixed mode without hands. It does the
@@ -34,7 +38,7 @@
 # reads a JSONL motion script (--script-file: a T-pose line, then 30 lines of
 # joint rotations and root poses), and the session is calibrated and solved
 # against its ground truth. Every command's stdout, stderr and exit code go
-# to a .out file, with the tree's output directory masked: 172 data files and
+# to a .out file, with the tree's output directory masked: 180 data files and
 # 89 command outputs per tree. Prints every file that differs or exists on one
 # side only; exits 0 when all are identical.
 # WORK_DIR (default: a new temporary directory) is kept for inspection;
@@ -57,6 +61,8 @@ run_tree() {  # run_tree TREE OUT_DIR
     mkdir -p "$out"
     export PYTHONPATH="$tree/src"
     "$python" - "$out" <<'EOF'
+import math
+import random
 import sys
 from avatarfit import fingers, math3d, rigs, session, skeleton
 
@@ -128,6 +134,28 @@ finger_names = ["thumb", 'in"dex%', "mid%sdle", 'r"%%ing', "p\u00efnky"]
 fingers.save_hand_file(fingers.HandModel(hand.side, tuple(
     fingers.Finger(name, f.base_local, f.joints) for name, f in zip(finger_names, hand.fingers)),
     hand.palm_anchor), f"{out}/hand5.json")
+# World-frame grips, which no CLI command makes: the `repr` of each
+# `pose_hand_on_controller` result at six seeded world wrists, one per line.
+rng = random.Random(35)
+wrists = []
+for _ in range(6):
+    q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    n = math.sqrt(sum(c * c for c in q))
+    wrists.append((*(c / n for c in q), *(rng.uniform(-1.0, 1.0) for _ in range(3))))
+hand4 = fingers.HandModel(hand.side, long_fingers, hand.palm_anchor)
+far = fingers.CapsuleShape((1.0, 0.0, -0.05), (1.0, 0.0, 0.05), 0.026)
+for name, model, shape, tip in (
+        ("left", hand, fingers.default_grip_capsule(hand), (-0.06, -0.012, -0.02)),
+        ("right", right, fingers.default_grip_capsule(right), (0.06, -0.012, -0.02)),
+        ("hand4", hand4, fingers.default_grip_capsule(hand4), (-0.06, -0.012, -0.02)),
+        ("hand4-far", hand4, far, (1.0, 0.0, 0.0))):
+    for pressed in (False, True):
+        with open(f"{out}/grip-{name}{'-button' if pressed else ''}.txt", "w") as f:
+            for wrist in wrists:
+                result = fingers.pose_hand_on_controller(
+                    model, wrist, fingers.transform_capsule(shape, wrist),
+                    button=apply(wrist, tip) if pressed else None)
+                f.write(repr(result) + "\n")
 EOF
     cli() {  # cli NAME ARGS...: run one command, recording its output and exit code
         local name=$1 status=0
